@@ -77,6 +77,6 @@ pub use model::{
 };
 pub use ops::{GateClass, Op, QubitTag};
 pub use pipeline::{ensure_conflict_free, ConflictError, PipelineSchedule, QueryTiming};
-pub use replication::{ReplicatedMemory, ReplicatedWrite};
+pub use replication::{JournalEntry, ReplicatedMemory, ReplicatedWrite};
 pub use sharded::{sub_batch_split_count, ShardedQram};
 pub use tree::{NodeId, RouterId, TreeShape};

@@ -40,8 +40,19 @@ static VALIDATED_BATCHES: OnceLock<Mutex<HashMap<u64, usize>>> = OnceLock::new()
 /// schedule — the even–odd transposition pattern is conflict-free by
 /// construction, which this check re-proves rather than assumes).
 pub fn ensure_conflict_free(capacity: Capacity, num_queries: usize) -> Result<(), ConflictError> {
+    ensure_conflict_free_built(capacity, num_queries).map(|_| ())
+}
+
+/// [`ensure_conflict_free`], also reporting whether this call built a
+/// schedule rather than answering from the memo — a count of this call's
+/// own work, unaffected by schedules other threads build meanwhile
+/// (which [`schedule_construction_count`] includes).
+pub(crate) fn ensure_conflict_free_built(
+    capacity: Capacity,
+    num_queries: usize,
+) -> Result<bool, ConflictError> {
     if num_queries == 0 {
-        return Ok(());
+        return Ok(false);
     }
     let memo = VALIDATED_BATCHES.get_or_init(|| Mutex::new(HashMap::new()));
     {
@@ -50,14 +61,14 @@ pub fn ensure_conflict_free(capacity: Capacity, num_queries: usize) -> Result<()
             .get(&capacity.get())
             .is_some_and(|&max| num_queries <= max)
         {
-            return Ok(());
+            return Ok(false);
         }
     }
     PipelineSchedule::new(capacity, num_queries).validate_no_conflicts()?;
     let mut validated = memo.lock().expect("validation memo poisoned");
     let max = validated.entry(capacity.get()).or_insert(0);
     *max = (*max).max(num_queries);
-    Ok(())
+    Ok(true)
 }
 
 /// Number of [`PipelineSchedule`] values constructed since process start.
@@ -547,20 +558,18 @@ mod tests {
     #[test]
     fn validation_memo_builds_at_most_one_schedule_per_growth() {
         // Distinct capacity from other tests so the process-wide memo
-        // starts cold for this key.
+        // starts cold for this key. Each call reports its own schedule
+        // construction: sibling tests build schedules on other threads,
+        // so the process-wide counter cannot attribute them.
         let capacity = cap(1 << 9);
-        assert!(ensure_conflict_free(capacity, 64).is_ok());
-        let after_first = schedule_construction_count();
+        assert_eq!(ensure_conflict_free_built(capacity, 64), Ok(true));
         // Smaller and equal batches are covered by the recorded maximum.
-        assert!(ensure_conflict_free(capacity, 64).is_ok());
-        assert!(ensure_conflict_free(capacity, 1).is_ok());
-        assert!(ensure_conflict_free(capacity, 0).is_ok());
-        assert_eq!(schedule_construction_count(), after_first);
+        assert_eq!(ensure_conflict_free_built(capacity, 64), Ok(false));
+        assert_eq!(ensure_conflict_free_built(capacity, 1), Ok(false));
+        assert_eq!(ensure_conflict_free_built(capacity, 0), Ok(false));
         // A larger batch re-validates once, then is memoized too.
-        assert!(ensure_conflict_free(capacity, 128).is_ok());
-        let after_growth = schedule_construction_count();
-        assert_eq!(after_growth, after_first + 1);
-        assert!(ensure_conflict_free(capacity, 100).is_ok());
-        assert_eq!(schedule_construction_count(), after_growth);
+        assert_eq!(ensure_conflict_free_built(capacity, 128), Ok(true));
+        assert_eq!(ensure_conflict_free_built(capacity, 100), Ok(false));
+        assert_eq!(ensure_conflict_free_built(capacity, 128), Ok(false));
     }
 }

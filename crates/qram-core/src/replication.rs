@@ -18,6 +18,13 @@
 //!   ([`ReplicatedMemory::is_stale`]); a read dispatched there is
 //!   detectably behind and must be flagged, never silently served as
 //!   fresh.
+//! * each replica keeps a **journal** ([`ReplicatedMemory::journal`]) of
+//!   every cell change it applied — replicated log entries, injected
+//!   corruption, and the cell diff of a reset — each tagged with the
+//!   replica's applied epoch after the step. The base image plus the
+//!   entries tagged at most `e` is the replica's final image at epoch
+//!   `e`, so one retrieval-order sweep can serve reads of every epoch
+//!   without a memory copy per epoch.
 //!
 //! The consistency model is deliberately simple and property-testable:
 //! the log is a single total order (no concurrent conflicting writes), so
@@ -36,6 +43,17 @@ pub struct ReplicatedWrite {
     /// The written global cell address.
     pub address: u64,
     /// The written value.
+    pub value: u64,
+}
+
+/// One cell change a replica applied, as its journal records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalEntry {
+    /// The replica's applied epoch after the step that made the change.
+    pub tag: u64,
+    /// The changed global cell address.
+    pub address: u64,
+    /// The cell's new value.
     pub value: u64,
 }
 
@@ -70,6 +88,9 @@ pub struct ReplicatedMemory {
     applied: Vec<u64>,
     /// The totally ordered write log; entry `e − 1` established epoch `e`.
     log: Vec<ReplicatedWrite>,
+    /// `journals[r]` = every cell change replica `r` applied, in order,
+    /// with non-decreasing tags.
+    journals: Vec<Vec<JournalEntry>>,
 }
 
 impl ReplicatedMemory {
@@ -86,6 +107,7 @@ impl ReplicatedMemory {
             replicas: vec![base; num_replicas],
             applied: vec![0; num_replicas],
             log: Vec::new(),
+            journals: vec![Vec::new(); num_replicas],
         }
     }
 
@@ -132,6 +154,16 @@ impl ReplicatedMemory {
         &self.replicas[replica]
     }
 
+    /// Replica `replica`'s journal: every cell change it applied since
+    /// [`Self::new`], in order, tagged with non-decreasing applied
+    /// epochs. Writing the entries tagged at most `e` over the base image
+    /// gives the replica's memory as it last stood at applied epoch `e`;
+    /// all of them give [`Self::memory`].
+    #[must_use]
+    pub fn journal(&self, replica: usize) -> &[JournalEntry] {
+        &self.journals[replica]
+    }
+
     /// Commits a write: appends it to the log at the next fleet epoch and
     /// applies it at `origin` synchronously (catching `origin` up through
     /// any earlier entries it had not yet absorbed — the log is applied in
@@ -176,6 +208,11 @@ impl ReplicatedMemory {
         }
         for entry in &self.log[from as usize..target as usize] {
             self.replicas[replica].write(entry.address, entry.value);
+            self.journals[replica].push(JournalEntry {
+                tag: target,
+                address: entry.address,
+                value: entry.value,
+            });
         }
         self.applied[replica] = target;
         target - from
@@ -202,18 +239,45 @@ impl ReplicatedMemory {
     /// from a durable checkpoint + WAL replay (or a scrub repair that
     /// re-derives a diverged replica from the durable chain). The
     /// replica continues from `epoch` through ordinary catch-up; writes
-    /// it had applied before the reset are superseded wholesale.
+    /// it had applied before the reset are superseded wholesale. The
+    /// journal records the cells where `memory` differs from the
+    /// replaced image.
     ///
     /// # Panics
     ///
-    /// Panics if `replica` is out of range or `epoch` exceeds the fleet
-    /// epoch (a recovered image cannot be ahead of the committed log).
+    /// Panics if `replica` is out of range, `epoch` exceeds the fleet
+    /// epoch (a recovered image cannot be ahead of the committed log) or
+    /// trails the replica's applied epoch (a replica never un-applies
+    /// the log), or `memory` differs from the replica in capacity or bus
+    /// width.
     pub fn reset_replica(&mut self, replica: usize, memory: ClassicalMemory, epoch: u64) {
         assert!(
             epoch <= self.fleet_epoch(),
             "recovered epoch {epoch} is ahead of the fleet epoch {}",
             self.fleet_epoch()
         );
+        assert!(
+            epoch >= self.applied[replica],
+            "recovered epoch {epoch} is behind replica {replica}'s applied epoch {}",
+            self.applied[replica]
+        );
+        let old = &self.replicas[replica];
+        assert!(
+            memory.capacity() == old.capacity() && memory.bus_width() == old.bus_width(),
+            "a recovered image must match the replica's capacity and bus width"
+        );
+        let diff = old
+            .cells()
+            .iter()
+            .zip(memory.cells())
+            .enumerate()
+            .filter(|(_, (was, now))| was != now)
+            .map(|(address, (_, &value))| JournalEntry {
+                tag: epoch,
+                address: address as u64,
+                value,
+            });
+        self.journals[replica].extend(diff);
         self.replicas[replica] = memory;
         self.applied[replica] = epoch;
     }
@@ -222,7 +286,8 @@ impl ReplicatedMemory {
     /// log — a **fault-injection hook** modeling silent media corruption,
     /// for exercising the anti-entropy scrubber. The replica's applied
     /// epoch is untouched: the divergence is invisible to staleness
-    /// tracking and only a digest comparison can find it.
+    /// tracking and only a digest comparison can find it. The journal
+    /// records the flip at the applied epoch.
     ///
     /// # Panics
     ///
@@ -230,6 +295,11 @@ impl ReplicatedMemory {
     pub fn corrupt_replica_cell(&mut self, replica: usize, address: u64) {
         let flipped = self.replicas[replica].read(address) ^ 1;
         self.replicas[replica].write(address, flipped);
+        self.journals[replica].push(JournalEntry {
+            tag: self.applied[replica],
+            address,
+            value: flipped,
+        });
     }
 
     /// Catches every replica up to the fleet epoch, converging the fleet.
@@ -440,6 +510,94 @@ mod tests {
         let mut m = fleet(2);
         m.write_at(0, 1, 1);
         m.reset_replica(1, ClassicalMemory::from_words(8, &[0; 16]).unwrap(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "behind replica 0's applied epoch")]
+    fn reset_replica_cannot_unapply_the_log() {
+        let mut m = fleet(2);
+        m.write_at(0, 1, 1);
+        m.reset_replica(0, ClassicalMemory::from_words(8, &[0; 16]).unwrap(), 0);
+    }
+
+    /// Random steps of every kind that changes a replica: at every step
+    /// each replica's journal has non-decreasing tags and replays over
+    /// the base image to its memory, and at the end the entries tagged
+    /// at most `e` replay to the image the replica last held at applied
+    /// epoch `e`, for every epoch it passed through.
+    #[test]
+    fn journal_replays_every_replica_image() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let replay = |base: &ClassicalMemory, journal: &[JournalEntry], upto: u64| {
+            let mut image = base.clone();
+            for e in journal.iter().filter(|e| e.tag <= upto) {
+                image.write(e.address, e.value);
+            }
+            image
+        };
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let replicas = 1 + (seed as usize % 4);
+            let words: Vec<u64> = (0..16).map(|i| i * 37 % 256).collect();
+            let base = ClassicalMemory::from_words(8, &words).unwrap();
+            let mut m = ReplicatedMemory::new(base.clone(), replicas);
+            let mut finals: Vec<BTreeMap<u64, ClassicalMemory>> = vec![BTreeMap::new(); replicas];
+            for step in 0..300 {
+                let r = rng.random_range(0..replicas);
+                match rng.random_range(0..5u32) {
+                    0 => {
+                        m.write_at(r, rng.random_range(0..16u64), rng.random_range(0..256u64));
+                    }
+                    1 => {
+                        let upto = rng.random_range(0..=m.fleet_epoch());
+                        m.catch_up_to(r, upto);
+                    }
+                    2 => {
+                        m.catch_up_by(r, rng.random_range(0..4u64));
+                    }
+                    3 => m.corrupt_replica_cell(r, rng.random_range(0..16u64)),
+                    _ => {
+                        // As the fleet does: a recovered image at an epoch
+                        // between the replica's applied epoch and the
+                        // fleet epoch, sometimes itself off the log.
+                        let epoch = rng.random_range(m.applied_epoch(r)..=m.fleet_epoch());
+                        let mut image = base.clone();
+                        for w in &m.log()[..epoch as usize] {
+                            image.write(w.address, w.value);
+                        }
+                        if rng.random_bool(0.5) {
+                            image.write(rng.random_range(0..16u64), rng.random_range(0..256u64));
+                        }
+                        m.reset_replica(r, image, epoch);
+                    }
+                }
+                for (r, finals) in finals.iter_mut().enumerate() {
+                    let journal = m.journal(r);
+                    assert!(
+                        journal.windows(2).all(|w| w[0].tag <= w[1].tag),
+                        "seed {seed}, step {step}: replica {r}'s tags decrease"
+                    );
+                    assert_eq!(
+                        &replay(&base, journal, m.applied_epoch(r)),
+                        m.memory(r),
+                        "seed {seed}, step {step}, replica {r}"
+                    );
+                    finals.insert(m.applied_epoch(r), m.memory(r).clone());
+                }
+            }
+            for (r, finals) in finals.iter().enumerate() {
+                for (&epoch, image) in finals {
+                    assert_eq!(
+                        &replay(&base, m.journal(r), epoch),
+                        image,
+                        "seed {seed}, replica {r}, epoch {epoch}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

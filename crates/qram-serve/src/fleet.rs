@@ -73,7 +73,9 @@ use std::fmt;
 use qram_core::store::{
     chunk_digests, frame, CheckpointPolicy, DurableFleet, SimDir, StoreError, SyncSummary,
 };
-use qram_core::{ExecError, QramModel, ReplicatedMemory, ReplicatedWrite, ShardedQram};
+use qram_core::{
+    ExecError, JournalEntry, QramModel, ReplicatedMemory, ReplicatedWrite, ShardedQram,
+};
 use qram_metrics::{
     AvailabilityCounters, HistogramFamily, IntegrityCounters, LatencyHistogram, Layers, QueryRate,
     TimingModel,
@@ -628,8 +630,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// routes every arrival through quota / SLO shedding and the
     /// placement policy onto a replica core, interleaves write commits
     /// and replication with dispatching in one discrete-event loop, then
-    /// executes each replica's dispatched queries against the memory
-    /// versions they observed.
+    /// executes each replica's dispatched queries in one batch, each
+    /// against the final image of the memory version it observed.
     ///
     /// Requests and writes may be supplied in any order (the reactor
     /// orders them by instant; same-instant arrivals precede write
@@ -665,7 +667,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// `tests/fleet_faults.rs` pins [`QramFleet::serve`] (which routes
     /// through [`QramFleet::serve_with_faults`] with an empty plan)
     /// against this loop — same schedules, same outcomes — for
-    /// `R ∈ {1, 2, 4}`. Not part of the supported API.
+    /// `R ∈ {1, 2, 4}`. It clones a memory snapshot per (replica, epoch)
+    /// and executes one batch per epoch group, so with writes the pin is
+    /// also a differential test of `serve`'s one journal sweep per
+    /// replica. Not part of the supported API.
     ///
     /// # Errors
     ///
@@ -1077,10 +1082,9 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
             })
             .collect();
 
+        // Each replica's journal records the cell changes it applies; a
+        // dispatch's stamped epoch selects its prefix at execution.
         let mut replicated = ReplicatedMemory::new(memory.clone(), num_replicas);
-        let mut snapshots: Vec<BTreeMap<u64, ClassicalMemory>> = (0..num_replicas)
-            .map(|_| BTreeMap::from([(0, memory.clone())]))
-            .collect();
         let mut dispatch_epochs: Vec<Vec<u64>> = vec![Vec::new(); num_replicas];
         let mut dispatch_stale: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
         // Which admitted query each dispatch belongs to, and whether its
@@ -1390,8 +1394,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 }
                             }
                         }
-                        let applied = replicated.applied_epoch(origin);
-                        snapshots[origin].insert(applied, replicated.memory(origin).clone());
                         if num_replicas > 1 {
                             if durability.is_some() {
                                 // Ack-at-sync: replication (and with it
@@ -1430,13 +1432,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                     Event::Replicate { epoch } => {
                         // Dead replicas miss the catch-up; recovery replay
                         // carries them past it before they rejoin.
-                        for (r, snaps) in snapshots.iter_mut().enumerate() {
-                            if alive[r] && replicated.catch_up_to(r, epoch) > 0 {
-                                snaps.insert(
-                                    replicated.applied_epoch(r),
-                                    replicated.memory(r).clone(),
-                                );
-                            }
+                        for r in (0..num_replicas).filter(|&r| alive[r]) {
+                            replicated.catch_up_to(r, epoch);
                         }
                     }
                     Event::Completion { replica, index } => {
@@ -1596,10 +1593,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 0,
                                 "a rejoined replica is fully caught up"
                             );
-                            snapshots[replica].insert(
-                                replicated.applied_epoch(replica),
-                                replicated.memory(replica).clone(),
-                            );
                             health[replica] = ReplicaHealth::Healthy;
                             counters.recoveries += 1;
                             if let Some(since) = down_since[replica].take() {
@@ -1713,12 +1706,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 );
                             }
                             repl_scheduled = repl_scheduled.max(to);
-                            d.scrub(
-                                &mut replicated,
-                                &alive,
-                                fault_config.scrub_chunk_cells,
-                                &mut snapshots,
-                            )?;
+                            d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
                         }
                         if let Some(interval) = fault_config.scrub_interval {
                             if open > 0 || arrivals.peek().is_some() {
@@ -1751,15 +1739,13 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                         // Media corruption: one bit flips in the live
                         // replica image, bypassing the replication log —
                         // invisible to staleness tracking, caught only by
-                        // a scrub's digest comparison. The snapshot at
-                        // the replica's applied epoch is poisoned too, so
-                        // queries batched against that version observe
-                        // the corruption until a scrub repairs it (the
-                        // snapshot table keys on epoch, so the version's
-                        // final image decides what its dispatches serve).
+                        // a scrub's digest comparison. The journal tags
+                        // the flip with the replica's applied epoch and
+                        // every dispatch reads its epoch's final image, so
+                        // reads of that version and later ones observe the
+                        // flip until a scrub's repair; a repair within the
+                        // same epoch cleans the whole version.
                         replicated.corrupt_replica_cell(replica, cell % total_cells);
-                        let applied = replicated.applied_epoch(replica);
-                        snapshots[replica].insert(applied, replicated.memory(replica).clone());
                     }
                     Event::Retry { qid } => {
                         if !states[qid].done {
@@ -1920,12 +1906,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         // found and repaired before the report closes.
         if fault_config.scrub_interval.is_some() {
             if let Some(d) = durability.as_mut() {
-                d.scrub(
-                    &mut replicated,
-                    &alive,
-                    fault_config.scrub_chunk_cells,
-                    &mut snapshots,
-                )?;
+                d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
             }
         }
 
@@ -1941,26 +1922,18 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         );
         debug_assert!(outstanding.values().all(|&n| n == 0));
 
+        // Execute per replica in one §7.2 sweep over the run's starting
+        // memory plus the replica's journal (see `sweep_updates`).
         let mut outcomes_by_replica: Vec<Vec<QueryOutcome>> = Vec::with_capacity(num_replicas);
         for (r, replica) in replicas.into_iter().enumerate() {
             let addresses = replica.into_addresses();
-            let epochs = &dispatch_epochs[r];
-            let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(addresses.len());
-            let mut lo = 0;
-            while lo < addresses.len() {
-                let mut hi = lo + 1;
-                while hi < addresses.len() && epochs[hi] == epochs[lo] {
-                    hi += 1;
-                }
-                let snapshot = &snapshots[r][&epochs[lo]];
-                outcomes.extend(self.backends[r].execute_queries(
-                    snapshot,
-                    &addresses[lo..hi],
-                    &[],
-                )?);
-                lo = hi;
-            }
-            outcomes_by_replica.push(outcomes);
+            let updates = sweep_updates(
+                &self.backends[r],
+                &dispatch_epochs[r],
+                replicated.journal(r),
+            );
+            outcomes_by_replica
+                .push(self.backends[r].execute_queries(memory, &addresses, &updates)?);
         }
         // Align outcomes with the completion-ordered report. Unlike the
         // fault-free cursor walk, crashed and corrupted dispatches leave
@@ -2001,7 +1974,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
 /// Error from a durable serving run ([`QramFleet::serve_durable`]).
 #[derive(Debug)]
 pub enum DurableServeError {
-    /// Query execution against a memory snapshot failed.
+    /// Query execution failed.
     Exec(ExecError),
     /// The durable store's directory failed.
     Store(StoreError),
@@ -2183,14 +2156,10 @@ impl<'a> Durability<'a> {
         replicated: &mut ReplicatedMemory,
         alive: &[bool],
         chunk_cells: usize,
-        snapshots: &mut [BTreeMap<u64, ClassicalMemory>],
     ) -> Result<(), StoreError> {
         self.counters.scrub_cycles += 1;
         self.audit_disk(replicated)?;
-        for r in 0..replicated.num_replicas() {
-            if !alive[r] {
-                continue;
-            }
+        for r in (0..replicated.num_replicas()).filter(|&r| alive[r]) {
             let applied = replicated.applied_epoch(r);
             // An epoch already compacted behind a checkpoint is not
             // reconstructible — the replica is audited next cycle, once
@@ -2205,10 +2174,10 @@ impl<'a> Durability<'a> {
             if diverged > 0 {
                 self.counters.mismatches += diverged;
                 self.counters.repairs += 1;
+                // The reset journals the repaired cells at the same
+                // epoch, so the version's final image — what its
+                // dispatches read — is clean again.
                 replicated.reset_replica(r, expected, applied);
-                // Un-poison the snapshot so the repaired version serves
-                // clean reads again.
-                snapshots[r].insert(applied, replicated.memory(r).clone());
             }
         }
         Ok(())
@@ -2263,6 +2232,38 @@ fn schedule_replication(
             }
         }
     }
+}
+
+/// The memory updates of a replica's single §7.2 sweep: journal entry
+/// `(t, address, value)` lands at the retrieval layer of the first
+/// dispatch whose epoch is at least `t`. An update at a query's
+/// retrieval layer is visible to it, so every dispatch reads its epoch's
+/// final image — corruption and scrub repairs at that epoch included.
+/// Entries tagged past the last dispatch's epoch reach no read and are
+/// dropped, so a read-only replica passes no updates and keeps the
+/// update-free kernel path.
+fn sweep_updates<M: QramModel>(
+    backend: &ShardedQram<M>,
+    epochs: &[u64],
+    journal: &[JournalEntry],
+) -> Vec<(u64, u64, u64)> {
+    debug_assert!(
+        epochs.windows(2).all(|w| w[0] <= w[1]),
+        "per-replica dispatch epochs never decrease"
+    );
+    let mut first = 0;
+    let mut updates = Vec::new();
+    for entry in journal {
+        // Journal tags never decrease, so the cursor only moves forward.
+        while first < epochs.len() && epochs[first] < entry.tag {
+            first += 1;
+        }
+        if first == epochs.len() {
+            break;
+        }
+        updates.push((backend.retrieval_layer(first), entry.address, entry.value));
+    }
+    updates
 }
 
 fn snapshot_loads(replicas: &[Replica], health: &[ReplicaHealth]) -> Vec<ReplicaLoad> {

@@ -125,7 +125,8 @@ proptest! {
     /// value under exactly that prefix; and the stale flag is set iff the
     /// prefix trailed the fleet epoch — a write at any replica makes every
     /// later fleet read either observe the new epoch or be flagged, never
-    /// silently served as fresh.
+    /// silently served as fresh. Sharded replicas (K ∈ {1, 2, 4}) route
+    /// the replayed writes to their shards inside one execution sweep.
     #[test]
     fn replication_epochs_and_stale_flags_match_the_oracle(
         gaps in prop::collection::vec(0u16..120, 4..32),
@@ -133,6 +134,7 @@ proptest! {
         write_seeds in prop::collection::vec(0u64..9_000_000, 1..6),
         r in 2usize..=4,
         lag in 0u16..400,
+        k_exp in 0u32..=2,
     ) {
         let capacity = Capacity::new(16).unwrap();
         let timing = TimingModel::paper_default();
@@ -167,7 +169,7 @@ proptest! {
             .collect();
 
         let mut fleet = QramFleet::new(
-            ShardedQram::fat_tree(capacity, 1),
+            ShardedQram::fat_tree(capacity, 1 << k_exp),
             r,
             timing,
             FifoAdmission,

@@ -153,7 +153,7 @@ proptest! {
 
         let mut fleet = fifo_fleet(r, 2, queue_cap);
         let report = fleet
-            .serve_with_faults(&checkerboard(64), requests, writes, &plan, &config)
+            .serve_with_faults(&checkerboard(64), requests.clone(), writes.clone(), &plan, &config)
             .unwrap();
 
         // Conservation: every request resolved exactly once.
@@ -201,6 +201,26 @@ proptest! {
             prop_assert!(integrity.scrub_cycles >= 1);
         }
         prop_assert!(integrity.clean() || integrity.repairs > 0 || integrity.mismatches > 0);
+        // Outcomes survive the chaos: without silent disk corruption,
+        // every completed query reads exactly the base image plus the
+        // first `epoch` writes — through crashes, rejoin replay, retries,
+        // hedges, torn-write audits and scrubs.
+        if !plan.faults().iter().any(|f| matches!(f, Fault::DiskCorrupt { .. })) {
+            for (c, outcome) in report.completed().iter().zip(report.outcomes()) {
+                let mut image = checkerboard(64);
+                for w in &writes[..c.epoch as usize] {
+                    image.write(w.address, w.value);
+                }
+                let ideal = image.ideal_query(&requests[c.id].address);
+                prop_assert!(
+                    outcome == &ideal,
+                    "query {} at epoch {} on replica {}",
+                    c.id,
+                    c.epoch,
+                    c.replica
+                );
+            }
+        }
     }
 }
 
