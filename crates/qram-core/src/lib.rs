@@ -21,7 +21,7 @@
 //! * [`store`] — crash-consistent persistence for the fleet's
 //!   replicated write stream: a CRC32-framed write-ahead log, atomic
 //!   checkpoints with WAL compaction, kill-point-tested recovery, and
-//!   the chunked digests behind anti-entropy scrubbing.
+//!   the durable chain images anti-entropy scrubbing compares against.
 //! * [`BucketBrigadeQram`] / [`FatTreeQram`] — the two architectures as
 //!   ready-to-use types.
 //! * [`ShardedQram`] — `K` shards of either architecture behind an

@@ -286,7 +286,7 @@ impl ReplicatedMemory {
     /// log — a **fault-injection hook** modeling silent media corruption,
     /// for exercising the anti-entropy scrubber. The replica's applied
     /// epoch is untouched: the divergence is invisible to staleness
-    /// tracking and only a digest comparison can find it. The journal
+    /// tracking and only a scrub's comparison can find it. The journal
     /// records the flip at the applied epoch.
     ///
     /// # Panics

@@ -112,7 +112,11 @@ pub fn decode_delta(payload: &[u8]) -> Result<Delta, StoreError> {
     let Ok(count) = usize::try_from(word64(24)) else {
         return Err(StoreError::CorruptCheckpoint("delta count overflows"));
     };
-    if payload.len() != DELTA_HEADER + 16 * count {
+    // Checked: a lying count must not wrap back onto the true length.
+    let claimed_len = count
+        .checked_mul(16)
+        .and_then(|n| n.checked_add(DELTA_HEADER));
+    if claimed_len != Some(payload.len()) {
         return Err(StoreError::CorruptCheckpoint("delta count vs length"));
     }
     if epoch <= base_epoch {
@@ -185,12 +189,38 @@ pub fn load_chain(dir: &mut dyn Dir) -> Result<Option<(ClassicalMemory, u64, usi
             break;
         }
         for &(address, value) in &delta.cells {
-            memory.write(address, value);
+            replay_cell(&mut memory, address, value)?;
         }
         epoch = delta.epoch;
         chain += 1;
     }
     Ok(Some((memory, epoch, chain)))
+}
+
+/// Replays one decoded cell write — a delta cell or a WAL record — onto
+/// `memory`. CRC-valid bytes can still name a cell the image lacks or
+/// a value its bus cannot carry; those are corruption, not state.
+///
+/// # Errors
+/// [`StoreError::CorruptCheckpoint`] when `address` is outside the image
+/// or `value` is wider than the bus.
+pub(crate) fn replay_cell(
+    memory: &mut ClassicalMemory,
+    address: u64,
+    value: u64,
+) -> Result<(), StoreError> {
+    if address >= memory.capacity() as u64 {
+        return Err(StoreError::CorruptCheckpoint(
+            "replayed cell address outside the image",
+        ));
+    }
+    if value >> memory.bus_width() != 0 {
+        return Err(StoreError::CorruptCheckpoint(
+            "replayed cell value wider than the bus",
+        ));
+    }
+    memory.write(address, value);
+    Ok(())
 }
 
 /// Removes a delta chain of length `len`, highest index first, so a
@@ -249,7 +279,10 @@ pub fn decode(payload: &[u8]) -> Result<(ClassicalMemory, u64), StoreError> {
     let Ok(cell_count) = usize::try_from(cell_count) else {
         return Err(StoreError::CorruptCheckpoint("cell count overflows"));
     };
-    if payload.len() != HEADER + 8 * cell_count {
+    let claimed_len = cell_count
+        .checked_mul(8)
+        .and_then(|n| n.checked_add(HEADER));
+    if claimed_len != Some(payload.len()) {
         return Err(StoreError::CorruptCheckpoint(
             "cell count vs payload length",
         ));

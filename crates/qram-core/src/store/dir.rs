@@ -372,7 +372,7 @@ impl SimDir {
     }
 
     /// Flips bit `bit` of byte `offset` in `name` — silent on-media
-    /// corruption, invisible until a CRC or digest check reads it.
+    /// corruption, invisible until a CRC check reads it.
     pub fn flip_bit(&mut self, name: &str, offset: usize, bit: u32) {
         if let Some(f) = self.files.get_mut(name) {
             f.flip_bit(offset, bit);

@@ -229,7 +229,8 @@ impl DurableFleet {
     /// [`StoreError::MissingCheckpoint`] when the directory was never
     /// [`DurableFleet::create`]d, [`StoreError::CorruptCheckpoint`] when
     /// the installed image or a chained delta fails its CRC (detected,
-    /// never replayed), [`StoreError::NonContiguousEpoch`] when the WAL
+    /// never replayed) or a delta or WAL cell write does not fit the
+    /// image, [`StoreError::NonContiguousEpoch`] when the WAL
     /// starts past the checkpoint watermark (acknowledged epochs are
     /// unrecoverable), or [`StoreError::Io`].
     pub fn open(dir: Box<dyn Dir>, policy: CheckpointPolicy) -> Result<Self, StoreError> {
@@ -282,10 +283,7 @@ impl DurableFleet {
                 });
             }
         }
-        let mut shadow = checkpoint_image.clone();
-        for w in &suffix {
-            shadow.write(w.address, w.value);
-        }
+        let shadow = replay(&checkpoint_image, &suffix)?;
         Ok((
             DurableFleet {
                 dir,
@@ -499,6 +497,8 @@ impl DurableFleet {
     /// epochs from the fleet's in-memory log.
     ///
     /// # Errors
+    /// [`StoreError::CorruptCheckpoint`] when a WAL cell write on disk
+    /// does not fit the image, or
     /// [`StoreError::Io`] when the directory fails.
     pub fn rescan(&mut self) -> Result<RescanSummary, StoreError> {
         // Land the open group first so the on-disk log and the
@@ -514,11 +514,8 @@ impl DurableFleet {
             .filter(|w| w.epoch > self.checkpoint_epoch)
             .collect();
         if disk_suffix != self.suffix {
+            self.shadow = replay(&self.checkpoint_image, &disk_suffix)?;
             self.suffix = disk_suffix;
-            self.shadow = self.checkpoint_image.clone();
-            for w in &self.suffix {
-                self.shadow.write(w.address, w.value);
-            }
         }
         Ok(RescanSummary {
             truncated_bytes: scan.truncated_bytes,
@@ -540,6 +537,19 @@ impl DurableFleet {
     pub fn into_dir(self) -> Box<dyn Dir> {
         self.dir
     }
+}
+
+/// `base` with the WAL `writes` replayed in order, each range-checked
+/// against the image.
+fn replay(
+    base: &ClassicalMemory,
+    writes: &[ReplicatedWrite],
+) -> Result<ClassicalMemory, StoreError> {
+    let mut image = base.clone();
+    for w in writes {
+        checkpoint::replay_cell(&mut image, w.address, w.value)?;
+    }
+    Ok(image)
 }
 
 #[cfg(test)]

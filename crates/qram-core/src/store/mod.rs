@@ -37,9 +37,10 @@
 //! * [`FaultyFile`] — the byte store under [`SimDir`], with short-write
 //!   and bit-flip injection hooks.
 //! * [`DurableFleet`] — the write-ahead log + checkpoint lifecycle and
-//!   the [`DurableFleet::recover`] path that rebuilds state from disk.
-//! * [`digest`] — chunked FNV-1a digests with a Merkle-style fold, the
-//!   currency of the anti-entropy scrubber in `qram-serve`.
+//!   the [`DurableFleet::recover`] path that rebuilds state from disk;
+//!   [`DurableFleet::state_at`] is the expected image the anti-entropy
+//!   scrubber in `qram-serve` compares live replicas against, chunk by
+//!   chunk.
 //!
 //! The module is std-only by design: framing, checksums, and the
 //! directory abstraction are all hand-rolled so the store works in the
@@ -63,14 +64,12 @@
 //! ```
 
 pub mod checkpoint;
-pub mod digest;
 pub mod dir;
 pub mod durable;
 pub mod frame;
 pub mod wal;
 
 pub use checkpoint::{delta_file, Delta, CHECKPOINT_FILE, CHECKPOINT_TMP, DELTA_TMP};
-pub use digest::{chunk_digests, fnv1a64, fnv1a64_words, merkle_root};
 pub use dir::{Dir, DirOp, FaultyFile, OsDir, SimDir};
 pub use durable::{CheckpointPolicy, DurableFleet, RecoveredState, SyncSummary};
 pub use frame::{crc32, frames, FrameIter, ScanOutcome, TailDefect};
@@ -90,7 +89,9 @@ use std::io;
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(io::Error),
-    /// The installed checkpoint image failed its CRC or shape checks.
+    /// The installed checkpoint image or a chained delta failed its CRC
+    /// or shape checks, or a replayed cell write (delta or WAL) does not
+    /// fit the image.
     CorruptCheckpoint(&'static str),
     /// The store directory has a WAL but no checkpoint image to anchor
     /// it; [`DurableFleet::create`] was never run (or the image was

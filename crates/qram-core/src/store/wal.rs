@@ -184,7 +184,7 @@ pub fn load(dir: &mut dyn Dir) -> Result<WalScan, StoreError> {
             let contiguous = parsed.is_some_and(|w| {
                 writes
                     .last()
-                    .is_none_or(|prev: &ReplicatedWrite| w.epoch == prev.epoch + 1)
+                    .is_none_or(|prev: &ReplicatedWrite| prev.epoch.checked_add(1) == Some(w.epoch))
             });
             match parsed {
                 Some(w) if contiguous => {

@@ -4,7 +4,7 @@
 //! for what the fault-*tolerance* machinery did (retries, failovers,
 //! rejoins), [`IntegrityCounters`] account for what the fault-*auditing*
 //! machinery did: how often the anti-entropy scrubber ran, how many
-//! memory chunks it digested against the durable chain, how many
+//! memory chunks it compared with the durable chain, how many
 //! diverged, and how many repairs — replica image resets and re-appended
 //! write-ahead-log tails — it performed. A report with non-zero
 //! `mismatches` and matching `repairs` is a run where silent corruption
@@ -34,10 +34,11 @@ pub struct IntegrityCounters {
     /// Anti-entropy scrub passes completed (scheduled ticks plus the
     /// final end-of-run sweep).
     pub scrub_cycles: u64,
-    /// Per-replica memory chunks whose digest was compared against the
-    /// durable chain's expected state.
+    /// Per-replica memory chunks compared cell for cell with the
+    /// durable chain's expected image.
     pub chunks_verified: u64,
-    /// Chunks whose digest diverged from the durable chain.
+    /// Compared chunks that differed from the durable chain's image:
+    /// one per distinct dirty chunk, however many of its cells differ.
     pub mismatches: u64,
     /// Repair actions taken: diverged replica images re-derived from the
     /// durable chain, and lost acknowledged WAL epochs re-appended.

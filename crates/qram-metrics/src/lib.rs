@@ -20,7 +20,7 @@
 //! * [`AvailabilityCounters`] — the fault-tolerance ledger of a serving
 //!   run: retries, hedges, failovers, detected corruptions, and MTTR.
 //! * [`IntegrityCounters`] — the durability/anti-entropy ledger: scrub
-//!   cycles, digested chunks, divergence, repairs, WAL appends, and
+//!   cycles, compared chunks, divergence, repairs, WAL appends, and
 //!   checkpoints.
 //!
 //! # Examples

@@ -152,8 +152,8 @@ pub enum Fault {
     },
     /// A bit silently flips in one memory cell of `replica` at `at` —
     /// media corruption invisible to staleness tracking, caught only by
-    /// the scrubber's digest comparison against the durable chain (which
-    /// then repairs the replica from checkpoint + WAL state).
+    /// the scrubber's chunk-by-chunk comparison with the durable chain
+    /// (which then repairs the replica from checkpoint + WAL state).
     DiskCorrupt {
         /// The replica whose memory corrupts.
         replica: usize,
@@ -512,12 +512,13 @@ pub struct FaultConfig {
     /// Cadence of the anti-entropy scrubber: each tick audits the
     /// durable WAL against the disk (truncating torn tails and
     /// re-appending lost epochs from the in-memory log) and compares
-    /// every live replica's chunked memory digest against the durable
-    /// chain's expected state, repairing divergence. `None` (the
+    /// every live replica's memory, chunk by chunk, with the durable
+    /// chain's expected image, repairing divergence. `None` (the
     /// default) disables scrubbing and keeps the loop passive.
     pub scrub_interval: Option<Layers>,
-    /// Memory cells per digest chunk in scrub comparisons (granularity
-    /// of divergence localization).
+    /// Memory cells per chunk in scrub comparisons (granularity of
+    /// divergence localization: each differing chunk counts as one
+    /// mismatch). Must be positive when scrubbing is on.
     pub scrub_chunk_cells: usize,
     /// Commit-group policy for the durable store: how many WAL records
     /// may share one sync, and the virtual-time flush deadline the

@@ -70,9 +70,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use qram_core::store::{
-    chunk_digests, frame, CheckpointPolicy, DurableFleet, SimDir, StoreError, SyncSummary,
-};
+use qram_core::store::{frame, CheckpointPolicy, DurableFleet, SimDir, StoreError, SyncSummary};
 use qram_core::{
     ExecError, JournalEntry, QramModel, ReplicatedMemory, ReplicatedWrite, ShardedQram,
 };
@@ -324,7 +322,8 @@ enum Event {
     StallEnd { replica: usize, shard: usize },
     /// The health monitor samples heartbeats and brownout occupancy.
     MonitorTick,
-    /// The anti-entropy scrubber audits the WAL and replica digests.
+    /// The anti-entropy scrubber audits the WAL and compares replica
+    /// memories with the durable chain.
     ScrubTick,
     /// The open commit group's flush deadline: land it even if it never
     /// fills. `seq` is the durability tier's sync count when the group
@@ -402,8 +401,8 @@ impl FleetReport {
     }
 
     /// The durability ledger of the run: WAL appends, checkpoints, scrub
-    /// cycles, digest mismatches, and repairs. All zero for runs without
-    /// disk faults, scrubbing, or an external durable store.
+    /// cycles, mismatched memory chunks, and repairs. All zero for runs
+    /// without disk faults, scrubbing, or an external durable store.
     #[must_use]
     pub fn integrity(&self) -> &IntegrityCounters {
         &self.integrity
@@ -993,9 +992,11 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// # Panics
     ///
     /// Panics on the same conditions as [`QramFleet::serve`], if the plan
-    /// names an out-of-range replica or shard, or if monitoring is active
+    /// names an out-of-range replica or shard, if monitoring is active
     /// (non-empty plan or a brownout controller) with a non-positive
-    /// `monitor_interval`.
+    /// `monitor_interval`, or if scrubbing is on with a non-positive
+    /// `scrub_interval` or a zero `scrub_chunk_cells` (checked before
+    /// the run starts).
     pub fn serve_with_faults(
         &mut self,
         memory: &ClassicalMemory,
@@ -1023,7 +1024,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// replication fans out, the Recovering → rejoin flow replays a
     /// restarted replica from the durable chain instead of the in-memory
     /// log, and [`FaultConfig::scrub_interval`] schedules anti-entropy
-    /// scrubs that audit the WAL and replica digests against the chain.
+    /// scrubs that audit the WAL and compare replica memories with the
+    /// chain.
     ///
     /// The store's durable chain must end at `memory` (a fresh
     /// [`DurableFleet::create`] from the same image, or a recovered store
@@ -1235,6 +1237,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                 assert!(
                     interval.get() > 0.0,
                     "scrubbing needs a positive scrub interval"
+                );
+                assert!(
+                    fault_config.scrub_chunk_cells > 0,
+                    "scrub chunks must hold at least one cell"
                 );
                 events.push(interval, Event::ScrubTick);
             }
@@ -1739,7 +1745,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                         // Media corruption: one bit flips in the live
                         // replica image, bypassing the replication log —
                         // invisible to staleness tracking, caught only by
-                        // a scrub's digest comparison. The journal tags
+                        // a scrub's chunk comparison. The journal tags
                         // the flip with the replica's applied epoch and
                         // every dispatch reads its epoch's final image, so
                         // reads of that version and later ones observe the
@@ -2148,8 +2154,8 @@ impl<'a> Durability<'a> {
     }
 
     /// One anti-entropy scrub cycle: audit the WAL, then compare each
-    /// live replica's chunked memory digest against the durable chain's
-    /// expected state at that replica's applied epoch, repairing
+    /// live replica's memory, chunk by chunk, with the durable chain's
+    /// expected image at that replica's applied epoch, repairing
     /// divergence by resetting the replica to the expected image.
     fn scrub(
         &mut self,
@@ -2167,10 +2173,10 @@ impl<'a> Durability<'a> {
             let Some(expected) = self.store.state_at(self.wal_base + applied) else {
                 continue;
             };
-            let want = chunk_digests(&expected, chunk_cells);
-            let have = chunk_digests(replicated.memory(r), chunk_cells);
+            let want = expected.cells().chunks(chunk_cells);
+            let have = replicated.memory(r).cells().chunks(chunk_cells);
             self.counters.chunks_verified += have.len() as u64;
-            let diverged = want.iter().zip(&have).filter(|(w, h)| w != h).count() as u64;
+            let diverged = want.zip(have).filter(|(w, h)| w != h).count() as u64;
             if diverged > 0 {
                 self.counters.mismatches += diverged;
                 self.counters.repairs += 1;

@@ -57,10 +57,11 @@
 //!   write stream with a crash-consistent `qram-core` store (CRC-framed
 //!   write-ahead log + atomic checkpoints): writes are logged before
 //!   replication fans out, restarted replicas replay from disk instead
-//!   of the in-memory log, and an anti-entropy scrubber audits replica
-//!   digests against the durable chain, repairing silent divergence
-//!   ([`Fault::TornWrite`], [`Fault::DiskCorrupt`]) and reporting it in
-//!   the report's [`IntegrityCounters`](qram_metrics::IntegrityCounters).
+//!   of the in-memory log, and an anti-entropy scrubber compares
+//!   replica memories chunk by chunk with the durable chain, repairing
+//!   silent divergence ([`Fault::TornWrite`], [`Fault::DiskCorrupt`])
+//!   and reporting it in the report's
+//!   [`IntegrityCounters`](qram_metrics::IntegrityCounters).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,9 +3,10 @@
 //! scrubber. The headline properties:
 //!
 //! * A replica whose memory silently diverges ([`Fault::DiskCorrupt`])
-//!   is driven back to digest equality with the durable chain, and the
-//!   repair shows up in the report's [`IntegrityCounters`]. Without a
-//!   scrubber the corruption is *served*.
+//!   is found by a chunk-by-chunk comparison with the durable chain and
+//!   reset to it, and the repair shows up in the report's
+//!   [`IntegrityCounters`]. Without a scrubber the corruption is
+//!   *served*.
 //! * A lying disk ([`Fault::TornWrite`]) is caught by the scrub's WAL
 //!   audit: the torn tail is truncated and the acknowledged epochs are
 //!   re-appended from the fleet's in-memory log.
@@ -62,14 +63,26 @@ fn scrub_config(interval: f64) -> FaultConfig {
 /// checkerboard(64)[5] = (5·5 + 1) % 2 = 0; the corruption flips it.
 const PROBE_CELL: u64 = 5;
 
-fn corruption_run(config: &FaultConfig) -> fat_tree_qram::serve::FleetReport {
+/// Flips each of `cells` on replica 0 (of one) between layers 50 and 60,
+/// then reads every flipped cell back at layer 100, one request per
+/// cell (request `i` reads `cells[i]`).
+fn corruption_run(config: &FaultConfig, cells: &[u64]) -> fat_tree_qram::serve::FleetReport {
     let mut fleet = fifo_fleet(1, 2);
-    let plan = FaultPlan::none().with(Fault::DiskCorrupt {
-        replica: 0,
-        at: Layers::new(50.0),
-        cell: PROBE_CELL,
-    });
-    let requests = vec![request(0, 100.0, PROBE_CELL)];
+    let plan = cells
+        .iter()
+        .zip(0u32..)
+        .fold(FaultPlan::none(), |plan, (&cell, i)| {
+            plan.with(Fault::DiskCorrupt {
+                replica: 0,
+                at: Layers::new(50.0 + f64::from(i)),
+                cell,
+            })
+        });
+    let requests = cells
+        .iter()
+        .enumerate()
+        .map(|(i, &cell)| request(i, 100.0, cell))
+        .collect::<Vec<_>>();
     fleet
         .serve_with_faults(&checkerboard(64), requests, Vec::new(), &plan, config)
         .unwrap()
@@ -78,9 +91,9 @@ fn corruption_run(config: &FaultConfig) -> fat_tree_qram::serve::FleetReport {
 #[test]
 fn without_a_scrubber_silent_corruption_is_served() {
     // The control arm: the disk fault activates the durability tier, but
-    // no scrub ever compares digests, so the flipped bit reaches the
+    // no scrub ever compares memories, so the flipped bit reaches the
     // query and the ledger shows no repair.
-    let report = corruption_run(&FaultConfig::default());
+    let report = corruption_run(&FaultConfig::default(), &[PROBE_CELL]);
     assert_eq!(report.completed().len(), 1);
     assert_eq!(
         report.outcomes()[0].data_for(PROBE_CELL),
@@ -93,23 +106,62 @@ fn without_a_scrubber_silent_corruption_is_served() {
 }
 
 #[test]
-fn the_scrubber_repairs_divergence_back_to_digest_equality() {
-    // The treatment arm: same fault, scrubbing on. The digest comparison
-    // against the durable chain localizes the divergence, the replica is
-    // reset to the chain's image, and the served read is clean again.
-    let report = corruption_run(&scrub_config(75.0));
-    assert_eq!(report.completed().len(), 1);
-    assert_eq!(
-        report.outcomes()[0].data_for(PROBE_CELL),
-        Some(0),
-        "the repaired replica serves the durable chain's value"
-    );
-    let integrity = report.integrity();
-    assert!(integrity.scrub_cycles >= 1, "{integrity}");
-    assert!(integrity.chunks_verified >= 4, "{integrity}");
-    assert_eq!(integrity.mismatches, 1, "one 16-cell chunk diverged");
-    assert_eq!(integrity.repairs, 1, "{integrity}");
-    assert!(!integrity.clean());
+fn the_scrubber_repairs_divergence_back_to_chunk_equality() {
+    // The treatment arm: the same kind of fault, scrubbing on. The
+    // first scrub compares each chunk with the durable chain's image,
+    // counts one mismatch per distinct dirty chunk, resets the replica
+    // once, and every read after it is clean again. Cells 5 and 6 share
+    // every chunk wider than one cell; cell 60 lies in the short last
+    // chunk of a 48-cell split (48 + 16).
+    let flips = [PROBE_CELL, 6, 60];
+    // (chunk cells, chunks per 64-cell image, mismatches for the first
+    // 1, 2 and 3 flips)
+    let table: [(usize, u64, [u64; 3]); 4] = [
+        (1, 64, [1, 2, 3]),
+        (16, 4, [1, 1, 2]),
+        (48, 2, [1, 1, 2]),
+        (64, 1, [1, 1, 1]),
+    ];
+    for (chunk_cells, chunks, mismatches) in table {
+        for (n, &want) in (1..=3).zip(&mismatches) {
+            let cells = &flips[..n];
+            let config = FaultConfig {
+                scrub_chunk_cells: chunk_cells,
+                ..scrub_config(75.0)
+            };
+            let report = corruption_run(&config, cells);
+            let case = format!("{chunk_cells}-cell chunks, flips {cells:?}");
+            assert_eq!(report.completed().len(), n, "{case}");
+            for (query, outcome) in report.completed().iter().zip(report.outcomes()) {
+                let cell = cells[query.id];
+                assert_eq!(
+                    outcome.data_for(cell),
+                    Some(checkerboard(64).read(cell)),
+                    "{case}: the repaired replica serves the durable chain's value"
+                );
+            }
+            let integrity = report.integrity();
+            assert!(integrity.scrub_cycles >= 1, "{case}: {integrity}");
+            assert_eq!(
+                integrity.chunks_verified,
+                integrity.scrub_cycles * chunks,
+                "{case}: every cycle compares every chunk: {integrity}"
+            );
+            assert_eq!(integrity.mismatches, want, "{case}: {integrity}");
+            assert_eq!(integrity.repairs, 1, "{case}: {integrity}");
+            assert!(!integrity.clean(), "{case}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "scrub chunks must hold at least one cell")]
+fn a_zero_cell_scrub_chunk_is_rejected_before_the_run() {
+    let config = FaultConfig {
+        scrub_chunk_cells: 0,
+        ..scrub_config(75.0)
+    };
+    let _ = corruption_run(&config, &[]);
 }
 
 #[test]
