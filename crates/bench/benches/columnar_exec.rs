@@ -1,19 +1,28 @@
 //! Columnar structure-of-arrays kernel A/B: the batch path taken by
-//! `execute_batch` / `execute_batch_traced` (flatten once, per-epoch memo
-//! accounting, bit-parallel retrieval, shared-column outcomes) against
-//! the pinned row-at-a-time memoized engine `execute_batch_rowwise` —
-//! the previous revision's hot path — on the same batches.
+//! `execute_batch` / `execute_batch_traced` (direct loads into one shared
+//! term column, shared-column outcomes) against the pinned
+//! row-at-a-time memoized engine `execute_batch_rowwise` — the previous
+//! revision's hot path — on the same batches.
 //!
 //! Operating points: Fat-Tree at N = 4096, batch sizes 256 / 1024 / 4096,
 //! uniform (Zipf θ = 0) and Zipf(0.99) address skew, fixed seed. Both
 //! sides compute identical outcomes and identical `BatchCacheStats`
 //! (property-tested), so the ratio isolates the kernel restructuring.
+//!
+//! One more row times the same kernel behind `ShardedQram::execute_queries`
+//! at the `superposition_kernel` serving shape: K = 8 shards over
+//! N = 65536 cells, 1024 queries, each a uniform superposition of 64
+//! distinct Zipf(0.99) addresses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qram_core::{execute_batch, execute_batch_rowwise, FatTreeQram};
+use std::collections::BTreeSet;
+
+use qram_core::{execute_batch, execute_batch_rowwise, FatTreeQram, QramModel, ShardedQram};
 use qram_metrics::Capacity;
 use qram_sched::ZipfAddresses;
 use qsim::branch::{AddressState, ClassicalMemory};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const N: u64 = 4096;
 const ADDRESS_WIDTH: u32 = 12;
@@ -49,6 +58,31 @@ fn bench_columnar_exec(c: &mut Criterion) {
             });
         }
     }
+
+    // The superposition serving shape: K = 8, N = 65536, 64 branches.
+    let capacity = Capacity::new(65536).expect("power of two");
+    let sharded = ShardedQram::fat_tree(capacity, 8);
+    let cells: Vec<u64> = (0..65536u64).map(|i| (i * 5 + 1) % 2).collect();
+    let mem = ClassicalMemory::from_words(1, &cells).expect("valid memory");
+    let zipf = ZipfAddresses::new(capacity, 0.99);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let superpositions: Vec<AddressState> = (0..1024)
+        .map(|_| {
+            let mut branches = BTreeSet::new();
+            while branches.len() < 64 {
+                branches.insert(zipf.sample(&mut rng));
+            }
+            let branches: Vec<u64> = branches.into_iter().collect();
+            AddressState::uniform(16, &branches).expect("distinct addresses in range")
+        })
+        .collect();
+    group.bench_function("sharded_k8_n65536_1024q_64br", |b| {
+        b.iter(|| {
+            sharded
+                .execute_queries(&mem, &superpositions, &[])
+                .expect("batch executes")
+        })
+    });
     group.finish();
 }
 

@@ -39,21 +39,20 @@
 //!    (`execute_query_traced`, `execute_batch`,
 //!    `ShardedQram::execute_queries`, and the Monte-Carlo / extended /
 //!    analytic fidelity estimators) through.
-//! 4. **Columnar** — the SoA batch kernel (`soa` module, reached through
-//!    [`execute_batch`](crate::execute_batch) and
+//! 4. **Columnar** — one SoA batch kernel (`soa` module, reached through
+//!    [`execute_batch`](crate::execute_batch),
+//!    [`execute_batch_traced`](crate::execute_batch_traced) and
 //!    `ShardedQram::execute_queries` whenever a compiled plan exists)
 //!    restructures a whole *batch* around the plan's O(1) residual:
-//!    every query's `(amplitude, address)` terms are flattened into one
-//!    structure-of-arrays column with per-query offset ranges, memo
-//!    accounting is batched per memory epoch (sort the index column by
-//!    address set once, count distinct sets once — no per-query hashing),
-//!    retrieval parities for 1-bit buses are gathered bit-parallel from a
-//!    packed memory image (64 branches per `u64` word), sharded batches
-//!    radix-partition the column by the low-order shard bits instead of
-//!    building per-shard sub-batch maps, and per-query outcomes are
-//!    constant-size views into one shared term column
-//!    (`QueryOutcome::from_shared_column`) — one column allocation per
-//!    memory epoch instead of one `Vec` per query.
+//!    every term's data is one direct load from the caller's unsplit
+//!    memory image (a sharded term's global address already indexes it),
+//!    all terms land in one shared column collected in a single
+//!    allocation, and per-query outcomes are constant-size views into it
+//!    (`QueryOutcome::from_shared_column`) — one allocation per batch
+//!    instead of one `Vec` per query. Memo statistics are counted per
+//!    memory epoch (a bitmap for single-branch sets, one sort for
+//!    multi-branch sets — no per-query hashing), on the traced entry
+//!    point only.
 //!
 //! A corrupted stream is rejected at *compile* time with the same
 //! [`ExecError`] (layer index and message) the interpreter reports, by

@@ -242,22 +242,24 @@ impl BatchCacheStats {
 /// `B`-query batch must stay `O(B)` in schedule constructions. The
 /// instruction stream is taken from
 /// [`QramModel::interned_query_layers`], so it is generated at most once
-/// per process rather than once per batch; when the backend exposes a
-/// [`QramModel::compiled_query`] plan, cache misses skip the interpreter
-/// entirely and answer each branch with the plan's O(1) residual read.
+/// per process rather than once per batch. When the backend exposes a
+/// [`QramModel::compiled_query`] plan, the batch runs through the
+/// columnar kernel (`soa` module), which answers every branch with one
+/// direct load from the memory image.
 ///
 /// # Memoization
 ///
 /// Branch data is a pure function of the memory contents and the address
-/// set, so outcomes are memoized within the batch keyed on
-/// `(write_epoch, address set)`: a query whose address set was already
-/// executed against the same memory epoch reuses the cached per-address
-/// data (amplitudes are applied per query, so superpositions with
-/// different amplitudes over the same addresses still hit). Every memory
-/// update bumps the epoch ([`ClassicalMemory::write_epoch`]), which
-/// invalidates the whole cache — exactly the §7.2 semantics. Repeated
-/// classical addresses across a batch (the common serving pattern) hit
-/// the cache; hit rates are observable through [`execute_batch_traced`].
+/// set. Plan-less backends therefore memoize outcomes within the batch,
+/// keyed on `(write_epoch, address set)`: a query whose address set was
+/// already executed against the same memory epoch reuses the cached
+/// per-address data (amplitudes are applied per query, so superpositions
+/// with different amplitudes over the same addresses still hit). Every
+/// memory update bumps the epoch ([`ClassicalMemory::write_epoch`]),
+/// which invalidates the whole cache — exactly the §7.2 semantics. The
+/// columnar kernel needs no cache (a load is cheaper than a probe); the
+/// hit rate the memo would reach is observable through
+/// [`execute_batch_traced`].
 ///
 /// # Tie semantics (§7.2)
 ///
@@ -280,7 +282,7 @@ pub fn execute_batch<M: QramModel + ?Sized>(
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
 ) -> Result<Vec<QueryOutcome>, ExecError> {
-    execute_batch_traced(model, memory, addresses, memory_updates).map(|(outcomes, _)| outcomes)
+    execute_batch_dispatch(model, memory, addresses, memory_updates, None)
 }
 
 /// [`execute_batch`] with the memo-cache hit/miss counters alongside the
@@ -288,13 +290,13 @@ pub fn execute_batch<M: QramModel + ?Sized>(
 /// benchmark.
 ///
 /// Backends exposing a [`QramModel::compiled_query`] plan are served by
-/// the columnar structure-of-arrays kernel (`soa` module): one flattened
-/// term column per batch, per-epoch memo accounting, bit-parallel
-/// retrieval for 1-bit buses, and per-query outcomes that are views into
-/// one shared column. Outcomes, panics, and [`BatchCacheStats`] are
-/// bit-equal to the row-at-a-time path ([`execute_batch_rowwise`]), which
-/// remains pinned as the A/B baseline; plan-less backends take the
-/// row-at-a-time interpreter sweep as before.
+/// the columnar structure-of-arrays kernel (`soa` module): direct loads
+/// from the memory image into one shared term column, per-query outcomes
+/// that are views into it, and — on this entry point only — per-epoch
+/// memo accounting over the address sets. Outcomes, panics, and
+/// [`BatchCacheStats`] are bit-equal to the row-at-a-time path
+/// ([`execute_batch_rowwise`]), which remains pinned as the A/B baseline;
+/// plan-less backends take the row-at-a-time interpreter sweep as before.
 ///
 /// # Errors
 ///
@@ -309,33 +311,44 @@ pub fn execute_batch_traced<M: QramModel + ?Sized>(
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
 ) -> Result<(Vec<QueryOutcome>, BatchCacheStats), ExecError> {
+    let mut stats = BatchCacheStats::default();
+    let outcomes =
+        execute_batch_dispatch(model, memory, addresses, memory_updates, Some(&mut stats))?;
+    Ok((outcomes, stats))
+}
+
+/// The plan dispatch shared by [`execute_batch`] and
+/// [`execute_batch_traced`]: the columnar kernel when the model has a
+/// compiled plan, the row-at-a-time sweep otherwise. Memo statistics are
+/// computed only when `stats` asks for them.
+fn execute_batch_dispatch<M: QramModel + ?Sized>(
+    model: &M,
+    memory: &ClassicalMemory,
+    addresses: &[AddressState],
+    memory_updates: &[(u64, u64, u64)],
+    stats: Option<&mut BatchCacheStats>,
+) -> Result<Vec<QueryOutcome>, ExecError> {
     assert_eq!(
         memory.capacity() as u64,
         model.capacity().get(),
         "memory capacity must match QRAM capacity"
     );
-    if let Some(plan) = model.compiled_query() {
-        if addresses.is_empty() {
-            return Ok((Vec::new(), BatchCacheStats::default()));
+    let Some(plan) = model.compiled_query() else {
+        let (outcomes, row_stats) =
+            execute_batch_impl(model, memory, addresses, memory_updates, true, true)?;
+        if let Some(stats) = stats {
+            *stats = row_stats;
         }
-        // Retrieval layers only order queries against memory writes; an
-        // update-free batch is one epoch in query order and needs none.
-        let retrievals: Vec<u64> = if memory_updates.is_empty() {
-            Vec::new()
-        } else {
-            (0..addresses.len())
-                .map(|q| model.retrieval_layer(q))
-                .collect()
-        };
-        return Ok(crate::soa::execute_batch_columnar(
-            &plan,
-            memory,
-            addresses,
-            &retrievals,
-            memory_updates,
-        ));
-    }
-    execute_batch_impl(model, memory, addresses, memory_updates, true, true)
+        return Ok(outcomes);
+    };
+    Ok(crate::soa::execute_columnar(
+        &plan,
+        memory,
+        addresses,
+        memory_updates,
+        |q| model.retrieval_layer(q),
+        stats,
+    ))
 }
 
 /// The row-at-a-time memoized batch path: the same §7.2 sweep as
@@ -387,10 +400,10 @@ pub fn execute_batch_unmemoized<M: QramModel + ?Sized>(
         .map(|(outcomes, _)| outcomes)
 }
 
-/// The shared §7.2 sweep behind [`execute_batch_traced`] (memoize and
-/// plan dispatch on) and [`execute_batch_unmemoized`] (both off): one
-/// body, so the reference path cannot silently diverge from the cached
-/// path.
+/// The shared §7.2 sweep behind [`execute_batch_rowwise`] and plan-less
+/// backends (memoize and plan dispatch on) and
+/// [`execute_batch_unmemoized`] (both off): one body, so the reference
+/// path cannot silently diverge from the cached path.
 fn execute_batch_impl<M: QramModel + ?Sized>(
     model: &M,
     memory: &ClassicalMemory,

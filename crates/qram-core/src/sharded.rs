@@ -5,11 +5,14 @@
 //! A [`ShardedQram`] splits a capacity-`N` address space across `K`
 //! capacity-`N/K` component QRAMs by the *low-order* `log₂ K` address bits
 //! (bank interleaving, as in banked lookup-table engines): cell `a` lives
-//! in shard `a mod K` at local address `⌊a / K⌋`. A query superposition is
-//! split by shard bits into per-shard sub-queries, executed concurrently,
-//! and recombined, so the sharded machine is observably equivalent to a
-//! monolithic capacity-`N` machine while multiplying admission bandwidth
-//! by `K` under round-robin admission.
+//! in shard `a mod K` at local address `⌊a / K⌋`. The sharded machine is
+//! observably equivalent to a monolithic capacity-`N` machine while
+//! multiplying admission bandwidth by `K` under round-robin admission.
+//! Since shard `s`'s local cell `l` is global cell `l·K + s`, the compiled
+//! path reads every term straight from the unsplit memory image; the
+//! interpreter reference splits each superposition by shard bits into
+//! per-shard sub-queries over interleaved shard memories and recombines
+//! them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -237,22 +240,17 @@ impl<M: QramModel> ShardedQram<M> {
     }
 
     /// Executes one query's per-shard sub-batches against the interleaved
-    /// shard memories and recombines the outcomes. With `parallel` set
-    /// (only possible under the `parallel` feature), sub-batches fan out
-    /// across scoped threads — one per occupied shard — since they touch
-    /// disjoint memories; recombination order is fixed by shard index, so
-    /// the outcome is identical either way.
-    ///
-    /// With a compiled `shard_plan`, the per-shard split, sub-state
-    /// construction, and thread fan-out all collapse: each branch routes
-    /// straight to its shard memory for the plan's O(1) residual read —
-    /// cheaper than a single thread handoff.
+    /// shard memories through the interpreter and recombines the
+    /// outcomes. With `parallel` set (only possible under the `parallel`
+    /// feature), sub-batches fan out across scoped threads — one per
+    /// occupied shard — since they touch disjoint memories; recombination
+    /// order is fixed by shard index, so the outcome is identical either
+    /// way.
     fn run_query_across_shards(
         &self,
         address: &AddressState,
         shard_mems: &[ClassicalMemory],
         shard_layers: &[QueryLayer],
-        shard_plan: Option<&CompiledQuery>,
         parallel: bool,
     ) -> Result<QueryOutcome, ExecError> {
         let n = self.capacity.address_width();
@@ -262,21 +260,6 @@ impl<M: QramModel> ShardedQram<M> {
             n,
             "address width must match QRAM capacity"
         );
-        if let Some(plan) = shard_plan {
-            debug_assert_eq!(plan.address_width(), local_width);
-            let terms = address
-                .iter()
-                .map(|&(amp, addr)| {
-                    let mem = &shard_mems[self.shard_of(addr) as usize];
-                    (amp, addr, plan.read_data(mem, self.local_address(addr)))
-                })
-                .collect();
-            return Ok(QueryOutcome::from_terms(
-                n,
-                shard_mems[0].bus_width(),
-                terms,
-            ));
-        }
         // Single-occupied-shard fast path: when every branch routes to one
         // shard (always true for classical queries, and for any
         // superposition whose addresses share their low bits), skip the
@@ -444,46 +427,19 @@ impl<M: QramModel> ShardedQram<M> {
         ))
     }
 
-    /// The shared sweep behind [`QramModel::execute_queries`] and
-    /// [`Self::execute_queries_sequential`].
+    /// The interpreter sweep behind [`Self::execute_queries_sequential`]
+    /// and plan-less shard architectures: per-shard sub-batches against
+    /// the interleaved shard memories.
     fn execute_queries_impl(
         &self,
         memory: &ClassicalMemory,
         addresses: &[AddressState],
         memory_updates: &[(u64, u64, u64)],
         parallel: bool,
-        use_plan: bool,
     ) -> Result<Vec<QueryOutcome>, ExecError> {
         let mut shard_mems = self.shard_memories(memory);
         if addresses.is_empty() {
             return Ok(Vec::new());
-        }
-        // With a compiled shard plan, the whole batch goes through the
-        // columnar structure-of-arrays kernel: radix-partitioned per-epoch
-        // gathers against the interleaved shard memories, outcomes as
-        // views into one shared term column. Bit-equal to the interpreter
-        // sweep below (property-tested), infallible by compile-time proof.
-        if use_plan {
-            if let Some(plan) = self.shards[0].compiled_query() {
-                // Retrieval layers only order queries against memory
-                // writes; an update-free batch needs none.
-                let retrievals: Vec<u64> = if memory_updates.is_empty() {
-                    Vec::new()
-                } else {
-                    (0..addresses.len())
-                        .map(|q| self.retrieval_layer(q))
-                        .collect()
-                };
-                return Ok(crate::soa::execute_sharded_columnar(
-                    &plan,
-                    &mut shard_mems,
-                    self.shard_bits(),
-                    self.capacity.address_width(),
-                    addresses,
-                    &retrievals,
-                    memory_updates,
-                ));
-            }
         }
         // Per-batch precomputation: one interned instruction stream
         // (shards are identical) and one retrieval layer per query.
@@ -503,7 +459,6 @@ impl<M: QramModel> ShardedQram<M> {
                     &addresses[q],
                     &shard_mems,
                     &shard_layers,
-                    None,
                     parallel,
                 )?);
                 Ok(())
@@ -535,7 +490,7 @@ impl<M: QramModel> ShardedQram<M> {
         addresses: &[AddressState],
         memory_updates: &[(u64, u64, u64)],
     ) -> Result<Vec<QueryOutcome>, ExecError> {
-        self.execute_queries_impl(memory, addresses, memory_updates, false, false)
+        self.execute_queries_impl(memory, addresses, memory_updates, false)
     }
 }
 
@@ -641,36 +596,53 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
         self.shards[shard].retrieval_layer(query_index / k) + shard as u64
     }
 
-    /// Sharded batched execution: splits each query's superposition by
-    /// shard bits, executes per-shard sub-batches through the shared
-    /// instruction-level engine against interleaved shard memories, and
-    /// recombines per-branch outcomes — observably equivalent to the
-    /// monolithic machine.
+    /// Sharded batched execution, observably equivalent to the monolithic
+    /// machine.
     ///
     /// When the shard architecture exposes a compiled plan
     /// ([`QramModel::compiled_query`]), the whole batch runs through the
-    /// columnar structure-of-arrays kernel: per memory epoch, the
-    /// flattened term column is radix-partitioned by the low-order shard
-    /// bits and gathered per shard segment (bit-parallel from packed
-    /// per-shard images for 1-bit buses) — no per-shard sub-state
-    /// construction and no threads. Otherwise, with the `parallel` cargo
-    /// feature, each query's branches are cut into chunks drained from a
-    /// work-stealing deque by scoped threads (the shard memories are
-    /// read-only during a query), falling back to sequential below
-    /// [`crate::exec::PARALLEL_BRANCH_THRESHOLD`] branches; outcomes are
-    /// recombined in deterministic branch order on every path, so results
-    /// are identical to [`Self::execute_queries_sequential`].
+    /// one columnar kernel of [`crate::execute_batch`], reading the
+    /// caller's unsplit memory directly: shard `s`'s local cell `l` is
+    /// global cell `l·K + s`, so each term's global address is one direct
+    /// load — no per-call shard split, no partition, no threads, and
+    /// outcomes that are views into one shared term column. The sharded
+    /// path reports no memo statistics.
     ///
-    /// Memory updates route to the owning shard and follow the §7.2
-    /// classical-swap tie semantics of [`crate::model::execute_batch`]: an
-    /// update whose layer *equals* a query's retrieval layer is visible to
-    /// that query.
+    /// Otherwise each query's superposition is split by shard bits,
+    /// executed as per-shard sub-batches through the instruction-level
+    /// interpreter against interleaved shard memories, and recombined.
+    /// With the `parallel` cargo feature, each query's branches are cut
+    /// into chunks drained from a work-stealing deque by scoped threads
+    /// (the shard memories are read-only during a query), falling back to
+    /// sequential below [`crate::exec::PARALLEL_BRANCH_THRESHOLD`]
+    /// branches. Outcomes are recombined in deterministic branch order on
+    /// every path, so results are identical to
+    /// [`Self::execute_queries_sequential`].
+    ///
+    /// Memory updates follow the §7.2 classical-swap tie semantics of
+    /// [`crate::model::execute_batch`]: an update whose layer *equals* a
+    /// query's retrieval layer is visible to that query.
     fn execute_queries(
         &self,
         memory: &ClassicalMemory,
         addresses: &[AddressState],
         memory_updates: &[(u64, u64, u64)],
     ) -> Result<Vec<QueryOutcome>, ExecError> {
+        assert_eq!(
+            memory.capacity() as u64,
+            self.capacity.get(),
+            "memory capacity must match QRAM capacity"
+        );
+        if let Some(plan) = self.shards[0].compiled_query() {
+            return Ok(crate::soa::execute_columnar(
+                &plan,
+                memory,
+                addresses,
+                memory_updates,
+                |q| self.retrieval_layer(q),
+                None,
+            ));
+        }
         // One worker-count check per batch: on a single-core host the
         // `parallel` feature degrades gracefully to the sequential path
         // (no thread-spawn overhead), so enabling it is never a
@@ -679,7 +651,7 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
         let parallel = crate::exec::parallel_worker_count() > 1;
         #[cfg(not(feature = "parallel"))]
         let parallel = false;
-        self.execute_queries_impl(memory, addresses, memory_updates, parallel, true)
+        self.execute_queries_impl(memory, addresses, memory_updates, parallel)
     }
 }
 
@@ -973,10 +945,10 @@ mod tests {
         let layers = s.shards()[0].interned_query_layers();
         let addr = AddressState::full_superposition(8);
         let par = s
-            .run_query_across_shards(&addr, &shard_mems, &layers, None, true)
+            .run_query_across_shards(&addr, &shard_mems, &layers, true)
             .unwrap();
         let seq = s
-            .run_query_across_shards(&addr, &shard_mems, &layers, None, false)
+            .run_query_across_shards(&addr, &shard_mems, &layers, false)
             .unwrap();
         assert_eq!(par, seq);
         assert!((par.fidelity(&mem.ideal_query(&addr)) - 1.0).abs() < 1e-12);
@@ -984,27 +956,20 @@ mod tests {
 
     #[test]
     fn compiled_shard_plan_matches_interpreter_paths() {
-        // The compiled fast path (plan passed) must recombine branch-
-        // for-branch identically to the interpreter fan-out paths.
+        // The columnar kernel gathers each global address from the
+        // unsplit image; it must recombine branch-for-branch identically
+        // to the per-shard interpreter over the interleaved shard images.
         let s = ShardedQram::fat_tree(cap(64), 4);
         let cells: Vec<u64> = (0..64).map(|i| (i * 11 + 3) % 2).collect();
         let mem = ClassicalMemory::from_words(1, &cells).unwrap();
-        let shard_mems = s.shard_memories(&mem);
-        let layers = s.shards()[0].interned_query_layers();
-        let plan = s.shards()[0].compiled_query().expect("built-in plan");
-        for addr in [
+        let addresses = [
             AddressState::full_superposition(6),
             AddressState::uniform(6, &[0, 5, 17, 42]).unwrap(),
             AddressState::classical(6, 63).unwrap(),
-        ] {
-            let compiled = s
-                .run_query_across_shards(&addr, &shard_mems, &layers, Some(&plan), false)
-                .unwrap();
-            let interpreted = s
-                .run_query_across_shards(&addr, &shard_mems, &layers, None, false)
-                .unwrap();
-            assert_eq!(compiled, interpreted);
-        }
+        ];
+        let compiled = s.execute_queries(&mem, &addresses, &[]).unwrap();
+        let interpreted = s.execute_queries_sequential(&mem, &addresses, &[]).unwrap();
+        assert_eq!(compiled, interpreted);
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! and hands out `Arc`-backed views, so the allocation count is flat in
 //! the batch size.
 //!
+//! The same holds for superposition batches on the monolithic and the
+//! sharded backend: all terms share one column, whatever the batch size.
+//!
 //! One `#[test]` only: the counting allocator is process-global, and a
 //! concurrently running test would perturb the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use qram_core::{FatTreeQram, QramModel};
+use qram_core::{FatTreeQram, QramModel, ShardedQram};
 use qram_metrics::Capacity;
 use qsim::branch::{AddressState, ClassicalMemory};
 
@@ -89,4 +92,45 @@ fn columnar_batch_allocates_per_distinct_set_not_per_query() {
         large_allocs <= 256,
         "1024-query batch made {large_allocs} allocations"
     );
+
+    // Superposition batches: every query's 16 terms land in one shared
+    // column, so the count is flat in the batch size on the monolith and
+    // on the sharded backend alike — a per-query `Vec` of terms would add
+    // 768 allocations between the two batch sizes.
+    let capacity = Capacity::new(4096).unwrap();
+    let cells: Vec<u64> = (0..4096).map(|i| (i * 5 + 1) % 2).collect();
+    let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+    let superpositions = |queries: u64| -> Vec<AddressState> {
+        (0..queries)
+            .map(|i| {
+                let mut branches: Vec<u64> = (0..16).map(|j| (i * 13 + j * 257) % 4096).collect();
+                branches.sort_unstable();
+                AddressState::uniform(12, &branches).unwrap()
+            })
+            .collect()
+    };
+    let small = superpositions(256);
+    let large = superpositions(1024);
+    let backends: [Box<dyn QramModel>; 2] = [
+        Box::new(FatTreeQram::new(capacity)),
+        Box::new(ShardedQram::fat_tree(capacity, 4)),
+    ];
+    for backend in &backends {
+        // Warm the backend's lazily built plan before counting.
+        backend.execute_queries(&memory, &large, &[]).unwrap();
+        let measure = |addresses: &[AddressState]| {
+            let before = allocations();
+            let outs = backend.execute_queries(&memory, addresses, &[]).unwrap();
+            let after = allocations();
+            assert_eq!(outs.len(), addresses.len());
+            after - before
+        };
+        let small_allocs = measure(&small);
+        let large_allocs = measure(&large);
+        assert!(
+            large_allocs <= small_allocs + 8,
+            "{}: 4x superposition batch grew allocations {small_allocs} -> {large_allocs}",
+            backend.name()
+        );
+    }
 }

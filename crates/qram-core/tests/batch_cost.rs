@@ -13,6 +13,8 @@ use qram_core::{
 };
 use qram_metrics::Capacity;
 use qsim::branch::{AddressState, ClassicalMemory};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn batch_of_1024_queries_schedules_in_linear_constructions() {
@@ -100,19 +102,18 @@ fn single_shard_batches_skip_the_sub_batch_split() {
     );
 }
 
-/// The packed-image bit-parallel gather only engages when the cell array
-/// spills the L1-resident threshold (4096 cells), so the small-capacity
-/// property tests never reach it. Pin it bit-equal to the row-wise memo
-/// path at `N = 8192` (monolith image) and `N = 16384, K = 2` (per-shard
-/// image, all queries on one shard so its gather count clears the
-/// amortization bar).
+/// The property tests run at small capacities. Pin the columnar kernel at
+/// large ones too: a monolithic `N = 8192` batch (outcomes and memo stats
+/// against the row-wise memo path), and the `superposition_kernel` serving
+/// shape — `N = 65536`, `K = 8`, 256 queries of 64 distinct addresses —
+/// against the sharded interpreter reference, with and without memory
+/// updates.
 #[test]
-fn bit_parallel_image_gather_matches_the_row_path() {
+fn large_memory_batches_match_the_reference_paths() {
     let n = 8192u64;
     let qram = FatTreeQram::new(Capacity::new(n).unwrap());
     let cells: Vec<u64> = (0..n).map(|i| (i * 11 + 5) % 2).collect();
     let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-    // 2048 gathers over 8192 cells: >= cells/8, so the image path engages.
     let addresses: Vec<AddressState> = (0..2048u64)
         .map(|i| AddressState::classical(13, i * 37 % n).unwrap())
         .collect();
@@ -121,17 +122,40 @@ fn bit_parallel_image_gather_matches_the_row_path() {
     assert_eq!(col, row);
     assert_eq!(col_stats, row_stats);
 
-    // Sharded: all-even addresses route every gather to shard 0, whose
-    // 8192-cell memory re-packs behind the same threshold.
-    let sharded = ShardedQram::fat_tree(Capacity::new(2 * n).unwrap(), 2);
-    let cells: Vec<u64> = (0..2 * n).map(|i| (i * 3 + 1) % 2).collect();
+    let n = 65536u64;
+    let sharded = ShardedQram::fat_tree(Capacity::new(n).unwrap(), 8);
+    let mut rng = StdRng::seed_from_u64(65536);
+    let cells: Vec<u64> = (0..n).map(|_| rng.random_range(0..2u64)).collect();
     let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-    let addresses: Vec<AddressState> = (0..2048u64)
-        .map(|i| AddressState::classical(14, i * 74 % (2 * n)).unwrap())
+    let addresses: Vec<AddressState> = (0..256)
+        .map(|_| {
+            let mut branches: Vec<u64> = Vec::with_capacity(64);
+            while branches.len() < 64 {
+                let a = rng.random_range(0..n);
+                if !branches.contains(&a) {
+                    branches.push(a);
+                }
+            }
+            branches.sort_unstable();
+            AddressState::uniform(16, &branches).unwrap()
+        })
         .collect();
-    let fast = sharded.execute_queries(&memory, &addresses, &[]).unwrap();
-    let reference = sharded
-        .execute_queries_sequential(&memory, &addresses, &[])
-        .unwrap();
-    assert_eq!(fast, reference);
+    // Flip a cell that a later query reads, at three layers spread over
+    // the batch's retrieval window, so each write splits an epoch.
+    let updates: Vec<(u64, u64, u64)> = [40usize, 128, 200]
+        .iter()
+        .map(|&q| {
+            let a = addresses[q].terms()[0].1;
+            (sharded.retrieval_layer(q - 1) + 1, a, 1 - memory.read(a))
+        })
+        .collect();
+    for updates in [&[][..], &updates[..]] {
+        let fast = sharded
+            .execute_queries(&memory, &addresses, updates)
+            .unwrap();
+        let reference = sharded
+            .execute_queries_sequential(&memory, &addresses, updates)
+            .unwrap();
+        assert_eq!(fast, reference, "{} updates", updates.len());
+    }
 }

@@ -21,7 +21,7 @@
 //!   └──────────────┬───────────────┘   K·P_shard in-flight backpressure
 //!                  ▼
 //!   ┌──────────────────────────────┐   execution (qram-core)
-//!   │  ShardedQram::execute_queries│   compiled plans + memoization
+//!   │  ShardedQram::execute_queries│   compiled plans + columnar kernel
 //!   └──────────────┬───────────────┘
 //!                  ▼
 //!   ┌──────────────────────────────┐   measurement (qram-metrics)

@@ -13,7 +13,7 @@
 //!   queries are in flight in aggregate, and **backpressure** propagates
 //!   to an optional bounded arrival queue that sheds load when full.
 //! * Dispatched queries execute through
-//!   [`QramModel::execute_queries`] — the compiled-plan / memoized batch
+//!   [`QramModel::execute_queries`] — the compiled-plan columnar batch
 //!   hot path — and per-query response latency (arrival → completion) is
 //!   recorded into a log-bucketed [`LatencyHistogram`].
 //!
@@ -388,8 +388,8 @@ impl<M: QramModel, P: AdmissionPolicy> QramService<M, P> {
         let per_shard_dispatches = replica.per_shard_dispatches().to_vec();
 
         // Execute the dispatched queries in admission order through the
-        // backend's batch hot path (compiled plans + epoch-keyed
-        // memoization), recombining per-query outcomes.
+        // backend's batch hot path (compiled plans and the columnar
+        // kernel's direct loads over the unsplit memory image).
         let addresses: Vec<AddressState> = replica.into_addresses();
         let outcomes = self.qram.execute_queries(memory, &addresses, &[])?;
 

@@ -433,13 +433,18 @@ proptest! {
         }
     }
 
-    /// Compiled batched execution (`execute_queries`: plan dispatch +
-    /// memoization) equals the pure-interpreter reference
+    /// Compiled batched execution (`execute_queries`: the columnar
+    /// kernel) equals the pure-interpreter reference
     /// (`execute_batch_unmemoized` / `execute_queries_sequential`) across
-    /// interleaved §7.2 memory writes on all three backends.
+    /// interleaved §7.2 memory writes on all three backends. The sharded
+    /// backend draws K ∈ {1, 2, 4, 8}, capped at N/2, so the kernel's
+    /// direct loads from the unsplit image (shard `s`'s local cell `l` is
+    /// global cell `l·K + s`) meet the interpreter's per-shard images at
+    /// every interleaving.
     #[test]
     fn compiled_batches_match_interpreted_reference(
         n in 3u32..=5,
+        k_exp in 0u32..=3,
         seed_cells in prop::collection::vec(0u64..2, 1..32),
         query_addrs in prop::collection::vec(0u64..32, 1..8),
         // Encoded (layer, address, value) triples (the vendored proptest
@@ -471,12 +476,13 @@ proptest! {
                     .unwrap();
             prop_assert!(compiled == reference, "{} diverges", backend.name());
         }
-        let sharded = ShardedQram::fat_tree(cap, 2);
+        let k = 1u32 << k_exp.min(n - 1);
+        let sharded = ShardedQram::fat_tree(cap, k);
         let compiled = sharded.execute_queries(&memory, &addresses, &updates).unwrap();
         let reference = sharded
             .execute_queries_sequential(&memory, &addresses, &updates)
             .unwrap();
-        prop_assert!(compiled == reference, "Sharded diverges");
+        prop_assert!(compiled == reference, "Sharded K={} diverges", k);
     }
 
     /// Randomly mutated instruction streams behave identically under
@@ -601,13 +607,15 @@ proptest! {
 
     /// A Zipf-skewed batch — wide superpositions whose branches pile onto
     /// one hot shard, mixed with a minority of cross-shard queries — is
-    /// identical under `execute_queries` (columnar kernel; work-stealing
-    /// fan-out on the interpreter path) and the pinned sequential
-    /// reference, with interleaved writes landing on the hot shard.
+    /// identical under `execute_queries` (columnar kernel over the unsplit
+    /// image) and the pinned sequential reference over per-shard images,
+    /// with interleaved writes landing on the hot shard, for
+    /// K ∈ {1, 2, 4, 8}.
     #[test]
     fn skewed_shard_loads_keep_deterministic_outcomes(
         n in 5u32..=7,
-        hot_shard in 0u64..4,
+        k_exp in 0u32..=3,
+        hot_pick in 0u64..8,
         seed_cells in prop::collection::vec(0u64..2, 1..128),
         query_strides in prop::collection::vec(1u64..17, 2..6),
         updates in prop::collection::vec(0u64..(200 * 128 * 2), 0..4),
@@ -616,14 +624,17 @@ proptest! {
         let mut cells = seed_cells;
         cells.resize(capacity as usize, 0);
         let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        let local = capacity / 4;
-        // Hot queries: every branch ≡ hot_shard (mod 4). One cold query
+        // K capped at N/2, so every shard keeps at least one address bit.
+        let k = 1u64 << k_exp.min(n - 1);
+        let hot_shard = hot_pick % k;
+        let local = capacity / k;
+        // Hot queries: every branch ≡ hot_shard (mod K). One cold query
         // spans all shards so recombination order is exercised too.
         let mut addresses: Vec<AddressState> = query_strides
             .iter()
             .map(|&stride| {
                 let mut a: Vec<u64> = (0..local)
-                    .map(|i| ((i * stride) % local) * 4 + hot_shard)
+                    .map(|i| ((i * stride) % local) * k + hot_shard)
                     .collect();
                 a.sort_unstable();
                 a.dedup();
@@ -634,9 +645,10 @@ proptest! {
         // Writes target the hot shard's cells.
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
-            .map(|enc| (enc / 256, ((enc / 2) % local) * 4 + hot_shard, enc % 2))
+            .map(|enc| (enc / 256, ((enc / 2) % local) * k + hot_shard, enc % 2))
             .collect();
-        let sharded = ShardedQram::fat_tree(Capacity::new(capacity).unwrap(), 4);
+        let shards = u32::try_from(k).unwrap();
+        let sharded = ShardedQram::fat_tree(Capacity::new(capacity).unwrap(), shards);
         let fast = sharded.execute_queries(&memory, &addresses, &updates).unwrap();
         let reference = sharded
             .execute_queries_sequential(&memory, &addresses, &updates)
