@@ -88,7 +88,7 @@ use crate::fault::{
     corrupt_outcome, parity_bit, BrownoutController, Fault, FaultConfig, FaultPlan, ReplicaHealth,
     ReplicationFate,
 };
-use crate::reactor::EventQueue;
+use crate::reactor::{order_key, EventQueue};
 use crate::replica::{Replica, ReplicaEvent};
 
 /// A user query arriving at the fleet router.
@@ -302,8 +302,9 @@ impl FleetQuery {
 /// as in the single-replica service.
 #[derive(Debug)]
 enum Event {
-    /// A write commits at its origin replica.
-    Write(FleetWrite),
+    /// The run's write at this index (in supply order) commits at its
+    /// origin replica.
+    Write(usize),
     /// The log prefix up to `epoch` reaches every replica.
     Replicate { epoch: u64 },
     /// The `index`-th query dispatched at `replica` leaves its pipeline.
@@ -348,8 +349,6 @@ pub struct FleetReport {
     outcomes: Vec<QueryOutcome>,
     shed: Vec<ShedRequest>,
     per_replica_dispatches: Vec<u64>,
-    per_tenant: HistogramFamily<TenantId>,
-    per_replica: HistogramFamily<usize>,
     stale_served: u64,
     fleet_epoch: u64,
     availability: AvailabilityCounters,
@@ -421,37 +420,50 @@ impl FleetReport {
         &self.per_replica_dispatches
     }
 
-    /// Per-tenant response-latency histograms, tenant-ordered.
+    /// Per-tenant response-latency histograms, tenant-ordered, folded
+    /// over [`Self::completed`] on each call.
     #[must_use]
-    pub fn per_tenant(&self) -> &HistogramFamily<TenantId> {
-        &self.per_tenant
+    pub fn per_tenant(&self) -> HistogramFamily<TenantId> {
+        self.fold_latencies(|q| q.tenant)
     }
 
-    /// Per-replica response-latency histograms, index-ordered.
+    /// Per-replica response-latency histograms, index-ordered, folded
+    /// over [`Self::completed`] on each call.
     #[must_use]
-    pub fn per_replica(&self) -> &HistogramFamily<usize> {
-        &self.per_replica
+    pub fn per_replica(&self) -> HistogramFamily<usize> {
+        self.fold_latencies(|q| q.replica)
     }
 
-    /// The fleet-wide response-latency histogram (all tenants merged).
+    /// The fleet-wide response-latency histogram: [`Self::per_tenant`]
+    /// with every tenant merged.
     #[must_use]
     pub fn latency_histogram(&self) -> LatencyHistogram {
-        self.per_tenant.merged()
+        self.per_tenant().merged()
     }
 
     /// A response-latency quantile for one tenant, in the timing model's
-    /// wall-clock microseconds.
+    /// wall-clock microseconds, read from [`Self::per_tenant`].
     ///
     /// # Panics
     ///
     /// Panics if the tenant completed nothing or `q` is outside `[0, 1]`.
     #[must_use]
     pub fn tenant_latency_micros(&self, tenant: TenantId, q: f64) -> f64 {
-        let histogram = self
-            .per_tenant
+        let per_tenant = self.per_tenant();
+        let histogram = per_tenant
             .get(tenant)
             .expect("tenant has completed queries");
         self.timing.layers_to_micros(histogram.quantile(q))
+    }
+
+    /// Response latencies keyed by `key`, recorded in completion order —
+    /// the order the serving loop completes queries in.
+    fn fold_latencies<K: Ord + Copy>(&self, key: impl Fn(&FleetQuery) -> K) -> HistogramFamily<K> {
+        let mut family = HistogramFamily::new();
+        for q in &self.completed {
+            family.record(key(q), q.response_latency());
+        }
+        family
     }
 
     /// Queries served against a superseded memory version (and flagged).
@@ -731,21 +743,20 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         let total_requests = arrivals.len();
         let mut arrivals = arrivals.into_iter().peekable();
 
+        let writes: Vec<FleetWrite> = writes.into_iter().collect();
         let mut events: EventQueue<Event> = EventQueue::new();
-        for write in writes {
+        for (i, write) in writes.iter().enumerate() {
             assert!(
                 write.origin < num_replicas,
                 "write origin replica {} out of range (R = {num_replicas})",
                 write.origin
             );
-            events.push(write.at, Event::Write(write));
+            events.push(write.at, Event::Write(i));
         }
 
         let mut completed: Vec<FleetQuery> = Vec::with_capacity(total_requests);
         let mut shed: Vec<ShedRequest> = Vec::new();
         let mut outstanding: BTreeMap<TenantId, u32> = BTreeMap::new();
-        let mut per_tenant: HistogramFamily<TenantId> = HistogramFamily::new();
-        let mut per_replica: HistogramFamily<usize> = HistogramFamily::new();
         let mut stale_served = 0u64;
 
         loop {
@@ -819,7 +830,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
             } else if let Some((at, event)) = events.pop() {
                 now = at;
                 match event {
-                    Event::Write(write) => {
+                    Event::Write(i) => {
+                        let write = writes[i];
                         let epoch = replicated.write_at(write.origin, write.address, write.value);
                         let applied = replicated.applied_epoch(write.origin);
                         snapshots[write.origin]
@@ -857,8 +869,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                             attempts: 1,
                         };
                         stale_served += u64::from(query.stale);
-                        per_tenant.record(tenant, query.response_latency());
-                        per_replica.record(replica, query.response_latency());
                         *outstanding.get_mut(&tenant).expect("tenant accepted") -= 1;
                         completed.push(query);
                         pump = Some(replica);
@@ -961,8 +971,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
             outcomes,
             shed,
             per_replica_dispatches,
-            per_tenant,
-            per_replica,
             stale_served,
             fleet_epoch: replicated.fleet_epoch(),
             availability: AvailabilityCounters::default(),
@@ -1087,12 +1095,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         // Each replica's journal records the cell changes it applies; a
         // dispatch's stamped epoch selects its prefix at execution.
         let mut replicated = ReplicatedMemory::new(memory.clone(), num_replicas);
-        let mut dispatch_epochs: Vec<Vec<u64>> = vec![Vec::new(); num_replicas];
-        let mut dispatch_stale: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
-        // Which admitted query each dispatch belongs to, and whether its
-        // completion has been consumed (or invalidated by a crash).
-        let mut dispatch_qids: Vec<Vec<usize>> = vec![Vec::new(); num_replicas];
-        let mut handled: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
+        // One record per dispatch, indexed [replica][dispatch index].
+        let mut dispatches: Vec<Vec<Dispatch>> = vec![Vec::new(); num_replicas];
 
         let mut arrivals: Vec<FleetRequest> = requests
             .into_iter()
@@ -1104,23 +1108,19 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                 );
             })
             .collect();
-        arrivals.sort_by(|a, b| {
-            a.arrival
-                .get()
-                .partial_cmp(&b.arrival.get())
-                .expect("event times are finite")
-        });
+        arrivals.sort_by_key(|r| order_key(r.arrival.get()));
         let total_requests = arrivals.len();
         let mut arrivals = arrivals.into_iter().peekable();
 
+        let writes: Vec<FleetWrite> = writes.into_iter().collect();
         let mut events: EventQueue<Event> = EventQueue::new();
-        for write in writes {
+        for (i, write) in writes.iter().enumerate() {
             assert!(
                 write.origin < num_replicas,
                 "write origin replica {} out of range (R = {num_replicas})",
                 write.origin
             );
-            events.push(write.at, Event::Write(write));
+            events.push(write.at, Event::Write(i));
         }
 
         // Fault-tolerance state. Nothing below schedules an event unless
@@ -1152,6 +1152,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         let mut completed_dispatch: Vec<(usize, usize)> = Vec::with_capacity(total_requests);
         let mut corrupted_served: Vec<(usize, usize)> = Vec::new();
         let mut open = 0usize;
+        // The placement snapshot, refilled before every placement.
+        let mut loads: Vec<ReplicaLoad> = Vec::with_capacity(num_replicas);
 
         // The durability tier. An external store (serve_durable) always
         // activates it; otherwise disk faults or a scrub interval spin up
@@ -1249,8 +1251,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         let mut completed: Vec<FleetQuery> = Vec::with_capacity(total_requests);
         let mut shed: Vec<ShedRequest> = Vec::new();
         let mut outstanding: BTreeMap<TenantId, u32> = BTreeMap::new();
-        let mut per_tenant: HistogramFamily<TenantId> = HistogramFamily::new();
-        let mut per_replica: HistogramFamily<usize> = HistogramFamily::new();
         let mut stale_served = 0u64;
 
         loop {
@@ -1285,7 +1285,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                         reason: ShedReason::QuotaExceeded,
                     });
                 } else {
-                    let loads = snapshot_loads(&replicas, &health);
+                    snapshot_loads(&replicas, &health, &mut loads);
                     let target = self.placement.place(&request, &loads);
                     assert!(
                         target < num_replicas,
@@ -1354,7 +1354,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
             } else if let Some((at, event)) = events.pop() {
                 now = at;
                 match event {
-                    Event::Write(write) => {
+                    Event::Write(i) => {
+                        let write = writes[i];
                         // A write addressed at a dead origin commits at
                         // the first live replica instead: writes survive
                         // crashes even when the client's affinity target
@@ -1367,7 +1368,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 .unwrap_or(write.origin)
                         };
                         let epoch = replicated.write_at(origin, write.address, write.value);
-                        let mut synced_to = None;
+                        // Ack-at-sync: with a durability tier, replication
+                        // (and with it the stale-read watermark) only fans
+                        // out from synced epochs.
+                        let mut replicate_to = durability.is_none().then_some(epoch);
                         if let Some(d) = durability.as_mut() {
                             // Log the write durably before replication
                             // fans out: the commit-group sync is the
@@ -1385,7 +1389,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                             };
                             let summary = d.append(&w, plan.tears(epoch))?;
                             if summary.synced_records > 0 {
-                                synced_to = Some(d.synced_fleet_epoch());
+                                replicate_to = Some(d.synced_fleet_epoch());
                             } else if d.store.pending_records() == 1 {
                                 // This write opened a fresh commit
                                 // group: arm its flush deadline so a
@@ -1400,39 +1404,16 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 }
                             }
                         }
-                        if num_replicas > 1 {
-                            if durability.is_some() {
-                                // Ack-at-sync: replication (and with it
-                                // the stale-read watermark) only fans
-                                // out from synced epochs.
-                                if let Some(to) = synced_to {
-                                    schedule_replication(
-                                        &mut events,
-                                        plan,
-                                        self.config.replication_lag,
-                                        now,
-                                        repl_scheduled,
-                                        to,
-                                    );
-                                    repl_scheduled = repl_scheduled.max(to);
-                                }
-                            } else {
-                                match plan.replication_fate(epoch) {
-                                    ReplicationFate::Deliver => {
-                                        events.push(
-                                            now + self.config.replication_lag,
-                                            Event::Replicate { epoch },
-                                        );
-                                    }
-                                    ReplicationFate::Drop => {}
-                                    ReplicationFate::Delay(by) => {
-                                        events.push(
-                                            now + self.config.replication_lag + by,
-                                            Event::Replicate { epoch },
-                                        );
-                                    }
-                                }
-                            }
+                        if let Some(to) = replicate_to {
+                            schedule_replication(
+                                &mut events,
+                                plan,
+                                self.config.replication_lag,
+                                now,
+                                num_replicas,
+                                &mut repl_scheduled,
+                                to,
+                            );
                         }
                     }
                     Event::Replicate { epoch } => {
@@ -1443,11 +1424,12 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                         }
                     }
                     Event::Completion { replica, index } => {
-                        if handled[replica][index] {
+                        let dispatch = dispatches[replica][index];
+                        if dispatch.handled {
                             // A crash already failed this dispatch over.
                         } else {
-                            handled[replica][index] = true;
-                            let qid = dispatch_qids[replica][index];
+                            dispatches[replica][index].handled = true;
+                            let qid = dispatch.qid;
                             let tenant = replicas[replica].tenant_of(index);
                             let record = replicas[replica].complete(index, now);
                             if monitoring
@@ -1490,13 +1472,11 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                     finish: record.finish,
                                     replica,
                                     shard: record.shard,
-                                    epoch: dispatch_epochs[replica][index],
-                                    stale: dispatch_stale[replica][index],
+                                    epoch: dispatch.epoch,
+                                    stale: dispatch.stale,
                                     attempts: state.attempts,
                                 };
                                 stale_served += u64::from(query.stale);
-                                per_tenant.record(tenant, query.response_latency());
-                                per_replica.record(replica, query.response_latency());
                                 *outstanding.get_mut(&tenant).expect("tenant accepted") -= 1;
                                 open -= 1;
                                 completed.push(query);
@@ -1520,11 +1500,11 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                             for qid in replicas[replica].fail() {
                                 strand(qid, &mut states, &mut pending_failover[replica]);
                             }
-                            for index in 0..dispatch_qids[replica].len() {
-                                if !handled[replica][index] {
-                                    handled[replica][index] = true;
+                            for dispatch in &mut dispatches[replica] {
+                                if !dispatch.handled {
+                                    dispatch.handled = true;
                                     strand(
-                                        dispatch_qids[replica][index],
+                                        dispatch.qid,
                                         &mut states,
                                         &mut pending_failover[replica],
                                     );
@@ -1570,18 +1550,15 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 // prefix, and fan out replication for
                                 // whatever that sync acknowledged.
                                 d.flush()?;
-                                let to = d.synced_fleet_epoch();
-                                if num_replicas > 1 && to > repl_scheduled {
-                                    schedule_replication(
-                                        &mut events,
-                                        plan,
-                                        self.config.replication_lag,
-                                        now,
-                                        repl_scheduled,
-                                        to,
-                                    );
-                                }
-                                repl_scheduled = repl_scheduled.max(to);
+                                schedule_replication(
+                                    &mut events,
+                                    plan,
+                                    self.config.replication_lag,
+                                    now,
+                                    num_replicas,
+                                    &mut repl_scheduled,
+                                    d.synced_fleet_epoch(),
+                                );
                                 // Replay from disk, not the in-memory
                                 // log: audit the WAL, then reset the
                                 // restarted replica to the durable
@@ -1700,18 +1677,15 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                             // auditing, so the disk and the in-memory
                             // view describe the same prefix.
                             d.flush()?;
-                            let to = d.synced_fleet_epoch();
-                            if num_replicas > 1 && to > repl_scheduled {
-                                schedule_replication(
-                                    &mut events,
-                                    plan,
-                                    self.config.replication_lag,
-                                    now,
-                                    repl_scheduled,
-                                    to,
-                                );
-                            }
-                            repl_scheduled = repl_scheduled.max(to);
+                            schedule_replication(
+                                &mut events,
+                                plan,
+                                self.config.replication_lag,
+                                now,
+                                num_replicas,
+                                &mut repl_scheduled,
+                                d.synced_fleet_epoch(),
+                            );
                             d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
                         }
                         if let Some(interval) = fault_config.scrub_interval {
@@ -1726,18 +1700,15 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                             // (seq moved on) or the group emptied.
                             if d.syncs == seq && d.store.pending_records() > 0 {
                                 d.flush()?;
-                                let to = d.synced_fleet_epoch();
-                                if num_replicas > 1 && to > repl_scheduled {
-                                    schedule_replication(
-                                        &mut events,
-                                        plan,
-                                        self.config.replication_lag,
-                                        now,
-                                        repl_scheduled,
-                                        to,
-                                    );
-                                }
-                                repl_scheduled = repl_scheduled.max(to);
+                                schedule_replication(
+                                    &mut events,
+                                    plan,
+                                    self.config.replication_lag,
+                                    now,
+                                    num_replicas,
+                                    &mut repl_scheduled,
+                                    d.synced_fleet_epoch(),
+                                );
                             }
                         }
                     }
@@ -1755,7 +1726,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                     }
                     Event::Retry { qid } => {
                         if !states[qid].done {
-                            let loads = snapshot_loads(&replicas, &health);
+                            snapshot_loads(&replicas, &health, &mut loads);
                             let probe = FleetRequest {
                                 id: states[qid].id,
                                 tenant: states[qid].tenant,
@@ -1890,12 +1861,17 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                             }
                         }
                     });
-                    for idx in range {
-                        dispatch_epochs[target].push(replicated.applied_epoch(target));
-                        dispatch_stale[target].push(replicated.is_stale(target));
-                        dispatch_qids[target].push(replicas[target].tag_of(idx));
-                        handled[target].push(false);
-                    }
+                    // Replicated memory cannot change inside a pump, so
+                    // every new dispatch observes the same epoch.
+                    let epoch = replicated.applied_epoch(target);
+                    let stale = replicated.is_stale(target);
+                    let replica = &replicas[target];
+                    dispatches[target].extend(range.map(|index| Dispatch {
+                        qid: replica.tag_of(index),
+                        epoch,
+                        stale,
+                        handled: false,
+                    }));
                 }
             }
         }
@@ -1933,11 +1909,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         let mut outcomes_by_replica: Vec<Vec<QueryOutcome>> = Vec::with_capacity(num_replicas);
         for (r, replica) in replicas.into_iter().enumerate() {
             let addresses = replica.into_addresses();
-            let updates = sweep_updates(
-                &self.backends[r],
-                &dispatch_epochs[r],
-                replicated.journal(r),
-            );
+            let updates = sweep_updates(&self.backends[r], &dispatches[r], replicated.journal(r));
             outcomes_by_replica
                 .push(self.backends[r].execute_queries(memory, &addresses, &updates)?);
         }
@@ -1967,8 +1939,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
             outcomes,
             shed,
             per_replica_dispatches,
-            per_tenant,
-            per_replica,
             stale_served,
             fleet_epoch: replicated.fleet_epoch(),
             availability: counters,
@@ -2190,6 +2160,19 @@ impl<'a> Durability<'a> {
     }
 }
 
+/// One dispatch of a replica, stamped when the replica's pump admits it.
+#[derive(Debug, Clone, Copy)]
+struct Dispatch {
+    /// The admitted query it serves (an index into the query states).
+    qid: usize,
+    /// The memory epoch its replica had applied at dispatch.
+    epoch: u64,
+    /// True when that epoch trailed the fleet epoch.
+    stale: bool,
+    /// Its completion was consumed, or a crash invalidated it.
+    handled: bool,
+}
+
 /// Driver-private bookkeeping for one admitted query in the
 /// fault-tolerant loop.
 #[derive(Debug)]
@@ -2212,22 +2195,23 @@ struct QueryState {
     hedge_replica: Option<usize>,
 }
 
-/// Fans replication catch-ups out for fleet epochs `(from_excl,
-/// to_incl]`, each through the fault plan's per-epoch fate. Under the
-/// durability tier replication is gated on commit-group syncs, so a
-/// single sync may acknowledge — and here schedule — a whole group of
-/// epochs at once; the caller advances its `repl_scheduled` watermark
-/// to `to_incl` afterwards so rollbacks and re-appends never fan the
-/// same epoch out twice.
+/// Fans replication catch-ups out for fleet epochs `(*scheduled, to]`,
+/// each through the fault plan's per-epoch fate (a single-replica fleet
+/// has no one to replicate to), then advances the `scheduled` watermark
+/// to `to`. Under the durability tier replication is gated on
+/// commit-group syncs, so a single sync may acknowledge — and here
+/// schedule — a whole group of epochs at once; the monotone watermark
+/// means rollbacks and re-appends never fan the same epoch out twice.
 fn schedule_replication(
     events: &mut EventQueue<Event>,
     plan: &FaultPlan,
     lag: Layers,
     now: Layers,
-    from_excl: u64,
-    to_incl: u64,
+    num_replicas: usize,
+    scheduled: &mut u64,
+    to: u64,
 ) {
-    for epoch in from_excl + 1..=to_incl {
+    for epoch in (*scheduled + 1..=to).filter(|_| num_replicas > 1) {
         match plan.replication_fate(epoch) {
             ReplicationFate::Deliver => {
                 events.push(now + lag, Event::Replicate { epoch });
@@ -2238,6 +2222,7 @@ fn schedule_replication(
             }
         }
     }
+    *scheduled = (*scheduled).max(to);
 }
 
 /// The memory updates of a replica's single §7.2 sweep: journal entry
@@ -2250,21 +2235,21 @@ fn schedule_replication(
 /// update-free kernel path.
 fn sweep_updates<M: QramModel>(
     backend: &ShardedQram<M>,
-    epochs: &[u64],
+    dispatches: &[Dispatch],
     journal: &[JournalEntry],
 ) -> Vec<(u64, u64, u64)> {
     debug_assert!(
-        epochs.windows(2).all(|w| w[0] <= w[1]),
+        dispatches.windows(2).all(|w| w[0].epoch <= w[1].epoch),
         "per-replica dispatch epochs never decrease"
     );
     let mut first = 0;
     let mut updates = Vec::new();
     for entry in journal {
         // Journal tags never decrease, so the cursor only moves forward.
-        while first < epochs.len() && epochs[first] < entry.tag {
+        while first < dispatches.len() && dispatches[first].epoch < entry.tag {
             first += 1;
         }
-        if first == epochs.len() {
+        if first == dispatches.len() {
             break;
         }
         updates.push((backend.retrieval_layer(first), entry.address, entry.value));
@@ -2272,17 +2257,15 @@ fn sweep_updates<M: QramModel>(
     updates
 }
 
-fn snapshot_loads(replicas: &[Replica], health: &[ReplicaHealth]) -> Vec<ReplicaLoad> {
-    replicas
-        .iter()
-        .zip(health)
-        .map(|(r, &h)| ReplicaLoad {
-            queued: r.queued(),
-            in_flight: r.in_flight(),
-            has_room: r.has_queue_room(),
-            health: h,
-        })
-        .collect()
+/// Refills `loads` with every replica's current load and health.
+fn snapshot_loads(replicas: &[Replica], health: &[ReplicaHealth], loads: &mut Vec<ReplicaLoad>) {
+    loads.clear();
+    loads.extend(replicas.iter().zip(health).map(|(r, &h)| ReplicaLoad {
+        queued: r.queued(),
+        in_flight: r.in_flight(),
+        has_room: r.has_queue_room(),
+        health: h,
+    }));
 }
 
 /// A copy of query `qid` was lost on a crashed replica: already-resolved

@@ -30,12 +30,12 @@
 //! ```
 //!
 //! * [`EventQueue`] — the hand-rolled discrete-event reactor core: a
-//!   time-ordered queue over virtual circuit-layer time.
+//!   queue over virtual circuit-layer time, ordered by one integer key.
 //! * [`QramService`] — the serving loop: per-shard round-robin dispatch
 //!   queues over a `ShardedQram`, admission at the divided `I_shard / K`
 //!   interval, backpressure at the aggregate `K · P_shard` in-flight
 //!   bound (plus an optional bounded arrival queue that sheds load), and
-//!   per-query latency recorded into a log-bucketed histogram.
+//!   a log-bucketed latency histogram folded from the completions.
 //! * [`ServiceReport`] — completions, outcomes, rejections, fairness
 //!   counters, and latency/throughput metrics for one run.
 //! * [`Replica`] — the replica-generic dispatch core extracted from the
@@ -45,7 +45,8 @@
 //! * [`QramFleet`] — the multi-tenant routing tier: R replicas behind a
 //!   pluggable [`PlacementPolicy`], per-tenant quotas and SLO classes at
 //!   admission, epoch-replicated memory writes with flagged stale reads,
-//!   and per-tenant/per-replica rollups in a [`FleetReport`].
+//!   and per-tenant/per-replica latency rollups that a [`FleetReport`]
+//!   folds from its completions on read.
 //! * [`FaultPlan`] — deterministic fault injection for the fleet: crashes
 //!   and recoveries, slow replicas, stalled shard queues, dropped or
 //!   delayed replication catch-ups, and corrupted outcomes, driven

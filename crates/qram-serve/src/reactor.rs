@@ -11,24 +11,55 @@
 //! makes the reactor's schedules deterministic and lets the service pin
 //! its timings bit-for-bit against the analytic schedulers in
 //! `qram-sched`.
+//!
+//! The heap is ordered by one integer key per event: the instant's
+//! order-preserving bits in the high half and the push sequence number
+//! in the low half, so a single `u128` comparison decides both the time
+//! order and the FIFO tie-break.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use qram_metrics::Layers;
 
-/// A payload scheduled at a virtual instant. Reverse-ordered so the
-/// max-heap pops the earliest time first; `seq` breaks ties FIFO.
+/// An instant's position in the time order: the sign-flip map of
+/// `time + 0.0` (which folds `-0.0` into `+0.0`), whose unsigned order is
+/// the numeric order of every non-NaN `f64`.
+///
+/// # Panics
+///
+/// Panics if `time` is NaN: it has no place in the time order.
+pub(crate) fn order_key(time: f64) -> u64 {
+    assert!(!time.is_nan(), "event times are never NaN");
+    let bits = (time + 0.0).to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// A payload scheduled at a virtual instant. The key is kept as two
+/// halves (a `u128` field would align the entry to 16 bytes) and compared
+/// as one `u128`, reversed so the max-heap pops the smallest key first.
 #[derive(Debug)]
 struct Entry<T> {
-    time: f64,
+    time: u64,
     seq: u64,
     payload: T,
 }
 
+impl<T> Entry<T> {
+    fn key(&self) -> u128 {
+        u128::from(self.time) << 64 | u128::from(self.seq)
+    }
+
+    /// The instant, decoded from [`order_key`].
+    fn at(&self) -> Layers {
+        let bits = self.time ^ ((((!self.time) as i64 >> 63) as u64) | 1 << 63);
+        Layers::new(f64::from_bits(bits))
+    }
+}
+
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -42,13 +73,7 @@ impl<T> PartialOrd for Entry<T> {
 
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed on both keys: the heap's max is the earliest event,
-        // and among ties the lowest sequence number (push order).
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then(other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -87,25 +112,28 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedules `payload` at virtual instant `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN.
     pub fn push(&mut self, time: Layers, payload: T) {
-        let entry = Entry {
-            time: time.get(),
+        self.heap.push(Entry {
+            time: order_key(time.get()),
             seq: self.seq,
             payload,
-        };
+        });
         self.seq += 1;
-        self.heap.push(entry);
     }
 
     /// Removes and returns the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(Layers, T)> {
-        self.heap.pop().map(|e| (Layers::new(e.time), e.payload))
+        self.heap.pop().map(|e| (e.at(), e.payload))
     }
 
     /// The instant of the next event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<Layers> {
-        self.heap.peek().map(|e| Layers::new(e.time))
+        self.heap.peek().map(Entry::at)
     }
 
     /// Number of pending events.
@@ -130,6 +158,7 @@ impl<T> Default for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -173,5 +202,83 @@ mod tests {
         q.push(Layers::new(5.0), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
+    }
+
+    #[test]
+    fn order_keys_keep_float_order_and_fold_the_zeros() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -5e-324,
+            0.0,
+            5e-324,
+            1.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for w in values.windows(2) {
+            assert!(order_key(w[0]) < order_key(w[1]), "{} < {}", w[0], w[1]);
+        }
+        assert_eq!(order_key(-0.0), order_key(0.0));
+        for t in [0.0, -0.0, 5e-324, 1.0, 1e300, f64::MAX] {
+            let mut q = EventQueue::new();
+            q.push(Layers::new(t), ());
+            assert_eq!(q.pop().unwrap().0.get().to_bits(), (t + 0.0).to_bits());
+        }
+    }
+
+    /// The instants the model test draws from: a small grid that forces
+    /// ties, plus both zeros, the smallest subnormal and huge values.
+    const INSTANTS: [f64; 9] = [0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, 1e300, f64::MAX];
+
+    proptest! {
+        /// Random interleaved pushes and pops against a linear-scan
+        /// reference that orders by time with `partial_cmp`, then by push
+        /// order: payloads pop in exactly the reference's order, and the
+        /// popped and peeked instants compare equal to the reference's.
+        /// Every case ends by popping both sides empty.
+        #[test]
+        fn pops_match_a_linear_scan_reference(
+            ops in prop::collection::vec(0usize..13, 1..200),
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(Layers, usize)> = Vec::new();
+            let drain = std::iter::repeat_n(INSTANTS.len(), ops.len());
+            for (payload, op) in ops.iter().copied().chain(drain).enumerate() {
+                if let Some(&t) = INSTANTS.get(op) {
+                    q.push(Layers::new(t), payload);
+                    reference.push((Layers::new(t), payload));
+                } else {
+                    let earliest = (0..reference.len()).reduce(|best, i| {
+                        match reference[i].0.partial_cmp(&reference[best].0) {
+                            Some(Ordering::Less) => i,
+                            _ => best,
+                        }
+                    });
+                    let want = earliest.map(|i| reference.remove(i));
+                    let got = q.pop();
+                    prop_assert_eq!(got.map(|(_, p)| p), want.map(|(_, p)| p));
+                    prop_assert!(got.map(|(t, _)| t) == want.map(|(t, _)| t));
+                }
+                prop_assert_eq!(q.len(), reference.len());
+                let first = reference
+                    .iter()
+                    .map(|&(t, _)| t)
+                    .reduce(|a, b| if b < a { b } else { a });
+                prop_assert!(q.peek_time() == first);
+            }
+            prop_assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "never NaN")]
+    fn a_nan_instant_is_rejected_when_pushed() {
+        // `Layers` clamps differences at zero, so a NaN cannot be built
+        // through it; the guard is checked on the raw instant.
+        let inf = (Layers::new(f64::MAX) + Layers::new(f64::MAX)).get();
+        let _ = order_key(inf - inf);
     }
 }

@@ -3,14 +3,13 @@
 //!
 //! [`Replica`] is the pure scheduling state the event loop of
 //! [`QramService`] used to carry inline — per-shard round-robin dispatch
-//! queues, pipeline-slot accounting, divided-interval admission spacing,
-//! and a per-replica response-latency histogram — extracted so the same
-//! core can be driven once by [`QramService`] or `R` times by
-//! [`QramFleet`] behind a routing tier. The reactor stays outside: a
-//! replica never owns an event queue, it *emits* [`ReplicaEvent`]s through
-//! a caller-supplied hook and the caller decides how to tag and enqueue
-//! them (the service maps them 1:1; the fleet wraps them with the replica
-//! index).
+//! queues, pipeline-slot accounting, and divided-interval admission
+//! spacing — extracted so the same core can be driven once by
+//! [`QramService`] or `R` times by [`QramFleet`] behind a routing tier.
+//! The reactor stays outside: a replica never owns an event queue, it
+//! *emits* [`ReplicaEvent`]s through a caller-supplied hook and the
+//! caller decides how to tag and enqueue them (the service maps them 1:1;
+//! the fleet wraps them with the replica index).
 //!
 //! The dispatch rules are bit-identical to the pre-extraction service
 //! loop (and hence to the analytic `OnlineFifoScheduler` recurrence —
@@ -29,7 +28,7 @@
 
 use std::collections::VecDeque;
 
-use qram_metrics::{LatencyHistogram, Layers};
+use qram_metrics::Layers;
 use qram_sched::{AdmissionPolicy, QueryRequest, TenantId};
 use qsim::branch::AddressState;
 
@@ -98,9 +97,9 @@ pub enum ReplicaEvent {
 }
 
 /// The serving core of one QRAM replica: round-robin shard queues, a
-/// divided-interval dispatcher, in-flight accounting, and a per-replica
-/// latency histogram. Driven from outside by [`Replica::offer`] /
-/// [`Replica::complete`] / [`Replica::ack_poll`] / [`Replica::pump`].
+/// divided-interval dispatcher, and in-flight accounting. Driven from
+/// outside by [`Replica::offer`] / [`Replica::complete`] /
+/// [`Replica::ack_poll`] / [`Replica::pump`].
 #[derive(Debug)]
 pub struct Replica {
     shards: usize,
@@ -125,7 +124,6 @@ pub struct Replica {
     shard_inflight: Vec<u32>,
     last_dispatch: Option<Layers>,
     poll_at: Option<f64>,
-    histogram: LatencyHistogram,
 }
 
 impl Replica {
@@ -165,7 +163,6 @@ impl Replica {
             shard_inflight: vec![0; shards],
             last_dispatch: None,
             poll_at: None,
-            histogram: LatencyHistogram::new(),
         }
     }
 
@@ -259,12 +256,6 @@ impl Replica {
         drained.into_iter().map(|(_, tag)| tag).collect()
     }
 
-    /// This replica's response-latency histogram (arrival → completion).
-    #[must_use]
-    pub fn histogram(&self) -> &LatencyHistogram {
-        &self.histogram
-    }
-
     /// Offers an arrival to the replica: queues it at shard
     /// `accepted mod K` and returns `true`, or returns `false` when the
     /// bounded arrival queue is full (the request is shed — the replica
@@ -299,21 +290,18 @@ impl Replica {
     }
 
     /// Retires the `index`-th dispatched query at instant `now`: frees its
-    /// pipeline slots, records its response latency, and returns the
-    /// completion record.
+    /// pipeline slots and returns the completion record.
     pub fn complete(&mut self, index: usize, now: Layers) -> CompletedQuery {
         let (pending, start, shard) = &self.dispatched[index];
         self.inflight -= 1;
         self.shard_inflight[*shard] -= 1;
-        let record = CompletedQuery {
+        CompletedQuery {
             id: pending.id,
             arrival: pending.arrival,
             start: *start,
             finish: now,
             shard: *shard,
-        };
-        self.histogram.record(record.response_latency());
-        record
+        }
     }
 
     /// Acknowledges a [`ReplicaEvent::Poll`] firing at instant `now`,
@@ -517,7 +505,6 @@ mod tests {
         assert_eq!(rec.response_latency(), Layers::new(10.0));
         assert_eq!(r.tenant_of(0), TenantId(3));
         assert_eq!(r.in_flight(), 0);
-        assert_eq!(r.histogram().count(), 1);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   to an optional bounded arrival queue that sheds load when full.
 //! * Dispatched queries execute through
 //!   [`QramModel::execute_queries`] — the compiled-plan columnar batch
-//!   hot path — and per-query response latency (arrival → completion) is
-//!   recorded into a log-bucketed [`LatencyHistogram`].
+//!   hot path — and the report's log-bucketed [`LatencyHistogram`] of
+//!   response latency (arrival → completion) is folded from the
+//!   completion records after the reactor drains.
 //!
 //! The reactor's timings are not merely *similar* to the analytic
 //! schedulers of `qram-sched`: with the FIFO policy they are **bit-equal**
@@ -34,7 +35,7 @@ use qram_metrics::{LatencyHistogram, Layers, QueryRate, TimingModel};
 use qram_sched::{AdmissionPolicy, FifoAdmission, QramServer, QueryRequest, Schedule, TenantId};
 use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
-use crate::reactor::EventQueue;
+use crate::reactor::{order_key, EventQueue};
 use crate::replica::{Replica, ReplicaEvent};
 
 pub use crate::replica::CompletedQuery;
@@ -319,12 +320,7 @@ impl<M: QramModel, P: AdmissionPolicy> QramService<M, P> {
                 );
             })
             .collect();
-        arrivals.sort_by(|a, b| {
-            a.arrival
-                .get()
-                .partial_cmp(&b.arrival.get())
-                .expect("event times are finite")
-        });
+        arrivals.sort_by_key(|r| order_key(r.arrival.get()));
         let total_requests = arrivals.len();
         let mut arrivals = arrivals.into_iter().peekable();
         let mut events: EventQueue<Event> = EventQueue::new();
@@ -384,7 +380,10 @@ impl<M: QramModel, P: AdmissionPolicy> QramService<M, P> {
         debug_assert_eq!(replica.queued(), 0, "every accepted request dispatches");
         debug_assert_eq!(completed.len(), replica.dispatch_count());
 
-        let latency_hist = replica.histogram().clone();
+        let mut latency = LatencyHistogram::new();
+        for c in &completed {
+            latency.record(c.response_latency());
+        }
         let per_shard_dispatches = replica.per_shard_dispatches().to_vec();
 
         // Execute the dispatched queries in admission order through the
@@ -399,7 +398,7 @@ impl<M: QramModel, P: AdmissionPolicy> QramService<M, P> {
             outcomes,
             rejected,
             per_shard_dispatches,
-            latency: latency_hist,
+            latency,
         })
     }
 }

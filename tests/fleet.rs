@@ -6,7 +6,7 @@
 use fat_tree_qram::core::ShardedQram;
 use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
-use fat_tree_qram::sched::{FifoAdmission, QueryRequest, QuotaAdmission, TenantId};
+use fat_tree_qram::sched::{FifoAdmission, QueryRequest, QuotaAdmission, SloClass, TenantId};
 use fat_tree_qram::serve::{
     ConsistentHashPlacement, FleetConfig, FleetQuery, FleetRequest, FleetWrite,
     LeastLoadedPlacement, PlacementPolicy, QramFleet, QramService, ReplicaLoad, ServiceConfig,
@@ -115,6 +115,14 @@ proptest! {
         // Every fleet query ran at epoch 0, fresh.
         prop_assert!(fleet_report.completed().iter().all(|c| c.epoch == 0 && !c.stale));
         prop_assert_eq!(fleet_report.stale_served(), 0);
+        // Latency rollups: folded from the fleet's completions, they equal
+        // the service's histogram fleet-wide and for the one replica.
+        prop_assert_eq!(
+            fleet_report.latency_histogram(),
+            *service_report.latency_histogram()
+        );
+        let per_replica = fleet_report.per_replica();
+        prop_assert_eq!(per_replica.get(0), Some(service_report.latency_histogram()));
     }
 
     /// The epoch-replication consistency model, against an independent
@@ -377,6 +385,59 @@ proptest! {
         prop_assert!(report.shed().iter().all(|s| s.tenant == hot
             && s.reason == ShedReason::QuotaExceeded));
         prop_assert_eq!(report.per_tenant().get(cold).unwrap().count(), 8);
+    }
+
+    /// The folded latency rollups count every completion exactly once:
+    /// under quota, SLO and queue-bound sheds across three tenants and
+    /// R ∈ {1, …, 4}, each tenant's and each replica's histogram holds as
+    /// many observations as it has completions, and both families total
+    /// `completed().len()`.
+    #[test]
+    fn folded_rollups_count_each_tenant_and_replica_completion_once(
+        gaps in prop::collection::vec(0u16..40, 1..60),
+        tenant_seeds in prop::collection::vec(0u32..3, 1..60),
+        r in 1usize..=4,
+        queue_cap_raw in 0usize..6,
+        quota in 1u32..6,
+    ) {
+        let capacity = Capacity::new(64).unwrap();
+        let policy = QuotaAdmission::new(FifoAdmission)
+            .with_quota(TenantId(1), quota)
+            .with_slo(TenantId(2), SloClass::Batch);
+        let mut fleet = QramFleet::new(
+            ShardedQram::fat_tree(capacity, 2),
+            r,
+            TimingModel::paper_default(),
+            policy,
+            LeastLoadedPlacement,
+            FleetConfig {
+                queue_capacity: (queue_cap_raw > 0).then_some(queue_cap_raw),
+                replication_lag: Layers::ZERO,
+            },
+        );
+        let requests: Vec<FleetRequest> = arrivals_from_gaps(&gaps)
+            .into_iter()
+            .map(|q| FleetRequest {
+                id: q.id,
+                tenant: TenantId(tenant_seeds[q.id % tenant_seeds.len()]),
+                arrival: q.arrival,
+                address: AddressState::classical(6, (q.id as u64 * 13) % 64).unwrap(),
+            })
+            .collect();
+        let report = fleet.serve(&checkerboard(64), requests, Vec::new()).unwrap();
+        let completed = report.completed();
+        let per_tenant = report.per_tenant();
+        for (tenant, histogram) in per_tenant.iter() {
+            let served = completed.iter().filter(|c| c.tenant == tenant).count();
+            prop_assert_eq!(histogram.count(), served as u64);
+        }
+        let per_replica = report.per_replica();
+        for (replica, histogram) in per_replica.iter() {
+            let served = completed.iter().filter(|c| c.replica == replica).count();
+            prop_assert_eq!(histogram.count(), served as u64);
+        }
+        prop_assert_eq!(per_tenant.total_count(), completed.len() as u64);
+        prop_assert_eq!(per_replica.total_count(), completed.len() as u64);
     }
 }
 
