@@ -1,21 +1,17 @@
-//! Epoch-keyed query memoization on Zipf-skewed serving traffic: hit-rate
-//! curve plus a memoized-vs-unmemoized timing A/B on the classic
-//! Zipf(0.99) operating point.
+//! Address-set reuse on Zipf-skewed serving traffic: the hit-rate curve
+//! of the per-epoch memo accounting of `qram_core::execute_batch_traced`.
 //!
-//! A serving batch repeats popular classical addresses, so the
-//! `(write_epoch, address set)` memo cache of
-//! `qram_core::execute_batch_traced` answers most queries without
-//! walking the instruction stream. This target prints the measured hit
-//! rate for a sweep of skew exponents and batch sizes, times the
-//! Zipf(0.99) batch through both engines, and records the headline hit
-//! rate into the `CRITERION_JSON` baseline (as
+//! A serving batch repeats popular classical addresses, so most queries
+//! repeat an address set already answered against the same memory epoch.
+//! This target prints the measured hit rate for a sweep of skew exponents
+//! and batch sizes and records the Zipf(0.99) headline into the
+//! `CRITERION_JSON` baseline (as
 //! `cache_hit_rate/zipf099_1024q_hit_rate_percent` — the value is a
 //! percentage, not a duration).
 
 use std::io::Write as _;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use qram_core::{execute_batch, execute_batch_traced, execute_batch_unmemoized, FatTreeQram};
+use qram_core::{execute_batch_traced, FatTreeQram};
 use qram_metrics::Capacity;
 use qram_sched::ZipfAddresses;
 use qsim::branch::{AddressState, ClassicalMemory};
@@ -61,7 +57,7 @@ fn record_scalar(id: &str, value: f64) {
 }
 
 fn print_hit_rate_curve(qram: &FatTreeQram, mem: &ClassicalMemory) {
-    println!("== batch memoization hit rate, N = {N}, Fat-Tree, seed {SEED} ==");
+    println!("== batch memo hit rate, N = {N}, Fat-Tree, seed {SEED} ==");
     println!("{:>6} {:>8} {:>10}", "theta", "queries", "hit rate");
     for theta in [0.0, 0.5, 0.8, 0.99, 1.2] {
         for count in [256usize, 1024] {
@@ -71,7 +67,7 @@ fn print_hit_rate_curve(qram: &FatTreeQram, mem: &ClassicalMemory) {
     }
 }
 
-fn bench_cache_hit_rate(c: &mut Criterion) {
+fn main() {
     let qram = FatTreeQram::new(Capacity::new(N).expect("power of two"));
     let mem = memory();
     print_hit_rate_curve(&qram, &mem);
@@ -84,19 +80,4 @@ fn bench_cache_hit_rate(c: &mut Criterion) {
         "cache_hit_rate/zipf099_1024q_hit_rate_percent",
         headline * 100.0,
     );
-
-    let mut group = c.benchmark_group("cache_hit_rate");
-    let addresses = zipf_batch(0.99, BATCH);
-    // Both sides go through the shared sweep engine directly (no
-    // per-backend batch validation), so the A/B isolates memoization.
-    group.bench_function("zipf099_1024q_memoized", |b| {
-        b.iter(|| execute_batch(&qram, &mem, &addresses, &[]).expect("batch executes"))
-    });
-    group.bench_function("zipf099_1024q_unmemoized", |b| {
-        b.iter(|| execute_batch_unmemoized(&qram, &mem, &addresses, &[]).expect("batch executes"))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_cache_hit_rate);
-criterion_main!(benches);

@@ -1,13 +1,9 @@
-//! Columnar structure-of-arrays kernel A/B: the batch path taken by
-//! `execute_batch` / `execute_batch_traced` (direct loads into one shared
-//! term column, shared-column outcomes) against the pinned
-//! row-at-a-time memoized engine `execute_batch_rowwise` — the previous
-//! revision's hot path — on the same batches.
+//! The columnar structure-of-arrays kernel alone: the batch path taken by
+//! `execute_batch` (direct loads into one shared term column,
+//! shared-column outcomes).
 //!
 //! Operating points: Fat-Tree at N = 4096, batch sizes 256 / 1024 / 4096,
-//! uniform (Zipf θ = 0) and Zipf(0.99) address skew, fixed seed. Both
-//! sides compute identical outcomes and identical `BatchCacheStats`
-//! (property-tested), so the ratio isolates the kernel restructuring.
+//! uniform (Zipf θ = 0) and Zipf(0.99) address skew, fixed seed.
 //!
 //! One more row times the same kernel behind `ShardedQram::execute_queries`
 //! at the `superposition_kernel` serving shape: K = 8 shards over
@@ -17,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeSet;
 
-use qram_core::{execute_batch, execute_batch_rowwise, FatTreeQram, QramModel, ShardedQram};
+use qram_core::{execute_batch, FatTreeQram, QramModel, ShardedQram};
 use qram_metrics::Capacity;
 use qram_sched::ZipfAddresses;
 use qsim::branch::{AddressState, ClassicalMemory};
@@ -50,11 +46,6 @@ fn bench_columnar_exec(c: &mut Criterion) {
             let addresses = batch(theta, count);
             group.bench_function(format!("ft_{count}q_{dist}_soa"), |b| {
                 b.iter(|| execute_batch(&qram, &mem, &addresses, &[]).expect("batch executes"))
-            });
-            group.bench_function(format!("ft_{count}q_{dist}_rowwise"), |b| {
-                b.iter(|| {
-                    execute_batch_rowwise(&qram, &mem, &addresses, &[]).expect("batch executes")
-                })
             });
         }
     }

@@ -27,8 +27,9 @@ fn memory() -> ClassicalMemory {
 /// A batch of 64 four-branch superposed queries spread over the address
 /// space. The odd branch stride (17) makes each query's branches cover
 /// distinct low-bit residues — alternating parity at `K = 2`, four
-/// distinct shards at `K ∈ {4, 8}` — so every benchmarked shard count
-/// exercises the cross-shard split-and-recombine path.
+/// distinct shards at `K ∈ {4, 8}` — so every query spans several shards.
+/// The batch is never split per shard: the columnar kernel loads each
+/// term by its global address from the unsplit image.
 fn batch() -> Vec<AddressState> {
     let n = capacity().address_width();
     (0..64u64)

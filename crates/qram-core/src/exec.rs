@@ -17,9 +17,9 @@
 //! 1. **Interpret** — [`execute_layers`] walks every op of every layer per
 //!    branch through the `BranchMachine` validator. This is the
 //!    reference semantics: it runs for explicitly supplied (possibly
-//!    mutated) streams, for the pinned `*_sequential` /
-//!    `execute_batch_unmemoized` reference paths that the faster paths
-//!    are property-tested against, and for any
+//!    mutated) streams, inside the batch oracle
+//!    [`reference::execute_batch`](crate::reference::execute_batch) that
+//!    the columnar kernel is property-tested against, and for any
 //!    [`QramModel`](crate::QramModel) backend that does not opt into
 //!    compilation.
 //! 2. **Intern** — [`interned_layers`] caches the per-capacity stream of
@@ -36,14 +36,13 @@
 //!    one `memory.read(address)` — O(1) residual work instead of the
 //!    interpreter's O(log² N) op walk — and is what
 //!    `QramModel::compiled_query` routes the hot paths
-//!    (`execute_query_traced`, `execute_batch`,
-//!    `ShardedQram::execute_queries`, and the Monte-Carlo / extended /
-//!    analytic fidelity estimators) through.
+//!    (`execute_query_traced`, every batch, and the Monte-Carlo /
+//!    extended / analytic fidelity estimators) through.
 //! 4. **Columnar** — one SoA batch kernel (`soa` module, reached through
-//!    [`execute_batch`](crate::execute_batch),
-//!    [`execute_batch_traced`](crate::execute_batch_traced) and
-//!    `ShardedQram::execute_queries` whenever a compiled plan exists)
-//!    restructures a whole *batch* around the plan's O(1) residual:
+//!    [`execute_batch`](crate::execute_batch) and
+//!    [`execute_batch_traced`](crate::execute_batch_traced) — and so
+//!    every provided `QramModel::execute_queries` — whenever a compiled
+//!    plan exists) restructures a whole *batch* around the plan's O(1) residual:
 //!    every term's data is one direct load from the caller's unsplit
 //!    memory image (a sharded term's global address already indexes it),
 //!    all terms land in one shared column collected in a single
@@ -59,17 +58,6 @@
 //! construction: both run the one shared validator (`MachineCore`),
 //! differing only in whether a router bit is a concrete address bit or
 //! its level symbol.
-//!
-//! Branch-parallel execution (the `parallel` cargo feature) composes with
-//! the interpreter stage: branches of a superposed query are independent
-//! `BranchMachine` runs, so [`execute_layers`] fans them out across
-//! scoped worker threads once the branch count crosses
-//! [`PARALLEL_BRANCH_THRESHOLD`]. Workers pull branch chunks from a
-//! work-stealing deque (each pops its own queue back, then steals other
-//! queues' fronts), so skewed per-branch costs no longer serialize on the
-//! slowest contiguous chunk. Compiled plans never spawn threads — their
-//! per-branch residual (one classical memory read) is far below the cost
-//! of a thread handoff.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -800,101 +788,8 @@ pub fn compiled_query(arch: LayerArch, n: u32) -> Arc<CompiledQuery> {
 /// that aborted it.
 type BranchResult = Result<(u64, GateCounts), ExecError>;
 
-/// Branch count below which [`execute_layers`] stays sequential even with
-/// the `parallel` feature enabled: spawning scoped threads costs a few
-/// microseconds, which only pays for itself once each worker gets a
-/// meaningful slice of branches.
-pub const PARALLEL_BRANCH_THRESHOLD: usize = 64;
-
-/// Worker threads used by branch-parallel execution: the
-/// `QRAM_NUM_THREADS` environment variable when set (useful for A/B
-/// speedup measurements), otherwise [`std::thread::available_parallelism`].
-/// Read once per process and cached — changing the variable after the
-/// first dispatch has no effect, and the hot path never touches the
-/// (lock-guarded, and on glibc mutation-unsafe) process environment again.
-#[cfg(feature = "parallel")]
-pub(crate) fn parallel_worker_count() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("QRAM_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-    })
-}
-
-/// A hand-rolled work-stealing pool of per-worker deques (`std` only; the
-/// vendored tree has no crossbeam). Items are seeded round-robin; a worker
-/// pops its own queue from the back (LIFO, cache-warm) and, when empty,
-/// steals from other queues' fronts scanning cyclically from its right
-/// neighbour. No item spawns further items, so a full empty scan in
-/// [`Self::next`] is a sound termination condition: the worker simply
-/// exits its drain loop.
-///
-/// Mutex-per-queue is deliberate — work items here are branch *chunks*
-/// worth tens of microseconds, so a ~20ns uncontended lock per item is
-/// noise, and it keeps the implementation safe under the workspace-wide
-/// `forbid(unsafe_code)`.
-#[cfg(feature = "parallel")]
-pub(crate) struct StealQueues<T> {
-    queues: Vec<Mutex<std::collections::VecDeque<T>>>,
-}
-
-#[cfg(feature = "parallel")]
-impl<T> StealQueues<T> {
-    /// Distributes `items` round-robin across `workers` queues.
-    pub(crate) fn seeded(workers: usize, items: impl IntoIterator<Item = T>) -> Self {
-        let workers = workers.max(1);
-        let mut queues: Vec<std::collections::VecDeque<T>> = (0..workers)
-            .map(|_| std::collections::VecDeque::new())
-            .collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].push_back(item);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// The next item for `worker`: its own queue's back, else the first
-    /// successful steal from another queue's front, else `None` (done).
-    pub(crate) fn next(&self, worker: usize) -> Option<T> {
-        if let Some(item) = self.queues[worker]
-            .lock()
-            .expect("steal queue poisoned")
-            .pop_back()
-        {
-            return Some(item);
-        }
-        let k = self.queues.len();
-        for offset in 1..k {
-            let victim = (worker + offset) % k;
-            if let Some(item) = self.queues[victim]
-                .lock()
-                .expect("steal queue poisoned")
-                .pop_front()
-            {
-                return Some(item);
-            }
-        }
-        None
-    }
-}
-
 /// Executes a single-query instruction stream over an address superposition
-/// against a classical memory.
-///
-/// With the `parallel` cargo feature enabled, superpositions of at least
-/// [`PARALLEL_BRANCH_THRESHOLD`] branches fan out across scoped worker
-/// threads (`execute_layers_parallel`, only compiled with the feature);
-/// otherwise (and always without the feature) execution is sequential.
-/// Both paths run the identical
-/// per-branch machine and combine branches in address order, so the
-/// returned [`Execution`] — including which [`ExecError`] surfaces when a
-/// stream is malformed — is bit-for-bit independent of the path taken.
+/// against a classical memory, one branch at a time in address order.
 ///
 /// # Errors
 ///
@@ -905,31 +800,6 @@ impl<T> StealQueues<T> {
 ///
 /// Panics if the address width of `address` does not match the memory.
 pub fn execute_layers(
-    layers: &[QueryLayer],
-    memory: &ClassicalMemory,
-    address: &AddressState,
-) -> Result<Execution, ExecError> {
-    #[cfg(feature = "parallel")]
-    {
-        if address.num_branches() >= PARALLEL_BRANCH_THRESHOLD && parallel_worker_count() > 1 {
-            return execute_layers_parallel(layers, memory, address);
-        }
-    }
-    execute_layers_sequential(layers, memory, address)
-}
-
-/// [`execute_layers`] pinned to the sequential path — the reference
-/// implementation the parallel path is property-tested against, and the
-/// baseline side of the `parallel_execution` A/B benchmark.
-///
-/// # Errors
-///
-/// See [`execute_layers`].
-///
-/// # Panics
-///
-/// Panics if the address width of `address` does not match the memory.
-pub fn execute_layers_sequential(
     layers: &[QueryLayer],
     memory: &ClassicalMemory,
     address: &AddressState,
@@ -947,107 +817,6 @@ pub fn execute_layers_sequential(
     let mut machine = BranchMachine::new(n, memory);
     for &(amp, addr) in address.iter() {
         let (data, branch_counts) = machine.run(addr, layers)?;
-        debug_assert!(
-            counts.is_none() || counts == Some(branch_counts),
-            "gate counts must be branch-independent"
-        );
-        counts = Some(branch_counts);
-        terms.push((amp, addr, data));
-    }
-    Ok(Execution {
-        outcome: QueryOutcome::from_terms(n, memory.bus_width(), terms),
-        gate_counts: counts.expect("at least one branch"),
-    })
-}
-
-/// [`execute_layers`] pinned to the branch-parallel path, with the worker
-/// count taken from the process-wide configuration
-/// (`QRAM_NUM_THREADS` / available parallelism).
-///
-/// # Errors
-///
-/// See [`execute_layers`].
-///
-/// # Panics
-///
-/// Panics if the address width of `address` does not match the memory.
-#[cfg(feature = "parallel")]
-pub fn execute_layers_parallel(
-    layers: &[QueryLayer],
-    memory: &ClassicalMemory,
-    address: &AddressState,
-) -> Result<Execution, ExecError> {
-    execute_layers_parallel_with_workers(layers, memory, address, parallel_worker_count())
-}
-
-/// The branch-parallel executor with an explicit worker count: branches
-/// are split into small chunks seeded round-robin into a work-stealing
-/// deque (`StealQueues`), drained by `workers` scoped threads, and
-/// recombined in address order. Deterministic: the outcome, gate counts,
-/// and any reported error are identical to [`execute_layers_sequential`]
-/// for every `workers` value (errors are surfaced for the earliest branch
-/// in address order, even when a later chunk's worker fails first in
-/// wall-clock time), which the skewed-load property tests pin for
-/// `workers ∈ {1, 2, 8}`.
-///
-/// # Errors
-///
-/// See [`execute_layers`].
-///
-/// # Panics
-///
-/// Panics if the address width of `address` does not match the memory.
-#[cfg(feature = "parallel")]
-pub fn execute_layers_parallel_with_workers(
-    layers: &[QueryLayer],
-    memory: &ClassicalMemory,
-    address: &AddressState,
-    workers: usize,
-) -> Result<Execution, ExecError> {
-    let n = memory.address_width();
-    assert_eq!(
-        address.address_width(),
-        n,
-        "address width must match memory capacity"
-    );
-    let branches = address.terms();
-    let workers = workers.max(1);
-    // Several chunks per worker so stealing can rebalance skewed
-    // per-branch costs, but never below a quarter-threshold of branches
-    // per chunk — the queue lock must stay amortized.
-    let chunk_size = branches
-        .len()
-        .div_ceil(workers * 4)
-        .max(PARALLEL_BRANCH_THRESHOLD / 4)
-        .max(1);
-    let mut results: Vec<Option<BranchResult>> = vec![None; branches.len()];
-    // Work items pair each branch chunk with its result slots, so workers
-    // write disjoint regions and order is positional, not temporal.
-    let queues = StealQueues::seeded(
-        workers,
-        branches
-            .chunks(chunk_size)
-            .zip(results.chunks_mut(chunk_size)),
-    );
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let queues = &queues;
-            scope.spawn(move || {
-                // One reusable machine per worker, like the sequential path.
-                let mut machine = BranchMachine::new(n, memory);
-                while let Some((chunk, slots)) = queues.next(worker) {
-                    for (&(_, addr), slot) in chunk.iter().zip(slots.iter_mut()) {
-                        *slot = Some(machine.run(addr, layers));
-                    }
-                }
-            });
-        }
-    });
-    drop(queues);
-    let mut terms = Vec::with_capacity(branches.len());
-    let mut counts: Option<GateCounts> = None;
-    for (&(amp, addr), result) in branches.iter().zip(results) {
-        let (data, branch_counts) = result.expect("every branch executed")?;
         debug_assert!(
             counts.is_none() || counts == Some(branch_counts),
             "gate counts must be branch-independent"
@@ -1245,40 +1014,6 @@ mod tests {
         let interned =
             execute_layers(&interned_layers(LayerArch::FatTree, 3), &mem, &addr).unwrap();
         assert_eq!(generated, interned);
-    }
-
-    #[test]
-    fn sequential_path_matches_dispatching_entry_point_above_threshold() {
-        // 128 branches ≥ PARALLEL_BRANCH_THRESHOLD: with the `parallel`
-        // feature this exercises the scoped-thread path and pins its
-        // equality to the sequential reference; without the feature both
-        // calls take the sequential path and the test is a tautology.
-        let n = 7u32;
-        let cells: Vec<u64> = (0..(1u64 << n)).map(|i| (i * 3 + 1) % 2).collect();
-        let mem = ClassicalMemory::from_words(1, &cells).unwrap();
-        let addr = AddressState::full_superposition(n);
-        assert!(addr.num_branches() >= PARALLEL_BRANCH_THRESHOLD);
-        for layers in [bb_query_layers(n), fat_tree_query_layers(n)] {
-            let seq = execute_layers_sequential(&layers, &mem, &addr).unwrap();
-            let auto = execute_layers(&layers, &mem, &addr).unwrap();
-            assert_eq!(seq, auto);
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_path_reports_same_error_as_sequential() {
-        // Corrupt the stream so every branch fails: both paths must report
-        // the identical (earliest-layer) error deterministically.
-        let n = 7u32;
-        let cells: Vec<u64> = vec![0; 1 << n];
-        let mem = ClassicalMemory::from_words(1, &cells).unwrap();
-        let addr = AddressState::full_superposition(n);
-        let mut layers = bb_query_layers(n);
-        layers[1].ops.push(Op::Store(0)); // double store
-        let seq = execute_layers_sequential(&layers, &mem, &addr).unwrap_err();
-        let par = execute_layers_parallel(&layers, &mem, &addr).unwrap_err();
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * [`latency`] — the closed-form latencies of Table 1.
 //! * [`model`] — the [`QramModel`] backend trait unifying all
 //!   architectures behind one lookup interface.
+//! * [`reference`](mod@reference) — the interpreter batch sweep every
+//!   fast batch path is pinned against.
 //! * [`store`] — crash-consistent persistence for the fleet's
 //!   replicated write stream: a CRC32-framed write-ahead log, atomic
 //!   checkpoints with WAL compaction, kill-point-tested recovery, and
@@ -56,6 +58,7 @@ pub mod model;
 pub mod ops;
 pub mod pipeline;
 pub mod query_ops;
+pub mod reference;
 pub mod store;
 pub mod tree;
 
@@ -68,15 +71,11 @@ mod soa;
 pub use bucket_brigade::BucketBrigadeQram;
 pub use exec::{
     compiled_query, interned_layers, CompiledQuery, ExecError, Execution, GateCounts, LayerArch,
-    PARALLEL_BRANCH_THRESHOLD,
 };
 pub use fat_tree::FatTreeQram;
-pub use model::{
-    execute_batch, execute_batch_rowwise, execute_batch_traced, execute_batch_unmemoized,
-    BatchCacheStats, QramModel,
-};
+pub use model::{execute_batch, execute_batch_traced, BatchCacheStats, QramModel};
 pub use ops::{GateClass, Op, QubitTag};
 pub use pipeline::{ensure_conflict_free, ConflictError, PipelineSchedule, QueryTiming};
 pub use replication::{JournalEntry, ReplicatedMemory, ReplicatedWrite};
-pub use sharded::{sub_batch_split_count, ShardedQram};
+pub use sharded::ShardedQram;
 pub use tree::{NodeId, RouterId, TreeShape};

@@ -32,7 +32,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use qram_metrics::{Capacity, Layers, TimingModel};
@@ -90,11 +89,11 @@ pub trait QramModel {
     /// — correct for backends whose streams are not interned or may
     /// change between queries. The built-in backends override this with
     /// the process-wide interned plan, which routes
-    /// [`Self::execute_query_traced`], batched execution, and the
-    /// fidelity estimators through the compiled fast path; the
-    /// interpreter remains the property-tested reference
-    /// ([`execute_layers`], [`execute_batch_unmemoized`], and the pinned
-    /// `*_sequential` variants).
+    /// [`Self::execute_query_traced`], batched execution (the columnar
+    /// kernel), and the fidelity estimators through the compiled fast
+    /// path; the interpreter remains the property-tested reference
+    /// ([`execute_layers`] per query, [`crate::reference::execute_batch`]
+    /// per batch).
     fn compiled_query(&self) -> Option<Arc<CompiledQuery>> {
         None
     }
@@ -207,13 +206,17 @@ pub trait QramModel {
     }
 }
 
-/// Hit/miss counters of the per-batch query-outcome memo cache of
-/// [`execute_batch_traced`].
+/// Memo accounting of one [`execute_batch_traced`] call: how often a
+/// query repeats an address set already answered against the same memory
+/// epoch. No cache exists; the counts measure the reuse a per-epoch memo
+/// would find in the batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchCacheStats {
-    /// Queries answered from the memo cache (no instruction-stream walk).
+    /// Queries whose address set was already seen in the same memory
+    /// epoch (a memo would answer them without a walk).
     pub hits: u64,
-    /// Queries that executed the instruction stream.
+    /// Queries that walk the instruction stream: the first query over each
+    /// address set per epoch, or every query on a plan-less backend.
     pub misses: u64,
 }
 
@@ -239,27 +242,11 @@ impl BatchCacheStats {
 /// Retrieval layers are computed once per query up front (one
 /// [`QramModel::retrieval_layer`] call each), never inside the sort or the
 /// execution loop — backends may answer from a pipeline schedule, and a
-/// `B`-query batch must stay `O(B)` in schedule constructions. The
-/// instruction stream is taken from
-/// [`QramModel::interned_query_layers`], so it is generated at most once
-/// per process rather than once per batch. When the backend exposes a
-/// [`QramModel::compiled_query`] plan, the batch runs through the
-/// columnar kernel (`soa` module), which answers every branch with one
-/// direct load from the memory image.
-///
-/// # Memoization
-///
-/// Branch data is a pure function of the memory contents and the address
-/// set. Plan-less backends therefore memoize outcomes within the batch,
-/// keyed on `(write_epoch, address set)`: a query whose address set was
-/// already executed against the same memory epoch reuses the cached
-/// per-address data (amplitudes are applied per query, so superpositions
-/// with different amplitudes over the same addresses still hit). Every
-/// memory update bumps the epoch ([`ClassicalMemory::write_epoch`]),
-/// which invalidates the whole cache — exactly the §7.2 semantics. The
-/// columnar kernel needs no cache (a load is cheaper than a probe); the
-/// hit rate the memo would reach is observable through
-/// [`execute_batch_traced`].
+/// `B`-query batch must stay `O(B)` in schedule constructions. When the
+/// backend exposes a [`QramModel::compiled_query`] plan, the batch runs
+/// through the columnar kernel (`soa` module), which answers every branch
+/// with one direct load from the memory image; a plan-less backend runs
+/// the interpreter sweep of [`crate::reference::execute_batch`].
 ///
 /// # Tie semantics (§7.2)
 ///
@@ -285,18 +272,16 @@ pub fn execute_batch<M: QramModel + ?Sized>(
     execute_batch_dispatch(model, memory, addresses, memory_updates, None)
 }
 
-/// [`execute_batch`] with the memo-cache hit/miss counters alongside the
-/// outcomes — the instrumented entry point behind the Zipf cache-hit-rate
-/// benchmark.
+/// [`execute_batch`] with memo accounting ([`BatchCacheStats`]) alongside
+/// the outcomes — the instrumented entry point behind the Zipf hit-rate
+/// curve and the benchmark's per-layer trace.
 ///
 /// Backends exposing a [`QramModel::compiled_query`] plan are served by
-/// the columnar structure-of-arrays kernel (`soa` module): direct loads
-/// from the memory image into one shared term column, per-query outcomes
-/// that are views into it, and — on this entry point only — per-epoch
-/// memo accounting over the address sets. Outcomes, panics, and
-/// [`BatchCacheStats`] are bit-equal to the row-at-a-time path
-/// ([`execute_batch_rowwise`]), which remains pinned as the A/B baseline;
-/// plan-less backends take the row-at-a-time interpreter sweep as before.
+/// the columnar kernel (`soa` module), which on this entry point also
+/// counts, per memory epoch, one miss for the first query over each
+/// address set and one hit for every repeat. A plan-less backend runs the
+/// reference interpreter sweep, which walks every query's stream, so it
+/// reports `{ hits: 0, misses: addresses.len() }`.
 ///
 /// # Errors
 ///
@@ -319,8 +304,8 @@ pub fn execute_batch_traced<M: QramModel + ?Sized>(
 
 /// The plan dispatch shared by [`execute_batch`] and
 /// [`execute_batch_traced`]: the columnar kernel when the model has a
-/// compiled plan, the row-at-a-time sweep otherwise. Memo statistics are
-/// computed only when `stats` asks for them.
+/// compiled plan, the reference interpreter sweep otherwise. Memo
+/// statistics are computed only when `stats` asks for them.
 fn execute_batch_dispatch<M: QramModel + ?Sized>(
     model: &M,
     memory: &ClassicalMemory,
@@ -334,12 +319,10 @@ fn execute_batch_dispatch<M: QramModel + ?Sized>(
         "memory capacity must match QRAM capacity"
     );
     let Some(plan) = model.compiled_query() else {
-        let (outcomes, row_stats) =
-            execute_batch_impl(model, memory, addresses, memory_updates, true, true)?;
         if let Some(stats) = stats {
-            *stats = row_stats;
+            stats.misses = addresses.len() as u64;
         }
-        return Ok(outcomes);
+        return crate::reference::execute_batch(model, memory, addresses, memory_updates);
     };
     Ok(crate::soa::execute_columnar(
         &plan,
@@ -347,179 +330,6 @@ fn execute_batch_dispatch<M: QramModel + ?Sized>(
         addresses,
         memory_updates,
         |q| model.retrieval_layer(q),
-        stats,
-    ))
-}
-
-/// The row-at-a-time memoized batch path: the same §7.2 sweep as
-/// [`execute_batch_traced`] with the per-query memo cache and compiled-
-/// plan dispatch, but *without* the columnar kernel — each query probes
-/// the memo hash individually and builds its own outcome terms. Pinned as
-/// the baseline side of the `columnar_exec` A/B benchmark and of the
-/// columnar property tests; behaviourally identical to the columnar path
-/// by construction (outcomes, error surfaces, and [`BatchCacheStats`]).
-///
-/// # Errors
-///
-/// See [`execute_batch`].
-///
-/// # Panics
-///
-/// Panics if the memory capacity mismatches the QRAM capacity.
-pub fn execute_batch_rowwise<M: QramModel + ?Sized>(
-    model: &M,
-    memory: &ClassicalMemory,
-    addresses: &[AddressState],
-    memory_updates: &[(u64, u64, u64)],
-) -> Result<(Vec<QueryOutcome>, BatchCacheStats), ExecError> {
-    execute_batch_impl(model, memory, addresses, memory_updates, true, true)
-}
-
-/// [`execute_batch`] with memoization *and* the compiled-plan fast path
-/// disabled: every query walks the instruction stream through the
-/// interpreter, even for a repeated `(epoch, address set)`. The reference
-/// side of both A/Bs (property tests, the `cache_hit_rate` and
-/// `compiled_exec` benchmarks) — the same sweep as [`execute_batch`] with
-/// only the cache lookup and plan dispatch disabled, so the paths cannot
-/// drift apart.
-///
-/// # Errors
-///
-/// See [`execute_batch`].
-///
-/// # Panics
-///
-/// Panics if the memory capacity mismatches the QRAM capacity.
-pub fn execute_batch_unmemoized<M: QramModel + ?Sized>(
-    model: &M,
-    memory: &ClassicalMemory,
-    addresses: &[AddressState],
-    memory_updates: &[(u64, u64, u64)],
-) -> Result<Vec<QueryOutcome>, ExecError> {
-    execute_batch_impl(model, memory, addresses, memory_updates, false, false)
-        .map(|(outcomes, _)| outcomes)
-}
-
-/// The shared §7.2 sweep behind [`execute_batch_rowwise`] and plan-less
-/// backends (memoize and plan dispatch on) and
-/// [`execute_batch_unmemoized`] (both off): one body, so the reference
-/// path cannot silently diverge from the cached path.
-fn execute_batch_impl<M: QramModel + ?Sized>(
-    model: &M,
-    memory: &ClassicalMemory,
-    addresses: &[AddressState],
-    memory_updates: &[(u64, u64, u64)],
-    memoize: bool,
-    use_plan: bool,
-) -> Result<(Vec<QueryOutcome>, BatchCacheStats), ExecError> {
-    assert_eq!(
-        memory.capacity() as u64,
-        model.capacity().get(),
-        "memory capacity must match QRAM capacity"
-    );
-    if addresses.is_empty() {
-        return Ok((Vec::new(), BatchCacheStats::default()));
-    }
-    let plan = if use_plan {
-        model.compiled_query()
-    } else {
-        None
-    };
-    // The instruction stream is only walked when no plan services the
-    // misses; don't make a backend with a default (regenerating)
-    // `interned_query_layers` build a stream nobody reads.
-    let layers = if plan.is_none() {
-        Some(model.interned_query_layers())
-    } else {
-        None
-    };
-    let n = memory.address_width();
-    let bus_width = memory.bus_width();
-    let mut mem = memory.clone();
-    let retrievals: Vec<u64> = (0..addresses.len())
-        .map(|q| model.retrieval_layer(q))
-        .collect();
-    let mut results: Vec<Option<QueryOutcome>> = vec![None; addresses.len()];
-    // Address set → per-address data in address order, valid for the
-    // memoized write epoch only: epochs are monotone, so a write bumping
-    // the epoch makes every existing entry permanently unreachable —
-    // clearing the map is equivalent to (and cheaper than) keying on the
-    // epoch. The cached value intentionally excludes amplitudes: data
-    // depends only on the memory and the addresses, so any superposition
-    // over the same address set reuses it. Lookups borrow `key_scratch`
-    // as a plain `&[u64]`, so cache hits allocate nothing; the key is
-    // cloned into the map only on a miss.
-    let mut memo: HashMap<Vec<u64>, Arc<[u64]>> = HashMap::new();
-    let mut memo_epoch = mem.write_epoch();
-    let mut key_scratch: Vec<u64> = Vec::new();
-    let mut stats = BatchCacheStats::default();
-    retrieval_order_sweep(&retrievals, memory_updates, |event| match event {
-        SweepEvent::Update { address, value } => {
-            mem.write(address, value);
-            Ok(())
-        }
-        SweepEvent::Query(q) => {
-            let address = &addresses[q];
-            // The miss path asserts this inside `execute_layers`; repeat
-            // it here so a width-mismatched query also panics when it
-            // would otherwise be answered from the cache.
-            assert_eq!(
-                address.address_width(),
-                n,
-                "address width must match memory capacity"
-            );
-            let run_query = |mem: &ClassicalMemory| -> Result<Arc<[u64]>, ExecError> {
-                // Outcome terms share the ascending address order of
-                // `AddressState`, so cached data aligns positionally.
-                match &plan {
-                    Some(plan) => Ok(address
-                        .iter()
-                        .map(|&(_, a)| plan.read_data(mem, a))
-                        .collect()),
-                    None => {
-                        let layers = layers.as_ref().expect("layers fetched when no plan");
-                        let exec = execute_layers(layers, mem, address)?;
-                        Ok(exec.outcome.iter().map(|&(_, _, d)| d).collect())
-                    }
-                }
-            };
-            let data: Arc<[u64]> = if memoize {
-                if mem.write_epoch() != memo_epoch {
-                    memo.clear();
-                    memo_epoch = mem.write_epoch();
-                }
-                key_scratch.clear();
-                key_scratch.extend(address.iter().map(|&(_, a)| a));
-                if let Some(cached) = memo.get(key_scratch.as_slice()) {
-                    stats.hits += 1;
-                    Arc::clone(cached)
-                } else {
-                    stats.misses += 1;
-                    let data = run_query(&mem)?;
-                    memo.insert(key_scratch.clone(), Arc::clone(&data));
-                    data
-                }
-            } else {
-                stats.misses += 1;
-                run_query(&mem)?
-            };
-            // Outcome terms and cached data share the address ordering of
-            // `AddressState` (sorted ascending), so a positional zip
-            // reattaches this query's amplitudes.
-            let terms: Vec<_> = address
-                .iter()
-                .zip(data.iter())
-                .map(|(&(amp, addr), &d)| (amp, addr, d))
-                .collect();
-            results[q] = Some(QueryOutcome::from_terms(n, bus_width, terms));
-            Ok(())
-        }
-    })?;
-    Ok((
-        results
-            .into_iter()
-            .map(|r| r.expect("every query executed"))
-            .collect(),
         stats,
     ))
 }
@@ -538,12 +348,13 @@ pub(crate) enum SweepEvent {
     Query(usize),
 }
 
-/// The §7.2 retrieval-order sweep shared by [`execute_batch`] and the
-/// sharded backend: visits queries in ascending retrieval-layer order,
-/// delivering every pending memory update whose layer is `<=` the query's
-/// retrieval layer *before* that query executes. The `<=` is the tie
-/// rule — a write at exactly the retrieval layer IS visible — and lives
-/// only here, so both engines stay in lockstep.
+/// The §7.2 retrieval-order sweep shared by the columnar kernel and the
+/// reference oracle ([`crate::reference::execute_batch`]): visits queries
+/// in ascending retrieval-layer order, delivering every pending memory
+/// update whose layer is `<=` the query's retrieval layer *before* that
+/// query executes. The `<=` is the tie rule — a write at exactly the
+/// retrieval layer IS visible — and lives only here, so both engines stay
+/// in lockstep.
 pub(crate) fn retrieval_order_sweep<E>(
     retrievals: &[u64],
     memory_updates: &[(u64, u64, u64)],
@@ -774,6 +585,8 @@ mod tests {
 
     #[test]
     fn memoized_and_unmemoized_batches_agree() {
+        // The kernel (with its memo accounting on) against the reference
+        // interpreter sweep, across two writes that split the epochs.
         let (bb, ft) = models(8);
         let mem = ClassicalMemory::from_words(1, &[1, 0, 0, 1, 1, 0, 1, 0]).unwrap();
         let addresses: Vec<AddressState> = vec![
@@ -784,9 +597,10 @@ mod tests {
         ];
         let updates = [(14u64, 3u64, 1u64), (30, 5, 1)];
         for model in [&bb as &dyn QramModel, &ft as &dyn QramModel] {
-            let memoized = execute_batch(model, &mem, &addresses, &updates).unwrap();
-            let plain = execute_batch_unmemoized(model, &mem, &addresses, &updates).unwrap();
-            assert_eq!(memoized, plain, "{}", model.name());
+            let (memoized, _) = execute_batch_traced(model, &mem, &addresses, &updates).unwrap();
+            let reference =
+                crate::reference::execute_batch(model, &mem, &addresses, &updates).unwrap();
+            assert_eq!(memoized, reference, "{}", model.name());
         }
     }
 

@@ -8,45 +8,20 @@
 //! in shard `a mod K` at local address `⌊a / K⌋`. The sharded machine is
 //! observably equivalent to a monolithic capacity-`N` machine while
 //! multiplying admission bandwidth by `K` under round-robin admission.
-//! Since shard `s`'s local cell `l` is global cell `l·K + s`, the compiled
-//! path reads every term straight from the unsplit memory image; the
-//! interpreter reference splits each superposition by shard bits into
-//! per-shard sub-queries over interleaved shard memories and recombines
-//! them.
+//! Since shard `s`'s local cell `l` is global cell `l·K + s`, a global
+//! address already indexes the unsplit memory image: batched execution is
+//! the provided [`QramModel::execute_queries`] — the columnar kernel over
+//! the caller's image, with the round-robin retrieval layers — and the
+//! memory is never split per shard.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qram_metrics::{Capacity, Layers, TimingModel};
-use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
-#[cfg(feature = "parallel")]
-use crate::exec::Execution;
-use crate::exec::{execute_layers_sequential, CompiledQuery, ExecError};
-use crate::model::{retrieval_order_sweep, QramModel, SweepEvent};
+use crate::exec::CompiledQuery;
+use crate::model::QramModel;
 use crate::query_ops::QueryLayer;
 use crate::{BucketBrigadeQram, FatTreeQram};
-
-/// Process-wide count of per-shard sub-batch splits (`split_terms`
-/// invocations).
-static SUB_BATCH_SPLITS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of per-shard sub-batch splits performed since process start.
-///
-/// A diagnostic for regression tests, in the same spirit as
-/// [`crate::pipeline::schedule_construction_count`]: a batch whose
-/// queries each occupy a single shard must not build the `K`-entry
-/// per-shard sub-batch vectors at all (the single-shard fast path), and
-/// the compiled/columnar paths never split.
-#[must_use]
-pub fn sub_batch_split_count() -> u64 {
-    SUB_BATCH_SPLITS.load(Ordering::Relaxed)
-}
-
-/// Per-shard sub-query of one split superposition: shard index, the
-/// original `(amplitude, global address)` branches routed to it, and the
-/// local sub-state.
-type ShardSubQuery = (usize, Vec<(qsim::Complex, u64)>, AddressState);
 
 /// `K` capacity-`N/K` QRAM shards behind an address-interleaved router,
 /// serving as one capacity-`N` [`QramModel`] backend.
@@ -202,296 +177,6 @@ impl<M: QramModel> ShardedQram<M> {
     pub fn local_address(&self, address: u64) -> u64 {
         address >> self.shard_bits()
     }
-
-    /// Splits a capacity-`N` classical memory into the `K` interleaved
-    /// shard memories: shard `s` holds cells `s, s + K, s + 2K, …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `memory` does not match the total capacity.
-    #[must_use]
-    pub fn shard_memories(&self, memory: &ClassicalMemory) -> Vec<ClassicalMemory> {
-        assert_eq!(
-            memory.capacity() as u64,
-            self.capacity.get(),
-            "memory capacity must match QRAM capacity"
-        );
-        let k = self.shards.len();
-        (0..k)
-            .map(|s| {
-                let cells: Vec<u64> = memory.cells().iter().copied().skip(s).step_by(k).collect();
-                ClassicalMemory::from_words(memory.bus_width(), &cells)
-                    .expect("shard memory is a valid power-of-two slice")
-            })
-            .collect()
-    }
-
-    /// Splits an address superposition by shard bits: per shard, the
-    /// original `(amplitude, global address)` branches routed to it. The
-    /// per-shard states keep the original (globally normalized) amplitudes
-    /// alongside, so outcomes can be recombined exactly.
-    fn split_terms(&self, address: &AddressState) -> Vec<Vec<(qsim::Complex, u64)>> {
-        SUB_BATCH_SPLITS.fetch_add(1, Ordering::Relaxed);
-        let mut per_shard: Vec<Vec<(qsim::Complex, u64)>> = vec![Vec::new(); self.shards.len()];
-        for &(amp, addr) in address.iter() {
-            per_shard[self.shard_of(addr) as usize].push((amp, addr));
-        }
-        per_shard
-    }
-
-    /// Executes one query's per-shard sub-batches against the interleaved
-    /// shard memories through the interpreter and recombines the
-    /// outcomes. With `parallel` set (only possible under the `parallel`
-    /// feature), sub-batches fan out across scoped threads — one per
-    /// occupied shard — since they touch disjoint memories; recombination
-    /// order is fixed by shard index, so the outcome is identical either
-    /// way.
-    fn run_query_across_shards(
-        &self,
-        address: &AddressState,
-        shard_mems: &[ClassicalMemory],
-        shard_layers: &[QueryLayer],
-        parallel: bool,
-    ) -> Result<QueryOutcome, ExecError> {
-        let n = self.capacity.address_width();
-        let local_width = self.shard_capacity().address_width();
-        assert_eq!(
-            address.address_width(),
-            n,
-            "address width must match QRAM capacity"
-        );
-        // Single-occupied-shard fast path: when every branch routes to one
-        // shard (always true for classical queries, and for any
-        // superposition whose addresses share their low bits), skip the
-        // `K`-entry sub-batch split entirely and run the one local
-        // sub-state directly — the dispatching executor still provides
-        // branch-level fan-out on the parallel path.
-        let first_shard = self.shard_of(address.iter().next().expect("non-empty state").1);
-        if address
-            .iter()
-            .all(|&(_, addr)| self.shard_of(addr) == first_shard)
-        {
-            let sub = AddressState::new(
-                local_width,
-                address
-                    .iter()
-                    .map(|&(amp, addr)| (amp, self.local_address(addr))),
-            )
-            .expect("shard sub-state is non-empty and duplicate-free");
-            let mem = &shard_mems[first_shard as usize];
-            let exec = if parallel {
-                crate::exec::execute_layers(shard_layers, mem, &sub)?
-            } else {
-                execute_layers_sequential(shard_layers, mem, &sub)?
-            };
-            // Local terms align positionally with the global branches:
-            // equal low bits make the local order the global order.
-            let terms = address
-                .iter()
-                .zip(exec.outcome.iter())
-                .map(|(&(amp, addr), &(_, _, data))| (amp, addr, data))
-                .collect();
-            return Ok(QueryOutcome::from_terms(
-                n,
-                shard_mems[0].bus_width(),
-                terms,
-            ));
-        }
-        let sub_queries: Vec<ShardSubQuery> = self
-            .split_terms(address)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, branches)| !branches.is_empty())
-            .map(|(s, branches)| {
-                let sub = AddressState::new(
-                    local_width,
-                    branches
-                        .iter()
-                        .map(|&(amp, addr)| (amp, self.local_address(addr))),
-                )
-                .expect("shard sub-state is non-empty and duplicate-free");
-                (s, branches, sub)
-            })
-            .collect();
-        #[cfg(feature = "parallel")]
-        if parallel && address.num_branches() >= crate::exec::PARALLEL_BRANCH_THRESHOLD {
-            return self.run_shards_work_stealing(address, shard_mems, shard_layers, &sub_queries);
-        }
-        let mut terms = Vec::with_capacity(address.num_branches());
-        for (s, branches, sub) in &sub_queries {
-            // Shard fan-out did not engage (parallel off or below the
-            // branch threshold). On the parallel path, go through the
-            // dispatching executor so a wide query concentrated on few
-            // shards still gets branch-level fan-out; the sequential
-            // reference path stays pinned.
-            let exec = if parallel {
-                crate::exec::execute_layers(shard_layers, &shard_mems[*s], sub)?
-            } else {
-                execute_layers_sequential(shard_layers, &shard_mems[*s], sub)?
-            };
-            for &(amp, addr) in branches {
-                let data = exec
-                    .outcome
-                    .data_for(self.local_address(addr))
-                    .expect("executed branch present in shard outcome");
-                terms.push((amp, addr, data));
-            }
-        }
-        Ok(QueryOutcome::from_terms(
-            n,
-            shard_mems[0].bus_width(),
-            terms,
-        ))
-    }
-
-    /// The work-stealing interpreter fan-out behind
-    /// [`Self::run_query_across_shards`]: every occupied shard's local
-    /// sub-state is cut into small branch chunks, the chunks are seeded
-    /// round-robin into a [`crate::exec::StealQueues`] deque, and scoped
-    /// workers drain it — so a Zipf-skewed query whose branches pile onto
-    /// one hot shard no longer serializes on that shard's single thread.
-    ///
-    /// Deterministic: chunks are recombined positionally in (shard, chunk)
-    /// order, which is exactly the sequential path's branch order, so
-    /// outcomes and the first surfaced [`ExecError`] are identical to
-    /// [`execute_layers_sequential`] per shard. Chunk sub-states are
-    /// re-normalized by `AddressState::new`, which is harmless: branch
-    /// *data* is amplitude-independent, and recombination takes amplitudes
-    /// from the original global branches.
-    #[cfg(feature = "parallel")]
-    fn run_shards_work_stealing(
-        &self,
-        address: &AddressState,
-        shard_mems: &[ClassicalMemory],
-        shard_layers: &[QueryLayer],
-        sub_queries: &[ShardSubQuery],
-    ) -> Result<QueryOutcome, ExecError> {
-        let n = self.capacity.address_width();
-        let local_width = self.shard_capacity().address_width();
-        let workers = crate::exec::parallel_worker_count();
-        let chunk_size = address
-            .num_branches()
-            .div_ceil(workers * 4)
-            .max(crate::exec::PARALLEL_BRANCH_THRESHOLD / 4)
-            .max(1);
-        // (sub-query index, branch offset, branch count) per chunk, in
-        // (shard, chunk) order.
-        let mut chunk_meta: Vec<(usize, usize, usize)> = Vec::new();
-        for (i, (_, _, sub)) in sub_queries.iter().enumerate() {
-            let branches = sub.num_branches();
-            for start in (0..branches).step_by(chunk_size) {
-                chunk_meta.push((i, start, chunk_size.min(branches - start)));
-            }
-        }
-        let mut slots: Vec<Option<Result<Execution, ExecError>>> = vec![None; chunk_meta.len()];
-        let queues = crate::exec::StealQueues::seeded(
-            workers,
-            chunk_meta.iter().copied().zip(slots.iter_mut()),
-        );
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let queues = &queues;
-                scope.spawn(move || {
-                    while let Some(((i, start, count), slot)) = queues.next(worker) {
-                        let (s, _, sub) = &sub_queries[i];
-                        let chunk = AddressState::new(
-                            local_width,
-                            sub.terms()[start..start + count].iter().copied(),
-                        )
-                        .expect("chunk of a valid sub-state");
-                        *slot = Some(execute_layers_sequential(
-                            shard_layers,
-                            &shard_mems[*s],
-                            &chunk,
-                        ));
-                    }
-                });
-            }
-        });
-        drop(queues);
-        let mut terms = Vec::with_capacity(address.num_branches());
-        for (&(i, start, count), slot) in chunk_meta.iter().zip(slots) {
-            let exec = slot.expect("every chunk executed")?;
-            // Chunk outcome terms align positionally with the original
-            // branches: both are ascending in (equal-low-bits) address
-            // order, so `branches[start + j]` owns outcome term `j`.
-            let branches = &sub_queries[i].1[start..start + count];
-            for (&(amp, addr), &(_, _, data)) in branches.iter().zip(exec.outcome.iter()) {
-                terms.push((amp, addr, data));
-            }
-        }
-        Ok(QueryOutcome::from_terms(
-            n,
-            shard_mems[0].bus_width(),
-            terms,
-        ))
-    }
-
-    /// The interpreter sweep behind [`Self::execute_queries_sequential`]
-    /// and plan-less shard architectures: per-shard sub-batches against
-    /// the interleaved shard memories.
-    fn execute_queries_impl(
-        &self,
-        memory: &ClassicalMemory,
-        addresses: &[AddressState],
-        memory_updates: &[(u64, u64, u64)],
-        parallel: bool,
-    ) -> Result<Vec<QueryOutcome>, ExecError> {
-        let mut shard_mems = self.shard_memories(memory);
-        if addresses.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Per-batch precomputation: one interned instruction stream
-        // (shards are identical) and one retrieval layer per query.
-        let shard_layers = self.shards[0].interned_query_layers();
-        let retrievals: Vec<u64> = (0..addresses.len())
-            .map(|q| self.retrieval_layer(q))
-            .collect();
-        let mut results: Vec<Option<QueryOutcome>> = vec![None; addresses.len()];
-        retrieval_order_sweep(&retrievals, memory_updates, |event| match event {
-            SweepEvent::Update { address, value } => {
-                shard_mems[self.shard_of(address) as usize]
-                    .write(self.local_address(address), value);
-                Ok(())
-            }
-            SweepEvent::Query(q) => {
-                results[q] = Some(self.run_query_across_shards(
-                    &addresses[q],
-                    &shard_mems,
-                    &shard_layers,
-                    parallel,
-                )?);
-                Ok(())
-            }
-        })?;
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every query executed"))
-            .collect())
-    }
-
-    /// [`QramModel::execute_queries`] pinned to the fully sequential
-    /// interpreter path (no shard-level thread fan-out even with the
-    /// `parallel` feature, and no compiled-plan dispatch) — the reference
-    /// implementation the parallel and compiled paths are property-tested
-    /// against, and the baseline side of the `parallel_execution` and
-    /// `compiled_exec` benchmarks' sharded A/Bs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any query's instruction stream fails validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memory capacity mismatches the QRAM capacity.
-    pub fn execute_queries_sequential(
-        &self,
-        memory: &ClassicalMemory,
-        addresses: &[AddressState],
-        memory_updates: &[(u64, u64, u64)],
-    ) -> Result<Vec<QueryOutcome>, ExecError> {
-        self.execute_queries_impl(memory, addresses, memory_updates, false)
-    }
 }
 
 impl ShardedQram<FatTreeQram> {
@@ -555,9 +240,10 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
     }
 
     /// The equivalent monolithic machine's compiled plan, when the shard
-    /// architecture exposes one — single queries and fidelity estimates
-    /// over the sharded machine then run compiled, exactly like the
-    /// monolith they are observably equivalent to.
+    /// architecture exposes one — single queries, batches (the columnar
+    /// kernel behind the provided [`QramModel::execute_queries`]) and
+    /// fidelity estimates over the sharded machine then run compiled,
+    /// exactly like the monolith they are observably equivalent to.
     fn compiled_query(&self) -> Option<Arc<CompiledQuery>> {
         self.template.compiled_query()
     }
@@ -595,69 +281,12 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
         let shard = self.dispatch_shard(query_index) as usize;
         self.shards[shard].retrieval_layer(query_index / k) + shard as u64
     }
-
-    /// Sharded batched execution, observably equivalent to the monolithic
-    /// machine.
-    ///
-    /// When the shard architecture exposes a compiled plan
-    /// ([`QramModel::compiled_query`]), the whole batch runs through the
-    /// one columnar kernel of [`crate::execute_batch`], reading the
-    /// caller's unsplit memory directly: shard `s`'s local cell `l` is
-    /// global cell `l·K + s`, so each term's global address is one direct
-    /// load — no per-call shard split, no partition, no threads, and
-    /// outcomes that are views into one shared term column. The sharded
-    /// path reports no memo statistics.
-    ///
-    /// Otherwise each query's superposition is split by shard bits,
-    /// executed as per-shard sub-batches through the instruction-level
-    /// interpreter against interleaved shard memories, and recombined.
-    /// With the `parallel` cargo feature, each query's branches are cut
-    /// into chunks drained from a work-stealing deque by scoped threads
-    /// (the shard memories are read-only during a query), falling back to
-    /// sequential below [`crate::exec::PARALLEL_BRANCH_THRESHOLD`]
-    /// branches. Outcomes are recombined in deterministic branch order on
-    /// every path, so results are identical to
-    /// [`Self::execute_queries_sequential`].
-    ///
-    /// Memory updates follow the §7.2 classical-swap tie semantics of
-    /// [`crate::model::execute_batch`]: an update whose layer *equals* a
-    /// query's retrieval layer is visible to that query.
-    fn execute_queries(
-        &self,
-        memory: &ClassicalMemory,
-        addresses: &[AddressState],
-        memory_updates: &[(u64, u64, u64)],
-    ) -> Result<Vec<QueryOutcome>, ExecError> {
-        assert_eq!(
-            memory.capacity() as u64,
-            self.capacity.get(),
-            "memory capacity must match QRAM capacity"
-        );
-        if let Some(plan) = self.shards[0].compiled_query() {
-            return Ok(crate::soa::execute_columnar(
-                &plan,
-                memory,
-                addresses,
-                memory_updates,
-                |q| self.retrieval_layer(q),
-                None,
-            ));
-        }
-        // One worker-count check per batch: on a single-core host the
-        // `parallel` feature degrades gracefully to the sequential path
-        // (no thread-spawn overhead), so enabling it is never a
-        // pessimization.
-        #[cfg(feature = "parallel")]
-        let parallel = crate::exec::parallel_worker_count() > 1;
-        #[cfg(not(feature = "parallel"))]
-        let parallel = false;
-        self.execute_queries_impl(memory, addresses, memory_updates, parallel)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsim::branch::{AddressState, ClassicalMemory};
 
     fn cap(n: u64) -> Capacity {
         Capacity::new(n).unwrap()
@@ -736,14 +365,11 @@ mod tests {
         // Global address 22 = local 0b101, shard bits 0b10.
         assert_eq!(s.shard_of(22), 2);
         assert_eq!(s.local_address(22), 0b101);
-        let mem = checkerboard(64);
-        let shard_mems = s.shard_memories(&mem);
-        assert_eq!(shard_mems.len(), 4);
-        for (sidx, smem) in shard_mems.iter().enumerate() {
-            assert_eq!(smem.capacity(), 16);
-            for j in 0..16u64 {
-                assert_eq!(smem.read(j), mem.read(j * 4 + sidx as u64));
-            }
+        // Shard `s`'s local cell `l` is global cell `l·K + s`: the split is
+        // a bijection, so a global address indexes the unsplit image.
+        let k = u64::from(s.num_shards());
+        for a in 0..64u64 {
+            assert_eq!(s.local_address(a) * k + u64::from(s.shard_of(a)), a);
         }
     }
 
@@ -908,11 +534,8 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_shard_execution_agree() {
-        // Wide superpositions (≥ the parallel branch threshold) so the
-        // `parallel` feature's shard fan-out engages on multi-core hosts;
-        // without the feature (or with one worker) both calls share the
-        // sequential path. The scoped fan-out itself is exercised
-        // unconditionally by `scoped_shard_fanout_matches_sequential`.
+        // Wide superpositions with writes between them: the kernel behind
+        // `execute_queries` against the reference interpreter sweep.
         let s = ShardedQram::fat_tree(cap(256), 4);
         let cells: Vec<u64> = (0..256).map(|i| (i * 3 + 1) % 2).collect();
         let mem = ClassicalMemory::from_words(1, &cells).unwrap();
@@ -922,43 +545,19 @@ mod tests {
             AddressState::classical(8, 17).unwrap(),
         ];
         let updates = [(15u64, 17u64, 1u64), (40, 3, 1)];
-        let par = s.execute_queries(&mem, &addresses, &updates).unwrap();
-        let seq = s
-            .execute_queries_sequential(&mem, &addresses, &updates)
-            .unwrap();
-        assert_eq!(par, seq);
-        for (address, out) in addresses.iter().zip(&seq) {
+        let fast = s.execute_queries(&mem, &addresses, &updates).unwrap();
+        let reference = crate::reference::execute_batch(&s, &mem, &addresses, &updates).unwrap();
+        assert_eq!(fast, reference);
+        for (address, out) in addresses.iter().zip(&reference) {
             assert!(out.num_branches() == address.num_branches());
         }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn scoped_shard_fanout_matches_sequential() {
-        // Drives the scoped-thread fan-out directly (bypassing the
-        // per-batch worker-count gate), so the threaded path runs even on
-        // single-core CI hosts and must equal the pinned sequential path.
-        let s = ShardedQram::fat_tree(cap(256), 4);
-        let cells: Vec<u64> = (0..256).map(|i| (i * 7 + 2) % 2).collect();
-        let mem = ClassicalMemory::from_words(1, &cells).unwrap();
-        let shard_mems = s.shard_memories(&mem);
-        let layers = s.shards()[0].interned_query_layers();
-        let addr = AddressState::full_superposition(8);
-        let par = s
-            .run_query_across_shards(&addr, &shard_mems, &layers, true)
-            .unwrap();
-        let seq = s
-            .run_query_across_shards(&addr, &shard_mems, &layers, false)
-            .unwrap();
-        assert_eq!(par, seq);
-        assert!((par.fidelity(&mem.ideal_query(&addr)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn compiled_shard_plan_matches_interpreter_paths() {
         // The columnar kernel gathers each global address from the
-        // unsplit image; it must recombine branch-for-branch identically
-        // to the per-shard interpreter over the interleaved shard images.
+        // unsplit image; it must match the reference interpreter sweep
+        // branch-for-branch.
         let s = ShardedQram::fat_tree(cap(64), 4);
         let cells: Vec<u64> = (0..64).map(|i| (i * 11 + 3) % 2).collect();
         let mem = ClassicalMemory::from_words(1, &cells).unwrap();
@@ -968,7 +567,7 @@ mod tests {
             AddressState::classical(6, 63).unwrap(),
         ];
         let compiled = s.execute_queries(&mem, &addresses, &[]).unwrap();
-        let interpreted = s.execute_queries_sequential(&mem, &addresses, &[]).unwrap();
+        let interpreted = crate::reference::execute_batch(&s, &mem, &addresses, &[]).unwrap();
         assert_eq!(compiled, interpreted);
     }
 

@@ -5,9 +5,10 @@
 //! memory read, a batch's cost is dominated by everything *around* that
 //! read: per-query allocator traffic, copies of the memory image, and
 //! per-branch dispatch. One kernel, [`execute_columnar`], serves every
-//! backend with a compiled plan — [`execute_batch`](crate::execute_batch),
-//! [`execute_batch_traced`](crate::execute_batch_traced) and
-//! `ShardedQram::execute_queries` — and shapes the batch around that read:
+//! backend with a compiled plan — [`execute_batch`](crate::execute_batch)
+//! and [`execute_batch_traced`](crate::execute_batch_traced), and through
+//! them every provided `QramModel::execute_queries`, `ShardedQram`'s
+//! included — and shapes the batch around that read:
 //!
 //! * **Direct gathers over the unsplit image** — a term's data is one
 //!   indexed load from the caller's [`ClassicalMemory`]. Shard `s`'s
@@ -28,18 +29,15 @@
 //!   query reads the image current at its retrieval layer.
 //! * **Memo accounting only when asked** — the traced entry point gets
 //!   [`BatchCacheStats`] counted per epoch from the address sets (a
-//!   bitmap for single-branch sets, one sort for multi-branch sets),
-//!   bit-equal to the row-at-a-time memo
-//!   ([`execute_batch_rowwise`](crate::execute_batch_rowwise)): both
-//!   count, per epoch, one miss per distinct address set and one hit for
-//!   every further query over a set already seen in that epoch. Untraced
-//!   calls skip the accounting.
+//!   bitmap for single-branch sets, one sort for multi-branch sets): one
+//!   miss per distinct address set and one hit for every further query
+//!   over a set already seen in that epoch. Untraced calls skip the
+//!   accounting.
 //!
-//! The interpreter ([`crate::execute_batch_unmemoized`],
-//! `ShardedQram::execute_queries_sequential`) and the row memo stay
-//! untouched as the property-tested references; workspace-level proptests
-//! pin this kernel bit-equal to them (outcomes, panics, and
-//! [`BatchCacheStats`]) on every backend.
+//! The interpreter sweep [`crate::reference::execute_batch`] is the oracle:
+//! workspace-level proptests pin this kernel's outcomes bit-equal to it on
+//! every backend, shard count and write interleaving, and its
+//! [`BatchCacheStats`] to a brute-force per-epoch memo model.
 
 use std::sync::Arc;
 
@@ -103,9 +101,8 @@ impl<'a> StatsScratch<'a> {
         }
     }
 
-    /// Folds the current epoch into the stats exactly as the row-at-a-time
-    /// memo would — one miss per distinct set, one hit per repeat — and
-    /// starts an empty one. Multi-branch sets are counted by sorting their
+    /// Folds the current epoch into the stats — one miss per distinct set,
+    /// one hit per repeat — and starts an empty one. Multi-branch sets are counted by sorting their
     /// query indices by address sequence.
     fn close_epoch(&mut self) {
         for &a in &self.touched {

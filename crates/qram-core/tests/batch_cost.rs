@@ -8,8 +8,7 @@
 
 use qram_core::pipeline::schedule_construction_count;
 use qram_core::{
-    execute_batch_rowwise, execute_batch_traced, sub_batch_split_count, FatTreeQram, QramModel,
-    ShardedQram,
+    execute_batch_traced, reference, BatchCacheStats, FatTreeQram, QramModel, ShardedQram,
 };
 use qram_metrics::Capacity;
 use qsim::branch::{AddressState, ClassicalMemory};
@@ -60,54 +59,12 @@ fn sharded_batch_is_also_construction_frugal() {
     );
 }
 
-/// A batch whose every query routes to a single shard must never build
-/// the `K`-entry per-shard sub-batch split: the single-occupied-shard
-/// fast path runs the one local sub-state directly. A genuinely
-/// cross-shard superposition still splits. (Asserted on the interpreter
-/// reference path — the columnar kernel never splits at all.)
-#[test]
-fn single_shard_batches_skip_the_sub_batch_split() {
-    let capacity = Capacity::new(64).unwrap(); // width 6, shard_bits 2
-    let qram = ShardedQram::fat_tree(capacity, 4);
-    let memory = ClassicalMemory::zeros(64);
-    // Four-branch superpositions whose addresses all share their low two
-    // bits (≡ 1 mod 4): every branch of every query lives in shard 1.
-    let addresses: Vec<AddressState> = (0..32u64)
-        .map(|i| {
-            let base = 1 + 4 * (i % 3);
-            let branches: Vec<u64> = (0..4).map(|b| base + 16 * b).collect();
-            AddressState::uniform(6, &branches).unwrap()
-        })
-        .collect();
-
-    let before = sub_batch_split_count();
-    let outs = qram
-        .execute_queries_sequential(&memory, &addresses, &[])
-        .unwrap();
-    let splits = sub_batch_split_count() - before;
-    assert_eq!(outs.len(), 32);
-    assert_eq!(
-        splits, 0,
-        "single-shard batch built {splits} per-shard sub-batch splits"
-    );
-
-    // Control: a superposition spanning all four shards must split.
-    let wide = AddressState::uniform(6, &[0, 1, 2, 3]).unwrap();
-    let before = sub_batch_split_count();
-    qram.execute_queries_sequential(&memory, std::slice::from_ref(&wide), &[])
-        .unwrap();
-    assert!(
-        sub_batch_split_count() - before > 0,
-        "cross-shard query skipped the sub-batch split"
-    );
-}
-
-/// The property tests run at small capacities. Pin the columnar kernel at
-/// large ones too: a monolithic `N = 8192` batch (outcomes and memo stats
-/// against the row-wise memo path), and the `superposition_kernel` serving
-/// shape — `N = 65536`, `K = 8`, 256 queries of 64 distinct addresses —
-/// against the sharded interpreter reference, with and without memory
-/// updates.
+/// The property tests run at small capacities. Pin the columnar kernel
+/// against the reference interpreter sweep at large ones too: a monolithic
+/// `N = 8192` batch of 2048 distinct classical addresses (outcomes, and
+/// memo stats of all misses), and the `superposition_kernel` serving shape
+/// — `N = 65536`, `K = 8`, 256 queries of 64 distinct addresses — with and
+/// without memory updates.
 #[test]
 fn large_memory_batches_match_the_reference_paths() {
     let n = 8192u64;
@@ -118,9 +75,15 @@ fn large_memory_batches_match_the_reference_paths() {
         .map(|i| AddressState::classical(13, i * 37 % n).unwrap())
         .collect();
     let (col, col_stats) = execute_batch_traced(&qram, &memory, &addresses, &[]).unwrap();
-    let (row, row_stats) = execute_batch_rowwise(&qram, &memory, &addresses, &[]).unwrap();
-    assert_eq!(col, row);
-    assert_eq!(col_stats, row_stats);
+    let expected = reference::execute_batch(&qram, &memory, &addresses, &[]).unwrap();
+    assert_eq!(col, expected);
+    assert_eq!(
+        col_stats,
+        BatchCacheStats {
+            hits: 0,
+            misses: 2048
+        }
+    );
 
     let n = 65536u64;
     let sharded = ShardedQram::fat_tree(Capacity::new(n).unwrap(), 8);
@@ -153,9 +116,7 @@ fn large_memory_batches_match_the_reference_paths() {
         let fast = sharded
             .execute_queries(&memory, &addresses, updates)
             .unwrap();
-        let reference = sharded
-            .execute_queries_sequential(&memory, &addresses, updates)
-            .unwrap();
-        assert_eq!(fast, reference, "{} updates", updates.len());
+        let expected = reference::execute_batch(&sharded, &memory, &addresses, updates).unwrap();
+        assert_eq!(fast, expected, "{} updates", updates.len());
     }
 }

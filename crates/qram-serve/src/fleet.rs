@@ -28,7 +28,7 @@
 //!   [`ConsistentHashPlacement`] routes by the query's principal address
 //!   modulo `R` — the same residue-class interleave `ShardedQram` uses
 //!   for shards, giving exact fairness on uniform address sweeps and
-//!   stable address → replica affinity (memoized-read locality);
+//!   stable address → replica affinity (its repeats share one batch);
 //!   [`LeastLoadedPlacement`] routes to the replica with the fewest
 //!   queued + in-flight queries that still has queue room, so a shedding
 //!   replica is never chosen while another can absorb the arrival.
@@ -206,7 +206,7 @@ pub trait PlacementPolicy {
 ///
 /// Uniform cyclic address sweeps land exactly evenly (per-replica
 /// dispatch counts never differ by more than one), and a given address
-/// always revisits the same replica, so its memoized read stays hot.
+/// always revisits the same replica, so its repeats share one batch.
 /// When the home replica is not routable (`Down` or `Recovering`), the
 /// ring probes linearly to the next routable replica — address affinity
 /// degrades gracefully around failures and snaps back on rejoin. With

@@ -5,12 +5,9 @@
 # Usage: scripts/bench_smoke.sh [--targets t1,t2,...] [output.json]
 #   output.json defaults to BENCH_seed.json.
 #   --targets filters both the figure/table targets and the criterion
-#   targets (perf, sharded, parallel_exec, cache_hit, compiled_exec,
-#   columnar_exec, serving, fleet, fleet_faults, recovery, durability)
-#   by name, e.g.
-#   --targets fig9,sharded. The parallel_exec target is built with the
-#   `parallel` cargo feature so its A/B pairs compare the scoped-thread
-#   executor against the sequential reference in one binary.
+#   targets (perf, sharded, cache_hit, columnar_exec, serving, fleet,
+#   fleet_faults, recovery, durability) by name, e.g.
+#   --targets fig9,sharded.
 #
 # Figure/table targets are plain reproduction binaries (harness = false)
 # whose wall time is recorded; the criterion targets run the vendored
@@ -22,15 +19,7 @@ cd "$(dirname "$0")/.."
 
 FIGURE_TARGETS=(fig1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12
                 table1 table2 table3 table4 table5 ablation)
-CRITERION_TARGETS=(perf sharded parallel_exec cache_hit compiled_exec columnar_exec serving fleet fleet_faults recovery durability)
-
-# Cargo feature flags needed by specific criterion targets.
-target_features() {
-    case "$1" in
-        parallel_exec) echo "--features parallel" ;;
-        *) echo "" ;;
-    esac
-}
+CRITERION_TARGETS=(perf sharded cache_hit columnar_exec serving fleet fleet_faults recovery durability)
 
 FILTER=""
 OUT=""
@@ -92,7 +81,6 @@ selected() {
 
 echo "== building bench targets =="
 cargo bench -p qram-bench --no-run >/dev/null 2>&1
-cargo bench -p qram-bench --features parallel --no-run >/dev/null 2>&1
 
 TMP_WALL="$(mktemp)"
 TMP_CRIT="$(mktemp)"
@@ -114,9 +102,8 @@ done
 for target in "${CRITERION_TARGETS[@]}"; do
     selected "$target" || continue
     echo "== criterion micro-benchmarks: $target (reduced budget) =="
-    # shellcheck disable=SC2046  # intentional word splitting of the flags
     CRITERION_JSON="$TMP_CRIT" CRITERION_BUDGET_MS="${CRITERION_BUDGET_MS:-60}" \
-        cargo bench -p qram-bench $(target_features "$target") --bench "$target" 2>/dev/null \
+        cargo bench -p qram-bench --bench "$target" 2>/dev/null \
         | grep -E '^(bench:|==|headline)' || true
 done
 

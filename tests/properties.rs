@@ -1,12 +1,15 @@
 //! Property-based tests over the core invariants of the reproduction.
 
-use fat_tree_qram::core::exec::{execute_layers, execute_layers_sequential};
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use fat_tree_qram::core::exec::execute_layers;
+use fat_tree_qram::core::query_ops::QueryLayer;
 use fat_tree_qram::core::{
-    execute_batch, execute_batch_rowwise, execute_batch_traced, execute_batch_unmemoized,
-    BucketBrigadeQram, CompiledQuery, FatTreeQram, Op, PipelineSchedule, QramModel, QubitTag,
-    ShardedQram,
+    execute_batch, execute_batch_traced, reference, BatchCacheStats, BucketBrigadeQram,
+    CompiledQuery, FatTreeQram, Op, PipelineSchedule, QramModel, QubitTag, ShardedQram,
 };
-use fat_tree_qram::metrics::{Capacity, Layers};
+use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
 use fat_tree_qram::noise::distilled_infidelity;
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::qsim::Complex;
@@ -267,11 +270,11 @@ proptest! {
         prop_assert!(once <= eps + 1e-15);
     }
 
-    /// The dispatching executor (`execute_layers`, branch-parallel under
-    /// the `parallel` feature) and the pinned sequential reference return
-    /// identical `Execution`s — outcome terms, gate counts, everything —
-    /// on both instruction-stream architectures, including superpositions
-    /// wide enough to cross the parallel branch threshold.
+    /// The compiled plan (`execute_query_traced`) returns the
+    /// interpreter's exact `Execution` — outcome terms and gate counts — on
+    /// both instruction-stream architectures, over superpositions of up to
+    /// 200 branches at n ≤ 8 (the plan property below stops at 12 branches
+    /// and n ≤ 6).
     #[test]
     fn parallel_and_sequential_executors_agree(
         n in 4u32..=8,
@@ -295,17 +298,18 @@ proptest! {
             Box::new(FatTreeQram::new(cap)),
         ];
         for backend in &backends {
-            let layers = backend.interned_query_layers();
-            let auto = execute_layers(&layers, &memory, &address).unwrap();
-            let seq = execute_layers_sequential(&layers, &memory, &address).unwrap();
-            prop_assert_eq!(&auto, &seq);
+            prop_assert!(backend.compiled_query().is_some());
+            let compiled = backend.execute_query_traced(&memory, &address).unwrap();
+            let interpreted =
+                execute_layers(&backend.interned_query_layers(), &memory, &address).unwrap();
+            prop_assert_eq!(&compiled, &interpreted);
         }
     }
 
-    /// `ShardedQram::execute_queries` (shard-parallel under the `parallel`
-    /// feature) equals its pinned sequential reference on random batches
-    /// with interleaved memory writes, for Fat-Tree and bucket-brigade
-    /// shards.
+    /// `ShardedQram::execute_queries` (the columnar kernel over the
+    /// unsplit image) equals the reference interpreter sweep on random
+    /// batches of wide superpositions with interleaved memory writes, for
+    /// Fat-Tree and bucket-brigade shards.
     #[test]
     fn sharded_parallel_and_sequential_agree(
         n in 4u32..=6,
@@ -321,8 +325,6 @@ proptest! {
         let mut cells = seed_cells;
         cells.resize(capacity as usize, 0);
         let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        // Wide superpositions so the parallel path's branch threshold is
-        // crossed for most cases.
         let addresses: Vec<AddressState> = query_strides
             .iter()
             .map(|&stride| {
@@ -339,18 +341,20 @@ proptest! {
         let cap = Capacity::new(capacity).unwrap();
         let ft = ShardedQram::fat_tree(cap, k);
         let bb = ShardedQram::bucket_brigade(cap, k);
-        let ft_par = ft.execute_queries(&memory, &addresses, &updates).unwrap();
-        let ft_seq = ft.execute_queries_sequential(&memory, &addresses, &updates).unwrap();
-        prop_assert_eq!(ft_par, ft_seq);
-        let bb_par = bb.execute_queries(&memory, &addresses, &updates).unwrap();
-        let bb_seq = bb.execute_queries_sequential(&memory, &addresses, &updates).unwrap();
-        prop_assert_eq!(bb_par, bb_seq);
+        prop_assert_eq!(
+            ft.execute_queries(&memory, &addresses, &updates).unwrap(),
+            reference::execute_batch(&ft, &memory, &addresses, &updates).unwrap()
+        );
+        prop_assert_eq!(
+            bb.execute_queries(&memory, &addresses, &updates).unwrap(),
+            reference::execute_batch(&bb, &memory, &addresses, &updates).unwrap()
+        );
     }
 
-    /// Memoized batch execution equals the unmemoized reference across
-    /// interleaved memory writes on all three backends: repeated address
-    /// sets force cache hits, and every write's epoch bump must invalidate
-    /// exactly as §7.2 requires.
+    /// Batch execution (`execute_batch`, the columnar kernel) equals the
+    /// reference interpreter sweep across interleaved memory writes on all
+    /// three backends: repeated address sets meet writes that change what
+    /// a repeat must read, exactly as §7.2 requires.
     #[test]
     fn memoized_batches_match_unmemoized_across_interleaved_writes(
         n in 3u32..=5,
@@ -379,12 +383,11 @@ proptest! {
             Box::new(ShardedQram::fat_tree(cap, 2)),
         ];
         for backend in &backends {
-            let memoized =
-                execute_batch(backend.as_ref(), &memory, &addresses, &updates).unwrap();
-            let plain =
-                execute_batch_unmemoized(backend.as_ref(), &memory, &addresses, &updates)
+            let fast = execute_batch(backend.as_ref(), &memory, &addresses, &updates).unwrap();
+            let expected =
+                reference::execute_batch(backend.as_ref(), &memory, &addresses, &updates)
                     .unwrap();
-            prop_assert_eq!(&memoized, &plain);
+            prop_assert_eq!(&fast, &expected);
         }
     }
 
@@ -392,8 +395,7 @@ proptest! {
     /// on all three backends: same outcomes and same gate counts for
     /// random memories and superpositions. `execute_query_traced` takes
     /// the compiled path (every built-in backend exposes a plan), and is
-    /// compared against the pinned sequential interpreter run over the
-    /// same interned stream.
+    /// compared against the interpreter run over the same interned stream.
     #[test]
     fn compiled_plans_match_interpreter_on_all_backends(
         n in 2u32..=6,
@@ -420,12 +422,8 @@ proptest! {
                 "{} must expose a compiled plan", backend.name()
             );
             let compiled = backend.execute_query_traced(&memory, &address).unwrap();
-            let interpreted = execute_layers_sequential(
-                &backend.interned_query_layers(),
-                &memory,
-                &address,
-            )
-            .unwrap();
+            let interpreted =
+                execute_layers(&backend.interned_query_layers(), &memory, &address).unwrap();
             prop_assert!(
                 compiled == interpreted,
                 "{} compiled != interpreted", backend.name()
@@ -434,13 +432,14 @@ proptest! {
     }
 
     /// Compiled batched execution (`execute_queries`: the columnar
-    /// kernel) equals the pure-interpreter reference
-    /// (`execute_batch_unmemoized` / `execute_queries_sequential`) across
-    /// interleaved §7.2 memory writes on all three backends. The sharded
-    /// backend draws K ∈ {1, 2, 4, 8}, capped at N/2, so the kernel's
-    /// direct loads from the unsplit image (shard `s`'s local cell `l` is
-    /// global cell `l·K + s`) meet the interpreter's per-shard images at
-    /// every interleaving.
+    /// kernel) equals the reference interpreter sweep
+    /// (`reference::execute_batch`) across interleaved §7.2 memory writes
+    /// on all three backends. The sharded backend draws K ∈ {1, 2, 4, 8},
+    /// capped at N/2, so the kernel's direct loads from the unsplit image
+    /// (shard `s`'s local cell `l` is global cell `l·K + s`) meet the
+    /// reference at every interleaving. Plan-less backends — a monolith
+    /// and a K = 2 sharded machine — run the reference and must match
+    /// their compiled twins' kernel outcomes.
     #[test]
     fn compiled_batches_match_interpreted_reference(
         n in 3u32..=5,
@@ -464,25 +463,23 @@ proptest! {
             .map(|enc| (enc / 64, (enc / 2) % capacity, enc % 2))
             .collect();
         let cap = Capacity::new(capacity).unwrap();
-        let backends: [Box<dyn QramModel>; 2] = [
+        let k = 1u32 << k_exp.min(n - 1);
+        let backends: [Box<dyn QramModel>; 3] = [
             Box::new(BucketBrigadeQram::new(cap)),
             Box::new(FatTreeQram::new(cap)),
+            Box::new(ShardedQram::fat_tree(cap, k)),
         ];
         for backend in &backends {
             let compiled =
                 backend.execute_queries(&memory, &addresses, &updates).unwrap();
-            let reference =
-                execute_batch_unmemoized(backend.as_ref(), &memory, &addresses, &updates)
+            let expected =
+                reference::execute_batch(backend.as_ref(), &memory, &addresses, &updates)
                     .unwrap();
-            prop_assert!(compiled == reference, "{} diverges", backend.name());
+            prop_assert!(compiled == expected, "{} (K={}) diverges", backend.name(), k);
         }
-        let k = 1u32 << k_exp.min(n - 1);
-        let sharded = ShardedQram::fat_tree(cap, k);
-        let compiled = sharded.execute_queries(&memory, &addresses, &updates).unwrap();
-        let reference = sharded
-            .execute_queries_sequential(&memory, &addresses, &updates)
-            .unwrap();
-        prop_assert!(compiled == reference, "Sharded K={} diverges", k);
+        for (plan_less, twin) in plan_less_twins(cap) {
+            check_plan_less(plan_less.as_ref(), twin.as_ref(), &memory, &addresses, &updates)?;
+        }
     }
 
     /// Randomly mutated instruction streams behave identically under
@@ -529,7 +526,7 @@ proptest! {
             _ => layers[layer].ops.push(Op::Load(QubitTag::Bus)),
         }
         let compiled = CompiledQuery::compile(n, &layers);
-        let interpreted = execute_layers_sequential(&layers, &memory, &address);
+        let interpreted = execute_layers(&layers, &memory, &address);
         match (compiled, interpreted) {
             (Ok(plan), Ok(exec)) => {
                 prop_assert_eq!(plan.execute(&memory, &address), exec);
@@ -554,18 +551,21 @@ proptest! {
     }
 
     /// The columnar structure-of-arrays kernel (`execute_batch_traced`,
-    /// taken whenever the backend exposes a compiled plan) is bit-equal to
-    /// the pinned row-at-a-time memoized path (`execute_batch_rowwise`)
-    /// and to the pure interpreter (`execute_batch_unmemoized`) across
-    /// interleaved §7.2 memory writes — outcomes *and* `BatchCacheStats`
-    /// (the columnar kernel computes hit/miss counts analytically per
-    /// epoch; they must match the row memo's probe-by-probe accounting).
+    /// taken whenever the backend exposes a compiled plan) returns the
+    /// reference interpreter sweep's outcomes and the brute-force memo
+    /// model's `BatchCacheStats` across interleaved §7.2 memory writes.
+    /// Queries mix classical addresses with 2–4-branch superpositions over
+    /// a pool of six, so repeats of both kinds span several epochs (the
+    /// kernel counts single-branch sets with a bitmap and multi-branch
+    /// sets with a sort). Plan-less backends report every query as a miss.
     #[test]
     fn columnar_kernel_matches_rowwise_and_interpreter(
         n in 3u32..=5,
         seed_cells in prop::collection::vec(0u64..2, 1..32),
-        // Few distinct addresses over many queries → plenty of memo hits.
-        query_addrs in prop::collection::vec(0u64..6, 2..12),
+        // Each u64 picks a pool offset (mod 6) and a width: half the
+        // codes are classical, the rest windows of 2, 3 or 4 pool
+        // addresses. Few distinct sets over many queries → many hits.
+        query_codes in prop::collection::vec(0u64..36, 2..12),
         // Encoded (layer, address, value) triples (the vendored proptest
         // has no tuple strategies).
         updates in prop::collection::vec(0u64..(300 * 32 * 2), 0..6),
@@ -574,9 +574,17 @@ proptest! {
         let mut cells = seed_cells;
         cells.resize(capacity as usize, 0);
         let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        let addresses: Vec<AddressState> = query_addrs
+        // Six distinct addresses: 5 is odd, so i·5 mod 2ⁿ is injective.
+        let pool: Vec<u64> = (0..6).map(|i| (i * 5) % capacity).collect();
+        let addresses: Vec<AddressState> = query_codes
             .iter()
-            .map(|&a| AddressState::classical(n, a % capacity).unwrap())
+            .map(|&code| {
+                let (offset, kind) = (code % 6, code / 6);
+                let width = if kind < 3 { 1 } else { kind - 1 };
+                let branches: Vec<u64> =
+                    (0..width).map(|i| pool[((offset + i) % 6) as usize]).collect();
+                AddressState::uniform(n, &branches).unwrap()
+            })
             .collect();
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
@@ -589,28 +597,28 @@ proptest! {
             Box::new(ShardedQram::fat_tree(cap, 2)),
         ];
         for backend in &backends {
-            let (col_outs, col_stats) =
+            let (outs, stats) =
                 execute_batch_traced(backend.as_ref(), &memory, &addresses, &updates).unwrap();
-            let (row_outs, row_stats) =
-                execute_batch_rowwise(backend.as_ref(), &memory, &addresses, &updates).unwrap();
-            prop_assert!(col_outs == row_outs, "{} columnar outcomes diverge", backend.name());
-            prop_assert!(
-                col_stats == row_stats,
-                "{} columnar stats diverge: {col_stats:?} != {row_stats:?}", backend.name()
-            );
-            let plain =
-                execute_batch_unmemoized(backend.as_ref(), &memory, &addresses, &updates)
+            let expected =
+                reference::execute_batch(backend.as_ref(), &memory, &addresses, &updates)
                     .unwrap();
-            prop_assert!(col_outs == plain, "{} diverges from interpreter", backend.name());
+            prop_assert!(outs == expected, "{} columnar outcomes diverge", backend.name());
+            let modeled = memo_model(backend.as_ref(), &addresses, &updates);
+            prop_assert!(
+                stats == modeled,
+                "{} columnar stats diverge: {stats:?} != {modeled:?}", backend.name()
+            );
+        }
+        for (plan_less, twin) in plan_less_twins(cap) {
+            check_plan_less(plan_less.as_ref(), twin.as_ref(), &memory, &addresses, &updates)?;
         }
     }
 
     /// A Zipf-skewed batch — wide superpositions whose branches pile onto
     /// one hot shard, mixed with a minority of cross-shard queries — is
     /// identical under `execute_queries` (columnar kernel over the unsplit
-    /// image) and the pinned sequential reference over per-shard images,
-    /// with interleaved writes landing on the hot shard, for
-    /// K ∈ {1, 2, 4, 8}.
+    /// image) and the reference interpreter sweep, with interleaved writes
+    /// landing on the hot shard, for K ∈ {1, 2, 4, 8}.
     #[test]
     fn skewed_shard_loads_keep_deterministic_outcomes(
         n in 5u32..=7,
@@ -650,10 +658,8 @@ proptest! {
         let shards = u32::try_from(k).unwrap();
         let sharded = ShardedQram::fat_tree(Capacity::new(capacity).unwrap(), shards);
         let fast = sharded.execute_queries(&memory, &addresses, &updates).unwrap();
-        let reference = sharded
-            .execute_queries_sequential(&memory, &addresses, &updates)
-            .unwrap();
-        prop_assert_eq!(fast, reference);
+        let expected = reference::execute_batch(&sharded, &memory, &addresses, &updates).unwrap();
+        prop_assert_eq!(fast, expected);
     }
 
     /// Query outcomes are unitary-consistent: branch amplitudes are
@@ -677,74 +683,138 @@ proptest! {
     }
 }
 
-/// Work-stealing determinism. `QRAM_NUM_THREADS` is read once per process
-/// (`OnceLock`), so the worker-count sweep goes through the explicit-count
-/// entry point `execute_layers_parallel_with_workers` — the same deque the
-/// env var configures — for counts 1, 2, and 8.
-#[cfg(feature = "parallel")]
-mod work_stealing {
-    use fat_tree_qram::core::exec::{
-        execute_layers_parallel_with_workers, execute_layers_sequential,
-    };
-    use fat_tree_qram::core::{Op, QramModel, QubitTag};
-    use fat_tree_qram::metrics::Capacity;
-    use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
-    use proptest::prelude::*;
+/// A Fat-Tree without a compiled plan: it forwards every architecture
+/// method to the wrapped machine but keeps the trait's default
+/// `compiled_query` (`None`) and execution methods, so every query it
+/// serves walks the interpreter — the plan-less branch of batch dispatch.
+struct Interpreted(FatTreeQram);
 
-    proptest! {
-        /// The work-stealing branch fan-out returns the sequential
-        /// interpreter's exact `Execution` — outcomes, gate counts, and,
-        /// on corrupted streams, the same first error — regardless of
-        /// worker count (1 worker degenerates to one thread draining every
-        /// chunk; 8 workers on skewed chunk sizes forces steals).
-        #[test]
-        fn stealing_fan_out_matches_sequential_for_any_worker_count(
-            n in 4u32..=7,
-            arch_pick in 0u64..2,
-            seed_cells in prop::collection::vec(0u64..2, 1..128),
-            stride in 1u64..37,
-            corrupt in 0u64..3,
-            position in 0u64..10_000,
-        ) {
-            let capacity = 1u64 << n;
-            let mut cells = seed_cells;
-            cells.resize(capacity as usize, 0);
-            let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-            // Wide, stride-clustered superpositions: enough branches to
-            // cut into many chunks, unevenly enough to provoke stealing.
-            let mut picks: Vec<u64> = (0..capacity).map(|i| (i * stride) % capacity).collect();
-            picks.sort_unstable();
-            picks.dedup();
-            let address = AddressState::uniform(n, &picks).unwrap();
-            let cap = Capacity::new(capacity).unwrap();
-            let arch: Box<dyn QramModel> = if arch_pick == 1 {
-                Box::new(fat_tree_qram::core::FatTreeQram::new(cap))
-            } else {
-                Box::new(fat_tree_qram::core::BucketBrigadeQram::new(cap))
-            };
-            let mut layers = arch.query_layers();
-            let layer = (position as usize) % layers.len();
-            match corrupt {
-                0 => {} // valid stream
-                1 => layers[layer].ops.push(Op::Store(position as u32 % n)),
-                _ => layers[layer].ops.push(Op::Load(QubitTag::Bus)),
-            }
-            let reference = execute_layers_sequential(&layers, &memory, &address);
-            for workers in [1usize, 2, 8] {
-                let stolen =
-                    execute_layers_parallel_with_workers(&layers, &memory, &address, workers);
-                match (&stolen, &reference) {
-                    (Ok(a), Ok(b)) => prop_assert!(a == b, "{workers} workers diverge"),
-                    (Err(a), Err(b)) => prop_assert!(
-                        a == b,
-                        "{workers} workers surface error {a:?}, sequential {b:?}"
-                    ),
-                    _ => prop_assert!(
-                        false,
-                        "{workers} workers disagree with sequential on Ok/Err"
-                    ),
-                }
-            }
+impl Interpreted {
+    fn new(capacity: Capacity) -> Self {
+        Interpreted(FatTreeQram::new(capacity))
+    }
+}
+
+impl QramModel for Interpreted {
+    fn name(&self) -> &'static str {
+        "Interpreted"
+    }
+
+    fn capacity(&self) -> Capacity {
+        self.0.capacity()
+    }
+
+    fn router_count(&self) -> u64 {
+        self.0.router_count()
+    }
+
+    fn query_parallelism(&self) -> u32 {
+        self.0.query_parallelism()
+    }
+
+    fn query_layers(&self) -> Vec<QueryLayer> {
+        self.0.query_layers()
+    }
+
+    fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
+        self.0.interned_query_layers()
+    }
+
+    fn single_query_layers_integer(&self) -> u64 {
+        self.0.single_query_layers_integer()
+    }
+
+    fn single_query_latency(&self, timing: &TimingModel) -> Layers {
+        self.0.single_query_latency(timing)
+    }
+
+    fn admission_interval(&self, timing: &TimingModel) -> Layers {
+        self.0.admission_interval(timing)
+    }
+
+    fn retrieval_layer(&self, query_index: usize) -> u64 {
+        self.0.retrieval_layer(query_index)
+    }
+}
+
+/// Plan-less backends paired with their compiled twins: a monolith, and a
+/// K = 2 sharded machine over plan-less shards.
+fn plan_less_twins(cap: Capacity) -> [(Box<dyn QramModel>, Box<dyn QramModel>); 2] {
+    [
+        (
+            Box::new(Interpreted::new(cap)),
+            Box::new(FatTreeQram::new(cap)),
+        ),
+        (
+            Box::new(ShardedQram::new(cap, 2, Interpreted::new)),
+            Box::new(ShardedQram::fat_tree(cap, 2)),
+        ),
+    ]
+}
+
+/// A plan-less backend's batch is the reference sweep, equals its compiled
+/// twin's kernel outcomes, and traces every query as a miss.
+fn check_plan_less(
+    plan_less: &dyn QramModel,
+    twin: &dyn QramModel,
+    memory: &ClassicalMemory,
+    addresses: &[AddressState],
+    updates: &[(u64, u64, u64)],
+) -> Result<(), TestCaseError> {
+    prop_assert!(plan_less.compiled_query().is_none());
+    let outs = plan_less
+        .execute_queries(memory, addresses, updates)
+        .unwrap();
+    let expected = reference::execute_batch(plan_less, memory, addresses, updates).unwrap();
+    prop_assert!(
+        outs == expected,
+        "plan-less {} diverges from the reference",
+        twin.name()
+    );
+    let kernel = twin.execute_queries(memory, addresses, updates).unwrap();
+    prop_assert!(
+        outs == kernel,
+        "plan-less {} diverges from its kernel twin",
+        twin.name()
+    );
+    let (_, stats) = execute_batch_traced(plan_less, memory, addresses, updates).unwrap();
+    let all_misses = BatchCacheStats {
+        hits: 0,
+        misses: addresses.len() as u64,
+    };
+    prop_assert_eq!(stats, all_misses);
+    Ok(())
+}
+
+/// Brute-force memo accounting: visit queries in retrieval order; every
+/// delivered write (layer ≤ the next query's retrieval layer, the §7.2
+/// tie rule) opens a new epoch; within an epoch the first query over an
+/// address set misses and each repeat hits.
+fn memo_model(
+    model: &dyn QramModel,
+    addresses: &[AddressState],
+    updates: &[(u64, u64, u64)],
+) -> BatchCacheStats {
+    let mut order: Vec<usize> = (0..addresses.len()).collect();
+    order.sort_by_key(|&q| model.retrieval_layer(q));
+    let mut writes: Vec<u64> = updates.iter().map(|&(layer, _, _)| layer).collect();
+    writes.sort_unstable();
+    let mut writes = writes.into_iter().peekable();
+    let mut seen: HashSet<Vec<u64>> = HashSet::new();
+    let mut stats = BatchCacheStats::default();
+    for q in order {
+        while writes
+            .next_if(|&layer| layer <= model.retrieval_layer(q))
+            .is_some()
+        {
+            seen.clear();
+        }
+        let set: Vec<u64> = addresses[q].iter().map(|&(_, a)| a).collect();
+        if seen.insert(set) {
+            stats.misses += 1;
+        } else {
+            stats.hits += 1;
         }
     }
+    stats
 }
