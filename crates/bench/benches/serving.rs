@@ -1,6 +1,6 @@
 //! The §5 quantum-data-center service as a benchmark: online serving of
-//! open-loop query traffic on a sharded Fat-Tree at `N = 4096`,
-//! `K ∈ {1, 2, 4, 8}`.
+//! open-loop query traffic by a one-replica fleet (the single machine) on
+//! a sharded Fat-Tree at `N = 4096`, `K ∈ {1, 2, 4, 8}`.
 //!
 //! For each shard count the reproduction artifact is a §5-style row —
 //! offered load, sustained throughput, and p50/p95/p99 response latency
@@ -17,8 +17,8 @@ use std::io::Write as _;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qram_core::{QramModel, ShardedQram};
 use qram_metrics::{Capacity, TimingModel};
-use qram_sched::{bursty_arrivals, poisson_arrivals, QueryRequest, ZipfAddresses};
-use qram_serve::{QramService, ServiceRequest};
+use qram_sched::{bursty_arrivals, poisson_arrivals, QueryRequest, TenantId, ZipfAddresses};
+use qram_serve::{FleetRequest, QramFleet};
 use qsim::branch::{AddressState, ClassicalMemory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,14 +41,15 @@ fn memory() -> ClassicalMemory {
 }
 
 /// Attaches Zipf(0.99)-drawn addresses to an arrival sequence.
-fn with_zipf_addresses(arrivals: Vec<QueryRequest>) -> Vec<ServiceRequest> {
+fn with_zipf_addresses(arrivals: Vec<QueryRequest>) -> Vec<FleetRequest> {
     let zipf = ZipfAddresses::new(capacity(), 0.99);
     let addresses = zipf.addresses(arrivals.len(), SEED);
     arrivals
         .into_iter()
         .zip(addresses)
-        .map(|(r, a)| ServiceRequest {
+        .map(|(r, a)| FleetRequest {
             id: r.id,
+            tenant: TenantId::DEFAULT,
             arrival: r.arrival,
             address: AddressState::classical(ADDRESS_WIDTH, a).expect("address in range"),
         })
@@ -56,7 +57,7 @@ fn with_zipf_addresses(arrivals: Vec<QueryRequest>) -> Vec<ServiceRequest> {
 }
 
 /// The Poisson workload at `LOAD ×` the aggregate capacity of `K` shards.
-fn poisson_workload(k: u32) -> Vec<ServiceRequest> {
+fn poisson_workload(k: u32) -> Vec<FleetRequest> {
     let interval = ShardedQram::fat_tree(capacity(), k)
         .admission_interval(&TimingModel::paper_default())
         .get();
@@ -66,7 +67,7 @@ fn poisson_workload(k: u32) -> Vec<ServiceRequest> {
 
 /// The bursty workload: same long-run load as the Poisson stream, but
 /// delivered in ON bursts at 3× the aggregate capacity.
-fn bursty_workload(k: u32) -> Vec<ServiceRequest> {
+fn bursty_workload(k: u32) -> Vec<FleetRequest> {
     let interval = ShardedQram::fat_tree(capacity(), k)
         .admission_interval(&TimingModel::paper_default())
         .get();
@@ -126,8 +127,10 @@ fn print_section5_rows(_c: &mut Criterion) {
                 .fold(0.0f64, f64::max);
             let offered = requests.len() as f64
                 / timing.layers_to_seconds(qram_metrics::Layers::new(offered_span));
-            let mut service = QramService::fifo(ShardedQram::fat_tree(capacity(), k), timing);
-            let report = service.serve(&mem, requests).expect("service run");
+            let mut fleet = QramFleet::fifo(ShardedQram::fat_tree(capacity(), k), 1, timing);
+            let report = fleet
+                .serve(&mem, requests, Vec::new())
+                .expect("service run");
             let hist = report.latency_histogram();
             println!(
                 "{:>3} {:>8} {:>11.0} {:>11.0} {:>10.2} {:>10.2} {:>10.2} {:>11.1}",
@@ -138,7 +141,7 @@ fn print_section5_rows(_c: &mut Criterion) {
                 hist.quantile(0.50).get(),
                 hist.quantile(0.95).get(),
                 hist.quantile(0.99).get(),
-                report.latency_micros(0.99),
+                timing.layers_to_micros(hist.quantile(0.99)),
             );
             if k == 8 && label == "poisson" {
                 record_scalar(
@@ -157,11 +160,11 @@ fn bench_serving_loop(c: &mut Criterion) {
     for k in SHARD_COUNTS {
         let requests = poisson_workload(k);
         let qram = ShardedQram::fat_tree(capacity(), k);
-        let mut service = QramService::fifo(qram, timing);
+        let mut fleet = QramFleet::fifo(qram, 1, timing);
         group.bench_function(format!("k{k}_n4096_poisson_zipf_{REQUESTS}q"), |b| {
             b.iter_batched(
                 || requests.clone(),
-                |reqs| service.serve(&mem, reqs).expect("service run"),
+                |reqs| fleet.serve(&mem, reqs, Vec::new()).expect("service run"),
                 BatchSize::SmallInput,
             )
         });

@@ -499,11 +499,6 @@ pub struct FaultConfig {
     /// A completion whose service time exceeds `latency × margin` marks
     /// its replica [`ReplicaHealth::Suspect`].
     pub latency_margin: f64,
-    /// Replication-log entries a recovering replica replays per
-    /// [`ReplicatedMemory::catch_up_by`] step.
-    ///
-    /// [`ReplicatedMemory::catch_up_by`]: qram_core::ReplicatedMemory::catch_up_by
-    pub replay_chunk: u64,
     /// Virtual time a recovering replica spends per lagged log entry
     /// before rejoining rotation.
     pub replay_per_entry: Layers,
@@ -540,7 +535,6 @@ impl Default for FaultConfig {
             hedge_delay: None,
             monitor_interval: Layers::new(64.0),
             latency_margin: 4.0,
-            replay_chunk: 8,
             replay_per_entry: Layers::new(1.0),
             brownout: None,
             scrub_interval: None,

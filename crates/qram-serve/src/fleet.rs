@@ -1,8 +1,8 @@
 //! The multi-tenant QRAM fleet: a routing tier over `R` serving replicas
 //! with epoch-replicated writes.
 //!
-//! [`QramFleet`] scales the §5 quantum-data-center service *out*: it runs
-//! `R` independent [`Replica`] cores — each a full sharded QRAM with its
+//! [`QramFleet`] is the §5 quantum-data-center service, scaled *out*: it
+//! runs `R` independent replica cores — each a full sharded QRAM with its
 //! own dispatcher, admission interval, and pipeline slots — behind a
 //! front-end router, all inside one discrete-event reactor:
 //!
@@ -44,9 +44,10 @@
 //!   memory version are reported with [`FleetQuery::stale`] set — the
 //!   consistency contract is *detectability*, not freshness.
 //!
-//! With `R = 1`, no writes, and the default tenant, the fleet reduces
-//! exactly to [`QramService`] — same timings, same outcomes, same
-//! shedding (property-tested in `tests/fleet.rs`).
+//! One replica is the §5 single machine: with `R = 1`, no writes, and the
+//! default tenant, the realized schedule is the analytic online-FIFO
+//! schedule of the requests the replica accepted (property-tested in
+//! `tests/fleet.rs` and `tests/serving.rs`).
 //!
 //! **Fault tolerance.** [`QramFleet::serve_with_faults`] runs the same
 //! loop under a deterministic [`FaultPlan`]: a per-replica health state
@@ -59,16 +60,18 @@
 //! [`BrownoutController`] sheds whole SLO classes, cheapest first, when
 //! the routable fleet runs hot. Recovering replicas replay the
 //! replication log before rejoining, so stale reads stay flagged across
-//! failures. The empty plan with the default [`FaultConfig`] is
-//! bit-identical to [`QramFleet::serve`]'s fault-free loop (pinned by
-//! `tests/fleet_faults.rs` against [`QramFleet::serve_reference`]).
+//! failures. Every entry point runs one loop: a run state with one record
+//! per replica and one handler method per reactor event. The empty plan
+//! with the default [`FaultConfig`] schedules no fault events, and is
+//! pinned bit-identical to the frozen fault-free loop
+//! [`QramFleet::serve_reference`] by `tests/fleet_faults.rs`.
 //!
 //! [`SloClass`]: qram_sched::SloClass
-//! [`QramService`]: crate::QramService
 //! [`RetryPolicy`]: qram_sched::RetryPolicy
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::Peekable;
 
 use qram_core::store::{frame, CheckpointPolicy, DurableFleet, SimDir, StoreError, SyncSummary};
 use qram_core::{
@@ -79,14 +82,13 @@ use qram_metrics::{
     TimingModel,
 };
 use qram_sched::{
-    AdmissionPolicy, FifoAdmission, QramServer, QueryRequest, RetryPolicy, Schedule, SloClass,
-    TenantId,
+    AdmissionPolicy, FifoAdmission, QramServer, QueryRequest, Schedule, SloClass, TenantId,
 };
 use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
 use crate::fault::{
-    corrupt_outcome, parity_bit, BrownoutController, Fault, FaultConfig, FaultPlan, ReplicaHealth,
-    ReplicationFate,
+    corrupt_outcome, parity_bit, AdaptiveGroupCommit, BrownoutController, Fault, FaultConfig,
+    FaultPlan, ReplicaHealth, ReplicationFate,
 };
 use crate::reactor::{order_key, EventQueue};
 use crate::replica::{Replica, ReplicaEvent};
@@ -298,8 +300,7 @@ impl FleetQuery {
 }
 
 /// Reactor events of the fleet, in virtual layer time. Arrivals live in a
-/// sorted list merged against the heap (arrival-first at ties), exactly
-/// as in the single-replica service.
+/// sorted list merged against the heap (arrival-first at ties).
 #[derive(Debug)]
 enum Event {
     /// The run's write at this index (in supply order) commits at its
@@ -509,10 +510,9 @@ impl FleetReport {
         QueryRate::new(self.completed.len() as f64 / self.timing.layers_to_seconds(self.window()))
     }
 
-    /// The realized timings as a `qram-sched` [`Schedule`], for the
-    /// `R = 1` equivalence pin against [`QramService`].
-    ///
-    /// [`QramService`]: crate::QramService
+    /// The realized timings as a `qram-sched` [`Schedule`], for
+    /// comparison against the analytic schedulers: at `R = 1` it is the
+    /// online-FIFO schedule of the accepted requests.
     #[must_use]
     pub fn schedule(&self) -> Schedule {
         Schedule::from_entries(
@@ -651,7 +651,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns an error if query execution fails.
+    /// Returns [`ServeError::Exec`] if query execution fails.
     ///
     /// # Panics
     ///
@@ -663,7 +663,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         memory: &ClassicalMemory,
         requests: impl IntoIterator<Item = FleetRequest>,
         writes: impl IntoIterator<Item = FleetWrite>,
-    ) -> Result<FleetReport, ExecError> {
+    ) -> Result<FleetReport, ServeError> {
         self.serve_with_faults(
             memory,
             requests,
@@ -987,15 +987,16 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// [`FleetReport::completed`] or [`FleetReport::shed`] — faults lose
     /// dispatch *attempts*, never queries.
     ///
-    /// With the empty plan and the default [`FaultConfig`] this is
-    /// bit-identical to the fault-free loop: no monitor or fault events
-    /// enter the reactor, so the event heap pops in the same order and
-    /// the schedules and outcomes match [`QramFleet::serve_reference`]
-    /// exactly.
+    /// With the empty plan and the default [`FaultConfig`] no monitor or
+    /// fault events enter the reactor, so the event heap pops in the same
+    /// order as the fault-free reference loop and the schedules and
+    /// outcomes match [`QramFleet::serve_reference`] exactly.
     ///
     /// # Errors
     ///
-    /// Returns an error if query execution fails.
+    /// Returns [`ServeError::Exec`] if query execution fails, and
+    /// [`ServeError::Store`] if the in-memory store that disk faults or
+    /// scrubbing spin up fails.
     ///
     /// # Panics
     ///
@@ -1012,18 +1013,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         writes: impl IntoIterator<Item = FleetWrite>,
         plan: &FaultPlan,
         fault_config: &FaultConfig,
-    ) -> Result<FleetReport, ExecError> {
-        match self.serve_faulty(memory, requests, writes, plan, fault_config, None) {
-            Ok(report) => Ok(report),
-            Err(DurableServeError::Exec(e)) => Err(e),
-            // Without an external store the durability tier (when disk
-            // faults or scrubbing activate it) runs on an in-memory
-            // `SimDir`, which cannot fail I/O, and appends are contiguous
-            // by construction.
-            Err(DurableServeError::Store(e)) => {
-                unreachable!("the ephemeral in-memory store cannot fail: {e}")
-            }
-        }
+    ) -> Result<FleetReport, ServeError> {
+        self.serve_faulty(memory, requests, writes, plan, fault_config, None)
     }
 
     /// [`QramFleet::serve_with_faults`] backed by a crash-consistent
@@ -1042,8 +1033,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns [`DurableServeError::Exec`] if query execution fails and
-    /// [`DurableServeError::Store`] if the store's directory fails.
+    /// Returns [`ServeError::Exec`] if query execution fails and
+    /// [`ServeError::Store`] if the store's directory fails.
     ///
     /// # Panics
     ///
@@ -1056,11 +1047,12 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         plan: &FaultPlan,
         fault_config: &FaultConfig,
         store: &mut DurableFleet,
-    ) -> Result<FleetReport, DurableServeError> {
+    ) -> Result<FleetReport, ServeError> {
         self.serve_faulty(memory, requests, writes, plan, fault_config, Some(store))
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// The one serving loop behind every entry point: seeds a [`Run`],
+    /// drains its reactor, and executes and reports what it dispatched.
     fn serve_faulty(
         &mut self,
         memory: &ClassicalMemory,
@@ -1069,920 +1061,52 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         plan: &FaultPlan,
         fault_config: &FaultConfig,
         store: Option<&mut DurableFleet>,
-    ) -> Result<FleetReport, DurableServeError> {
-        let num_replicas = self.backends.len();
-        let num_shards = self.backends[0].num_shards() as usize;
-        let server = self.equivalent_server();
-        let aggregate_cap = self
-            .policy
-            .in_flight_cap(&server)
-            .clamp(1, server.parallelism());
-        let latency = server.latency();
-        let address_width = self.backends[0].capacity().address_width();
-        let mut replicas: Vec<Replica> = (0..num_replicas)
-            .map(|_| {
-                Replica::new(
-                    num_shards,
-                    self.backends[0].shard_parallelism(),
-                    server.interval(),
-                    latency,
-                    aggregate_cap,
-                    self.config.queue_capacity,
-                )
-            })
-            .collect();
-
-        // Each replica's journal records the cell changes it applies; a
-        // dispatch's stamped epoch selects its prefix at execution.
-        let mut replicated = ReplicatedMemory::new(memory.clone(), num_replicas);
-        // One record per dispatch, indexed [replica][dispatch index].
-        let mut dispatches: Vec<Vec<Dispatch>> = vec![Vec::new(); num_replicas];
-
-        let mut arrivals: Vec<FleetRequest> = requests
-            .into_iter()
-            .inspect(|r| {
-                assert_eq!(
-                    r.address.address_width(),
-                    address_width,
-                    "request address width must match QRAM capacity"
-                );
-            })
-            .collect();
-        arrivals.sort_by_key(|r| order_key(r.arrival.get()));
-        let total_requests = arrivals.len();
-        let mut arrivals = arrivals.into_iter().peekable();
-
-        let writes: Vec<FleetWrite> = writes.into_iter().collect();
-        let mut events: EventQueue<Event> = EventQueue::new();
-        for (i, write) in writes.iter().enumerate() {
-            assert!(
-                write.origin < num_replicas,
-                "write origin replica {} out of range (R = {num_replicas})",
-                write.origin
-            );
-            events.push(write.at, Event::Write(i));
-        }
-
-        // Fault-tolerance state. Nothing below schedules an event unless
-        // the plan is non-empty or a brownout controller is configured —
-        // the empty plan keeps the reactor's event sequence (and so its
-        // FIFO tie-breaking) identical to the fault-free loop.
-        let retry = &fault_config.retry;
-        let mut brownout: Option<BrownoutController> =
-            fault_config.brownout.map(BrownoutController::new);
-        let monitoring =
-            !plan.is_empty() || brownout.is_some() || fault_config.adaptive_group_commit.is_some();
-        let has_slow = plan.has_slow_faults();
-        let keep_address = !plan.is_empty() || fault_config.hedge_delay.is_some();
-        let replica_slots = aggregate_cap as usize
-            + self
-                .config
-                .queue_capacity
-                .unwrap_or(4 * aggregate_cap as usize);
-        let mut states: Vec<QueryState> = Vec::with_capacity(total_requests);
-        let mut health = vec![ReplicaHealth::Healthy; num_replicas];
-        let mut alive = vec![true; num_replicas];
-        let mut misses = vec![0u32; num_replicas];
-        let mut down_since: Vec<Option<Layers>> = vec![None; num_replicas];
-        let mut rejoin_at: Vec<Option<f64>> = vec![None; num_replicas];
-        // Queries stranded on a crashed replica, re-dispatched when the
-        // detector declares it Down (or it recovers, whichever first).
-        let mut pending_failover: Vec<Vec<usize>> = vec![Vec::new(); num_replicas];
-        let mut counters = AvailabilityCounters::default();
-        let mut completed_dispatch: Vec<(usize, usize)> = Vec::with_capacity(total_requests);
-        let mut corrupted_served: Vec<(usize, usize)> = Vec::new();
-        let mut open = 0usize;
-        // The placement snapshot, refilled before every placement.
-        let mut loads: Vec<ReplicaLoad> = Vec::with_capacity(num_replicas);
-
-        // The durability tier. An external store (serve_durable) always
-        // activates it; otherwise disk faults or a scrub interval spin up
-        // an ephemeral in-memory store so the faults have a durable chain
-        // to lie against and be audited by. Like monitoring, a run that
-        // activates none of this schedules no events and touches no disk,
-        // keeping the empty-plan reactor bit-identical to the fault-free
-        // loop.
-        let total_cells = memory.cells().len() as u64;
-        let mut ephemeral: Option<DurableFleet> = None;
-        let mut durability: Option<Durability<'_>> = match store {
-            Some(s) => {
-                debug_assert_eq!(
-                    s.shadow().cells(),
-                    memory.cells(),
-                    "the durable chain must end at the run's starting memory"
-                );
-                s.set_group_commit(fault_config.group_commit);
-                Some(Durability::new(s))
-            }
-            None if plan.has_disk_faults()
-                || fault_config.scrub_interval.is_some()
-                || fault_config.adaptive_group_commit.is_some() =>
-            {
-                let fresh = DurableFleet::create_with(
-                    Box::new(SimDir::new()),
-                    memory,
-                    CheckpointPolicy::never(),
-                )?
-                .with_group_commit(fault_config.group_commit);
-                Some(Durability::new(ephemeral.insert(fresh)))
-            }
-            None => None,
-        };
-        // Fleet epochs whose Replicate fan-out is already scheduled.
-        // With a durability tier, replication only fans out from
-        // *synced* epochs (ack-at-sync); the watermark is monotone so a
-        // lying-disk rollback and re-append never duplicates an event.
-        let mut repl_scheduled = 0u64;
-
-        if monitoring {
-            assert!(
-                fault_config.monitor_interval.get() > 0.0,
-                "monitoring needs a positive monitor interval"
-            );
-            for fault in plan.faults() {
-                match *fault {
-                    Fault::Crash { replica, at } => {
-                        assert!(replica < num_replicas, "crash names replica {replica}");
-                        events.push(at, Event::Crash { replica });
-                    }
-                    Fault::Recover { replica, at } => {
-                        assert!(replica < num_replicas, "recover names replica {replica}");
-                        events.push(at, Event::Recover { replica });
-                    }
-                    Fault::StallShard {
-                        replica,
-                        shard,
-                        from,
-                        until,
-                    } => {
-                        assert!(replica < num_replicas, "stall names replica {replica}");
-                        assert!(shard < num_shards, "stall names shard {shard}");
-                        events.push(from, Event::StallStart { replica, shard });
-                        events.push(until, Event::StallEnd { replica, shard });
-                    }
-                    Fault::SlowReplica { replica, .. } | Fault::CorruptOutcome { replica, .. } => {
-                        assert!(replica < num_replicas, "fault names replica {replica}");
-                    }
-                    Fault::DiskCorrupt { replica, at, cell } => {
-                        assert!(replica < num_replicas, "corruption names replica {replica}");
-                        events.push(at, Event::DiskCorrupt { replica, cell });
-                    }
-                    Fault::DropReplication { .. }
-                    | Fault::DelayReplication { .. }
-                    | Fault::TornWrite { .. } => {}
-                }
-            }
-            events.push(fault_config.monitor_interval, Event::MonitorTick);
-        }
-        if durability.is_some() {
-            if let Some(interval) = fault_config.scrub_interval {
-                assert!(
-                    interval.get() > 0.0,
-                    "scrubbing needs a positive scrub interval"
-                );
-                assert!(
-                    fault_config.scrub_chunk_cells > 0,
-                    "scrub chunks must hold at least one cell"
-                );
-                events.push(interval, Event::ScrubTick);
-            }
-        }
-
-        let mut completed: Vec<FleetQuery> = Vec::with_capacity(total_requests);
-        let mut shed: Vec<ShedRequest> = Vec::new();
-        let mut outstanding: BTreeMap<TenantId, u32> = BTreeMap::new();
-        let mut stale_served = 0u64;
-
-        loop {
-            let arrival_is_next = match (arrivals.peek(), events.peek_time()) {
-                (Some(request), Some(next)) => request.arrival <= next,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            let mut pump: Option<usize> = None;
-            let now;
-            if arrival_is_next {
-                let request = arrivals.next().expect("peeked arrival exists");
-                now = request.arrival;
-                let tenant = request.tenant;
-                if brownout
-                    .as_ref()
-                    .is_some_and(|controller| controller.sheds(self.policy.tenant_slo(tenant)))
-                {
-                    shed.push(ShedRequest {
-                        id: request.id,
-                        tenant,
-                        reason: ShedReason::Brownout,
-                    });
-                } else if self
-                    .policy
-                    .tenant_quota(tenant)
-                    .is_some_and(|quota| outstanding.get(&tenant).copied().unwrap_or(0) >= quota)
-                {
-                    shed.push(ShedRequest {
-                        id: request.id,
-                        tenant,
-                        reason: ShedReason::QuotaExceeded,
-                    });
-                } else {
-                    snapshot_loads(&replicas, &health, &mut loads);
-                    let target = self.placement.place(&request, &loads);
-                    assert!(
-                        target < num_replicas,
-                        "placement returned replica {target} of {num_replicas}"
-                    );
-                    let slo_bound = self
-                        .config
-                        .queue_capacity
-                        .map(|cap| self.policy.tenant_slo(tenant).queue_bound(cap));
-                    if !loads[target].routable() {
-                        shed.push(ShedRequest {
-                            id: request.id,
-                            tenant,
-                            reason: ShedReason::NoHealthyReplica,
-                        });
-                    } else if slo_bound.is_some_and(|bound| replicas[target].queued() >= bound) {
-                        let reason = if replicas[target].has_queue_room() {
-                            ShedReason::SloShed
-                        } else {
-                            ShedReason::QueueFull
-                        };
-                        shed.push(ShedRequest {
-                            id: request.id,
-                            tenant,
-                            reason,
-                        });
-                    } else {
-                        let qid = states.len();
-                        let deadline = self
-                            .policy
-                            .tenant_deadline(tenant)
-                            .map(|budget| request.arrival + budget);
-                        let address = keep_address.then(|| request.address.clone());
-                        let offered = replicas[target].offer(
-                            request.id,
-                            qid,
-                            tenant,
-                            request.arrival,
-                            deadline,
-                            request.address,
-                        );
-                        debug_assert!(offered, "the SLO bound is at most the queue bound");
-                        states.push(QueryState {
-                            id: request.id,
-                            tenant,
-                            arrival: request.arrival,
-                            deadline,
-                            address,
-                            attempts: 1,
-                            outstanding: 1,
-                            done: false,
-                            last_replica: target,
-                            hedged: false,
-                            hedge_replica: None,
-                        });
-                        *outstanding.entry(tenant).or_insert(0) += 1;
-                        open += 1;
-                        if let Some(delay) = fault_config.hedge_delay {
-                            if self.policy.tenant_slo(tenant) == SloClass::Interactive {
-                                events.push(request.arrival + delay, Event::HedgeCheck { qid });
-                            }
-                        }
-                        pump = Some(target);
-                    }
-                }
-            } else if let Some((at, event)) = events.pop() {
-                now = at;
-                match event {
-                    Event::Write(i) => {
-                        let write = writes[i];
-                        // A write addressed at a dead origin commits at
-                        // the first live replica instead: writes survive
-                        // crashes even when the client's affinity target
-                        // is down.
-                        let origin = if alive[write.origin] {
-                            write.origin
-                        } else {
-                            (0..num_replicas)
-                                .find(|&r| alive[r])
-                                .unwrap_or(write.origin)
-                        };
-                        let epoch = replicated.write_at(origin, write.address, write.value);
-                        // Ack-at-sync: with a durability tier, replication
-                        // (and with it the stale-read watermark) only fans
-                        // out from synced epochs.
-                        let mut replicate_to = durability.is_none().then_some(epoch);
-                        if let Some(d) = durability.as_mut() {
-                            // Log the write durably before replication
-                            // fans out: the commit-group sync is the
-                            // acknowledgment point (per-record policy
-                            // syncs right here). A planned torn write
-                            // arms the lying-disk hook — the append
-                            // reports success, the platter keeps only a
-                            // partial record, and a later scrub's rescan
-                            // finds and repairs the damage.
-                            let w = ReplicatedWrite {
-                                epoch,
-                                origin,
-                                address: write.address,
-                                value: write.value,
-                            };
-                            let summary = d.append(&w, plan.tears(epoch))?;
-                            if summary.synced_records > 0 {
-                                replicate_to = Some(d.synced_fleet_epoch());
-                            } else if d.store.pending_records() == 1 {
-                                // This write opened a fresh commit
-                                // group: arm its flush deadline so a
-                                // lull in writes cannot hold the
-                                // acknowledgment hostage.
-                                let delay = d.store.group_commit().max_delay;
-                                if delay > 0.0 {
-                                    events.push(
-                                        now + Layers::new(delay),
-                                        Event::WalFlush { seq: d.syncs },
-                                    );
-                                }
-                            }
-                        }
-                        if let Some(to) = replicate_to {
-                            schedule_replication(
-                                &mut events,
-                                plan,
-                                self.config.replication_lag,
-                                now,
-                                num_replicas,
-                                &mut repl_scheduled,
-                                to,
-                            );
-                        }
-                    }
-                    Event::Replicate { epoch } => {
-                        // Dead replicas miss the catch-up; recovery replay
-                        // carries them past it before they rejoin.
-                        for r in (0..num_replicas).filter(|&r| alive[r]) {
-                            replicated.catch_up_to(r, epoch);
-                        }
-                    }
-                    Event::Completion { replica, index } => {
-                        let dispatch = dispatches[replica][index];
-                        if dispatch.handled {
-                            // A crash already failed this dispatch over.
-                        } else {
-                            dispatches[replica][index].handled = true;
-                            let qid = dispatch.qid;
-                            let tenant = replicas[replica].tenant_of(index);
-                            let record = replicas[replica].complete(index, now);
-                            if monitoring
-                                && health[replica] == ReplicaHealth::Healthy
-                                && (record.finish - record.start).get()
-                                    > latency.get() * fault_config.latency_margin
-                            {
-                                // Completion-latency assertion: a replica
-                                // serving far over nominal is suspect.
-                                health[replica] = ReplicaHealth::Suspect;
-                            }
-                            if plan.corrupts(replica, index) {
-                                corrupted_served.push((replica, index));
-                                lose_attempt(
-                                    qid,
-                                    now,
-                                    retry,
-                                    &mut states,
-                                    &mut events,
-                                    &mut shed,
-                                    &mut outstanding,
-                                    &mut counters,
-                                    &mut open,
-                                );
-                            } else if states[qid].done {
-                                // The hedge's other copy already won.
-                                states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-                            } else {
-                                let state = &mut states[qid];
-                                state.done = true;
-                                state.outstanding = state.outstanding.saturating_sub(1);
-                                if state.hedge_replica == Some(replica) {
-                                    counters.hedge_wins += 1;
-                                }
-                                let query = FleetQuery {
-                                    id: state.id,
-                                    tenant,
-                                    arrival: state.arrival,
-                                    start: record.start,
-                                    finish: record.finish,
-                                    replica,
-                                    shard: record.shard,
-                                    epoch: dispatch.epoch,
-                                    stale: dispatch.stale,
-                                    attempts: state.attempts,
-                                };
-                                stale_served += u64::from(query.stale);
-                                *outstanding.get_mut(&tenant).expect("tenant accepted") -= 1;
-                                open -= 1;
-                                completed.push(query);
-                                completed_dispatch.push((replica, index));
-                            }
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::Poll { replica } => {
-                        if alive[replica] {
-                            replicas[replica].ack_poll(now);
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::Crash { replica } => {
-                        if alive[replica] {
-                            alive[replica] = false;
-                            counters.crashes += 1;
-                            down_since[replica] = Some(now);
-                            rejoin_at[replica] = None;
-                            for qid in replicas[replica].fail() {
-                                strand(qid, &mut states, &mut pending_failover[replica]);
-                            }
-                            for dispatch in &mut dispatches[replica] {
-                                if !dispatch.handled {
-                                    dispatch.handled = true;
-                                    strand(
-                                        dispatch.qid,
-                                        &mut states,
-                                        &mut pending_failover[replica],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Event::Recover { replica } => {
-                        if !alive[replica] {
-                            alive[replica] = true;
-                            health[replica] = ReplicaHealth::Recovering;
-                            misses[replica] = 0;
-                            for qid in std::mem::take(&mut pending_failover[replica]) {
-                                counters.failovers += 1;
-                                lose_attempt(
-                                    qid,
-                                    now,
-                                    retry,
-                                    &mut states,
-                                    &mut events,
-                                    &mut shed,
-                                    &mut outstanding,
-                                    &mut counters,
-                                    &mut open,
-                                );
-                            }
-                            let replay = Layers::new(
-                                fault_config.replay_per_entry.get()
-                                    * replicated.lag(replica) as f64,
-                            );
-                            rejoin_at[replica] = Some((now + replay).get());
-                            events.push(now + replay, Event::RejoinDone { replica });
-                        }
-                    }
-                    Event::RejoinDone { replica } => {
-                        // The token guards against a crash during replay:
-                        // a re-crash clears it and this firing is stale.
-                        if alive[replica] && rejoin_at[replica] == Some(now.get()) {
-                            rejoin_at[replica] = None;
-                            if let Some(d) = durability.as_mut() {
-                                // Land the open commit group first so
-                                // the rejoin audit sees the full synced
-                                // prefix, and fan out replication for
-                                // whatever that sync acknowledged.
-                                d.flush()?;
-                                schedule_replication(
-                                    &mut events,
-                                    plan,
-                                    self.config.replication_lag,
-                                    now,
-                                    num_replicas,
-                                    &mut repl_scheduled,
-                                    d.synced_fleet_epoch(),
-                                );
-                                // Replay from disk, not the in-memory
-                                // log: audit the WAL, then reset the
-                                // restarted replica to the durable
-                                // chain's image at its watermark.
-                                d.rejoin_from_disk(replica, &mut replicated)?;
-                            }
-                            // Drain whatever the durable chain did not
-                            // cover from the in-memory log (everything,
-                            // when no durability tier is active; chunk 0
-                            // means "all in one call").
-                            let chunk = fault_config.replay_chunk;
-                            while replicated.catch_up_by(replica, chunk) > 0 {}
-                            debug_assert_eq!(
-                                replicated.lag(replica),
-                                0,
-                                "a rejoined replica is fully caught up"
-                            );
-                            health[replica] = ReplicaHealth::Healthy;
-                            counters.recoveries += 1;
-                            if let Some(since) = down_since[replica].take() {
-                                counters.record_downtime(now - since);
-                            }
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::StallStart { replica, shard } => {
-                        replicas[replica].set_shard_stall(shard, true);
-                    }
-                    Event::StallEnd { replica, shard } => {
-                        replicas[replica].set_shard_stall(shard, false);
-                        if alive[replica] {
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::MonitorTick => {
-                        for r in 0..num_replicas {
-                            if alive[r] {
-                                misses[r] = 0;
-                                if health[r] == ReplicaHealth::Suspect {
-                                    health[r] = ReplicaHealth::Healthy;
-                                }
-                            } else {
-                                misses[r] += 1;
-                                if misses[r] >= 2 && health[r] != ReplicaHealth::Down {
-                                    health[r] = ReplicaHealth::Down;
-                                    // Scoop queries offered between the
-                                    // crash and its detection, then fail
-                                    // everything stranded here over.
-                                    for qid in replicas[r].fail() {
-                                        strand(qid, &mut states, &mut pending_failover[r]);
-                                    }
-                                    for qid in std::mem::take(&mut pending_failover[r]) {
-                                        counters.failovers += 1;
-                                        lose_attempt(
-                                            qid,
-                                            now,
-                                            retry,
-                                            &mut states,
-                                            &mut events,
-                                            &mut shed,
-                                            &mut outstanding,
-                                            &mut counters,
-                                            &mut open,
-                                        );
-                                    }
-                                } else if misses[r] == 1 && health[r] != ReplicaHealth::Down {
-                                    health[r] = ReplicaHealth::Suspect;
-                                }
-                            }
-                        }
-                        if let Some(controller) = brownout.as_mut() {
-                            let routable: Vec<usize> = (0..num_replicas)
-                                .filter(|&r| health[r].routable())
-                                .collect();
-                            let occupancy = if routable.is_empty() {
-                                1.0
-                            } else {
-                                routable.iter().map(|&r| replicas[r].load()).sum::<usize>() as f64
-                                    / (routable.len() * replica_slots) as f64
-                            };
-                            controller.observe(occupancy);
-                        }
-                        if let (Some(bounds), Some(d)) =
-                            (fault_config.adaptive_group_commit, durability.as_mut())
-                        {
-                            // Observe the append rate over the tick,
-                            // adapt the batching knob, assert nothing:
-                            // the ack-at-sync contract is untouched
-                            // because only group *size* moves. Double
-                            // while the interval outran the group,
-                            // halve when it ran at most half full.
-                            let appends = d.counters.wal_appends - d.appends_at_tick;
-                            d.appends_at_tick = d.counters.wal_appends;
-                            let mut g = d.store.group_commit();
-                            let current = g.max_records;
-                            let next = if appends > current as u64 {
-                                current.saturating_mul(2).min(bounds.max_records)
-                            } else if appends <= (current as u64) / 2 {
-                                (current / 2).max(bounds.min_records)
-                            } else {
-                                current
-                            };
-                            if next != current {
-                                g.max_records = next.max(1);
-                                d.store.set_group_commit(g);
-                            }
-                        }
-                        if open > 0 || arrivals.peek().is_some() {
-                            events.push(now + fault_config.monitor_interval, Event::MonitorTick);
-                        }
-                    }
-                    Event::ScrubTick => {
-                        if let Some(d) = durability.as_mut() {
-                            // Land the open commit group (and schedule
-                            // replication for what it synced) before
-                            // auditing, so the disk and the in-memory
-                            // view describe the same prefix.
-                            d.flush()?;
-                            schedule_replication(
-                                &mut events,
-                                plan,
-                                self.config.replication_lag,
-                                now,
-                                num_replicas,
-                                &mut repl_scheduled,
-                                d.synced_fleet_epoch(),
-                            );
-                            d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
-                        }
-                        if let Some(interval) = fault_config.scrub_interval {
-                            if open > 0 || arrivals.peek().is_some() {
-                                events.push(now + interval, Event::ScrubTick);
-                            }
-                        }
-                    }
-                    Event::WalFlush { seq } => {
-                        if let Some(d) = durability.as_mut() {
-                            // Stale when a fuller group already synced
-                            // (seq moved on) or the group emptied.
-                            if d.syncs == seq && d.store.pending_records() > 0 {
-                                d.flush()?;
-                                schedule_replication(
-                                    &mut events,
-                                    plan,
-                                    self.config.replication_lag,
-                                    now,
-                                    num_replicas,
-                                    &mut repl_scheduled,
-                                    d.synced_fleet_epoch(),
-                                );
-                            }
-                        }
-                    }
-                    Event::DiskCorrupt { replica, cell } => {
-                        // Media corruption: one bit flips in the live
-                        // replica image, bypassing the replication log —
-                        // invisible to staleness tracking, caught only by
-                        // a scrub's chunk comparison. The journal tags
-                        // the flip with the replica's applied epoch and
-                        // every dispatch reads its epoch's final image, so
-                        // reads of that version and later ones observe the
-                        // flip until a scrub's repair; a repair within the
-                        // same epoch cleans the whole version.
-                        replicated.corrupt_replica_cell(replica, cell % total_cells);
-                    }
-                    Event::Retry { qid } => {
-                        if !states[qid].done {
-                            snapshot_loads(&replicas, &health, &mut loads);
-                            let probe = FleetRequest {
-                                id: states[qid].id,
-                                tenant: states[qid].tenant,
-                                arrival: states[qid].arrival,
-                                address: states[qid]
-                                    .address
-                                    .clone()
-                                    .expect("faulty runs keep addresses"),
-                            };
-                            let target = self.placement.place(&probe, &loads);
-                            assert!(
-                                target < num_replicas,
-                                "placement returned replica {target} of {num_replicas}"
-                            );
-                            let offered = loads[target].routable()
-                                && replicas[target].offer(
-                                    probe.id,
-                                    qid,
-                                    probe.tenant,
-                                    probe.arrival,
-                                    states[qid].deadline,
-                                    probe.address,
-                                );
-                            states[qid].attempts += 1;
-                            if offered {
-                                states[qid].outstanding += 1;
-                                states[qid].last_replica = target;
-                                pump = Some(target);
-                            } else {
-                                // Nowhere routable (or the queue was
-                                // full): the failed placement consumes an
-                                // attempt so the budget still bounds the
-                                // loop.
-                                lose_attempt(
-                                    qid,
-                                    now,
-                                    retry,
-                                    &mut states,
-                                    &mut events,
-                                    &mut shed,
-                                    &mut outstanding,
-                                    &mut counters,
-                                    &mut open,
-                                );
-                            }
-                        }
-                    }
-                    Event::HedgeCheck { qid } => {
-                        let eligible = !states[qid].done
-                            && states[qid].outstanding == 1
-                            && !states[qid].hedged;
-                        if eligible {
-                            let candidate = (0..num_replicas)
-                                .filter(|&r| {
-                                    health[r].routable()
-                                        && replicas[r].has_queue_room()
-                                        && r != states[qid].last_replica
-                                })
-                                .min_by_key(|&r| (replicas[r].load(), r));
-                            if let Some(target) = candidate {
-                                let offered = replicas[target].offer(
-                                    states[qid].id,
-                                    qid,
-                                    states[qid].tenant,
-                                    states[qid].arrival,
-                                    states[qid].deadline,
-                                    states[qid]
-                                        .address
-                                        .clone()
-                                        .expect("hedging runs keep addresses"),
-                                );
-                                if offered {
-                                    let state = &mut states[qid];
-                                    state.hedged = true;
-                                    state.hedge_replica = Some(target);
-                                    state.outstanding += 1;
-                                    counters.hedges += 1;
-                                    pump = Some(target);
-                                }
-                            }
-                        }
-                    }
-                    Event::Expired { qid } => {
-                        states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-                        if !states[qid].done && states[qid].outstanding == 0 {
-                            counters.deadline_expirations += 1;
-                            finish_shed(
-                                qid,
-                                ShedReason::DeadlineExceeded,
-                                &mut states,
-                                &mut shed,
-                                &mut outstanding,
-                                &mut open,
-                            );
-                        }
-                    }
-                }
-            } else {
-                break;
-            }
-            if let Some(target) = pump {
-                if alive[target] {
-                    let range = replicas[target].pump(now, &mut self.policy, |time, ev| {
-                        match ev {
-                            ReplicaEvent::Completion { index } => {
-                                // A slow-replica window stretches the
-                                // service time of completions starting
-                                // inside it (guarded so the fault-free
-                                // path never round-trips the timestamp
-                                // through float arithmetic).
-                                let mut at = time;
-                                if has_slow {
-                                    let start = time - latency;
-                                    let factor = plan.slow_factor(target, start);
-                                    if factor != 1.0 {
-                                        at = start + Layers::new(latency.get() * factor);
-                                    }
-                                }
-                                events.push(
-                                    at,
-                                    Event::Completion {
-                                        replica: target,
-                                        index,
-                                    },
-                                );
-                            }
-                            ReplicaEvent::Poll => {
-                                events.push(time, Event::Poll { replica: target });
-                            }
-                            ReplicaEvent::Expired { tag } => {
-                                events.push(time, Event::Expired { qid: tag });
-                            }
-                        }
-                    });
-                    // Replicated memory cannot change inside a pump, so
-                    // every new dispatch observes the same epoch.
-                    let epoch = replicated.applied_epoch(target);
-                    let stale = replicated.is_stale(target);
-                    let replica = &replicas[target];
-                    dispatches[target].extend(range.map(|index| Dispatch {
-                        qid: replica.tag_of(index),
-                        epoch,
-                        stale,
-                        handled: false,
-                    }));
-                }
-            }
-        }
-
-        // Drain any still-open commit group: a run ending mid-group
-        // (max_delay 0, or the deadline never fired because the reactor
-        // emptied) must not report its last writes as unsynced.
-        if let Some(d) = durability.as_mut() {
-            d.flush()?;
-        }
-
-        // A final anti-entropy sweep: divergence injected after the last
-        // scheduled tick (or in runs too short to reach one) is still
-        // found and repaired before the report closes.
-        if fault_config.scrub_interval.is_some() {
-            if let Some(d) = durability.as_mut() {
-                d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
-            }
-        }
-
-        let per_replica_dispatches: Vec<u64> =
-            replicas.iter().map(|r| r.dispatch_count() as u64).collect();
-        // The no-lost-queries invariant: every admitted query resolved as
-        // Completed or Shed. (Queued hedge-loser copies may legitimately
-        // strand on a crashed-and-never-detected replica, so queue
-        // emptiness is NOT asserted here, unlike the fault-free loop.)
-        debug_assert!(
-            states.iter().all(|s| s.done),
-            "every admitted query completes or sheds"
-        );
-        debug_assert!(outstanding.values().all(|&n| n == 0));
-
-        // Execute per replica in one §7.2 sweep over the run's starting
-        // memory plus the replica's journal (see `sweep_updates`).
-        let mut outcomes_by_replica: Vec<Vec<QueryOutcome>> = Vec::with_capacity(num_replicas);
-        for (r, replica) in replicas.into_iter().enumerate() {
-            let addresses = replica.into_addresses();
-            let updates = sweep_updates(&self.backends[r], &dispatches[r], replicated.journal(r));
-            outcomes_by_replica
-                .push(self.backends[r].execute_queries(memory, &addresses, &updates)?);
-        }
-        // Align outcomes with the completion-ordered report. Unlike the
-        // fault-free cursor walk, crashed and corrupted dispatches leave
-        // holes in a replica's completion order, so each completed query
-        // fetches its outcome by its recorded dispatch index (identical
-        // to the cursor walk when nothing faults).
-        let outcomes: Vec<QueryOutcome> = completed_dispatch
-            .iter()
-            .map(|&(r, index)| outcomes_by_replica[r][index].clone())
-            .collect();
-
-        // Corrupted completions were re-served under the retry budget;
-        // verify the parity check would indeed have caught each one.
-        for &(r, index) in &corrupted_served {
-            let clean = &outcomes_by_replica[r][index];
-            let delivered = corrupt_outcome(clean);
-            if parity_bit(&delivered) != parity_bit(clean) {
-                counters.corruptions_detected += 1;
-            }
-        }
-
-        Ok(FleetReport {
-            timing: self.timing,
-            completed,
-            outcomes,
-            shed,
-            per_replica_dispatches,
-            stale_served,
-            fleet_epoch: replicated.fleet_epoch(),
-            availability: counters,
-            integrity: durability.map(|d| d.counters).unwrap_or_default(),
-        })
+    ) -> Result<FleetReport, ServeError> {
+        let mut ephemeral = None;
+        let mut run = Run::new(self, memory, requests, writes, plan, fault_config);
+        run.durability = Durability::open(store, &mut ephemeral, memory, plan, fault_config)?;
+        run.schedule_faults();
+        run.run()?;
+        run.finish(memory)
     }
 }
 
-/// Error from a durable serving run ([`QramFleet::serve_durable`]).
+/// Error from a serving run.
 #[derive(Debug)]
-pub enum DurableServeError {
+pub enum ServeError {
     /// Query execution failed.
     Exec(ExecError),
     /// The durable store's directory failed.
     Store(StoreError),
 }
 
-impl fmt::Display for DurableServeError {
+impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DurableServeError::Exec(e) => write!(f, "query execution failed: {e}"),
-            DurableServeError::Store(e) => write!(f, "durable store failed: {e}"),
+            ServeError::Exec(e) => write!(f, "query execution failed: {e}"),
+            ServeError::Store(e) => write!(f, "durable store failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for DurableServeError {
+impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            DurableServeError::Exec(e) => Some(e),
-            DurableServeError::Store(e) => Some(e),
+            ServeError::Exec(e) => Some(e),
+            ServeError::Store(e) => Some(e),
         }
     }
 }
 
-impl From<ExecError> for DurableServeError {
+impl From<ExecError> for ServeError {
     fn from(e: ExecError) -> Self {
-        DurableServeError::Exec(e)
+        ServeError::Exec(e)
     }
 }
 
-impl From<StoreError> for DurableServeError {
+impl From<StoreError> for ServeError {
     fn from(e: StoreError) -> Self {
-        DurableServeError::Store(e)
+        ServeError::Store(e)
     }
 }
 
@@ -2009,15 +1133,51 @@ struct Durability<'a> {
 }
 
 impl<'a> Durability<'a> {
-    fn new(store: &'a mut DurableFleet) -> Self {
-        let wal_base = store.durable_epoch();
-        Durability {
+    /// The run's durability tier. An external store (`serve_durable`)
+    /// always activates it; otherwise disk faults, a scrub interval or
+    /// the adaptive group commit spin up an ephemeral in-memory store in
+    /// `ephemeral`, so the faults have a durable chain to lie against and
+    /// be audited by. A run that activates none of this schedules no
+    /// events and touches no disk, keeping the empty-plan reactor
+    /// bit-identical to the fault-free loop.
+    fn open(
+        store: Option<&'a mut DurableFleet>,
+        ephemeral: &'a mut Option<DurableFleet>,
+        memory: &ClassicalMemory,
+        plan: &FaultPlan,
+        config: &FaultConfig,
+    ) -> Result<Option<Self>, StoreError> {
+        let store = match store {
+            Some(s) => {
+                debug_assert_eq!(
+                    s.shadow().cells(),
+                    memory.cells(),
+                    "the durable chain must end at the run's starting memory"
+                );
+                s.set_group_commit(config.group_commit);
+                s
+            }
+            None if plan.has_disk_faults()
+                || config.scrub_interval.is_some()
+                || config.adaptive_group_commit.is_some() =>
+            {
+                let fresh = DurableFleet::create_with(
+                    Box::new(SimDir::new()),
+                    memory,
+                    CheckpointPolicy::never(),
+                )?
+                .with_group_commit(config.group_commit);
+                ephemeral.insert(fresh)
+            }
+            None => return Ok(None),
+        };
+        Ok(Some(Durability {
+            wal_base: store.durable_epoch(),
             store,
-            wal_base,
             counters: IntegrityCounters::default(),
             syncs: 0,
             appends_at_tick: 0,
-        }
+        }))
     }
 
     /// Folds one store [`SyncSummary`] into the integrity ledger and
@@ -2071,6 +1231,28 @@ impl<'a> Durability<'a> {
     /// — the ack/replication watermark.
     fn synced_fleet_epoch(&self) -> u64 {
         self.store.durable_epoch().saturating_sub(self.wal_base)
+    }
+
+    /// The adaptive group commit's monitor tick: observe the append rate
+    /// over the tick and retune the group size — double while the
+    /// interval outran the group, halve when it ran at most half full.
+    /// Only the group size moves, never the ack-at-sync point.
+    fn adapt_group_commit(&mut self, bounds: AdaptiveGroupCommit) {
+        let appends = self.counters.wal_appends - self.appends_at_tick;
+        self.appends_at_tick = self.counters.wal_appends;
+        let mut g = self.store.group_commit();
+        let current = g.max_records;
+        let next = if appends > current as u64 {
+            current.saturating_mul(2).min(bounds.max_records)
+        } else if appends <= (current as u64) / 2 {
+            (current / 2).max(bounds.min_records)
+        } else {
+            current
+        };
+        if next != current {
+            g.max_records = next.max(1);
+            self.store.set_group_commit(g);
+        }
     }
 
     /// Audits the on-disk WAL against the store's view: a torn tail is
@@ -2130,12 +1312,12 @@ impl<'a> Durability<'a> {
     fn scrub(
         &mut self,
         replicated: &mut ReplicatedMemory,
-        alive: &[bool],
+        replicas: &[ReplicaState],
         chunk_cells: usize,
     ) -> Result<(), StoreError> {
         self.counters.scrub_cycles += 1;
         self.audit_disk(replicated)?;
-        for r in (0..replicated.num_replicas()).filter(|&r| alive[r]) {
+        for r in (0..replicas.len()).filter(|&r| replicas[r].alive) {
             let applied = replicated.applied_epoch(r);
             // An epoch already compacted behind a checkpoint is not
             // reconstructible — the replica is audited next cycle, once
@@ -2173,8 +1355,7 @@ struct Dispatch {
     handled: bool,
 }
 
-/// Driver-private bookkeeping for one admitted query in the
-/// fault-tolerant loop.
+/// The serving loop's bookkeeping for one admitted query.
 #[derive(Debug)]
 struct QueryState {
     id: usize,
@@ -2191,38 +1372,948 @@ struct QueryState {
     /// Resolved — completed or shed. Terminal.
     done: bool,
     last_replica: usize,
-    hedged: bool,
+    /// The replica its one hedged copy went to.
     hedge_replica: Option<usize>,
 }
 
-/// Fans replication catch-ups out for fleet epochs `(*scheduled, to]`,
-/// each through the fault plan's per-epoch fate (a single-replica fleet
-/// has no one to replicate to), then advances the `scheduled` watermark
-/// to `to`. Under the durability tier replication is gated on
-/// commit-group syncs, so a single sync may acknowledge — and here
-/// schedule — a whole group of epochs at once; the monotone watermark
-/// means rollbacks and re-appends never fan the same epoch out twice.
-fn schedule_replication(
-    events: &mut EventQueue<Event>,
-    plan: &FaultPlan,
-    lag: Layers,
-    now: Layers,
-    num_replicas: usize,
-    scheduled: &mut u64,
-    to: u64,
-) {
-    for epoch in (*scheduled + 1..=to).filter(|_| num_replicas > 1) {
-        match plan.replication_fate(epoch) {
-            ReplicationFate::Deliver => {
-                events.push(now + lag, Event::Replicate { epoch });
+/// One replica of a serving run: its dispatch core, one record per
+/// dispatch, and what the failure detector knows about it.
+#[derive(Debug)]
+struct ReplicaState {
+    core: Replica,
+    /// One record per dispatch, in dispatch order.
+    dispatches: Vec<Dispatch>,
+    health: ReplicaHealth,
+    /// False from a crash until its recovery.
+    alive: bool,
+    /// Consecutive monitor ticks the dead replica missed.
+    misses: u32,
+    down_since: Option<Layers>,
+    /// The instant its armed `RejoinDone` fires; a re-crash during
+    /// replay clears it, making that firing stale.
+    rejoin_at: Option<f64>,
+    /// Queries stranded here by a crash, failed over when the detector
+    /// declares the replica Down or it recovers, whichever comes first.
+    pending_failover: Vec<usize>,
+}
+
+impl ReplicaState {
+    /// The load and health the placement policy ranks this replica by.
+    fn load(&self) -> ReplicaLoad {
+        ReplicaLoad {
+            queued: self.core.queued(),
+            in_flight: self.core.in_flight(),
+            has_room: self.core.has_queue_room(),
+            health: self.health,
+        }
+    }
+
+    /// One monitor heartbeat: a live replica clears its misses and any
+    /// Suspect verdict; a dead one is Suspect after one miss and Down
+    /// after two. True when this tick declared it Down.
+    fn heartbeat(&mut self) -> bool {
+        if self.alive {
+            self.misses = 0;
+            if self.health == ReplicaHealth::Suspect {
+                self.health = ReplicaHealth::Healthy;
             }
-            ReplicationFate::Drop => {}
-            ReplicationFate::Delay(by) => {
-                events.push(now + lag + by, Event::Replicate { epoch });
+            return false;
+        }
+        self.misses += 1;
+        if self.health == ReplicaHealth::Down {
+            return false;
+        }
+        self.health = match self.misses {
+            1 => ReplicaHealth::Suspect,
+            _ => ReplicaHealth::Down,
+        };
+        self.health == ReplicaHealth::Down
+    }
+}
+
+/// The state of one serving run: the replicas, the reactor's event queue
+/// and pending arrivals, every admitted query, the shed list, per-tenant
+/// outstanding counts, both ledgers and the durability tier. Each event
+/// kind has one handler method; a handler that may unblock a dispatcher
+/// ends by pumping it.
+struct Run<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> {
+    fleet: &'a mut QramFleet<M, P, L>,
+    plan: &'a FaultPlan,
+    config: &'a FaultConfig,
+    /// One replica's nominal query latency.
+    latency: Layers,
+    /// A non-empty plan, a brownout controller or the adaptive group
+    /// commit runs the health monitor. Nothing else schedules a monitor
+    /// or fault event, so the empty plan keeps the reactor's event
+    /// sequence, and its FIFO tie-breaks, identical to the fault-free loop.
+    monitoring: bool,
+    has_slow: bool,
+    /// Admitted queries keep their address for re-dispatch.
+    keep_address: bool,
+    /// Brownout occupancy slots per replica: in-flight cap + queue bound.
+    replica_slots: usize,
+    replicas: Vec<ReplicaState>,
+    /// Each replica's journal records the cell changes it applies; a
+    /// dispatch's stamped epoch selects its prefix at execution.
+    replicated: ReplicatedMemory,
+    events: EventQueue<Event>,
+    /// Sorted arrivals, merged against the heap (arrival-first at ties).
+    arrivals: Peekable<std::vec::IntoIter<FleetRequest>>,
+    writes: Vec<FleetWrite>,
+    states: Vec<QueryState>,
+    /// Admitted queries not yet completed or shed.
+    open: usize,
+    outstanding: BTreeMap<TenantId, u32>,
+    completed: Vec<FleetQuery>,
+    /// The (replica, dispatch index) that served each completed query.
+    completed_dispatch: Vec<(usize, usize)>,
+    corrupted_served: Vec<(usize, usize)>,
+    shed: Vec<ShedRequest>,
+    counters: AvailabilityCounters,
+    brownout: Option<BrownoutController>,
+    durability: Option<Durability<'a>>,
+    /// Fleet epochs whose Replicate fan-out is already scheduled (see
+    /// [`Run::schedule_replication`]).
+    repl_scheduled: u64,
+    /// The placement snapshot, refilled before every placement.
+    loads: Vec<ReplicaLoad>,
+}
+
+impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> {
+    /// A run of `fleet` over `requests`, sorted by arrival instant (the
+    /// stable sort keeps supply order among ties), with one commit event
+    /// scheduled per write, in supply order.
+    fn new(
+        fleet: &'a mut QramFleet<M, P, L>,
+        memory: &ClassicalMemory,
+        requests: impl IntoIterator<Item = FleetRequest>,
+        writes: impl IntoIterator<Item = FleetWrite>,
+        plan: &'a FaultPlan,
+        config: &'a FaultConfig,
+    ) -> Self {
+        let server = fleet.equivalent_server();
+        let aggregate_cap = fleet
+            .policy
+            .in_flight_cap(&server)
+            .clamp(1, server.parallelism());
+        let backend = &fleet.backends[0];
+        let address_width = backend.capacity().address_width();
+        let queue_capacity = fleet.config.queue_capacity;
+        let replicas: Vec<ReplicaState> = (0..fleet.backends.len())
+            .map(|_| ReplicaState {
+                core: Replica::new(
+                    backend.num_shards() as usize,
+                    backend.shard_parallelism(),
+                    server.interval(),
+                    server.latency(),
+                    aggregate_cap,
+                    queue_capacity,
+                ),
+                dispatches: Vec::new(),
+                health: ReplicaHealth::Healthy,
+                alive: true,
+                misses: 0,
+                down_since: None,
+                rejoin_at: None,
+                pending_failover: Vec::new(),
+            })
+            .collect();
+        let mut arrivals: Vec<FleetRequest> = requests
+            .into_iter()
+            .inspect(|r| {
+                assert_eq!(
+                    r.address.address_width(),
+                    address_width,
+                    "request address width must match QRAM capacity"
+                );
+            })
+            .collect();
+        arrivals.sort_by_key(|r| order_key(r.arrival.get()));
+        let total = arrivals.len();
+        let writes: Vec<FleetWrite> = writes.into_iter().collect();
+        let mut events = EventQueue::new();
+        let n = replicas.len();
+        for (i, write) in writes.iter().enumerate() {
+            let origin = write.origin;
+            assert!(
+                origin < n,
+                "write origin replica {origin} out of range (R = {n})"
+            );
+            events.push(write.at, Event::Write(i));
+        }
+        let brownout = config.brownout.map(BrownoutController::new);
+        let cap = aggregate_cap as usize;
+        Run {
+            plan,
+            config,
+            latency: server.latency(),
+            monitoring: !plan.is_empty()
+                || brownout.is_some()
+                || config.adaptive_group_commit.is_some(),
+            has_slow: plan.has_slow_faults(),
+            keep_address: !plan.is_empty() || config.hedge_delay.is_some(),
+            replica_slots: cap + queue_capacity.unwrap_or(4 * cap),
+            replicated: ReplicatedMemory::new(memory.clone(), replicas.len()),
+            loads: Vec::with_capacity(replicas.len()),
+            replicas,
+            events,
+            arrivals: arrivals.into_iter().peekable(),
+            writes,
+            states: Vec::with_capacity(total),
+            open: 0,
+            outstanding: BTreeMap::new(),
+            completed: Vec::with_capacity(total),
+            completed_dispatch: Vec::with_capacity(total),
+            corrupted_served: Vec::new(),
+            shed: Vec::new(),
+            counters: AvailabilityCounters::default(),
+            brownout,
+            durability: None,
+            repl_scheduled: 0,
+            fleet,
+        }
+    }
+
+    /// Schedules, when monitoring, the plan's fault events and the first
+    /// monitor tick, then, when scrubbing, the first scrub tick —
+    /// checking every replica, shard and interval they name.
+    fn schedule_faults(&mut self) {
+        let num_replicas = self.replicas.len();
+        let num_shards = self.fleet.backends[0].num_shards() as usize;
+        let events = &mut self.events;
+        if self.monitoring {
+            assert!(
+                self.config.monitor_interval.get() > 0.0,
+                "monitoring needs a positive monitor interval"
+            );
+            for fault in self.plan.faults() {
+                let (replica, at, event) = match *fault {
+                    Fault::Crash { replica, at } => (replica, at, Event::Crash { replica }),
+                    Fault::Recover { replica, at } => (replica, at, Event::Recover { replica }),
+                    Fault::DiskCorrupt { replica, at, cell } => {
+                        (replica, at, Event::DiskCorrupt { replica, cell })
+                    }
+                    Fault::StallShard {
+                        replica,
+                        shard,
+                        from,
+                        until,
+                    } => {
+                        assert!(shard < num_shards, "stall names shard {shard}");
+                        events.push(from, Event::StallStart { replica, shard });
+                        (replica, until, Event::StallEnd { replica, shard })
+                    }
+                    Fault::SlowReplica { replica, .. } | Fault::CorruptOutcome { replica, .. } => {
+                        assert!(replica < num_replicas, "fault names replica {replica}");
+                        continue;
+                    }
+                    Fault::DropReplication { .. }
+                    | Fault::DelayReplication { .. }
+                    | Fault::TornWrite { .. } => continue,
+                };
+                assert!(replica < num_replicas, "fault names replica {replica}");
+                events.push(at, event);
+            }
+            events.push(self.config.monitor_interval, Event::MonitorTick);
+        }
+        if let (Some(interval), Some(_)) = (self.config.scrub_interval, &self.durability) {
+            assert!(
+                interval.get() > 0.0,
+                "scrubbing needs a positive scrub interval"
+            );
+            assert!(
+                self.config.scrub_chunk_cells > 0,
+                "scrub chunks must hold at least one cell"
+            );
+            events.push(interval, Event::ScrubTick);
+        }
+    }
+
+    /// Runs the reactor until every arrival and event is handled. An
+    /// arrival at the same instant as a heap event goes first.
+    fn run(&mut self) -> Result<(), StoreError> {
+        loop {
+            let arrival_is_next = match (self.arrivals.peek(), self.events.peek_time()) {
+                (Some(request), Some(next)) => request.arrival <= next,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if arrival_is_next {
+                let request = self.arrivals.next().expect("peeked arrival exists");
+                self.on_arrival(request);
+                continue;
+            }
+            let Some((now, event)) = self.events.pop() else {
+                return Ok(());
+            };
+            match event {
+                Event::Write(i) => self.on_write(now, i)?,
+                Event::Replicate { epoch } => self.on_replicate(epoch),
+                Event::Completion { replica, index } => self.on_completion(now, replica, index),
+                Event::Poll { replica } => self.on_poll(now, replica),
+                Event::Crash { replica } => self.on_crash(now, replica),
+                Event::Recover { replica } => self.on_recover(now, replica),
+                Event::RejoinDone { replica } => self.on_rejoin(now, replica)?,
+                Event::StallStart { replica, shard } => self.on_stall(now, replica, shard, true),
+                Event::StallEnd { replica, shard } => self.on_stall(now, replica, shard, false),
+                Event::MonitorTick => self.on_monitor_tick(now),
+                Event::ScrubTick => self.on_scrub_tick(now)?,
+                Event::WalFlush { seq } => self.on_wal_flush(now, seq)?,
+                Event::DiskCorrupt { replica, cell } => self.on_disk_corrupt(replica, cell),
+                Event::Retry { qid } => self.on_retry(now, qid),
+                Event::HedgeCheck { qid } => self.on_hedge_check(now, qid),
+                Event::Expired { qid } => self.on_expired(qid),
             }
         }
     }
-    *scheduled = (*scheduled).max(to);
+
+    /// An arrival reaches the router: it is shed with a reason, or
+    /// admitted at the placed replica.
+    fn on_arrival(&mut self, request: FleetRequest) {
+        match self.route(&request) {
+            Ok(target) => {
+                let now = request.arrival;
+                self.admit(request, target);
+                self.pump(now, target);
+            }
+            Err(reason) => self.shed.push(ShedRequest {
+                id: request.id,
+                tenant: request.tenant,
+                reason,
+            }),
+        }
+    }
+
+    /// The router's verdict on an arrival: brownout, then the tenant's
+    /// quota, then placement, the placed replica's health, and the
+    /// tenant's SLO share of its queue.
+    fn route(&mut self, request: &FleetRequest) -> Result<usize, ShedReason> {
+        let policy = &self.fleet.policy;
+        let tenant = request.tenant;
+        if self
+            .brownout
+            .as_ref()
+            .is_some_and(|c| c.sheds(policy.tenant_slo(tenant)))
+        {
+            return Err(ShedReason::Brownout);
+        }
+        if policy
+            .tenant_quota(tenant)
+            .is_some_and(|quota| self.outstanding.get(&tenant).copied().unwrap_or(0) >= quota)
+        {
+            return Err(ShedReason::QuotaExceeded);
+        }
+        let target = self.place(request);
+        if !self.loads[target].routable() {
+            return Err(ShedReason::NoHealthyReplica);
+        }
+        let (core, policy) = (&self.replicas[target].core, &self.fleet.policy);
+        let queue_capacity = self.fleet.config.queue_capacity;
+        let slo_bound = queue_capacity.map(|cap| policy.tenant_slo(tenant).queue_bound(cap));
+        if slo_bound.is_some_and(|bound| core.queued() >= bound) {
+            return Err(if core.has_queue_room() {
+                ShedReason::SloShed
+            } else {
+                ShedReason::QueueFull
+            });
+        }
+        Ok(target)
+    }
+
+    /// Refills the placement snapshot and asks the placement policy for
+    /// a replica.
+    fn place(&mut self, request: &FleetRequest) -> usize {
+        self.loads.clear();
+        self.loads
+            .extend(self.replicas.iter().map(ReplicaState::load));
+        let target = self.fleet.placement.place(request, &self.loads);
+        let n = self.replicas.len();
+        assert!(target < n, "placement returned replica {target} of {n}");
+        target
+    }
+
+    /// Queues an admitted arrival at `target` and opens its query state,
+    /// arming a hedge check for an Interactive tenant when hedging is on.
+    fn admit(&mut self, request: FleetRequest, target: usize) {
+        let (qid, tenant) = (self.states.len(), request.tenant);
+        let budget = self.fleet.policy.tenant_deadline(tenant);
+        let deadline = budget.map(|budget| request.arrival + budget);
+        let address = self.keep_address.then(|| request.address.clone());
+        let offered = self.replicas[target].core.offer(
+            request.id,
+            qid,
+            tenant,
+            request.arrival,
+            deadline,
+            request.address,
+        );
+        debug_assert!(offered, "the SLO bound is at most the queue bound");
+        self.states.push(QueryState {
+            id: request.id,
+            tenant,
+            arrival: request.arrival,
+            deadline,
+            address,
+            attempts: 1,
+            outstanding: 1,
+            done: false,
+            last_replica: target,
+            hedge_replica: None,
+        });
+        *self.outstanding.entry(tenant).or_insert(0) += 1;
+        self.open += 1;
+        if let Some(delay) = self.config.hedge_delay {
+            if self.fleet.policy.tenant_slo(tenant) == SloClass::Interactive {
+                let check = request.arrival + delay;
+                self.events.push(check, Event::HedgeCheck { qid });
+            }
+        }
+    }
+
+    /// The run's write at index `i` commits. A write addressed at a dead
+    /// origin commits at the first live replica instead: writes survive
+    /// crashes even when the client's affinity target is down.
+    fn on_write(&mut self, now: Layers, i: usize) -> Result<(), StoreError> {
+        let write = self.writes[i];
+        let alive = |r: usize| self.replicas[r].alive;
+        let origin = if alive(write.origin) {
+            write.origin
+        } else {
+            (0..self.replicas.len())
+                .find(|&r| alive(r))
+                .unwrap_or(write.origin)
+        };
+        let epoch = self.replicated.write_at(origin, write.address, write.value);
+        // Ack-at-sync: with a durability tier, replication (and with it
+        // the stale-read watermark) only fans out from synced epochs.
+        let mut replicate_to = self.durability.is_none().then_some(epoch);
+        if let Some(d) = self.durability.as_mut() {
+            // Log the write before replication fans out: the commit-group
+            // sync is the acknowledgment point. A planned torn write arms
+            // the lying-disk hook — the append reports success, the platter
+            // keeps a partial record, and a later scrub's rescan repairs it.
+            let w = ReplicatedWrite {
+                epoch,
+                origin,
+                address: write.address,
+                value: write.value,
+            };
+            let summary = d.append(&w, self.plan.tears(epoch))?;
+            if summary.synced_records > 0 {
+                replicate_to = Some(d.synced_fleet_epoch());
+            } else if d.store.pending_records() == 1 {
+                // This write opened a fresh commit group: arm its flush
+                // deadline so a lull in writes cannot hold the
+                // acknowledgment hostage.
+                let delay = d.store.group_commit().max_delay;
+                if delay > 0.0 {
+                    let flush = Event::WalFlush { seq: d.syncs };
+                    self.events.push(now + Layers::new(delay), flush);
+                }
+            }
+        }
+        if let Some(to) = replicate_to {
+            self.schedule_replication(now, to);
+        }
+        Ok(())
+    }
+
+    /// The log prefix up to `epoch` reaches every live replica. Dead
+    /// replicas miss the catch-up; recovery replay carries them past it
+    /// before they rejoin.
+    fn on_replicate(&mut self, epoch: u64) {
+        for (r, replica) in self.replicas.iter().enumerate() {
+            if replica.alive {
+                self.replicated.catch_up_to(r, epoch);
+            }
+        }
+    }
+
+    /// The `index`-th dispatch of replica `r` leaves its pipeline.
+    fn on_completion(&mut self, now: Layers, r: usize, index: usize) {
+        let replica = &mut self.replicas[r];
+        let dispatch = replica.dispatches[index];
+        if dispatch.handled {
+            // A crash already failed this dispatch over.
+            return;
+        }
+        replica.dispatches[index].handled = true;
+        let record = replica.core.complete(index, now);
+        // Completion-latency assertion: a replica serving far over nominal
+        // is suspect.
+        let slow =
+            (record.finish - record.start).get() > self.latency.get() * self.config.latency_margin;
+        if self.monitoring && replica.health == ReplicaHealth::Healthy && slow {
+            replica.health = ReplicaHealth::Suspect;
+        }
+        let qid = dispatch.qid;
+        if self.plan.corrupts(r, index) {
+            self.corrupted_served.push((r, index));
+            self.lose_attempt(now, qid);
+        } else {
+            let state = &mut self.states[qid];
+            state.outstanding = state.outstanding.saturating_sub(1);
+            // A done query's hedge copy already won.
+            if !state.done {
+                if state.hedge_replica == Some(r) {
+                    self.counters.hedge_wins += 1;
+                }
+                let query = FleetQuery {
+                    id: state.id,
+                    tenant: state.tenant,
+                    arrival: state.arrival,
+                    start: record.start,
+                    finish: record.finish,
+                    replica: r,
+                    shard: record.shard,
+                    epoch: dispatch.epoch,
+                    stale: dispatch.stale,
+                    attempts: state.attempts,
+                };
+                self.completed.push(query);
+                self.completed_dispatch.push((r, index));
+                self.resolve(qid);
+            }
+        }
+        self.pump(now, r);
+    }
+
+    /// Replica `r`'s dispatcher wakes at an admission-interval boundary
+    /// (a dead replica's wake-up is stale).
+    fn on_poll(&mut self, now: Layers, r: usize) {
+        if self.replicas[r].alive {
+            self.replicas[r].core.ack_poll(now);
+            self.pump(now, r);
+        }
+    }
+
+    /// An injected crash takes replica `r` down: its queued copies (in
+    /// accepted order), then its in-flight dispatches, are stranded for
+    /// failover.
+    fn on_crash(&mut self, now: Layers, r: usize) {
+        let replica = &mut self.replicas[r];
+        if !replica.alive {
+            return;
+        }
+        replica.alive = false;
+        replica.down_since = Some(now);
+        replica.rejoin_at = None;
+        self.counters.crashes += 1;
+        let mut lost = replica.core.fail();
+        for dispatch in replica.dispatches.iter_mut().filter(|d| !d.handled) {
+            dispatch.handled = true;
+            lost.push(dispatch.qid);
+        }
+        self.strand(r, lost);
+    }
+
+    /// An injected recovery restarts replica `r`: what it stranded fails
+    /// over now, and it rejoins after replaying its replication lag.
+    fn on_recover(&mut self, now: Layers, r: usize) {
+        let replica = &mut self.replicas[r];
+        if replica.alive {
+            return;
+        }
+        replica.alive = true;
+        replica.health = ReplicaHealth::Recovering;
+        replica.misses = 0;
+        self.fail_over(now, r);
+        let replay = self.config.replay_per_entry.get() * self.replicated.lag(r) as f64;
+        let rejoin = now + Layers::new(replay);
+        self.replicas[r].rejoin_at = Some(rejoin.get());
+        self.events.push(rejoin, Event::RejoinDone { replica: r });
+    }
+
+    /// Replica `r` finished replaying and rejoins rotation, unless a
+    /// re-crash during replay made this firing stale.
+    fn on_rejoin(&mut self, now: Layers, r: usize) -> Result<(), StoreError> {
+        let replica = &mut self.replicas[r];
+        if !replica.alive || replica.rejoin_at != Some(now.get()) {
+            return Ok(());
+        }
+        replica.rejoin_at = None;
+        // Land the open commit group so the rejoin audit sees the full
+        // synced prefix, then reset the replica to the durable chain's
+        // image at its watermark: replay from disk, not the in-memory log.
+        self.flush_and_replicate(now)?;
+        if let Some(d) = self.durability.as_mut() {
+            d.rejoin_from_disk(r, &mut self.replicated)?;
+        }
+        // Drain whatever the durable chain did not cover from the
+        // in-memory log (everything, when no durability tier is active).
+        self.replicated.catch_up(r);
+        let replica = &mut self.replicas[r];
+        replica.health = ReplicaHealth::Healthy;
+        self.counters.recoveries += 1;
+        if let Some(since) = replica.down_since.take() {
+            self.counters.record_downtime(now - since);
+        }
+        self.pump(now, r);
+        Ok(())
+    }
+
+    /// An injected stall window on one of replica `r`'s shards opens or
+    /// closes; a thaw re-pumps the dispatcher.
+    fn on_stall(&mut self, now: Layers, r: usize, shard: usize, stalled: bool) {
+        self.replicas[r].core.set_shard_stall(shard, stalled);
+        if !stalled {
+            self.pump(now, r);
+        }
+    }
+
+    /// The health monitor's tick: heartbeats (failing over every replica
+    /// this tick declares Down), brownout occupancy, the adaptive group
+    /// commit, and the next tick while work remains.
+    fn on_monitor_tick(&mut self, now: Layers) {
+        for r in 0..self.replicas.len() {
+            if self.replicas[r].heartbeat() {
+                // Scoop queries offered between the crash and its
+                // detection, then fail everything stranded here over.
+                let lost = self.replicas[r].core.fail();
+                self.strand(r, lost);
+                self.fail_over(now, r);
+            }
+        }
+        if let Some(controller) = self.brownout.as_mut() {
+            let routable = self.replicas.iter().filter(|r| r.health.routable());
+            let (count, load) = routable.fold((0, 0), |(n, l), r| (n + 1, l + r.core.load()));
+            let occupancy = if count == 0 {
+                1.0
+            } else {
+                load as f64 / (count * self.replica_slots) as f64
+            };
+            controller.observe(occupancy);
+        }
+        if let (Some(bounds), Some(d)) = (self.config.adaptive_group_commit, &mut self.durability) {
+            d.adapt_group_commit(bounds);
+        }
+        if self.open > 0 || self.arrivals.peek().is_some() {
+            let next = now + self.config.monitor_interval;
+            self.events.push(next, Event::MonitorTick);
+        }
+    }
+
+    /// The anti-entropy scrubber's tick: land the open commit group (and
+    /// replicate what it synced) so the disk and the in-memory view
+    /// describe the same prefix, audit, and re-arm while work remains.
+    fn on_scrub_tick(&mut self, now: Layers) -> Result<(), StoreError> {
+        self.flush_and_replicate(now)?;
+        self.scrub()?;
+        if let Some(interval) = self.config.scrub_interval {
+            if self.open > 0 || self.arrivals.peek().is_some() {
+                self.events.push(now + interval, Event::ScrubTick);
+            }
+        }
+        Ok(())
+    }
+
+    /// An open commit group's flush deadline; stale when a fuller group
+    /// already synced (`seq` moved on) or the group emptied.
+    fn on_wal_flush(&mut self, now: Layers, seq: u64) -> Result<(), StoreError> {
+        match &self.durability {
+            Some(d) if d.syncs == seq && d.store.pending_records() > 0 => {
+                self.flush_and_replicate(now)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Media corruption: one bit flips in replica `r`'s live image,
+    /// bypassing the replication log — invisible to staleness tracking,
+    /// caught only by a scrub's chunk comparison. The journal tags the
+    /// flip with the replica's applied epoch and every dispatch reads its
+    /// epoch's final image, so reads of that version and later ones
+    /// observe the flip until a scrub's repair; a repair within the same
+    /// epoch cleans the whole version.
+    fn on_disk_corrupt(&mut self, r: usize, cell: u64) {
+        let cells = self.replicated.memory(r).cells().len() as u64;
+        self.replicated.corrupt_replica_cell(r, cell % cells);
+    }
+
+    /// A lost query's backoff elapsed: re-place and re-offer it. A failed
+    /// placement (nowhere routable, or the queue full) consumes the
+    /// attempt too, so the budget still bounds the loop.
+    fn on_retry(&mut self, now: Layers, qid: usize) {
+        let state = &self.states[qid];
+        if state.done {
+            return;
+        }
+        let probe = FleetRequest {
+            id: state.id,
+            tenant: state.tenant,
+            arrival: state.arrival,
+            address: state.address.clone().expect("faulty runs keep addresses"),
+        };
+        let target = self.place(&probe);
+        let offered = self.loads[target].routable() && self.reoffer(qid, target, probe.address);
+        let state = &mut self.states[qid];
+        state.attempts += 1;
+        if offered {
+            state.outstanding += 1;
+            state.last_replica = target;
+            self.pump(now, target);
+        } else {
+            self.lose_attempt(now, qid);
+        }
+    }
+
+    /// An Interactive query still waiting on its one copy gets a
+    /// duplicate offer at the least-loaded other routable replica with
+    /// queue room.
+    fn on_hedge_check(&mut self, now: Layers, qid: usize) {
+        let state = &self.states[qid];
+        if state.done || state.outstanding != 1 || state.hedge_replica.is_some() {
+            return;
+        }
+        let candidate = (0..self.replicas.len())
+            .filter(|&r| {
+                let replica = &self.replicas[r];
+                replica.health.routable()
+                    && replica.core.has_queue_room()
+                    && r != state.last_replica
+            })
+            .min_by_key(|&r| (self.replicas[r].core.load(), r));
+        let Some(target) = candidate else {
+            return;
+        };
+        let address = state.address.clone().expect("hedging runs keep addresses");
+        if self.reoffer(qid, target, address) {
+            let state = &mut self.states[qid];
+            state.hedge_replica = Some(target);
+            state.outstanding += 1;
+            self.counters.hedges += 1;
+            self.pump(now, target);
+        }
+    }
+
+    /// Offers another copy of admitted query `qid` to replica `target`.
+    fn reoffer(&mut self, qid: usize, target: usize, address: AddressState) -> bool {
+        let s = &self.states[qid];
+        (self.replicas[target].core).offer(s.id, qid, s.tenant, s.arrival, s.deadline, address)
+    }
+
+    /// A queued copy of query `qid` expired at its deadline; the query
+    /// sheds once no copy is left.
+    fn on_expired(&mut self, qid: usize) {
+        let state = &mut self.states[qid];
+        state.outstanding = state.outstanding.saturating_sub(1);
+        if !state.done && state.outstanding == 0 {
+            self.counters.deadline_expirations += 1;
+            self.finish_shed(qid, ShedReason::DeadlineExceeded);
+        }
+    }
+
+    /// Runs replica `target`'s dispatcher at `now` (a dead replica
+    /// dispatches nothing) and stamps each new dispatch with the memory
+    /// version its replica observes.
+    fn pump(&mut self, now: Layers, target: usize) {
+        let replica = &mut self.replicas[target];
+        if !replica.alive {
+            return;
+        }
+        let (events, plan, latency, has_slow) =
+            (&mut self.events, self.plan, self.latency, self.has_slow);
+        let range = replica
+            .core
+            .pump(now, &mut self.fleet.policy, |time, ev| match ev {
+                ReplicaEvent::Completion { index } => {
+                    // A slow-replica window stretches the service time of
+                    // completions starting inside it (guarded so the
+                    // fault-free path never round-trips the timestamp
+                    // through float arithmetic).
+                    let mut at = time;
+                    if has_slow {
+                        let start = time - latency;
+                        let factor = plan.slow_factor(target, start);
+                        if factor != 1.0 {
+                            at = start + Layers::new(latency.get() * factor);
+                        }
+                    }
+                    let replica = target;
+                    events.push(at, Event::Completion { replica, index });
+                }
+                ReplicaEvent::Poll => events.push(time, Event::Poll { replica: target }),
+                ReplicaEvent::Expired { tag } => events.push(time, Event::Expired { qid: tag }),
+            });
+        // Replicated memory cannot change inside a pump, so every new
+        // dispatch observes the same epoch.
+        let epoch = self.replicated.applied_epoch(target);
+        let stale = self.replicated.is_stale(target);
+        let core = &replica.core;
+        replica.dispatches.extend(range.map(|index| Dispatch {
+            qid: core.tag_of(index),
+            epoch,
+            stale,
+            handled: false,
+        }));
+    }
+
+    /// Copies of the `lost` queries died with crashed replica `r`:
+    /// resolved queries just drop the copy, live ones wait there for
+    /// failover.
+    fn strand(&mut self, r: usize, lost: Vec<usize>) {
+        for qid in lost {
+            let state = &mut self.states[qid];
+            if state.done {
+                state.outstanding = state.outstanding.saturating_sub(1);
+            } else {
+                self.replicas[r].pending_failover.push(qid);
+            }
+        }
+    }
+
+    /// Fails every query stranded on replica `r` over: each loses its
+    /// attempt and retries after its backoff, or sheds.
+    fn fail_over(&mut self, now: Layers, r: usize) {
+        for qid in std::mem::take(&mut self.replicas[r].pending_failover) {
+            self.counters.failovers += 1;
+            self.lose_attempt(now, qid);
+        }
+    }
+
+    /// One dispatch attempt of query `qid` was lost (crash, corruption,
+    /// or an unplaceable retry). When no other copy is live, schedule a
+    /// retry after the backoff — or shed if the budget is exhausted or
+    /// the backoff would overrun the deadline.
+    fn lose_attempt(&mut self, now: Layers, qid: usize) {
+        let state = &mut self.states[qid];
+        state.outstanding = state.outstanding.saturating_sub(1);
+        if state.done || state.outstanding > 0 {
+            return;
+        }
+        let retry = &self.config.retry;
+        if retry.budget_exhausted(state.attempts) {
+            return self.finish_shed(qid, ShedReason::RetriesExhausted);
+        }
+        let at = now + retry.backoff(state.attempts);
+        if state.deadline.is_some_and(|deadline| at > deadline) {
+            self.counters.deadline_expirations += 1;
+            return self.finish_shed(qid, ShedReason::DeadlineExceeded);
+        }
+        self.counters.retries += 1;
+        self.events.push(at, Event::Retry { qid });
+    }
+
+    /// Resolves query `qid` as shed.
+    fn finish_shed(&mut self, qid: usize, reason: ShedReason) {
+        self.resolve(qid);
+        let state = &self.states[qid];
+        self.shed.push(ShedRequest {
+            id: state.id,
+            tenant: state.tenant,
+            reason,
+        });
+    }
+
+    /// Marks query `qid` resolved — completed or shed — releasing its
+    /// quota slot.
+    fn resolve(&mut self, qid: usize) {
+        let state = &mut self.states[qid];
+        debug_assert!(!state.done, "a query resolves exactly once");
+        state.done = true;
+        let quota_slots = self.outstanding.get_mut(&state.tenant);
+        *quota_slots.expect("tenant admitted") -= 1;
+        self.open -= 1;
+    }
+
+    /// Fans replication out for fleet epochs `(repl_scheduled, to]`, each
+    /// through the plan's per-epoch fate (one replica has no one to
+    /// replicate to), and advances the monotone watermark to `to`, so a
+    /// rollback and re-append never fans an epoch out twice. One sync
+    /// may acknowledge a whole commit group of epochs.
+    fn schedule_replication(&mut self, now: Layers, to: u64) {
+        let at = now + self.fleet.config.replication_lag;
+        for epoch in (self.repl_scheduled + 1..=to).filter(|_| self.replicas.len() > 1) {
+            match self.plan.replication_fate(epoch) {
+                ReplicationFate::Deliver => self.events.push(at, Event::Replicate { epoch }),
+                ReplicationFate::Drop => {}
+                ReplicationFate::Delay(by) => self.events.push(at + by, Event::Replicate { epoch }),
+            }
+        }
+        self.repl_scheduled = self.repl_scheduled.max(to);
+    }
+
+    /// Lands the open commit group, if a durability tier is active, and
+    /// fans replication out for the epochs its sync acknowledged.
+    fn flush_and_replicate(&mut self, now: Layers) -> Result<(), StoreError> {
+        if let Some(d) = self.durability.as_mut() {
+            d.flush()?;
+            let to = d.synced_fleet_epoch();
+            self.schedule_replication(now, to);
+        }
+        Ok(())
+    }
+
+    /// One scrub cycle over the live replicas, if a durability tier is
+    /// active.
+    fn scrub(&mut self) -> Result<(), StoreError> {
+        let chunk = self.config.scrub_chunk_cells;
+        match self.durability.as_mut() {
+            Some(d) => d.scrub(&mut self.replicated, &self.replicas, chunk),
+            None => Ok(()),
+        }
+    }
+
+    /// Closes the run: lands the last commit group, runs a final scrub,
+    /// executes each replica's dispatches in one §7.2 sweep over the
+    /// run's starting memory plus its journal (see `sweep_updates`), and
+    /// builds the report.
+    fn finish(mut self, memory: &ClassicalMemory) -> Result<FleetReport, ServeError> {
+        // A run ending mid-group (max_delay 0, or the deadline never fired
+        // because the reactor emptied) must not report its last writes as
+        // unsynced; divergence injected after the last scheduled scrub
+        // tick is still found and repaired before the report closes.
+        if let Some(d) = self.durability.as_mut() {
+            d.flush()?;
+        }
+        if self.config.scrub_interval.is_some() {
+            self.scrub()?;
+        }
+        // No query is lost: every admitted one completed or shed. (A queued
+        // hedge loser may strand on an undetected crash, so queues may not
+        // be empty.)
+        debug_assert!(
+            self.states.iter().all(|s| s.done),
+            "every admitted query completes or sheds"
+        );
+        debug_assert!(self.outstanding.values().all(|&n| n == 0));
+        let stale_served = self.completed.iter().filter(|q| q.stale).count() as u64;
+        let (mut per_replica_dispatches, mut outcomes_by_replica) = (Vec::new(), Vec::new());
+        for (r, replica) in self.replicas.into_iter().enumerate() {
+            per_replica_dispatches.push(replica.core.dispatch_count() as u64);
+            let backend = &self.fleet.backends[r];
+            let updates = sweep_updates(backend, &replica.dispatches, self.replicated.journal(r));
+            let addresses = replica.core.into_addresses();
+            outcomes_by_replica.push(backend.execute_queries(memory, &addresses, &updates)?);
+        }
+        // Crashed and corrupted dispatches leave holes in a replica's
+        // completion order, so each completed query fetches its outcome
+        // by its recorded dispatch index.
+        let outcomes: Vec<QueryOutcome> = self
+            .completed_dispatch
+            .iter()
+            .map(|&(r, index)| outcomes_by_replica[r][index].clone())
+            .collect();
+        // Corrupted completions were re-served under the retry budget;
+        // verify the parity check would indeed have caught each one.
+        for &(r, index) in &self.corrupted_served {
+            let clean = &outcomes_by_replica[r][index];
+            if parity_bit(&corrupt_outcome(clean)) != parity_bit(clean) {
+                self.counters.corruptions_detected += 1;
+            }
+        }
+        Ok(FleetReport {
+            timing: self.fleet.timing,
+            completed: self.completed,
+            outcomes,
+            shed: self.shed,
+            per_replica_dispatches,
+            stale_served,
+            fleet_epoch: self.replicated.fleet_epoch(),
+            availability: self.counters,
+            integrity: self.durability.map(|d| d.counters).unwrap_or_default(),
+        })
+    }
 }
 
 /// The memory updates of a replica's single §7.2 sweep: journal entry
@@ -2257,101 +2348,10 @@ fn sweep_updates<M: QramModel>(
     updates
 }
 
-/// Refills `loads` with every replica's current load and health.
-fn snapshot_loads(replicas: &[Replica], health: &[ReplicaHealth], loads: &mut Vec<ReplicaLoad>) {
-    loads.clear();
-    loads.extend(replicas.iter().zip(health).map(|(r, &h)| ReplicaLoad {
-        queued: r.queued(),
-        in_flight: r.in_flight(),
-        has_room: r.has_queue_room(),
-        health: h,
-    }));
-}
-
-/// A copy of query `qid` was lost on a crashed replica: already-resolved
-/// queries just drop the copy, live ones wait in `pending` for failover.
-fn strand(qid: usize, states: &mut [QueryState], pending: &mut Vec<usize>) {
-    if states[qid].done {
-        states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-    } else {
-        pending.push(qid);
-    }
-}
-
-/// Resolves query `qid` as shed, releasing its quota slot.
-fn finish_shed(
-    qid: usize,
-    reason: ShedReason,
-    states: &mut [QueryState],
-    shed: &mut Vec<ShedRequest>,
-    outstanding_map: &mut BTreeMap<TenantId, u32>,
-    open: &mut usize,
-) {
-    debug_assert!(!states[qid].done, "a query resolves exactly once");
-    states[qid].done = true;
-    shed.push(ShedRequest {
-        id: states[qid].id,
-        tenant: states[qid].tenant,
-        reason,
-    });
-    *outstanding_map
-        .get_mut(&states[qid].tenant)
-        .expect("tenant admitted") -= 1;
-    *open -= 1;
-}
-
-/// One dispatch attempt of query `qid` was lost (crash, corruption, or an
-/// unplaceable retry). When no other copy is live, schedule a retry after
-/// the backoff — or shed if the budget is exhausted or the backoff would
-/// overrun the deadline.
-#[allow(clippy::too_many_arguments)]
-fn lose_attempt(
-    qid: usize,
-    now: Layers,
-    retry: &RetryPolicy,
-    states: &mut [QueryState],
-    events: &mut EventQueue<Event>,
-    shed: &mut Vec<ShedRequest>,
-    outstanding_map: &mut BTreeMap<TenantId, u32>,
-    counters: &mut AvailabilityCounters,
-    open: &mut usize,
-) {
-    states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-    if states[qid].done || states[qid].outstanding > 0 {
-        return;
-    }
-    let attempts = states[qid].attempts;
-    if retry.budget_exhausted(attempts) {
-        finish_shed(
-            qid,
-            ShedReason::RetriesExhausted,
-            states,
-            shed,
-            outstanding_map,
-            open,
-        );
-        return;
-    }
-    let at = now + retry.backoff(attempts);
-    if states[qid].deadline.is_some_and(|deadline| at > deadline) {
-        counters.deadline_expirations += 1;
-        finish_shed(
-            qid,
-            ShedReason::DeadlineExceeded,
-            states,
-            shed,
-            outstanding_map,
-            open,
-        );
-        return;
-    }
-    counters.retries += 1;
-    events.push(at, Event::Retry { qid });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qram_core::FatTreeQram;
     use qram_metrics::Capacity;
     use qram_sched::QuotaAdmission;
 
@@ -2375,6 +2375,132 @@ mod tests {
     fn checkerboard(n: u64) -> ClassicalMemory {
         let cells: Vec<u64> = (0..n).map(|i| (i * 5 + 1) % 2).collect();
         ClassicalMemory::from_words(1, &cells).unwrap()
+    }
+
+    /// A one-replica FIFO fleet over `shards` shards: the §5 single
+    /// machine, with an optional bounded arrival queue.
+    fn machine(n: u64, shards: u32, queue_capacity: Option<usize>) -> QramFleet<FatTreeQram> {
+        QramFleet::new(
+            ShardedQram::fat_tree(cap(n), shards),
+            1,
+            TimingModel::paper_default(),
+            FifoAdmission,
+            ConsistentHashPlacement,
+            FleetConfig {
+                queue_capacity,
+                replication_lag: Layers::ZERO,
+            },
+        )
+    }
+
+    /// Serves `requests` on `machine(n, shards, None)` over a checkerboard.
+    fn serve_machine(n: u64, shards: u32, requests: Vec<FleetRequest>) -> FleetReport {
+        machine(n, shards, None)
+            .serve(&checkerboard(n), requests, Vec::new())
+            .unwrap()
+    }
+
+    #[test]
+    fn round_robin_assignment_fills_queues_evenly() {
+        let report = serve_machine(256, 4, classical_requests(&[0.0; 22], 8, 256));
+        let mut per_shard = [0; 4];
+        for (i, c) in report.completed().iter().enumerate() {
+            assert_eq!(c.id, i, "strict FIFO dispatch order");
+            assert_eq!(c.shard, i % 4, "round-robin queue assignment");
+            per_shard[c.shard] += 1;
+        }
+        assert_eq!(per_shard, [6, 6, 5, 5]);
+    }
+
+    #[test]
+    fn saturated_dispatches_space_at_divided_interval() {
+        let report = serve_machine(4096, 4, classical_requests(&[0.0; 16], 12, 4096));
+        let starts: Vec<f64> = report.completed().iter().map(|c| c.start.get()).collect();
+        for w in starts.windows(2) {
+            assert!((w[1] - w[0] - 8.25 / 4.0).abs() < 1e-9, "{starts:?}");
+        }
+    }
+
+    #[test]
+    fn outcomes_match_ideal_semantics() {
+        let memory = checkerboard(64);
+        let requests: Vec<FleetRequest> = (0..8)
+            .map(|id| FleetRequest {
+                id,
+                tenant: TenantId::DEFAULT,
+                arrival: Layers::new(id as f64),
+                address: AddressState::uniform(6, &[id as u64, id as u64 + 17, id as u64 + 40])
+                    .unwrap(),
+            })
+            .collect();
+        let report = serve_machine(64, 4, requests.clone());
+        assert_eq!(report.completed().len(), 8);
+        for (c, out) in report.completed().iter().zip(report.outcomes()) {
+            let ideal = memory.ideal_query(&requests[c.id].address);
+            assert!((out.fidelity(&ideal) - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn bounded_queue_sheds_excess_load() {
+        // A burst far beyond queue + pipeline capacity at t = 0: the first
+        // request dispatches immediately, four more fit in the queue, and
+        // the rest are shed (the queue only drains at the admission
+        // interval, long after the instantaneous burst has passed).
+        let requests = classical_requests(&[0.0; 40], 6, 64);
+        let report = machine(64, 2, Some(4))
+            .serve(&checkerboard(64), requests, Vec::new())
+            .unwrap();
+        assert_eq!(report.completed().len(), 5);
+        assert_eq!(report.shed_count(ShedReason::QueueFull), 35);
+        let shed: Vec<usize> = report.shed().iter().map(|s| s.id).collect();
+        assert_eq!(shed, (5..40).collect::<Vec<_>>(), "shed in arrival order");
+        let ids: Vec<usize> = report.completed().iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn unsorted_submissions_are_ordered_by_arrival() {
+        let mut requests = classical_requests(&[30.0, 0.0, 60.0, 15.0], 6, 64);
+        requests.swap(0, 2);
+        let report = serve_machine(64, 2, requests);
+        let ids: Vec<usize> = report.completed().iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![1, 3, 0, 2]);
+    }
+
+    #[test]
+    fn throughput_window_excludes_idle_prefix() {
+        // A trace starting deep into virtual time reports the same
+        // sustained rate as the identical trace shifted to t = 0.
+        let run = |offset: f64| {
+            let arrivals: Vec<f64> = (0..10).map(|i| offset + 3.0 * i as f64).collect();
+            serve_machine(64, 2, classical_requests(&arrivals, 6, 64))
+        };
+        let at_zero = run(0.0);
+        let delayed = run(10_000.0);
+        assert!(at_zero.query_rate().get() > 0.0);
+        assert!((delayed.window() - at_zero.window()).get().abs() < 1e-9);
+        assert!((delayed.query_rate().get() - at_zero.query_rate().get()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn empty_run_reports_zero_rates_without_panicking() {
+        let report = serve_machine(64, 2, Vec::new());
+        assert_eq!(report.window(), Layers::ZERO);
+        assert_eq!(report.query_rate(), QueryRate::ZERO);
+        assert_eq!(report.latency_histogram().p99(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "address width")]
+    fn mismatched_address_width_rejected() {
+        let bad = vec![FleetRequest {
+            id: 0,
+            tenant: TenantId::DEFAULT,
+            arrival: Layers::ZERO,
+            address: AddressState::classical(3, 1).unwrap(),
+        }];
+        let _ = serve_machine(64, 2, bad);
     }
 
     #[test]

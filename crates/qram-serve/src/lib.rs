@@ -12,16 +12,20 @@
 //!                  │
 //!                  ▼
 //!   ┌──────────────────────────────┐   policy layer (qram-sched)
-//!   │  AdmissionPolicy             │   FifoAdmission / NoiseAwareAdmission
+//!   │  AdmissionPolicy             │   FifoAdmission / NoiseAwareAdmission,
+//!   └──────────────┬───────────────┘   tenant quotas and SLO classes
+//!                  ▼
+//!   ┌──────────────────────────────┐   routing tier (QramFleet)
+//!   │  shedding  →  placement      │   PlacementPolicy over R replicas
 //!   └──────────────┬───────────────┘
 //!                  ▼
-//!   ┌──────────────────────────────┐   event core (this crate)
+//!   ┌──────────────────────────────┐   event core, one per replica
 //!   │  EventQueue  +  dispatcher   │   round-robin shard queues,
 //!   │  shard 0 │ shard 1 │ … │ K−1 │   I_shard/K admission spacing,
 //!   └──────────────┬───────────────┘   K·P_shard in-flight backpressure
 //!                  ▼
 //!   ┌──────────────────────────────┐   execution (qram-core)
-//!   │  ShardedQram::execute_queries│   compiled plans + columnar kernel
+//!   │  ShardedQram::execute_queries│   one columnar sweep per replica
 //!   └──────────────┬───────────────┘
 //!                  ▼
 //!   ┌──────────────────────────────┐   measurement (qram-metrics)
@@ -31,22 +35,15 @@
 //!
 //! * [`EventQueue`] — the hand-rolled discrete-event reactor core: a
 //!   queue over virtual circuit-layer time, ordered by one integer key.
-//! * [`QramService`] — the serving loop: per-shard round-robin dispatch
-//!   queues over a `ShardedQram`, admission at the divided `I_shard / K`
+//! * [`QramFleet`] — the serving loop: `R` replicas (one is the §5
+//!   single machine), each with per-shard round-robin dispatch queues
+//!   over a `ShardedQram`, admission at the divided `I_shard / K`
 //!   interval, backpressure at the aggregate `K · P_shard` in-flight
-//!   bound (plus an optional bounded arrival queue that sheds load), and
-//!   a log-bucketed latency histogram folded from the completions.
-//! * [`ServiceReport`] — completions, outcomes, rejections, fairness
-//!   counters, and latency/throughput metrics for one run.
-//! * [`Replica`] — the replica-generic dispatch core extracted from the
-//!   serving loop: shard queues, capacity accounting, and the pump rule,
-//!   reactor-agnostic so one core drives both the single service and the
-//!   fleet.
-//! * [`QramFleet`] — the multi-tenant routing tier: R replicas behind a
-//!   pluggable [`PlacementPolicy`], per-tenant quotas and SLO classes at
-//!   admission, epoch-replicated memory writes with flagged stale reads,
-//!   and per-tenant/per-replica latency rollups that a [`FleetReport`]
-//!   folds from its completions on read.
+//!   bound and an optional bounded arrival queue that sheds load; behind
+//!   a pluggable [`PlacementPolicy`], per-tenant quotas and SLO classes at
+//!   admission, and epoch-replicated memory writes with flagged stale
+//!   reads. A [`FleetReport`] folds its latency rollups from the
+//!   completions on read.
 //! * [`FaultPlan`] — deterministic fault injection for the fleet: crashes
 //!   and recoveries, slow replicas, stalled shard queues, dropped or
 //!   delayed replication catch-ups, and corrupted outcomes, driven
@@ -70,18 +67,15 @@
 pub mod fault;
 pub mod fleet;
 pub mod reactor;
-pub mod replica;
-pub mod service;
+mod replica;
 
 pub use fault::{
     corrupt_outcome, parity_bit, AdaptiveGroupCommit, BrownoutConfig, BrownoutController, Fault,
     FaultConfig, FaultPlan, ReplicaHealth, ReplicationFate,
 };
 pub use fleet::{
-    ConsistentHashPlacement, DurableServeError, FleetConfig, FleetQuery, FleetReport, FleetRequest,
-    FleetWrite, LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad, ShedReason,
+    ConsistentHashPlacement, FleetConfig, FleetQuery, FleetReport, FleetRequest, FleetWrite,
+    LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad, ServeError, ShedReason,
     ShedRequest,
 };
 pub use reactor::EventQueue;
-pub use replica::{CompletedQuery, Replica, ReplicaEvent};
-pub use service::{QramService, ServiceConfig, ServiceReport, ServiceRequest};

@@ -1,19 +1,18 @@
-//! The replica-generic serving core: one dispatcher over one sharded
+//! The serving core of one replica: one dispatcher over one sharded
 //! backend.
 //!
-//! [`Replica`] is the pure scheduling state the event loop of
-//! [`QramService`] used to carry inline — per-shard round-robin dispatch
-//! queues, pipeline-slot accounting, and divided-interval admission
-//! spacing — extracted so the same core can be driven once by
-//! [`QramService`] or `R` times by [`QramFleet`] behind a routing tier.
-//! The reactor stays outside: a replica never owns an event queue, it
-//! *emits* [`ReplicaEvent`]s through a caller-supplied hook and the
-//! caller decides how to tag and enqueue them (the service maps them 1:1;
-//! the fleet wraps them with the replica index).
+//! [`Replica`] is the pure scheduling state of one replica — per-shard
+//! round-robin dispatch queues, pipeline-slot accounting, and
+//! divided-interval admission spacing. [`QramFleet`]'s serving loop
+//! drives `R` of them behind its routing tier (one is the §5 single
+//! machine), and so does the frozen reference loop. The reactor stays
+//! outside: a replica never owns an event queue, it *emits*
+//! [`ReplicaEvent`]s through a caller-supplied hook and the caller tags
+//! them with the replica index before enqueueing them.
 //!
-//! The dispatch rules are bit-identical to the pre-extraction service
-//! loop (and hence to the analytic `OnlineFifoScheduler` recurrence —
-//! property-tested in `tests/serving.rs` and `tests/fleet.rs`):
+//! The dispatch rules are those of the analytic `OnlineFifoScheduler`
+//! recurrence (property-tested in `tests/serving.rs` and
+//! `tests/fleet.rs`):
 //!
 //! * the `j`-th accepted request queues at shard `j mod K`;
 //! * admissions are spaced by the divided interval `I_shard / K`;
@@ -23,7 +22,6 @@
 //!   (`earliest = max(earliest, now)` — the `finishes[k − p]` term of the
 //!   recurrence).
 //!
-//! [`QramService`]: crate::QramService
 //! [`QramFleet`]: crate::QramFleet
 
 use std::collections::VecDeque;
@@ -34,7 +32,7 @@ use qsim::branch::AddressState;
 
 /// One served query: its timings and owning shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompletedQuery {
+pub(crate) struct CompletedQuery {
     /// The request identifier.
     pub id: usize,
     /// Arrival instant.
@@ -47,21 +45,14 @@ pub struct CompletedQuery {
     pub shard: usize,
 }
 
-impl CompletedQuery {
-    /// The latency the requester experienced: `finish − arrival`.
-    #[must_use]
-    pub fn response_latency(&self) -> Layers {
-        self.finish - self.arrival
-    }
-}
-
 /// A request sitting in a shard's dispatch queue.
 #[derive(Debug)]
 struct Pending {
     id: usize,
     /// Driver-private handle reported back through [`ReplicaEvent::Expired`]
     /// and [`Replica::fail`] — unlike `id` it must be unique per offer
-    /// (the fleet uses its query-state index; the service reuses `id`).
+    /// (the fleet uses its query-state index; the reference loop reuses
+    /// `id`).
     tag: usize,
     /// Accepted-order sequence number: drives round-robin shard selection
     /// even when expiries consume a slot without dispatching.
@@ -79,7 +70,7 @@ struct Pending {
 /// passed to [`Replica::pump`] and the driver tags them (e.g. with the
 /// replica index) before pushing them onto its own event queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaEvent {
+pub(crate) enum ReplicaEvent {
     /// The `index`-th dispatched query leaves its shard pipeline.
     Completion {
         /// Dispatch-order index of the completing query.
@@ -101,7 +92,7 @@ pub enum ReplicaEvent {
 /// outside by [`Replica::offer`] / [`Replica::complete`] /
 /// [`Replica::ack_poll`] / [`Replica::pump`].
 #[derive(Debug)]
-pub struct Replica {
+pub(crate) struct Replica {
     shards: usize,
     stagger: Layers,
     latency: Layers,
@@ -119,7 +110,6 @@ pub struct Replica {
     stalled: Vec<bool>,
     /// Dispatch-ordered: (request, start, shard).
     dispatched: Vec<(Pending, Layers, usize)>,
-    per_shard_dispatches: Vec<u64>,
     inflight: u32,
     shard_inflight: Vec<u32>,
     last_dispatch: Option<Layers>,
@@ -135,7 +125,6 @@ impl Replica {
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    #[must_use]
     pub fn new(
         shards: usize,
         shard_parallelism: u32,
@@ -158,7 +147,6 @@ impl Replica {
             next_seq: 0,
             stalled: vec![false; shards],
             dispatched: Vec::new(),
-            per_shard_dispatches: vec![0; shards],
             inflight: 0,
             shard_inflight: vec![0; shards],
             last_dispatch: None,
@@ -168,58 +156,38 @@ impl Replica {
 
     /// Requests waiting in the dispatch queues (dispatched queries do not
     /// count).
-    #[must_use]
     pub fn queued(&self) -> usize {
         self.pending_total
     }
 
     /// Queries currently in flight in the shard pipelines.
-    #[must_use]
     pub fn in_flight(&self) -> u32 {
         self.inflight
     }
 
     /// Queued plus in-flight: the load signal placement policies rank by.
-    #[must_use]
     pub fn load(&self) -> usize {
         self.pending_total + self.inflight as usize
     }
 
     /// True when the bounded arrival queue (if any) still has room — an
     /// offered request would be accepted rather than shed.
-    #[must_use]
     pub fn has_queue_room(&self) -> bool {
         self.queue_capacity
             .is_none_or(|cap| self.pending_total < cap)
     }
 
-    /// The arrival-queue bound, if one is configured.
-    #[must_use]
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
     /// Queries dispatched so far (the next dispatch gets this index).
-    #[must_use]
     pub fn dispatch_count(&self) -> usize {
         self.dispatched.len()
     }
 
-    /// Queries dispatched per shard queue — round-robin fairness means
-    /// these never differ by more than one.
-    #[must_use]
-    pub fn per_shard_dispatches(&self) -> &[u64] {
-        &self.per_shard_dispatches
-    }
-
     /// The tenant of the `index`-th dispatched query.
-    #[must_use]
     pub fn tenant_of(&self, index: usize) -> TenantId {
         self.dispatched[index].0.tenant
     }
 
     /// The driver-private tag of the `index`-th dispatched query.
-    #[must_use]
     pub fn tag_of(&self, index: usize) -> usize {
         self.dispatched[index].0.tag
     }
@@ -399,7 +367,6 @@ impl Replica {
             self.last_dispatch = Some(start);
             self.inflight += 1;
             self.shard_inflight[shard] += 1;
-            self.per_shard_dispatches[shard] += 1;
             schedule(
                 start + self.latency,
                 ReplicaEvent::Completion { index: next_index },
@@ -412,7 +379,6 @@ impl Replica {
     /// Consumes the replica, returning the dispatched addresses in
     /// dispatch order — the batch the driver executes through the
     /// backend's compiled-plan hot path.
-    #[must_use]
     pub fn into_addresses(self) -> Vec<AddressState> {
         self.dispatched
             .into_iter()
@@ -502,7 +468,7 @@ mod tests {
         assert_eq!(r.load(), 1);
         let rec = r.complete(0, Layers::new(11.0));
         assert_eq!(rec.id, 7);
-        assert_eq!(rec.response_latency(), Layers::new(10.0));
+        assert_eq!(rec.finish - rec.arrival, Layers::new(10.0));
         assert_eq!(r.tenant_of(0), TenantId(3));
         assert_eq!(r.in_flight(), 0);
     }

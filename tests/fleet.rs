@@ -1,16 +1,18 @@
-//! Fleet-layer integration properties: the routing tier must degenerate
-//! exactly to the single service at `R = 1`, the epoch-replication
+//! Fleet-layer integration properties: a one-replica fleet must realize
+//! exactly the analytic online-FIFO schedule, the epoch-replication
 //! consistency model must hold under arbitrary write/read interleavings,
 //! and placement must honour its fairness and no-needless-shed pins.
 
 use fat_tree_qram::core::ShardedQram;
-use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
+use fat_tree_qram::metrics::{Capacity, LatencyHistogram, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
-use fat_tree_qram::sched::{FifoAdmission, QueryRequest, QuotaAdmission, SloClass, TenantId};
+use fat_tree_qram::sched::{
+    FifoAdmission, OnlineFifoScheduler, QramServer, QueryRequest, QuotaAdmission, SloClass,
+    TenantId,
+};
 use fat_tree_qram::serve::{
     ConsistentHashPlacement, FleetConfig, FleetQuery, FleetRequest, FleetWrite,
-    LeastLoadedPlacement, PlacementPolicy, QramFleet, QramService, ReplicaLoad, ServiceConfig,
-    ServiceRequest, ShedReason,
+    LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad, ShedReason,
 };
 use proptest::prelude::*;
 
@@ -37,9 +39,13 @@ fn checkerboard(n: u64) -> ClassicalMemory {
 
 proptest! {
     /// The ISSUE-7 reduction pin: a single-replica fleet under the default
-    /// tenant is bit-equal to `QramService` — identical dispatch timings,
-    /// identical query outcomes, identical shedding — for K ∈ {1, 2, 4, 8}
-    /// and with or without a bounded arrival queue.
+    /// tenant is the §5 single machine, for K ∈ {1, 2, 4, 8} and with or
+    /// without a bounded arrival queue. Its realized schedule is the
+    /// analytic online-FIFO schedule of exactly the requests it accepted
+    /// (a shed arrival leaves no trace in the dispatcher), its latency
+    /// histogram is the one recorded from that schedule, every outcome is
+    /// the ideal query, and it sheds exactly what the frozen reference
+    /// loop sheds, in the same order.
     #[test]
     fn single_replica_fleet_is_bit_equal_to_the_service(
         gaps in prop::collection::vec(0u16..100, 1..40),
@@ -57,72 +63,69 @@ proptest! {
         let address = |id: usize| {
             AddressState::classical(8, addr_seeds[id % addr_seeds.len()]).unwrap()
         };
-
-        let mut service = QramService::new(
-            ShardedQram::fat_tree(capacity, k),
-            timing,
-            FifoAdmission,
-            ServiceConfig { queue_capacity: queue_cap },
-        );
-        let service_report = service
-            .serve(
-                &memory,
-                requests.iter().map(|r| ServiceRequest {
-                    id: r.id,
-                    arrival: r.arrival,
-                    address: address(r.id),
-                }),
+        let fleet = || {
+            QramFleet::new(
+                ShardedQram::fat_tree(capacity, k),
+                1,
+                timing,
+                FifoAdmission,
+                ConsistentHashPlacement,
+                FleetConfig {
+                    queue_capacity: queue_cap,
+                    replication_lag: Layers::ZERO,
+                },
             )
+        };
+        let fleet_requests: Vec<FleetRequest> = requests
+            .iter()
+            .map(|r| FleetRequest {
+                id: r.id,
+                tenant: TenantId::DEFAULT,
+                arrival: r.arrival,
+                address: address(r.id),
+            })
+            .collect();
+        let report = fleet()
+            .serve(&memory, fleet_requests.clone(), Vec::new())
+            .unwrap();
+        let reference = fleet()
+            .serve_reference(&memory, fleet_requests, Vec::new())
             .unwrap();
 
-        let mut fleet = QramFleet::new(
-            ShardedQram::fat_tree(capacity, k),
-            1,
-            timing,
-            FifoAdmission,
-            ConsistentHashPlacement,
-            FleetConfig {
-                queue_capacity: queue_cap,
-                replication_lag: Layers::ZERO,
-            },
-        );
-        let fleet_report = fleet
-            .serve(
-                &memory,
-                requests.iter().map(|r| FleetRequest {
-                    id: r.id,
-                    tenant: TenantId::DEFAULT,
-                    arrival: r.arrival,
-                    address: address(r.id),
-                }),
-                Vec::new(),
-            )
-            .unwrap();
-
-        // Timings: the realized schedules match entry for entry.
-        let fleet_schedule = fleet_report.schedule();
-        let service_schedule = service_report.schedule();
-        prop_assert_eq!(fleet_schedule.entries(), service_schedule.entries());
-        // Outcomes: semantically equal, pairwise, in the same order.
-        prop_assert_eq!(fleet_report.outcomes(), service_report.outcomes());
-        // Shedding: the same requests are refused, in the same order.
-        let fleet_shed: Vec<usize> = fleet_report.shed().iter().map(|s| s.id).collect();
-        prop_assert_eq!(&fleet_shed[..], service_report.rejected());
-        prop_assert!(fleet_report
+        // Shedding: the reference loop's sheds, in order, all queue-bound.
+        prop_assert_eq!(report.shed(), reference.shed());
+        prop_assert!(report
             .shed()
             .iter()
             .all(|s| s.reason == ShedReason::SloShed || s.reason == ShedReason::QueueFull));
-        // Every fleet query ran at epoch 0, fresh.
-        prop_assert!(fleet_report.completed().iter().all(|c| c.epoch == 0 && !c.stale));
-        prop_assert_eq!(fleet_report.stale_served(), 0);
+        // Timings: the online-FIFO recurrence over the accepted requests.
+        let shed: Vec<usize> = report.shed().iter().map(|s| s.id).collect();
+        let mut online = OnlineFifoScheduler::new(QramServer::for_model(
+            &ShardedQram::fat_tree(capacity, k),
+            &timing,
+        ));
+        for &r in requests.iter().filter(|r| !shed.contains(&r.id)) {
+            online.submit(r).unwrap();
+        }
+        let online = online.finish();
+        let fleet_schedule = report.schedule();
+        prop_assert_eq!(fleet_schedule.entries(), online.entries());
         // Latency rollups: folded from the fleet's completions, they equal
-        // the service's histogram fleet-wide and for the one replica.
-        prop_assert_eq!(
-            fleet_report.latency_histogram(),
-            *service_report.latency_histogram()
-        );
-        let per_replica = fleet_report.per_replica();
-        prop_assert_eq!(per_replica.get(0), Some(service_report.latency_histogram()));
+        // the histogram recorded from that schedule, fleet-wide and for
+        // the one replica.
+        let mut histogram = LatencyHistogram::new();
+        for q in online.entries() {
+            histogram.record(q.finish - q.request.arrival);
+        }
+        prop_assert_eq!(report.latency_histogram(), histogram.clone());
+        let per_replica = report.per_replica();
+        prop_assert_eq!(per_replica.get(0), Some(&histogram));
+        // Outcomes: every query reads the ideal query, fresh, at epoch 0.
+        for (c, outcome) in report.completed().iter().zip(report.outcomes()) {
+            prop_assert!(outcome == &memory.ideal_query(&address(c.id)), "query {}", c.id);
+        }
+        prop_assert!(report.completed().iter().all(|c| c.epoch == 0 && !c.stale));
+        prop_assert_eq!(report.stale_served(), 0);
     }
 
     /// The epoch-replication consistency model, against an independent

@@ -300,6 +300,64 @@ fn crash_is_detected_failed_over_and_repaired() {
 }
 
 #[test]
+fn a_crash_recovered_before_detection_fails_over_at_recovery() {
+    // R = 2: a burst at t = 440 homes at replica 1 (odd addresses), which
+    // crashes at 450 with three queries in flight and one queued, and is
+    // back at 500 — before the monitor's tick at 512 could even suspect
+    // it. Recovery itself fails the four stranded queries over (each
+    // retries once, after a 64-layer backoff). Query 4 arrives during the
+    // outage and queues at the dead replica; the two writes it missed
+    // meanwhile are replayed (one layer each) before it rejoins at 502,
+    // and the rejoin dispatches query 4 against the caught-up memory.
+    let mut fleet = fifo_fleet(2, 2, None);
+    let mut requests: Vec<FleetRequest> = (0..4)
+        .map(|k| request(k, 0, 440.0, 2 * k as u64 + 1))
+        .collect();
+    requests.push(request(4, 0, 455.0, 9));
+    let write = |at: f64, address: u64| FleetWrite {
+        at: Layers::new(at),
+        origin: 0,
+        address,
+        value: 1,
+    };
+    let plan = FaultPlan::none()
+        .with(Fault::Crash {
+            replica: 1,
+            at: Layers::new(450.0),
+        })
+        .with(Fault::Recover {
+            replica: 1,
+            at: Layers::new(500.0),
+        });
+    let report = fleet
+        .serve_with_faults(
+            &checkerboard(64),
+            requests,
+            vec![write(455.5, 9), write(460.5, 13)],
+            &plan,
+            &FaultConfig::default(),
+        )
+        .unwrap();
+
+    assert_eq!(report.completed().len(), 5, "shed: {:?}", report.shed());
+    let ledger = report.availability();
+    assert_eq!((ledger.crashes, ledger.recoveries), (1, 1));
+    assert_eq!((ledger.failovers, ledger.retries), (4, 4));
+    assert_eq!(report.mttr(), Some(Layers::new(52.0)));
+    for (c, outcome) in report.completed().iter().zip(report.outcomes()) {
+        assert_eq!(c.replica, 1, "query {}", c.id);
+        if c.id < 4 {
+            assert_eq!(c.attempts, 2, "query {} failed over once", c.id);
+            assert!(c.start >= Layers::new(564.0), "retried after the backoff");
+        } else {
+            assert_eq!((c.attempts, c.start), (1, Layers::new(502.0)));
+            assert_eq!((c.epoch, c.stale), (2, false));
+            assert_eq!(outcome.data_for(9), Some(1), "the replayed write");
+        }
+    }
+}
+
+#[test]
 fn deadlines_shed_queries_that_cannot_dispatch_in_time() {
     // K = 1 at capacity 64: admission interval 8.25 layers. A deadline of
     // 20 layers admits exactly the first three dispatches of a burst

@@ -1,6 +1,7 @@
 //! Serving-layer integration properties: the policy-stack refactor must be
 //! bit-equal to the pre-refactor schedulers, and the event-driven reactor
-//! must realize exactly the analytic schedules.
+//! of a one-replica fleet (the §5 single machine) must realize exactly
+//! the analytic schedules.
 
 use fat_tree_qram::core::ShardedQram;
 use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
@@ -8,9 +9,9 @@ use fat_tree_qram::noise::GateErrorRates;
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{
     schedule_fifo, NoiseAwareAdmission, OnlineFifoScheduler, PolicyScheduler, QramServer,
-    QueryRequest, Schedule, ScheduledQuery, Scheduler,
+    QueryRequest, Schedule, ScheduledQuery, Scheduler, TenantId,
 };
-use fat_tree_qram::serve::{QramService, ServiceRequest};
+use fat_tree_qram::serve::{ConsistentHashPlacement, FleetConfig, FleetRequest, QramFleet};
 use proptest::prelude::*;
 
 /// The pre-refactor FIFO admission recurrence, transcribed verbatim from
@@ -99,11 +100,11 @@ proptest! {
         }
     }
 
-    /// The event-driven reactor realizes exactly the analytic online-FIFO
-    /// schedule on the equivalent server — for the single-shard backend
-    /// (the ISSUE-5 reference pin) and for K ∈ {2, 4, 8}: strict-FIFO
-    /// round-robin dispatch over identical shards *is* the divided-interval
-    /// aggregate server, constraint for constraint.
+    /// The event-driven reactor of a one-replica fleet realizes exactly
+    /// the analytic online-FIFO schedule on the equivalent server — for
+    /// the single-shard backend and for K ∈ {2, 4, 8}: strict-FIFO
+    /// round-robin dispatch over identical shards *is* the
+    /// divided-interval aggregate server, constraint for constraint.
     #[test]
     fn reactor_completion_schedule_equals_online_fifo(
         gaps in prop::collection::vec(0u16..100, 1..40),
@@ -114,21 +115,22 @@ proptest! {
         let timing = TimingModel::paper_default();
         let k = 1u32 << k_exp;
         let requests = arrivals_from_gaps(&gaps);
-        let service_requests: Vec<ServiceRequest> = requests
+        let fleet_requests: Vec<FleetRequest> = requests
             .iter()
             .zip(addr_seeds.iter().cycle())
-            .map(|(r, &seed)| ServiceRequest {
+            .map(|(r, &seed)| FleetRequest {
                 id: r.id,
+                tenant: TenantId::DEFAULT,
                 arrival: r.arrival,
                 address: AddressState::classical(8, seed % 256).unwrap(),
             })
             .collect();
         let qram = ShardedQram::fat_tree(capacity, k);
         let server = QramServer::for_model(&qram, &timing);
-        let mut service = QramService::fifo(qram, timing);
+        let mut fleet = QramFleet::fifo(qram, 1, timing);
         let cells: Vec<u64> = (0..256).map(|i| (i * 3 + 1) % 2).collect();
         let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        let report = service.serve(&memory, service_requests).unwrap();
+        let report = fleet.serve(&memory, fleet_requests, Vec::new()).unwrap();
 
         let mut online = OnlineFifoScheduler::new(server);
         for &r in &requests {
@@ -159,20 +161,23 @@ proptest! {
         let capacity = Capacity::new(1024).unwrap();
         let timing = TimingModel::paper_default();
         let qram = ShardedQram::fat_tree(capacity, k);
-        let mut service = QramService::fifo(qram, timing);
-        let requests: Vec<ServiceRequest> = arrivals_from_gaps(&gaps)
+        let mut fleet = QramFleet::fifo(qram, 1, timing);
+        let requests: Vec<FleetRequest> = arrivals_from_gaps(&gaps)
             .into_iter()
-            .map(|r| ServiceRequest {
+            .map(|r| FleetRequest {
                 id: r.id,
+                tenant: TenantId::DEFAULT,
                 arrival: r.arrival,
                 address: AddressState::classical(10, (r.id as u64 * 37) % 1024).unwrap(),
             })
             .collect();
         let total = requests.len() as u64;
         let memory = ClassicalMemory::zeros(1024);
-        let report = service.serve(&memory, requests).unwrap();
-        let counts = report.per_shard_dispatches();
-        prop_assert_eq!(counts.len(), k as usize);
+        let report = fleet.serve(&memory, requests, Vec::new()).unwrap();
+        let mut counts = vec![0u64; k as usize];
+        for query in report.completed() {
+            counts[query.shard] += 1;
+        }
         prop_assert_eq!(counts.iter().sum::<u64>(), total);
         let max = counts.iter().copied().max().unwrap();
         let min = counts.iter().copied().min().unwrap();
@@ -224,7 +229,7 @@ proptest! {
 #[test]
 fn reactor_handles_bursty_traffic_end_to_end() {
     // A deterministic bursty trace through the full stack: generator →
-    // service → histogram. Tail latency must strictly exceed the median
+    // one-replica fleet → histogram. Tail latency must strictly exceed the median
     // under bursts (queueing), and every accepted query completes.
     use fat_tree_qram::sched::bursty_arrivals;
     use rand::rngs::StdRng;
@@ -233,21 +238,22 @@ fn reactor_handles_bursty_traffic_end_to_end() {
     let capacity = Capacity::new(4096).unwrap();
     let timing = TimingModel::paper_default();
     let qram = ShardedQram::fat_tree(capacity, 4);
-    let mut service = QramService::fifo(qram, timing);
+    let mut fleet = QramFleet::fifo(qram, 1, timing);
     let mut rng = StdRng::seed_from_u64(20260727);
     // ON bursts near 4× the aggregate service rate, long OFF gaps.
     let aggregate_rate = 4.0 / 8.25;
     let arrivals = bursty_arrivals(4.0 * aggregate_rate, 40.0, 120.0, 400, &mut rng);
-    let requests: Vec<ServiceRequest> = arrivals
+    let requests: Vec<FleetRequest> = arrivals
         .iter()
-        .map(|r| ServiceRequest {
+        .map(|r| FleetRequest {
             id: r.id,
+            tenant: TenantId::DEFAULT,
             arrival: r.arrival,
             address: AddressState::classical(12, (r.id as u64 * 1103) % 4096).unwrap(),
         })
         .collect();
     let memory = ClassicalMemory::zeros(4096);
-    let report = service.serve(&memory, requests).unwrap();
+    let report = fleet.serve(&memory, requests, Vec::new()).unwrap();
     assert_eq!(report.completed().len(), 400);
     let hist = report.latency_histogram();
     assert_eq!(hist.count(), 400);
@@ -257,23 +263,24 @@ fn reactor_handles_bursty_traffic_end_to_end() {
         "bursts must induce a latency tail: p50 {p50} p99 {p99}"
     );
     // The floor is the monolithic single-query latency.
-    let t1 = service.equivalent_server().latency();
+    let t1 = fleet.equivalent_server().latency();
     assert!(hist.min() >= t1);
 }
 
 #[test]
 fn noise_aware_service_serves_fewer_queries_concurrently() {
-    // The same tight-target policy mounted on the live service: peak
+    // The same tight-target policy mounted on a live one-replica fleet: peak
     // in-flight occupancy (reconstructed from the realized schedule) must
     // stay at the distillation batch cap while FIFO fills the pipeline.
     let capacity = Capacity::new(16).unwrap();
     let timing = TimingModel::paper_default();
     let rates = GateErrorRates::from_cswap_rate(2e-3);
     let make = || ShardedQram::fat_tree(capacity, 2);
-    let requests = |n: usize| -> Vec<ServiceRequest> {
+    let requests = |n: usize| -> Vec<FleetRequest> {
         (0..n)
-            .map(|id| ServiceRequest {
+            .map(|id| FleetRequest {
                 id,
+                tenant: TenantId::DEFAULT,
                 arrival: Layers::ZERO,
                 address: AddressState::classical(4, id as u64 % 16).unwrap(),
             })
@@ -294,19 +301,23 @@ fn noise_aware_service_serves_fewer_queries_concurrently() {
             .unwrap()
     };
 
-    let mut fifo_service = QramService::fifo(make(), timing);
-    let fifo_report = fifo_service.serve(&memory, requests(12)).unwrap();
+    let mut fifo_fleet = QramFleet::fifo(make(), 1, timing);
+    let fifo_report = fifo_fleet.serve(&memory, requests(12), Vec::new()).unwrap();
     let fifo_schedule = fifo_report.schedule();
 
     let tight = NoiseAwareAdmission::for_model(&make(), &rates, 1e-3);
     assert_eq!(tight.copies(), 4);
-    let mut noise_service = QramService::new(
+    let mut noise_fleet = QramFleet::new(
         make(),
+        1,
         timing,
         tight,
-        fat_tree_qram::serve::ServiceConfig::default(),
+        ConsistentHashPlacement,
+        FleetConfig::default(),
     );
-    let noise_report = noise_service.serve(&memory, requests(12)).unwrap();
+    let noise_report = noise_fleet
+        .serve(&memory, requests(12), Vec::new())
+        .unwrap();
     let noise_schedule = noise_report.schedule();
 
     let cap = tight.batch_cap(QramServer::for_model(&make(), &timing).parallelism()) as usize;
