@@ -116,16 +116,6 @@ impl HTreeLayout {
         crossing_count(&segments)
     }
 
-    /// The side length of the square bounding box of the floorplan.
-    #[must_use]
-    pub fn bounding_box_side(&self) -> f64 {
-        let xs = self.positions.iter().map(|(_, p)| p.x);
-        let ys = self.positions.iter().map(|(_, p)| p.y);
-        let (min_x, max_x) = min_max(xs);
-        let (min_y, max_y) = min_max(ys);
-        (max_x - min_x).max(max_y - min_y)
-    }
-
     /// Total wire length of all inter-node links.
     #[must_use]
     pub fn total_wire_length(&self) -> f64 {
@@ -137,12 +127,6 @@ fn arm_length(level: u32) -> f64 {
     // Both children of a level-l node sit at distance 1/2^(l/2) from it;
     // halving every two levels keeps subtrees disjoint.
     1.0 / f64::from(1u32 << (level / 2))
-}
-
-fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
-    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-        (lo.min(v), hi.max(v))
-    })
 }
 
 #[cfg(test)]

@@ -49,13 +49,6 @@ impl FatTreeQram {
         TreeShape::new(self.capacity)
     }
 
-    /// Weighted pipeline interval — the amortized per-query latency at full
-    /// utilization (`8.25` with paper defaults).
-    #[must_use]
-    pub fn pipeline_interval(&self, timing: &TimingModel) -> Layers {
-        latency::fat_tree_pipeline_interval(timing)
-    }
-
     /// Builds the pipelined schedule for `num_queries` back-to-back queries
     /// (Fig. 6): start layers, retrieval layers, sub-QRAM trajectories, and
     /// conflict validation.

@@ -72,14 +72,6 @@ pub fn fat_tree_parallel_queries(capacity: Capacity, p: u32, timing: &TimingMode
     fat_tree_pipeline_interval(timing) * f64::from(p - 1) + fat_tree_single_query(capacity, timing)
 }
 
-/// Integer-layer latency for `p` pipelined Fat-Tree queries:
-/// `10(p−1) + 10n − 1`.
-#[must_use]
-pub fn fat_tree_parallel_queries_integer(capacity: Capacity, p: u32) -> u64 {
-    assert!(p >= 1, "at least one query");
-    10 * u64::from(p - 1) + fat_tree_single_query_integer(capacity)
-}
-
 /// Weighted single-query latency of the Virtual QRAM baseline (Xu et al.
 /// 2023) on the Fat-Tree's qubit budget: `K` pages of size `M = N/K` with
 /// `K = n/2`, each page queried by a `(8·log M + w_cg)`-layer BB query:

@@ -253,13 +253,6 @@ impl<P: AdmissionPolicy> QuotaAdmission<P> {
         &self.inner
     }
 
-    /// Sets the full spec for a tenant (builder style).
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: TenantId, spec: TenantSpec) -> Self {
-        self.tenants.insert(tenant, spec);
-        self
-    }
-
     /// Sets a tenant's outstanding-request quota, keeping its class.
     ///
     /// # Panics

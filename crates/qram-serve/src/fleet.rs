@@ -62,9 +62,11 @@
 //! replication log before rejoining, so stale reads stay flagged across
 //! failures. Every entry point runs one loop: a run state with one record
 //! per replica and one handler method per reactor event. The empty plan
-//! with the default [`FaultConfig`] schedules no fault events, and is
-//! pinned bit-identical to the frozen fault-free loop
-//! [`QramFleet::serve_reference`] by `tests/fleet_faults.rs`.
+//! with the default [`FaultConfig`] schedules no fault events. In such a
+//! run each replica is a §5 machine over the requests routed to it, and
+//! `tests/fleet.rs` and `tests/fleet_faults.rs` pin every router verdict,
+//! schedule, shard, epoch and outcome against an independent replay of
+//! the online admission recurrence per replica.
 //!
 //! [`SloClass`]: qram_sched::SloClass
 //! [`RetryPolicy`]: qram_sched::RetryPolicy
@@ -442,21 +444,6 @@ impl FleetReport {
         self.per_tenant().merged()
     }
 
-    /// A response-latency quantile for one tenant, in the timing model's
-    /// wall-clock microseconds, read from [`Self::per_tenant`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tenant completed nothing or `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn tenant_latency_micros(&self, tenant: TenantId, q: f64) -> f64 {
-        let per_tenant = self.per_tenant();
-        let histogram = per_tenant
-            .get(tenant)
-            .expect("tenant has completed queries");
-        self.timing.layers_to_micros(histogram.quantile(q))
-    }
-
     /// Response latencies keyed by `key`, recorded in completion order —
     /// the order the serving loop completes queries in.
     fn fold_latencies<K: Ord + Copy>(&self, key: impl Fn(&FleetQuery) -> K) -> HistogramFamily<K> {
@@ -673,311 +660,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         )
     }
 
-    /// The fault-free serving loop exactly as it stood before fault
-    /// injection existed, kept verbatim as the bit-equality oracle:
-    /// `tests/fleet_faults.rs` pins [`QramFleet::serve`] (which routes
-    /// through [`QramFleet::serve_with_faults`] with an empty plan)
-    /// against this loop — same schedules, same outcomes — for
-    /// `R ∈ {1, 2, 4}`. It clones a memory snapshot per (replica, epoch)
-    /// and executes one batch per epoch group, so with writes the pin is
-    /// also a differential test of `serve`'s one journal sweep per
-    /// replica. Not part of the supported API.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if query execution fails.
-    #[doc(hidden)]
-    pub fn serve_reference(
-        &mut self,
-        memory: &ClassicalMemory,
-        requests: impl IntoIterator<Item = FleetRequest>,
-        writes: impl IntoIterator<Item = FleetWrite>,
-    ) -> Result<FleetReport, ExecError> {
-        let num_replicas = self.backends.len();
-        let server = self.equivalent_server();
-        let aggregate_cap = self
-            .policy
-            .in_flight_cap(&server)
-            .clamp(1, server.parallelism());
-        let address_width = self.backends[0].capacity().address_width();
-        let mut replicas: Vec<Replica> = (0..num_replicas)
-            .map(|_| {
-                Replica::new(
-                    self.backends[0].num_shards() as usize,
-                    self.backends[0].shard_parallelism(),
-                    server.interval(),
-                    server.latency(),
-                    aggregate_cap,
-                    self.config.queue_capacity,
-                )
-            })
-            .collect();
-
-        // Replicated memory + one snapshot per (replica, applied epoch):
-        // a dispatched query executes against the exact memory version its
-        // replica had applied at dispatch time.
-        let mut replicated = ReplicatedMemory::new(memory.clone(), num_replicas);
-        let mut snapshots: Vec<BTreeMap<u64, ClassicalMemory>> = (0..num_replicas)
-            .map(|_| BTreeMap::from([(0, memory.clone())]))
-            .collect();
-        // Per-dispatch annotations, indexed [replica][dispatch index].
-        let mut dispatch_epochs: Vec<Vec<u64>> = vec![Vec::new(); num_replicas];
-        let mut dispatch_stale: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
-
-        let mut arrivals: Vec<FleetRequest> = requests
-            .into_iter()
-            .inspect(|r| {
-                assert_eq!(
-                    r.address.address_width(),
-                    address_width,
-                    "request address width must match QRAM capacity"
-                );
-            })
-            .collect();
-        arrivals.sort_by(|a, b| {
-            a.arrival
-                .get()
-                .partial_cmp(&b.arrival.get())
-                .expect("event times are finite")
-        });
-        let total_requests = arrivals.len();
-        let mut arrivals = arrivals.into_iter().peekable();
-
-        let writes: Vec<FleetWrite> = writes.into_iter().collect();
-        let mut events: EventQueue<Event> = EventQueue::new();
-        for (i, write) in writes.iter().enumerate() {
-            assert!(
-                write.origin < num_replicas,
-                "write origin replica {} out of range (R = {num_replicas})",
-                write.origin
-            );
-            events.push(write.at, Event::Write(i));
-        }
-
-        let mut completed: Vec<FleetQuery> = Vec::with_capacity(total_requests);
-        let mut shed: Vec<ShedRequest> = Vec::new();
-        let mut outstanding: BTreeMap<TenantId, u32> = BTreeMap::new();
-        let mut stale_served = 0u64;
-
-        loop {
-            let arrival_is_next = match (arrivals.peek(), events.peek_time()) {
-                (Some(request), Some(next)) => request.arrival <= next,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            // Which replica's dispatcher to pump after handling the event
-            // (writes and replication never unblock a dispatcher).
-            let mut pump: Option<usize> = None;
-            let now;
-            if arrival_is_next {
-                let request = arrivals.next().expect("peeked arrival exists");
-                now = request.arrival;
-                let tenant = request.tenant;
-                if self
-                    .policy
-                    .tenant_quota(tenant)
-                    .is_some_and(|quota| outstanding.get(&tenant).copied().unwrap_or(0) >= quota)
-                {
-                    shed.push(ShedRequest {
-                        id: request.id,
-                        tenant,
-                        reason: ShedReason::QuotaExceeded,
-                    });
-                } else {
-                    let loads: Vec<ReplicaLoad> = replicas
-                        .iter()
-                        .map(|r| ReplicaLoad {
-                            queued: r.queued(),
-                            in_flight: r.in_flight(),
-                            has_room: r.has_queue_room(),
-                            health: ReplicaHealth::Healthy,
-                        })
-                        .collect();
-                    let target = self.placement.place(&request, &loads);
-                    assert!(
-                        target < num_replicas,
-                        "placement returned replica {target} of {num_replicas}"
-                    );
-                    let slo_bound = self
-                        .config
-                        .queue_capacity
-                        .map(|cap| self.policy.tenant_slo(tenant).queue_bound(cap));
-                    if slo_bound.is_some_and(|bound| replicas[target].queued() >= bound) {
-                        let reason = if replicas[target].has_queue_room() {
-                            ShedReason::SloShed
-                        } else {
-                            ShedReason::QueueFull
-                        };
-                        shed.push(ShedRequest {
-                            id: request.id,
-                            tenant,
-                            reason,
-                        });
-                    } else {
-                        let offered = replicas[target].offer(
-                            request.id,
-                            request.id,
-                            tenant,
-                            request.arrival,
-                            None,
-                            request.address,
-                        );
-                        debug_assert!(offered, "the SLO bound is at most the queue bound");
-                        *outstanding.entry(tenant).or_insert(0) += 1;
-                        pump = Some(target);
-                    }
-                }
-            } else if let Some((at, event)) = events.pop() {
-                now = at;
-                match event {
-                    Event::Write(i) => {
-                        let write = writes[i];
-                        let epoch = replicated.write_at(write.origin, write.address, write.value);
-                        let applied = replicated.applied_epoch(write.origin);
-                        snapshots[write.origin]
-                            .insert(applied, replicated.memory(write.origin).clone());
-                        if num_replicas > 1 {
-                            events.push(
-                                now + self.config.replication_lag,
-                                Event::Replicate { epoch },
-                            );
-                        }
-                    }
-                    Event::Replicate { epoch } => {
-                        for (r, snaps) in snapshots.iter_mut().enumerate() {
-                            if replicated.catch_up_to(r, epoch) > 0 {
-                                snaps.insert(
-                                    replicated.applied_epoch(r),
-                                    replicated.memory(r).clone(),
-                                );
-                            }
-                        }
-                    }
-                    Event::Completion { replica, index } => {
-                        let tenant = replicas[replica].tenant_of(index);
-                        let record = replicas[replica].complete(index, now);
-                        let query = FleetQuery {
-                            id: record.id,
-                            tenant,
-                            arrival: record.arrival,
-                            start: record.start,
-                            finish: record.finish,
-                            replica,
-                            shard: record.shard,
-                            epoch: dispatch_epochs[replica][index],
-                            stale: dispatch_stale[replica][index],
-                            attempts: 1,
-                        };
-                        stale_served += u64::from(query.stale);
-                        *outstanding.get_mut(&tenant).expect("tenant accepted") -= 1;
-                        completed.push(query);
-                        pump = Some(replica);
-                    }
-                    Event::Poll { replica } => {
-                        replicas[replica].ack_poll(now);
-                        pump = Some(replica);
-                    }
-                    Event::Crash { .. }
-                    | Event::Recover { .. }
-                    | Event::RejoinDone { .. }
-                    | Event::StallStart { .. }
-                    | Event::StallEnd { .. }
-                    | Event::MonitorTick
-                    | Event::ScrubTick
-                    | Event::WalFlush { .. }
-                    | Event::DiskCorrupt { .. }
-                    | Event::Retry { .. }
-                    | Event::HedgeCheck { .. }
-                    | Event::Expired { .. } => {
-                        unreachable!("the reference loop schedules no fault events")
-                    }
-                }
-            } else {
-                break;
-            }
-            if let Some(target) = pump {
-                let range = replicas[target].pump(now, &mut self.policy, |time, ev| {
-                    events.push(
-                        time,
-                        match ev {
-                            ReplicaEvent::Completion { index } => Event::Completion {
-                                replica: target,
-                                index,
-                            },
-                            ReplicaEvent::Poll => Event::Poll { replica: target },
-                            ReplicaEvent::Expired { .. } => {
-                                unreachable!("the reference loop offers no deadlines")
-                            }
-                        },
-                    );
-                });
-                // Stamp each new dispatch with the memory version its
-                // replica observes and whether that version is stale.
-                for _ in range {
-                    dispatch_epochs[target].push(replicated.applied_epoch(target));
-                    dispatch_stale[target].push(replicated.is_stale(target));
-                }
-            }
-        }
-
-        let per_replica_dispatches: Vec<u64> =
-            replicas.iter().map(|r| r.dispatch_count() as u64).collect();
-        debug_assert!(
-            replicas.iter().all(|r| r.queued() == 0),
-            "every accepted request dispatches"
-        );
-        debug_assert!(outstanding.values().all(|&n| n == 0));
-
-        // Execute per replica: consecutive dispatches that observed the
-        // same applied epoch form one batch against that version's
-        // snapshot, flowing through the backend's compiled-plan hot path.
-        let mut outcomes_by_replica: Vec<Vec<QueryOutcome>> = Vec::with_capacity(num_replicas);
-        for (r, replica) in replicas.into_iter().enumerate() {
-            let addresses = replica.into_addresses();
-            let epochs = &dispatch_epochs[r];
-            let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(addresses.len());
-            let mut lo = 0;
-            while lo < addresses.len() {
-                let mut hi = lo + 1;
-                while hi < addresses.len() && epochs[hi] == epochs[lo] {
-                    hi += 1;
-                }
-                let snapshot = &snapshots[r][&epochs[lo]];
-                outcomes.extend(self.backends[r].execute_queries(
-                    snapshot,
-                    &addresses[lo..hi],
-                    &[],
-                )?);
-                lo = hi;
-            }
-            outcomes_by_replica.push(outcomes);
-        }
-        // Align outcomes with the completion-ordered report: each replica
-        // completes its dispatches in order, so one cursor per replica
-        // walks its outcome list front to back.
-        let mut cursors = vec![0usize; num_replicas];
-        let outcomes: Vec<QueryOutcome> = completed
-            .iter()
-            .map(|c| {
-                let outcome = outcomes_by_replica[c.replica][cursors[c.replica]].clone();
-                cursors[c.replica] += 1;
-                outcome
-            })
-            .collect();
-
-        Ok(FleetReport {
-            timing: self.timing,
-            completed,
-            outcomes,
-            shed,
-            per_replica_dispatches,
-            stale_served,
-            fleet_epoch: replicated.fleet_epoch(),
-            availability: AvailabilityCounters::default(),
-            integrity: IntegrityCounters::default(),
-        })
-    }
-
     /// Serves a batch of requests under a deterministic [`FaultPlan`]:
     /// the fault-free loop of [`QramFleet::serve`] extended with a
     /// per-replica health state machine, crash failover, capped
@@ -988,9 +670,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// dispatch *attempts*, never queries.
     ///
     /// With the empty plan and the default [`FaultConfig`] no monitor or
-    /// fault events enter the reactor, so the event heap pops in the same
-    /// order as the fault-free reference loop and the schedules and
-    /// outcomes match [`QramFleet::serve_reference`] exactly.
+    /// fault events enter the reactor: the run is [`QramFleet::serve`],
+    /// whose schedules, sheds and outcomes `tests/fleet_faults.rs` pins
+    /// against an independent per-replica replay of the online admission
+    /// recurrence.
     ///
     /// # Errors
     ///
@@ -1033,7 +716,9 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Exec`] if query execution fails and
+    /// Returns [`ServeError::StoreMismatch`] before serving anything if
+    /// the store's chain does not end at `memory`,
+    /// [`ServeError::Exec`] if query execution fails and
     /// [`ServeError::Store`] if the store's directory fails.
     ///
     /// # Panics
@@ -1048,6 +733,9 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         fault_config: &FaultConfig,
         store: &mut DurableFleet,
     ) -> Result<FleetReport, ServeError> {
+        if store.shadow().cells() != memory.cells() {
+            return Err(ServeError::StoreMismatch);
+        }
         self.serve_faulty(memory, requests, writes, plan, fault_config, Some(store))
     }
 
@@ -1078,6 +766,10 @@ pub enum ServeError {
     Exec(ExecError),
     /// The durable store's directory failed.
     Store(StoreError),
+    /// The durable store's chain does not end at the run's starting
+    /// memory, so its scrubs and rejoins would reset replicas toward
+    /// another image.
+    StoreMismatch,
 }
 
 impl fmt::Display for ServeError {
@@ -1085,6 +777,9 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Exec(e) => write!(f, "query execution failed: {e}"),
             ServeError::Store(e) => write!(f, "durable store failed: {e}"),
+            ServeError::StoreMismatch => {
+                write!(f, "the durable chain does not end at the starting memory")
+            }
         }
     }
 }
@@ -1094,6 +789,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Exec(e) => Some(e),
             ServeError::Store(e) => Some(e),
+            ServeError::StoreMismatch => None,
         }
     }
 }
@@ -1149,11 +845,6 @@ impl<'a> Durability<'a> {
     ) -> Result<Option<Self>, StoreError> {
         let store = match store {
             Some(s) => {
-                debug_assert_eq!(
-                    s.shadow().cells(),
-                    memory.cells(),
-                    "the durable chain must end at the run's starting memory"
-                );
                 s.set_group_commit(config.group_commit);
                 s
             }
@@ -1742,7 +1433,6 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         let offered = self.replicas[target].core.offer(
             request.id,
             qid,
-            tenant,
             request.arrival,
             deadline,
             request.address,
@@ -2089,7 +1779,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
     /// Offers another copy of admitted query `qid` to replica `target`.
     fn reoffer(&mut self, qid: usize, target: usize, address: AddressState) -> bool {
         let s = &self.states[qid];
-        (self.replicas[target].core).offer(s.id, qid, s.tenant, s.arrival, s.deadline, address)
+        (self.replicas[target].core).offer(s.id, qid, s.arrival, s.deadline, address)
     }
 
     /// A queued copy of query `qid` expired at its deadline; the query
@@ -2351,6 +2041,7 @@ fn sweep_updates<M: QramModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qram_core::FatTreeQram;
     use qram_metrics::Capacity;
     use qram_sched::QuotaAdmission;
@@ -2764,5 +2455,75 @@ mod tests {
             load(0, 0, ReplicaHealth::Down),
         ];
         assert_eq!(ConsistentHashPlacement.place(&probe(), &dead), 0);
+    }
+
+    proptest! {
+        /// The §7.2 sweep against per-epoch images: a replicated memory
+        /// goes through random writes, catch-ups, bit flips and resets
+        /// (scrub repairs and rejoins from disk), interleaved with
+        /// dispatch marks stamped with the replica's applied epoch. One
+        /// sweep per replica over the base image plus `sweep_updates` of
+        /// its journal must read, for every dispatch, exactly the final
+        /// image of its epoch.
+        #[test]
+        fn sweep_updates_read_each_dispatch_epochs_final_image(
+            steps in prop::collection::vec(0u64..u64::MAX, 1..60),
+            r in 1usize..=4,
+            k_exp in 0u32..=2,
+        ) {
+            let backend = ShardedQram::fat_tree(Capacity::new(16).unwrap(), 1 << k_exp);
+            let words = |seed: u64| -> Vec<u64> { (0..16).map(|i| (seed >> (i * 4)) % 16).collect() };
+            let base = ClassicalMemory::from_words(4, &words(0x0123_4567_89ab_cdef)).unwrap();
+            let mut replicated = ReplicatedMemory::new(base.clone(), r);
+            // images[replica][epoch]: the replica's last image at that epoch.
+            let mut images = vec![BTreeMap::from([(0, base.clone())]); r];
+            let mut dispatches: Vec<Vec<Dispatch>> = vec![Vec::new(); r];
+            let mut addresses: Vec<Vec<AddressState>> = vec![Vec::new(); r];
+            for &seed in &steps {
+                let replica = (seed / 5) as usize % r;
+                let (cell, value) = ((seed / 20) % 16, (seed / 320) % 16);
+                let fleet_epoch = replicated.fleet_epoch();
+                let applied = replicated.applied_epoch(replica);
+                let epoch = applied + (seed / 5120) % (fleet_epoch - applied + 1);
+                match seed % 5 {
+                    0 => {
+                        replicated.write_at(replica, cell, value);
+                    }
+                    1 => {
+                        replicated.catch_up_to(replica, epoch);
+                    }
+                    2 => replicated.corrupt_replica_cell(replica, cell),
+                    3 => {
+                        let image = ClassicalMemory::from_words(4, &words(seed)).unwrap();
+                        replicated.reset_replica(replica, image, epoch);
+                    }
+                    _ => {
+                        let other = (cell + 1 + value % 15) % 16;
+                        dispatches[replica].push(Dispatch {
+                            qid: 0,
+                            epoch: applied,
+                            stale: false,
+                            handled: false,
+                        });
+                        let address = AddressState::uniform(4, &[cell, other]).unwrap();
+                        addresses[replica].push(address);
+                    }
+                }
+                let now = replicated.applied_epoch(replica);
+                images[replica].insert(now, replicated.memory(replica).clone());
+            }
+            for replica in 0..r {
+                let journal = replicated.journal(replica);
+                let updates = sweep_updates(&backend, &dispatches[replica], journal);
+                let outcomes = backend
+                    .execute_queries(&base, &addresses[replica], &updates)
+                    .unwrap();
+                for (j, outcome) in outcomes.iter().enumerate() {
+                    let image = &images[replica][&dispatches[replica][j].epoch];
+                    let ideal = image.ideal_query(&addresses[replica][j]);
+                    prop_assert!(outcome == &ideal, "replica {} dispatch {}", replica, j);
+                }
+            }
+        }
     }
 }

@@ -5,10 +5,9 @@
 //! round-robin dispatch queues, pipeline-slot accounting, and
 //! divided-interval admission spacing. [`QramFleet`]'s serving loop
 //! drives `R` of them behind its routing tier (one is the §5 single
-//! machine), and so does the frozen reference loop. The reactor stays
-//! outside: a replica never owns an event queue, it *emits*
-//! [`ReplicaEvent`]s through a caller-supplied hook and the caller tags
-//! them with the replica index before enqueueing them.
+//! machine). The reactor stays outside: a replica never owns an event
+//! queue, it *emits* [`ReplicaEvent`]s through a caller-supplied hook and
+//! the caller tags them with the replica index before enqueueing them.
 //!
 //! The dispatch rules are those of the analytic `OnlineFifoScheduler`
 //! recurrence (property-tested in `tests/serving.rs` and
@@ -27,16 +26,12 @@
 use std::collections::VecDeque;
 
 use qram_metrics::Layers;
-use qram_sched::{AdmissionPolicy, QueryRequest, TenantId};
+use qram_sched::{AdmissionPolicy, QueryRequest};
 use qsim::branch::AddressState;
 
 /// One served query: its timings and owning shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CompletedQuery {
-    /// The request identifier.
-    pub id: usize,
-    /// Arrival instant.
-    pub arrival: Layers,
     /// Dispatch (admission) instant.
     pub start: Layers,
     /// Completion instant (`start + latency`).
@@ -51,13 +46,11 @@ struct Pending {
     id: usize,
     /// Driver-private handle reported back through [`ReplicaEvent::Expired`]
     /// and [`Replica::fail`] — unlike `id` it must be unique per offer
-    /// (the fleet uses its query-state index; the reference loop reuses
-    /// `id`).
+    /// (the fleet uses its query-state index).
     tag: usize,
     /// Accepted-order sequence number: drives round-robin shard selection
     /// even when expiries consume a slot without dispatching.
     seq: usize,
-    tenant: TenantId,
     arrival: Layers,
     /// Absolute instant after which the request may no longer dispatch.
     deadline: Option<Layers>,
@@ -182,11 +175,6 @@ impl Replica {
         self.dispatched.len()
     }
 
-    /// The tenant of the `index`-th dispatched query.
-    pub fn tenant_of(&self, index: usize) -> TenantId {
-        self.dispatched[index].0.tenant
-    }
-
     /// The driver-private tag of the `index`-th dispatched query.
     pub fn tag_of(&self, index: usize) -> usize {
         self.dispatched[index].0.tag
@@ -235,7 +223,6 @@ impl Replica {
         &mut self,
         id: usize,
         tag: usize,
-        tenant: TenantId,
         arrival: Layers,
         deadline: Option<Layers>,
         address: AddressState,
@@ -247,7 +234,6 @@ impl Replica {
             id,
             tag,
             seq: self.accepted,
-            tenant,
             arrival,
             deadline,
             address,
@@ -260,12 +246,10 @@ impl Replica {
     /// Retires the `index`-th dispatched query at instant `now`: frees its
     /// pipeline slots and returns the completion record.
     pub fn complete(&mut self, index: usize, now: Layers) -> CompletedQuery {
-        let (pending, start, shard) = &self.dispatched[index];
+        let (_, start, shard) = &self.dispatched[index];
         self.inflight -= 1;
         self.shard_inflight[*shard] -= 1;
         CompletedQuery {
-            id: pending.id,
-            arrival: pending.arrival,
             start: *start,
             finish: now,
             shard: *shard,
@@ -400,14 +384,7 @@ mod tests {
     fn round_robin_offer_and_strict_fifo_pump() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
         for id in 0..4 {
-            assert!(r.offer(
-                id,
-                id,
-                TenantId::DEFAULT,
-                Layers::ZERO,
-                None,
-                classical(4, id as u64)
-            ));
+            assert!(r.offer(id, id, Layers::ZERO, None, classical(4, id as u64)));
         }
         let mut events = Vec::new();
         let range = r.pump(Layers::ZERO, &mut FifoAdmission, |t, e| events.push((t, e)));
@@ -423,14 +400,7 @@ mod tests {
     fn poll_latch_deduplicates_wakeups() {
         let mut r = Replica::new(1, 4, Layers::new(4.0), Layers::new(10.0), 4, None);
         for id in 0..3 {
-            r.offer(
-                id,
-                id,
-                TenantId::DEFAULT,
-                Layers::ZERO,
-                None,
-                classical(4, 0),
-            );
+            r.offer(id, id, Layers::ZERO, None, classical(4, 0));
         }
         let mut polls = 0;
         r.pump(Layers::ZERO, &mut FifoAdmission, |_, e| {
@@ -453,23 +423,22 @@ mod tests {
     #[test]
     fn bounded_queue_refuses_offers_when_full() {
         let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, Some(2));
-        assert!(r.offer(0, 0, TenantId::DEFAULT, Layers::ZERO, None, classical(4, 0)));
-        assert!(r.offer(1, 1, TenantId::DEFAULT, Layers::ZERO, None, classical(4, 1)));
+        assert!(r.offer(0, 0, Layers::ZERO, None, classical(4, 0)));
+        assert!(r.offer(1, 1, Layers::ZERO, None, classical(4, 1)));
         assert!(!r.has_queue_room());
-        assert!(!r.offer(2, 2, TenantId::DEFAULT, Layers::ZERO, None, classical(4, 2)));
+        assert!(!r.offer(2, 2, Layers::ZERO, None, classical(4, 2)));
         assert_eq!(r.queued(), 2);
     }
 
     #[test]
     fn completion_frees_slots_and_records_latency() {
         let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, None);
-        r.offer(7, 7, TenantId(3), Layers::new(1.0), None, classical(4, 5));
+        r.offer(7, 7, Layers::new(1.0), None, classical(4, 5));
         r.pump(Layers::new(1.0), &mut FifoAdmission, |_, _| {});
         assert_eq!(r.load(), 1);
         let rec = r.complete(0, Layers::new(11.0));
-        assert_eq!(rec.id, 7);
-        assert_eq!(rec.finish - rec.arrival, Layers::new(10.0));
-        assert_eq!(r.tenant_of(0), TenantId(3));
+        assert_eq!(rec.start, Layers::new(1.0));
+        assert_eq!(rec.finish - rec.start, Layers::new(10.0));
         assert_eq!(r.in_flight(), 0);
     }
 
@@ -479,30 +448,15 @@ mod tests {
         // start before t = 10, past its deadline of 5 — it expires and
         // the third offer (same shard, deadline met) dispatches next.
         let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, None);
-        r.offer(
-            0,
-            100,
-            TenantId::DEFAULT,
-            Layers::ZERO,
-            None,
-            classical(4, 0),
-        );
+        r.offer(0, 100, Layers::ZERO, None, classical(4, 0));
         r.offer(
             1,
             101,
-            TenantId::DEFAULT,
             Layers::ZERO,
             Some(Layers::new(5.0)),
             classical(4, 1),
         );
-        r.offer(
-            2,
-            102,
-            TenantId::DEFAULT,
-            Layers::ZERO,
-            None,
-            classical(4, 2),
-        );
+        r.offer(2, 102, Layers::ZERO, None, classical(4, 2));
         r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
         r.complete(0, Layers::new(10.0));
         let mut events = Vec::new();
@@ -519,14 +473,7 @@ mod tests {
     fn stalled_shard_blocks_the_strict_fifo_dispatcher() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
         for id in 0..4 {
-            r.offer(
-                id,
-                id,
-                TenantId::DEFAULT,
-                Layers::ZERO,
-                None,
-                classical(4, id as u64),
-            );
+            r.offer(id, id, Layers::ZERO, None, classical(4, id as u64));
         }
         r.set_shard_stall(0, true);
         let range = r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
@@ -540,14 +487,7 @@ mod tests {
     fn fail_drains_queued_tags_in_accepted_order_and_zeroes_in_flight() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
         for id in 0..5 {
-            r.offer(
-                id,
-                50 + id,
-                TenantId::DEFAULT,
-                Layers::ZERO,
-                None,
-                classical(4, id as u64),
-            );
+            r.offer(id, 50 + id, Layers::ZERO, None, classical(4, id as u64));
         }
         r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
         assert_eq!(r.in_flight(), 1);
@@ -561,14 +501,7 @@ mod tests {
         assert_eq!(r.in_flight(), 0);
         // The replica can rejoin: new offers dispatch with aligned
         // round-robin and fresh dispatch indices.
-        r.offer(
-            9,
-            59,
-            TenantId::DEFAULT,
-            Layers::new(20.0),
-            None,
-            classical(4, 9),
-        );
+        r.offer(9, 59, Layers::new(20.0), None, classical(4, 9));
         let range = r.pump(Layers::new(20.0), &mut FifoAdmission, |_, _| {});
         assert_eq!(range, 1..2);
         assert_eq!(r.tag_of(1), 59);

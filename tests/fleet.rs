@@ -1,19 +1,24 @@
 //! Fleet-layer integration properties: a one-replica fleet must realize
-//! exactly the analytic online-FIFO schedule, the epoch-replication
-//! consistency model must hold under arbitrary write/read interleavings,
-//! and placement must honour its fairness and no-needless-shed pins.
+//! exactly the analytic online-FIFO schedule and match the independent
+//! replay in `common/fleet_replay.rs`, the epoch-replication consistency
+//! model must hold under arbitrary write/read interleavings, and placement
+//! must honour its fairness and no-needless-shed pins.
 
-use fat_tree_qram::core::ShardedQram;
+#[path = "common/fleet_replay.rs"]
+mod fleet_replay;
+
+use fat_tree_qram::core::{QramModel, ShardedQram};
 use fat_tree_qram::metrics::{Capacity, LatencyHistogram, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{
-    FifoAdmission, OnlineFifoScheduler, QramServer, QueryRequest, QuotaAdmission, SloClass,
-    TenantId,
+    AdmissionPolicy, FifoAdmission, NoiseAwareAdmission, OnlineFifoScheduler, QramServer,
+    QueryRequest, QuotaAdmission, SloClass, TenantId,
 };
 use fat_tree_qram::serve::{
-    ConsistentHashPlacement, FleetConfig, FleetQuery, FleetRequest, FleetWrite,
-    LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad, ShedReason,
+    ConsistentHashPlacement, FleetConfig, FleetQuery, FleetReport, FleetRequest, FleetWrite,
+    LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad, ShedReason, ShedRequest,
 };
+use fleet_replay::{check, replay, tenant_mix, Setup, WriteLog};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random arrivals (already sorted) from integer
@@ -37,95 +42,95 @@ fn checkerboard(n: u64) -> ClassicalMemory {
     ClassicalMemory::from_words(1, &cells).unwrap()
 }
 
+/// Serves `requests` and `writes` on a fresh fleet built from `setup`.
+fn serve<M: QramModel + Clone, P: AdmissionPolicy + Clone, L: PlacementPolicy + Clone>(
+    setup: &Setup<M, P, L>,
+    memory: &ClassicalMemory,
+    requests: &[FleetRequest],
+    writes: &[FleetWrite],
+) -> FleetReport {
+    let Setup {
+        qram,
+        replicas,
+        timing,
+        policy,
+        placement,
+        config,
+    } = setup.clone();
+    QramFleet::new(qram, replicas, timing, policy, placement, config)
+        .serve(memory, requests.to_vec(), writes.to_vec())
+        .unwrap()
+}
+
 proptest! {
-    /// The ISSUE-7 reduction pin: a single-replica fleet under the default
-    /// tenant is the §5 single machine, for K ∈ {1, 2, 4, 8} and with or
-    /// without a bounded arrival queue. Its realized schedule is the
-    /// analytic online-FIFO schedule of exactly the requests it accepted
-    /// (a shed arrival leaves no trace in the dispatcher), its latency
-    /// histogram is the one recorded from that schedule, every outcome is
-    /// the ideal query, and it sheds exactly what the frozen reference
-    /// loop sheds, in the same order.
+    /// The reduction pin: a single-replica fleet is the §5 single machine,
+    /// for K ∈ {1, 2, 4, 8}, with or without a bounded arrival queue, under
+    /// a three-tenant mix (a quota, a `Batch` class) and FIFO or
+    /// noise-aware in-flight caps. It matches the independent replay (its
+    /// sheds, schedule, shards and ideal outcomes); at FIFO's cap its
+    /// schedule is the analytic online-FIFO schedule of exactly the
+    /// requests it accepted (a shed arrival leaves no trace in the
+    /// dispatcher); and its latency histogram is the one recorded from
+    /// that schedule.
     #[test]
     fn single_replica_fleet_is_bit_equal_to_the_service(
         gaps in prop::collection::vec(0u16..100, 1..40),
         addr_seeds in prop::collection::vec(0u64..256, 1..40),
         k_exp in 0u32..=3,
         queue_cap_raw in 0usize..12,
+        tenant_seeds in prop::collection::vec(0u32..3, 1..40),
+        quota in 1u32..6,
+        cap_raw in 0usize..3,
     ) {
         // 0 means "unbounded"; bounded caps are 1..=11.
         let queue_cap = (queue_cap_raw > 0).then_some(queue_cap_raw);
-        let capacity = Capacity::new(256).unwrap();
-        let timing = TimingModel::paper_default();
-        let k = 1u32 << k_exp;
+        let setup = Setup {
+            qram: ShardedQram::fat_tree(Capacity::new(256).unwrap(), 1 << k_exp),
+            replicas: 1,
+            timing: TimingModel::paper_default(),
+            policy: tenant_mix(quota, cap_raw),
+            placement: ConsistentHashPlacement,
+            config: FleetConfig {
+                queue_capacity: queue_cap,
+                replication_lag: Layers::ZERO,
+            },
+        };
         let requests = arrivals_from_gaps(&gaps);
         let memory = checkerboard(256);
-        let address = |id: usize| {
-            AddressState::classical(8, addr_seeds[id % addr_seeds.len()]).unwrap()
-        };
-        let fleet = || {
-            QramFleet::new(
-                ShardedQram::fat_tree(capacity, k),
-                1,
-                timing,
-                FifoAdmission,
-                ConsistentHashPlacement,
-                FleetConfig {
-                    queue_capacity: queue_cap,
-                    replication_lag: Layers::ZERO,
-                },
-            )
-        };
         let fleet_requests: Vec<FleetRequest> = requests
             .iter()
             .map(|r| FleetRequest {
                 id: r.id,
-                tenant: TenantId::DEFAULT,
+                tenant: TenantId(tenant_seeds[r.id % tenant_seeds.len()]),
                 arrival: r.arrival,
-                address: address(r.id),
+                address: AddressState::classical(8, addr_seeds[r.id % addr_seeds.len()]).unwrap(),
             })
             .collect();
-        let report = fleet()
-            .serve(&memory, fleet_requests.clone(), Vec::new())
-            .unwrap();
-        let reference = fleet()
-            .serve_reference(&memory, fleet_requests, Vec::new())
-            .unwrap();
+        let report = serve(&setup, &memory, &fleet_requests, &[]);
+        let replay = replay(&setup, &memory, &fleet_requests, &[]);
+        check(&report, &replay)?;
 
-        // Shedding: the reference loop's sheds, in order, all queue-bound.
-        prop_assert_eq!(report.shed(), reference.shed());
-        prop_assert!(report
-            .shed()
-            .iter()
-            .all(|s| s.reason == ShedReason::SloShed || s.reason == ShedReason::QueueFull));
-        // Timings: the online-FIFO recurrence over the accepted requests.
-        let shed: Vec<usize> = report.shed().iter().map(|s| s.id).collect();
-        let mut online = OnlineFifoScheduler::new(QramServer::for_model(
-            &ShardedQram::fat_tree(capacity, k),
-            &timing,
-        ));
-        for &r in requests.iter().filter(|r| !shed.contains(&r.id)) {
-            online.submit(r).unwrap();
+        // Timings at FIFO's cap: the online-FIFO recurrence over the
+        // accepted requests.
+        if cap_raw == 0 {
+            let shed: Vec<usize> = report.shed().iter().map(|s| s.id).collect();
+            let mut online = OnlineFifoScheduler::new(QramServer::for_model(&setup.qram, &setup.timing));
+            for &r in requests.iter().filter(|r| !shed.contains(&r.id)) {
+                online.submit(r).unwrap();
+            }
+            let (fleet_schedule, online) = (report.schedule(), online.finish());
+            prop_assert_eq!(fleet_schedule.entries(), online.entries());
         }
-        let online = online.finish();
-        let fleet_schedule = report.schedule();
-        prop_assert_eq!(fleet_schedule.entries(), online.entries());
         // Latency rollups: folded from the fleet's completions, they equal
-        // the histogram recorded from that schedule, fleet-wide and for
-        // the one replica.
+        // the histogram recorded from the replayed schedule, fleet-wide and
+        // for the one replica.
         let mut histogram = LatencyHistogram::new();
-        for q in online.entries() {
-            histogram.record(q.finish - q.request.arrival);
+        for (q, _) in &replay.served[0] {
+            histogram.record(q.finish - q.arrival);
         }
         prop_assert_eq!(report.latency_histogram(), histogram.clone());
         let per_replica = report.per_replica();
         prop_assert_eq!(per_replica.get(0), Some(&histogram));
-        // Outcomes: every query reads the ideal query, fresh, at epoch 0.
-        for (c, outcome) in report.completed().iter().zip(report.outcomes()) {
-            prop_assert!(outcome == &memory.ideal_query(&address(c.id)), "query {}", c.id);
-        }
-        prop_assert!(report.completed().iter().all(|c| c.epoch == 0 && !c.stale));
-        prop_assert_eq!(report.stale_served(), 0);
     }
 
     /// The epoch-replication consistency model, against an independent
@@ -199,37 +204,16 @@ proptest! {
         // larger of (a) the epoch of its last own-origin commit before
         // `t` (committing applies the full log prefix) and (b) the number
         // of writes whose replication instant `at + lag` has passed.
-        let applied_at = |replica: usize, t: Layers| -> u64 {
-            let own = writes
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.origin == replica && w.at < t)
-                .map(|(i, _)| i as u64 + 1)
-                .max()
-                .unwrap_or(0);
-            let replicated = writes.iter().filter(|w| w.at + lag < t).count() as u64;
-            own.max(replicated)
-        };
-        let committed_at = |t: Layers| -> u64 {
-            writes.iter().filter(|w| w.at < t).count() as u64
-        };
-        let value_at = |address: u64, epoch: u64| -> u64 {
-            writes[..epoch as usize]
-                .iter()
-                .rev()
-                .find(|w| w.address == address)
-                .map_or(base[address as usize], |w| w.value)
-        };
-
+        let log = WriteLog { base: &memory, writes: &writes, lag };
         for (query, outcome) in report.completed().iter().zip(report.outcomes()) {
-            let expected_epoch = applied_at(query.replica, query.start);
+            let expected_epoch = log.applied_at(query.replica, query.start);
             prop_assert_eq!(query.epoch, expected_epoch);
-            let expected_stale = expected_epoch < committed_at(query.start);
+            let expected_stale = expected_epoch < log.committed_at(query.start);
             prop_assert_eq!(query.stale, expected_stale);
             let address = addr_seeds[query.id % addr_seeds.len()];
             prop_assert_eq!(
                 outcome.data_for(address),
-                Some(value_at(address, expected_epoch))
+                Some(log.image_at(expected_epoch).read(address))
             );
         }
         let flagged = report.completed().iter().filter(|c| c.stale).count() as u64;
@@ -523,4 +507,46 @@ fn flash_crowd_with_quota_keeps_the_hot_tenant_p99_bounded() {
         uncapped_p99 > capped_p99,
         "the unlimited flood must queue deeper: {uncapped_p99:?} vs {capped_p99:?}"
     );
+}
+
+#[test]
+fn a_completion_at_an_arrival_instant_frees_its_slot_after_the_arrivals() {
+    // One replica with an in-flight cap of 1 and room for one queued
+    // request. Query 0 dispatches at 0 and completes at L = 49.375, the
+    // single-query latency. Queries 1 and 2 arrive at L. Query 1 queues
+    // and starts at L, but only once query 0's completion runs, after
+    // both arrivals at L. So query 2 finds the queue full.
+    let setup = Setup {
+        qram: ShardedQram::fat_tree(Capacity::new(64).unwrap(), 1),
+        replicas: 1,
+        timing: TimingModel::paper_default(),
+        policy: NoiseAwareAdmission::from_infidelity(0.35, 0.01),
+        placement: ConsistentHashPlacement,
+        config: FleetConfig {
+            queue_capacity: Some(1),
+            replication_lag: Layers::ZERO,
+        },
+    };
+    let latency = QramServer::for_model(&setup.qram, &setup.timing).latency();
+    assert_eq!(latency, Layers::new(49.375));
+    let requests: Vec<FleetRequest> = [0.0, latency.get(), latency.get()]
+        .iter()
+        .enumerate()
+        .map(|(id, &at)| FleetRequest {
+            id,
+            tenant: TenantId::DEFAULT,
+            arrival: Layers::new(at),
+            address: AddressState::classical(6, id as u64).unwrap(),
+        })
+        .collect();
+    let memory = checkerboard(64);
+    let report = serve(&setup, &memory, &requests, &[]);
+    let shed = ShedRequest {
+        id: 2,
+        tenant: TenantId::DEFAULT,
+        reason: ShedReason::QueueFull,
+    };
+    assert_eq!(report.shed(), &[shed]);
+    assert_eq!(report.completed()[1].start, latency);
+    check(&report, &replay(&setup, &memory, &requests, &[])).unwrap();
 }

@@ -21,7 +21,7 @@ use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{FifoAdmission, TenantId};
 use fat_tree_qram::serve::{
     AdaptiveGroupCommit, ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig,
-    FleetRequest, FleetWrite, QramFleet,
+    FleetRequest, FleetWrite, QramFleet, ServeError,
 };
 
 fn checkerboard(n: u64) -> ClassicalMemory {
@@ -581,4 +581,34 @@ fn serve_durable_persists_the_write_stream_across_runs() {
     expect.write(9, 0);
     expect.write(12, 1);
     assert_eq!(recovered.memory.cells(), expect.cells());
+}
+
+#[test]
+fn serve_durable_rejects_a_store_that_does_not_end_at_the_memory() {
+    // The store's chain ends at the checkerboard, but the run starts from
+    // all zeros: its scrubs and rejoins would reset replicas toward the
+    // wrong image. The call fails before it serves or logs anything.
+    let mut store = DurableFleet::create_with(
+        Box::new(SimDir::new()),
+        &checkerboard(64),
+        CheckpointPolicy::never(),
+    )
+    .unwrap();
+    let write = FleetWrite {
+        at: Layers::new(10.0),
+        origin: 0,
+        address: 3,
+        value: 1,
+    };
+    let result = fifo_fleet(2, 2).serve_durable(
+        &ClassicalMemory::zeros(64),
+        vec![request(0, 5.0, 1)],
+        vec![write],
+        &FaultPlan::none(),
+        &FaultConfig::default(),
+        &mut store,
+    );
+    assert!(matches!(result, Err(ServeError::StoreMismatch)));
+    assert_eq!(store.durable_epoch(), 0, "nothing reached the log");
+    assert_eq!(store.pending_records(), 0);
 }

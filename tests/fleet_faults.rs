@@ -1,9 +1,12 @@
 //! Chaos suite for the fault-tolerant fleet: deterministic fault
 //! injection must never lose a query (every admitted request resolves
 //! exactly once, as Completed or Shed), retries must respect the backoff
-//! budget, and the empty fault plan must be bit-identical — schedules AND
-//! outcomes — to the pre-fault-injection serving loop kept as
-//! `serve_reference`.
+//! budget, and the empty fault plan must match the independent replay in
+//! `common/fleet_replay.rs` — sheds, schedules, shards, epochs, stale
+//! flags and outcomes.
+
+#[path = "common/fleet_replay.rs"]
+mod fleet_replay;
 
 use fat_tree_qram::core::{FatTreeQram, ShardedQram};
 use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
@@ -11,8 +14,9 @@ use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{FifoAdmission, QuotaAdmission, RetryPolicy, SloClass, TenantId};
 use fat_tree_qram::serve::{
     BrownoutConfig, ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig,
-    FleetRequest, FleetWrite, QramFleet, ShedReason,
+    FleetRequest, FleetWrite, QramFleet, ShedReason, ShedRequest,
 };
+use fleet_replay::{check, replay, tenant_mix, Placement, Setup};
 use proptest::prelude::*;
 
 fn checkerboard(n: u64) -> ClassicalMemory {
@@ -48,11 +52,13 @@ fn fifo_fleet(
 }
 
 proptest! {
-    /// The bit-equality pin: `serve` (which routes through
+    /// The fault-free pin: `serve` (which routes through
     /// `serve_with_faults` with the empty plan and the default passive
-    /// config) is indistinguishable from the verbatim pre-fault loop for
-    /// R ∈ {1, 2, 4} — same schedules, same outcomes, same shedding, and
-    /// an all-zero availability ledger.
+    /// config) matches the independent replay for R ∈ {1, 2, 4} under
+    /// both placements, a three-tenant mix (a quota, a `Batch` class),
+    /// FIFO and noise-aware in-flight caps, bounded queues and lagged
+    /// writes — same sheds, schedules, shards, epochs, stale flags and
+    /// outcomes, and an all-zero availability ledger.
     #[test]
     fn empty_fault_plan_is_bit_equal_to_the_reference_loop(
         gaps in prop::collection::vec(0u16..90, 4..40),
@@ -60,6 +66,10 @@ proptest! {
         write_seeds in prop::collection::vec(0u64..9_000_000, 0..5),
         r_exp in 0u32..=2,
         queue_cap_raw in 0usize..10,
+        tenant_seeds in prop::collection::vec(0u32..3, 1..40),
+        quota in 1u32..6,
+        cap_raw in 0usize..3,
+        least_loaded in 0u32..2,
     ) {
         let r = 1usize << r_exp;
         let queue_cap = (queue_cap_raw > 0).then_some(queue_cap_raw);
@@ -69,7 +79,8 @@ proptest! {
             .enumerate()
             .map(|(id, &g)| {
                 t += f64::from(g) / 16.0;
-                request(id, 0, t, addr_seeds[id % addr_seeds.len()])
+                let tenant = tenant_seeds[id % tenant_seeds.len()];
+                request(id, tenant, t, addr_seeds[id % addr_seeds.len()])
             })
             .collect();
         let mut wt = 0.0;
@@ -86,29 +97,23 @@ proptest! {
             })
             .collect();
         let memory = checkerboard(64);
+        let setup = Setup {
+            qram: ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2),
+            replicas: r,
+            timing: TimingModel::paper_default(),
+            policy: tenant_mix(quota, cap_raw),
+            placement: [Placement::ConsistentHash, Placement::LeastLoaded][least_loaded as usize],
+            config: FleetConfig {
+                queue_capacity: queue_cap,
+                replication_lag: Layers::new(30.0),
+            },
+        };
 
-        let mut faulty = fifo_fleet(r, 2, queue_cap);
-        let via_faults = faulty
+        let Setup { qram, replicas, timing, policy, placement, config } = setup.clone();
+        let report = QramFleet::new(qram, replicas, timing, policy, placement, config)
             .serve(&memory, requests.clone(), writes.clone())
             .unwrap();
-        let mut reference = fifo_fleet(r, 2, queue_cap);
-        let oracle = reference.serve_reference(&memory, requests, writes).unwrap();
-
-        prop_assert_eq!(via_faults.completed(), oracle.completed());
-        let via_schedule = via_faults.schedule();
-        let oracle_schedule = oracle.schedule();
-        prop_assert_eq!(via_schedule.entries(), oracle_schedule.entries());
-        prop_assert_eq!(via_faults.outcomes(), oracle.outcomes());
-        prop_assert_eq!(via_faults.shed(), oracle.shed());
-        prop_assert_eq!(
-            via_faults.per_replica_dispatches(),
-            oracle.per_replica_dispatches()
-        );
-        prop_assert_eq!(via_faults.stale_served(), oracle.stale_served());
-        prop_assert_eq!(
-            via_faults.availability(),
-            &fat_tree_qram::metrics::AvailabilityCounters::default()
-        );
+        check(&report, &replay(&setup, &memory, &requests, &writes))?;
     }
 
     /// The no-lost-queries invariant under seeded chaos: whatever the
@@ -560,4 +565,55 @@ fn a_stalled_shard_freezes_strict_fifo_dispatch_until_thawed() {
             .all(|c| c.start >= Layers::new(600.0)),
         "nothing dispatches while the head shard is frozen"
     );
+}
+
+#[test]
+fn brownout_observes_occupancy_after_the_tick_declares_a_replica_down() {
+    // R = 2, K = 1: each replica has 6 in-flight slots plus a notional
+    // queue of 24. Replica 1 crashes at 10 and takes no traffic (every
+    // address is even, so replica 0 is home). The tick at 64 finds it
+    // Suspect, with both replicas routable and occupancy 0. Eighteen
+    // Interactive queries reach replica 0 at 100: at 128 four are in
+    // flight and fourteen queued. The tick at 128 declares replica 1
+    // Down, and the occupancy over the one routable replica, 18/30, tops
+    // the 0.5 high-water mark; over both replicas it would be 18/60. So
+    // the controller escalates to level 1 and the Batch arrival at 130
+    // is shed.
+    let batch = TenantId(1);
+    let policy = QuotaAdmission::new(FifoAdmission).with_slo(batch, SloClass::Batch);
+    let mut fleet = QramFleet::new(
+        ShardedQram::fat_tree(Capacity::new(64).unwrap(), 1),
+        2,
+        TimingModel::paper_default(),
+        policy,
+        ConsistentHashPlacement,
+        FleetConfig::default(),
+    );
+    let mut requests: Vec<FleetRequest> = (0..18)
+        .map(|i| request(i, 0, 100.0, 2 * i as u64))
+        .collect();
+    requests.push(request(18, batch.0, 130.0, 40));
+    let plan = FaultPlan::none().with(Fault::Crash {
+        replica: 1,
+        at: Layers::new(10.0),
+    });
+    let config = FaultConfig {
+        brownout: Some(BrownoutConfig {
+            high: 0.5,
+            low: 0.1,
+        }),
+        ..FaultConfig::default()
+    };
+    let report = fleet
+        .serve_with_faults(&checkerboard(64), requests, Vec::new(), &plan, &config)
+        .unwrap();
+
+    let shed = ShedRequest {
+        id: 18,
+        tenant: batch,
+        reason: ShedReason::Brownout,
+    };
+    assert_eq!(report.shed(), &[shed]);
+    assert_eq!(report.completed().len(), 18);
+    assert!(report.completed().iter().all(|c| c.replica == 0));
 }
