@@ -70,30 +70,21 @@
 //!
 //! [`SloClass`]: qram_sched::SloClass
 //! [`RetryPolicy`]: qram_sched::RetryPolicy
+//! [`ReplicatedMemory`]: qram_core::ReplicatedMemory
+//! [`BrownoutController`]: crate::BrownoutController
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::iter::Peekable;
 
-use qram_core::store::{frame, CheckpointPolicy, DurableFleet, SimDir, StoreError, SyncSummary};
-use qram_core::{
-    ExecError, JournalEntry, QramModel, ReplicatedMemory, ReplicatedWrite, ShardedQram,
-};
-use qram_metrics::{
-    AvailabilityCounters, HistogramFamily, IntegrityCounters, LatencyHistogram, Layers, QueryRate,
-    TimingModel,
-};
-use qram_sched::{
-    AdmissionPolicy, FifoAdmission, QramServer, QueryRequest, Schedule, SloClass, TenantId,
-};
-use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
+use qram_core::store::{DurableFleet, StoreError};
+use qram_core::{ExecError, QramModel, ShardedQram};
+use qram_metrics::{Layers, TimingModel};
+use qram_sched::{AdmissionPolicy, FifoAdmission, QramServer, TenantId};
+use qsim::branch::{AddressState, ClassicalMemory};
 
-use crate::fault::{
-    corrupt_outcome, parity_bit, AdaptiveGroupCommit, BrownoutController, Fault, FaultConfig,
-    FaultPlan, ReplicaHealth, ReplicationFate,
-};
-use crate::reactor::{order_key, EventQueue};
-use crate::replica::{Replica, ReplicaEvent};
+use crate::durability::Durability;
+use crate::fault::{FaultConfig, FaultPlan, ReplicaHealth};
+pub use crate::report::{FleetQuery, FleetReport};
+use crate::run::Run;
 
 /// A user query arriving at the fleet router.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,262 +253,6 @@ impl PlacementPolicy for LeastLoadedPlacement {
     }
 }
 
-/// One query served by the fleet, in completion order aligned with
-/// [`FleetReport::outcomes`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetQuery {
-    /// The request identifier.
-    pub id: usize,
-    /// The tenant that issued it.
-    pub tenant: TenantId,
-    /// Arrival instant at the router.
-    pub arrival: Layers,
-    /// Dispatch (admission) instant at the replica.
-    pub start: Layers,
-    /// Completion instant.
-    pub finish: Layers,
-    /// The replica that served the query.
-    pub replica: usize,
-    /// The shard within that replica.
-    pub shard: usize,
-    /// The memory epoch the replica had applied when the query
-    /// dispatched.
-    pub epoch: u64,
-    /// True when the serving replica trailed the fleet epoch at dispatch:
-    /// the read observed a superseded memory version. Stale results are
-    /// always flagged, never silently reported as fresh.
-    pub stale: bool,
-    /// Dispatch attempts this query consumed, counting the first: `1` in
-    /// fault-free serving, more when crashes or corrupted outcomes forced
-    /// retries (hedges do not count against the attempt budget).
-    pub attempts: u32,
-}
-
-impl FleetQuery {
-    /// The latency the requester experienced: `finish − arrival`.
-    #[must_use]
-    pub fn response_latency(&self) -> Layers {
-        self.finish - self.arrival
-    }
-}
-
-/// Reactor events of the fleet, in virtual layer time. Arrivals live in a
-/// sorted list merged against the heap (arrival-first at ties).
-#[derive(Debug)]
-enum Event {
-    /// The run's write at this index (in supply order) commits at its
-    /// origin replica.
-    Write(usize),
-    /// The log prefix up to `epoch` reaches every replica.
-    Replicate { epoch: u64 },
-    /// The `index`-th query dispatched at `replica` leaves its pipeline.
-    Completion { replica: usize, index: usize },
-    /// Wake `replica`'s dispatcher at an admission-interval boundary.
-    Poll { replica: usize },
-    /// An injected [`Fault::Crash`] fires at `replica`.
-    Crash { replica: usize },
-    /// An injected [`Fault::Recover`] restarts `replica`.
-    Recover { replica: usize },
-    /// `replica` finished replaying the replication log and rejoins.
-    RejoinDone { replica: usize },
-    /// An injected [`Fault::StallShard`] window opens.
-    StallStart { replica: usize, shard: usize },
-    /// An injected [`Fault::StallShard`] window closes.
-    StallEnd { replica: usize, shard: usize },
-    /// The health monitor samples heartbeats and brownout occupancy.
-    MonitorTick,
-    /// The anti-entropy scrubber audits the WAL and compares replica
-    /// memories with the durable chain.
-    ScrubTick,
-    /// The open commit group's flush deadline: land it even if it never
-    /// fills. `seq` is the durability tier's sync count when the group
-    /// opened — a later sync makes the firing stale.
-    WalFlush { seq: u64 },
-    /// An injected [`Fault::DiskCorrupt`] flips a bit in one replica
-    /// memory cell, bypassing the replication log.
-    DiskCorrupt { replica: usize, cell: u64 },
-    /// A lost query's backoff elapsed: re-place and re-dispatch it.
-    Retry { qid: usize },
-    /// An Interactive query may deserve a duplicate dispatch.
-    HedgeCheck { qid: usize },
-    /// A queued copy of query `qid` expired at its deadline.
-    Expired { qid: usize },
-}
-
-/// The outcome of one fleet serving run.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    timing: TimingModel,
-    completed: Vec<FleetQuery>,
-    outcomes: Vec<QueryOutcome>,
-    shed: Vec<ShedRequest>,
-    per_replica_dispatches: Vec<u64>,
-    stale_served: u64,
-    fleet_epoch: u64,
-    availability: AvailabilityCounters,
-    integrity: IntegrityCounters,
-}
-
-impl FleetReport {
-    /// Served queries in completion order.
-    #[must_use]
-    pub fn completed(&self) -> &[FleetQuery] {
-        &self.completed
-    }
-
-    /// Query outcomes aligned with [`Self::completed`].
-    #[must_use]
-    pub fn outcomes(&self) -> &[QueryOutcome] {
-        &self.outcomes
-    }
-
-    /// Requests that were shed (see [`ShedRequest`] for ordering).
-    #[must_use]
-    pub fn shed(&self) -> &[ShedRequest] {
-        &self.shed
-    }
-
-    /// Shed requests with the given reason.
-    #[must_use]
-    pub fn shed_count(&self, reason: ShedReason) -> usize {
-        self.shed.iter().filter(|s| s.reason == reason).count()
-    }
-
-    /// Shed counts rolled up per reason (reasons that shed nothing are
-    /// absent).
-    #[must_use]
-    pub fn shed_by_reason(&self) -> BTreeMap<ShedReason, usize> {
-        let mut rollup = BTreeMap::new();
-        for s in &self.shed {
-            *rollup.entry(s.reason).or_insert(0) += 1;
-        }
-        rollup
-    }
-
-    /// The fault-tolerance ledger of the run: retries, hedges, failovers,
-    /// detected corruptions, crashes, recoveries, and downtime. All zero
-    /// for a fault-free run.
-    #[must_use]
-    pub fn availability(&self) -> &AvailabilityCounters {
-        &self.availability
-    }
-
-    /// The durability ledger of the run: WAL appends, checkpoints, scrub
-    /// cycles, mismatched memory chunks, and repairs. All zero for runs
-    /// without disk faults, scrubbing, or an external durable store.
-    #[must_use]
-    pub fn integrity(&self) -> &IntegrityCounters {
-        &self.integrity
-    }
-
-    /// Mean time to repair (crash → rejoin), or `None` when no replica
-    /// completed a recovery.
-    #[must_use]
-    pub fn mttr(&self) -> Option<Layers> {
-        self.availability.mttr()
-    }
-
-    /// Queries dispatched per replica.
-    #[must_use]
-    pub fn per_replica_dispatches(&self) -> &[u64] {
-        &self.per_replica_dispatches
-    }
-
-    /// Per-tenant response-latency histograms, tenant-ordered, folded
-    /// over [`Self::completed`] on each call.
-    #[must_use]
-    pub fn per_tenant(&self) -> HistogramFamily<TenantId> {
-        self.fold_latencies(|q| q.tenant)
-    }
-
-    /// Per-replica response-latency histograms, index-ordered, folded
-    /// over [`Self::completed`] on each call.
-    #[must_use]
-    pub fn per_replica(&self) -> HistogramFamily<usize> {
-        self.fold_latencies(|q| q.replica)
-    }
-
-    /// The fleet-wide response-latency histogram: [`Self::per_tenant`]
-    /// with every tenant merged.
-    #[must_use]
-    pub fn latency_histogram(&self) -> LatencyHistogram {
-        self.per_tenant().merged()
-    }
-
-    /// Response latencies keyed by `key`, recorded in completion order —
-    /// the order the serving loop completes queries in.
-    fn fold_latencies<K: Ord + Copy>(&self, key: impl Fn(&FleetQuery) -> K) -> HistogramFamily<K> {
-        let mut family = HistogramFamily::new();
-        for q in &self.completed {
-            family.record(key(q), q.response_latency());
-        }
-        family
-    }
-
-    /// Queries served against a superseded memory version (and flagged).
-    #[must_use]
-    pub fn stale_served(&self) -> u64 {
-        self.stale_served
-    }
-
-    /// The final fleet epoch: total writes committed during the run.
-    #[must_use]
-    pub fn fleet_epoch(&self) -> u64 {
-        self.fleet_epoch
-    }
-
-    /// Completion instant of the last served query.
-    #[must_use]
-    pub fn makespan(&self) -> Layers {
-        self.completed
-            .iter()
-            .map(|c| c.finish)
-            .fold(Layers::ZERO, Layers::max)
-    }
-
-    /// The observation window: first arrival → last completion.
-    /// [`Layers::ZERO`] when nothing completed.
-    #[must_use]
-    pub fn window(&self) -> Layers {
-        let Some(first_arrival) = self.completed.iter().map(|c| c.arrival).reduce(Layers::min)
-        else {
-            return Layers::ZERO;
-        };
-        self.makespan() - first_arrival
-    }
-
-    /// Aggregate served queries per second under the fleet's timing
-    /// model, over the first-arrival → makespan window;
-    /// [`QueryRate::ZERO`] when nothing completed (never `NaN`).
-    #[must_use]
-    pub fn query_rate(&self) -> QueryRate {
-        if self.completed.is_empty() {
-            return QueryRate::ZERO;
-        }
-        QueryRate::new(self.completed.len() as f64 / self.timing.layers_to_seconds(self.window()))
-    }
-
-    /// The realized timings as a `qram-sched` [`Schedule`], for
-    /// comparison against the analytic schedulers: at `R = 1` it is the
-    /// online-FIFO schedule of the accepted requests.
-    #[must_use]
-    pub fn schedule(&self) -> Schedule {
-        Schedule::from_entries(
-            self.completed
-                .iter()
-                .map(|c| qram_sched::ScheduledQuery {
-                    request: QueryRequest {
-                        id: c.id,
-                        arrival: c.arrival,
-                    },
-                    start: c.start,
-                    finish: c.finish,
-                })
-                .collect(),
-        )
-    }
-}
-
 /// A multi-tenant fleet of `R` QRAM serving replicas behind a routing
 /// tier, with epoch-replicated writes.
 ///
@@ -553,11 +288,11 @@ pub struct QramFleet<
     P: AdmissionPolicy = FifoAdmission,
     L: PlacementPolicy = ConsistentHashPlacement,
 > {
-    backends: Vec<ShardedQram<M>>,
-    timing: TimingModel,
-    policy: P,
-    placement: L,
-    config: FleetConfig,
+    pub(crate) backends: Vec<ShardedQram<M>>,
+    pub(crate) timing: TimingModel,
+    pub(crate) policy: P,
+    pub(crate) placement: L,
+    pub(crate) config: FleetConfig,
 }
 
 impl<M: QramModel + Clone> QramFleet<M, FifoAdmission, ConsistentHashPlacement> {
@@ -806,1244 +541,11 @@ impl From<StoreError> for ServeError {
     }
 }
 
-/// Bytes of a torn WAL append the lying disk keeps: header plus part of
-/// the record payload, so the defect lands mid-frame.
-const TORN_KEEP_BYTES: usize = frame::HEADER_LEN + 7;
-
-/// Durability bookkeeping for one serving run: the WAL + checkpoint
-/// store, the epoch offset between this run's fleet epochs and the
-/// store's chain, and the integrity ledger.
-struct Durability<'a> {
-    store: &'a mut DurableFleet,
-    /// The store's durable epoch when the run started: fleet epoch `e`
-    /// of this run lives at store epoch `wal_base + e`.
-    wal_base: u64,
-    counters: IntegrityCounters,
-    /// Commit-group syncs paid so far — the freshness token carried by
-    /// armed [`Event::WalFlush`] deadlines: a deadline whose `seq` is
-    /// behind this counter raced a size-triggered flush and is stale.
-    syncs: u64,
-    /// `counters.wal_appends` at the last monitor tick, for the
-    /// adaptive group-commit controller's per-tick append rate.
-    appends_at_tick: u64,
-}
-
-impl<'a> Durability<'a> {
-    /// The run's durability tier. An external store (`serve_durable`)
-    /// always activates it; otherwise disk faults, a scrub interval or
-    /// the adaptive group commit spin up an ephemeral in-memory store in
-    /// `ephemeral`, so the faults have a durable chain to lie against and
-    /// be audited by. A run that activates none of this schedules no
-    /// events and touches no disk, keeping the empty-plan reactor
-    /// bit-identical to the fault-free loop.
-    fn open(
-        store: Option<&'a mut DurableFleet>,
-        ephemeral: &'a mut Option<DurableFleet>,
-        memory: &ClassicalMemory,
-        plan: &FaultPlan,
-        config: &FaultConfig,
-    ) -> Result<Option<Self>, StoreError> {
-        let store = match store {
-            Some(s) => {
-                s.set_group_commit(config.group_commit);
-                s
-            }
-            None if plan.has_disk_faults()
-                || config.scrub_interval.is_some()
-                || config.adaptive_group_commit.is_some() =>
-            {
-                let fresh = DurableFleet::create_with(
-                    Box::new(SimDir::new()),
-                    memory,
-                    CheckpointPolicy::never(),
-                )?
-                .with_group_commit(config.group_commit);
-                ephemeral.insert(fresh)
-            }
-            None => return Ok(None),
-        };
-        Ok(Some(Durability {
-            wal_base: store.durable_epoch(),
-            store,
-            counters: IntegrityCounters::default(),
-            syncs: 0,
-            appends_at_tick: 0,
-        }))
-    }
-
-    /// Folds one store [`SyncSummary`] into the integrity ledger and
-    /// the sync sequence number.
-    fn note(&mut self, summary: SyncSummary) {
-        if summary.synced_records > 0 {
-            self.syncs += 1;
-            self.counters.wal_syncs += 1;
-            self.counters.max_group_records = self
-                .counters
-                .max_group_records
-                .max(summary.synced_records as u64);
-        }
-        if summary.checkpointed {
-            if summary.delta {
-                self.counters.delta_checkpoints += 1;
-            } else {
-                self.counters.checkpoints += 1;
-            }
-            self.counters.delta_chain_len = Some(self.store.delta_chain_len() as u64);
-        }
-    }
-
-    /// Logs one committed fleet write durably; `torn` arms the
-    /// lying-disk hook so the append reports success while the platter
-    /// keeps only [`TORN_KEEP_BYTES`]. Under group commit the record
-    /// may buffer; the returned summary says whether a sync landed.
-    fn append(&mut self, w: &ReplicatedWrite, torn: bool) -> Result<SyncSummary, StoreError> {
-        if torn {
-            self.store.dir_mut().tear_next_write(TORN_KEEP_BYTES);
-        }
-        let stored = ReplicatedWrite {
-            epoch: self.wal_base + w.epoch,
-            ..*w
-        };
-        let summary = self.store.append(&stored)?;
-        self.counters.wal_appends += 1;
-        self.note(summary);
-        Ok(summary)
-    }
-
-    /// Lands any buffered commit group now (deadline flush, pre-audit
-    /// barrier, end-of-run drain).
-    fn flush(&mut self) -> Result<SyncSummary, StoreError> {
-        let summary = self.store.flush()?;
-        self.note(summary);
-        Ok(summary)
-    }
-
-    /// The highest fleet epoch whose record has reached a synced group
-    /// — the ack/replication watermark.
-    fn synced_fleet_epoch(&self) -> u64 {
-        self.store.durable_epoch().saturating_sub(self.wal_base)
-    }
-
-    /// The adaptive group commit's monitor tick: observe the append rate
-    /// over the tick and retune the group size — double while the
-    /// interval outran the group, halve when it ran at most half full.
-    /// Only the group size moves, never the ack-at-sync point.
-    fn adapt_group_commit(&mut self, bounds: AdaptiveGroupCommit) {
-        let appends = self.counters.wal_appends - self.appends_at_tick;
-        self.appends_at_tick = self.counters.wal_appends;
-        let mut g = self.store.group_commit();
-        let current = g.max_records;
-        let next = if appends > current as u64 {
-            current.saturating_mul(2).min(bounds.max_records)
-        } else if appends <= (current as u64) / 2 {
-            (current / 2).max(bounds.min_records)
-        } else {
-            current
-        };
-        if next != current {
-            g.max_records = next.max(1);
-            self.store.set_group_commit(g);
-        }
-    }
-
-    /// Audits the on-disk WAL against the store's view: a torn tail is
-    /// truncated, the watermark rolled back, and the lost acknowledged
-    /// epochs re-appended from the fleet's in-memory log (each counted
-    /// as a repair).
-    fn audit_disk(&mut self, replicated: &ReplicatedMemory) -> Result<(), StoreError> {
-        // Land the open group through the ledger first, so the store's
-        // own pre-rescan flush has nothing left to sync invisibly.
-        self.flush()?;
-        let summary = self.store.rescan()?;
-        if summary.truncated_bytes > 0 {
-            self.counters.torn_tails_truncated += 1;
-        }
-        if summary.lost_epochs > 0 {
-            let from = self.store.durable_epoch();
-            for w in replicated.log() {
-                let stored_epoch = self.wal_base + w.epoch;
-                if stored_epoch > from {
-                    let stored = ReplicatedWrite {
-                        epoch: stored_epoch,
-                        ..*w
-                    };
-                    let summary = self.store.append(&stored)?;
-                    self.counters.wal_appends += 1;
-                    self.counters.repairs += 1;
-                    self.note(summary);
-                }
-            }
-            // Re-appends buffer under the same group policy — the
-            // audit's promise is a durable tail, so land them now.
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Replays a restarted replica from the durable chain: disk audit,
-    /// then a reset to the chain's image at its watermark. The caller
-    /// drains any remaining in-memory log suffix afterwards.
-    fn rejoin_from_disk(
-        &mut self,
-        replica: usize,
-        replicated: &mut ReplicatedMemory,
-    ) -> Result<(), StoreError> {
-        self.audit_disk(replicated)?;
-        let durable_fleet_epoch = self.store.durable_epoch() - self.wal_base;
-        if durable_fleet_epoch > replicated.applied_epoch(replica) {
-            replicated.reset_replica(replica, self.store.shadow().clone(), durable_fleet_epoch);
-        }
-        Ok(())
-    }
-
-    /// One anti-entropy scrub cycle: audit the WAL, then compare each
-    /// live replica's memory, chunk by chunk, with the durable chain's
-    /// expected image at that replica's applied epoch, repairing
-    /// divergence by resetting the replica to the expected image.
-    fn scrub(
-        &mut self,
-        replicated: &mut ReplicatedMemory,
-        replicas: &[ReplicaState],
-        chunk_cells: usize,
-    ) -> Result<(), StoreError> {
-        self.counters.scrub_cycles += 1;
-        self.audit_disk(replicated)?;
-        for r in (0..replicas.len()).filter(|&r| replicas[r].alive) {
-            let applied = replicated.applied_epoch(r);
-            // An epoch already compacted behind a checkpoint is not
-            // reconstructible — the replica is audited next cycle, once
-            // catch-up moves it past the checkpoint watermark.
-            let Some(expected) = self.store.state_at(self.wal_base + applied) else {
-                continue;
-            };
-            let want = expected.cells().chunks(chunk_cells);
-            let have = replicated.memory(r).cells().chunks(chunk_cells);
-            self.counters.chunks_verified += have.len() as u64;
-            let diverged = want.zip(have).filter(|(w, h)| w != h).count() as u64;
-            if diverged > 0 {
-                self.counters.mismatches += diverged;
-                self.counters.repairs += 1;
-                // The reset journals the repaired cells at the same
-                // epoch, so the version's final image — what its
-                // dispatches read — is clean again.
-                replicated.reset_replica(r, expected, applied);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One dispatch of a replica, stamped when the replica's pump admits it.
-#[derive(Debug, Clone, Copy)]
-struct Dispatch {
-    /// The admitted query it serves (an index into the query states).
-    qid: usize,
-    /// The memory epoch its replica had applied at dispatch.
-    epoch: u64,
-    /// True when that epoch trailed the fleet epoch.
-    stale: bool,
-    /// Its completion was consumed, or a crash invalidated it.
-    handled: bool,
-}
-
-/// The serving loop's bookkeeping for one admitted query.
-#[derive(Debug)]
-struct QueryState {
-    id: usize,
-    tenant: TenantId,
-    arrival: Layers,
-    deadline: Option<Layers>,
-    /// The queried address, kept for re-dispatch. `None` in fault-free
-    /// runs without hedging (no clone on the hot path).
-    address: Option<AddressState>,
-    /// Dispatch attempts consumed, counting the first.
-    attempts: u32,
-    /// Live copies: queued or in-flight offers of this query.
-    outstanding: u32,
-    /// Resolved — completed or shed. Terminal.
-    done: bool,
-    last_replica: usize,
-    /// The replica its one hedged copy went to.
-    hedge_replica: Option<usize>,
-}
-
-/// One replica of a serving run: its dispatch core, one record per
-/// dispatch, and what the failure detector knows about it.
-#[derive(Debug)]
-struct ReplicaState {
-    core: Replica,
-    /// One record per dispatch, in dispatch order.
-    dispatches: Vec<Dispatch>,
-    health: ReplicaHealth,
-    /// False from a crash until its recovery.
-    alive: bool,
-    /// Consecutive monitor ticks the dead replica missed.
-    misses: u32,
-    down_since: Option<Layers>,
-    /// The instant its armed `RejoinDone` fires; a re-crash during
-    /// replay clears it, making that firing stale.
-    rejoin_at: Option<f64>,
-    /// Queries stranded here by a crash, failed over when the detector
-    /// declares the replica Down or it recovers, whichever comes first.
-    pending_failover: Vec<usize>,
-}
-
-impl ReplicaState {
-    /// The load and health the placement policy ranks this replica by.
-    fn load(&self) -> ReplicaLoad {
-        ReplicaLoad {
-            queued: self.core.queued(),
-            in_flight: self.core.in_flight(),
-            has_room: self.core.has_queue_room(),
-            health: self.health,
-        }
-    }
-
-    /// One monitor heartbeat: a live replica clears its misses and any
-    /// Suspect verdict; a dead one is Suspect after one miss and Down
-    /// after two. True when this tick declared it Down.
-    fn heartbeat(&mut self) -> bool {
-        if self.alive {
-            self.misses = 0;
-            if self.health == ReplicaHealth::Suspect {
-                self.health = ReplicaHealth::Healthy;
-            }
-            return false;
-        }
-        self.misses += 1;
-        if self.health == ReplicaHealth::Down {
-            return false;
-        }
-        self.health = match self.misses {
-            1 => ReplicaHealth::Suspect,
-            _ => ReplicaHealth::Down,
-        };
-        self.health == ReplicaHealth::Down
-    }
-}
-
-/// The state of one serving run: the replicas, the reactor's event queue
-/// and pending arrivals, every admitted query, the shed list, per-tenant
-/// outstanding counts, both ledgers and the durability tier. Each event
-/// kind has one handler method; a handler that may unblock a dispatcher
-/// ends by pumping it.
-struct Run<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> {
-    fleet: &'a mut QramFleet<M, P, L>,
-    plan: &'a FaultPlan,
-    config: &'a FaultConfig,
-    /// One replica's nominal query latency.
-    latency: Layers,
-    /// A non-empty plan, a brownout controller or the adaptive group
-    /// commit runs the health monitor. Nothing else schedules a monitor
-    /// or fault event, so the empty plan keeps the reactor's event
-    /// sequence, and its FIFO tie-breaks, identical to the fault-free loop.
-    monitoring: bool,
-    has_slow: bool,
-    /// Admitted queries keep their address for re-dispatch.
-    keep_address: bool,
-    /// Brownout occupancy slots per replica: in-flight cap + queue bound.
-    replica_slots: usize,
-    replicas: Vec<ReplicaState>,
-    /// Each replica's journal records the cell changes it applies; a
-    /// dispatch's stamped epoch selects its prefix at execution.
-    replicated: ReplicatedMemory,
-    events: EventQueue<Event>,
-    /// Sorted arrivals, merged against the heap (arrival-first at ties).
-    arrivals: Peekable<std::vec::IntoIter<FleetRequest>>,
-    writes: Vec<FleetWrite>,
-    states: Vec<QueryState>,
-    /// Admitted queries not yet completed or shed.
-    open: usize,
-    outstanding: BTreeMap<TenantId, u32>,
-    completed: Vec<FleetQuery>,
-    /// The (replica, dispatch index) that served each completed query.
-    completed_dispatch: Vec<(usize, usize)>,
-    corrupted_served: Vec<(usize, usize)>,
-    shed: Vec<ShedRequest>,
-    counters: AvailabilityCounters,
-    brownout: Option<BrownoutController>,
-    durability: Option<Durability<'a>>,
-    /// Fleet epochs whose Replicate fan-out is already scheduled (see
-    /// [`Run::schedule_replication`]).
-    repl_scheduled: u64,
-    /// The placement snapshot, refilled before every placement.
-    loads: Vec<ReplicaLoad>,
-}
-
-impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> {
-    /// A run of `fleet` over `requests`, sorted by arrival instant (the
-    /// stable sort keeps supply order among ties), with one commit event
-    /// scheduled per write, in supply order.
-    fn new(
-        fleet: &'a mut QramFleet<M, P, L>,
-        memory: &ClassicalMemory,
-        requests: impl IntoIterator<Item = FleetRequest>,
-        writes: impl IntoIterator<Item = FleetWrite>,
-        plan: &'a FaultPlan,
-        config: &'a FaultConfig,
-    ) -> Self {
-        let server = fleet.equivalent_server();
-        let aggregate_cap = fleet
-            .policy
-            .in_flight_cap(&server)
-            .clamp(1, server.parallelism());
-        let backend = &fleet.backends[0];
-        let address_width = backend.capacity().address_width();
-        let queue_capacity = fleet.config.queue_capacity;
-        let replicas: Vec<ReplicaState> = (0..fleet.backends.len())
-            .map(|_| ReplicaState {
-                core: Replica::new(
-                    backend.num_shards() as usize,
-                    backend.shard_parallelism(),
-                    server.interval(),
-                    server.latency(),
-                    aggregate_cap,
-                    queue_capacity,
-                ),
-                dispatches: Vec::new(),
-                health: ReplicaHealth::Healthy,
-                alive: true,
-                misses: 0,
-                down_since: None,
-                rejoin_at: None,
-                pending_failover: Vec::new(),
-            })
-            .collect();
-        let mut arrivals: Vec<FleetRequest> = requests
-            .into_iter()
-            .inspect(|r| {
-                assert_eq!(
-                    r.address.address_width(),
-                    address_width,
-                    "request address width must match QRAM capacity"
-                );
-            })
-            .collect();
-        arrivals.sort_by_key(|r| order_key(r.arrival.get()));
-        let total = arrivals.len();
-        let writes: Vec<FleetWrite> = writes.into_iter().collect();
-        let mut events = EventQueue::new();
-        let n = replicas.len();
-        for (i, write) in writes.iter().enumerate() {
-            let origin = write.origin;
-            assert!(
-                origin < n,
-                "write origin replica {origin} out of range (R = {n})"
-            );
-            events.push(write.at, Event::Write(i));
-        }
-        let brownout = config.brownout.map(BrownoutController::new);
-        let cap = aggregate_cap as usize;
-        Run {
-            plan,
-            config,
-            latency: server.latency(),
-            monitoring: !plan.is_empty()
-                || brownout.is_some()
-                || config.adaptive_group_commit.is_some(),
-            has_slow: plan.has_slow_faults(),
-            keep_address: !plan.is_empty() || config.hedge_delay.is_some(),
-            replica_slots: cap + queue_capacity.unwrap_or(4 * cap),
-            replicated: ReplicatedMemory::new(memory.clone(), replicas.len()),
-            loads: Vec::with_capacity(replicas.len()),
-            replicas,
-            events,
-            arrivals: arrivals.into_iter().peekable(),
-            writes,
-            states: Vec::with_capacity(total),
-            open: 0,
-            outstanding: BTreeMap::new(),
-            completed: Vec::with_capacity(total),
-            completed_dispatch: Vec::with_capacity(total),
-            corrupted_served: Vec::new(),
-            shed: Vec::new(),
-            counters: AvailabilityCounters::default(),
-            brownout,
-            durability: None,
-            repl_scheduled: 0,
-            fleet,
-        }
-    }
-
-    /// Schedules, when monitoring, the plan's fault events and the first
-    /// monitor tick, then, when scrubbing, the first scrub tick —
-    /// checking every replica, shard and interval they name.
-    fn schedule_faults(&mut self) {
-        let num_replicas = self.replicas.len();
-        let num_shards = self.fleet.backends[0].num_shards() as usize;
-        let events = &mut self.events;
-        if self.monitoring {
-            assert!(
-                self.config.monitor_interval.get() > 0.0,
-                "monitoring needs a positive monitor interval"
-            );
-            for fault in self.plan.faults() {
-                let (replica, at, event) = match *fault {
-                    Fault::Crash { replica, at } => (replica, at, Event::Crash { replica }),
-                    Fault::Recover { replica, at } => (replica, at, Event::Recover { replica }),
-                    Fault::DiskCorrupt { replica, at, cell } => {
-                        (replica, at, Event::DiskCorrupt { replica, cell })
-                    }
-                    Fault::StallShard {
-                        replica,
-                        shard,
-                        from,
-                        until,
-                    } => {
-                        assert!(shard < num_shards, "stall names shard {shard}");
-                        events.push(from, Event::StallStart { replica, shard });
-                        (replica, until, Event::StallEnd { replica, shard })
-                    }
-                    Fault::SlowReplica { replica, .. } | Fault::CorruptOutcome { replica, .. } => {
-                        assert!(replica < num_replicas, "fault names replica {replica}");
-                        continue;
-                    }
-                    Fault::DropReplication { .. }
-                    | Fault::DelayReplication { .. }
-                    | Fault::TornWrite { .. } => continue,
-                };
-                assert!(replica < num_replicas, "fault names replica {replica}");
-                events.push(at, event);
-            }
-            events.push(self.config.monitor_interval, Event::MonitorTick);
-        }
-        if let (Some(interval), Some(_)) = (self.config.scrub_interval, &self.durability) {
-            assert!(
-                interval.get() > 0.0,
-                "scrubbing needs a positive scrub interval"
-            );
-            assert!(
-                self.config.scrub_chunk_cells > 0,
-                "scrub chunks must hold at least one cell"
-            );
-            events.push(interval, Event::ScrubTick);
-        }
-    }
-
-    /// Runs the reactor until every arrival and event is handled. An
-    /// arrival at the same instant as a heap event goes first.
-    fn run(&mut self) -> Result<(), StoreError> {
-        loop {
-            let arrival_is_next = match (self.arrivals.peek(), self.events.peek_time()) {
-                (Some(request), Some(next)) => request.arrival <= next,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if arrival_is_next {
-                let request = self.arrivals.next().expect("peeked arrival exists");
-                self.on_arrival(request);
-                continue;
-            }
-            let Some((now, event)) = self.events.pop() else {
-                return Ok(());
-            };
-            match event {
-                Event::Write(i) => self.on_write(now, i)?,
-                Event::Replicate { epoch } => self.on_replicate(epoch),
-                Event::Completion { replica, index } => self.on_completion(now, replica, index),
-                Event::Poll { replica } => self.on_poll(now, replica),
-                Event::Crash { replica } => self.on_crash(now, replica),
-                Event::Recover { replica } => self.on_recover(now, replica),
-                Event::RejoinDone { replica } => self.on_rejoin(now, replica)?,
-                Event::StallStart { replica, shard } => self.on_stall(now, replica, shard, true),
-                Event::StallEnd { replica, shard } => self.on_stall(now, replica, shard, false),
-                Event::MonitorTick => self.on_monitor_tick(now),
-                Event::ScrubTick => self.on_scrub_tick(now)?,
-                Event::WalFlush { seq } => self.on_wal_flush(now, seq)?,
-                Event::DiskCorrupt { replica, cell } => self.on_disk_corrupt(replica, cell),
-                Event::Retry { qid } => self.on_retry(now, qid),
-                Event::HedgeCheck { qid } => self.on_hedge_check(now, qid),
-                Event::Expired { qid } => self.on_expired(qid),
-            }
-        }
-    }
-
-    /// An arrival reaches the router: it is shed with a reason, or
-    /// admitted at the placed replica.
-    fn on_arrival(&mut self, request: FleetRequest) {
-        match self.route(&request) {
-            Ok(target) => {
-                let now = request.arrival;
-                self.admit(request, target);
-                self.pump(now, target);
-            }
-            Err(reason) => self.shed.push(ShedRequest {
-                id: request.id,
-                tenant: request.tenant,
-                reason,
-            }),
-        }
-    }
-
-    /// The router's verdict on an arrival: brownout, then the tenant's
-    /// quota, then placement, the placed replica's health, and the
-    /// tenant's SLO share of its queue.
-    fn route(&mut self, request: &FleetRequest) -> Result<usize, ShedReason> {
-        let policy = &self.fleet.policy;
-        let tenant = request.tenant;
-        if self
-            .brownout
-            .as_ref()
-            .is_some_and(|c| c.sheds(policy.tenant_slo(tenant)))
-        {
-            return Err(ShedReason::Brownout);
-        }
-        if policy
-            .tenant_quota(tenant)
-            .is_some_and(|quota| self.outstanding.get(&tenant).copied().unwrap_or(0) >= quota)
-        {
-            return Err(ShedReason::QuotaExceeded);
-        }
-        let target = self.place(request);
-        if !self.loads[target].routable() {
-            return Err(ShedReason::NoHealthyReplica);
-        }
-        let (core, policy) = (&self.replicas[target].core, &self.fleet.policy);
-        let queue_capacity = self.fleet.config.queue_capacity;
-        let slo_bound = queue_capacity.map(|cap| policy.tenant_slo(tenant).queue_bound(cap));
-        if slo_bound.is_some_and(|bound| core.queued() >= bound) {
-            return Err(if core.has_queue_room() {
-                ShedReason::SloShed
-            } else {
-                ShedReason::QueueFull
-            });
-        }
-        Ok(target)
-    }
-
-    /// Refills the placement snapshot and asks the placement policy for
-    /// a replica.
-    fn place(&mut self, request: &FleetRequest) -> usize {
-        self.loads.clear();
-        self.loads
-            .extend(self.replicas.iter().map(ReplicaState::load));
-        let target = self.fleet.placement.place(request, &self.loads);
-        let n = self.replicas.len();
-        assert!(target < n, "placement returned replica {target} of {n}");
-        target
-    }
-
-    /// Queues an admitted arrival at `target` and opens its query state,
-    /// arming a hedge check for an Interactive tenant when hedging is on.
-    fn admit(&mut self, request: FleetRequest, target: usize) {
-        let (qid, tenant) = (self.states.len(), request.tenant);
-        let budget = self.fleet.policy.tenant_deadline(tenant);
-        let deadline = budget.map(|budget| request.arrival + budget);
-        let address = self.keep_address.then(|| request.address.clone());
-        let offered = self.replicas[target].core.offer(
-            request.id,
-            qid,
-            request.arrival,
-            deadline,
-            request.address,
-        );
-        debug_assert!(offered, "the SLO bound is at most the queue bound");
-        self.states.push(QueryState {
-            id: request.id,
-            tenant,
-            arrival: request.arrival,
-            deadline,
-            address,
-            attempts: 1,
-            outstanding: 1,
-            done: false,
-            last_replica: target,
-            hedge_replica: None,
-        });
-        *self.outstanding.entry(tenant).or_insert(0) += 1;
-        self.open += 1;
-        if let Some(delay) = self.config.hedge_delay {
-            if self.fleet.policy.tenant_slo(tenant) == SloClass::Interactive {
-                let check = request.arrival + delay;
-                self.events.push(check, Event::HedgeCheck { qid });
-            }
-        }
-    }
-
-    /// The run's write at index `i` commits. A write addressed at a dead
-    /// origin commits at the first live replica instead: writes survive
-    /// crashes even when the client's affinity target is down.
-    fn on_write(&mut self, now: Layers, i: usize) -> Result<(), StoreError> {
-        let write = self.writes[i];
-        let alive = |r: usize| self.replicas[r].alive;
-        let origin = if alive(write.origin) {
-            write.origin
-        } else {
-            (0..self.replicas.len())
-                .find(|&r| alive(r))
-                .unwrap_or(write.origin)
-        };
-        let epoch = self.replicated.write_at(origin, write.address, write.value);
-        // Ack-at-sync: with a durability tier, replication (and with it
-        // the stale-read watermark) only fans out from synced epochs.
-        let mut replicate_to = self.durability.is_none().then_some(epoch);
-        if let Some(d) = self.durability.as_mut() {
-            // Log the write before replication fans out: the commit-group
-            // sync is the acknowledgment point. A planned torn write arms
-            // the lying-disk hook — the append reports success, the platter
-            // keeps a partial record, and a later scrub's rescan repairs it.
-            let w = ReplicatedWrite {
-                epoch,
-                origin,
-                address: write.address,
-                value: write.value,
-            };
-            let summary = d.append(&w, self.plan.tears(epoch))?;
-            if summary.synced_records > 0 {
-                replicate_to = Some(d.synced_fleet_epoch());
-            } else if d.store.pending_records() == 1 {
-                // This write opened a fresh commit group: arm its flush
-                // deadline so a lull in writes cannot hold the
-                // acknowledgment hostage.
-                let delay = d.store.group_commit().max_delay;
-                if delay > 0.0 {
-                    let flush = Event::WalFlush { seq: d.syncs };
-                    self.events.push(now + Layers::new(delay), flush);
-                }
-            }
-        }
-        if let Some(to) = replicate_to {
-            self.schedule_replication(now, to);
-        }
-        Ok(())
-    }
-
-    /// The log prefix up to `epoch` reaches every live replica. Dead
-    /// replicas miss the catch-up; recovery replay carries them past it
-    /// before they rejoin.
-    fn on_replicate(&mut self, epoch: u64) {
-        for (r, replica) in self.replicas.iter().enumerate() {
-            if replica.alive {
-                self.replicated.catch_up_to(r, epoch);
-            }
-        }
-    }
-
-    /// The `index`-th dispatch of replica `r` leaves its pipeline.
-    fn on_completion(&mut self, now: Layers, r: usize, index: usize) {
-        let replica = &mut self.replicas[r];
-        let dispatch = replica.dispatches[index];
-        if dispatch.handled {
-            // A crash already failed this dispatch over.
-            return;
-        }
-        replica.dispatches[index].handled = true;
-        let record = replica.core.complete(index, now);
-        // Completion-latency assertion: a replica serving far over nominal
-        // is suspect.
-        let slow =
-            (record.finish - record.start).get() > self.latency.get() * self.config.latency_margin;
-        if self.monitoring && replica.health == ReplicaHealth::Healthy && slow {
-            replica.health = ReplicaHealth::Suspect;
-        }
-        let qid = dispatch.qid;
-        if self.plan.corrupts(r, index) {
-            self.corrupted_served.push((r, index));
-            self.lose_attempt(now, qid);
-        } else {
-            let state = &mut self.states[qid];
-            state.outstanding = state.outstanding.saturating_sub(1);
-            // A done query's hedge copy already won.
-            if !state.done {
-                if state.hedge_replica == Some(r) {
-                    self.counters.hedge_wins += 1;
-                }
-                let query = FleetQuery {
-                    id: state.id,
-                    tenant: state.tenant,
-                    arrival: state.arrival,
-                    start: record.start,
-                    finish: record.finish,
-                    replica: r,
-                    shard: record.shard,
-                    epoch: dispatch.epoch,
-                    stale: dispatch.stale,
-                    attempts: state.attempts,
-                };
-                self.completed.push(query);
-                self.completed_dispatch.push((r, index));
-                self.resolve(qid);
-            }
-        }
-        self.pump(now, r);
-    }
-
-    /// Replica `r`'s dispatcher wakes at an admission-interval boundary
-    /// (a dead replica's wake-up is stale).
-    fn on_poll(&mut self, now: Layers, r: usize) {
-        if self.replicas[r].alive {
-            self.replicas[r].core.ack_poll(now);
-            self.pump(now, r);
-        }
-    }
-
-    /// An injected crash takes replica `r` down: its queued copies (in
-    /// accepted order), then its in-flight dispatches, are stranded for
-    /// failover.
-    fn on_crash(&mut self, now: Layers, r: usize) {
-        let replica = &mut self.replicas[r];
-        if !replica.alive {
-            return;
-        }
-        replica.alive = false;
-        replica.down_since = Some(now);
-        replica.rejoin_at = None;
-        self.counters.crashes += 1;
-        let mut lost = replica.core.fail();
-        for dispatch in replica.dispatches.iter_mut().filter(|d| !d.handled) {
-            dispatch.handled = true;
-            lost.push(dispatch.qid);
-        }
-        self.strand(r, lost);
-    }
-
-    /// An injected recovery restarts replica `r`: what it stranded fails
-    /// over now, and it rejoins after replaying its replication lag.
-    fn on_recover(&mut self, now: Layers, r: usize) {
-        let replica = &mut self.replicas[r];
-        if replica.alive {
-            return;
-        }
-        replica.alive = true;
-        replica.health = ReplicaHealth::Recovering;
-        replica.misses = 0;
-        self.fail_over(now, r);
-        let replay = self.config.replay_per_entry.get() * self.replicated.lag(r) as f64;
-        let rejoin = now + Layers::new(replay);
-        self.replicas[r].rejoin_at = Some(rejoin.get());
-        self.events.push(rejoin, Event::RejoinDone { replica: r });
-    }
-
-    /// Replica `r` finished replaying and rejoins rotation, unless a
-    /// re-crash during replay made this firing stale.
-    fn on_rejoin(&mut self, now: Layers, r: usize) -> Result<(), StoreError> {
-        let replica = &mut self.replicas[r];
-        if !replica.alive || replica.rejoin_at != Some(now.get()) {
-            return Ok(());
-        }
-        replica.rejoin_at = None;
-        // Land the open commit group so the rejoin audit sees the full
-        // synced prefix, then reset the replica to the durable chain's
-        // image at its watermark: replay from disk, not the in-memory log.
-        self.flush_and_replicate(now)?;
-        if let Some(d) = self.durability.as_mut() {
-            d.rejoin_from_disk(r, &mut self.replicated)?;
-        }
-        // Drain whatever the durable chain did not cover from the
-        // in-memory log (everything, when no durability tier is active).
-        self.replicated.catch_up(r);
-        let replica = &mut self.replicas[r];
-        replica.health = ReplicaHealth::Healthy;
-        self.counters.recoveries += 1;
-        if let Some(since) = replica.down_since.take() {
-            self.counters.record_downtime(now - since);
-        }
-        self.pump(now, r);
-        Ok(())
-    }
-
-    /// An injected stall window on one of replica `r`'s shards opens or
-    /// closes; a thaw re-pumps the dispatcher.
-    fn on_stall(&mut self, now: Layers, r: usize, shard: usize, stalled: bool) {
-        self.replicas[r].core.set_shard_stall(shard, stalled);
-        if !stalled {
-            self.pump(now, r);
-        }
-    }
-
-    /// The health monitor's tick: heartbeats (failing over every replica
-    /// this tick declares Down), brownout occupancy, the adaptive group
-    /// commit, and the next tick while work remains.
-    fn on_monitor_tick(&mut self, now: Layers) {
-        for r in 0..self.replicas.len() {
-            if self.replicas[r].heartbeat() {
-                // Scoop queries offered between the crash and its
-                // detection, then fail everything stranded here over.
-                let lost = self.replicas[r].core.fail();
-                self.strand(r, lost);
-                self.fail_over(now, r);
-            }
-        }
-        if let Some(controller) = self.brownout.as_mut() {
-            let routable = self.replicas.iter().filter(|r| r.health.routable());
-            let (count, load) = routable.fold((0, 0), |(n, l), r| (n + 1, l + r.core.load()));
-            let occupancy = if count == 0 {
-                1.0
-            } else {
-                load as f64 / (count * self.replica_slots) as f64
-            };
-            controller.observe(occupancy);
-        }
-        if let (Some(bounds), Some(d)) = (self.config.adaptive_group_commit, &mut self.durability) {
-            d.adapt_group_commit(bounds);
-        }
-        if self.open > 0 || self.arrivals.peek().is_some() {
-            let next = now + self.config.monitor_interval;
-            self.events.push(next, Event::MonitorTick);
-        }
-    }
-
-    /// The anti-entropy scrubber's tick: land the open commit group (and
-    /// replicate what it synced) so the disk and the in-memory view
-    /// describe the same prefix, audit, and re-arm while work remains.
-    fn on_scrub_tick(&mut self, now: Layers) -> Result<(), StoreError> {
-        self.flush_and_replicate(now)?;
-        self.scrub()?;
-        if let Some(interval) = self.config.scrub_interval {
-            if self.open > 0 || self.arrivals.peek().is_some() {
-                self.events.push(now + interval, Event::ScrubTick);
-            }
-        }
-        Ok(())
-    }
-
-    /// An open commit group's flush deadline; stale when a fuller group
-    /// already synced (`seq` moved on) or the group emptied.
-    fn on_wal_flush(&mut self, now: Layers, seq: u64) -> Result<(), StoreError> {
-        match &self.durability {
-            Some(d) if d.syncs == seq && d.store.pending_records() > 0 => {
-                self.flush_and_replicate(now)
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Media corruption: one bit flips in replica `r`'s live image,
-    /// bypassing the replication log — invisible to staleness tracking,
-    /// caught only by a scrub's chunk comparison. The journal tags the
-    /// flip with the replica's applied epoch and every dispatch reads its
-    /// epoch's final image, so reads of that version and later ones
-    /// observe the flip until a scrub's repair; a repair within the same
-    /// epoch cleans the whole version.
-    fn on_disk_corrupt(&mut self, r: usize, cell: u64) {
-        let cells = self.replicated.memory(r).cells().len() as u64;
-        self.replicated.corrupt_replica_cell(r, cell % cells);
-    }
-
-    /// A lost query's backoff elapsed: re-place and re-offer it. A failed
-    /// placement (nowhere routable, or the queue full) consumes the
-    /// attempt too, so the budget still bounds the loop.
-    fn on_retry(&mut self, now: Layers, qid: usize) {
-        let state = &self.states[qid];
-        if state.done {
-            return;
-        }
-        let probe = FleetRequest {
-            id: state.id,
-            tenant: state.tenant,
-            arrival: state.arrival,
-            address: state.address.clone().expect("faulty runs keep addresses"),
-        };
-        let target = self.place(&probe);
-        let offered = self.loads[target].routable() && self.reoffer(qid, target, probe.address);
-        let state = &mut self.states[qid];
-        state.attempts += 1;
-        if offered {
-            state.outstanding += 1;
-            state.last_replica = target;
-            self.pump(now, target);
-        } else {
-            self.lose_attempt(now, qid);
-        }
-    }
-
-    /// An Interactive query still waiting on its one copy gets a
-    /// duplicate offer at the least-loaded other routable replica with
-    /// queue room.
-    fn on_hedge_check(&mut self, now: Layers, qid: usize) {
-        let state = &self.states[qid];
-        if state.done || state.outstanding != 1 || state.hedge_replica.is_some() {
-            return;
-        }
-        let candidate = (0..self.replicas.len())
-            .filter(|&r| {
-                let replica = &self.replicas[r];
-                replica.health.routable()
-                    && replica.core.has_queue_room()
-                    && r != state.last_replica
-            })
-            .min_by_key(|&r| (self.replicas[r].core.load(), r));
-        let Some(target) = candidate else {
-            return;
-        };
-        let address = state.address.clone().expect("hedging runs keep addresses");
-        if self.reoffer(qid, target, address) {
-            let state = &mut self.states[qid];
-            state.hedge_replica = Some(target);
-            state.outstanding += 1;
-            self.counters.hedges += 1;
-            self.pump(now, target);
-        }
-    }
-
-    /// Offers another copy of admitted query `qid` to replica `target`.
-    fn reoffer(&mut self, qid: usize, target: usize, address: AddressState) -> bool {
-        let s = &self.states[qid];
-        (self.replicas[target].core).offer(s.id, qid, s.arrival, s.deadline, address)
-    }
-
-    /// A queued copy of query `qid` expired at its deadline; the query
-    /// sheds once no copy is left.
-    fn on_expired(&mut self, qid: usize) {
-        let state = &mut self.states[qid];
-        state.outstanding = state.outstanding.saturating_sub(1);
-        if !state.done && state.outstanding == 0 {
-            self.counters.deadline_expirations += 1;
-            self.finish_shed(qid, ShedReason::DeadlineExceeded);
-        }
-    }
-
-    /// Runs replica `target`'s dispatcher at `now` (a dead replica
-    /// dispatches nothing) and stamps each new dispatch with the memory
-    /// version its replica observes.
-    fn pump(&mut self, now: Layers, target: usize) {
-        let replica = &mut self.replicas[target];
-        if !replica.alive {
-            return;
-        }
-        let (events, plan, latency, has_slow) =
-            (&mut self.events, self.plan, self.latency, self.has_slow);
-        let range = replica
-            .core
-            .pump(now, &mut self.fleet.policy, |time, ev| match ev {
-                ReplicaEvent::Completion { index } => {
-                    // A slow-replica window stretches the service time of
-                    // completions starting inside it (guarded so the
-                    // fault-free path never round-trips the timestamp
-                    // through float arithmetic).
-                    let mut at = time;
-                    if has_slow {
-                        let start = time - latency;
-                        let factor = plan.slow_factor(target, start);
-                        if factor != 1.0 {
-                            at = start + Layers::new(latency.get() * factor);
-                        }
-                    }
-                    let replica = target;
-                    events.push(at, Event::Completion { replica, index });
-                }
-                ReplicaEvent::Poll => events.push(time, Event::Poll { replica: target }),
-                ReplicaEvent::Expired { tag } => events.push(time, Event::Expired { qid: tag }),
-            });
-        // Replicated memory cannot change inside a pump, so every new
-        // dispatch observes the same epoch.
-        let epoch = self.replicated.applied_epoch(target);
-        let stale = self.replicated.is_stale(target);
-        let core = &replica.core;
-        replica.dispatches.extend(range.map(|index| Dispatch {
-            qid: core.tag_of(index),
-            epoch,
-            stale,
-            handled: false,
-        }));
-    }
-
-    /// Copies of the `lost` queries died with crashed replica `r`:
-    /// resolved queries just drop the copy, live ones wait there for
-    /// failover.
-    fn strand(&mut self, r: usize, lost: Vec<usize>) {
-        for qid in lost {
-            let state = &mut self.states[qid];
-            if state.done {
-                state.outstanding = state.outstanding.saturating_sub(1);
-            } else {
-                self.replicas[r].pending_failover.push(qid);
-            }
-        }
-    }
-
-    /// Fails every query stranded on replica `r` over: each loses its
-    /// attempt and retries after its backoff, or sheds.
-    fn fail_over(&mut self, now: Layers, r: usize) {
-        for qid in std::mem::take(&mut self.replicas[r].pending_failover) {
-            self.counters.failovers += 1;
-            self.lose_attempt(now, qid);
-        }
-    }
-
-    /// One dispatch attempt of query `qid` was lost (crash, corruption,
-    /// or an unplaceable retry). When no other copy is live, schedule a
-    /// retry after the backoff — or shed if the budget is exhausted or
-    /// the backoff would overrun the deadline.
-    fn lose_attempt(&mut self, now: Layers, qid: usize) {
-        let state = &mut self.states[qid];
-        state.outstanding = state.outstanding.saturating_sub(1);
-        if state.done || state.outstanding > 0 {
-            return;
-        }
-        let retry = &self.config.retry;
-        if retry.budget_exhausted(state.attempts) {
-            return self.finish_shed(qid, ShedReason::RetriesExhausted);
-        }
-        let at = now + retry.backoff(state.attempts);
-        if state.deadline.is_some_and(|deadline| at > deadline) {
-            self.counters.deadline_expirations += 1;
-            return self.finish_shed(qid, ShedReason::DeadlineExceeded);
-        }
-        self.counters.retries += 1;
-        self.events.push(at, Event::Retry { qid });
-    }
-
-    /// Resolves query `qid` as shed.
-    fn finish_shed(&mut self, qid: usize, reason: ShedReason) {
-        self.resolve(qid);
-        let state = &self.states[qid];
-        self.shed.push(ShedRequest {
-            id: state.id,
-            tenant: state.tenant,
-            reason,
-        });
-    }
-
-    /// Marks query `qid` resolved — completed or shed — releasing its
-    /// quota slot.
-    fn resolve(&mut self, qid: usize) {
-        let state = &mut self.states[qid];
-        debug_assert!(!state.done, "a query resolves exactly once");
-        state.done = true;
-        let quota_slots = self.outstanding.get_mut(&state.tenant);
-        *quota_slots.expect("tenant admitted") -= 1;
-        self.open -= 1;
-    }
-
-    /// Fans replication out for fleet epochs `(repl_scheduled, to]`, each
-    /// through the plan's per-epoch fate (one replica has no one to
-    /// replicate to), and advances the monotone watermark to `to`, so a
-    /// rollback and re-append never fans an epoch out twice. One sync
-    /// may acknowledge a whole commit group of epochs.
-    fn schedule_replication(&mut self, now: Layers, to: u64) {
-        let at = now + self.fleet.config.replication_lag;
-        for epoch in (self.repl_scheduled + 1..=to).filter(|_| self.replicas.len() > 1) {
-            match self.plan.replication_fate(epoch) {
-                ReplicationFate::Deliver => self.events.push(at, Event::Replicate { epoch }),
-                ReplicationFate::Drop => {}
-                ReplicationFate::Delay(by) => self.events.push(at + by, Event::Replicate { epoch }),
-            }
-        }
-        self.repl_scheduled = self.repl_scheduled.max(to);
-    }
-
-    /// Lands the open commit group, if a durability tier is active, and
-    /// fans replication out for the epochs its sync acknowledged.
-    fn flush_and_replicate(&mut self, now: Layers) -> Result<(), StoreError> {
-        if let Some(d) = self.durability.as_mut() {
-            d.flush()?;
-            let to = d.synced_fleet_epoch();
-            self.schedule_replication(now, to);
-        }
-        Ok(())
-    }
-
-    /// One scrub cycle over the live replicas, if a durability tier is
-    /// active.
-    fn scrub(&mut self) -> Result<(), StoreError> {
-        let chunk = self.config.scrub_chunk_cells;
-        match self.durability.as_mut() {
-            Some(d) => d.scrub(&mut self.replicated, &self.replicas, chunk),
-            None => Ok(()),
-        }
-    }
-
-    /// Closes the run: lands the last commit group, runs a final scrub,
-    /// executes each replica's dispatches in one §7.2 sweep over the
-    /// run's starting memory plus its journal (see `sweep_updates`), and
-    /// builds the report.
-    fn finish(mut self, memory: &ClassicalMemory) -> Result<FleetReport, ServeError> {
-        // A run ending mid-group (max_delay 0, or the deadline never fired
-        // because the reactor emptied) must not report its last writes as
-        // unsynced; divergence injected after the last scheduled scrub
-        // tick is still found and repaired before the report closes.
-        if let Some(d) = self.durability.as_mut() {
-            d.flush()?;
-        }
-        if self.config.scrub_interval.is_some() {
-            self.scrub()?;
-        }
-        // No query is lost: every admitted one completed or shed. (A queued
-        // hedge loser may strand on an undetected crash, so queues may not
-        // be empty.)
-        debug_assert!(
-            self.states.iter().all(|s| s.done),
-            "every admitted query completes or sheds"
-        );
-        debug_assert!(self.outstanding.values().all(|&n| n == 0));
-        let stale_served = self.completed.iter().filter(|q| q.stale).count() as u64;
-        let (mut per_replica_dispatches, mut outcomes_by_replica) = (Vec::new(), Vec::new());
-        for (r, replica) in self.replicas.into_iter().enumerate() {
-            per_replica_dispatches.push(replica.core.dispatch_count() as u64);
-            let backend = &self.fleet.backends[r];
-            let updates = sweep_updates(backend, &replica.dispatches, self.replicated.journal(r));
-            let addresses = replica.core.into_addresses();
-            outcomes_by_replica.push(backend.execute_queries(memory, &addresses, &updates)?);
-        }
-        // Crashed and corrupted dispatches leave holes in a replica's
-        // completion order, so each completed query fetches its outcome
-        // by its recorded dispatch index.
-        let outcomes: Vec<QueryOutcome> = self
-            .completed_dispatch
-            .iter()
-            .map(|&(r, index)| outcomes_by_replica[r][index].clone())
-            .collect();
-        // Corrupted completions were re-served under the retry budget;
-        // verify the parity check would indeed have caught each one.
-        for &(r, index) in &self.corrupted_served {
-            let clean = &outcomes_by_replica[r][index];
-            if parity_bit(&corrupt_outcome(clean)) != parity_bit(clean) {
-                self.counters.corruptions_detected += 1;
-            }
-        }
-        Ok(FleetReport {
-            timing: self.fleet.timing,
-            completed: self.completed,
-            outcomes,
-            shed: self.shed,
-            per_replica_dispatches,
-            stale_served,
-            fleet_epoch: self.replicated.fleet_epoch(),
-            availability: self.counters,
-            integrity: self.durability.map(|d| d.counters).unwrap_or_default(),
-        })
-    }
-}
-
-/// The memory updates of a replica's single §7.2 sweep: journal entry
-/// `(t, address, value)` lands at the retrieval layer of the first
-/// dispatch whose epoch is at least `t`. An update at a query's
-/// retrieval layer is visible to it, so every dispatch reads its epoch's
-/// final image — corruption and scrub repairs at that epoch included.
-/// Entries tagged past the last dispatch's epoch reach no read and are
-/// dropped, so a read-only replica passes no updates and keeps the
-/// update-free kernel path.
-fn sweep_updates<M: QramModel>(
-    backend: &ShardedQram<M>,
-    dispatches: &[Dispatch],
-    journal: &[JournalEntry],
-) -> Vec<(u64, u64, u64)> {
-    debug_assert!(
-        dispatches.windows(2).all(|w| w[0].epoch <= w[1].epoch),
-        "per-replica dispatch epochs never decrease"
-    );
-    let mut first = 0;
-    let mut updates = Vec::new();
-    for entry in journal {
-        // Journal tags never decrease, so the cursor only moves forward.
-        while first < dispatches.len() && dispatches[first].epoch < entry.tag {
-            first += 1;
-        }
-        if first == dispatches.len() {
-            break;
-        }
-        updates.push((backend.retrieval_layer(first), entry.address, entry.value));
-    }
-    updates
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use qram_core::FatTreeQram;
-    use qram_metrics::Capacity;
+    use qram_metrics::{Capacity, QueryRate};
     use qram_sched::QuotaAdmission;
 
     fn cap(n: u64) -> Capacity {
@@ -2455,75 +957,5 @@ mod tests {
             load(0, 0, ReplicaHealth::Down),
         ];
         assert_eq!(ConsistentHashPlacement.place(&probe(), &dead), 0);
-    }
-
-    proptest! {
-        /// The §7.2 sweep against per-epoch images: a replicated memory
-        /// goes through random writes, catch-ups, bit flips and resets
-        /// (scrub repairs and rejoins from disk), interleaved with
-        /// dispatch marks stamped with the replica's applied epoch. One
-        /// sweep per replica over the base image plus `sweep_updates` of
-        /// its journal must read, for every dispatch, exactly the final
-        /// image of its epoch.
-        #[test]
-        fn sweep_updates_read_each_dispatch_epochs_final_image(
-            steps in prop::collection::vec(0u64..u64::MAX, 1..60),
-            r in 1usize..=4,
-            k_exp in 0u32..=2,
-        ) {
-            let backend = ShardedQram::fat_tree(Capacity::new(16).unwrap(), 1 << k_exp);
-            let words = |seed: u64| -> Vec<u64> { (0..16).map(|i| (seed >> (i * 4)) % 16).collect() };
-            let base = ClassicalMemory::from_words(4, &words(0x0123_4567_89ab_cdef)).unwrap();
-            let mut replicated = ReplicatedMemory::new(base.clone(), r);
-            // images[replica][epoch]: the replica's last image at that epoch.
-            let mut images = vec![BTreeMap::from([(0, base.clone())]); r];
-            let mut dispatches: Vec<Vec<Dispatch>> = vec![Vec::new(); r];
-            let mut addresses: Vec<Vec<AddressState>> = vec![Vec::new(); r];
-            for &seed in &steps {
-                let replica = (seed / 5) as usize % r;
-                let (cell, value) = ((seed / 20) % 16, (seed / 320) % 16);
-                let fleet_epoch = replicated.fleet_epoch();
-                let applied = replicated.applied_epoch(replica);
-                let epoch = applied + (seed / 5120) % (fleet_epoch - applied + 1);
-                match seed % 5 {
-                    0 => {
-                        replicated.write_at(replica, cell, value);
-                    }
-                    1 => {
-                        replicated.catch_up_to(replica, epoch);
-                    }
-                    2 => replicated.corrupt_replica_cell(replica, cell),
-                    3 => {
-                        let image = ClassicalMemory::from_words(4, &words(seed)).unwrap();
-                        replicated.reset_replica(replica, image, epoch);
-                    }
-                    _ => {
-                        let other = (cell + 1 + value % 15) % 16;
-                        dispatches[replica].push(Dispatch {
-                            qid: 0,
-                            epoch: applied,
-                            stale: false,
-                            handled: false,
-                        });
-                        let address = AddressState::uniform(4, &[cell, other]).unwrap();
-                        addresses[replica].push(address);
-                    }
-                }
-                let now = replicated.applied_epoch(replica);
-                images[replica].insert(now, replicated.memory(replica).clone());
-            }
-            for replica in 0..r {
-                let journal = replicated.journal(replica);
-                let updates = sweep_updates(&backend, &dispatches[replica], journal);
-                let outcomes = backend
-                    .execute_queries(&base, &addresses[replica], &updates)
-                    .unwrap();
-                for (j, outcome) in outcomes.iter().enumerate() {
-                    let image = &images[replica][&dispatches[replica][j].epoch];
-                    let ideal = image.ideal_query(&addresses[replica][j]);
-                    prop_assert!(outcome == &ideal, "replica {} dispatch {}", replica, j);
-                }
-            }
-        }
     }
 }

@@ -64,10 +64,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod durability;
 pub mod fault;
 pub mod fleet;
 pub mod reactor;
 mod replica;
+mod report;
+mod run;
 
 pub use fault::{
     corrupt_outcome, parity_bit, AdaptiveGroupCommit, BrownoutConfig, BrownoutController, Fault,
