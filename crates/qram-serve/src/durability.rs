@@ -23,7 +23,7 @@ pub(crate) struct Durability<'a> {
     wal_base: u64,
     pub(crate) counters: IntegrityCounters,
     /// Commit-group syncs paid so far — the freshness token carried by
-    /// armed [`Event::WalFlush`] deadlines: a deadline whose `seq` is
+    /// armed `Event::WalFlush` deadlines: a deadline whose `seq` is
     /// behind this counter raced a size-triggered flush and is stale.
     pub(crate) syncs: u64,
     /// `counters.wal_appends` at the last monitor tick, for the

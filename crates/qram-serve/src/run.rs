@@ -1093,7 +1093,9 @@ mod tests {
             k_exp in 0u32..=2,
         ) {
             let backend = ShardedQram::fat_tree(Capacity::new(16).unwrap(), 1 << k_exp);
-            let words = |seed: u64| -> Vec<u64> { (0..16).map(|i| (seed >> (i * 4)) % 16).collect() };
+            let words = |seed: u64| -> Vec<u64> {
+                (0..16).map(|i| (seed >> (i * 4)) % 16).collect()
+            };
             let base = ClassicalMemory::from_words(4, &words(0x0123_4567_89ab_cdef)).unwrap();
             let mut replicated = ReplicatedMemory::new(base.clone(), r);
             // images[replica][epoch]: the replica's last image at that epoch.

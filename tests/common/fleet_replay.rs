@@ -1,5 +1,5 @@
 //! An independent replay of a fault-free fleet run: the oracle the fleet
-//! suites pin `QramFleet::serve` against.
+//! suites pin `serve` against.
 //!
 //! In a fault-free run every replica is a §5 machine over the requests
 //! routed to it. Its timings are the admission recurrence
@@ -70,7 +70,8 @@ pub fn tenant_mix(quota: u32, cap: usize) -> QuotaAdmission<NoiseAwareAdmission>
         .with_slo(TenantId(2), SloClass::Batch)
 }
 
-/// A fleet as both `QramFleet::new` and the replay take it.
+/// A fleet's construction inputs, shared by the fleet under test and the
+/// replay.
 #[derive(Debug, Clone)]
 pub struct Setup<M, P, L> {
     pub qram: ShardedQram<M>,
@@ -194,12 +195,10 @@ pub fn replay<M: QramModel + Clone, P: AdmissionPolicy + Clone, L: PlacementPoli
             let bound = config
                 .queue_capacity
                 .map(|c| policy.tenant_slo(tenant).queue_bound(c));
-            match bound {
-                Some(bound) if loads[r].queued >= bound && loads[r].has_room => {
-                    Err(ShedReason::SloShed)
-                }
-                Some(bound) if loads[r].queued >= bound => Err(ShedReason::QueueFull),
-                _ => Ok(r),
+            match bound.is_some_and(|bound| loads[r].queued >= bound) {
+                true if loads[r].has_room => Err(ShedReason::SloShed),
+                true => Err(ShedReason::QueueFull),
+                false => Ok(r),
             }
         };
         match verdict {

@@ -114,7 +114,8 @@ proptest! {
         // accepted requests.
         if cap_raw == 0 {
             let shed: Vec<usize> = report.shed().iter().map(|s| s.id).collect();
-            let mut online = OnlineFifoScheduler::new(QramServer::for_model(&setup.qram, &setup.timing));
+            let server = QramServer::for_model(&setup.qram, &setup.timing);
+            let mut online = OnlineFifoScheduler::new(server);
             for &r in requests.iter().filter(|r| !shed.contains(&r.id)) {
                 online.submit(r).unwrap();
             }
