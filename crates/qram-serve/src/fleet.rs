@@ -81,10 +81,9 @@ use qram_metrics::{Layers, TimingModel};
 use qram_sched::{AdmissionPolicy, FifoAdmission, QramServer, TenantId};
 use qsim::branch::{AddressState, ClassicalMemory};
 
-use crate::durability::Durability;
 use crate::fault::{FaultConfig, FaultPlan, ReplicaHealth};
 pub use crate::report::{FleetQuery, FleetReport};
-use crate::run::Run;
+use crate::run::serve_faulty;
 
 /// A user query arriving at the fleet router.
 #[derive(Debug, Clone, PartialEq)]
@@ -432,7 +431,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         plan: &FaultPlan,
         fault_config: &FaultConfig,
     ) -> Result<FleetReport, ServeError> {
-        self.serve_faulty(memory, requests, writes, plan, fault_config, None)
+        serve_faulty(self, memory, requests, writes, plan, fault_config, None)
     }
 
     /// [`QramFleet::serve_with_faults`] backed by a crash-consistent
@@ -471,26 +470,15 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         if store.shadow().cells() != memory.cells() {
             return Err(ServeError::StoreMismatch);
         }
-        self.serve_faulty(memory, requests, writes, plan, fault_config, Some(store))
-    }
-
-    /// The one serving loop behind every entry point: seeds a [`Run`],
-    /// drains its reactor, and executes and reports what it dispatched.
-    fn serve_faulty(
-        &mut self,
-        memory: &ClassicalMemory,
-        requests: impl IntoIterator<Item = FleetRequest>,
-        writes: impl IntoIterator<Item = FleetWrite>,
-        plan: &FaultPlan,
-        fault_config: &FaultConfig,
-        store: Option<&mut DurableFleet>,
-    ) -> Result<FleetReport, ServeError> {
-        let mut ephemeral = None;
-        let mut run = Run::new(self, memory, requests, writes, plan, fault_config);
-        run.durability = Durability::open(store, &mut ephemeral, memory, plan, fault_config)?;
-        run.schedule_faults();
-        run.run()?;
-        run.finish(memory)
+        serve_faulty(
+            self,
+            memory,
+            requests,
+            writes,
+            plan,
+            fault_config,
+            Some(store),
+        )
     }
 }
 

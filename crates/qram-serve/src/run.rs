@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::iter::Peekable;
 
-use qram_core::store::StoreError;
+use qram_core::store::{DurableFleet, StoreError};
 use qram_core::{JournalEntry, QramModel, ReplicatedMemory, ReplicatedWrite, ShardedQram};
 use qram_metrics::{AvailabilityCounters, Layers};
 use qram_sched::{AdmissionPolicy, SloClass, TenantId};
@@ -154,6 +154,26 @@ impl ReplicaState {
         };
         self.health == ReplicaHealth::Down
     }
+}
+
+/// The one serving loop behind every entry point: seeds a [`Run`], drains
+/// its reactor, and executes and reports what it dispatched. A free
+/// function, so the run's methods share its codegen unit and inline into it.
+pub(crate) fn serve_faulty<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
+    fleet: &mut QramFleet<M, P, L>,
+    memory: &ClassicalMemory,
+    requests: impl IntoIterator<Item = FleetRequest>,
+    writes: impl IntoIterator<Item = FleetWrite>,
+    plan: &FaultPlan,
+    fault_config: &FaultConfig,
+    store: Option<&mut DurableFleet>,
+) -> Result<FleetReport, ServeError> {
+    let mut ephemeral = None;
+    let mut run = Run::new(fleet, memory, requests, writes, plan, fault_config);
+    run.durability = Durability::open(store, &mut ephemeral, memory, plan, fault_config)?;
+    run.schedule_faults();
+    run.run()?;
+    run.finish(memory)
 }
 
 /// The state of one serving run: the replicas, the reactor's event queue
