@@ -259,13 +259,15 @@ pub fn replay<M: QramModel + Clone, P: AdmissionPolicy + Clone, L: PlacementPoli
 }
 
 /// Checks a fault-free report against its replay: the same sheds in
-/// order; per replica the same queries (timings, shard, epoch, stale
-/// flag, one attempt) in dispatch order with their ideal outcomes; and
-/// the same dispatch counts, stale count, fleet epoch and an all-zero
-/// availability ledger.
+/// order; completions in finish order, and per replica the same queries
+/// (timings, shard, epoch, stale flag, one attempt) in dispatch order
+/// with their ideal outcomes; and the same dispatch counts, stale count,
+/// fleet epoch and an all-zero availability ledger.
 pub fn check(report: &FleetReport, replay: &Replay) -> Result<(), TestCaseError> {
     prop_assert_eq!(report.shed(), &replay.shed[..]);
-    let served = report.completed().iter().zip(report.outcomes());
+    let completed = report.completed();
+    prop_assert!(completed.windows(2).all(|w| w[0].finish <= w[1].finish));
+    let served = completed.iter().zip(report.outcomes());
     for (r, predicted) in replay.served.iter().enumerate() {
         let on_r: Vec<_> = served.clone().filter(|(q, _)| q.replica == r).collect();
         prop_assert_eq!(on_r.len(), predicted.len());
