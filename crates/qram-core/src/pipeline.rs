@@ -469,9 +469,15 @@ mod tests {
         assert_eq!(s.makespan_integer(), 49);
     }
 
+    /// Fig. 6 conflict-freedom at every address width a capacity can have
+    /// up to `2^32`, which covers every served width. Query `q` is active
+    /// in gate steps `2q + 1 ..= 2q + 2n` and its position depends only on
+    /// `t − 2q`, so two queries can meet only when they are fewer than `n`
+    /// admissions apart: a `(2n + 1)`-query batch already holds every such
+    /// pair, and the `3n` bound here covers it at every width.
     #[test]
     fn conflict_freedom_for_many_shapes() {
-        for n_exp in 1..=8u32 {
+        for n_exp in 1..=32u32 {
             for queries in 1..=(3 * n_exp as usize) {
                 let s = PipelineSchedule::new(Capacity::from_address_width(n_exp), queries);
                 assert!(
