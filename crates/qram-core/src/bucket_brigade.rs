@@ -91,11 +91,8 @@ impl QramModel for BucketBrigadeQram {
 
     /// The interned compiled plan: the stream is partially evaluated once
     /// per capacity, collapsing per-branch execution to one memory read.
-    fn compiled_query(&self) -> Option<Arc<CompiledQuery>> {
-        Some(compiled_query(
-            LayerArch::BucketBrigade,
-            self.address_width(),
-        ))
+    fn compiled_query(&self) -> Arc<CompiledQuery> {
+        compiled_query(LayerArch::BucketBrigade, self.address_width())
     }
 
     /// Integer circuit-layer count of a single query: `8n + 1`.

@@ -17,11 +17,11 @@
 //! 1. **Interpret** — [`execute_layers`] walks every op of every layer per
 //!    branch through the `BranchMachine` validator. This is the
 //!    reference semantics: it runs for explicitly supplied (possibly
-//!    mutated) streams, inside the batch oracle
+//!    mutated) streams and inside the batch oracle
 //!    [`reference::execute_batch`](crate::reference::execute_batch) that
-//!    the columnar kernel is property-tested against, and for any
-//!    [`QramModel`](crate::QramModel) backend that does not opt into
-//!    compilation.
+//!    the columnar kernel is property-tested against. No
+//!    [`QramModel`](crate::QramModel) execution path runs it: every
+//!    backend supplies a compiled plan (stage 3).
 //! 2. **Intern** — [`interned_layers`] caches the per-capacity stream of
 //!    each built-in architecture in a process-wide table of
 //!    `Arc<[QueryLayer]>`, so batch execution and the fidelity estimators
@@ -34,17 +34,16 @@
 //!    extracts the address-independent [`GateCounts`] and per-layer gate
 //!    trajectory. The resulting [`CompiledQuery`] answers a branch with
 //!    one `memory.read(address)` — O(1) residual work instead of the
-//!    interpreter's O(log² N) op walk — and is what
-//!    `QramModel::compiled_query` routes the hot paths
-//!    (`execute_query_traced`, every batch, and the Monte-Carlo /
-//!    extended / analytic fidelity estimators) through.
+//!    interpreter's O(log² N) op walk — and is the one plan every
+//!    `QramModel` path runs on (`execute_query_traced`, every batch, and
+//!    the Monte-Carlo / extended / analytic fidelity estimators).
 //! 4. **Columnar** — one SoA batch kernel (`soa` module, reached through
 //!    [`execute_batch`](crate::execute_batch) and
 //!    [`execute_batch_traced`](crate::execute_batch_traced) — and so
-//!    every provided `QramModel::execute_queries` — whenever a compiled
-//!    plan exists) restructures a whole *batch* around the plan's O(1) residual:
-//!    every term's data is one direct load from the caller's unsplit
-//!    memory image (a sharded term's global address already indexes it),
+//!    every provided `QramModel::execute_queries`) restructures a whole
+//!    *batch* around the plan's O(1) residual: every term's data is one
+//!    direct load from the caller's unsplit memory image (a sharded
+//!    term's global address already indexes it),
 //!    all terms land in one shared column collected in a single
 //!    allocation, and per-query outcomes are constant-size views into it
 //!    (`QueryOutcome::from_shared_column`) — one allocation per batch
@@ -565,10 +564,12 @@ pub fn interned_layers(arch: LayerArch, n: u32) -> Arc<[QueryLayer]> {
 /// `memory.read(address)` (or a constant, when the stream's reads cancel),
 /// with no per-branch validation, allocation, or op walk left.
 ///
-/// Plans for the built-in architectures are interned process-wide by
-/// [`compiled_query`] and reach the hot paths through
-/// [`QramModel::compiled_query`]; the interpreter ([`execute_layers`])
-/// remains the reference semantics for mutated or non-interned streams.
+/// Every backend returns its plan from [`QramModel::compiled_query`]: the
+/// built-in architectures' plans are interned process-wide by
+/// [`compiled_query`], and a new backend may instead compile its own
+/// stream once at construction. The interpreter ([`execute_layers`])
+/// remains the reference semantics that plans are pinned against, and
+/// the executor of mutated streams.
 ///
 /// [`QramModel::compiled_query`]: crate::QramModel::compiled_query
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,13 +1,12 @@
 //! The Fat-Tree QRAM architecture (§4) — the paper's contribution.
 
 use qram_metrics::{Capacity, Layers, TimingModel};
-use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
 use std::sync::Arc;
 
-use crate::exec::{compiled_query, interned_layers, CompiledQuery, ExecError, LayerArch};
+use crate::exec::{compiled_query, interned_layers, CompiledQuery, LayerArch};
 use crate::latency;
-use crate::model::{execute_batch, QramModel};
+use crate::model::QramModel;
 use crate::pipeline::PipelineSchedule;
 use crate::query_ops::{fat_tree_query_layers, QueryLayer};
 use crate::tree::TreeShape;
@@ -91,8 +90,8 @@ impl QramModel for FatTreeQram {
 
     /// The interned compiled plan: the stream is partially evaluated once
     /// per capacity, collapsing per-branch execution to one memory read.
-    fn compiled_query(&self) -> Option<Arc<CompiledQuery>> {
-        Some(compiled_query(LayerArch::FatTree, self.address_width()))
+    fn compiled_query(&self) -> Arc<CompiledQuery> {
+        compiled_query(LayerArch::FatTree, self.address_width())
     }
 
     /// Integer circuit-layer count of a single query: `10n − 1`.
@@ -117,28 +116,12 @@ impl QramModel for FatTreeQram {
     fn retrieval_layer(&self, query_index: usize) -> u64 {
         10 * query_index as u64 + 5 * u64::from(self.address_width())
     }
-
-    /// Batched execution additionally validates that the pipelined
-    /// schedule is conflict-free before running the shared snapshotting
-    /// engine — memory updates must respect the classical-swap time budget
-    /// of §7.2. Validation is memoized process-wide per capacity (see
-    /// [`crate::pipeline::ensure_conflict_free`]), so steady-state batches
-    /// pay a lock instead of an `O(gate steps)` sweep.
-    fn execute_queries(
-        &self,
-        memory: &ClassicalMemory,
-        addresses: &[AddressState],
-        memory_updates: &[(u64, u64, u64)],
-    ) -> Result<Vec<QueryOutcome>, ExecError> {
-        crate::pipeline::ensure_conflict_free(self.capacity(), addresses.len())
-            .expect("generated pipeline must be conflict-free");
-        execute_batch(self, memory, addresses, memory_updates)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsim::branch::{AddressState, ClassicalMemory};
 
     fn qram8() -> FatTreeQram {
         FatTreeQram::new(Capacity::new(8).unwrap())

@@ -75,7 +75,7 @@ pub use exec::{
 pub use fat_tree::FatTreeQram;
 pub use model::{execute_batch, execute_batch_traced, BatchCacheStats, QramModel};
 pub use ops::{GateClass, Op, QubitTag};
-pub use pipeline::{ensure_conflict_free, ConflictError, PipelineSchedule, QueryTiming};
+pub use pipeline::{ConflictError, PipelineSchedule, QueryTiming};
 pub use replication::{JournalEntry, ReplicatedMemory, ReplicatedWrite};
 pub use sharded::ShardedQram;
 pub use tree::{NodeId, RouterId, TreeShape};

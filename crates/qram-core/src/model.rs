@@ -37,17 +37,17 @@ use std::sync::Arc;
 use qram_metrics::{Capacity, Layers, TimingModel};
 use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
-use crate::exec::{execute_layers, CompiledQuery, ExecError, Execution};
+use crate::exec::{CompiledQuery, ExecError, Execution};
 use crate::query_ops::QueryLayer;
 
 /// A QRAM architecture viewed as a query-serving backend.
 ///
 /// Required methods describe the architecture (geometry, instruction
-/// stream, closed-form latencies); provided methods derive the rest —
-/// admission interval, batched latency, and functional execution via the
-/// instruction-level executor. Implementations override a provided method
-/// only when the architecture has a stronger guarantee (e.g. the Fat-Tree
-/// pipeline interval, or conflict-validated batched execution).
+/// stream, its compiled plan, closed-form latencies); provided methods
+/// derive the rest — admission interval, batched latency, and functional
+/// execution through the compiled plan. Implementations override a
+/// provided method only when the architecture has a stronger guarantee
+/// (e.g. the Fat-Tree pipeline interval).
 pub trait QramModel {
     /// The architecture's display name (as used in the paper's tables).
     fn name(&self) -> &'static str;
@@ -81,22 +81,19 @@ pub trait QramModel {
         self.query_layers().into()
     }
 
-    /// The architecture's compiled query plan, when its instruction stream
-    /// has been partially evaluated into an O(1)-per-branch
-    /// [`CompiledQuery`] (see [`crate::exec::compiled_query`]).
+    /// The architecture's compiled query plan: its instruction stream
+    /// partially evaluated into an O(1)-per-branch [`CompiledQuery`].
     ///
-    /// `None` (the default) keeps every execution path on the interpreter
-    /// — correct for backends whose streams are not interned or may
-    /// change between queries. The built-in backends override this with
-    /// the process-wide interned plan, which routes
-    /// [`Self::execute_query_traced`], batched execution (the columnar
-    /// kernel), and the fidelity estimators through the compiled fast
-    /// path; the interpreter remains the property-tested reference
-    /// ([`execute_layers`] per query, [`crate::reference::execute_batch`]
-    /// per batch).
-    fn compiled_query(&self) -> Option<Arc<CompiledQuery>> {
-        None
-    }
+    /// The plan is the one execution path: [`Self::execute_query_traced`],
+    /// batched execution (the columnar kernel) and the fidelity estimators
+    /// all run on it. The built-in backends return the process-wide
+    /// interned plan ([`crate::exec::compiled_query`]); a new backend
+    /// either does the same or compiles its own stream once at
+    /// construction ([`CompiledQuery::compile`]). The interpreter remains
+    /// the property-tested reference
+    /// ([`execute_layers`](crate::exec::execute_layers) per query,
+    /// [`crate::reference::execute_batch`] per batch).
+    fn compiled_query(&self) -> Arc<CompiledQuery>;
 
     /// Integer circuit-layer count of a single query.
     fn single_query_layers_integer(&self) -> u64;
@@ -134,8 +131,9 @@ pub trait QramModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if the internally generated instruction stream
-    /// fails validation (a bug) — see [`ExecError`].
+    /// The provided method never fails: it runs the compiled plan, which
+    /// was proven valid for every address when it was compiled. A backend
+    /// that overrides it reports a stream violation as an [`ExecError`].
     ///
     /// # Panics
     ///
@@ -151,9 +149,9 @@ pub trait QramModel {
 
     /// Like [`Self::execute_query`] but also returns per-class gate counts.
     ///
-    /// Backends exposing a [`Self::compiled_query`] plan answer in O(1)
-    /// residual work per branch (the stream was proven valid for every
-    /// address at compile time); everything else walks the interpreter.
+    /// Runs the [`Self::compiled_query`] plan: O(1) residual work per
+    /// branch, since the stream was proven valid for every address at
+    /// compile time.
     ///
     /// # Errors
     ///
@@ -172,10 +170,7 @@ pub trait QramModel {
             self.capacity().get(),
             "memory capacity must match QRAM capacity"
         );
-        if let Some(plan) = self.compiled_query() {
-            return Ok(plan.execute(memory, address));
-        }
-        execute_layers(&self.interned_query_layers(), memory, address)
+        Ok(self.compiled_query().execute(memory, address))
     }
 
     /// Executes a batch of back-to-back queries against a shared memory,
@@ -191,7 +186,7 @@ pub trait QramModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if any query's instruction stream fails validation.
+    /// As [`Self::execute_query`]: the provided method never fails.
     ///
     /// # Panics
     ///
@@ -215,8 +210,8 @@ pub struct BatchCacheStats {
     /// Queries whose address set was already seen in the same memory
     /// epoch (a memo would answer them without a walk).
     pub hits: u64,
-    /// Queries that walk the instruction stream: the first query over each
-    /// address set per epoch, or every query on a plan-less backend.
+    /// The first query over each address set per epoch: the queries a
+    /// memo would have to answer with a load.
     pub misses: u64,
 }
 
@@ -241,12 +236,11 @@ impl BatchCacheStats {
 ///
 /// Retrieval layers are computed once per query up front (one
 /// [`QramModel::retrieval_layer`] call each), never inside the sort or the
-/// execution loop — backends may answer from a pipeline schedule, and a
-/// `B`-query batch must stay `O(B)` in schedule constructions. When the
-/// backend exposes a [`QramModel::compiled_query`] plan, the batch runs
-/// through the columnar kernel (`soa` module), which answers every branch
-/// with one direct load from the memory image; a plan-less backend runs
-/// the interpreter sweep of [`crate::reference::execute_batch`].
+/// execution loop. The batch runs through the columnar kernel (`soa`
+/// module) on the backend's [`QramModel::compiled_query`] plan, which
+/// answers every branch with one direct load from the memory image; it is
+/// pinned against the interpreter sweep of
+/// [`crate::reference::execute_batch`].
 ///
 /// # Tie semantics (§7.2)
 ///
@@ -258,7 +252,8 @@ impl BatchCacheStats {
 ///
 /// # Errors
 ///
-/// Returns an error if any query's instruction stream fails validation.
+/// Never fails: the plan was proven valid for every address when it was
+/// compiled. The `Result` matches [`QramModel::execute_queries`].
 ///
 /// # Panics
 ///
@@ -269,19 +264,16 @@ pub fn execute_batch<M: QramModel + ?Sized>(
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
 ) -> Result<Vec<QueryOutcome>, ExecError> {
-    execute_batch_dispatch(model, memory, addresses, memory_updates, None)
+    Ok(run_columnar(model, memory, addresses, memory_updates, None))
 }
 
 /// [`execute_batch`] with memo accounting ([`BatchCacheStats`]) alongside
 /// the outcomes — the instrumented entry point behind the Zipf hit-rate
 /// curve and the benchmark's per-layer trace.
 ///
-/// Backends exposing a [`QramModel::compiled_query`] plan are served by
-/// the columnar kernel (`soa` module), which on this entry point also
-/// counts, per memory epoch, one miss for the first query over each
-/// address set and one hit for every repeat. A plan-less backend runs the
-/// reference interpreter sweep, which walks every query's stream, so it
-/// reports `{ hits: 0, misses: addresses.len() }`.
+/// On this entry point the columnar kernel (`soa` module) also counts,
+/// per memory epoch, one miss for the first query over each address set
+/// and one hit for every repeat.
 ///
 /// # Errors
 ///
@@ -297,41 +289,33 @@ pub fn execute_batch_traced<M: QramModel + ?Sized>(
     memory_updates: &[(u64, u64, u64)],
 ) -> Result<(Vec<QueryOutcome>, BatchCacheStats), ExecError> {
     let mut stats = BatchCacheStats::default();
-    let outcomes =
-        execute_batch_dispatch(model, memory, addresses, memory_updates, Some(&mut stats))?;
+    let outcomes = run_columnar(model, memory, addresses, memory_updates, Some(&mut stats));
     Ok((outcomes, stats))
 }
 
-/// The plan dispatch shared by [`execute_batch`] and
-/// [`execute_batch_traced`]: the columnar kernel when the model has a
-/// compiled plan, the reference interpreter sweep otherwise. Memo
-/// statistics are computed only when `stats` asks for them.
-fn execute_batch_dispatch<M: QramModel + ?Sized>(
+/// The columnar kernel call shared by [`execute_batch`] and
+/// [`execute_batch_traced`]. Memo statistics are computed only when
+/// `stats` asks for them.
+fn run_columnar<M: QramModel + ?Sized>(
     model: &M,
     memory: &ClassicalMemory,
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
     stats: Option<&mut BatchCacheStats>,
-) -> Result<Vec<QueryOutcome>, ExecError> {
+) -> Vec<QueryOutcome> {
     assert_eq!(
         memory.capacity() as u64,
         model.capacity().get(),
         "memory capacity must match QRAM capacity"
     );
-    let Some(plan) = model.compiled_query() else {
-        if let Some(stats) = stats {
-            stats.misses = addresses.len() as u64;
-        }
-        return crate::reference::execute_batch(model, memory, addresses, memory_updates);
-    };
-    Ok(crate::soa::execute_columnar(
-        &plan,
+    crate::soa::execute_columnar(
+        &model.compiled_query(),
         memory,
         addresses,
         memory_updates,
         |q| model.retrieval_layer(q),
         stats,
-    ))
+    )
 }
 
 /// One step of the §7.2 retrieval-order sweep of

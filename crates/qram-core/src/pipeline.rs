@@ -8,78 +8,9 @@
 //! proves conflict-freedom ("no conflicting colors in the same layer",
 //! Fig. 6).
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 use qram_metrics::{Capacity, Layers, TimingModel, Utilization, UtilizationTrace};
-
-/// Process-wide count of [`PipelineSchedule`] constructions.
-static SCHEDULE_CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Per-capacity memo of the largest batch size whose pipeline has already
-/// been proven conflict-free, keyed by `Capacity::get()`.
-static VALIDATED_BATCHES: OnceLock<Mutex<HashMap<u64, usize>>> = OnceLock::new();
-
-/// Proves the pipeline for `num_queries` back-to-back queries at
-/// `capacity` conflict-free, memoizing the result process-wide.
-///
-/// A query's trajectory `position_at(q, t)` depends only on its index,
-/// the gate step, and the capacity — never on the batch size — so a
-/// conflict between queries `i < j` in a `B`-query batch is also a
-/// conflict in every batch of at least `j + 1` queries. Conflict-freedom
-/// is therefore monotone: proving it for `B` proves it for all `B' ≤ B`,
-/// and the memo only has to record the largest batch validated per
-/// capacity. Steady-state batch execution pays one mutex lock here
-/// instead of an `O(gate steps)` sweep per batch.
-///
-/// # Errors
-///
-/// Returns the first conflict found, if any (never, for the Fat-Tree
-/// schedule — the even–odd transposition pattern is conflict-free by
-/// construction, which this check re-proves rather than assumes).
-pub fn ensure_conflict_free(capacity: Capacity, num_queries: usize) -> Result<(), ConflictError> {
-    ensure_conflict_free_built(capacity, num_queries).map(|_| ())
-}
-
-/// [`ensure_conflict_free`], also reporting whether this call built a
-/// schedule rather than answering from the memo — a count of this call's
-/// own work, unaffected by schedules other threads build meanwhile
-/// (which [`schedule_construction_count`] includes).
-pub(crate) fn ensure_conflict_free_built(
-    capacity: Capacity,
-    num_queries: usize,
-) -> Result<bool, ConflictError> {
-    if num_queries == 0 {
-        return Ok(false);
-    }
-    let memo = VALIDATED_BATCHES.get_or_init(|| Mutex::new(HashMap::new()));
-    {
-        let validated = memo.lock().expect("validation memo poisoned");
-        if validated
-            .get(&capacity.get())
-            .is_some_and(|&max| num_queries <= max)
-        {
-            return Ok(false);
-        }
-    }
-    PipelineSchedule::new(capacity, num_queries).validate_no_conflicts()?;
-    let mut validated = memo.lock().expect("validation memo poisoned");
-    let max = validated.entry(capacity.get()).or_insert(0);
-    *max = (*max).max(num_queries);
-    Ok(true)
-}
-
-/// Number of [`PipelineSchedule`] values constructed since process start.
-///
-/// A diagnostic for regression tests: batched execution of a `B`-query
-/// batch must stay `O(B)` in schedule constructions (it was once
-/// `O(B log B)` from rebuilding a schedule inside a sort comparator).
-#[must_use]
-pub fn schedule_construction_count() -> u64 {
-    SCHEDULE_CONSTRUCTIONS.load(Ordering::Relaxed)
-}
 
 use crate::latency;
 use crate::ops::{Op, QubitTag};
@@ -154,7 +85,6 @@ impl PipelineSchedule {
     #[must_use]
     pub fn new(capacity: Capacity, num_queries: usize) -> Self {
         assert!(num_queries >= 1, "at least one query is required");
-        SCHEDULE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
         PipelineSchedule {
             capacity,
             num_queries,
@@ -559,23 +489,5 @@ mod tests {
     #[should_panic(expected = "at least one query")]
     fn empty_batch_rejected() {
         let _ = PipelineSchedule::new(cap(8), 0);
-    }
-
-    #[test]
-    fn validation_memo_builds_at_most_one_schedule_per_growth() {
-        // Distinct capacity from other tests so the process-wide memo
-        // starts cold for this key. Each call reports its own schedule
-        // construction: sibling tests build schedules on other threads,
-        // so the process-wide counter cannot attribute them.
-        let capacity = cap(1 << 9);
-        assert_eq!(ensure_conflict_free_built(capacity, 64), Ok(true));
-        // Smaller and equal batches are covered by the recorded maximum.
-        assert_eq!(ensure_conflict_free_built(capacity, 64), Ok(false));
-        assert_eq!(ensure_conflict_free_built(capacity, 1), Ok(false));
-        assert_eq!(ensure_conflict_free_built(capacity, 0), Ok(false));
-        // A larger batch re-validates once, then is memoized too.
-        assert_eq!(ensure_conflict_free_built(capacity, 128), Ok(true));
-        assert_eq!(ensure_conflict_free_built(capacity, 100), Ok(false));
-        assert_eq!(ensure_conflict_free_built(capacity, 128), Ok(false));
     }
 }

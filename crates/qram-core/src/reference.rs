@@ -6,9 +6,7 @@
 //! retrieval-order sweep, against a private copy of the memory image. It
 //! shares no code with the columnar kernel beyond that sweep, so the
 //! workspace property tests can pin the kernel — outcomes on every
-//! backend, shard count and write interleaving — against it. It is also
-//! what [`crate::execute_batch`] runs for a backend without a compiled
-//! plan.
+//! backend, shard count and write interleaving — against it.
 //!
 //! Sharded backends need no case of their own: their stream is the
 //! equivalent monolith's, a global address already indexes the unsplit

@@ -239,12 +239,12 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
         self.template.interned_query_layers()
     }
 
-    /// The equivalent monolithic machine's compiled plan, when the shard
-    /// architecture exposes one — single queries, batches (the columnar
-    /// kernel behind the provided [`QramModel::execute_queries`]) and
-    /// fidelity estimates over the sharded machine then run compiled,
-    /// exactly like the monolith they are observably equivalent to.
-    fn compiled_query(&self) -> Option<Arc<CompiledQuery>> {
+    /// The equivalent monolithic machine's compiled plan: single queries,
+    /// batches (the columnar kernel behind the provided
+    /// [`QramModel::execute_queries`]) and fidelity estimates over the
+    /// sharded machine run compiled, exactly like the monolith they are
+    /// observably equivalent to.
+    fn compiled_query(&self) -> Arc<CompiledQuery> {
         self.template.compiled_query()
     }
 
@@ -575,14 +575,12 @@ mod tests {
     fn sharded_compiled_plan_is_the_monolith_template_plan() {
         let s = ShardedQram::fat_tree(cap(64), 4);
         let mono = FatTreeQram::new(cap(64));
-        let plan = s.compiled_query().expect("template plan");
         assert!(std::sync::Arc::ptr_eq(
-            &plan,
-            &mono.compiled_query().expect("built-in plan")
+            &s.compiled_query(),
+            &mono.compiled_query()
         ));
         // And the shard-level plan is the shard-capacity plan.
-        let shard_plan = s.shards()[0].compiled_query().expect("shard plan");
-        assert_eq!(shard_plan.address_width(), 4);
+        assert_eq!(s.shards()[0].compiled_query().address_width(), 4);
     }
 
     #[test]

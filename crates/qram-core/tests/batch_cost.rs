@@ -1,12 +1,6 @@
-//! Regression pin on batched-execution scheduling cost: a `B`-query batch
-//! must schedule in `O(B)` — in fact `O(1)` — [`PipelineSchedule`]
-//! constructions. An earlier revision rebuilt a schedule inside the
-//! retrieval-order sort comparator *and* once more per executed query,
-//! costing `O(B log B)` constructions per batch.
-//!
-//! [`PipelineSchedule`]: qram_core::PipelineSchedule
+//! Large-memory pin on batched execution: the columnar kernel against the
+//! reference interpreter sweep at the sizes the serving benchmark uses.
 
-use qram_core::pipeline::schedule_construction_count;
 use qram_core::{
     execute_batch_traced, reference, BatchCacheStats, FatTreeQram, QramModel, ShardedQram,
 };
@@ -14,50 +8,6 @@ use qram_metrics::Capacity;
 use qsim::branch::{AddressState, ClassicalMemory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-#[test]
-fn batch_of_1024_queries_schedules_in_linear_constructions() {
-    let capacity = Capacity::new(16).unwrap();
-    let qram = FatTreeQram::new(capacity);
-    let memory = ClassicalMemory::zeros(16);
-    let addresses: Vec<AddressState> = (0..1024u64)
-        .map(|i| AddressState::classical(4, i % 16).unwrap())
-        .collect();
-
-    let before = schedule_construction_count();
-    let outs = qram.execute_queries(&memory, &addresses, &[]).unwrap();
-    let constructed = schedule_construction_count() - before;
-
-    assert_eq!(outs.len(), 1024);
-    // Retrieval layers come from the closed form (no schedule), and the
-    // batch builds exactly one schedule for conflict validation. Allow a
-    // little slack but stay far below one construction per query — the
-    // O(B log B) regression built ~11k schedules for this batch.
-    assert!(
-        constructed <= 8,
-        "1024-query batch constructed {constructed} PipelineSchedules"
-    );
-}
-
-#[test]
-fn sharded_batch_is_also_construction_frugal() {
-    let capacity = Capacity::new(16).unwrap();
-    let qram = ShardedQram::fat_tree(capacity, 4);
-    let memory = ClassicalMemory::zeros(16);
-    let addresses: Vec<AddressState> = (0..512u64)
-        .map(|i| AddressState::classical(4, i % 16).unwrap())
-        .collect();
-
-    let before = schedule_construction_count();
-    let outs = qram.execute_queries(&memory, &addresses, &[]).unwrap();
-    let constructed = schedule_construction_count() - before;
-
-    assert_eq!(outs.len(), 512);
-    assert!(
-        constructed <= 8,
-        "512-query sharded batch constructed {constructed} PipelineSchedules"
-    );
-}
 
 /// The property tests run at small capacities. Pin the columnar kernel
 /// against the reference interpreter sweep at large ones too: a monolithic

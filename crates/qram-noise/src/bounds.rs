@@ -7,17 +7,17 @@
 //! infidelity linear in its space-time volume — exponentially worse in the
 //! tree depth.
 
-use qram_core::{GateClass, QramModel};
+use qram_core::QramModel;
 use qram_metrics::Capacity;
 
 use crate::rates::GateErrorRates;
 
 /// Analytic query-infidelity upper bound `2·log²(N)·Σεᵢ` for a
 /// [`QramModel`] backend, summing only the error rates of gate classes the
-/// backend actually schedules (presence is derived from its instruction
-/// stream, so no per-architecture dispatch is needed). Reproduces
-/// [`fat_tree_query_infidelity`] and [`bb_query_infidelity`] for the two
-/// built-in architectures.
+/// backend actually schedules (presence is derived from its compiled
+/// plan's gate counts, so no per-architecture dispatch is needed).
+/// Reproduces [`fat_tree_query_infidelity`] and [`bb_query_infidelity`]
+/// for the two built-in architectures.
 ///
 /// The `2·log²(N)` prefactor is the paper's active-branch gate-count bound
 /// for bucket-brigade-style tree traversals (§8.1) and is *assumed*, not
@@ -26,45 +26,18 @@ use crate::rates::GateErrorRates;
 /// paging/virtual scheme) needs its own bound.
 #[must_use]
 pub fn query_infidelity_bound<M: QramModel + ?Sized>(model: &M, rates: &GateErrorRates) -> f64 {
-    // Class presence comes from the compiled plan's gate counts when the
-    // backend has one (no stream walk at all); otherwise from scanning
-    // the interned stream for op classes. The two agree on the built-in
-    // streams; they differ only for a stream whose op of some class
-    // executes zero gates (e.g. a swap step with nothing in flight) —
-    // there the count-based answer excludes a class that contributes no
-    // physical error, which keeps the bound an upper bound and tightens
-    // it.
-    let (has_cswap, has_inter, has_local) = match model.compiled_query() {
-        Some(plan) => {
-            let counts = plan.gate_counts();
-            (
-                counts.cswap > 0,
-                counts.inter_node_swap > 0,
-                counts.local_swap > 0,
-            )
-        }
-        None => {
-            let layers = model.interned_query_layers();
-            let uses = |class: GateClass| {
-                layers
-                    .iter()
-                    .any(|layer| layer.ops.iter().any(|op| op.gate_class() == class))
-            };
-            (
-                uses(GateClass::Cswap),
-                uses(GateClass::InterNodeSwap),
-                uses(GateClass::LocalSwap),
-            )
-        }
-    };
+    // Class presence comes from the compiled plan's gate counts: a class
+    // whose ops execute no gate (e.g. a swap step with nothing in flight)
+    // contributes no physical error, so it is left out of the sum.
+    let counts = model.compiled_query().gate_counts();
     let mut sum = 0.0;
-    if has_cswap {
+    if counts.cswap > 0 {
         sum += rates.e0;
     }
-    if has_inter {
+    if counts.inter_node_swap > 0 {
         sum += rates.e1;
     }
-    if has_local {
+    if counts.local_swap > 0 {
         sum += rates.e2;
     }
     let n = model.capacity().n_f64();

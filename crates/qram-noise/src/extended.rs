@@ -9,9 +9,7 @@
 //! polylogarithmic in `N` because only faults touching *active* branches
 //! matter.
 
-use qram_core::exec::execute_layers_noisy;
-use qram_core::query_ops::QueryLayer;
-use qram_core::{CompiledQuery, QramModel};
+use qram_core::QramModel;
 use qsim::branch::{AddressState, ClassicalMemory};
 use qsim::noise::FidelityEstimator;
 use rand::Rng;
@@ -62,19 +60,27 @@ impl ExtendedNoise {
 /// errors are injected into whatever instruction stream the backend
 /// generates.
 ///
-/// Backends exposing a compiled plan ([`QramModel::compiled_query`])
-/// sample trajectories against the plan's per-layer gate trajectory
-/// without re-walking the op stream per trial. Both paths attribute a
-/// burst *exactly* to the gates of its layer (the interpreter path
-/// compiles the stream once for the same per-layer counts), and per-gate
-/// faults draw once per quantum gate per branch, as in the baseline
-/// estimator — with gate rates at zero the two paths consume the RNG
-/// identically and return bit-equal estimates (pinned by test).
+/// Trajectories are sampled against the per-layer gate trajectory of the
+/// backend's compiled plan ([`QramModel::compiled_query`]) without
+/// re-walking the op stream per trial:
+///
+/// * initialization errors corrupt each of the `log₂ N` active-path
+///   routers independently at query start, and any one corrupts the
+///   whole trial;
+/// * a burst (one draw per layer) corrupts the trial iff its layer
+///   executes at least one quantum gate — every branch runs the same
+///   gates per layer, so a burst hits all branches alike;
+/// * per-gate stochastic faults draw once per quantum gate per branch,
+///   as in the baseline estimator, and corrupt branches independently.
+///
+/// With gate rates at zero this matches a walk of the interpreter's
+/// `execute_layers_noisy` with exact per-layer burst attribution
+/// bit for bit (pinned by test).
 ///
 /// # Panics
 ///
-/// Panics if probabilities are invalid or the backend generates a
-/// malformed instruction stream (a bug).
+/// Panics if probabilities are invalid or `memory` does not match the
+/// QRAM capacity.
 pub fn estimate_extended_fidelity<M: QramModel + ?Sized, R: Rng + ?Sized>(
     model: &M,
     memory: &ClassicalMemory,
@@ -83,40 +89,13 @@ pub fn estimate_extended_fidelity<M: QramModel + ?Sized, R: Rng + ?Sized>(
     trials: u32,
     rng: &mut R,
 ) -> FidelityEstimator {
-    if let Some(plan) = model.compiled_query() {
-        // The interpreter path rejects mismatched inputs inside
-        // `execute_layers_noisy`; the plan path must be as loud.
-        assert_eq!(
-            memory.address_width(),
-            plan.address_width(),
-            "memory capacity must match QRAM capacity"
-        );
-        return estimate_extended_compiled_fidelity(&plan, address, noise, trials, rng);
-    }
-    estimate_extended_layers_fidelity(
-        &model.interned_query_layers(),
-        memory,
-        address,
-        noise,
-        trials,
-        rng,
-    )
-}
-
-/// The compiled-plan trajectory sampler behind
-/// [`estimate_extended_fidelity`]: initialization errors corrupt the whole
-/// trial, a burst corrupts the trial iff its layer executes at least one
-/// quantum gate (exact attribution via the plan's per-layer counts — every
-/// branch runs the same gates per layer, so a burst hits all branches
-/// alike), and per-gate stochastic faults corrupt branches independently.
-fn estimate_extended_compiled_fidelity<R: Rng + ?Sized>(
-    plan: &CompiledQuery,
-    address: &AddressState,
-    noise: &ExtendedNoise,
-    trials: u32,
-    rng: &mut R,
-) -> FidelityEstimator {
     noise.validate();
+    let plan = model.compiled_query();
+    assert_eq!(
+        memory.address_width(),
+        plan.address_width(),
+        "memory capacity must match QRAM capacity"
+    );
     let n = plan.address_width();
     let mut estimator = FidelityEstimator::new();
     for _ in 0..trials {
@@ -153,77 +132,6 @@ fn estimate_extended_compiled_fidelity<R: Rng + ?Sized>(
     estimator
 }
 
-/// Estimates query fidelity under the extended noise model for an explicit
-/// instruction stream, by trajectory sampling. Initialization errors
-/// corrupt each of the `log₂ N` active-path routers independently at query
-/// start; bursts fault all gates of a layer at once, attributed *exactly*:
-/// the stream is compiled once up front ([`CompiledQuery::compile`]) to
-/// obtain the per-layer fault-callback counts, so the gate → layer mapping
-/// is precise for every branch of the superposition — the same semantics
-/// as the compiled fast path of [`estimate_extended_fidelity`].
-///
-/// # Panics
-///
-/// Panics if probabilities are invalid or the instruction stream is
-/// malformed.
-pub fn estimate_extended_layers_fidelity<R: Rng + ?Sized>(
-    layers: &[QueryLayer],
-    memory: &ClassicalMemory,
-    address: &AddressState,
-    noise: &ExtendedNoise,
-    trials: u32,
-    rng: &mut R,
-) -> FidelityEstimator {
-    noise.validate();
-    let n = memory.address_width();
-    // Exact gate → layer attribution: compile the stream (a stream the
-    // executor below would accept always compiles — same validator) and
-    // expand its per-layer quantum-gate counts into a per-callback layer
-    // index. Fault callbacks repeat identically for every branch, so the
-    // walk position is tracked modulo one branch's callback count.
-    let plan = CompiledQuery::compile(n, layers).expect("instruction stream must be valid");
-    let layer_of_callback: Vec<usize> = plan
-        .layer_gate_counts()
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, counts)| {
-            std::iter::repeat_n(idx, usize::try_from(counts.total_quantum()).expect("fits"))
-        })
-        .collect();
-    let callbacks_per_branch = layer_of_callback.len().max(1);
-    let mut estimator = FidelityEstimator::new();
-    for _ in 0..trials {
-        // Initialization errors: each active-path router independently.
-        let mut init_corrupted = false;
-        for _ in 0..n {
-            if noise.init_error > 0.0 && rng.random::<f64>() < noise.init_error {
-                init_corrupted = true;
-            }
-        }
-        if init_corrupted {
-            estimator.record(0.0);
-            continue;
-        }
-        // Pre-sample which layers suffer a correlated burst.
-        let burst: Vec<bool> = (0..layers.len())
-            .map(|_| noise.burst_rate > 0.0 && rng.random::<f64>() < noise.burst_rate)
-            .collect();
-        let mut gates_seen = 0usize;
-        let survival = execute_layers_noisy(layers, memory, address, |class| {
-            let layer_idx = layer_of_callback[gates_seen % callbacks_per_branch];
-            gates_seen += 1;
-            if burst[layer_idx] {
-                return true;
-            }
-            let p = noise.gate_rates.class_rate(class);
-            p > 0.0 && rng.random::<f64>() < p
-        })
-        .expect("instruction stream must be valid");
-        estimator.record(survival * survival);
-    }
-    estimator
-}
-
 /// First-order analytic infidelity under the extended model:
 /// `2n²Σε + n·p_init + L·p_burst` with `L` the layer count — still
 /// polylogarithmic in `N` for fixed rates.
@@ -243,10 +151,68 @@ pub fn extended_infidelity_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qram_core::FatTreeQram;
+    use qram_core::exec::execute_layers_noisy;
+    use qram_core::query_ops::QueryLayer;
+    use qram_core::{CompiledQuery, FatTreeQram};
     use qram_metrics::Capacity;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The burst-attribution oracle: the extended model sampled by walking
+    /// `layers` through the interpreter (`execute_layers_noisy`) rather
+    /// than the compiled plan. A burst faults every gate of its layer; the
+    /// gate → layer map comes from compiling the stream once, and fault
+    /// callbacks repeat identically for every branch, so the walk
+    /// position is tracked modulo one branch's callback count.
+    fn estimate_by_interpreter(
+        layers: &[QueryLayer],
+        memory: &ClassicalMemory,
+        address: &AddressState,
+        noise: &ExtendedNoise,
+        trials: u32,
+        rng: &mut StdRng,
+    ) -> FidelityEstimator {
+        let n = memory.address_width();
+        let plan = CompiledQuery::compile(n, layers).unwrap();
+        let layer_of_callback: Vec<usize> = plan
+            .layer_gate_counts()
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, counts)| {
+                std::iter::repeat_n(idx, usize::try_from(counts.total_quantum()).unwrap())
+            })
+            .collect();
+        let callbacks_per_branch = layer_of_callback.len().max(1);
+        let mut estimator = FidelityEstimator::new();
+        for _ in 0..trials {
+            let mut init_corrupted = false;
+            for _ in 0..n {
+                if noise.init_error > 0.0 && rng.random::<f64>() < noise.init_error {
+                    init_corrupted = true;
+                }
+            }
+            if init_corrupted {
+                estimator.record(0.0);
+                continue;
+            }
+            let burst: Vec<bool> = (0..layers.len())
+                .map(|_| noise.burst_rate > 0.0 && rng.random::<f64>() < noise.burst_rate)
+                .collect();
+            let mut gates_seen = 0usize;
+            let survival = execute_layers_noisy(layers, memory, address, |class| {
+                let layer_idx = layer_of_callback[gates_seen % callbacks_per_branch];
+                gates_seen += 1;
+                if burst[layer_idx] {
+                    return true;
+                }
+                let p = noise.gate_rates.class_rate(class);
+                p > 0.0 && rng.random::<f64>() < p
+            })
+            .unwrap();
+            estimator.record(survival * survival);
+        }
+        estimator
+    }
 
     fn setup(n: u32) -> (FatTreeQram, ClassicalMemory, AddressState) {
         let capacity = Capacity::from_address_width(n);
@@ -286,9 +252,9 @@ mod tests {
 
     #[test]
     fn compiled_and_layers_paths_agree_on_burst_only_noise() {
-        // With gate rates at zero, the compiled path (plan trajectory)
-        // and the explicit-stream path (interpreter walk) consume the
-        // RNG identically — n init draws then one draw per layer — and
+        // With gate rates at zero, the compiled plan's trajectory and the
+        // interpreter walk of `estimate_by_interpreter` consume the RNG
+        // identically — n init draws then one draw per layer — and
         // corrupt a trial under exactly the same condition (a burst in
         // any layer executing quantum gates corrupts every branch). Same
         // seed ⇒ bit-equal estimates, on superpositions too.
@@ -307,7 +273,7 @@ mod tests {
             2000,
             &mut StdRng::seed_from_u64(99),
         );
-        let interpreted = estimate_extended_layers_fidelity(
+        let interpreted = estimate_by_interpreter(
             &qram.query_layers(),
             &mem,
             &addr,

@@ -1,6 +1,6 @@
 //! Error robustness of Fat-Tree QRAM (§8): analytic fidelity bounds,
 //! quantum error correction cost models, virtual distillation, and
-//! Monte-Carlo validation against the instruction-level executor.
+//! Monte-Carlo validation along the backends' compiled query plans.
 //!
 //! # Examples
 //!
@@ -27,11 +27,8 @@ mod rates;
 
 pub use bounds::query_infidelity_bound;
 pub use distillation::{distilled_infidelity, table4, DistillationPlan, Table4Row};
-pub use extended::{
-    estimate_extended_fidelity, estimate_extended_layers_fidelity, extended_infidelity_bound,
-    ExtendedNoise,
-};
-pub use monte_carlo::{estimate_layers_fidelity, estimate_query_fidelity};
+pub use extended::{estimate_extended_fidelity, extended_infidelity_bound, ExtendedNoise};
+pub use monte_carlo::estimate_query_fidelity;
 pub use qec::{
     bb_encoded_query_cost, code_switching_ancillas, fat_tree_encoded_query_cost, figure11_curve,
     EncodedQueryCost, InfidelityPoint, QecCode,

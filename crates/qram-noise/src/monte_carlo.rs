@@ -1,12 +1,10 @@
 //! Monte-Carlo validation of the analytic fidelity bounds.
 //!
-//! Injects stochastic per-gate faults into the instruction-level executor
-//! of `qram-core` (only gates touching the active query branch can fault —
-//! the mechanism behind QRAM's intrinsic noise resilience) and estimates
-//! the query fidelity by trajectory averaging.
+//! Injects stochastic per-gate faults along a backend's compiled query
+//! plan (only gates touching the active query branch can fault — the
+//! mechanism behind QRAM's intrinsic noise resilience) and estimates the
+//! query fidelity by trajectory averaging.
 
-use qram_core::exec::execute_layers_noisy;
-use qram_core::query_ops::QueryLayer;
 use qram_core::QramModel;
 use qsim::branch::{AddressState, ClassicalMemory};
 use qsim::noise::FidelityEstimator;
@@ -15,20 +13,22 @@ use rand::Rng;
 use crate::rates::GateErrorRates;
 
 /// Estimates the query fidelity of any [`QramModel`] backend by sampling
-/// `trials` noisy trajectories of its generated instruction stream —
+/// `trials` noisy trajectories of its instruction stream —
 /// architecture-agnostic: the error profile falls out of the gates the
 /// backend actually schedules.
 ///
-/// Backends exposing a compiled plan ([`QramModel::compiled_query`])
-/// sample trajectories against the plan's per-layer gate counts instead
-/// of re-walking the op stream per trial: each branch still draws exactly
-/// one fault decision per quantum gate per class, so the per-trajectory
-/// statistics are identical to the interpreter's (only the RNG
-/// consumption order within a layer differs).
+/// Trajectories are sampled against the per-layer gate counts of the
+/// backend's compiled plan ([`QramModel::compiled_query`]) instead of
+/// re-walking the op stream per trial. Each gate along an active branch
+/// faults with its class rate, one decision per quantum gate per class
+/// per branch, as the interpreter's `execute_layers_noisy` draws them
+/// (only the RNG consumption order within a layer differs). A faulted
+/// branch is assumed orthogonal to the ideal output (worst case), so
+/// per-trajectory fidelity is the squared surviving amplitude weight.
 ///
 /// # Panics
 ///
-/// Panics if the backend generates a malformed instruction stream (a bug).
+/// Panics if `memory` does not match the QRAM capacity.
 pub fn estimate_query_fidelity<M: QramModel + ?Sized, R: Rng + ?Sized>(
     model: &M,
     memory: &ClassicalMemory,
@@ -37,57 +37,18 @@ pub fn estimate_query_fidelity<M: QramModel + ?Sized, R: Rng + ?Sized>(
     trials: u32,
     rng: &mut R,
 ) -> FidelityEstimator {
-    if let Some(plan) = model.compiled_query() {
-        // The interpreter path rejects mismatched inputs inside
-        // `execute_layers_noisy`; the plan path must be as loud.
-        assert_eq!(
-            memory.address_width(),
-            plan.address_width(),
-            "memory capacity must match QRAM capacity"
-        );
-        let mut estimator = FidelityEstimator::new();
-        for _ in 0..trials {
-            let survival = plan.noisy_survival(address, |class| {
-                let p = rates.class_rate(class);
-                p > 0.0 && rng.random::<f64>() < p
-            });
-            estimator.record(survival * survival);
-        }
-        return estimator;
-    }
-    estimate_layers_fidelity(
-        &model.interned_query_layers(),
-        memory,
-        address,
-        rates,
-        trials,
-        rng,
-    )
-}
-
-/// Estimates query fidelity for an explicit instruction stream. Each gate
-/// along an active branch faults with its class rate; a faulted branch is
-/// assumed orthogonal to the ideal output (worst case), so per-trajectory
-/// fidelity is the squared surviving amplitude weight.
-///
-/// # Panics
-///
-/// Panics if the instruction stream itself is malformed.
-pub fn estimate_layers_fidelity<R: Rng + ?Sized>(
-    layers: &[QueryLayer],
-    memory: &ClassicalMemory,
-    address: &AddressState,
-    rates: &GateErrorRates,
-    trials: u32,
-    rng: &mut R,
-) -> FidelityEstimator {
+    let plan = model.compiled_query();
+    assert_eq!(
+        memory.address_width(),
+        plan.address_width(),
+        "memory capacity must match QRAM capacity"
+    );
     let mut estimator = FidelityEstimator::new();
     for _ in 0..trials {
-        let survival = execute_layers_noisy(layers, memory, address, |class| {
+        let survival = plan.noisy_survival(address, |class| {
             let p = rates.class_rate(class);
             p > 0.0 && rng.random::<f64>() < p
-        })
-        .expect("instruction stream must be valid");
+        });
         estimator.record(survival * survival);
     }
     estimator

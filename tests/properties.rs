@@ -1,15 +1,13 @@
 //! Property-based tests over the core invariants of the reproduction.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use fat_tree_qram::core::exec::execute_layers;
-use fat_tree_qram::core::query_ops::QueryLayer;
 use fat_tree_qram::core::{
     execute_batch, execute_batch_traced, reference, BatchCacheStats, BucketBrigadeQram,
     CompiledQuery, FatTreeQram, Op, PipelineSchedule, QramModel, QubitTag, ShardedQram,
 };
-use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
+use fat_tree_qram::metrics::{Capacity, Layers};
 use fat_tree_qram::noise::distilled_infidelity;
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::qsim::Complex;
@@ -298,7 +296,6 @@ proptest! {
             Box::new(FatTreeQram::new(cap)),
         ];
         for backend in &backends {
-            prop_assert!(backend.compiled_query().is_some());
             let compiled = backend.execute_query_traced(&memory, &address).unwrap();
             let interpreted =
                 execute_layers(&backend.interned_query_layers(), &memory, &address).unwrap();
@@ -393,9 +390,9 @@ proptest! {
 
     /// Compiled query plans are observably identical to the interpreter
     /// on all three backends: same outcomes and same gate counts for
-    /// random memories and superpositions. `execute_query_traced` takes
-    /// the compiled path (every built-in backend exposes a plan), and is
-    /// compared against the interpreter run over the same interned stream.
+    /// random memories and superpositions. `execute_query_traced` runs the
+    /// backend's plan, and is compared against the interpreter run over
+    /// the same interned stream.
     #[test]
     fn compiled_plans_match_interpreter_on_all_backends(
         n in 2u32..=6,
@@ -417,10 +414,6 @@ proptest! {
             Box::new(ShardedQram::bucket_brigade(cap, 2)),
         ];
         for backend in &backends {
-            prop_assert!(
-                backend.compiled_query().is_some(),
-                "{} must expose a compiled plan", backend.name()
-            );
             let compiled = backend.execute_query_traced(&memory, &address).unwrap();
             let interpreted =
                 execute_layers(&backend.interned_query_layers(), &memory, &address).unwrap();
@@ -437,9 +430,7 @@ proptest! {
     /// on all three backends. The sharded backend draws K ∈ {1, 2, 4, 8},
     /// capped at N/2, so the kernel's direct loads from the unsplit image
     /// (shard `s`'s local cell `l` is global cell `l·K + s`) meet the
-    /// reference at every interleaving. Plan-less backends — a monolith
-    /// and a K = 2 sharded machine — run the reference and must match
-    /// their compiled twins' kernel outcomes.
+    /// reference at every interleaving.
     #[test]
     fn compiled_batches_match_interpreted_reference(
         n in 3u32..=5,
@@ -476,9 +467,6 @@ proptest! {
                 reference::execute_batch(backend.as_ref(), &memory, &addresses, &updates)
                     .unwrap();
             prop_assert!(compiled == expected, "{} (K={}) diverges", backend.name(), k);
-        }
-        for (plan_less, twin) in plan_less_twins(cap) {
-            check_plan_less(plan_less.as_ref(), twin.as_ref(), &memory, &addresses, &updates)?;
         }
     }
 
@@ -550,14 +538,14 @@ proptest! {
         }
     }
 
-    /// The columnar structure-of-arrays kernel (`execute_batch_traced`,
-    /// taken whenever the backend exposes a compiled plan) returns the
-    /// reference interpreter sweep's outcomes and the brute-force memo
-    /// model's `BatchCacheStats` across interleaved §7.2 memory writes.
+    /// The columnar structure-of-arrays kernel (`execute_batch_traced`, on
+    /// the backend's compiled plan) returns the reference interpreter
+    /// sweep's outcomes and the brute-force memo model's `BatchCacheStats`
+    /// across interleaved §7.2 memory writes.
     /// Queries mix classical addresses with 2–4-branch superpositions over
     /// a pool of six, so repeats of both kinds span several epochs (the
     /// kernel counts single-branch sets with a bitmap and multi-branch
-    /// sets with a sort). Plan-less backends report every query as a miss.
+    /// sets with a sort).
     #[test]
     fn columnar_kernel_matches_rowwise_and_interpreter(
         n in 3u32..=5,
@@ -608,9 +596,6 @@ proptest! {
                 stats == modeled,
                 "{} columnar stats diverge: {stats:?} != {modeled:?}", backend.name()
             );
-        }
-        for (plan_less, twin) in plan_less_twins(cap) {
-            check_plan_less(plan_less.as_ref(), twin.as_ref(), &memory, &addresses, &updates)?;
         }
     }
 
@@ -681,109 +666,6 @@ proptest! {
             prop_assert!((amp.norm_sqr() - 1.0 / k as f64).abs() < 1e-9);
         }
     }
-}
-
-/// A Fat-Tree without a compiled plan: it forwards every architecture
-/// method to the wrapped machine but keeps the trait's default
-/// `compiled_query` (`None`) and execution methods, so every query it
-/// serves walks the interpreter — the plan-less branch of batch dispatch.
-struct Interpreted(FatTreeQram);
-
-impl Interpreted {
-    fn new(capacity: Capacity) -> Self {
-        Interpreted(FatTreeQram::new(capacity))
-    }
-}
-
-impl QramModel for Interpreted {
-    fn name(&self) -> &'static str {
-        "Interpreted"
-    }
-
-    fn capacity(&self) -> Capacity {
-        self.0.capacity()
-    }
-
-    fn router_count(&self) -> u64 {
-        self.0.router_count()
-    }
-
-    fn query_parallelism(&self) -> u32 {
-        self.0.query_parallelism()
-    }
-
-    fn query_layers(&self) -> Vec<QueryLayer> {
-        self.0.query_layers()
-    }
-
-    fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
-        self.0.interned_query_layers()
-    }
-
-    fn single_query_layers_integer(&self) -> u64 {
-        self.0.single_query_layers_integer()
-    }
-
-    fn single_query_latency(&self, timing: &TimingModel) -> Layers {
-        self.0.single_query_latency(timing)
-    }
-
-    fn admission_interval(&self, timing: &TimingModel) -> Layers {
-        self.0.admission_interval(timing)
-    }
-
-    fn retrieval_layer(&self, query_index: usize) -> u64 {
-        self.0.retrieval_layer(query_index)
-    }
-}
-
-/// Plan-less backends paired with their compiled twins: a monolith, and a
-/// K = 2 sharded machine over plan-less shards.
-fn plan_less_twins(cap: Capacity) -> [(Box<dyn QramModel>, Box<dyn QramModel>); 2] {
-    [
-        (
-            Box::new(Interpreted::new(cap)),
-            Box::new(FatTreeQram::new(cap)),
-        ),
-        (
-            Box::new(ShardedQram::new(cap, 2, Interpreted::new)),
-            Box::new(ShardedQram::fat_tree(cap, 2)),
-        ),
-    ]
-}
-
-/// A plan-less backend's batch is the reference sweep, equals its compiled
-/// twin's kernel outcomes, and traces every query as a miss.
-fn check_plan_less(
-    plan_less: &dyn QramModel,
-    twin: &dyn QramModel,
-    memory: &ClassicalMemory,
-    addresses: &[AddressState],
-    updates: &[(u64, u64, u64)],
-) -> Result<(), TestCaseError> {
-    prop_assert!(plan_less.compiled_query().is_none());
-    let outs = plan_less
-        .execute_queries(memory, addresses, updates)
-        .unwrap();
-    let expected = reference::execute_batch(plan_less, memory, addresses, updates).unwrap();
-    prop_assert!(
-        outs == expected,
-        "plan-less {} diverges from the reference",
-        twin.name()
-    );
-    let kernel = twin.execute_queries(memory, addresses, updates).unwrap();
-    prop_assert!(
-        outs == kernel,
-        "plan-less {} diverges from its kernel twin",
-        twin.name()
-    );
-    let (_, stats) = execute_batch_traced(plan_less, memory, addresses, updates).unwrap();
-    let all_misses = BatchCacheStats {
-        hits: 0,
-        misses: addresses.len() as u64,
-    };
-    prop_assert_eq!(stats, all_misses);
-    Ok(())
 }
 
 /// Brute-force memo accounting: visit queries in retrieval order; every
