@@ -218,22 +218,6 @@ impl ReplicatedMemory {
         target - from
     }
 
-    /// Applies at most `max_entries` pending writes at `replica`, in epoch
-    /// order — the chunked-replay primitive a Recovering replica uses to
-    /// drain its backlog across several replay steps (new writes may keep
-    /// landing in the log between chunks; they simply extend the backlog).
-    /// A `max_entries` of `0` means "no limit": the entire backlog drains
-    /// in one step, so a caller-supplied chunk size of zero degrades to
-    /// full catch-up instead of replaying nothing per step forever.
-    /// Returns the number of entries applied.
-    pub fn catch_up_by(&mut self, replica: usize, max_entries: u64) -> u64 {
-        if max_entries == 0 {
-            return self.catch_up(replica);
-        }
-        let target = self.applied[replica].saturating_add(max_entries);
-        self.catch_up_to(replica, target)
-    }
-
     /// Installs an externally recovered memory image at `replica`, as of
     /// `epoch` — the rejoin path for a replica that rebuilt its state
     /// from a durable checkpoint + WAL replay (or a scrub repair that
@@ -300,13 +284,6 @@ impl ReplicatedMemory {
             address,
             value: flipped,
         });
-    }
-
-    /// Catches every replica up to the fleet epoch, converging the fleet.
-    pub fn catch_up_all(&mut self) {
-        for r in 0..self.replicas.len() {
-            self.catch_up(r);
-        }
     }
 }
 
@@ -382,8 +359,8 @@ mod tests {
         m.write_at(0, 5, 10);
         m.write_at(3, 5, 11);
         m.write_at(1, 5, 12);
-        m.catch_up_all();
         for r in 0..4 {
+            m.catch_up(r);
             assert_eq!(m.memory(r).read(5), 12);
             assert!(!m.is_stale(r));
         }
@@ -421,15 +398,15 @@ mod tests {
 
     #[test]
     fn lag_larger_than_any_single_replication_step_still_converges() {
-        // A replica that slept through many epochs: its lag exceeds every
-        // chunk it replays, yet ordered prefix replay converges it.
+        // A replica that slept through many epochs: one ordered prefix
+        // replay converges it.
         let mut m = fleet(2);
         for i in 0..12u64 {
             m.write_at(0, i % 16, i + 1);
         }
         assert_eq!(m.lag(1), 12);
         // Requesting far more than the log holds clamps to the log.
-        assert_eq!(m.catch_up_by(1, 1_000), 12);
+        assert_eq!(m.catch_up_to(1, 1_000), 12);
         assert_eq!(m.lag(1), 0);
         assert_eq!(m.memory(0), m.memory(1));
     }
@@ -448,44 +425,6 @@ mod tests {
         assert_eq!(m.applied_epoch(2), 4);
         assert_eq!(m.memory(2).read(5), 3);
         assert_eq!(m.memory(2).read(9), 4);
-    }
-
-    #[test]
-    fn writes_landing_during_chunked_recovery_extend_the_backlog() {
-        // A Recovering replica replays in chunks while new writes keep
-        // committing: each chunk applies the oldest pending entries, the
-        // backlog absorbs the new tail, and replay still converges.
-        let mut m = fleet(2);
-        for i in 0..6u64 {
-            m.write_at(0, i, 10 + i);
-        }
-        assert_eq!(m.catch_up_by(1, 2), 2);
-        assert_eq!(m.applied_epoch(1), 2);
-        // Two more writes land mid-recovery.
-        m.write_at(0, 6, 100);
-        m.write_at(0, 2, 200);
-        assert_eq!(m.lag(1), 6, "backlog grew while recovering");
-        assert_eq!(m.catch_up_by(1, 4), 4);
-        assert!(m.is_stale(1), "still one chunk short");
-        assert_eq!(m.catch_up_by(1, 4), 2);
-        assert!(!m.is_stale(1));
-        assert_eq!(m.memory(1).read(2), 200, "mid-recovery write applied");
-        assert_eq!(m.memory(0), m.memory(1));
-    }
-
-    #[test]
-    fn catch_up_by_zero_means_drain_everything() {
-        // A chunk size of zero would otherwise replay nothing per step
-        // and loop a chunked-recovery driver forever; it is pinned to
-        // mean "no limit" instead.
-        let mut m = fleet(2);
-        m.write_at(0, 1, 1);
-        m.write_at(0, 2, 2);
-        m.write_at(0, 3, 3);
-        assert_eq!(m.catch_up_by(1, 0), 3, "0 = the whole backlog");
-        assert!(!m.is_stale(1));
-        assert_eq!(m.memory(0), m.memory(1));
-        assert_eq!(m.catch_up_by(1, 0), 0, "idempotent once current");
     }
 
     #[test]
@@ -556,7 +495,7 @@ mod tests {
                         m.catch_up_to(r, upto);
                     }
                     2 => {
-                        m.catch_up_by(r, rng.random_range(0..4u64));
+                        m.catch_up(r);
                     }
                     3 => m.corrupt_replica_cell(r, rng.random_range(0..16u64)),
                     _ => {
