@@ -118,7 +118,8 @@ pub struct FleetWrite {
 pub struct FleetConfig {
     /// Per-replica bound on requests waiting in the dispatch queues.
     /// Arrivals beyond it (or beyond the tenant's SLO share of it) are
-    /// shed. `None` queues without bound and disables SLO shedding.
+    /// shed. `None` queues without bound and disables SLO shedding;
+    /// `Some(0)` is refused with [`ServeError::ZeroQueueCapacity`].
     pub queue_capacity: Option<usize>,
     /// Delay between a write committing at its origin and every other
     /// replica applying it. Zero replicates within the same instant.
@@ -372,7 +373,9 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Exec`] if query execution fails.
+    /// Returns [`ServeError::ZeroQueueCapacity`] before serving anything if
+    /// [`FleetConfig::queue_capacity`] is `Some(0)`, and
+    /// [`ServeError::Exec`] if query execution fails.
     ///
     /// # Panics
     ///
@@ -411,7 +414,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Exec`] if query execution fails, and
+    /// Returns [`ServeError::ZeroQueueCapacity`] as [`QramFleet::serve`]
+    /// does, [`ServeError::Exec`] if query execution fails, and
     /// [`ServeError::Store`] if the in-memory store that disk faults or
     /// scrubbing spin up fails.
     ///
@@ -452,6 +456,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// Returns [`ServeError::StoreMismatch`] before serving anything if
     /// the store's chain does not end at `memory`,
+    /// [`ServeError::ZeroQueueCapacity`] as [`QramFleet::serve`] does,
     /// [`ServeError::Exec`] if query execution fails and
     /// [`ServeError::Store`] if the store's directory fails.
     ///
@@ -493,6 +498,9 @@ pub enum ServeError {
     /// memory, so its scrubs and rejoins would reset replicas toward
     /// another image.
     StoreMismatch,
+    /// [`FleetConfig::queue_capacity`] is `Some(0)`: no replica queue
+    /// could hold an admitted request.
+    ZeroQueueCapacity,
 }
 
 impl fmt::Display for ServeError {
@@ -503,6 +511,7 @@ impl fmt::Display for ServeError {
             ServeError::StoreMismatch => {
                 write!(f, "the durable chain does not end at the starting memory")
             }
+            ServeError::ZeroQueueCapacity => write!(f, "the queue capacity is zero"),
         }
     }
 }
@@ -512,7 +521,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Exec(e) => Some(e),
             ServeError::Store(e) => Some(e),
-            ServeError::StoreMismatch => None,
+            ServeError::StoreMismatch | ServeError::ZeroQueueCapacity => None,
         }
     }
 }

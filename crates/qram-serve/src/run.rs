@@ -168,6 +168,9 @@ pub(crate) fn serve_faulty<M: QramModel + Clone, P: AdmissionPolicy, L: Placemen
     fault_config: &FaultConfig,
     store: Option<&mut DurableFleet>,
 ) -> Result<FleetReport, ServeError> {
+    if fleet.config.queue_capacity == Some(0) {
+        return Err(ServeError::ZeroQueueCapacity);
+    }
     let mut ephemeral = None;
     let mut run = Run::new(fleet, memory, requests, writes, plan, fault_config);
     run.durability = Durability::open(store, &mut ephemeral, memory, plan, fault_config)?;

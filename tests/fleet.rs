@@ -7,6 +7,7 @@
 #[path = "common/fleet_replay.rs"]
 mod fleet_replay;
 
+use fat_tree_qram::core::store::{DurableFleet, SimDir};
 use fat_tree_qram::core::{QramModel, ShardedQram};
 use fat_tree_qram::metrics::{Capacity, LatencyHistogram, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
@@ -15,8 +16,9 @@ use fat_tree_qram::sched::{
     QueryRequest, QuotaAdmission, SloClass, TenantId,
 };
 use fat_tree_qram::serve::{
-    ConsistentHashPlacement, FleetConfig, FleetQuery, FleetReport, FleetRequest, FleetWrite,
-    LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad, ShedReason, ShedRequest,
+    ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig, FleetQuery, FleetReport,
+    FleetRequest, FleetWrite, LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad,
+    ServeError, ShedReason, ShedRequest,
 };
 use fleet_replay::{check, replay, tenant_mix, Setup, WriteLog};
 use proptest::prelude::*;
@@ -550,4 +552,65 @@ fn a_completion_at_an_arrival_instant_frees_its_slot_after_the_arrivals() {
     assert_eq!(report.shed(), &[shed]);
     assert_eq!(report.completed()[1].start, latency);
     check(&report, &replay(&setup, &memory, &requests, &[])).unwrap();
+}
+
+#[test]
+fn a_zero_queue_capacity_is_refused_before_the_run() {
+    // A zero-slot queue could hold no admitted request, so every entry
+    // point refuses it up front, fault plan or not, instead of admitting
+    // a request no replica accepts. One slot still serves or sheds every
+    // request.
+    let fleet = |queue_capacity| {
+        QramFleet::new(
+            ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2),
+            2,
+            TimingModel::paper_default(),
+            FifoAdmission,
+            ConsistentHashPlacement,
+            FleetConfig {
+                queue_capacity,
+                replication_lag: Layers::ZERO,
+            },
+        )
+    };
+    let requests: Vec<FleetRequest> = (0..12)
+        .map(|id| FleetRequest {
+            id,
+            tenant: TenantId::DEFAULT,
+            arrival: Layers::new(id as f64),
+            address: AddressState::classical(6, id as u64).unwrap(),
+        })
+        .collect();
+    let memory = checkerboard(64);
+    let crash = FaultPlan::none().with(Fault::Crash {
+        replica: 1,
+        at: Layers::new(5.0),
+    });
+    let config = FaultConfig::default();
+
+    let refused = fleet(Some(0)).serve(&memory, requests.clone(), Vec::new());
+    assert!(matches!(refused, Err(ServeError::ZeroQueueCapacity)));
+    let refused =
+        fleet(Some(0)).serve_with_faults(&memory, requests.clone(), Vec::new(), &crash, &config);
+    assert!(matches!(refused, Err(ServeError::ZeroQueueCapacity)));
+    let mut store = DurableFleet::create(Box::new(SimDir::new()), &memory).unwrap();
+    let refused = fleet(Some(0)).serve_durable(
+        &memory,
+        requests.clone(),
+        Vec::new(),
+        &crash,
+        &config,
+        &mut store,
+    );
+    assert!(matches!(refused, Err(ServeError::ZeroQueueCapacity)));
+
+    for plan in [FaultPlan::none(), crash] {
+        let report = fleet(Some(1))
+            .serve_with_faults(&memory, requests.clone(), Vec::new(), &plan, &config)
+            .unwrap();
+        let mut ids: Vec<usize> = report.completed().iter().map(|c| c.id).collect();
+        ids.extend(report.shed().iter().map(|s| s.id));
+        ids.sort_unstable();
+        assert_eq!(ids, (0..requests.len()).collect::<Vec<_>>(), "{plan:?}");
+    }
 }
