@@ -84,7 +84,7 @@ impl QramModel for BucketBrigadeQram {
     }
 
     /// The interned per-capacity stream: generated once per process,
-    /// shared by every batch and fidelity estimate at this capacity.
+    /// shared by the plan compiler and the reference sweep.
     fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
         interned_layers(LayerArch::BucketBrigade, self.address_width())
     }

@@ -24,9 +24,9 @@
 //!    backend supplies a compiled plan (stage 3).
 //! 2. **Intern** — [`interned_layers`] caches the per-capacity stream of
 //!    each built-in architecture in a process-wide table of
-//!    `Arc<[QueryLayer]>`, so batch execution and the fidelity estimators
-//!    stop re-generating (and re-allocating) the same layered stream on
-//!    every call.
+//!    `Arc<[QueryLayer]>`, so the plan compiler and the reference batch
+//!    sweep stop re-generating (and re-allocating) the same layered
+//!    stream on every call.
 //! 3. **Compile** — [`compiled_query`] partially evaluates an interned
 //!    stream exactly once per `(arch, n)`: a symbolic `BranchMachine` run
 //!    proves every precondition (including the address-dependent
@@ -522,9 +522,9 @@ pub enum LayerArch {
 /// The per-capacity single-query instruction stream of `arch`, interned in
 /// a process-wide table: the first call for an `(arch, n)` pair generates
 /// the layered stream once, every later call returns a cheap [`Arc`]
-/// clone. Batch execution and the fidelity estimators call this through
-/// [`QramModel::interned_query_layers`], so the stream is no longer
-/// re-allocated per query or per Monte-Carlo estimate.
+/// clone. The plan compiler ([`compiled_query`]) and the reference batch
+/// sweep (through [`QramModel::interned_query_layers`]) read it, so the
+/// stream is not re-allocated per call.
 ///
 /// Streams are immutable and small (`O(log² N)` ops), so the table is
 /// never evicted; with capacities up to `2^20` it holds at most 40

@@ -83,7 +83,7 @@ impl QramModel for FatTreeQram {
     }
 
     /// The interned per-capacity stream: generated once per process,
-    /// shared by every batch and fidelity estimate at this capacity.
+    /// shared by the plan compiler and the reference sweep.
     fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
         interned_layers(LayerArch::FatTree, self.address_width())
     }

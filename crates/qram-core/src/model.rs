@@ -70,8 +70,9 @@ pub trait QramModel {
     fn query_layers(&self) -> Vec<QueryLayer>;
 
     /// The layered instruction stream of one query as a shared, cached
-    /// allocation — what every hot path (batched execution, fidelity
-    /// estimators) should consume instead of [`Self::query_layers`].
+    /// allocation — what the reference interpreter sweep
+    /// ([`crate::reference::execute_batch`]) consumes instead of
+    /// [`Self::query_layers`].
     ///
     /// The default builds the stream once per call; the built-in backends
     /// override it to return a clone of the process-wide intern table

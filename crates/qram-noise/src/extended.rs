@@ -1,6 +1,6 @@
 //! Extended noise models (§8.1's pointer to Mehta et al. 2024): router
 //! initialization errors and spatially/temporally correlated error bursts,
-//! injected through the instruction-level executor.
+//! injected along a backend's compiled query plan.
 //!
 //! The paper claims Fat-Tree QRAM "is compatible with the error-robust
 //! analysis in \[41\], where this error resilience is extended to more
