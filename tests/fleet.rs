@@ -1,8 +1,9 @@
 //! Fleet-layer integration properties: a one-replica fleet must realize
 //! exactly the analytic online-FIFO schedule and match the independent
 //! replay in `common/fleet_replay.rs`, the epoch-replication consistency
-//! model must hold under arbitrary write/read interleavings, and placement
-//! must honour its fairness and no-needless-shed pins.
+//! model must hold under arbitrary write/read interleavings, placement
+//! must honour its fairness and no-needless-shed pins, and a zero queue
+//! capacity must be refused before a run starts.
 
 #[path = "common/fleet_replay.rs"]
 mod fleet_replay;
