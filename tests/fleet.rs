@@ -3,13 +3,16 @@
 //! replay in `common/fleet_replay.rs`, the epoch-replication consistency
 //! model must hold under arbitrary write/read interleavings, placement
 //! must honour its fairness and no-needless-shed pins, and a zero queue
-//! capacity must be refused before a run starts.
+//! capacity must be refused before a run starts. Three pins fix the
+//! reactor's same-instant order around writes: writes commit in
+//! (instant, supply) order, a write commits before a completion at its
+//! instant frees a slot, and an arrival at its instant is routed first.
 
 #[path = "common/fleet_replay.rs"]
 mod fleet_replay;
 
 use fat_tree_qram::core::store::{DurableFleet, SimDir};
-use fat_tree_qram::core::{QramModel, ShardedQram};
+use fat_tree_qram::core::{FatTreeQram, QramModel, ShardedQram};
 use fat_tree_qram::metrics::{Capacity, LatencyHistogram, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{
@@ -553,6 +556,128 @@ fn a_completion_at_an_arrival_instant_frees_its_slot_after_the_arrivals() {
     assert_eq!(report.shed(), &[shed]);
     assert_eq!(report.completed()[1].start, latency);
     check(&report, &replay(&setup, &memory, &requests, &[])).unwrap();
+}
+
+/// One replica over N = 64 (K = 1) under `policy`, unbounded queues and
+/// instant replication: the machine the same-instant write pins serve on,
+/// over an 8-bit memory of zeros.
+fn write_machine<P: AdmissionPolicy>(policy: P) -> Setup<FatTreeQram, P, ConsistentHashPlacement> {
+    Setup {
+        qram: ShardedQram::fat_tree(Capacity::new(64).unwrap(), 1),
+        replicas: 1,
+        timing: TimingModel::paper_default(),
+        policy,
+        placement: ConsistentHashPlacement,
+        config: FleetConfig::default(),
+    }
+}
+
+/// Classical reads of `(arrival, cell)` pairs, ids in the given order.
+fn reads(at: &[(f64, u64)]) -> Vec<FleetRequest> {
+    at.iter()
+        .enumerate()
+        .map(|(id, &(arrival, cell))| FleetRequest {
+            id,
+            tenant: TenantId::DEFAULT,
+            arrival: Layers::new(arrival),
+            address: AddressState::classical(6, cell).unwrap(),
+        })
+        .collect()
+}
+
+fn write(at: f64, address: u64, value: u64) -> FleetWrite {
+    FleetWrite {
+        at: Layers::new(at),
+        origin: 0,
+        address,
+        value,
+    }
+}
+
+#[test]
+fn writes_commit_in_instant_then_supply_order() {
+    // Supplied out of order, with two writes at each of two instants: the
+    // commits run 1, 3 (at 100), then 0, 2 (at 200). Cell 3's last value
+    // is write 2's only if write 0 committed first, and every read
+    // dispatches at its arrival with the epoch of the commits before it.
+    let setup = write_machine(FifoAdmission);
+    let memory = ClassicalMemory::from_words(8, &[0; 64]).unwrap();
+    let writes = [
+        write(200.0, 3, 11),
+        write(100.0, 3, 22),
+        write(200.0, 3, 33),
+        write(100.0, 5, 44),
+    ];
+    let requests = reads(&[(0.0, 3), (150.0, 3), (160.0, 5), (300.0, 3), (310.0, 5)]);
+    let report = serve(&setup, &memory, &requests, &writes);
+    assert_eq!(report.fleet_epoch(), 4);
+    let served: Vec<(usize, u64, Option<u64>)> = report
+        .completed()
+        .iter()
+        .zip(report.outcomes())
+        .map(|(query, outcome)| {
+            assert_eq!(query.start, query.arrival, "query {} waits", query.id);
+            assert!(!query.stale, "one replica never serves stale");
+            let cell = requests[query.id].address.iter().next().unwrap().1;
+            (query.id, query.epoch, outcome.data_for(cell))
+        })
+        .collect();
+    assert_eq!(
+        served,
+        vec![
+            (0, 0, Some(0)),
+            (1, 2, Some(22)),
+            (2, 2, Some(44)),
+            (3, 4, Some(33)),
+            (4, 4, Some(44)),
+        ]
+    );
+}
+
+#[test]
+fn a_write_at_a_completion_instant_lands_before_the_freed_slot_dispatches() {
+    // An in-flight cap of 1: query 0 holds the slot from 0 to L = 49.375,
+    // and query 1, queued at 1, dispatches when its completion frees the
+    // slot at L. A write to the cell both read commits at L too. Writes
+    // are scheduled before the run starts, so at L it commits before the
+    // completion runs, and query 1's dispatch observes it.
+    let setup = write_machine(NoiseAwareAdmission::from_infidelity(0.35, 0.01));
+    let latency = QramServer::for_model(&setup.qram, &setup.timing).latency();
+    assert_eq!(latency, Layers::new(49.375));
+    let memory = ClassicalMemory::from_words(8, &[0; 64]).unwrap();
+    let requests = reads(&[(0.0, 7), (1.0, 7)]);
+    let report = serve(&setup, &memory, &requests, &[write(latency.get(), 7, 9)]);
+    let [first, second] = report.completed() else {
+        panic!("both reads complete: {:?}", report.completed());
+    };
+    assert_eq!((first.start, first.epoch), (Layers::ZERO, 0));
+    assert_eq!((second.start, second.epoch), (latency, 1));
+    assert_eq!(report.outcomes()[0].data_for(7), Some(0));
+    assert_eq!(report.outcomes()[1].data_for(7), Some(9));
+}
+
+#[test]
+fn an_arrival_at_a_write_instant_is_routed_before_the_commit() {
+    // Query 0 arrives at the write's instant on an idle machine: it is
+    // routed and dispatched before the write commits, so it reads epoch 0.
+    // Query 1, later, reads the written value.
+    let setup = write_machine(FifoAdmission);
+    let memory = ClassicalMemory::from_words(8, &[0; 64]).unwrap();
+    let requests = reads(&[(100.0, 3), (200.0, 3)]);
+    let report = serve(&setup, &memory, &requests, &[write(100.0, 3, 5)]);
+    let served: Vec<(Layers, u64, Option<u64>)> = report
+        .completed()
+        .iter()
+        .zip(report.outcomes())
+        .map(|(query, outcome)| (query.start, query.epoch, outcome.data_for(3)))
+        .collect();
+    assert_eq!(
+        served,
+        vec![
+            (Layers::new(100.0), 0, Some(0)),
+            (Layers::new(200.0), 1, Some(5)),
+        ]
+    );
 }
 
 #[test]
