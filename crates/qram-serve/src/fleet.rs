@@ -373,15 +373,21 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ZeroQueueCapacity`] before serving anything if
-    /// [`FleetConfig::queue_capacity`] is `Some(0)`, and
-    /// [`ServeError::Exec`] if query execution fails.
+    /// Returns, before serving anything:
+    /// * [`ServeError::ZeroQueueCapacity`] if
+    ///   [`FleetConfig::queue_capacity`] is `Some(0)`;
+    /// * [`ServeError::AddressWidth`] if a request's address width is not
+    ///   the QRAM capacity's;
+    /// * [`ServeError::WriteOrigin`], [`ServeError::WriteCell`] or
+    ///   [`ServeError::WriteValue`] if a write names a replica the fleet
+    ///   lacks or a cell outside `memory`, or its value is wider than
+    ///   `memory`'s bus.
+    ///
+    /// Returns [`ServeError::Exec`] if query execution fails.
     ///
     /// # Panics
     ///
-    /// Panics if a request's address width mismatches the QRAM capacity,
-    /// a write's origin replica or cell address is out of range, or the
-    /// placement policy returns an out-of-range replica.
+    /// Panics if the placement policy returns an out-of-range replica.
     pub fn serve(
         &mut self,
         memory: &ClassicalMemory,
@@ -414,8 +420,9 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ZeroQueueCapacity`] as [`QramFleet::serve`]
-    /// does, [`ServeError::Exec`] if query execution fails, and
+    /// Refuses the inputs [`QramFleet::serve`] refuses, with the same
+    /// errors and before serving anything, and returns
+    /// [`ServeError::Exec`] if query execution fails and
     /// [`ServeError::Store`] if the in-memory store that disk faults or
     /// scrubbing spin up fails.
     ///
@@ -455,10 +462,11 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// # Errors
     ///
     /// Returns [`ServeError::StoreMismatch`] before serving anything if
-    /// the store's chain does not end at `memory`,
-    /// [`ServeError::ZeroQueueCapacity`] as [`QramFleet::serve`] does,
-    /// [`ServeError::Exec`] if query execution fails and
-    /// [`ServeError::Store`] if the store's directory fails.
+    /// the store's chain does not end at `memory`, refuses the inputs
+    /// [`QramFleet::serve`] refuses with the same errors, also before
+    /// serving anything, and returns [`ServeError::Exec`] if query
+    /// execution fails and [`ServeError::Store`] if the store's directory
+    /// fails.
     ///
     /// # Panics
     ///
@@ -501,6 +509,43 @@ pub enum ServeError {
     /// [`FleetConfig::queue_capacity`] is `Some(0)`: no replica queue
     /// could hold an admitted request.
     ZeroQueueCapacity,
+    /// A request's address register is not as wide as the QRAM
+    /// capacity's address.
+    AddressWidth {
+        /// The request's identifier.
+        id: usize,
+        /// Its address width.
+        width: u32,
+        /// The capacity's address width.
+        expected: u32,
+    },
+    /// A write names an origin replica the fleet does not have.
+    WriteOrigin {
+        /// The write's position in supply order.
+        write: usize,
+        /// The origin it names.
+        origin: usize,
+        /// The fleet size `R`.
+        replicas: usize,
+    },
+    /// A write names a cell outside the memory.
+    WriteCell {
+        /// The write's position in supply order.
+        write: usize,
+        /// The cell it names.
+        address: u64,
+        /// The memory's cell count.
+        cells: usize,
+    },
+    /// A write's value does not fit in the memory's bus width.
+    WriteValue {
+        /// The write's position in supply order.
+        write: usize,
+        /// The value it writes.
+        value: u64,
+        /// The memory's bus width in bits.
+        bus_width: u32,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -512,6 +557,35 @@ impl fmt::Display for ServeError {
                 write!(f, "the durable chain does not end at the starting memory")
             }
             ServeError::ZeroQueueCapacity => write!(f, "the queue capacity is zero"),
+            ServeError::AddressWidth {
+                id,
+                width,
+                expected,
+            } => write!(
+                f,
+                "request {id} has a {width}-bit address, but the capacity needs {expected}"
+            ),
+            ServeError::WriteOrigin {
+                write,
+                origin,
+                replicas,
+            } => write!(
+                f,
+                "write {write} names origin replica {origin} of {replicas}"
+            ),
+            ServeError::WriteCell {
+                write,
+                address,
+                cells,
+            } => write!(f, "write {write} names cell {address} of {cells}"),
+            ServeError::WriteValue {
+                write,
+                value,
+                bus_width,
+            } => write!(
+                f,
+                "write {write} has value {value}, wider than the {bus_width}-bit bus"
+            ),
         }
     }
 }
@@ -521,7 +595,12 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Exec(e) => Some(e),
             ServeError::Store(e) => Some(e),
-            ServeError::StoreMismatch | ServeError::ZeroQueueCapacity => None,
+            ServeError::StoreMismatch
+            | ServeError::ZeroQueueCapacity
+            | ServeError::AddressWidth { .. }
+            | ServeError::WriteOrigin { .. }
+            | ServeError::WriteCell { .. }
+            | ServeError::WriteValue { .. } => None,
         }
     }
 }
@@ -682,15 +761,104 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "address width")]
     fn mismatched_address_width_rejected() {
-        let bad = vec![FleetRequest {
-            id: 0,
-            tenant: TenantId::DEFAULT,
-            arrival: Layers::ZERO,
-            address: AddressState::classical(3, 1).unwrap(),
-        }];
-        let _ = serve_machine(64, 2, bad);
+        let mut requests = classical_requests(&[0.0, 1.0], 6, 64);
+        requests[1].address = AddressState::classical(3, 1).unwrap();
+        let refused = machine(64, 2, None).serve(&checkerboard(64), requests, Vec::new());
+        assert!(matches!(
+            refused,
+            Err(ServeError::AddressWidth {
+                id: 1,
+                width: 3,
+                expected: 6
+            })
+        ));
+    }
+
+    /// Serves two reads and `writes` on an R = 2 fleet over an 8-bit,
+    /// 64-cell memory, through every entry point, and returns what each
+    /// returned.
+    fn serve_writes(writes: &[FleetWrite]) -> Vec<Result<FleetReport, ServeError>> {
+        let fleet = || {
+            let qram = ShardedQram::fat_tree(cap(64), 2);
+            QramFleet::fifo(qram, 2, TimingModel::paper_default())
+        };
+        let memory = ClassicalMemory::from_words(8, &[0; 64]).unwrap();
+        let requests = classical_requests(&[0.0, 100.0], 6, 64);
+        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
+        let mut store =
+            DurableFleet::create(Box::new(qram_core::store::SimDir::new()), &memory).unwrap();
+        vec![
+            fleet().serve(&memory, requests.clone(), writes.to_vec()),
+            fleet().serve_with_faults(&memory, requests.clone(), writes.to_vec(), &plan, &config),
+            fleet().serve_durable(
+                &memory,
+                requests,
+                writes.to_vec(),
+                &plan,
+                &config,
+                &mut store,
+            ),
+        ]
+    }
+
+    fn write(origin: usize, address: u64, value: u64) -> FleetWrite {
+        FleetWrite {
+            at: Layers::new(10.0),
+            origin,
+            address,
+            value,
+        }
+    }
+
+    #[test]
+    fn a_write_origin_outside_the_fleet_is_refused() {
+        let writes = [write(1, 0, 1), write(2, 0, 1)];
+        for refused in serve_writes(&writes) {
+            assert!(matches!(
+                refused,
+                Err(ServeError::WriteOrigin {
+                    write: 1,
+                    origin: 2,
+                    replicas: 2
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_write_cell_outside_the_memory_is_refused() {
+        // The first write is valid: the check runs before any commits.
+        let writes = [write(0, 63, 1), write(0, 64, 1)];
+        for refused in serve_writes(&writes) {
+            assert!(matches!(
+                refused,
+                Err(ServeError::WriteCell {
+                    write: 1,
+                    address: 64,
+                    cells: 64
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_write_value_wider_than_the_bus_is_refused() {
+        let writes = [write(0, 5, 255), write(1, 5, 256)];
+        for refused in serve_writes(&writes) {
+            assert!(matches!(
+                refused,
+                Err(ServeError::WriteValue {
+                    write: 1,
+                    value: 256,
+                    bus_width: 8
+                })
+            ));
+        }
+        // The widest value that fits serves.
+        for report in serve_writes(&writes[..1]) {
+            assert_eq!(report.unwrap().fleet_epoch(), 1);
+        }
     }
 
     #[test]

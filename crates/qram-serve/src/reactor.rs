@@ -12,13 +12,25 @@
 //! its timings bit-for-bit against the analytic schedulers in
 //! `qram-sched`.
 //!
-//! The heap is ordered by one integer key per event: the instant's
+//! Every event is ordered by one integer key: the instant's
 //! order-preserving bits in the high half and the push sequence number
 //! in the low half, so a single `u128` comparison decides both the time
 //! order and the FIFO tie-break.
+//!
+//! Events live in a binary heap or in FIFO *lanes* beside it. A lane
+//! holds events pushed in non-decreasing instant order, so its front is
+//! its earliest event and its keys increase front to back. A lane push
+//! that is not earlier than the lane's tail appends to the lane; any
+//! other push goes to the heap. A pop takes the smallest key over the
+//! heap top and the lane fronts, whose keys are cached, so the pop order
+//! is exactly that of one heap holding every event, wherever each event
+//! went. The serving loop puts each replica's completions on a lane of
+//! their own (they leave a replica in dispatch order unless a slow-replica
+//! fault stretches one) and its writes, in supply order, on another; the
+//! heap keeps everything else.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use qram_metrics::Layers;
 
@@ -33,6 +45,12 @@ pub(crate) fn order_key(time: f64) -> u64 {
     assert!(!time.is_nan(), "event times are never NaN");
     let bits = (time + 0.0).to_bits();
     bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// The instant whose [`order_key`] is `key`.
+fn instant(key: u64) -> Layers {
+    let bits = key ^ ((((!key) as i64 >> 63) as u64) | 1 << 63);
+    Layers::new(f64::from_bits(bits))
 }
 
 /// A payload scheduled at a virtual instant. The key is kept as two
@@ -50,10 +68,9 @@ impl<T> Entry<T> {
         u128::from(self.time) << 64 | u128::from(self.seq)
     }
 
-    /// The instant, decoded from [`order_key`].
+    /// The instant, decoded from its [`order_key`].
     fn at(&self) -> Layers {
-        let bits = self.time ^ ((((!self.time) as i64 >> 63) as u64) | 1 << 63);
-        Layers::new(f64::from_bits(bits))
+        instant(self.time)
     }
 }
 
@@ -98,16 +115,42 @@ impl<T> Ord for Entry<T> {
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
+    /// FIFO lanes, each in increasing key order front to back.
+    lanes: Vec<VecDeque<Entry<T>>>,
+    /// Each lane's front key, or `EMPTY` for an empty lane.
+    heads: Vec<u128>,
     seq: u64,
 }
+
+/// The cached head key of an empty lane. No event has it: the largest
+/// instant key, that of `+∞`, is below `u64::MAX`.
+const EMPTY: u128 = u128::MAX;
 
 impl<T> EventQueue<T> {
     /// An empty queue.
     #[must_use]
     pub fn new() -> Self {
+        EventQueue::with_lanes(0)
+    }
+
+    /// An empty queue with `lanes` FIFO lanes beside its heap.
+    pub(crate) fn with_lanes(lanes: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
+            heads: vec![EMPTY; lanes],
             seq: 0,
+        }
+    }
+
+    /// The next entry, numbered in push order.
+    fn entry(&mut self, time: Layers, payload: T) -> Entry<T> {
+        let seq = self.seq;
+        self.seq += 1;
+        Entry {
+            time: order_key(time.get()),
+            seq,
+            payload,
         }
     }
 
@@ -117,35 +160,93 @@ impl<T> EventQueue<T> {
     ///
     /// Panics if `time` is NaN.
     pub fn push(&mut self, time: Layers, payload: T) {
-        self.heap.push(Entry {
-            time: order_key(time.get()),
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
+        let entry = self.entry(time, payload);
+        self.heap.push(entry);
+    }
+
+    /// Schedules `payload` at virtual instant `time` on FIFO lane `lane`:
+    /// appended there unless `time` is earlier than the lane's tail, in
+    /// which case it goes to the heap. Either way it pops exactly where
+    /// [`EventQueue::push`] would have put it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN or the queue has no lane `lane`.
+    pub(crate) fn push_lane(&mut self, lane: usize, time: Layers, payload: T) {
+        let entry = self.entry(time, payload);
+        let queue = &mut self.lanes[lane];
+        match queue.back() {
+            Some(tail) if entry.time < tail.time => self.heap.push(entry),
+            Some(_) => queue.push_back(entry),
+            None => {
+                self.heads[lane] = entry.key();
+                queue.push_back(entry);
+            }
+        }
+    }
+
+    /// The smallest key over the heap top and the lane heads (`EMPTY`
+    /// when nothing is pending), and the lane holding it (`None`: the
+    /// heap).
+    fn first(&self) -> (u128, Option<usize>) {
+        let mut first = (self.heap.peek().map_or(EMPTY, Entry::key), None);
+        for (lane, &head) in self.heads.iter().enumerate() {
+            if head < first.0 {
+                first = (head, Some(lane));
+            }
+        }
+        first
+    }
+
+    /// Removes and returns the earliest event (FIFO among ties) if it is
+    /// strictly earlier than `bound`; with no bound, as [`EventQueue::pop`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` is NaN.
+    pub(crate) fn pop_before(&mut self, bound: Option<Layers>) -> Option<(Layers, T)> {
+        // Every key at or after the bound's instant is at least `limit`.
+        let limit = bound.map_or(EMPTY, |t| u128::from(order_key(t.get())) << 64);
+        let (key, lane) = self.first();
+        if key >= limit {
+            return None;
+        }
+        let entry = match lane {
+            None => self.heap.pop()?,
+            Some(lane) => {
+                let queue = &mut self.lanes[lane];
+                let entry = queue.pop_front()?;
+                self.heads[lane] = queue.front().map_or(EMPTY, Entry::key);
+                entry
+            }
+        };
+        Some((entry.at(), entry.payload))
     }
 
     /// Removes and returns the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(Layers, T)> {
-        self.heap.pop().map(|e| (e.at(), e.payload))
+        self.pop_before(None)
     }
 
     /// The instant of the next event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<Layers> {
-        self.heap.peek().map(Entry::at)
+        match self.first() {
+            (EMPTY, _) => None,
+            (key, _) => Some(instant((key >> 64) as u64)),
+        }
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -233,32 +334,49 @@ mod tests {
     /// ties, plus both zeros, the smallest subnormal and huge values.
     const INSTANTS: [f64; 9] = [0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, 1e300, f64::MAX];
 
+    /// The lanes of the model test's queue.
+    const LANES: usize = 3;
+
     proptest! {
         /// Random interleaved pushes and pops against a linear-scan
         /// reference that orders by time with `partial_cmp`, then by push
-        /// order: payloads pop in exactly the reference's order, and the
-        /// popped and peeked instants compare equal to the reference's.
-        /// Every case ends by popping both sides empty.
+        /// order. A push goes to the heap or to one of three lanes, at any
+        /// grid instant, so lane pushes earlier than the lane's tail occur.
+        /// A pop is unbounded, or bounded by a grid instant and due only
+        /// when the earliest event is strictly earlier. Payloads pop in
+        /// exactly the reference's order, and the popped and peeked
+        /// instants and the length match the reference's. Every case ends
+        /// by popping both sides empty.
         #[test]
         fn pops_match_a_linear_scan_reference(
-            ops in prop::collection::vec(0usize..13, 1..200),
+            ops in prop::collection::vec(0usize..52, 1..200),
         ) {
-            let mut q = EventQueue::new();
+            let pushes = INSTANTS.len() * (LANES + 1);
+            let mut q = EventQueue::with_lanes(LANES);
             let mut reference: Vec<(Layers, usize)> = Vec::new();
-            let drain = std::iter::repeat_n(INSTANTS.len(), ops.len());
+            let drain = std::iter::repeat_n(usize::MAX, ops.len());
             for (payload, op) in ops.iter().copied().chain(drain).enumerate() {
-                if let Some(&t) = INSTANTS.get(op) {
-                    q.push(Layers::new(t), payload);
-                    reference.push((Layers::new(t), payload));
+                if op < pushes {
+                    let t = Layers::new(INSTANTS[op % INSTANTS.len()]);
+                    match op / INSTANTS.len() {
+                        0 => q.push(t, payload),
+                        lane => q.push_lane(lane - 1, t, payload),
+                    }
+                    reference.push((t, payload));
                 } else {
+                    let bound = INSTANTS.get(op - pushes).map(|&t| Layers::new(t));
                     let earliest = (0..reference.len()).reduce(|best, i| {
                         match reference[i].0.partial_cmp(&reference[best].0) {
                             Some(Ordering::Less) => i,
                             _ => best,
                         }
                     });
-                    let want = earliest.map(|i| reference.remove(i));
-                    let got = q.pop();
+                    let due = earliest.filter(|&i| bound.is_none_or(|b| reference[i].0 < b));
+                    let want = due.map(|i| reference.remove(i));
+                    let got = match bound {
+                        None => q.pop(),
+                        Some(_) => q.pop_before(bound),
+                    };
                     prop_assert_eq!(got.map(|(_, p)| p), want.map(|(_, p)| p));
                     prop_assert!(got.map(|(t, _)| t) == want.map(|(t, _)| t));
                 }
@@ -271,6 +389,36 @@ mod tests {
             }
             prop_assert!(q.is_empty());
         }
+    }
+
+    #[test]
+    fn an_out_of_order_lane_push_still_pops_in_time_order() {
+        let mut q = EventQueue::with_lanes(1);
+        q.push_lane(0, Layers::new(5.0), 'a');
+        // Earlier than the lane's tail: it goes to the heap.
+        q.push_lane(0, Layers::new(3.0), 'b');
+        q.push_lane(0, Layers::new(5.0), 'c');
+        q.push(Layers::new(4.0), 'd');
+        q.push(Layers::new(5.0), 'e');
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(Layers::new(3.0)));
+        let order: Vec<char> = std::iter::from_fn(|| q.pop()).map(|(_, id)| id).collect();
+        assert_eq!(order, vec!['b', 'd', 'a', 'c', 'e']);
+    }
+
+    #[test]
+    fn a_bounded_pop_leaves_events_at_or_after_the_bound() {
+        let mut q = EventQueue::with_lanes(1);
+        q.push_lane(0, Layers::new(2.0), "completion");
+        q.push(Layers::new(1.0), "poll");
+        assert_eq!(q.pop_before(Some(Layers::new(1.0))), None);
+        assert_eq!(
+            q.pop_before(Some(Layers::new(2.0))),
+            Some((Layers::new(1.0), "poll"))
+        );
+        assert_eq!(q.pop_before(Some(Layers::new(2.0))), None);
+        assert_eq!(q.pop_before(None), Some((Layers::new(2.0), "completion")));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! machine). The reactor stays outside: a replica never owns an event
 //! queue, it *emits* [`ReplicaEvent`]s through a caller-supplied hook and
 //! the caller tags them with the replica index before enqueueing them.
+//! Nor does a replica carry a query's address: a queued request is its
+//! id, arrival, deadline and a driver-private tag, and a dispatch is its
+//! tag, start and shard. The driver owns each query and builds the
+//! replica's batch from the tags in dispatch order.
 //!
 //! The dispatch rules are those of the analytic `OnlineFifoScheduler`
 //! recurrence (property-tested in `tests/serving.rs` and
@@ -27,7 +31,6 @@ use std::collections::VecDeque;
 
 use qram_metrics::Layers;
 use qram_sched::{AdmissionPolicy, QueryRequest};
-use qsim::branch::AddressState;
 
 /// One served query: its timings and owning shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +57,6 @@ struct Pending {
     arrival: Layers,
     /// Absolute instant after which the request may no longer dispatch.
     deadline: Option<Layers>,
-    address: AddressState,
 }
 
 /// A reactor event a replica asks its driver to schedule.
@@ -101,8 +103,8 @@ pub(crate) struct Replica {
     /// Per-shard stall flags (injected faults): a stalled shard at the
     /// round-robin head blocks the whole strict-FIFO dispatcher.
     stalled: Vec<bool>,
-    /// Dispatch-ordered: (request, start, shard).
-    dispatched: Vec<(Pending, Layers, usize)>,
+    /// Dispatch-ordered: (tag, start, shard).
+    dispatched: Vec<(usize, Layers, usize)>,
     inflight: u32,
     shard_inflight: Vec<u32>,
     last_dispatch: Option<Layers>,
@@ -177,7 +179,7 @@ impl Replica {
 
     /// The driver-private tag of the `index`-th dispatched query.
     pub fn tag_of(&self, index: usize) -> usize {
-        self.dispatched[index].0.tag
+        self.dispatched[index].0
     }
 
     /// Freezes or thaws one shard's dispatch queue (an injected fault).
@@ -225,7 +227,6 @@ impl Replica {
         tag: usize,
         arrival: Layers,
         deadline: Option<Layers>,
-        address: AddressState,
     ) -> bool {
         if !self.has_queue_room() {
             return false;
@@ -236,7 +237,6 @@ impl Replica {
             seq: self.accepted,
             arrival,
             deadline,
-            address,
         });
         self.accepted += 1;
         self.pending_total += 1;
@@ -355,19 +355,9 @@ impl Replica {
                 start + self.latency,
                 ReplicaEvent::Completion { index: next_index },
             );
-            self.dispatched.push((pending, start, shard));
+            self.dispatched.push((pending.tag, start, shard));
         }
         first_new..self.dispatched.len()
-    }
-
-    /// Consumes the replica, returning the dispatched addresses in
-    /// dispatch order — the batch the driver executes through the
-    /// backend's compiled-plan hot path.
-    pub fn into_addresses(self) -> Vec<AddressState> {
-        self.dispatched
-            .into_iter()
-            .map(|(pending, _, _)| pending.address)
-            .collect()
     }
 }
 
@@ -376,15 +366,11 @@ mod tests {
     use super::*;
     use qram_sched::FifoAdmission;
 
-    fn classical(width: u32, address: u64) -> AddressState {
-        AddressState::classical(width, address).unwrap()
-    }
-
     #[test]
     fn round_robin_offer_and_strict_fifo_pump() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
         for id in 0..4 {
-            assert!(r.offer(id, id, Layers::ZERO, None, classical(4, id as u64)));
+            assert!(r.offer(id, id, Layers::ZERO, None));
         }
         let mut events = Vec::new();
         let range = r.pump(Layers::ZERO, &mut FifoAdmission, |t, e| events.push((t, e)));
@@ -400,7 +386,7 @@ mod tests {
     fn poll_latch_deduplicates_wakeups() {
         let mut r = Replica::new(1, 4, Layers::new(4.0), Layers::new(10.0), 4, None);
         for id in 0..3 {
-            r.offer(id, id, Layers::ZERO, None, classical(4, 0));
+            r.offer(id, id, Layers::ZERO, None);
         }
         let mut polls = 0;
         r.pump(Layers::ZERO, &mut FifoAdmission, |_, e| {
@@ -423,17 +409,17 @@ mod tests {
     #[test]
     fn bounded_queue_refuses_offers_when_full() {
         let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, Some(2));
-        assert!(r.offer(0, 0, Layers::ZERO, None, classical(4, 0)));
-        assert!(r.offer(1, 1, Layers::ZERO, None, classical(4, 1)));
+        assert!(r.offer(0, 0, Layers::ZERO, None));
+        assert!(r.offer(1, 1, Layers::ZERO, None));
         assert!(!r.has_queue_room());
-        assert!(!r.offer(2, 2, Layers::ZERO, None, classical(4, 2)));
+        assert!(!r.offer(2, 2, Layers::ZERO, None));
         assert_eq!(r.queued(), 2);
     }
 
     #[test]
     fn completion_frees_slots_and_records_latency() {
         let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, None);
-        r.offer(7, 7, Layers::new(1.0), None, classical(4, 5));
+        r.offer(7, 7, Layers::new(1.0), None);
         r.pump(Layers::new(1.0), &mut FifoAdmission, |_, _| {});
         assert_eq!(r.load(), 1);
         let rec = r.complete(0, Layers::new(11.0));
@@ -448,15 +434,9 @@ mod tests {
         // start before t = 10, past its deadline of 5 — it expires and
         // the third offer (same shard, deadline met) dispatches next.
         let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, None);
-        r.offer(0, 100, Layers::ZERO, None, classical(4, 0));
-        r.offer(
-            1,
-            101,
-            Layers::ZERO,
-            Some(Layers::new(5.0)),
-            classical(4, 1),
-        );
-        r.offer(2, 102, Layers::ZERO, None, classical(4, 2));
+        r.offer(0, 100, Layers::ZERO, None);
+        r.offer(1, 101, Layers::ZERO, Some(Layers::new(5.0)));
+        r.offer(2, 102, Layers::ZERO, None);
         r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
         r.complete(0, Layers::new(10.0));
         let mut events = Vec::new();
@@ -473,7 +453,7 @@ mod tests {
     fn stalled_shard_blocks_the_strict_fifo_dispatcher() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
         for id in 0..4 {
-            r.offer(id, id, Layers::ZERO, None, classical(4, id as u64));
+            r.offer(id, id, Layers::ZERO, None);
         }
         r.set_shard_stall(0, true);
         let range = r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
@@ -487,7 +467,7 @@ mod tests {
     fn fail_drains_queued_tags_in_accepted_order_and_zeroes_in_flight() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
         for id in 0..5 {
-            r.offer(id, 50 + id, Layers::ZERO, None, classical(4, id as u64));
+            r.offer(id, 50 + id, Layers::ZERO, None);
         }
         r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
         assert_eq!(r.in_flight(), 1);
@@ -501,7 +481,7 @@ mod tests {
         assert_eq!(r.in_flight(), 0);
         // The replica can rejoin: new offers dispatch with aligned
         // round-robin and fresh dispatch indices.
-        r.offer(9, 59, Layers::new(20.0), None, classical(4, 9));
+        r.offer(9, 59, Layers::new(20.0), None);
         let range = r.pump(Layers::new(20.0), &mut FifoAdmission, |_, _| {});
         assert_eq!(range, 1..2);
         assert_eq!(r.tag_of(1), 59);

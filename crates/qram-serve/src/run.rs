@@ -25,15 +25,19 @@ use crate::replica::{Replica, ReplicaEvent};
 use crate::report::{FleetQuery, FleetReport};
 
 /// Reactor events of the fleet, in virtual layer time. Arrivals live in a
-/// sorted list merged against the heap (arrival-first at ties).
+/// sorted list merged against the event queue (arrival-first at ties).
 #[derive(Debug)]
 enum Event {
     /// The run's write at this index (in supply order) commits at its
-    /// origin replica.
+    /// origin replica. Every write is pushed before the run starts, in
+    /// supply order, onto the writes lane (out-of-order ones go to the
+    /// heap), so writes at one instant commit in supply order and before
+    /// any event pushed later at that instant.
     Write(usize),
     /// The log prefix up to `epoch` reaches every replica.
     Replicate { epoch: u64 },
     /// The `index`-th query dispatched at `replica` leaves its pipeline.
+    /// Pushed onto `replica`'s completion lane.
     Completion { replica: usize, index: usize },
     /// Wake `replica`'s dispatcher at an admission-interval boundary.
     Poll { replica: usize },
@@ -80,16 +84,16 @@ struct Dispatch {
     handled: bool,
 }
 
-/// The serving loop's bookkeeping for one admitted query.
+/// The serving loop's bookkeeping for one admitted query, and the one
+/// owner of its request. A replica queues and dispatches the query by
+/// its index, a retry re-places the request where it lies, and
+/// [`Run::finish`] moves the address into the batch of the query's last
+/// dispatch, so no path copies it but a second dispatch.
 #[derive(Debug)]
 struct QueryState {
-    id: usize,
-    tenant: TenantId,
-    arrival: Layers,
+    /// The admitted request, address included.
+    request: FleetRequest,
     deadline: Option<Layers>,
-    /// The queried address, kept for re-dispatch. `None` in fault-free
-    /// runs without hedging (no clone on the hot path).
-    address: Option<AddressState>,
     /// Dispatch attempts consumed, counting the first.
     attempts: u32,
     /// Live copies: queued or in-flight offers of this query.
@@ -171,12 +175,67 @@ pub(crate) fn serve_faulty<M: QramModel + Clone, P: AdmissionPolicy, L: Placemen
     if fleet.config.queue_capacity == Some(0) {
         return Err(ServeError::ZeroQueueCapacity);
     }
+    let requests: Vec<FleetRequest> = requests.into_iter().collect();
+    let writes: Vec<FleetWrite> = writes.into_iter().collect();
+    check_inputs(fleet, memory, &requests, &writes)?;
     let mut ephemeral = None;
     let mut run = Run::new(fleet, memory, requests, writes, plan, fault_config);
     run.durability = Durability::open(store, &mut ephemeral, memory, plan, fault_config)?;
     run.schedule_faults();
     run.run()?;
     run.finish(memory)
+}
+
+/// Refuses caller input the run could not serve, before it starts: a
+/// request whose address width is not the capacity's, and a write to a
+/// replica the fleet lacks, to a cell outside `memory`, or of a value
+/// wider than its bus.
+fn check_inputs<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
+    fleet: &QramFleet<M, P, L>,
+    memory: &ClassicalMemory,
+    requests: &[FleetRequest],
+    writes: &[FleetWrite],
+) -> Result<(), ServeError> {
+    let expected = fleet.backends[0].capacity().address_width();
+    if let Some(request) = (requests.iter()).find(|r| r.address.address_width() != expected) {
+        return Err(ServeError::AddressWidth {
+            id: request.id,
+            width: request.address.address_width(),
+            expected,
+        });
+    }
+    let (replicas, cells, bus_width) =
+        (fleet.num_replicas(), memory.capacity(), memory.bus_width());
+    for (write, w) in writes.iter().enumerate() {
+        let FleetWrite {
+            origin,
+            address,
+            value,
+            ..
+        } = *w;
+        if origin >= replicas {
+            return Err(ServeError::WriteOrigin {
+                write,
+                origin,
+                replicas,
+            });
+        }
+        if address >= cells as u64 {
+            return Err(ServeError::WriteCell {
+                write,
+                address,
+                cells,
+            });
+        }
+        if value >> bus_width != 0 {
+            return Err(ServeError::WriteValue {
+                write,
+                value,
+                bus_width,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The state of one serving run: the replicas, the reactor's event queue
@@ -196,16 +255,16 @@ pub(crate) struct Run<'a, M: QramModel + Clone, P: AdmissionPolicy, L: Placement
     /// sequence, and its FIFO tie-breaks, identical to the fault-free loop.
     monitoring: bool,
     has_slow: bool,
-    /// Admitted queries keep their address for re-dispatch.
-    keep_address: bool,
     /// Brownout occupancy slots per replica: in-flight cap + queue bound.
     replica_slots: usize,
     replicas: Vec<ReplicaState>,
     /// Each replica's journal records the cell changes it applies; a
     /// dispatch's stamped epoch selects its prefix at execution.
     replicated: ReplicatedMemory,
+    /// The event heap beside one completion lane per replica and, after
+    /// them, the writes lane.
     events: EventQueue<Event>,
-    /// Sorted arrivals, merged against the heap (arrival-first at ties).
+    /// Sorted arrivals, merged against the events (arrival-first at ties).
     arrivals: Peekable<std::vec::IntoIter<FleetRequest>>,
     writes: Vec<FleetWrite>,
     states: Vec<QueryState>,
@@ -230,12 +289,12 @@ pub(crate) struct Run<'a, M: QramModel + Clone, P: AdmissionPolicy, L: Placement
 impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> {
     /// A run of `fleet` over `requests`, sorted by arrival instant (the
     /// stable sort keeps supply order among ties), with one commit event
-    /// scheduled per write, in supply order.
+    /// scheduled per write, in supply order, on the writes lane.
     pub(crate) fn new(
         fleet: &'a mut QramFleet<M, P, L>,
         memory: &ClassicalMemory,
-        requests: impl IntoIterator<Item = FleetRequest>,
-        writes: impl IntoIterator<Item = FleetWrite>,
+        mut arrivals: Vec<FleetRequest>,
+        writes: Vec<FleetWrite>,
         plan: &'a FaultPlan,
         config: &'a FaultConfig,
     ) -> Self {
@@ -245,7 +304,6 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
             .in_flight_cap(&server)
             .clamp(1, server.parallelism());
         let backend = &fleet.backends[0];
-        let address_width = backend.capacity().address_width();
         let queue_capacity = fleet.config.queue_capacity;
         let replicas: Vec<ReplicaState> = (0..fleet.backends.len())
             .map(|_| ReplicaState {
@@ -266,28 +324,12 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
                 pending_failover: Vec::new(),
             })
             .collect();
-        let mut arrivals: Vec<FleetRequest> = requests
-            .into_iter()
-            .inspect(|r| {
-                assert_eq!(
-                    r.address.address_width(),
-                    address_width,
-                    "request address width must match QRAM capacity"
-                );
-            })
-            .collect();
         arrivals.sort_by_key(|r| order_key(r.arrival.get()));
         let total = arrivals.len();
-        let writes: Vec<FleetWrite> = writes.into_iter().collect();
-        let mut events = EventQueue::new();
         let n = replicas.len();
+        let mut events = EventQueue::with_lanes(n + 1);
         for (i, write) in writes.iter().enumerate() {
-            let origin = write.origin;
-            assert!(
-                origin < n,
-                "write origin replica {origin} out of range (R = {n})"
-            );
-            events.push(write.at, Event::Write(i));
+            events.push_lane(n, write.at, Event::Write(i));
         }
         let brownout = config.brownout.map(BrownoutController::new);
         let cap = aggregate_cap as usize;
@@ -299,7 +341,6 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
                 || brownout.is_some()
                 || config.adaptive_group_commit.is_some(),
             has_slow: plan.has_slow_faults(),
-            keep_address: !plan.is_empty() || config.hedge_delay.is_some(),
             replica_slots: cap + queue_capacity.unwrap_or(4 * cap),
             replicated: ReplicatedMemory::new(memory.clone(), replicas.len()),
             loads: Vec::with_capacity(replicas.len()),
@@ -378,21 +419,18 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
     }
 
     /// Runs the reactor until every arrival and event is handled. An
-    /// arrival at the same instant as a heap event goes first.
+    /// arrival at the same instant as a queued event goes first: each
+    /// iteration pops the next event due strictly before the next
+    /// arrival, or else routes that arrival.
     pub(crate) fn run(&mut self) -> Result<(), StoreError> {
         loop {
-            let arrival_is_next = match (self.arrivals.peek(), self.events.peek_time()) {
-                (Some(request), Some(next)) => request.arrival <= next,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if arrival_is_next {
-                let request = self.arrivals.next().expect("peeked arrival exists");
-                self.on_arrival(request);
+            let next_arrival = self.arrivals.peek().map(|request| request.arrival);
+            let Some((now, event)) = self.events.pop_before(next_arrival) else {
+                match self.arrivals.next() {
+                    Some(request) => self.on_arrival(request),
+                    None => return Ok(()),
+                }
                 continue;
-            }
-            let Some((now, event)) = self.events.pop() else {
-                return Ok(());
             };
             match event {
                 Event::Write(i) => self.on_write(now, i)?,
@@ -451,7 +489,12 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         {
             return Err(ShedReason::QuotaExceeded);
         }
-        let target = self.place(request);
+        let target = place(
+            &self.fleet.placement,
+            &self.replicas,
+            &mut self.loads,
+            request,
+        );
         if !self.loads[target].routable() {
             return Err(ShedReason::NoHealthyReplica);
         }
@@ -468,39 +511,18 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         Ok(target)
     }
 
-    /// Refills the placement snapshot and asks the placement policy for
-    /// a replica.
-    fn place(&mut self, request: &FleetRequest) -> usize {
-        self.loads.clear();
-        self.loads
-            .extend(self.replicas.iter().map(ReplicaState::load));
-        let target = self.fleet.placement.place(request, &self.loads);
-        let n = self.replicas.len();
-        assert!(target < n, "placement returned replica {target} of {n}");
-        target
-    }
-
     /// Queues an admitted arrival at `target` and opens its query state,
     /// arming a hedge check for an Interactive tenant when hedging is on.
     fn admit(&mut self, request: FleetRequest, target: usize) {
-        let (qid, tenant) = (self.states.len(), request.tenant);
+        let (qid, tenant, arrival) = (self.states.len(), request.tenant, request.arrival);
         let budget = self.fleet.policy.tenant_deadline(tenant);
-        let deadline = budget.map(|budget| request.arrival + budget);
-        let address = self.keep_address.then(|| request.address.clone());
-        let offered = self.replicas[target].core.offer(
-            request.id,
-            qid,
-            request.arrival,
-            deadline,
-            request.address,
-        );
+        let deadline = budget.map(|budget| arrival + budget);
+        let core = &mut self.replicas[target].core;
+        let offered = core.offer(request.id, qid, arrival, deadline);
         debug_assert!(offered, "the SLO bound is at most the queue bound");
         self.states.push(QueryState {
-            id: request.id,
-            tenant,
-            arrival: request.arrival,
+            request,
             deadline,
-            address,
             attempts: 1,
             outstanding: 1,
             done: false,
@@ -511,7 +533,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         self.open += 1;
         if let Some(delay) = self.config.hedge_delay {
             if self.fleet.policy.tenant_slo(tenant) == SloClass::Interactive {
-                let check = request.arrival + delay;
+                let check = arrival + delay;
                 self.events.push(check, Event::HedgeCheck { qid });
             }
         }
@@ -606,9 +628,9 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
                     self.counters.hedge_wins += 1;
                 }
                 let query = FleetQuery {
-                    id: state.id,
-                    tenant: state.tenant,
-                    arrival: state.arrival,
+                    id: state.request.id,
+                    tenant: state.request.tenant,
+                    arrival: state.request.arrival,
                     start: record.start,
                     finish: record.finish,
                     replica: r,
@@ -785,14 +807,13 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         if state.done {
             return;
         }
-        let probe = FleetRequest {
-            id: state.id,
-            tenant: state.tenant,
-            arrival: state.arrival,
-            address: state.address.clone().expect("faulty runs keep addresses"),
-        };
-        let target = self.place(&probe);
-        let offered = self.loads[target].routable() && self.reoffer(qid, target, probe.address);
+        let target = place(
+            &self.fleet.placement,
+            &self.replicas,
+            &mut self.loads,
+            &state.request,
+        );
+        let offered = self.loads[target].routable() && self.reoffer(qid, target);
         let state = &mut self.states[qid];
         state.attempts += 1;
         if offered {
@@ -823,8 +844,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         let Some(target) = candidate else {
             return;
         };
-        let address = state.address.clone().expect("hedging runs keep addresses");
-        if self.reoffer(qid, target, address) {
+        if self.reoffer(qid, target) {
             let state = &mut self.states[qid];
             state.hedge_replica = Some(target);
             state.outstanding += 1;
@@ -834,9 +854,10 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
     }
 
     /// Offers another copy of admitted query `qid` to replica `target`.
-    fn reoffer(&mut self, qid: usize, target: usize, address: AddressState) -> bool {
+    fn reoffer(&mut self, qid: usize, target: usize) -> bool {
         let s = &self.states[qid];
-        (self.replicas[target].core).offer(s.id, qid, s.arrival, s.deadline, address)
+        let core = &mut self.replicas[target].core;
+        core.offer(s.request.id, qid, s.request.arrival, s.deadline)
     }
 
     /// A queued copy of query `qid` expired at its deadline; the query
@@ -877,7 +898,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
                         }
                     }
                     let replica = target;
-                    events.push(at, Event::Completion { replica, index });
+                    events.push_lane(replica, at, Event::Completion { replica, index });
                 }
                 ReplicaEvent::Poll => events.push(time, Event::Poll { replica: target }),
                 ReplicaEvent::Expired { tag } => events.push(time, Event::Expired { qid: tag }),
@@ -946,8 +967,8 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         self.resolve(qid);
         let state = &self.states[qid];
         self.shed.push(ShedRequest {
-            id: state.id,
-            tenant: state.tenant,
+            id: state.request.id,
+            tenant: state.request.tenant,
             reason,
         });
     }
@@ -958,7 +979,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         let state = &mut self.states[qid];
         debug_assert!(!state.done, "a query resolves exactly once");
         state.done = true;
-        let quota_slots = self.outstanding.get_mut(&state.tenant);
+        let quota_slots = self.outstanding.get_mut(&state.request.tenant);
         *quota_slots.expect("tenant admitted") -= 1;
         self.open -= 1;
     }
@@ -1004,7 +1025,11 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
     /// Closes the run: lands the last commit group, runs a final scrub,
     /// executes each replica's dispatches in one §7.2 sweep over the
     /// run's starting memory plus its journal (see `sweep_updates`), and
-    /// builds the report.
+    /// builds the report. A replica's batch is built from its dispatch
+    /// records, in dispatch order: each query's address moves into the
+    /// batch at its last dispatch, and only a query dispatched more than
+    /// once (a retry after a lost attempt, or a hedge) is cloned for its
+    /// earlier dispatches.
     pub(crate) fn finish(mut self, memory: &ClassicalMemory) -> Result<FleetReport, ServeError> {
         // A run ending mid-group (max_delay 0, or the deadline never fired
         // because the reactor emptied) must not report its last writes as
@@ -1025,12 +1050,31 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         );
         debug_assert!(self.outstanding.values().all(|&n| n == 0));
         let stale_served = self.completed.iter().filter(|q| q.stale).count() as u64;
+        // Per query: its dispatches not yet batched, and its address until
+        // the last of them takes it.
+        let mut owners: Vec<(u32, Option<AddressState>)> = (self.states.into_iter())
+            .map(|state| (0, Some(state.request.address)))
+            .collect();
+        for dispatch in self.replicas.iter().flat_map(|r| &r.dispatches) {
+            owners[dispatch.qid].0 += 1;
+        }
         let (mut per_replica_dispatches, mut outcomes_by_replica) = (Vec::new(), Vec::new());
         for (r, replica) in self.replicas.into_iter().enumerate() {
             per_replica_dispatches.push(replica.core.dispatch_count() as u64);
             let backend = &self.fleet.backends[r];
             let updates = sweep_updates(backend, &replica.dispatches, self.replicated.journal(r));
-            let addresses = replica.core.into_addresses();
+            let addresses: Vec<AddressState> = (replica.dispatches.iter())
+                .map(|dispatch| {
+                    let (left, address) = &mut owners[dispatch.qid];
+                    *left -= 1;
+                    let address = if *left == 0 {
+                        address.take()
+                    } else {
+                        address.clone()
+                    };
+                    address.expect("an address moves only at its query's last dispatch")
+                })
+                .collect();
             outcomes_by_replica.push(backend.execute_queries(memory, &addresses, &updates)?);
         }
         // Crashed and corrupted dispatches leave holes in a replica's
@@ -1061,6 +1105,22 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
             integrity: self.durability.map(|d| d.counters).unwrap_or_default(),
         })
     }
+}
+
+/// Refills the placement snapshot `loads` from `replicas` and asks
+/// `placement` for a replica for `request`.
+fn place<L: PlacementPolicy>(
+    placement: &L,
+    replicas: &[ReplicaState],
+    loads: &mut Vec<ReplicaLoad>,
+    request: &FleetRequest,
+) -> usize {
+    loads.clear();
+    loads.extend(replicas.iter().map(ReplicaState::load));
+    let target = placement.place(request, loads);
+    let n = replicas.len();
+    assert!(target < n, "placement returned replica {target} of {n}");
+    target
 }
 
 /// The memory updates of a replica's single §7.2 sweep: journal entry
