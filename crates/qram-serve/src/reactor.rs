@@ -22,12 +22,14 @@
 //! its earliest event and its keys increase front to back. A lane push
 //! that is not earlier than the lane's tail appends to the lane; any
 //! other push goes to the heap. A pop takes the smallest key over the
-//! heap top and the lane fronts, whose keys are cached, so the pop order
-//! is exactly that of one heap holding every event, wherever each event
-//! went. The serving loop puts each replica's completions on a lane of
-//! their own (they leave a replica in dispatch order unless a slow-replica
-//! fault stretches one) and its writes, in supply order, on another; the
-//! heap keeps everything else.
+//! heap top and the lane fronts, so the pop order is exactly that of one
+//! heap holding every event, wherever each event went. The front keys
+//! are cached, and so is the smallest of them: finding the next event
+//! compares two keys, and only a pop from a lane rescans the fronts. The
+//! serving loop puts each replica's completions on a lane of their own
+//! (they leave a replica in dispatch order unless a slow-replica fault
+//! stretches one) and its writes, in supply order, on another; the heap
+//! keeps everything else.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -119,6 +121,9 @@ pub struct EventQueue<T> {
     lanes: Vec<VecDeque<Entry<T>>>,
     /// Each lane's front key, or `EMPTY` for an empty lane.
     heads: Vec<u128>,
+    /// The smallest of `heads` and its lane, kept current so finding the
+    /// next event compares two keys: this and the heap top's.
+    lead: (u128, usize),
     seq: u64,
 }
 
@@ -139,6 +144,7 @@ impl<T> EventQueue<T> {
             heap: BinaryHeap::new(),
             lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
             heads: vec![EMPTY; lanes],
+            lead: (EMPTY, 0),
             seq: 0,
         }
     }
@@ -179,7 +185,11 @@ impl<T> EventQueue<T> {
             Some(tail) if entry.time < tail.time => self.heap.push(entry),
             Some(_) => queue.push_back(entry),
             None => {
-                self.heads[lane] = entry.key();
+                let key = entry.key();
+                self.heads[lane] = key;
+                if key < self.lead.0 {
+                    self.lead = (key, lane);
+                }
                 queue.push_back(entry);
             }
         }
@@ -189,13 +199,11 @@ impl<T> EventQueue<T> {
     /// when nothing is pending), and the lane holding it (`None`: the
     /// heap).
     fn first(&self) -> (u128, Option<usize>) {
-        let mut first = (self.heap.peek().map_or(EMPTY, Entry::key), None);
-        for (lane, &head) in self.heads.iter().enumerate() {
-            if head < first.0 {
-                first = (head, Some(lane));
-            }
+        let heap = self.heap.peek().map_or(EMPTY, Entry::key);
+        match self.lead {
+            (key, lane) if key < heap => (key, Some(lane)),
+            _ => (heap, None),
         }
-        first
     }
 
     /// Removes and returns the earliest event (FIFO among ties) if it is
@@ -217,6 +225,14 @@ impl<T> EventQueue<T> {
                 let queue = &mut self.lanes[lane];
                 let entry = queue.pop_front()?;
                 self.heads[lane] = queue.front().map_or(EMPTY, Entry::key);
+                self.lead = (EMPTY, 0);
+                for (lane, &head) in self.heads.iter().enumerate() {
+                    // Selects, not a branch: which lane leads next varies
+                    // from pop to pop, so a branch would mispredict.
+                    let less = head < self.lead.0;
+                    self.lead.0 = if less { head } else { self.lead.0 };
+                    self.lead.1 = if less { lane } else { self.lead.1 };
+                }
                 entry
             }
         };

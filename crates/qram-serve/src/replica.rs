@@ -47,9 +47,9 @@ pub(crate) struct CompletedQuery {
 #[derive(Debug)]
 struct Pending {
     id: usize,
-    /// Driver-private handle reported back through [`ReplicaEvent::Expired`]
-    /// and [`Replica::fail`] — unlike `id` it must be unique per offer
-    /// (the fleet uses its query-state index).
+    /// Driver-private handle reported back through [`ReplicaEvent::Expired`],
+    /// [`Replica::fail`] and [`Replica::tag_of`] — unlike `id` it must
+    /// name the query to the driver (the fleet uses its query-state index).
     tag: usize,
     /// Accepted-order sequence number: drives round-robin shard selection
     /// even when expiries consume a slot without dispatching.
