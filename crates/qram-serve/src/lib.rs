@@ -34,7 +34,8 @@
 //! ```
 //!
 //! * [`EventQueue`] — the hand-rolled discrete-event reactor core: a
-//!   queue over virtual circuit-layer time, ordered by one integer key.
+//!   queue over virtual circuit-layer time, ordered by one integer key,
+//!   with FIFO lanes beside its heap for events that arrive in order.
 //! * [`QramFleet`] — the serving loop: `R` replicas (one is the §5
 //!   single machine), each with per-shard round-robin dispatch queues
 //!   over a `ShardedQram`, admission at the divided `I_shard / K`

@@ -13,7 +13,7 @@
 //! replicated memory, no run state.
 //!
 //! Its one subtle rule is the reactor's same-instant order: every arrival
-//! at instant `t` is routed before any heap event at `t`. So when an
+//! at instant `t` is routed before any queued event at `t`. So when an
 //! arrival at `t` is routed, replica `r`'s `j`-th admitted request
 //! * has dispatched iff it started before `t`, or it starts at `t` and an
 //!   earlier arrival at `t`, admitted to `r` with index ≥ `j`, pumped it
@@ -23,8 +23,8 @@
 //!   `finish_j ≥ t`: completions at `t` run after the arrivals.
 //!
 //! Deadlines and faults are outside the replay, and so are writes at a
-//! dispatch instant (their order against the dispatch is the heap's push
-//! order): callers keep write instants off the 1/16-layer grid that
+//! dispatch instant (their order against the dispatch is the event
+//! queue's push order): callers keep write instants off the 1/16-layer grid that
 //! arrivals and dispatches live on, and the replay asserts it.
 
 // Each suite uses only part of the module.
