@@ -595,12 +595,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Exec(e) => Some(e),
             ServeError::Store(e) => Some(e),
-            ServeError::StoreMismatch
-            | ServeError::ZeroQueueCapacity
-            | ServeError::AddressWidth { .. }
-            | ServeError::WriteOrigin { .. }
-            | ServeError::WriteCell { .. }
-            | ServeError::WriteValue { .. } => None,
+            _ => None,
         }
     }
 }
