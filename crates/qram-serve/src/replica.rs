@@ -9,8 +9,8 @@
 //! queue, it *emits* [`ReplicaEvent`]s through a caller-supplied hook and
 //! the caller tags them with the replica index before enqueueing them.
 //! Nor does a replica carry a query's address: a queued request is its
-//! id, arrival, deadline and a driver-private tag, and a dispatch is its
-//! tag, start and shard. The driver owns each query and builds the
+//! id, arrival, deadline and a caller-private tag, and a dispatch is its
+//! tag, start and shard. The caller owns each query and builds the
 //! replica's batch from the tags in dispatch order.
 //!
 //! The dispatch rules are those of the analytic `OnlineFifoScheduler`
@@ -47,9 +47,9 @@ pub(crate) struct CompletedQuery {
 #[derive(Debug)]
 struct Pending {
     id: usize,
-    /// Driver-private handle reported back through [`ReplicaEvent::Expired`],
+    /// Caller-private handle reported back through [`ReplicaEvent::Expired`],
     /// [`Replica::fail`] and [`Replica::tag_of`] — unlike `id` it must
-    /// name the query to the driver (the fleet uses its query-state index).
+    /// name the query to the caller (the fleet uses its query-state index).
     tag: usize,
     /// Accepted-order sequence number: drives round-robin shard selection
     /// even when expiries consume a slot without dispatching.
