@@ -508,6 +508,53 @@ fn hedged_dispatch_beats_a_slow_replica() {
 }
 
 #[test]
+fn a_slowed_completion_finishes_exactly_factor_latencies_after_its_start() {
+    // One replica serves at 3× nominal latency for dispatches starting in
+    // [200, 600). The window is judged at the dispatch start: a query
+    // dispatched inside it completes exactly three latencies after its
+    // start, even when it completes past `until`, and one dispatched at
+    // or after `until` completes exactly one latency after its start.
+    let mut fleet = fifo_fleet(1, 1, None);
+    let latency = fleet.equivalent_server().latency();
+    let (from, until) = (Layers::new(200.0), Layers::new(600.0));
+    let requests: Vec<FleetRequest> = (0..40)
+        .map(|i| request(i, 0, 25.0 * i as f64, i as u64))
+        .collect();
+    let plan = FaultPlan::none().with(Fault::SlowReplica {
+        replica: 0,
+        from,
+        until,
+        factor: 3.0,
+    });
+    let report = fleet
+        .serve_with_faults(
+            &checkerboard(64),
+            requests,
+            Vec::new(),
+            &plan,
+            &FaultConfig::default(),
+        )
+        .unwrap();
+
+    assert_eq!(report.completed().len(), 40);
+    let (mut slowed, mut after) = (0, 0);
+    for c in report.completed() {
+        if c.start >= from && c.start < until {
+            let stretched = c.start + Layers::new(3.0 * latency.get());
+            assert_eq!(c.finish, stretched, "query {} started inside", c.id);
+            slowed += 1;
+        } else if c.start >= until {
+            assert_eq!(c.finish, c.start + latency, "query {} started after", c.id);
+            after += 1;
+        }
+    }
+    assert!(
+        slowed >= 10 && after >= 10,
+        "{slowed} slowed, {after} after"
+    );
+}
+
+#[test]
 fn corrupted_outcomes_are_caught_by_parity_and_reserved() {
     let mut fleet = fifo_fleet(1, 1, None);
     let requests = vec![request(0, 0, 0.0, 5)];
