@@ -376,6 +376,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// Returns, before serving anything:
     /// * [`ServeError::ZeroQueueCapacity`] if
     ///   [`FleetConfig::queue_capacity`] is `Some(0)`;
+    /// * [`ServeError::MemoryCapacity`] if `memory`'s cell count is not
+    ///   the QRAM capacity;
     /// * [`ServeError::AddressWidth`] if a request's address width is not
     ///   the QRAM capacity's;
     /// * [`ServeError::WriteOrigin`], [`ServeError::WriteCell`] or
@@ -420,11 +422,11 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Refuses the inputs [`QramFleet::serve`] refuses, with the same
-    /// errors and before serving anything, and returns
-    /// [`ServeError::Exec`] if query execution fails and
-    /// [`ServeError::Store`] if the in-memory store that disk faults or
-    /// scrubbing spin up fails.
+    /// Refuses the inputs [`QramFleet::serve`] refuses (a memory of the
+    /// wrong size among them), with the same errors and before serving
+    /// anything, and returns [`ServeError::Exec`] if query execution
+    /// fails and [`ServeError::Store`] if the in-memory store that disk
+    /// faults or scrubbing spin up fails.
     ///
     /// # Panics
     ///
@@ -461,12 +463,11 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::StoreMismatch`] before serving anything if
-    /// the store's chain does not end at `memory`, refuses the inputs
-    /// [`QramFleet::serve`] refuses with the same errors, also before
-    /// serving anything, and returns [`ServeError::Exec`] if query
-    /// execution fails and [`ServeError::Store`] if the store's directory
-    /// fails.
+    /// Returns [`ServeError::StoreMismatch`] if the store's chain does not
+    /// end at `memory`, and the errors of [`QramFleet::serve`]'s refusals
+    /// ([`ServeError::MemoryCapacity`] among them), all before the store
+    /// logs anything; and [`ServeError::Exec`] if query execution fails
+    /// and [`ServeError::Store`] if the store's directory fails.
     ///
     /// # Panics
     ///
@@ -509,6 +510,13 @@ pub enum ServeError {
     /// [`FleetConfig::queue_capacity`] is `Some(0)`: no replica queue
     /// could hold an admitted request.
     ZeroQueueCapacity,
+    /// The memory's cell count is not the QRAM capacity.
+    MemoryCapacity {
+        /// The memory's cell count.
+        cells: usize,
+        /// The QRAM capacity `N`.
+        capacity: u64,
+    },
     /// A request's address register is not as wide as the QRAM
     /// capacity's address.
     AddressWidth {
@@ -557,6 +565,9 @@ impl fmt::Display for ServeError {
                 write!(f, "the durable chain does not end at the starting memory")
             }
             ServeError::ZeroQueueCapacity => write!(f, "the queue capacity is zero"),
+            ServeError::MemoryCapacity { cells, capacity } => {
+                write!(f, "the memory has {cells} cells, the QRAM {capacity}")
+            }
             ServeError::AddressWidth {
                 id,
                 width,
@@ -770,31 +781,40 @@ mod tests {
         ));
     }
 
-    /// Serves two reads and `writes` on an R = 2 fleet over an 8-bit,
-    /// 64-cell memory, through every entry point, and returns what each
-    /// returned.
-    fn serve_writes(writes: &[FleetWrite]) -> Vec<Result<FleetReport, ServeError>> {
+    /// An 8-bit memory of `cells` zeros.
+    fn zeros(cells: usize) -> ClassicalMemory {
+        ClassicalMemory::from_words(8, &vec![0; cells]).unwrap()
+    }
+
+    /// Serves two reads and `writes` on an R = 2, 64-cell fleet over
+    /// `memory`, through every entry point. Returns what each returned,
+    /// and the durable epoch `serve_durable` left its store at, a store
+    /// created from `memory`.
+    fn serve_writes(
+        memory: &ClassicalMemory,
+        writes: &[FleetWrite],
+    ) -> (Vec<Result<FleetReport, ServeError>>, u64) {
         let fleet = || {
             let qram = ShardedQram::fat_tree(cap(64), 2);
             QramFleet::fifo(qram, 2, TimingModel::paper_default())
         };
-        let memory = ClassicalMemory::from_words(8, &[0; 64]).unwrap();
         let requests = classical_requests(&[0.0, 100.0], 6, 64);
         let (plan, config) = (FaultPlan::none(), FaultConfig::default());
         let mut store =
-            DurableFleet::create(Box::new(qram_core::store::SimDir::new()), &memory).unwrap();
-        vec![
-            fleet().serve(&memory, requests.clone(), writes.to_vec()),
-            fleet().serve_with_faults(&memory, requests.clone(), writes.to_vec(), &plan, &config),
+            DurableFleet::create(Box::new(qram_core::store::SimDir::new()), memory).unwrap();
+        let results = vec![
+            fleet().serve(memory, requests.clone(), writes.to_vec()),
+            fleet().serve_with_faults(memory, requests.clone(), writes.to_vec(), &plan, &config),
             fleet().serve_durable(
-                &memory,
+                memory,
                 requests,
                 writes.to_vec(),
                 &plan,
                 &config,
                 &mut store,
             ),
-        ]
+        ];
+        (results, store.durable_epoch())
     }
 
     fn write(origin: usize, address: u64, value: u64) -> FleetWrite {
@@ -809,7 +829,7 @@ mod tests {
     #[test]
     fn a_write_origin_outside_the_fleet_is_refused() {
         let writes = [write(1, 0, 1), write(2, 0, 1)];
-        for refused in serve_writes(&writes) {
+        for refused in serve_writes(&zeros(64), &writes).0 {
             assert!(matches!(
                 refused,
                 Err(ServeError::WriteOrigin {
@@ -825,7 +845,7 @@ mod tests {
     fn a_write_cell_outside_the_memory_is_refused() {
         // The first write is valid: the check runs before any commits.
         let writes = [write(0, 63, 1), write(0, 64, 1)];
-        for refused in serve_writes(&writes) {
+        for refused in serve_writes(&zeros(64), &writes).0 {
             assert!(matches!(
                 refused,
                 Err(ServeError::WriteCell {
@@ -840,7 +860,7 @@ mod tests {
     #[test]
     fn a_write_value_wider_than_the_bus_is_refused() {
         let writes = [write(0, 5, 255), write(1, 5, 256)];
-        for refused in serve_writes(&writes) {
+        for refused in serve_writes(&zeros(64), &writes).0 {
             assert!(matches!(
                 refused,
                 Err(ServeError::WriteValue {
@@ -851,8 +871,27 @@ mod tests {
             ));
         }
         // The widest value that fits serves.
-        for report in serve_writes(&writes[..1]) {
+        for report in serve_writes(&zeros(64), &writes[..1]).0 {
             assert_eq!(report.unwrap().fleet_epoch(), 1);
+        }
+    }
+
+    #[test]
+    fn a_memory_of_the_wrong_size_is_refused_before_the_run() {
+        // The one write is valid on either memory: the check runs before
+        // any commits, so the store syncs nothing.
+        for cells in [32, 128] {
+            let (results, durable_epoch) = serve_writes(&zeros(cells), &[write(0, 5, 1)]);
+            for refused in results {
+                assert!(
+                    matches!(
+                        refused,
+                        Err(ServeError::MemoryCapacity { cells: c, capacity: 64 }) if c == cells
+                    ),
+                    "{cells} cells: {refused:?}"
+                );
+            }
+            assert_eq!(durable_epoch, 0, "{cells} cells");
         }
     }
 

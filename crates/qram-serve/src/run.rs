@@ -187,16 +187,21 @@ pub(crate) fn serve_faulty<M: QramModel + Clone, P: AdmissionPolicy, L: Placemen
 }
 
 /// Refuses caller input the run could not serve, before it starts: a
-/// request whose address width is not the capacity's, and a write to a
-/// replica the fleet lacks, to a cell outside `memory`, or of a value
-/// wider than its bus.
+/// memory whose cell count is not the capacity, a request whose address
+/// width is not the capacity's, and a write to a replica the fleet lacks,
+/// to a cell outside `memory`, or of a value wider than its bus.
 fn check_inputs<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
     fleet: &QramFleet<M, P, L>,
     memory: &ClassicalMemory,
     requests: &[FleetRequest],
     writes: &[FleetWrite],
 ) -> Result<(), ServeError> {
-    let expected = fleet.backends[0].capacity().address_width();
+    let (cells, capacity) = (memory.capacity(), fleet.backends[0].capacity());
+    if cells as u64 != capacity.get() {
+        let capacity = capacity.get();
+        return Err(ServeError::MemoryCapacity { cells, capacity });
+    }
+    let expected = capacity.address_width();
     if let Some(request) = (requests.iter()).find(|r| r.address.address_width() != expected) {
         return Err(ServeError::AddressWidth {
             id: request.id,
@@ -204,8 +209,7 @@ fn check_inputs<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
             expected,
         });
     }
-    let (replicas, cells, bus_width) =
-        (fleet.num_replicas(), memory.capacity(), memory.bus_width());
+    let (replicas, bus_width) = (fleet.num_replicas(), memory.bus_width());
     for (write, w) in writes.iter().enumerate() {
         let FleetWrite {
             origin,
