@@ -1,17 +1,16 @@
 //! The serving core of one replica: one dispatcher over one sharded
 //! backend.
 //!
-//! [`Replica`] is the pure scheduling state of one replica — per-shard
-//! round-robin dispatch queues, pipeline-slot accounting, and
-//! divided-interval admission spacing. [`QramFleet`]'s serving loop
+//! [`Replica`] is the §5 admission state of one replica and nothing
+//! else: per-shard round-robin dispatch queues, pipeline-slot accounting,
+//! and divided-interval admission spacing. [`QramFleet`]'s serving loop
 //! drives `R` of them behind its routing tier (one is the §5 single
 //! machine). The reactor stays outside: a replica never owns an event
-//! queue, it *emits* [`ReplicaEvent`]s through a caller-supplied hook and
-//! the caller tags them with the replica index before enqueueing them.
-//! Nor does a replica carry a query's address: a queued request is its
-//! id, arrival, deadline and a caller-private tag, and a dispatch is its
-//! tag, start and shard. The caller owns each query and builds the
-//! replica's batch from the tags in dispatch order.
+//! queue, it *reports* [`ReplicaEvent`]s through a caller-supplied hook.
+//! Nor does it carry a query's address or keep a dispatch history: a
+//! queued request is its id, arrival, deadline and a caller-private tag,
+//! and each dispatch is reported once, as its tag, start and shard. The
+//! caller records it, schedules its completion and releases its slots.
 //!
 //! The dispatch rules are those of the analytic `OnlineFifoScheduler`
 //! recurrence (property-tested in `tests/serving.rs` and
@@ -32,24 +31,13 @@ use std::collections::VecDeque;
 use qram_metrics::Layers;
 use qram_sched::{AdmissionPolicy, QueryRequest};
 
-/// One served query: its timings and owning shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CompletedQuery {
-    /// Dispatch (admission) instant.
-    pub start: Layers,
-    /// Completion instant (`start + latency`).
-    pub finish: Layers,
-    /// The shard whose dispatch queue served the query.
-    pub shard: usize,
-}
-
 /// A request sitting in a shard's dispatch queue.
 #[derive(Debug)]
 struct Pending {
     id: usize,
-    /// Caller-private handle reported back through [`ReplicaEvent::Expired`],
-    /// [`Replica::fail`] and [`Replica::tag_of`] — unlike `id` it must
-    /// name the query to the caller (the fleet uses its query-state index).
+    /// Caller-private handle reported back through [`ReplicaEvent`]s and
+    /// [`Replica::fail`] — unlike `id` it must name the query to the
+    /// caller (the fleet uses its query-state index).
     tag: usize,
     /// Accepted-order sequence number: drives round-robin shard selection
     /// even when expiries consume a slot without dispatching.
@@ -59,23 +47,28 @@ struct Pending {
     deadline: Option<Layers>,
 }
 
-/// A reactor event a replica asks its driver to schedule.
-///
-/// The replica is reactor-agnostic: it hands these to the scheduling hook
-/// passed to [`Replica::pump`] and the driver tags them (e.g. with the
-/// replica index) before pushing them onto its own event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a replica's dispatcher reports through the hook passed to
+/// [`Replica::pump`]; the driver records it or turns it into its events.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ReplicaEvent {
-    /// The `index`-th dispatched query leaves its shard pipeline.
-    Completion {
-        /// Dispatch-order index of the completing query.
-        index: usize,
+    /// A queued request dispatched: it holds its pipeline slots until the
+    /// driver calls [`Replica::release`] with its shard.
+    Dispatched {
+        /// The driver-private handle passed to [`Replica::offer`].
+        tag: usize,
+        /// The dispatch (admission) instant.
+        start: Layers,
+        /// The shard whose dispatch queue served it.
+        shard: usize,
     },
-    /// Wake the dispatcher at an admission-interval boundary.
-    Poll,
+    /// Wake the dispatcher at the admission-interval boundary `at`.
+    Poll {
+        /// The boundary instant.
+        at: Layers,
+    },
     /// A queued request's deadline passed before it could dispatch: the
-    /// replica dropped it (it consumes its round-robin slot but never
-    /// dispatches, completes, or executes).
+    /// replica dropped it at the pump's instant (it consumes its
+    /// round-robin slot but never dispatches, completes, or executes).
     Expired {
         /// The driver-private handle passed to [`Replica::offer`].
         tag: usize,
@@ -84,13 +77,12 @@ pub(crate) enum ReplicaEvent {
 
 /// The serving core of one QRAM replica: round-robin shard queues, a
 /// divided-interval dispatcher, and in-flight accounting. Driven from
-/// outside by [`Replica::offer`] / [`Replica::complete`] /
+/// outside by [`Replica::offer`] / [`Replica::release`] /
 /// [`Replica::ack_poll`] / [`Replica::pump`].
 #[derive(Debug)]
 pub(crate) struct Replica {
     shards: usize,
     stagger: Layers,
-    latency: Layers,
     shard_parallelism: u32,
     aggregate_cap: u32,
     queue_capacity: Option<usize>,
@@ -98,13 +90,11 @@ pub(crate) struct Replica {
     pending_total: usize,
     accepted: usize,
     /// Accepted-order index of the next request to consume (dispatch or
-    /// expire) — equals `dispatched.len()` only while nothing expires.
+    /// expire).
     next_seq: usize,
     /// Per-shard stall flags (injected faults): a stalled shard at the
     /// round-robin head blocks the whole strict-FIFO dispatcher.
     stalled: Vec<bool>,
-    /// Dispatch-ordered: (tag, start, shard).
-    dispatched: Vec<(usize, Layers, usize)>,
     inflight: u32,
     shard_inflight: Vec<u32>,
     last_dispatch: Option<Layers>,
@@ -113,9 +103,9 @@ pub(crate) struct Replica {
 
 impl Replica {
     /// A replica over `shards` shard queues, dispatching at the divided
-    /// interval `stagger` with per-query latency `latency`, bounded by
-    /// `shard_parallelism` slots per shard and `aggregate_cap` in
-    /// aggregate, with an optional bounded arrival queue.
+    /// interval `stagger`, bounded by `shard_parallelism` slots per shard
+    /// and `aggregate_cap` in aggregate, with an optional bounded arrival
+    /// queue.
     ///
     /// # Panics
     ///
@@ -124,7 +114,6 @@ impl Replica {
         shards: usize,
         shard_parallelism: u32,
         stagger: Layers,
-        latency: Layers,
         aggregate_cap: u32,
         queue_capacity: Option<usize>,
     ) -> Self {
@@ -132,7 +121,6 @@ impl Replica {
         Replica {
             shards,
             stagger,
-            latency,
             shard_parallelism,
             aggregate_cap,
             queue_capacity,
@@ -141,7 +129,6 @@ impl Replica {
             accepted: 0,
             next_seq: 0,
             stalled: vec![false; shards],
-            dispatched: Vec::new(),
             inflight: 0,
             shard_inflight: vec![0; shards],
             last_dispatch: None,
@@ -172,16 +159,6 @@ impl Replica {
             .is_none_or(|cap| self.pending_total < cap)
     }
 
-    /// Queries dispatched so far (the next dispatch gets this index).
-    pub fn dispatch_count(&self) -> usize {
-        self.dispatched.len()
-    }
-
-    /// The driver-private tag of the `index`-th dispatched query.
-    pub fn tag_of(&self, index: usize) -> usize {
-        self.dispatched[index].0
-    }
-
     /// Freezes or thaws one shard's dispatch queue (an injected fault).
     /// While the round-robin head sits on a stalled shard the whole
     /// dispatcher blocks — strict FIFO admits nothing out of order. The
@@ -193,11 +170,10 @@ impl Replica {
     /// Takes the replica offline (a crash fault): drains the queued
     /// requests — returning their tags in accepted order so the driver
     /// can fail them over — zeroes the in-flight accounting (those
-    /// queries are lost; the driver discards their completion events),
-    /// and clears the poll latch. The dispatch history survives so
-    /// already-completed work keeps its indices, and the round-robin
-    /// cursor advances past the drained requests so dispatch stays
-    /// aligned if the replica later rejoins.
+    /// queries are lost; the driver must not release their slots), and
+    /// clears the poll latch. The round-robin cursor advances past the
+    /// drained requests so dispatch stays aligned if the replica later
+    /// rejoins.
     pub fn fail(&mut self) -> Vec<usize> {
         let mut drained: Vec<(usize, usize)> = Vec::with_capacity(self.pending_total);
         for queue in &mut self.shard_queues {
@@ -218,9 +194,9 @@ impl Replica {
     /// `accepted mod K` and returns `true`, or returns `false` when the
     /// bounded arrival queue is full (the request is shed — the replica
     /// records nothing). `tag` is a driver-private handle echoed back by
-    /// [`ReplicaEvent::Expired`] and [`Replica::fail`]; `deadline`, if
-    /// set, is the absolute instant past which the request expires
-    /// instead of dispatching.
+    /// [`ReplicaEvent`]s and [`Replica::fail`]; `deadline`, if set, is
+    /// the absolute instant past which the request expires instead of
+    /// dispatching.
     pub fn offer(
         &mut self,
         id: usize,
@@ -243,17 +219,11 @@ impl Replica {
         true
     }
 
-    /// Retires the `index`-th dispatched query at instant `now`: frees its
-    /// pipeline slots and returns the completion record.
-    pub fn complete(&mut self, index: usize, now: Layers) -> CompletedQuery {
-        let (_, start, shard) = &self.dispatched[index];
+    /// Frees the pipeline slots of a query dispatched on `shard` that
+    /// left its pipeline.
+    pub fn release(&mut self, shard: usize) {
         self.inflight -= 1;
-        self.shard_inflight[*shard] -= 1;
-        CompletedQuery {
-            start: *start,
-            finish: now,
-            shard: *shard,
-        }
+        self.shard_inflight[shard] -= 1;
     }
 
     /// Acknowledges a [`ReplicaEvent::Poll`] firing at instant `now`,
@@ -267,11 +237,10 @@ impl Replica {
 
     /// Runs the dispatcher at instant `now`: drains the shard queues in
     /// strict FIFO round-robin order as far as capacity and the admission
-    /// interval allow, asking `schedule` to enqueue a
-    /// [`ReplicaEvent::Completion`] per dispatch (and at most one
-    /// [`ReplicaEvent::Poll`] when blocked on the interval). Returns the
-    /// dispatch-order index range of the newly dispatched queries so the
-    /// driver can annotate them (the fleet stamps memory epochs here).
+    /// interval allow, reporting each dispatch once to `report` as a
+    /// [`ReplicaEvent::Dispatched`], each expiry as a
+    /// [`ReplicaEvent::Expired`], and at most one
+    /// [`ReplicaEvent::Poll`] when blocked on the interval.
     ///
     /// # Panics
     ///
@@ -281,11 +250,9 @@ impl Replica {
         &mut self,
         now: Layers,
         policy: &mut P,
-        mut schedule: impl FnMut(Layers, ReplicaEvent),
-    ) -> std::ops::Range<usize> {
-        let first_new = self.dispatched.len();
+        mut report: impl FnMut(ReplicaEvent),
+    ) {
         loop {
-            let next_index = self.dispatched.len();
             let shard = self.next_seq % self.shards;
             if self.stalled[shard] {
                 // An injected stall at the round-robin head: strict FIFO
@@ -300,8 +267,8 @@ impl Replica {
             if self.inflight >= self.aggregate_cap
                 || self.shard_inflight[shard] >= self.shard_parallelism
             {
-                // Blocked on capacity: a pending Completion event will
-                // re-run the dispatcher at exactly the release instant.
+                // Blocked on capacity: the driver re-runs the dispatcher
+                // at exactly the release instant.
                 break;
             }
             let mut earliest = head.arrival;
@@ -329,18 +296,18 @@ impl Replica {
                 // The earliest admissible start already overruns the
                 // deadline: the request can never dispatch in time, so it
                 // expires now instead of waiting unboundedly. It consumes
-                // its round-robin slot but leaves no dispatch record.
+                // its round-robin slot but is never dispatched.
                 let pending = self.shard_queues[shard].pop_front().expect("head exists");
                 self.pending_total -= 1;
                 self.next_seq += 1;
-                schedule(now, ReplicaEvent::Expired { tag: pending.tag });
+                report(ReplicaEvent::Expired { tag: pending.tag });
                 continue;
             }
             if start > now {
                 // Blocked on the admission interval (or a delaying
                 // policy): wake the dispatcher at the boundary.
                 if self.poll_at != Some(start.get()) {
-                    schedule(start, ReplicaEvent::Poll);
+                    report(ReplicaEvent::Poll { at: start });
                     self.poll_at = Some(start.get());
                 }
                 break;
@@ -351,13 +318,12 @@ impl Replica {
             self.last_dispatch = Some(start);
             self.inflight += 1;
             self.shard_inflight[shard] += 1;
-            schedule(
-                start + self.latency,
-                ReplicaEvent::Completion { index: next_index },
-            );
-            self.dispatched.push((pending.tag, start, shard));
+            report(ReplicaEvent::Dispatched {
+                tag: pending.tag,
+                start,
+                shard,
+            });
         }
-        first_new..self.dispatched.len()
     }
 }
 
@@ -366,49 +332,70 @@ mod tests {
     use super::*;
     use qram_sched::FifoAdmission;
 
+    /// Pumps `r` at `now` and returns what it reported, in order.
+    fn pump(r: &mut Replica, now: f64) -> Vec<ReplicaEvent> {
+        let mut events = Vec::new();
+        r.pump(Layers::new(now), &mut FifoAdmission, |e| events.push(e));
+        events
+    }
+
+    /// The tags of the dispatches among `events`.
+    fn dispatched(events: &[ReplicaEvent]) -> Vec<usize> {
+        let tags = events.iter().filter_map(|e| match *e {
+            ReplicaEvent::Dispatched { tag, .. } => Some(tag),
+            _ => None,
+        });
+        tags.collect()
+    }
+
     #[test]
     fn round_robin_offer_and_strict_fifo_pump() {
-        let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
+        let mut r = Replica::new(2, 4, Layers::new(4.0), 8, None);
         for id in 0..4 {
             assert!(r.offer(id, id, Layers::ZERO, None));
         }
-        let mut events = Vec::new();
-        let range = r.pump(Layers::ZERO, &mut FifoAdmission, |t, e| events.push((t, e)));
         // One immediate dispatch; the second blocks on the interval.
-        assert_eq!(range, 0..1);
+        let events = pump(&mut r, 0.0);
+        let first = ReplicaEvent::Dispatched {
+            tag: 0,
+            start: Layers::ZERO,
+            shard: 0,
+        };
+        let poll = ReplicaEvent::Poll {
+            at: Layers::new(4.0),
+        };
+        assert_eq!(events, vec![first, poll]);
         assert_eq!(r.queued(), 3);
         assert_eq!(r.in_flight(), 1);
-        assert!(events.contains(&(Layers::new(10.0), ReplicaEvent::Completion { index: 0 })));
-        assert!(events.contains(&(Layers::new(4.0), ReplicaEvent::Poll)));
+        // The poll fires: the second request dispatches on the next shard.
+        r.ack_poll(Layers::new(4.0));
+        let events = pump(&mut r, 4.0);
+        let second = ReplicaEvent::Dispatched {
+            tag: 1,
+            start: Layers::new(4.0),
+            shard: 1,
+        };
+        assert_eq!(events[0], second);
     }
 
     #[test]
     fn poll_latch_deduplicates_wakeups() {
-        let mut r = Replica::new(1, 4, Layers::new(4.0), Layers::new(10.0), 4, None);
+        let mut r = Replica::new(1, 4, Layers::new(4.0), 4, None);
         for id in 0..3 {
             r.offer(id, id, Layers::ZERO, None);
         }
-        let mut polls = 0;
-        r.pump(Layers::ZERO, &mut FifoAdmission, |_, e| {
-            if e == ReplicaEvent::Poll {
-                polls += 1;
-            }
-        });
-        r.pump(Layers::new(1.0), &mut FifoAdmission, |_, e| {
-            if e == ReplicaEvent::Poll {
-                polls += 1;
-            }
-        });
+        let is_poll = |e: &ReplicaEvent| matches!(e, ReplicaEvent::Poll { .. });
+        let mut polls = pump(&mut r, 0.0).iter().filter(|e| is_poll(e)).count();
+        polls += pump(&mut r, 1.0).iter().filter(|e| is_poll(e)).count();
         assert_eq!(polls, 1, "a pending poll is never re-scheduled");
         // The poll fires: the latch clears and the next dispatch happens.
         r.ack_poll(Layers::new(4.0));
-        let range = r.pump(Layers::new(4.0), &mut FifoAdmission, |_, _| {});
-        assert_eq!(range, 1..2);
+        assert_eq!(dispatched(&pump(&mut r, 4.0)), vec![1]);
     }
 
     #[test]
     fn bounded_queue_refuses_offers_when_full() {
-        let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, Some(2));
+        let mut r = Replica::new(1, 1, Layers::new(4.0), 1, Some(2));
         assert!(r.offer(0, 0, Layers::ZERO, None));
         assert!(r.offer(1, 1, Layers::ZERO, None));
         assert!(!r.has_queue_room());
@@ -417,59 +404,57 @@ mod tests {
     }
 
     #[test]
-    fn completion_frees_slots_and_records_latency() {
-        let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, None);
+    fn release_frees_the_slots_a_dispatch_holds() {
+        // One pipeline slot: the second request waits for the release.
+        let mut r = Replica::new(1, 1, Layers::new(4.0), 1, None);
         r.offer(7, 7, Layers::new(1.0), None);
-        r.pump(Layers::new(1.0), &mut FifoAdmission, |_, _| {});
-        assert_eq!(r.load(), 1);
-        let rec = r.complete(0, Layers::new(11.0));
-        assert_eq!(rec.start, Layers::new(1.0));
-        assert_eq!(rec.finish - rec.start, Layers::new(10.0));
+        r.offer(8, 8, Layers::new(1.0), None);
+        assert_eq!(dispatched(&pump(&mut r, 1.0)), vec![7]);
+        assert_eq!(r.load(), 2);
+        assert_eq!(dispatched(&pump(&mut r, 11.0)), Vec::<usize>::new());
+        r.release(0);
         assert_eq!(r.in_flight(), 0);
+        assert_eq!(dispatched(&pump(&mut r, 11.0)), vec![8]);
     }
 
     #[test]
     fn expired_deadline_skips_dispatch_but_keeps_round_robin_aligned() {
-        // One pipeline slot, 10-layer queries: the second offer cannot
-        // start before t = 10, past its deadline of 5 — it expires and
-        // the third offer (same shard, deadline met) dispatches next.
-        let mut r = Replica::new(1, 1, Layers::new(4.0), Layers::new(10.0), 1, None);
+        // One pipeline slot, released at t = 10: the second offer cannot
+        // start before then, past its deadline of 5 — it expires and the
+        // third offer (same shard, deadline met) dispatches next.
+        let mut r = Replica::new(1, 1, Layers::new(4.0), 1, None);
         r.offer(0, 100, Layers::ZERO, None);
         r.offer(1, 101, Layers::ZERO, Some(Layers::new(5.0)));
         r.offer(2, 102, Layers::ZERO, None);
-        r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
-        r.complete(0, Layers::new(10.0));
-        let mut events = Vec::new();
-        let range = r.pump(Layers::new(10.0), &mut FifoAdmission, |t, e| {
-            events.push((t, e));
-        });
-        assert!(events.contains(&(Layers::new(10.0), ReplicaEvent::Expired { tag: 101 })));
-        assert_eq!(range, 1..2, "the survivor takes the next dispatch index");
-        assert_eq!(r.tag_of(1), 102);
+        pump(&mut r, 0.0);
+        r.release(0);
+        let events = pump(&mut r, 10.0);
+        assert_eq!(events[0], ReplicaEvent::Expired { tag: 101 });
+        assert_eq!(dispatched(&events), vec![102], "the survivor dispatches");
         assert_eq!(r.queued(), 0);
     }
 
     #[test]
     fn stalled_shard_blocks_the_strict_fifo_dispatcher() {
-        let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
+        let mut r = Replica::new(2, 4, Layers::new(4.0), 8, None);
         for id in 0..4 {
             r.offer(id, id, Layers::ZERO, None);
         }
         r.set_shard_stall(0, true);
-        let range = r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
-        assert_eq!(range, 0..0, "head shard stalled: nothing dispatches");
+        let events = pump(&mut r, 0.0);
+        assert!(events.is_empty(), "head shard stalled: nothing dispatches");
         r.set_shard_stall(0, false);
-        let range = r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
-        assert_eq!(range, 0..1, "thawed: dispatch resumes in FIFO order");
+        let events = pump(&mut r, 0.0);
+        assert_eq!(dispatched(&events), vec![0], "thawed: FIFO order resumes");
     }
 
     #[test]
     fn fail_drains_queued_tags_in_accepted_order_and_zeroes_in_flight() {
-        let mut r = Replica::new(2, 4, Layers::new(4.0), Layers::new(10.0), 8, None);
+        let mut r = Replica::new(2, 4, Layers::new(4.0), 8, None);
         for id in 0..5 {
             r.offer(id, 50 + id, Layers::ZERO, None);
         }
-        r.pump(Layers::ZERO, &mut FifoAdmission, |_, _| {});
+        pump(&mut r, 0.0);
         assert_eq!(r.in_flight(), 1);
         let stranded = r.fail();
         assert_eq!(
@@ -479,11 +464,15 @@ mod tests {
         );
         assert_eq!(r.queued(), 0);
         assert_eq!(r.in_flight(), 0);
-        // The replica can rejoin: new offers dispatch with aligned
-        // round-robin and fresh dispatch indices.
+        // The replica can rejoin: a new offer dispatches on the shard the
+        // round-robin cursor reached past the drained requests.
         r.offer(9, 59, Layers::new(20.0), None);
-        let range = r.pump(Layers::new(20.0), &mut FifoAdmission, |_, _| {});
-        assert_eq!(range, 1..2);
-        assert_eq!(r.tag_of(1), 59);
+        let events = pump(&mut r, 20.0);
+        let rejoined = ReplicaEvent::Dispatched {
+            tag: 59,
+            start: Layers::new(20.0),
+            shard: 1,
+        };
+        assert_eq!(events, vec![rejoined]);
     }
 }

@@ -36,7 +36,7 @@ enum Event {
     Write(usize),
     /// The log prefix up to `epoch` reaches every replica.
     Replicate { epoch: u64 },
-    /// The `index`-th query dispatched at `replica` leaves its pipeline.
+    /// Record `index` of `replica`'s dispatch log leaves its pipeline.
     /// Pushed onto `replica`'s completion lane.
     Completion { replica: usize, index: usize },
     /// Wake `replica`'s dispatcher at an admission-interval boundary.
@@ -71,11 +71,16 @@ enum Event {
     Expired { qid: usize },
 }
 
-/// One dispatch of a replica, stamped when the replica's pump admits it.
+/// The run's one record of a dispatch, appended when the replica's pump
+/// reports it; its completion and the plan's corruption name its index.
 #[derive(Debug, Clone, Copy)]
 struct Dispatch {
     /// The admitted query it serves (an index into the query states).
     qid: usize,
+    /// The dispatch (admission) instant.
+    start: Layers,
+    /// The shard whose dispatch queue served it.
+    shard: usize,
     /// The memory epoch its replica had applied at dispatch.
     epoch: u64,
     /// True when that epoch trailed the fleet epoch.
@@ -105,12 +110,13 @@ struct QueryState {
     hedge_replica: Option<usize>,
 }
 
-/// One replica of a serving run: its dispatch core, one record per
-/// dispatch, and what the failure detector knows about it.
+/// One replica of a serving run: its admission core, its dispatch log,
+/// and what the failure detector knows about it.
 #[derive(Debug)]
 pub(crate) struct ReplicaState {
     core: Replica,
-    /// One record per dispatch, in dispatch order.
+    /// The dispatch log, in dispatch order. A crash marks its in-flight
+    /// records handled, so completed work keeps its indices.
     dispatches: Vec<Dispatch>,
     health: ReplicaHealth,
     /// False from a crash until its recovery.
@@ -315,7 +321,6 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
                     backend.num_shards() as usize,
                     backend.shard_parallelism(),
                     server.interval(),
-                    server.latency(),
                     aggregate_cap,
                     queue_capacity,
                 ),
@@ -611,11 +616,10 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
             return;
         }
         replica.dispatches[index].handled = true;
-        let record = replica.core.complete(index, now);
+        replica.core.release(dispatch.shard);
         // Completion-latency assertion: a replica serving far over nominal
         // is suspect.
-        let slow =
-            (record.finish - record.start).get() > self.latency.get() * self.config.latency_margin;
+        let slow = (now - dispatch.start).get() > self.latency.get() * self.config.latency_margin;
         if self.monitoring && replica.health == ReplicaHealth::Healthy && slow {
             replica.health = ReplicaHealth::Suspect;
         }
@@ -635,10 +639,10 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
                     id: state.request.id,
                     tenant: state.request.tenant,
                     arrival: state.request.arrival,
-                    start: record.start,
-                    finish: record.finish,
+                    start: dispatch.start,
+                    finish: now,
                     replica: r,
-                    shard: record.shard,
+                    shard: dispatch.shard,
                     epoch: dispatch.epoch,
                     stale: dispatch.stale,
                     attempts: state.attempts,
@@ -876,48 +880,48 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
     }
 
     /// Runs replica `target`'s dispatcher at `now` (a dead replica
-    /// dispatches nothing) and stamps each new dispatch with the memory
-    /// version its replica observes.
+    /// dispatches nothing). Each dispatch it reports is appended to the
+    /// replica's log, stamped with the memory version the replica
+    /// observes, and its completion goes on the replica's lane.
     fn pump(&mut self, now: Layers, target: usize) {
         let replica = &mut self.replicas[target];
         if !replica.alive {
             return;
         }
-        let (events, plan, latency, has_slow) =
-            (&mut self.events, self.plan, self.latency, self.has_slow);
-        let range = replica
-            .core
-            .pump(now, &mut self.fleet.policy, |time, ev| match ev {
-                ReplicaEvent::Completion { index } => {
-                    // A slow-replica window stretches the service time of
-                    // completions starting inside it (guarded so the
-                    // fault-free path never round-trips the timestamp
-                    // through float arithmetic).
-                    let mut at = time;
-                    if has_slow {
-                        let start = time - latency;
-                        let factor = plan.slow_factor(target, start);
-                        if factor != 1.0 {
-                            at = start + Layers::new(latency.get() * factor);
-                        }
-                    }
-                    let replica = target;
-                    events.push_lane(replica, at, Event::Completion { replica, index });
-                }
-                ReplicaEvent::Poll => events.push(time, Event::Poll { replica: target }),
-                ReplicaEvent::Expired { tag } => events.push(time, Event::Expired { qid: tag }),
-            });
-        // Replicated memory cannot change inside a pump, so every new
-        // dispatch observes the same epoch.
+        // Replicated memory cannot change inside a pump, so every
+        // dispatch it makes observes the same epoch.
         let epoch = self.replicated.applied_epoch(target);
         let stale = self.replicated.is_stale(target);
-        let core = &replica.core;
-        replica.dispatches.extend(range.map(|index| Dispatch {
-            qid: core.tag_of(index),
-            epoch,
-            stale,
-            handled: false,
-        }));
+        let (events, plan, latency, has_slow) =
+            (&mut self.events, self.plan, self.latency, self.has_slow);
+        let dispatches = &mut replica.dispatches;
+        replica
+            .core
+            .pump(now, &mut self.fleet.policy, |event| match event {
+                ReplicaEvent::Dispatched { tag, start, shard } => {
+                    // A slow-replica window stretches the service time of
+                    // a dispatch starting inside it.
+                    let factor = if has_slow {
+                        plan.slow_factor(target, start)
+                    } else {
+                        1.0
+                    };
+                    let finish = start + Layers::new(latency.get() * factor);
+                    let index = dispatches.len();
+                    dispatches.push(Dispatch {
+                        qid: tag,
+                        start,
+                        shard,
+                        epoch,
+                        stale,
+                        handled: false,
+                    });
+                    let replica = target;
+                    events.push_lane(replica, finish, Event::Completion { replica, index });
+                }
+                ReplicaEvent::Poll { at } => events.push(at, Event::Poll { replica: target }),
+                ReplicaEvent::Expired { tag } => events.push(now, Event::Expired { qid: tag }),
+            });
     }
 
     /// Copies of the `lost` queries died with crashed replica `r`:
@@ -1064,7 +1068,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         }
         let (mut per_replica_dispatches, mut outcomes_by_replica) = (Vec::new(), Vec::new());
         for (r, replica) in self.replicas.into_iter().enumerate() {
-            per_replica_dispatches.push(replica.core.dispatch_count() as u64);
+            per_replica_dispatches.push(replica.dispatches.len() as u64);
             let backend = &self.fleet.backends[r];
             let updates = sweep_updates(backend, &replica.dispatches, self.replicated.journal(r));
             let addresses: Vec<AddressState> = (replica.dispatches.iter())
@@ -1211,6 +1215,8 @@ mod tests {
                         let other = (cell + 1 + value % 15) % 16;
                         dispatches[replica].push(Dispatch {
                             qid: 0,
+                            start: Layers::ZERO,
+                            shard: 0,
                             epoch: applied,
                             stale: false,
                             handled: false,
