@@ -361,19 +361,21 @@ impl DurableFleet {
         &self.shadow
     }
 
-    /// The durable chain's memory image at `epoch`, or `None` when the
-    /// epoch predates the checkpoint (compacted away) or exceeds the
-    /// durable watermark. This is the scrubber's expected state.
+    /// Rebuilds the durable chain's memory image at `epoch` into `image`,
+    /// reusing its cell buffer, and returns true; or returns false and
+    /// leaves `image` untouched when the epoch predates the checkpoint
+    /// (compacted away) or exceeds the durable watermark. This is the
+    /// scrubber's expected state.
     #[must_use]
-    pub fn state_at(&self, epoch: u64) -> Option<ClassicalMemory> {
+    pub fn state_at(&self, epoch: u64, image: &mut ClassicalMemory) -> bool {
         if epoch < self.checkpoint_epoch || epoch > self.durable_epoch() {
-            return None;
+            return false;
         }
-        let mut image = self.checkpoint_image.clone();
+        image.clone_from(&self.checkpoint_image);
         for w in self.suffix.iter().take_while(|w| w.epoch <= epoch) {
             image.write(w.address, w.value);
         }
-        Some(image)
+        true
     }
 
     /// Accepts one fleet write into the open commit group. The group —
@@ -652,17 +654,24 @@ mod tests {
         for e in 1..=5 {
             store.append(&w(e)).unwrap();
         }
-        let at3 = store.state_at(3).unwrap();
+        // One buffer serves every rebuild.
+        let mut image = base();
+        let cells = image.cells().as_ptr();
+        assert!(store.state_at(3, &mut image));
         let mut expect = base();
         for e in 1..=3 {
             expect.write(w(e).address, w(e).value);
         }
-        assert_eq!(at3.cells(), expect.cells());
-        assert_eq!(store.state_at(0).unwrap().cells(), base().cells());
-        assert!(store.state_at(6).is_none(), "beyond the durable epoch");
+        assert_eq!(image.cells(), expect.cells());
+        assert!(store.state_at(0, &mut image));
+        assert_eq!(image.cells(), base().cells());
+        assert!(!store.state_at(6, &mut image), "beyond the durable epoch");
+        assert_eq!(image.cells(), base().cells(), "a refusal leaves the image");
         store.checkpoint().unwrap();
-        assert!(store.state_at(3).is_none(), "compacted away");
-        assert_eq!(store.state_at(5).unwrap().cells(), store.shadow().cells());
+        assert!(!store.state_at(3, &mut image), "compacted away");
+        assert!(store.state_at(5, &mut image));
+        assert_eq!(image.cells(), store.shadow().cells());
+        assert_eq!(image.cells().as_ptr(), cells, "the cell buffer is reused");
     }
 
     #[test]
@@ -850,13 +859,14 @@ mod tests {
         for e in 1..=6 {
             store.append(&w(e)).unwrap();
         }
-        assert!(store.state_at(3).is_none(), "absorbed by the delta");
-        let at5 = store.state_at(5).unwrap();
+        let mut image = base();
+        assert!(!store.state_at(3, &mut image), "absorbed by the delta");
+        assert!(store.state_at(5, &mut image));
         let mut expect = base();
         for e in 1..=5 {
             expect.write(w(e).address, w(e).value);
         }
-        assert_eq!(at5.cells(), expect.cells());
+        assert_eq!(image.cells(), expect.cells());
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!   and bit-flip injection hooks.
 //! * [`DurableFleet`] — the write-ahead log + checkpoint lifecycle and
 //!   the [`DurableFleet::recover`] path that rebuilds state from disk;
-//!   [`DurableFleet::state_at`] is the expected image the anti-entropy
-//!   scrubber in `qram-serve` compares live replicas against, chunk by
-//!   chunk.
+//!   [`DurableFleet::state_at`] rebuilds, into a buffer the caller
+//!   reuses, the expected image the anti-entropy scrubber in
+//!   `qram-serve` compares live replicas against, chunk by chunk.
 //!
 //! The module is std-only by design: framing, checksums, and the
 //! directory abstraction are all hand-rolled so the store works in the

@@ -29,6 +29,8 @@ pub(crate) struct Durability<'a> {
     /// `counters.wal_appends` at the last monitor tick, for the
     /// adaptive group-commit controller's per-tick append rate.
     appends_at_tick: u64,
+    /// The scrub's expected image, rebuilt in place per audited replica.
+    expected: ClassicalMemory,
 }
 
 impl<'a> Durability<'a> {
@@ -71,6 +73,7 @@ impl<'a> Durability<'a> {
             counters: IntegrityCounters::default(),
             syncs: 0,
             appends_at_tick: 0,
+            expected: memory.clone(),
         }))
     }
 
@@ -206,7 +209,8 @@ impl<'a> Durability<'a> {
     /// One anti-entropy scrub cycle: audit the WAL, then compare each
     /// live replica's memory, chunk by chunk, with the durable chain's
     /// expected image at that replica's applied epoch, repairing
-    /// divergence by resetting the replica to the expected image.
+    /// divergence by resetting the replica to the expected image. The
+    /// image is rebuilt in one buffer; only a repair copies it.
     pub(crate) fn scrub(
         &mut self,
         replicated: &mut ReplicatedMemory,
@@ -220,10 +224,11 @@ impl<'a> Durability<'a> {
             // An epoch already compacted behind a checkpoint is not
             // reconstructible — the replica is audited next cycle, once
             // catch-up moves it past the checkpoint watermark.
-            let Some(expected) = self.store.state_at(self.wal_base + applied) else {
+            let epoch = self.wal_base + applied;
+            if !self.store.state_at(epoch, &mut self.expected) {
                 continue;
-            };
-            let want = expected.cells().chunks(chunk_cells);
+            }
+            let want = self.expected.cells().chunks(chunk_cells);
             let have = replicated.memory(r).cells().chunks(chunk_cells);
             self.counters.chunks_verified += have.len() as u64;
             let diverged = want.zip(have).filter(|(w, h)| w != h).count() as u64;
@@ -233,7 +238,7 @@ impl<'a> Durability<'a> {
                 // The reset journals the repaired cells at the same
                 // epoch, so the version's final image — what its
                 // dispatches read — is clean again.
-                replicated.reset_replica(r, expected, applied);
+                replicated.reset_replica(r, self.expected.clone(), applied);
             }
         }
         Ok(())

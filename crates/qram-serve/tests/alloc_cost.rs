@@ -9,43 +9,15 @@
 //! One `#[test]` only: the counting allocator is process-global, and a
 //! concurrently running test would perturb the counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use qram_core::ShardedQram;
 use qram_metrics::{Capacity, Layers, TimingModel};
 use qram_sched::TenantId;
 use qram_serve::{Fault, FaultConfig, FaultPlan, FleetRequest, QramFleet};
 use qsim::branch::{AddressState, ClassicalMemory};
-
-/// Counts every allocation and reallocation; frees are not counted (the
-/// pin is on allocation *work*, not live bytes).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn a_faulty_run_allocates_far_less_than_once_per_query() {

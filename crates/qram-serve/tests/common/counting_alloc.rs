@@ -1,0 +1,37 @@
+//! The counting global allocator behind the allocation pins. A test
+//! binary that includes this module counts every allocation its process
+//! makes, so it holds one `#[test]`: a concurrently running test would
+//! perturb the counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts every allocation and reallocation; frees are not counted (the
+/// pins are on allocation *work*, not live bytes).
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocations and reallocations so far in this process.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}

@@ -415,7 +415,7 @@ impl QueryOutcome {
 /// assert_eq!(out.data_for(3), Some(1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ClassicalMemory {
     bus_width: u32,
     cells: Vec<u64>,
@@ -431,6 +431,24 @@ pub struct ClassicalMemory {
 impl PartialEq for ClassicalMemory {
     fn eq(&self, other: &Self) -> bool {
         self.bus_width == other.bus_width && self.cells == other.cells
+    }
+}
+
+impl Clone for ClassicalMemory {
+    fn clone(&self) -> Self {
+        ClassicalMemory {
+            bus_width: self.bus_width,
+            cells: self.cells.clone(),
+            write_epoch: self.write_epoch,
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s cell buffer when it
+    /// is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.bus_width = source.bus_width;
+        self.cells.clone_from(&source.cells);
+        self.write_epoch = source.write_epoch;
     }
 }
 
@@ -607,6 +625,18 @@ impl ClassicalMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_reuses_the_cell_buffer() {
+        let source = ClassicalMemory::from_words(2, &[3, 0, 1, 2]).unwrap();
+        let mut target = ClassicalMemory::zeros(4);
+        target.write(1, 1);
+        let cells = target.cells().as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target.write_epoch(), source.write_epoch());
+        assert_eq!(target.cells().as_ptr(), cells, "no new cell buffer");
+    }
 
     #[test]
     fn uniform_normalizes() {
