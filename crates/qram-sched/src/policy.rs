@@ -15,10 +15,11 @@
 //!   ([`AdmissionPolicy::admission_time`]). [`FifoAdmission`] admits
 //!   greedily at full parallelism; [`NoiseAwareAdmission`] trades
 //!   parallelism for post-distillation fidelity (§8.2, Table 4).
-//! * [`Scheduler`] — the object-safe admit/dispatch/complete surface a
-//!   serving layer drives. [`PolicyScheduler`] composes the core with any
-//!   policy; [`OnlineFifoScheduler`] is its FIFO instantiation, kept as a
-//!   named type for API stability.
+//! * [`Scheduler`] — the object-safe online admission surface: admit
+//!   each arrival in order, and read back the committed admissions.
+//!   [`PolicyScheduler`] composes the core with any policy;
+//!   [`OnlineFifoScheduler`] is its FIFO instantiation, kept as a named
+//!   type for API stability.
 //!
 //! [`OnlineFifoScheduler`]: crate::OnlineFifoScheduler
 
@@ -299,8 +300,8 @@ impl AdmissionPolicy for NoiseAwareAdmission {
     }
 }
 
-/// The object-safe scheduler surface a serving layer drives: admit on
-/// arrival, observe dispatch and completion.
+/// The object-safe online scheduler surface: admit each arrival in
+/// order, and read back the committed admissions.
 pub trait Scheduler {
     /// The server being scheduled onto.
     fn server(&self) -> &QramServer;
@@ -313,18 +314,6 @@ pub trait Scheduler {
     /// already-admitted arrival — an online scheduler sees time move
     /// forward only.
     fn admit(&mut self, request: QueryRequest) -> Result<ScheduledQuery, OutOfOrderArrival>;
-
-    /// Dispatch hook: the serving layer started executing `query`. The
-    /// default is a no-op (admission already committed the slot).
-    fn on_dispatch(&mut self, query: &ScheduledQuery) {
-        let _ = query;
-    }
-
-    /// Completion hook: the serving layer observed `query` finish. The
-    /// default is a no-op.
-    fn on_complete(&mut self, query: &ScheduledQuery) {
-        let _ = query;
-    }
 
     /// Admissions committed so far, in admission order.
     fn entries(&self) -> &[ScheduledQuery];

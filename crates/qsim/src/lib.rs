@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod branch;
-pub mod circuit;
 pub mod complex;
 pub mod density;
 pub mod gates;
