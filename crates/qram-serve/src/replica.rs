@@ -48,13 +48,13 @@ struct Pending {
 }
 
 /// What a replica's dispatcher reports through the hook passed to
-/// [`Replica::pump`]; the driver records it or turns it into its events.
+/// [`Replica::pump`]; the caller records it or turns it into its events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ReplicaEvent {
-    /// A queued request dispatched: it holds its pipeline slots until the
-    /// driver calls [`Replica::release`] with its shard.
+    /// A queued request dispatched: it holds its pipeline slots until
+    /// [`Replica::release`] frees them on its shard.
     Dispatched {
-        /// The driver-private handle passed to [`Replica::offer`].
+        /// The caller-private handle passed to [`Replica::offer`].
         tag: usize,
         /// The dispatch (admission) instant.
         start: Layers,
@@ -70,7 +70,7 @@ pub(crate) enum ReplicaEvent {
     /// replica dropped it at the pump's instant (it consumes its
     /// round-robin slot but never dispatches, completes, or executes).
     Expired {
-        /// The driver-private handle passed to [`Replica::offer`].
+        /// The caller-private handle passed to [`Replica::offer`].
         tag: usize,
     },
 }
@@ -162,15 +162,15 @@ impl Replica {
     /// Freezes or thaws one shard's dispatch queue (an injected fault).
     /// While the round-robin head sits on a stalled shard the whole
     /// dispatcher blocks — strict FIFO admits nothing out of order. The
-    /// driver must re-pump when the stall lifts.
+    /// caller must re-pump when the stall lifts.
     pub fn set_shard_stall(&mut self, shard: usize, stalled: bool) {
         self.stalled[shard] = stalled;
     }
 
     /// Takes the replica offline (a crash fault): drains the queued
-    /// requests — returning their tags in accepted order so the driver
+    /// requests — returning their tags in accepted order so the caller
     /// can fail them over — zeroes the in-flight accounting (those
-    /// queries are lost; the driver must not release their slots), and
+    /// queries are lost; the caller must not release their slots), and
     /// clears the poll latch. The round-robin cursor advances past the
     /// drained requests so dispatch stays aligned if the replica later
     /// rejoins.
@@ -193,7 +193,7 @@ impl Replica {
     /// Offers an arrival to the replica: queues it at shard
     /// `accepted mod K` and returns `true`, or returns `false` when the
     /// bounded arrival queue is full (the request is shed — the replica
-    /// records nothing). `tag` is a driver-private handle echoed back by
+    /// records nothing). `tag` is a caller-private handle echoed back by
     /// [`ReplicaEvent`]s and [`Replica::fail`]; `deadline`, if set, is
     /// the absolute instant past which the request expires instead of
     /// dispatching.
@@ -256,7 +256,7 @@ impl Replica {
             let shard = self.next_seq % self.shards;
             if self.stalled[shard] {
                 // An injected stall at the round-robin head: strict FIFO
-                // blocks the whole dispatcher until the driver thaws the
+                // blocks the whole dispatcher until the caller thaws the
                 // shard and re-pumps.
                 break;
             }
@@ -267,7 +267,7 @@ impl Replica {
             if self.inflight >= self.aggregate_cap
                 || self.shard_inflight[shard] >= self.shard_parallelism
             {
-                // Blocked on capacity: the driver re-runs the dispatcher
+                // Blocked on capacity: the caller re-runs the dispatcher
                 // at exactly the release instant.
                 break;
             }
