@@ -2,7 +2,6 @@
 //! shared-QRAM architectures at `N = 2¹⁰`.
 
 use qram_arch::Architecture;
-use qram_core::QramModel;
 use qram_metrics::{Capacity, Layers, TimingModel};
 use qram_sched::{simulate_streams, QramServer};
 
@@ -18,18 +17,6 @@ pub struct Figure9Bar {
     pub architecture: Architecture,
     /// Overall circuit depth (weighted layers) until all streams finish.
     pub depth: Layers,
-}
-
-/// Computes one bar for any [`QramModel`] backend: the algorithm's
-/// `p = log₂ N` streams run on the backend's pipelined-server model. New
-/// architectures plug in without touching this call site.
-#[must_use]
-pub fn algorithm_depth_on<M: QramModel + ?Sized>(
-    algorithm: ParallelAlgorithm,
-    model: &M,
-    timing: &TimingModel,
-) -> Layers {
-    algorithm.depth_on(model, timing)
 }
 
 /// Computes one bar for a named table architecture (including the
@@ -124,13 +111,13 @@ mod tests {
         let capacity = Capacity::new(1024).unwrap();
         let timing = TimingModel::paper_default();
         for algorithm in ParallelAlgorithm::figure9_suite() {
-            let ft = algorithm_depth_on(algorithm, &FatTreeQram::new(capacity), &timing);
+            let ft = algorithm.depth_on(&FatTreeQram::new(capacity), &timing);
             assert_eq!(
                 ft,
                 algorithm_depth(algorithm, Architecture::FatTree, capacity, timing),
                 "{algorithm} on Fat-Tree"
             );
-            let bb = algorithm_depth_on(algorithm, &BucketBrigadeQram::new(capacity), &timing);
+            let bb = algorithm.depth_on(&BucketBrigadeQram::new(capacity), &timing);
             assert_eq!(
                 bb,
                 algorithm_depth(algorithm, Architecture::BucketBrigade, capacity, timing),

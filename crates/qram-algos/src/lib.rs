@@ -30,9 +30,6 @@ pub mod scaling;
 pub use fig10::{
     paper_axes, sweep_cell, sweep_cell_on, sweep_grid, SweepCell, SYNTHETIC_ITERATIONS,
 };
-pub use fig9::{algorithm_depth, algorithm_depth_on, figure9, Figure9Bar};
+pub use fig9::{algorithm_depth, figure9, Figure9Bar};
 pub use parallel::ParallelAlgorithm;
-pub use scaling::{
-    depth_reduction_factor, fat_tree_depth_scaling, measured_reduction_factor,
-    sequential_depth_scaling,
-};
+pub use scaling::{depth_reduction_factor, fat_tree_depth_scaling, sequential_depth_scaling};

@@ -11,8 +11,7 @@
 //!   `O(log N·log log N + log N)`
 //! * QSP: `O(poly(d))` → `O(poly(d)/log N)`
 
-use qram_core::QramModel;
-use qram_metrics::{Capacity, TimingModel};
+use qram_metrics::Capacity;
 
 use crate::parallel::ParallelAlgorithm;
 
@@ -53,20 +52,6 @@ pub fn fat_tree_depth_scaling(algorithm: ParallelAlgorithm, capacity: Capacity) 
 #[must_use]
 pub fn depth_reduction_factor(algorithm: ParallelAlgorithm, capacity: Capacity) -> f64 {
     sequential_depth_scaling(algorithm, capacity) / fat_tree_depth_scaling(algorithm, capacity)
-}
-
-/// Measured depth-reduction factor between any two [`QramModel`] backends,
-/// from the pipelined-server simulation — the backend-generic counterpart
-/// of the asymptotic [`depth_reduction_factor`]. `baseline` is the slower
-/// architecture (e.g. bucket-brigade), `contender` the faster one.
-#[must_use]
-pub fn measured_reduction_factor<A: QramModel + ?Sized, B: QramModel + ?Sized>(
-    algorithm: ParallelAlgorithm,
-    baseline: &A,
-    contender: &B,
-    timing: &TimingModel,
-) -> f64 {
-    algorithm.depth_on(baseline, timing) / algorithm.depth_on(contender, timing)
 }
 
 #[cfg(test)]
@@ -130,7 +115,7 @@ mod tests {
         let bb = BucketBrigadeQram::new(capacity);
         let ft = FatTreeQram::new(capacity);
         for algorithm in ParallelAlgorithm::figure9_suite() {
-            let measured = measured_reduction_factor(algorithm, &bb, &ft, &timing);
+            let measured = algorithm.depth_on(&bb, &timing) / algorithm.depth_on(&ft, &timing);
             let asymptotic = depth_reduction_factor(algorithm, capacity);
             let ratio = measured / asymptotic;
             assert!(

@@ -42,7 +42,7 @@ impl FatTreeQram {
         FatTreeQram { capacity }
     }
 
-    /// The static tree geometry (router multiplexing, wires, sub-QRAMs).
+    /// The static tree geometry (router multiplexing, wires).
     #[must_use]
     pub fn shape(&self) -> TreeShape {
         TreeShape::new(self.capacity)

@@ -48,14 +48,6 @@ pub fn fat_tree_single_query(capacity: Capacity, timing: &TimingModel) -> Layers
     Layers::new(8.0 * n + (2.0 * n - 1.0) * w)
 }
 
-/// Integer circuit layers of the Fat-Tree pipeline interval (10): a new
-/// query may start every `gate step (4) + SWAP-I (1) + gate step (4) +
-/// SWAP-II (1)` layers (§4.3.1).
-#[must_use]
-pub fn fat_tree_pipeline_interval_integer() -> u64 {
-    10
-}
-
 /// Weighted Fat-Tree pipeline interval: `8 + 2·w_s` (`8.25` by default) —
 /// also the amortized single-query latency at full utilization (Table 1).
 #[must_use]
@@ -142,7 +134,6 @@ mod tests {
     #[test]
     fn amortized_interval_is_8_25() {
         assert_eq!(fat_tree_pipeline_interval(&paper()).get(), 8.25);
-        assert_eq!(fat_tree_pipeline_interval_integer(), 10);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! This crate implements the paper's primary contribution and its baseline:
 //!
-//! * [`tree`] — the `(i, j, k)` router indexing of §4.1, including the
-//!   sub-component-QRAM decomposition of Fig. 5.
+//! * [`tree`] — the `(i, j, k)` router indexing and tree geometry of
+//!   §4.1: router and wire counts per node.
 //! * [`ops`] / [`query_ops`] — the elementary instruction set
 //!   (Appendix A.1) and exact layer-by-layer instruction streams for both
 //!   architectures (Algs. 2 & 3, Figs. 2(a), 6, 12).

@@ -72,31 +72,6 @@ pub enum GateClass {
 }
 
 impl Op {
-    /// The gate class implementing this operation.
-    #[must_use]
-    pub fn gate_class(self) -> GateClass {
-        match self {
-            Op::Route(_) | Op::Unroute(_) => GateClass::Cswap,
-            Op::Load(_)
-            | Op::Unload(_)
-            | Op::Transport(_)
-            | Op::Untransport(_)
-            | Op::Store(_)
-            | Op::Unstore(_) => GateClass::InterNodeSwap,
-            Op::SwapStepI | Op::SwapStepII => GateClass::LocalSwap,
-            Op::ClassicalGates => GateClass::Classical,
-        }
-    }
-
-    /// True for the inverse (unloading-stage) operations.
-    #[must_use]
-    pub fn is_inverse(self) -> bool {
-        matches!(
-            self,
-            Op::Unload(_) | Op::Untransport(_) | Op::Unroute(_) | Op::Unstore(_)
-        )
-    }
-
     /// The mnemonic used in the paper's Fig. 12 pipeline diagrams
     /// (`L1`, `T2`, `R3`, `S1`, `CG`, `S-I`, primes for inverses).
     #[must_use]
@@ -135,19 +110,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gate_classes() {
-        assert_eq!(Op::Route(0).gate_class(), GateClass::Cswap);
-        assert_eq!(Op::Unroute(2).gate_class(), GateClass::Cswap);
-        assert_eq!(
-            Op::Load(QubitTag::Bus).gate_class(),
-            GateClass::InterNodeSwap
-        );
-        assert_eq!(Op::Store(1).gate_class(), GateClass::InterNodeSwap);
-        assert_eq!(Op::SwapStepI.gate_class(), GateClass::LocalSwap);
-        assert_eq!(Op::ClassicalGates.gate_class(), GateClass::Classical);
-    }
-
-    #[test]
     fn mnemonics_match_figure_12() {
         assert_eq!(Op::Load(QubitTag::Address(0)).mnemonic(), "L1");
         assert_eq!(Op::Load(QubitTag::Bus).mnemonic(), "LB");
@@ -158,13 +120,6 @@ mod tests {
         assert_eq!(Op::SwapStepI.mnemonic(), "S-I");
         assert_eq!(Op::SwapStepII.mnemonic(), "S-II");
         assert_eq!(Op::ClassicalGates.mnemonic(), "CG");
-    }
-
-    #[test]
-    fn inverses_flagged() {
-        assert!(Op::Unstore(0).is_inverse());
-        assert!(!Op::Store(0).is_inverse());
-        assert!(!Op::SwapStepI.is_inverse());
     }
 
     #[test]

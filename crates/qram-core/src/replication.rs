@@ -3,17 +3,12 @@
 //! A fleet serves reads from `R` replicas of one logical memory. Writes
 //! commit at a single *origin* replica and replicate to the others
 //! asynchronously, so replicas can transiently diverge. [`ReplicatedMemory`]
-//! makes that divergence a first-class, checkable quantity by extending the
-//! per-memory [`ClassicalMemory::write_epoch`] machinery one level up:
+//! makes that divergence a first-class, checkable quantity:
 //!
 //! * every fleet-visible write bumps a monotone **fleet epoch** and lands
 //!   in a totally ordered write log;
 //! * each replica tracks the **applied epoch** — the log prefix it has
-//!   absorbed. Applying a log entry goes through
-//!   [`ClassicalMemory::write`], so the replica's *local* write epoch
-//!   advances too and any read memoized against the old memory is
-//!   invalidated (the fleet-wide invalidation the batch executor's
-//!   `(write_epoch, address set)` cache key needs).
+//!   absorbed into its memory through [`ClassicalMemory::write`];
 //! * a replica whose applied epoch trails the fleet epoch is **stale**
 //!   ([`ReplicatedMemory::is_stale`]); a read dispatched there is
 //!   detectably behind and must be flagged, never silently served as
@@ -367,20 +362,6 @@ mod tests {
         for r in 1..4 {
             assert_eq!(m.memory(0), m.memory(r), "replica {r} diverged");
         }
-    }
-
-    #[test]
-    fn applying_replication_advances_the_local_write_epoch() {
-        // The tie-in that invalidates memoized reads: replication applies
-        // through ClassicalMemory::write, so the replica's local
-        // write_epoch (the batch executor's memo key) advances.
-        let mut m = fleet(2);
-        let before = m.memory(1).write_epoch();
-        m.write_at(0, 2, 2);
-        m.write_at(0, 6, 6);
-        assert_eq!(m.memory(1).write_epoch(), before, "no writes applied yet");
-        m.catch_up(1);
-        assert_eq!(m.memory(1).write_epoch(), before + 2);
     }
 
     #[test]

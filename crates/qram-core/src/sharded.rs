@@ -147,15 +147,6 @@ impl<M: QramModel> ShardedQram<M> {
         self.shards[0].query_parallelism()
     }
 
-    /// The per-shard admission interval `I_shard`: one shard admits a
-    /// query at most this often, so round-robin over `K` shards admits at
-    /// the divided `I_shard / K` interval reported by
-    /// [`QramModel::admission_interval`].
-    #[must_use]
-    pub fn shard_admission_interval(&self, timing: &TimingModel) -> Layers {
-        self.shards[0].admission_interval(timing)
-    }
-
     /// The shard whose dispatch queue serves the `query_index`-th admitted
     /// query under round-robin admission (`query_index mod K`) — the same
     /// assignment [`QramModel::retrieval_layer`] stamps onto the batch
@@ -163,19 +154,6 @@ impl<M: QramModel> ShardedQram<M> {
     #[must_use]
     pub fn dispatch_shard(&self, query_index: usize) -> u32 {
         u32::try_from(query_index % self.shards.len()).expect("shard index fits")
-    }
-
-    /// The shard serving global address `address` (its low-order bits).
-    #[must_use]
-    pub fn shard_of(&self, address: u64) -> u32 {
-        u32::try_from(address & u64::from(self.num_shards() - 1)).expect("shard index fits")
-    }
-
-    /// The shard-local address of global address `address` (its high-order
-    /// bits).
-    #[must_use]
-    pub fn local_address(&self, address: u64) -> u64 {
-        address >> self.shard_bits()
     }
 }
 
@@ -360,20 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn address_interleaving_routes_low_bits() {
-        let s = ShardedQram::fat_tree(cap(64), 4);
-        // Global address 22 = local 0b101, shard bits 0b10.
-        assert_eq!(s.shard_of(22), 2);
-        assert_eq!(s.local_address(22), 0b101);
-        // Shard `s`'s local cell `l` is global cell `l·K + s`: the split is
-        // a bijection, so a global address indexes the unsplit image.
-        let k = u64::from(s.num_shards());
-        for a in 0..64u64 {
-            assert_eq!(s.local_address(a) * k + u64::from(s.shard_of(a)), a);
-        }
-    }
-
-    #[test]
     fn retrieval_layers_strictly_increase_round_robin() {
         for k in [1u32, 2, 4, 8] {
             let s = ShardedQram::fat_tree(cap(64), k);
@@ -393,16 +357,10 @@ mod tests {
         // Shards have capacity 1024: parallelism log₂(1024), the Fat-Tree
         // weighted interval 8.25.
         assert_eq!(s.shard_parallelism(), 10);
-        assert!((s.shard_admission_interval(&timing).get() - 8.25).abs() < 1e-12);
-        // Aggregate figures are the per-shard ones scaled by K.
-        assert_eq!(
-            s.query_parallelism(),
-            s.num_shards() * s.shard_parallelism()
-        );
-        assert_eq!(
-            s.shard_admission_interval(&timing) / f64::from(s.num_shards()),
-            s.admission_interval(&timing)
-        );
+        let k = s.num_shards();
+        assert!((s.admission_interval(&timing).get() * f64::from(k) - 8.25).abs() < 1e-12);
+        // Aggregate parallelism is the per-shard one scaled by K.
+        assert_eq!(s.query_parallelism(), k * s.shard_parallelism());
         // Round-robin dispatch-queue assignment, matching retrieval_layer.
         for q in 0..12usize {
             assert_eq!(s.dispatch_shard(q), (q % 4) as u32);

@@ -171,13 +171,8 @@ pub fn load_chain(dir: &mut dyn Dir) -> Result<Option<(ClassicalMemory, u64, usi
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
             Err(e) => return Err(e.into()),
         };
-        let scanned = frame::scan(&bytes);
-        if scanned.payloads.len() != 1 || scanned.valid_len != bytes.len() {
-            return Err(StoreError::CorruptCheckpoint(
-                "delta is not exactly one intact frame",
-            ));
-        }
-        let delta = decode_delta(&scanned.payloads[0])?;
+        let payload = single_frame(&bytes, "delta is not exactly one intact frame")?;
+        let delta = decode_delta(payload)?;
         if delta.base_epoch != epoch {
             // Stale prefix from a crashed fold: the new base superseded
             // these links. Sweep ascending until the first gap.
@@ -319,13 +314,18 @@ pub fn load(dir: &dyn Dir) -> Result<Option<(ClassicalMemory, u64)>, StoreError>
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let scanned = frame::scan(&bytes);
-    if scanned.payloads.len() != 1 || scanned.valid_len != bytes.len() {
-        return Err(StoreError::CorruptCheckpoint(
-            "image is not exactly one intact frame",
-        ));
+    let payload = single_frame(&bytes, "image is not exactly one intact frame")?;
+    decode(payload).map(Some)
+}
+
+/// The payload of `bytes`, borrowed, when they hold exactly one intact
+/// frame; otherwise [`StoreError::CorruptCheckpoint`] with `why`.
+fn single_frame<'a>(bytes: &'a [u8], why: &'static str) -> Result<&'a [u8], StoreError> {
+    let mut it = frame::frames(bytes);
+    match (it.next(), it.next()) {
+        (Some(payload), None) if it.valid_len() == bytes.len() => Ok(payload),
+        _ => Err(StoreError::CorruptCheckpoint(why)),
     }
-    decode(&scanned.payloads[0]).map(Some)
 }
 
 #[cfg(test)]

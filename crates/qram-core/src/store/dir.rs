@@ -12,11 +12,12 @@
 //! * `sync` is the durability barrier an acknowledgment waits on.
 //!
 //! [`OsDir`] maps the surface onto `std::fs` with eager fsyncs.
-//! [`SimDir`] keeps files in memory as [`FaultyFile`]s and journals
-//! every mutating op as a [`DirOp`]; [`SimDir::replay_prefix`] rebuilds
-//! the directory as it would look had the process died after any op —
-//! including a byte-level cut of the op in flight — which is exactly the
-//! crash model the kill-point property tests iterate over.
+//! [`SimDir`] keeps files in memory, with short-write and bit-flip
+//! injection hooks, and journals every mutating op as a [`DirOp`];
+//! [`SimDir::replay_prefix`] rebuilds the directory as it would look had
+//! the process died after any op — including a byte-level cut of the op
+//! in flight — which is exactly the crash model the kill-point property
+//! tests iterate over.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -221,26 +222,19 @@ impl Dir for OsDir {
 /// An in-memory byte file with write-fault injection hooks: the unit of
 /// storage under [`SimDir`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultyFile {
+struct FaultyFile {
     bytes: Vec<u8>,
 }
 
 impl FaultyFile {
-    /// An empty file.
-    #[must_use]
-    pub fn new() -> Self {
-        FaultyFile::default()
-    }
-
     /// The current contents.
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
+    fn bytes(&self) -> &[u8] {
         &self.bytes
     }
 
     /// Appends `bytes`, keeping only the first `keep` of them when a
     /// short write is injected (`keep >= bytes.len()` writes all).
-    pub fn append_short(&mut self, bytes: &[u8], keep: usize) {
+    fn append_short(&mut self, bytes: &[u8], keep: usize) {
         self.bytes
             .extend_from_slice(&bytes[..keep.min(bytes.len())]);
     }
@@ -248,14 +242,14 @@ impl FaultyFile {
     /// Flips bit `bit` of the byte at `offset` — silent media corruption
     /// for the scrubber and CRC layers to catch. Out-of-range offsets
     /// are ignored (the flip "landed" in unallocated space).
-    pub fn flip_bit(&mut self, offset: usize, bit: u32) {
+    fn flip_bit(&mut self, offset: usize, bit: u32) {
         if let Some(b) = self.bytes.get_mut(offset) {
             *b ^= 1u8 << (bit % 8);
         }
     }
 
     /// Truncates to the first `len` bytes.
-    pub fn truncate(&mut self, len: usize) {
+    fn truncate(&mut self, len: usize) {
         self.bytes.truncate(len);
     }
 }

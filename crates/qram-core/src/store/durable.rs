@@ -17,8 +17,8 @@
 //!    **acknowledgment point**) when it reaches
 //!    [`GroupCommitPolicy::max_records`] or the caller forces
 //!    [`DurableFleet::flush`] (the fleet arms a virtual-time deadline
-//!    for that). Under the default per-record policy every append syncs
-//!    immediately — byte-for-byte the pre-group-commit behavior.
+//!    for that). Under the default per-record policy every append lands
+//!    as one WAL append and one sync before it returns.
 //! 3. Every [`CheckpointPolicy::every`] synced records, a checkpoint is
 //!    installed — a full image, or a [`checkpoint::Delta`] of just the
 //!    cells written since the last one when
@@ -267,14 +267,10 @@ impl DurableFleet {
         dir.remove(wal::WAL_TMP)?;
         let (checkpoint_image, checkpoint_epoch, chain_len) =
             checkpoint::load_chain(dir.as_mut())?.ok_or(StoreError::MissingCheckpoint)?;
-        let scan = wal::load(dir.as_mut())?;
         // A crash between checkpoint install and WAL compaction leaves
-        // absorbed entries at the log head; skip them.
-        let suffix: Vec<ReplicatedWrite> = scan
-            .writes
-            .into_iter()
-            .filter(|w| w.epoch > checkpoint_epoch)
-            .collect();
+        // absorbed entries at the log head; the scan skips them.
+        let scan = wal::load(dir.as_mut(), checkpoint_epoch)?;
+        let suffix = scan.writes;
         if let Some(first) = suffix.first() {
             if first.epoch != checkpoint_epoch + 1 {
                 return Err(StoreError::NonContiguousEpoch {
@@ -383,8 +379,8 @@ impl DurableFleet {
     /// [`GroupCommitPolicy::max_records`] (one append + one sync for
     /// the whole group), or when the caller forces
     /// [`DurableFleet::flush`] on its deadline. Under the default
-    /// per-record policy the group is the record: this syncs before
-    /// returning, exactly the pre-group-commit contract.
+    /// per-record policy the group is the record: one append and one
+    /// sync before this returns.
     ///
     /// # Errors
     /// [`StoreError::NonContiguousEpoch`] when `w.epoch` does not extend
@@ -509,15 +505,10 @@ impl DurableFleet {
         // commit the group is always empty and this touches nothing.
         self.flush_records()?;
         let before = self.durable_epoch();
-        let scan = wal::load(self.dir.as_mut())?;
-        let disk_suffix: Vec<ReplicatedWrite> = scan
-            .writes
-            .into_iter()
-            .filter(|w| w.epoch > self.checkpoint_epoch)
-            .collect();
-        if disk_suffix != self.suffix {
-            self.shadow = replay(&self.checkpoint_image, &disk_suffix)?;
-            self.suffix = disk_suffix;
+        let scan = wal::load(self.dir.as_mut(), self.checkpoint_epoch)?;
+        if scan.writes != self.suffix {
+            self.shadow = replay(&self.checkpoint_image, &scan.writes)?;
+            self.suffix = scan.writes;
         }
         Ok(RescanSummary {
             truncated_bytes: scan.truncated_bytes,
@@ -885,21 +876,27 @@ mod tests {
     }
 
     #[test]
-    fn per_record_group_journal_is_bit_identical_to_plain_appends() {
-        // The max_records = 1 path must produce the same op stream as
-        // wal::append — the anchor the proptest equivalence suite leans
-        // on.
-        let mut grouped =
-            DurableFleet::create_with(Box::new(SimDir::new()), &base(), CheckpointPolicy::every(3))
-                .unwrap()
-                .with_group_commit(GroupCommitPolicy::per_record());
-        let mut plain =
-            DurableFleet::create_with(Box::new(SimDir::new()), &base(), CheckpointPolicy::every(3))
+    fn each_per_record_append_journals_one_append_and_one_sync() {
+        // The max_records = 1 path lands every record on its own: one
+        // framed record, then its barrier — the anchor the proptest
+        // equivalence suite leans on.
+        let mut store =
+            DurableFleet::create_with(Box::new(SimDir::new()), &base(), CheckpointPolicy::never())
                 .unwrap();
         for e in 1..=7 {
-            assert_eq!(grouped.append(&w(e)).unwrap(), plain.append(&w(e)).unwrap());
+            let at = sim(&mut store).journal().len();
+            let summary = store.append(&w(e)).unwrap();
+            assert_eq!(summary.synced_records, 1);
+            let ops = &sim(&mut store).journal()[at..];
+            assert!(
+                matches!(
+                    ops,
+                    [DirOp::Append { name, bytes }, DirOp::Sync]
+                        if name == WAL_FILE
+                            && bytes.len() == frame::HEADER_LEN + wal::RECORD_PAYLOAD_LEN
+                ),
+                "epoch {e}: got {ops:?}"
+            );
         }
-        let grouped_journal = sim(&mut grouped).journal().to_vec();
-        assert_eq!(grouped_journal, sim(&mut plain).journal());
     }
 }

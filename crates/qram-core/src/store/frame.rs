@@ -11,10 +11,11 @@
 //!
 //! `crc` covers the payload only; `len` is bounded by
 //! [`MAX_PAYLOAD_LEN`] so a corrupt length prefix cannot send the
-//! scanner chasing gigabytes of garbage. [`scan`] walks a byte buffer
-//! frame by frame and stops at the first defect, reporting the length of
-//! the valid prefix — the contract that lets a torn or bit-flipped tail
-//! be *detected and truncated* instead of silently replayed.
+//! scanner chasing gigabytes of garbage. [`frames`] walks a byte buffer
+//! frame by frame, borrowing each payload, and stops at the first
+//! defect, reporting the length of the valid prefix — the contract that
+//! lets a torn or bit-flipped tail be *detected and truncated* instead
+//! of silently replayed.
 
 /// Upper bound on a single frame's payload, in bytes. WAL records are
 /// 32 bytes; checkpoint images are bounded by memory capacity. 64 MiB
@@ -105,7 +106,7 @@ pub fn encode_record_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Why a [`scan`] stopped before the end of the buffer.
+/// Why a [`frames`] walk stopped before the end of the buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailDefect {
     /// Fewer than [`HEADER_LEN`] bytes remained: a record header was
@@ -122,46 +123,16 @@ pub enum TailDefect {
     BadCrc,
 }
 
-/// Result of scanning a byte buffer for framed records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanOutcome {
-    /// Payloads of every intact record, in file order.
-    pub payloads: Vec<Vec<u8>>,
-    /// Byte length of the valid prefix: truncating the file here leaves
-    /// exactly the intact records.
-    pub valid_len: usize,
-    /// The defect that ended the scan, or `None` for a clean EOF.
-    pub defect: Option<TailDefect>,
-}
-
-/// Walks `bytes` frame by frame, stopping at the first defect.
-///
-/// The scan never skips over damage looking for later records: bytes
-/// after the first defect are unreachable debris by construction (the
-/// store is append-only), so resynchronising past them would risk
-/// resurrecting a record that was never acknowledged.
-///
-/// This is the materializing convenience over [`frames`]; streaming
-/// consumers (WAL recovery) walk the borrowed iterator directly.
-#[must_use]
-pub fn scan(bytes: &[u8]) -> ScanOutcome {
-    let mut it = frames(bytes);
-    let mut payloads = Vec::new();
-    for payload in it.by_ref() {
-        payloads.push(payload.to_vec());
-    }
-    ScanOutcome {
-        payloads,
-        valid_len: it.valid_len(),
-        defect: it.defect(),
-    }
-}
-
 /// Walks `bytes` frame by frame, yielding each intact payload as a
 /// *borrowed* slice of the input — no per-record allocation. After the
 /// iterator returns `None`, [`FrameIter::valid_len`] is the byte length
 /// of the intact prefix and [`FrameIter::defect`] says why the walk
 /// stopped.
+///
+/// The walk never skips over damage looking for later records: bytes
+/// after the first defect are unreachable debris by construction (the
+/// store is append-only), so resynchronising past them would risk
+/// resurrecting a record that was never acknowledged.
 #[must_use]
 pub fn frames(bytes: &[u8]) -> FrameIter<'_> {
     FrameIter {
@@ -291,17 +262,22 @@ mod tests {
         }
     }
 
+    /// Walks `bytes` to the end: the intact payloads, the length of the
+    /// valid prefix, and the defect that stopped the walk.
+    fn walk(bytes: &[u8]) -> (Vec<&[u8]>, usize, Option<TailDefect>) {
+        let mut it = frames(bytes);
+        let payloads = it.by_ref().collect();
+        (payloads, it.valid_len(), it.defect())
+    }
+
     #[test]
-    fn roundtrip_scan_recovers_all_payloads() {
+    fn roundtrip_walk_recovers_all_payloads() {
         let mut bytes = Vec::new();
-        let payloads: Vec<Vec<u8>> = vec![b"abc".to_vec(), Vec::new(), vec![0xff; 100]];
-        for p in &payloads {
+        let payloads = [b"abc".as_slice(), b"", &[0xff; 100]];
+        for p in payloads {
             bytes.extend_from_slice(&encode_record(p));
         }
-        let out = scan(&bytes);
-        assert_eq!(out.payloads, payloads);
-        assert_eq!(out.valid_len, bytes.len());
-        assert_eq!(out.defect, None);
+        assert_eq!(walk(&bytes), (payloads.to_vec(), bytes.len(), None));
     }
 
     #[test]
@@ -310,20 +286,20 @@ mod tests {
         for p in [b"first".as_slice(), b"second", b"third"] {
             bytes.extend_from_slice(&encode_record(p));
         }
-        let whole = scan(&bytes);
+        let (whole, _, _) = walk(&bytes);
         for cut in 0..bytes.len() {
-            let out = scan(&bytes[..cut]);
-            // The scan must never return a record the full file lacks,
+            let (payloads, valid_len, defect) = walk(&bytes[..cut]);
+            // The walk must never return a record the full file lacks,
             // and must keep every record that fits entirely in the cut.
-            assert!(out.payloads.len() <= whole.payloads.len());
+            assert!(payloads.len() <= whole.len());
             assert_eq!(
-                out.payloads,
-                whole.payloads[..out.payloads.len()],
+                payloads,
+                whole[..payloads.len()],
                 "cut at {cut} must yield a prefix of the intact records"
             );
-            assert!(out.valid_len <= cut);
-            if out.valid_len < cut {
-                assert!(out.defect.is_some(), "partial bytes at {cut} need a defect");
+            assert!(valid_len <= cut);
+            if valid_len < cut {
+                assert!(defect.is_some(), "partial bytes at {cut} need a defect");
             }
         }
     }
@@ -335,19 +311,20 @@ mod tests {
             for bit in 0..8 {
                 let mut dirty = record.clone();
                 dirty[byte] ^= 1 << bit;
-                let out = scan(&dirty);
-                assert_eq!(out.payloads.len(), 0, "bit {bit} of byte {byte} slipped by");
-                assert_eq!(out.defect, Some(TailDefect::BadCrc));
+                let (payloads, _, defect) = walk(&dirty);
+                assert_eq!(payloads.len(), 0, "bit {bit} of byte {byte} slipped by");
+                assert_eq!(defect, Some(TailDefect::BadCrc));
             }
         }
     }
 
     #[test]
-    fn borrowed_frames_match_the_materializing_scan() {
+    fn borrowed_frames_stop_at_a_torn_tail() {
         let mut bytes = Vec::new();
         for p in [b"first".as_slice(), b"second", b""] {
             encode_record_into(&mut bytes, p);
         }
+        let intact = bytes.len();
         bytes.extend_from_slice(&encode_record(b"torn")[..HEADER_LEN + 2]);
         let mut it = frames(&bytes);
         let borrowed: Vec<&[u8]> = it.by_ref().collect();
@@ -356,9 +333,8 @@ mod tests {
             vec![b"first".as_slice(), b"second", b""],
             "payloads borrow straight from the input"
         );
-        let out = scan(&bytes);
-        assert_eq!(it.valid_len(), out.valid_len);
-        assert_eq!(it.defect(), out.defect);
+        assert_eq!(it.valid_len(), intact);
+        assert_eq!(it.defect(), Some(TailDefect::TornPayload));
         assert!(it.incomplete(), "a torn payload is refillable");
         // A hard defect is not refillable.
         let mut rotten = encode_record(b"payload");
@@ -384,8 +360,8 @@ mod tests {
     fn a_corrupt_length_header_cannot_runaway() {
         let mut record = encode_record(b"x");
         record[3] = 0xff; // len now claims ~4 GiB
-        let out = scan(&record);
-        assert_eq!(out.defect, Some(TailDefect::BadLength));
-        assert_eq!(out.valid_len, 0);
+        let (_, valid_len, defect) = walk(&record);
+        assert_eq!(defect, Some(TailDefect::BadLength));
+        assert_eq!(valid_len, 0);
     }
 }

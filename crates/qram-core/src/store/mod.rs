@@ -29,13 +29,13 @@
 //! ```
 //!
 //! * [`frame`] — CRC32-framed, length-prefixed record encoding shared by
-//!   the WAL and the checkpoint image, with torn/corrupt-tail scanning.
+//!   the WAL and the checkpoint image, with a borrowing frame walk that
+//!   stops at a torn or corrupt tail.
 //! * [`Dir`] — the narrow filesystem surface the store runs on, with a
 //!   real [`OsDir`] and an in-memory [`SimDir`] that journals every I/O
 //!   op so a kill-point harness can replay any prefix (plus a byte-level
-//!   cut of the final write) and prove recovery from every crash point.
-//! * [`FaultyFile`] — the byte store under [`SimDir`], with short-write
-//!   and bit-flip injection hooks.
+//!   cut of the final write) and prove recovery from every crash point,
+//!   and injects short writes and bit flips.
 //! * [`DurableFleet`] — the write-ahead log + checkpoint lifecycle and
 //!   the [`DurableFleet::recover`] path that rebuilds state from disk;
 //!   [`DurableFleet::state_at`] rebuilds, into a buffer the caller
@@ -70,9 +70,9 @@ pub mod frame;
 pub mod wal;
 
 pub use checkpoint::{delta_file, Delta, CHECKPOINT_FILE, CHECKPOINT_TMP, DELTA_TMP};
-pub use dir::{Dir, DirOp, FaultyFile, OsDir, SimDir};
+pub use dir::{Dir, DirOp, OsDir, SimDir};
 pub use durable::{CheckpointPolicy, DurableFleet, RecoveredState, SyncSummary};
-pub use frame::{crc32, frames, FrameIter, ScanOutcome, TailDefect};
+pub use frame::{crc32, frames, FrameIter, TailDefect};
 pub use wal::{GroupCommitPolicy, WalScan, WAL_FILE, WAL_TMP};
 
 use std::fmt;

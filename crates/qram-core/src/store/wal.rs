@@ -15,7 +15,7 @@
 //! durability barrier — the acknowledgment point for every record in
 //! the group. A crash between buffering and the group sync loses only
 //! those unacknowledged records, exactly as a single torn append does;
-//! `max_records = 1` degenerates to the per-record path bit-for-bit.
+//! at `max_records = 1` every record lands as its own append and sync.
 //!
 //! [`load`] enforces the log's one structural invariant beyond framing:
 //! epochs must be *contiguous* (each record extends its predecessor by
@@ -24,7 +24,7 @@
 //! defect. The scan streams the file through one reused window
 //! ([`Dir::read_at`]) and borrows each record from it, so recovery of a
 //! long log allocates no per-record buffers and never materializes the
-//! file.
+//! file; it keeps only the records past the caller's checkpoint epoch.
 
 use super::dir::Dir;
 use super::frame::{self, TailDefect};
@@ -49,8 +49,8 @@ pub const RECORD_PAYLOAD_LEN: usize = 32;
 /// for the reactor; `0.0` means "no deadline".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupCommitPolicy {
-    /// Records per commit group; `1` is the per-record path,
-    /// bit-identical on disk and in acknowledgment order.
+    /// Records per commit group; `1` lands every record as its own
+    /// append and sync.
     pub max_records: usize,
     /// Virtual-time bound on how long a non-empty group may wait for
     /// more records before the reactor flushes it anyway. `0.0`
@@ -121,7 +121,8 @@ pub fn decode_write(payload: &[u8]) -> Option<ReplicatedWrite> {
 /// Outcome of scanning (and repairing) the on-disk log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalScan {
-    /// Every intact, contiguous write in the log, in epoch order.
+    /// The intact, contiguous writes past the epoch [`load`] was given,
+    /// in epoch order.
     pub writes: Vec<ReplicatedWrite>,
     /// Bytes of torn/corrupt tail truncated away, 0 for a clean log.
     pub truncated_bytes: usize,
@@ -135,7 +136,9 @@ pub struct WalScan {
 const SCAN_WINDOW: usize = 8 << 10;
 
 /// Scans `WAL_FILE`, truncating any torn or corrupt tail in place so the
-/// log is left scannable. A missing file is an empty log.
+/// log is left scannable, and keeps the writes with epochs above
+/// `after` — a checkpoint absorbed the rest. Contiguity is checked over
+/// every record, kept or not. A missing file is an empty log.
 ///
 /// The scan is streaming: the file is pulled through one reused window
 /// via [`Dir::read_at`] and each record is decoded from a borrowed
@@ -144,7 +147,7 @@ const SCAN_WINDOW: usize = 8 << 10;
 ///
 /// # Errors
 /// [`StoreError::Io`] when the directory fails.
-pub fn load(dir: &mut dyn Dir) -> Result<WalScan, StoreError> {
+pub fn load(dir: &mut dyn Dir, after: u64) -> Result<WalScan, StoreError> {
     let total = match dir.size(WAL_FILE) {
         Ok(n) => n,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -157,6 +160,8 @@ pub fn load(dir: &mut dyn Dir) -> Result<WalScan, StoreError> {
         Err(e) => return Err(e.into()),
     };
     let mut writes: Vec<ReplicatedWrite> = Vec::new();
+    // The epoch of the last accepted record, kept or not.
+    let mut last: Option<u64> = None;
     let mut buf = vec![0u8; SCAN_WINDOW];
     // File offset of `buf[0]`, valid bytes in the window, and the
     // window offset just past the last intact record.
@@ -181,14 +186,14 @@ pub fn load(dir: &mut dyn Dir) -> Result<WalScan, StoreError> {
         #[allow(clippy::while_let_on_iterator)]
         while let Some(payload) = it.next() {
             let parsed = decode_write(payload);
-            let contiguous = parsed.is_some_and(|w| {
-                writes
-                    .last()
-                    .is_none_or(|prev: &ReplicatedWrite| prev.epoch.checked_add(1) == Some(w.epoch))
-            });
+            let contiguous = parsed
+                .is_some_and(|w| last.is_none_or(|prev: u64| prev.checked_add(1) == Some(w.epoch)));
             match parsed {
                 Some(w) if contiguous => {
-                    writes.push(w);
+                    last = Some(w.epoch);
+                    if w.epoch > after {
+                        writes.push(w);
+                    }
                     good = it.valid_len();
                 }
                 // A record that decodes wrong or skips an epoch is the
@@ -235,18 +240,6 @@ pub fn load(dir: &mut dyn Dir) -> Result<WalScan, StoreError> {
 /// encoder ([`append_group`] lands the accumulated frames in one call).
 pub fn encode_frame_into(out: &mut Vec<u8>, w: &ReplicatedWrite) {
     frame::encode_record_into(out, &encode_write(w));
-}
-
-/// Appends one write and syncs: when this returns, the write is durable
-/// and counts as *acknowledged* for the recovery contract. (The
-/// single-record commit group.)
-///
-/// # Errors
-/// [`StoreError::Io`] when the directory fails.
-pub fn append(dir: &mut dyn Dir, w: &ReplicatedWrite) -> Result<(), StoreError> {
-    dir.append(WAL_FILE, &frame::encode_record(&encode_write(w)))?;
-    dir.sync()?;
-    Ok(())
 }
 
 /// Appends one pre-framed commit group and syncs: one byte-stream
@@ -305,6 +298,13 @@ mod tests {
         }
     }
 
+    /// Lands `write` as a one-record commit group.
+    fn append(d: &mut SimDir, write: &ReplicatedWrite) {
+        let mut frames = Vec::new();
+        encode_frame_into(&mut frames, write);
+        append_group(d, &frames).unwrap();
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let write = w(42);
@@ -315,11 +315,11 @@ mod tests {
     #[test]
     fn append_then_load_roundtrips_and_missing_log_is_empty() {
         let mut d = SimDir::new();
-        assert_eq!(load(&mut d).unwrap().writes, Vec::new());
+        assert_eq!(load(&mut d, 0).unwrap().writes, Vec::new());
         for e in 1..=5 {
-            append(&mut d, &w(e)).unwrap();
+            append(&mut d, &w(e));
         }
-        let scan = load(&mut d).unwrap();
+        let scan = load(&mut d, 0).unwrap();
         assert_eq!(scan.writes, (1..=5).map(w).collect::<Vec<_>>());
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(scan.defect, None);
@@ -328,19 +328,19 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_in_place() {
         let mut d = SimDir::new();
-        append(&mut d, &w(1)).unwrap();
-        append(&mut d, &w(2)).unwrap();
+        append(&mut d, &w(1));
+        append(&mut d, &w(2));
         let full = d.len_of(WAL_FILE).unwrap();
         // Tear the third append mid-record.
         d.tear_next_write(frame::HEADER_LEN + 5);
-        append(&mut d, &w(3)).unwrap();
-        let scan = load(&mut d).unwrap();
+        append(&mut d, &w(3));
+        let scan = load(&mut d, 0).unwrap();
         assert_eq!(scan.writes, vec![w(1), w(2)]);
         assert_eq!(scan.truncated_bytes, frame::HEADER_LEN + 5);
         assert!(scan.defect.is_some());
         // The truncation repaired the file: a second load is clean.
         assert_eq!(d.len_of(WAL_FILE).unwrap(), full);
-        let again = load(&mut d).unwrap();
+        let again = load(&mut d, 0).unwrap();
         assert_eq!(again.truncated_bytes, 0);
         assert_eq!(again.defect, None);
     }
@@ -348,38 +348,57 @@ mod tests {
     #[test]
     fn non_contiguous_epoch_cuts_the_log_there() {
         let mut d = SimDir::new();
-        append(&mut d, &w(1)).unwrap();
-        append(&mut d, &w(3)).unwrap(); // skips epoch 2: debris
-        append(&mut d, &w(4)).unwrap();
-        let scan = load(&mut d).unwrap();
+        append(&mut d, &w(1));
+        append(&mut d, &w(3)); // skips epoch 2: debris
+        append(&mut d, &w(4));
+        let scan = load(&mut d, 0).unwrap();
         assert_eq!(scan.writes, vec![w(1)]);
         assert!(scan.truncated_bytes > 0);
         assert_eq!(
-            load(&mut d).unwrap().writes,
+            load(&mut d, 0).unwrap().writes,
             vec![w(1)],
             "truncation left a clean contiguous log"
         );
     }
 
     #[test]
+    fn load_keeps_the_records_past_the_given_epoch_and_checks_them_all() {
+        let mut d = SimDir::new();
+        for e in 1..=5 {
+            append(&mut d, &w(e));
+        }
+        let scan = load(&mut d, 3).unwrap();
+        assert_eq!(scan.writes, vec![w(4), w(5)]);
+        assert_eq!(scan.truncated_bytes, 0);
+        assert_eq!(load(&mut d, 5).unwrap().writes, Vec::new());
+        // A gap below the kept range is still debris.
+        let mut d = SimDir::new();
+        append(&mut d, &w(1));
+        append(&mut d, &w(3));
+        let scan = load(&mut d, 5).unwrap();
+        assert_eq!(scan.writes, Vec::new());
+        assert_eq!(scan.truncated_bytes, frame::HEADER_LEN + RECORD_PAYLOAD_LEN);
+    }
+
+    #[test]
     fn compact_keeps_exactly_the_suffix() {
         let mut d = SimDir::new();
         for e in 1..=6 {
-            append(&mut d, &w(e)).unwrap();
+            append(&mut d, &w(e));
         }
         compact(&mut d, &[w(5), w(6)]).unwrap();
         assert!(!d.exists(WAL_TMP));
-        let scan = load(&mut d).unwrap();
+        let scan = load(&mut d, 0).unwrap();
         assert_eq!(scan.writes, vec![w(5), w(6)]);
         compact(&mut d, &[]).unwrap();
-        assert_eq!(load(&mut d).unwrap().writes, Vec::new());
+        assert_eq!(load(&mut d, 0).unwrap().writes, Vec::new());
     }
 
     #[test]
     fn compact_syncs_once_between_replace_and_rename() {
         use crate::store::dir::DirOp;
         let mut d = SimDir::new();
-        append(&mut d, &w(1)).unwrap();
+        append(&mut d, &w(1));
         let at = d.journal().len();
         compact(&mut d, &[w(1)]).unwrap();
         let ops: Vec<&DirOp> = d.journal()[at..].iter().collect();
@@ -412,7 +431,7 @@ mod tests {
             d.journal()
         );
         assert_eq!(
-            load(&mut d).unwrap().writes,
+            load(&mut d, 0).unwrap().writes,
             (1..=3).map(w).collect::<Vec<_>>()
         );
         let before = d.journal().len();
@@ -434,7 +453,7 @@ mod tests {
         // The tear lands inside record 3: records 1-2 survive whole.
         d.tear_next_write(2 * (frame::HEADER_LEN + RECORD_PAYLOAD_LEN) + 11);
         append_group(&mut d, &frames).unwrap();
-        let scan = load(&mut d).unwrap();
+        let scan = load(&mut d, 0).unwrap();
         assert_eq!(scan.writes, vec![w(1), w(2)]);
         assert_eq!(scan.truncated_bytes, 11);
         assert!(scan.defect.is_some());
@@ -452,14 +471,14 @@ mod tests {
             encode_frame_into(&mut frames, &w(e));
         }
         append_group(&mut d, &frames).unwrap();
-        let scan = load(&mut d).unwrap();
+        let scan = load(&mut d, 0).unwrap();
         assert_eq!(scan.writes.len(), count);
         assert_eq!(scan.writes.last(), Some(&w(count as u64)));
         assert_eq!(scan.truncated_bytes, 0);
         // A tear far past the first window is still found and repaired.
         d.tear_next_write(frame::HEADER_LEN + 3);
-        append(&mut d, &w(count as u64 + 1)).unwrap();
-        let scan = load(&mut d).unwrap();
+        append(&mut d, &w(count as u64 + 1));
+        let scan = load(&mut d, 0).unwrap();
         assert_eq!(scan.writes.len(), count);
         assert_eq!(scan.truncated_bytes, frame::HEADER_LEN + 3);
     }
@@ -472,7 +491,7 @@ mod tests {
         let mut d = SimDir::new();
         let big = vec![0xA5u8; 2 * SCAN_WINDOW];
         d.append(WAL_FILE, &frame::encode_record(&big)).unwrap();
-        let scan = load(&mut d).unwrap();
+        let scan = load(&mut d, 0).unwrap();
         // The record decodes as a frame but not as a WAL write: debris.
         assert_eq!(scan.writes, Vec::new());
         assert_eq!(scan.defect, Some(TailDefect::BadCrc));

@@ -55,23 +55,6 @@ impl NodeId {
     pub fn right_child(self) -> NodeId {
         NodeId::new(self.level + 1, self.index * 2 + 1)
     }
-
-    /// True when this node is the left child of its parent.
-    #[must_use]
-    pub fn is_left_child(self) -> bool {
-        self.level > 0 && self.index.is_multiple_of(2)
-    }
-
-    /// The node on the root-to-leaf path to `address` at this node's level.
-    ///
-    /// Address bits are consumed MSB-first: bit `n−1−i` of the address
-    /// selects the branch taken at level `i`.
-    #[must_use]
-    pub fn on_path(level: u32, address: u64, address_width: u32) -> NodeId {
-        assert!(level < address_width, "level {level} beyond tree depth");
-        let index = address >> (address_width - level);
-        NodeId::new(level, index)
-    }
 }
 
 impl fmt::Display for NodeId {
@@ -94,13 +77,6 @@ impl RouterId {
     #[must_use]
     pub fn new(node: NodeId, copy: u32) -> Self {
         RouterId { node, copy }
-    }
-
-    /// The sub-component QRAM (Fig. 5) this router belongs to:
-    /// `q = i + k`.
-    #[must_use]
-    pub fn subqram(self) -> u32 {
-        self.node.level + self.copy
     }
 }
 
@@ -203,19 +179,6 @@ impl TreeShape {
         self.nodes()
             .flat_map(move |node| (0..(depth - node.level)).map(move |k| RouterId::new(node, k)))
     }
-
-    /// The routers making up sub-component QRAM `q` (Fig. 5): one per node
-    /// at levels `0..=q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q ≥ n`.
-    pub fn subqram_routers(&self, q: u32) -> impl Iterator<Item = RouterId> + '_ {
-        assert!(q < self.depth(), "sub-QRAM index {q} out of range");
-        self.nodes()
-            .filter(move |node| node.level <= q)
-            .map(move |node| RouterId::new(node, q - node.level))
-    }
 }
 
 #[cfg(test)]
@@ -233,31 +196,6 @@ mod tests {
         assert_eq!(node.left_child(), NodeId::new(3, 6));
         assert_eq!(node.right_child(), NodeId::new(3, 7));
         assert_eq!(NodeId::ROOT.parent(), None);
-        assert!(!node.is_left_child());
-        assert!(NodeId::new(2, 2).is_left_child());
-    }
-
-    #[test]
-    fn path_follows_address_bits_msb_first() {
-        // Address 0b101 in a depth-3 tree: right at root, left, right.
-        let n = 3;
-        assert_eq!(NodeId::on_path(0, 0b101, n), NodeId::ROOT);
-        assert_eq!(NodeId::on_path(1, 0b101, n), NodeId::new(1, 1));
-        assert_eq!(NodeId::on_path(2, 0b101, n), NodeId::new(2, 2));
-    }
-
-    #[test]
-    fn path_consistency_with_children() {
-        // Each path node must be a child of the previous one.
-        let width = 5;
-        for address in 0..32u64 {
-            let mut prev = NodeId::ROOT;
-            for level in 1..width {
-                let here = NodeId::on_path(level, address, width);
-                assert_eq!(here.parent(), Some(prev));
-                prev = here;
-            }
-        }
     }
 
     #[test]
@@ -287,30 +225,6 @@ mod tests {
         assert_eq!(shape.root_wires(), 5);
         assert_eq!(shape.wires_to_child(0), 4);
         assert_eq!(shape.wires_to_child(3), 1);
-    }
-
-    #[test]
-    fn subqram_structure() {
-        let shape = TreeShape::new(cap(8)); // n = 3
-                                            // Sub-QRAM 0: just the root's copy 0.
-        let q0: Vec<RouterId> = shape.subqram_routers(0).collect();
-        assert_eq!(q0, vec![RouterId::new(NodeId::ROOT, 0)]);
-        // Sub-QRAM 2 (full size): one router per node, copy = 2 − level.
-        let q2: Vec<RouterId> = shape.subqram_routers(2).collect();
-        assert_eq!(q2.len() as u64, shape.node_count());
-        for r in &q2 {
-            assert_eq!(r.copy, 2 - r.node.level);
-            assert_eq!(r.subqram(), 2);
-        }
-    }
-
-    #[test]
-    fn subqrams_partition_all_routers() {
-        let shape = TreeShape::new(cap(16));
-        let total: usize = (0..shape.depth())
-            .map(|q| shape.subqram_routers(q).count())
-            .sum();
-        assert_eq!(total as u64, shape.fat_tree_router_count());
     }
 
     #[test]

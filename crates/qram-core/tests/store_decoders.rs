@@ -201,9 +201,9 @@ fn fields() -> Vec<Field> {
 /// `bytes` with frame `record`'s payload passed through `lie`, and
 /// every frame re-framed with a correct CRC.
 fn reframe(bytes: &[u8], record: usize, lie: impl FnOnce(&mut [u8])) -> Vec<u8> {
-    let scan = frame::scan(bytes);
-    assert_eq!(scan.valid_len, bytes.len(), "fixture files are intact");
-    let mut payloads = scan.payloads;
+    let mut it = frame::frames(bytes);
+    let mut payloads: Vec<Vec<u8>> = it.by_ref().map(<[u8]>::to_vec).collect();
+    assert_eq!(it.valid_len(), bytes.len(), "fixture files are intact");
     lie(&mut payloads[record]);
     let mut out = Vec::with_capacity(bytes.len());
     for payload in &payloads {
@@ -213,7 +213,9 @@ fn reframe(bytes: &[u8], record: usize, lie: impl FnOnce(&mut [u8])) -> Vec<u8> 
 }
 
 fn field_value(bytes: &[u8], field: &Field) -> u64 {
-    let payload = &frame::scan(bytes).payloads[field.record];
+    let payload = frame::frames(bytes)
+        .nth(field.record)
+        .expect("the fixture holds the field's record");
     let mut word = [0u8; 8];
     word[..field.width].copy_from_slice(&payload[field.at..field.at + field.width]);
     u64::from_le_bytes(word)

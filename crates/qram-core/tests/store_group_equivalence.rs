@@ -5,9 +5,10 @@
 //! writes with crash-and-reopen cycles.
 //!
 //! This pins the contract that group commit is *purely* a batching
-//! knob: at `max_records = 1` the buffering path degenerates to the
-//! original append-and-sync sequence, so turning the knob can never
-//! change what is on disk, only when syncs are paid.
+//! knob: at `max_records = 1` the buffering path degenerates to one
+//! append and one sync per record (the store's unit tests pin that op
+//! stream), so turning the knob can never change what is on disk, only
+//! when syncs are paid.
 
 use proptest::prelude::*;
 use qram_core::store::{CheckpointPolicy, DurableFleet, GroupCommitPolicy, SimDir, WAL_FILE};

@@ -92,8 +92,9 @@ fn run_workload() -> (SimDir, Vec<EpochOps>, usize) {
     for e in 1..=EPOCHS {
         let start = journal_len(&mut store);
         store.append(&write(e)).expect("append");
-        // wal::append is exactly [Append, Sync]; the sync completes the
-        // acknowledgment even when a checkpoint follows in the same call.
+        // A per-record append journals exactly [Append, Sync]; the sync
+        // completes the acknowledgment even when a checkpoint follows in
+        // the same call.
         epochs.push(EpochOps {
             start,
             acked: start + 2,

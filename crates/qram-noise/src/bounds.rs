@@ -44,15 +44,8 @@ pub fn query_infidelity_bound<M: QramModel + ?Sized>(model: &M, rates: &GateErro
     (2.0 * n * n * sum).min(1.0)
 }
 
-/// Lower bound on Fat-Tree query fidelity:
-/// `F ≥ 1 − 2·log²(N)·(ε₀ + ε₁ + ε₂)` (§8.1).
-#[must_use]
-pub fn fat_tree_query_fidelity(capacity: Capacity, rates: &GateErrorRates) -> f64 {
-    (1.0 - fat_tree_query_infidelity(capacity, rates)).max(0.0)
-}
-
 /// Fat-Tree query infidelity upper bound `2·log²(N)·(ε₀ + ε₁ + ε₂)`,
-/// clamped to 1.
+/// clamped to 1: the query fidelity is at least `1 −` this (§8.1).
 #[must_use]
 pub fn fat_tree_query_infidelity(capacity: Capacity, rates: &GateErrorRates) -> f64 {
     let n = capacity.n_f64();
@@ -65,12 +58,6 @@ pub fn fat_tree_query_infidelity(capacity: Capacity, rates: &GateErrorRates) -> 
 pub fn bb_query_infidelity(capacity: Capacity, rates: &GateErrorRates) -> f64 {
     let n = capacity.n_f64();
     (2.0 * n * n * (rates.e0 + rates.e1)).min(1.0)
-}
-
-/// Bucket-brigade query fidelity lower bound.
-#[must_use]
-pub fn bb_query_fidelity(capacity: Capacity, rates: &GateErrorRates) -> f64 {
-    (1.0 - bb_query_infidelity(capacity, rates)).max(0.0)
 }
 
 /// Worst-case infidelity of a *generic circuit* (GC) occupying the same
@@ -118,8 +105,8 @@ mod tests {
     fn table4_pre_distillation_fidelities() {
         // N = 16, ε₀ = 2·10⁻³: Fat-Tree 0.84, BB 0.872 (§8.2).
         let rates = GateErrorRates::from_cswap_rate(2e-3);
-        assert!((fat_tree_query_fidelity(cap(16), &rates) - 0.84).abs() < 1e-12);
-        assert!((bb_query_fidelity(cap(16), &rates) - 0.872).abs() < 1e-12);
+        assert!((1.0 - fat_tree_query_infidelity(cap(16), &rates) - 0.84).abs() < 1e-12);
+        assert!((1.0 - bb_query_infidelity(cap(16), &rates) - 0.872).abs() < 1e-12);
     }
 
     #[test]
@@ -190,6 +177,5 @@ mod tests {
     fn infidelity_clamps_at_one() {
         let rates = GateErrorRates::new(0.5, 0.5, 0.5);
         assert_eq!(fat_tree_query_infidelity(cap(1 << 10), &rates), 1.0);
-        assert_eq!(fat_tree_query_fidelity(cap(1 << 10), &rates), 0.0);
     }
 }

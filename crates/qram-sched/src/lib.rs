@@ -53,7 +53,6 @@ pub use policy::{
 pub use server::QramServer;
 pub use tenant::{QuotaAdmission, RetryPolicy, SloClass, TenantId, TenantSpec};
 pub use workload::{
-    bursty_arrivals, diurnal_arrivals, flash_crowd_arrivals, process_depth_from_ratio,
-    simulate_streams, synthetic_algorithm_depth, Phase, QueryRecord, StreamReport, StreamWorkload,
-    ZipfAddresses,
+    bursty_arrivals, flash_crowd_arrivals, process_depth_from_ratio, simulate_streams,
+    synthetic_algorithm_depth, Phase, QueryRecord, StreamReport, StreamWorkload, ZipfAddresses,
 };

@@ -363,90 +363,6 @@ pub fn bursty_arrivals<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Generates `count` arrivals from a diurnally modulated Poisson process:
-/// the instantaneous rate swings sinusoidally between `trough_rate` and
-/// `peak_rate` with the given `period` (one simulated "day" in layers),
-///
-/// ```text
-///   λ(t) = trough + (peak − trough) · (1 − cos(2πt / period)) / 2
-/// ```
-///
-/// starting at the trough (`λ(0) = trough_rate`) and peaking at
-/// `t = period / 2`. Sampling is Lewis–Shedler thinning against the
-/// constant envelope `peak_rate`, so the output is an exact
-/// non-homogeneous Poisson draw. The long-run offered rate is the mean of
-/// the sinusoid, `(trough_rate + peak_rate) / 2`, and whenever
-/// `peak_rate > trough_rate` the inter-arrival coefficient of variation
-/// exceeds 1 — the day/night load swing every data-center serving stack
-/// must ride out.
-///
-/// # Examples
-///
-/// ```
-/// use qram_sched::diurnal_arrivals;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// // Nights at 0.1 q/layer, midday peaks at 1.9, a 1000-layer day.
-/// let arrivals = diurnal_arrivals(0.1, 1.9, 1000.0, 400, &mut rng);
-/// assert_eq!(arrivals.len(), 400);
-/// assert!(arrivals.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `trough_rate` is negative, `peak_rate` or `period` is not
-/// strictly positive and finite, or `peak_rate < trough_rate`.
-pub fn diurnal_arrivals<R: Rng + ?Sized>(
-    trough_rate: f64,
-    peak_rate: f64,
-    period: f64,
-    count: usize,
-    rng: &mut R,
-) -> Vec<QueryRequest> {
-    assert!(
-        trough_rate >= 0.0 && trough_rate.is_finite(),
-        "trough_rate must be non-negative"
-    );
-    assert!(
-        peak_rate > 0.0 && peak_rate.is_finite(),
-        "peak_rate must be positive"
-    );
-    assert!(
-        peak_rate >= trough_rate,
-        "peak_rate {peak_rate} must be at least trough_rate {trough_rate}"
-    );
-    assert!(
-        period > 0.0 && period.is_finite(),
-        "period must be positive"
-    );
-    let rate_at = |t: f64| -> f64 {
-        trough_rate
-            + (peak_rate - trough_rate) * (1.0 - (2.0 * std::f64::consts::PI * t / period).cos())
-                / 2.0
-    };
-    let mut t = 0.0;
-    (0..count)
-        .map(|id| {
-            // Thinning: candidate gaps from the peak-rate envelope are
-            // accepted with probability λ(t) / peak_rate.
-            loop {
-                let u: f64 = rng.random::<f64>().max(1e-12);
-                t += -u.ln() / peak_rate;
-                let accept: f64 = rng.random();
-                if accept < rate_at(t) / peak_rate {
-                    break;
-                }
-            }
-            QueryRequest {
-                id,
-                arrival: Layers::new(t),
-            }
-        })
-        .collect()
-}
-
 /// Generates `count` arrivals from a flash-crowd process: a steady Poisson
 /// baseline at `base_rate`, except that during the window
 /// `[flash_start, flash_start + flash_duration)` the rate jumps to
@@ -899,88 +815,6 @@ mod tests {
             .filter(|r| (from..to).contains(&r.arrival.get()))
             .count();
         hits as f64 / (to - from)
-    }
-
-    #[test]
-    fn diurnal_arrivals_are_sorted_and_deterministic() {
-        let mut a_rng = StdRng::seed_from_u64(11);
-        let mut b_rng = StdRng::seed_from_u64(11);
-        let a = diurnal_arrivals(0.1, 1.9, 800.0, 400, &mut a_rng);
-        let b = diurnal_arrivals(0.1, 1.9, 800.0, 400, &mut b_rng);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 400);
-        for w in a.windows(2) {
-            assert!(w[0].arrival <= w[1].arrival);
-        }
-        let mut c_rng = StdRng::seed_from_u64(12);
-        assert_ne!(a, diurnal_arrivals(0.1, 1.9, 800.0, 400, &mut c_rng));
-    }
-
-    #[test]
-    fn diurnal_long_run_rate_is_the_sinusoid_mean() {
-        // Rate envelope: the realized long-run rate must match
-        // (trough + peak) / 2 — the mean of the sinusoidal λ(t).
-        let mut rng = StdRng::seed_from_u64(2026);
-        let (trough, peak, period) = (0.2, 1.8, 500.0);
-        let n = 20_000usize;
-        let arrivals = diurnal_arrivals(trough, peak, period, n, &mut rng);
-        let span = arrivals.last().unwrap().arrival.get();
-        let rate = n as f64 / span;
-        let expect = (trough + peak) / 2.0;
-        assert!(
-            (rate - expect).abs() < 0.1 * expect,
-            "rate {rate} vs expected {expect}"
-        );
-    }
-
-    #[test]
-    fn diurnal_peak_windows_outdraw_trough_windows() {
-        // Duty-cycle check: the middle half of each day (centered on the
-        // peak at period/2) must receive far more arrivals than the
-        // night quarters — and the instantaneous rates must bracket the
-        // trough/peak envelope.
-        let mut rng = StdRng::seed_from_u64(9);
-        let (trough, peak, period) = (0.1, 1.9, 1000.0);
-        let arrivals = diurnal_arrivals(trough, peak, period, 30_000, &mut rng);
-        let days = (arrivals.last().unwrap().arrival.get() / period).floor() as usize;
-        let mut peak_rate_sum = 0.0;
-        let mut trough_rate_sum = 0.0;
-        for day in 0..days {
-            let start = day as f64 * period;
-            peak_rate_sum += window_rate(&arrivals, start + 0.25 * period, start + 0.75 * period);
-            trough_rate_sum += window_rate(&arrivals, start, start + 0.25 * period)
-                + window_rate(&arrivals, start + 0.75 * period, start + period);
-        }
-        let peak_rate = peak_rate_sum / days as f64;
-        let trough_rate = trough_rate_sum / (2 * days) as f64;
-        assert!(
-            peak_rate > 3.0 * trough_rate,
-            "midday {peak_rate} vs night {trough_rate}"
-        );
-        assert!(peak_rate <= peak, "midday rate cannot exceed the envelope");
-        assert!(trough_rate >= trough * 0.5, "nights cannot go dark");
-    }
-
-    #[test]
-    fn diurnal_gaps_are_overdispersed_relative_to_poisson() {
-        // CoV check: the rate swing makes inter-arrival gaps overdispersed
-        // (CoV > 1); a flat sinusoid (trough = peak) degenerates to plain
-        // Poisson with CoV ≈ 1.
-        let mut rng = StdRng::seed_from_u64(5);
-        let swung = diurnal_arrivals(0.05, 1.95, 400.0, 20_000, &mut rng);
-        let cov = interarrival_cov(&swung);
-        assert!(cov > 1.2, "diurnal CoV {cov} not overdispersed");
-        let mut flat_rng = StdRng::seed_from_u64(5);
-        let flat = diurnal_arrivals(1.0, 1.0, 400.0, 20_000, &mut flat_rng);
-        let flat_cov = interarrival_cov(&flat);
-        assert!((flat_cov - 1.0).abs() < 0.1, "flat control CoV {flat_cov}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least trough_rate")]
-    fn diurnal_rejects_peak_below_trough() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = diurnal_arrivals(2.0, 1.0, 100.0, 5, &mut rng);
     }
 
     #[test]

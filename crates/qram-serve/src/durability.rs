@@ -29,8 +29,17 @@ pub(crate) struct Durability<'a> {
     /// `counters.wal_appends` at the last monitor tick, for the
     /// adaptive group-commit controller's per-tick append rate.
     appends_at_tick: u64,
-    /// The scrub's expected image, rebuilt in place per audited replica.
+    /// The scrub's expected image, rebuilt in place per distinct epoch
+    /// a cycle audits.
     expected: ClassicalMemory,
+}
+
+/// True when a run without an external store still needs a durability
+/// tier: disk faults, a scrub interval or the adaptive group commit.
+pub(crate) fn needs_store(plan: &FaultPlan, config: &FaultConfig) -> bool {
+    plan.has_disk_faults()
+        || config.scrub_interval.is_some()
+        || config.adaptive_group_commit.is_some()
 }
 
 impl<'a> Durability<'a> {
@@ -53,10 +62,7 @@ impl<'a> Durability<'a> {
                 s.set_group_commit(config.group_commit);
                 s
             }
-            None if plan.has_disk_faults()
-                || config.scrub_interval.is_some()
-                || config.adaptive_group_commit.is_some() =>
-            {
+            None if needs_store(plan, config) => {
                 let fresh = DurableFleet::create_with(
                     Box::new(SimDir::new()),
                     memory,
@@ -210,7 +216,9 @@ impl<'a> Durability<'a> {
     /// live replica's memory, chunk by chunk, with the durable chain's
     /// expected image at that replica's applied epoch, repairing
     /// divergence by resetting the replica to the expected image. The
-    /// image is rebuilt in one buffer; only a repair copies it.
+    /// chain cannot change after the audit, so the image is rebuilt in
+    /// one buffer only when a replica's epoch differs from the last one
+    /// built; only a repair copies it.
     pub(crate) fn scrub(
         &mut self,
         replicated: &mut ReplicatedMemory,
@@ -219,14 +227,19 @@ impl<'a> Durability<'a> {
     ) -> Result<(), StoreError> {
         self.counters.scrub_cycles += 1;
         self.audit_disk(replicated)?;
+        let mut built = None;
         for r in (0..replicas.len()).filter(|&r| replicas[r].alive) {
             let applied = replicated.applied_epoch(r);
-            // An epoch already compacted behind a checkpoint is not
-            // reconstructible — the replica is audited next cycle, once
-            // catch-up moves it past the checkpoint watermark.
             let epoch = self.wal_base + applied;
-            if !self.store.state_at(epoch, &mut self.expected) {
-                continue;
+            if built != Some(epoch) {
+                // An epoch already compacted behind a checkpoint is not
+                // reconstructible — the replica is audited next cycle,
+                // once catch-up moves it past the checkpoint watermark. A
+                // refusal leaves the buffer at the last epoch built.
+                if !self.store.state_at(epoch, &mut self.expected) {
+                    continue;
+                }
+                built = Some(epoch);
             }
             let want = self.expected.cells().chunks(chunk_cells);
             let have = replicated.memory(r).cells().chunks(chunk_cells);

@@ -17,9 +17,9 @@
 //!   plus a seeded generator ([`FaultPlan::from_seed`]) for chaos suites.
 //! * [`ReplicaHealth`] — the per-replica health state machine the fleet's
 //!   monitor drives (`Healthy → Suspect → Down → Recovering → Healthy`).
-//! * [`FaultConfig`] — the tolerance knobs: retry backoff budget, hedge
-//!   delay, monitor cadence, latency assertion margin, recovery replay
-//!   speed, and the optional [`BrownoutConfig`] degradation thresholds.
+//! * [`FaultConfig`] — the tolerance knobs: hedge delay, monitor
+//!   cadence, the optional [`BrownoutConfig`] degradation thresholds, and
+//!   the durability tier's scrub cadence and commit groups.
 //! * [`BrownoutController`] — hysteresis over fleet occupancy that sheds
 //!   whole SLO classes, cheapest first (`Batch`, then `Standard`, then
 //!   `Interactive`), instead of failing everyone a little.
@@ -33,7 +33,7 @@
 
 use qram_core::store::GroupCommitPolicy;
 use qram_metrics::Layers;
-use qram_sched::{RetryPolicy, SloClass};
+use qram_sched::SloClass;
 use qsim::branch::QueryOutcome;
 use qsim::Complex;
 
@@ -396,6 +396,13 @@ pub struct BrownoutConfig {
     pub low: f64,
 }
 
+impl BrownoutConfig {
+    /// True when the thresholds are `0 ≤ low < high`.
+    pub(crate) fn is_valid(self) -> bool {
+        self.low >= 0.0 && self.low < self.high
+    }
+}
+
 impl Default for BrownoutConfig {
     fn default() -> Self {
         BrownoutConfig {
@@ -443,7 +450,7 @@ impl BrownoutController {
     #[must_use]
     pub fn new(config: BrownoutConfig) -> Self {
         assert!(
-            config.low >= 0.0 && config.low < config.high,
+            config.is_valid(),
             "brownout hysteresis needs 0 ≤ low < high, got low={} high={}",
             config.low,
             config.high
@@ -480,28 +487,27 @@ impl BrownoutController {
     }
 }
 
-/// Fault-tolerance configuration of the serving loop: how aggressively
-/// to detect, retry, hedge, replay, and degrade. The default is fully
-/// passive (no hedging, no brownout) and, combined with an empty
-/// [`FaultPlan`], schedules no monitor events at all.
+/// Fault-tolerance configuration of the serving loop: how often to
+/// monitor, whether to hedge and degrade, and how the durability tier
+/// scrubs and groups its commits. The default is fully passive (no
+/// hedging, no brownout) and, combined with an empty [`FaultPlan`],
+/// schedules no monitor events at all.
+///
+/// The rest of the fault story is fixed: lost attempts retry under the
+/// default [`RetryPolicy`](qram_sched::RetryPolicy), a completion slower
+/// than four nominal latencies marks its replica
+/// [`ReplicaHealth::Suspect`], and a recovering replica replays one
+/// layer per lagged log entry before it rejoins.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// Backoff budget for re-dispatching lost attempts (crashes,
-    /// corrupted outcomes, unplaceable retries).
-    pub retry: RetryPolicy,
     /// When set, an [`SloClass::Interactive`] tenant's query still
     /// outstanding this long after arrival gets a duplicate dispatch on
     /// a second replica; the first completion wins.
     pub hedge_delay: Option<Layers>,
     /// Cadence of the health monitor: heartbeat misses are counted and
-    /// brownout occupancy sampled once per tick.
+    /// brownout occupancy sampled once per tick. Must be positive while
+    /// the monitor runs.
     pub monitor_interval: Layers,
-    /// A completion whose service time exceeds `latency × margin` marks
-    /// its replica [`ReplicaHealth::Suspect`].
-    pub latency_margin: f64,
-    /// Virtual time a recovering replica spends per lagged log entry
-    /// before rejoining rotation.
-    pub replay_per_entry: Layers,
     /// Enables the brownout controller with the given thresholds.
     pub brownout: Option<BrownoutConfig>,
     /// Cadence of the anti-entropy scrubber: each tick audits the
@@ -517,8 +523,9 @@ pub struct FaultConfig {
     pub scrub_chunk_cells: usize,
     /// Commit-group policy for the durable store: how many WAL records
     /// may share one sync, and the virtual-time flush deadline the
-    /// reactor arms when a group opens. The default per-record policy
-    /// is the pre-group-commit behavior, sync for sync.
+    /// reactor arms when a group opens; the deadline must be finite
+    /// while the run logs writes. The default per-record policy syncs
+    /// every record on its own.
     pub group_commit: GroupCommitPolicy,
     /// When set, the health monitor retunes `group_commit.max_records`
     /// each tick from the observed append rate (double under load,
@@ -531,11 +538,8 @@ pub struct FaultConfig {
 impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
-            retry: RetryPolicy::default(),
             hedge_delay: None,
             monitor_interval: Layers::new(64.0),
-            latency_margin: 4.0,
-            replay_per_entry: Layers::new(1.0),
             brownout: None,
             scrub_interval: None,
             scrub_chunk_cells: 64,

@@ -81,7 +81,7 @@ use qram_metrics::{Layers, TimingModel};
 use qram_sched::{AdmissionPolicy, FifoAdmission, QramServer, TenantId};
 use qsim::branch::{AddressState, ClassicalMemory};
 
-use crate::fault::{FaultConfig, FaultPlan, ReplicaHealth};
+use crate::fault::{Fault, FaultConfig, FaultPlan, ReplicaHealth};
 pub use crate::report::{FleetQuery, FleetReport};
 use crate::run::serve_faulty;
 
@@ -422,20 +422,17 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ///
     /// # Errors
     ///
-    /// Refuses the inputs [`QramFleet::serve`] refuses (a memory of the
-    /// wrong size among them), with the same errors and before serving
-    /// anything, and returns [`ServeError::Exec`] if query execution
-    /// fails and [`ServeError::Store`] if the in-memory store that disk
-    /// faults or scrubbing spin up fails.
+    /// Returns, before serving anything, the errors of
+    /// [`QramFleet::serve`]'s refusals (a memory of the wrong size among
+    /// them), [`ServeError::Fault`] for a plan entry and
+    /// [`ServeError::FaultConfig`] for a config field the run cannot
+    /// serve. Returns [`ServeError::Exec`] if query execution fails and
+    /// [`ServeError::Store`] if the in-memory store that disk faults or
+    /// scrubbing spin up fails.
     ///
     /// # Panics
     ///
-    /// Panics on the same conditions as [`QramFleet::serve`], if the plan
-    /// names an out-of-range replica or shard, if monitoring is active
-    /// (non-empty plan or a brownout controller) with a non-positive
-    /// `monitor_interval`, or if scrubbing is on with a non-positive
-    /// `scrub_interval` or a zero `scrub_chunk_cells` (checked before
-    /// the run starts).
+    /// As [`QramFleet::serve`].
     pub fn serve_with_faults(
         &mut self,
         memory: &ClassicalMemory,
@@ -464,14 +461,16 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// # Errors
     ///
     /// Returns [`ServeError::StoreMismatch`] if the store's chain does not
-    /// end at `memory`, and the errors of [`QramFleet::serve`]'s refusals
-    /// ([`ServeError::MemoryCapacity`] among them), all before the store
-    /// logs anything; and [`ServeError::Exec`] if query execution fails
-    /// and [`ServeError::Store`] if the store's directory fails.
+    /// end at `memory`, and the errors of
+    /// [`QramFleet::serve_with_faults`]'s refusals
+    /// ([`ServeError::MemoryCapacity`] and [`ServeError::FaultConfig`]
+    /// among them), all before the store logs anything; and
+    /// [`ServeError::Exec`] if query execution fails and
+    /// [`ServeError::Store`] if the store's directory fails.
     ///
     /// # Panics
     ///
-    /// As [`QramFleet::serve_with_faults`].
+    /// As [`QramFleet::serve`].
     pub fn serve_durable(
         &mut self,
         memory: &ClassicalMemory,
@@ -554,6 +553,26 @@ pub enum ServeError {
         /// The memory's bus width in bits.
         bus_width: u32,
     },
+    /// A fault plan entry names a replica or shard the fleet lacks, a
+    /// stall window that ends before it opens, or a slowdown factor that
+    /// is NaN, below 1, or stretches the latency past every finite
+    /// instant.
+    Fault {
+        /// The entry's position in the plan.
+        index: usize,
+        /// The entry.
+        fault: Fault,
+    },
+    /// A [`FaultConfig`] field the run cannot serve: a zero
+    /// `monitor_interval` while the monitor runs, `brownout` thresholds
+    /// that are not `0 ≤ low < high`, a zero `scrub_interval` or
+    /// `scrub_chunk_cells` while scrubbing, or a `group_commit` deadline
+    /// that is not finite while disk faults, scrubbing, the adaptive group
+    /// commit or `serve_durable`'s store log the run's writes.
+    FaultConfig {
+        /// The field's name.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -597,6 +616,12 @@ impl fmt::Display for ServeError {
                 f,
                 "write {write} has value {value}, wider than the {bus_width}-bit bus"
             ),
+            ServeError::Fault { index, fault } => {
+                write!(f, "fault plan entry {index} cannot be served: {fault:?}")
+            }
+            ServeError::FaultConfig { field } => {
+                write!(f, "fault config field {field} cannot be served")
+            }
         }
     }
 }

@@ -8,10 +8,10 @@ use std::iter::Peekable;
 use qram_core::store::{DurableFleet, StoreError};
 use qram_core::{JournalEntry, QramModel, ReplicatedMemory, ReplicatedWrite, ShardedQram};
 use qram_metrics::{AvailabilityCounters, Layers};
-use qram_sched::{AdmissionPolicy, SloClass, TenantId};
+use qram_sched::{AdmissionPolicy, RetryPolicy, SloClass, TenantId};
 use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
-use crate::durability::Durability;
+use crate::durability::{self, Durability};
 use crate::fault::{
     corrupt_outcome, parity_bit, BrownoutController, Fault, FaultConfig, FaultPlan, ReplicaHealth,
     ReplicationFate,
@@ -23,6 +23,14 @@ use crate::fleet::{
 use crate::reactor::{order_key, EventQueue};
 use crate::replica::{Replica, ReplicaEvent};
 use crate::report::{FleetQuery, FleetReport};
+
+/// A completion whose service time exceeds this many nominal latencies
+/// marks its replica [`ReplicaHealth::Suspect`].
+const LATENCY_MARGIN: f64 = 4.0;
+
+/// Virtual layers a recovering replica replays per lagged log entry
+/// before it rejoins rotation.
+const REPLAY_PER_ENTRY: f64 = 1.0;
 
 /// Reactor events of the fleet, in virtual layer time. Arrivals live in a
 /// sorted list merged against the event queue (arrival-first at ties).
@@ -183,7 +191,9 @@ pub(crate) fn serve_faulty<M: QramModel + Clone, P: AdmissionPolicy, L: Placemen
     }
     let requests: Vec<FleetRequest> = requests.into_iter().collect();
     let writes: Vec<FleetWrite> = writes.into_iter().collect();
+    let durable = store.is_some() || durability::needs_store(plan, fault_config);
     check_inputs(fleet, memory, &requests, &writes)?;
+    check_faults(fleet, plan, fault_config, durable)?;
     let mut ephemeral = None;
     let mut run = Run::new(fleet, memory, requests, writes, plan, fault_config);
     run.durability = Durability::open(store, &mut ephemeral, memory, plan, fault_config)?;
@@ -248,6 +258,63 @@ fn check_inputs<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
     Ok(())
 }
 
+/// Refuses a fault plan entry or config field the run could not serve,
+/// before it starts (see [`ServeError::Fault`] and
+/// [`ServeError::FaultConfig`]); `durable` says the run logs its writes.
+fn check_faults<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
+    fleet: &QramFleet<M, P, L>,
+    plan: &FaultPlan,
+    config: &FaultConfig,
+    durable: bool,
+) -> Result<(), ServeError> {
+    let replicas = fleet.num_replicas();
+    let shards = fleet.backends[0].num_shards() as usize;
+    let latency = fleet.equivalent_server().latency().get();
+    for (index, &fault) in plan.faults().iter().enumerate() {
+        let servable = match fault {
+            Fault::Crash { replica, .. }
+            | Fault::Recover { replica, .. }
+            | Fault::CorruptOutcome { replica, .. }
+            | Fault::DiskCorrupt { replica, .. } => replica < replicas,
+            Fault::SlowReplica {
+                replica, factor, ..
+            } => replica < replicas && factor >= 1.0 && (latency * factor).is_finite(),
+            Fault::StallShard {
+                replica,
+                shard,
+                from,
+                until,
+            } => replica < replicas && shard < shards && from <= until,
+            Fault::DropReplication { .. }
+            | Fault::DelayReplication { .. }
+            | Fault::TornWrite { .. } => true,
+        };
+        if !servable {
+            return Err(ServeError::Fault { index, fault });
+        }
+    }
+    let field = if monitors(plan, config) && config.monitor_interval == Layers::ZERO {
+        "monitor_interval"
+    } else if config.brownout.is_some_and(|b| !b.is_valid()) {
+        "brownout"
+    } else if config.scrub_interval == Some(Layers::ZERO) {
+        "scrub_interval"
+    } else if config.scrub_interval.is_some() && config.scrub_chunk_cells == 0 {
+        "scrub_chunk_cells"
+    } else if durable && !config.group_commit.max_delay.is_finite() {
+        "group_commit"
+    } else {
+        return Ok(());
+    };
+    Err(ServeError::FaultConfig { field })
+}
+
+/// True when the run keeps a health monitor: a non-empty plan, a
+/// brownout controller or the adaptive group commit.
+fn monitors(plan: &FaultPlan, config: &FaultConfig) -> bool {
+    !plan.is_empty() || config.brownout.is_some() || config.adaptive_group_commit.is_some()
+}
+
 /// The state of one serving run: the replicas, the reactor's event queue
 /// and pending arrivals, every admitted query, the shed list, per-tenant
 /// outstanding counts, both ledgers and the durability tier. Each event
@@ -265,6 +332,8 @@ pub(crate) struct Run<'a, M: QramModel + Clone, P: AdmissionPolicy, L: Placement
     /// sequence, and its FIFO tie-breaks, identical to the fault-free loop.
     monitoring: bool,
     has_slow: bool,
+    /// The backoff budget of every lost attempt.
+    retry: RetryPolicy,
     /// Brownout occupancy slots per replica: in-flight cap + queue bound.
     replica_slots: usize,
     replicas: Vec<ReplicaState>,
@@ -346,10 +415,9 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
             plan,
             config,
             latency: server.latency(),
-            monitoring: !plan.is_empty()
-                || brownout.is_some()
-                || config.adaptive_group_commit.is_some(),
+            monitoring: monitors(plan, config),
             has_slow: plan.has_slow_faults(),
+            retry: RetryPolicy::default(),
             replica_slots: cap + queue_capacity.unwrap_or(4 * cap),
             replicated: ReplicatedMemory::new(memory.clone(), replicas.len()),
             loads: Vec::with_capacity(replicas.len()),
@@ -373,23 +441,18 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
     }
 
     /// Schedules, when monitoring, the plan's fault events and the first
-    /// monitor tick, then, when scrubbing, the first scrub tick —
-    /// checking every replica, shard and interval they name.
+    /// monitor tick, then, when scrubbing, the first scrub tick. Every
+    /// replica, shard and interval they name was checked before the run
+    /// (`check_faults`).
     pub(crate) fn schedule_faults(&mut self) {
-        let num_replicas = self.replicas.len();
-        let num_shards = self.fleet.backends[0].num_shards() as usize;
         let events = &mut self.events;
         if self.monitoring {
-            assert!(
-                self.config.monitor_interval.get() > 0.0,
-                "monitoring needs a positive monitor interval"
-            );
             for fault in self.plan.faults() {
-                let (replica, at, event) = match *fault {
-                    Fault::Crash { replica, at } => (replica, at, Event::Crash { replica }),
-                    Fault::Recover { replica, at } => (replica, at, Event::Recover { replica }),
+                let (at, event) = match *fault {
+                    Fault::Crash { replica, at } => (at, Event::Crash { replica }),
+                    Fault::Recover { replica, at } => (at, Event::Recover { replica }),
                     Fault::DiskCorrupt { replica, at, cell } => {
-                        (replica, at, Event::DiskCorrupt { replica, cell })
+                        (at, Event::DiskCorrupt { replica, cell })
                     }
                     Fault::StallShard {
                         replica,
@@ -397,32 +460,20 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
                         from,
                         until,
                     } => {
-                        assert!(shard < num_shards, "stall names shard {shard}");
                         events.push(from, Event::StallStart { replica, shard });
-                        (replica, until, Event::StallEnd { replica, shard })
+                        (until, Event::StallEnd { replica, shard })
                     }
-                    Fault::SlowReplica { replica, .. } | Fault::CorruptOutcome { replica, .. } => {
-                        assert!(replica < num_replicas, "fault names replica {replica}");
-                        continue;
-                    }
-                    Fault::DropReplication { .. }
+                    Fault::SlowReplica { .. }
+                    | Fault::CorruptOutcome { .. }
+                    | Fault::DropReplication { .. }
                     | Fault::DelayReplication { .. }
                     | Fault::TornWrite { .. } => continue,
                 };
-                assert!(replica < num_replicas, "fault names replica {replica}");
                 events.push(at, event);
             }
             events.push(self.config.monitor_interval, Event::MonitorTick);
         }
         if let (Some(interval), Some(_)) = (self.config.scrub_interval, &self.durability) {
-            assert!(
-                interval.get() > 0.0,
-                "scrubbing needs a positive scrub interval"
-            );
-            assert!(
-                self.config.scrub_chunk_cells > 0,
-                "scrub chunks must hold at least one cell"
-            );
             events.push(interval, Event::ScrubTick);
         }
     }
@@ -619,7 +670,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         replica.core.release(dispatch.shard);
         // Completion-latency assertion: a replica serving far over nominal
         // is suspect.
-        let slow = (now - dispatch.start).get() > self.latency.get() * self.config.latency_margin;
+        let slow = (now - dispatch.start).get() > self.latency.get() * LATENCY_MARGIN;
         if self.monitoring && replica.health == ReplicaHealth::Healthy && slow {
             replica.health = ReplicaHealth::Suspect;
         }
@@ -695,7 +746,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         replica.health = ReplicaHealth::Recovering;
         replica.misses = 0;
         self.fail_over(now, r);
-        let replay = self.config.replay_per_entry.get() * self.replicated.lag(r) as f64;
+        let replay = REPLAY_PER_ENTRY * self.replicated.lag(r) as f64;
         let rejoin = now + Layers::new(replay);
         self.replicas[r].rejoin_at = Some(rejoin.get());
         self.events.push(rejoin, Event::RejoinDone { replica: r });
@@ -957,7 +1008,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         if state.done || state.outstanding > 0 {
             return;
         }
-        let retry = &self.config.retry;
+        let retry = &self.retry;
         if retry.budget_exhausted(state.attempts) {
             return self.finish_shed(qid, ShedReason::RetriesExhausted);
         }

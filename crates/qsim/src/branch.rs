@@ -415,23 +415,10 @@ impl QueryOutcome {
 /// assert_eq!(out.data_for(3), Some(1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ClassicalMemory {
     bus_width: u32,
     cells: Vec<u64>,
-    /// Monotone write counter: bumped on every [`ClassicalMemory::write`],
-    /// so `(write_epoch, address set)` is a sound memoization key for
-    /// query outcomes — any write invalidates all cached outcomes.
-    write_epoch: u64,
-}
-
-/// Semantic equality: two memories are equal when they hold the same words
-/// on the same bus, regardless of how many writes produced them (the
-/// [`ClassicalMemory::write_epoch`] bookkeeping is not observable data).
-impl PartialEq for ClassicalMemory {
-    fn eq(&self, other: &Self) -> bool {
-        self.bus_width == other.bus_width && self.cells == other.cells
-    }
 }
 
 impl Clone for ClassicalMemory {
@@ -439,7 +426,6 @@ impl Clone for ClassicalMemory {
         ClassicalMemory {
             bus_width: self.bus_width,
             cells: self.cells.clone(),
-            write_epoch: self.write_epoch,
         }
     }
 
@@ -448,7 +434,6 @@ impl Clone for ClassicalMemory {
     fn clone_from(&mut self, source: &Self) {
         self.bus_width = source.bus_width;
         self.cells.clone_from(&source.cells);
-        self.write_epoch = source.write_epoch;
     }
 }
 
@@ -518,7 +503,6 @@ impl ClassicalMemory {
         Ok(ClassicalMemory {
             bus_width,
             cells: words.to_vec(),
-            write_epoch: 0,
         })
     }
 
@@ -564,10 +548,7 @@ impl ClassicalMemory {
         self.cells[usize::try_from(address).expect("address fits in usize")]
     }
 
-    /// Writes a cell (classical memory update between queries) and bumps
-    /// the [`Self::write_epoch`]. The epoch advances even when the written
-    /// value equals the old one — conservative invalidation keeps the
-    /// memoization key sound without a read-compare on the hot path.
+    /// Writes a cell (classical memory update between queries).
     ///
     /// # Panics
     ///
@@ -580,17 +561,6 @@ impl ClassicalMemory {
             self.bus_width
         );
         self.cells[usize::try_from(address).expect("address fits in usize")] = value;
-        self.write_epoch += 1;
-    }
-
-    /// The number of writes applied to this memory since construction
-    /// (clones inherit the counter). Query outcomes are a pure function of
-    /// `(write_epoch, address set)` for a given starting memory, which is
-    /// what batch-level memoization keys on.
-    #[must_use]
-    #[inline]
-    pub fn write_epoch(&self) -> u64 {
-        self.write_epoch
     }
 
     /// All cells in address order.
@@ -634,7 +604,6 @@ mod tests {
         let cells = target.cells().as_ptr();
         target.clone_from(&source);
         assert_eq!(target, source);
-        assert_eq!(target.write_epoch(), source.write_epoch());
         assert_eq!(target.cells().as_ptr(), cells, "no new cell buffer");
     }
 
@@ -729,26 +698,11 @@ mod tests {
     }
 
     #[test]
-    fn write_epoch_counts_every_write() {
-        let mut mem = ClassicalMemory::zeros(8);
-        assert_eq!(mem.write_epoch(), 0);
-        mem.write(3, 1);
-        assert_eq!(mem.write_epoch(), 1);
-        // Rewriting the same value still advances the epoch (conservative
-        // invalidation), and clones carry the counter forward.
-        mem.write(3, 1);
-        assert_eq!(mem.write_epoch(), 2);
-        let clone = mem.clone();
-        assert_eq!(clone.write_epoch(), 2);
-    }
-
-    #[test]
-    fn memory_equality_ignores_write_epoch() {
+    fn memory_equality_ignores_how_the_words_got_there() {
         let fresh = ClassicalMemory::from_words(1, &[0, 1]).unwrap();
         let mut rewritten = ClassicalMemory::from_words(1, &[0, 0]).unwrap();
         rewritten.write(1, 1);
         assert_eq!(fresh, rewritten);
-        assert_ne!(fresh.write_epoch(), rewritten.write_epoch());
     }
 
     #[test]

@@ -155,13 +155,36 @@ fn the_scrubber_repairs_divergence_back_to_chunk_equality() {
 }
 
 #[test]
-#[should_panic(expected = "scrub chunks must hold at least one cell")]
 fn a_zero_cell_scrub_chunk_is_rejected_before_the_run() {
     let config = FaultConfig {
         scrub_chunk_cells: 0,
         ..scrub_config(75.0)
     };
-    let _ = corruption_run(&config, &[]);
+    let mut store = DurableFleet::create(Box::new(SimDir::new()), &checkerboard(64)).unwrap();
+    let writes = [FleetWrite {
+        at: Layers::new(10.0),
+        origin: 0,
+        address: 3,
+        value: 1,
+    }];
+    let result = fifo_fleet(1, 2).serve_durable(
+        &checkerboard(64),
+        [request(0, 100.0, PROBE_CELL)],
+        writes,
+        &FaultPlan::none(),
+        &config,
+        &mut store,
+    );
+    assert!(
+        matches!(
+            result,
+            Err(ServeError::FaultConfig {
+                field: "scrub_chunk_cells"
+            })
+        ),
+        "got {result:?}"
+    );
+    assert_eq!(store.durable_epoch(), 0, "a refused run logs nothing");
 }
 
 #[test]
