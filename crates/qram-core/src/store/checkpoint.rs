@@ -376,6 +376,33 @@ mod tests {
     }
 
     #[test]
+    fn an_image_or_delta_that_is_not_exactly_one_frame_is_refused() {
+        let delta = Delta {
+            base_epoch: 3,
+            epoch: 4,
+            cells: vec![(0, 9)],
+        };
+        // A second intact frame, a torn one, or nothing at all.
+        let tails: [&[u8]; 3] = [&frame::encode_record(b"more"), &[1, 2, 3], &[]];
+        for tail in tails {
+            for file in [CHECKPOINT_FILE.to_owned(), delta_file(1)] {
+                let mut d = SimDir::new();
+                install(&mut d, &memory(), 3).unwrap();
+                install_delta(&mut d, 1, &delta).unwrap();
+                if tail.is_empty() {
+                    d.replace(&file, &[]).unwrap();
+                } else {
+                    d.append(&file, tail).unwrap();
+                }
+                assert!(
+                    matches!(load_chain(&mut d), Err(StoreError::CorruptCheckpoint(_))),
+                    "{file} with tail {tail:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn decode_rejects_every_header_lie() {
         let good = encode(&memory(), 5);
         assert!(decode(&good).is_ok());

@@ -651,6 +651,8 @@ impl From<StoreError> for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::BrownoutConfig;
+    use qram_core::store::GroupCommitPolicy;
     use qram_core::FatTreeQram;
     use qram_metrics::{Capacity, QueryRate};
     use qram_sched::QuotaAdmission;
@@ -811,35 +813,37 @@ mod tests {
         ClassicalMemory::from_words(8, &vec![0; cells]).unwrap()
     }
 
-    /// Serves two reads and `writes` on an R = 2, 64-cell fleet over
-    /// `memory`, through every entry point. Returns what each returned,
-    /// and the durable epoch `serve_durable` left its store at, a store
-    /// created from `memory`.
-    fn serve_writes(
+    /// Serves two reads and `writes` on an R = 2, K = 2, 64-cell fleet
+    /// over `memory`, through every entry point (`serve` ignores `plan`
+    /// and `config`). Returns what each returned, and the durable epoch
+    /// `serve_durable` left its store at, a store created from `memory`.
+    fn serve_under(
         memory: &ClassicalMemory,
         writes: &[FleetWrite],
+        plan: &FaultPlan,
+        config: &FaultConfig,
     ) -> (Vec<Result<FleetReport, ServeError>>, u64) {
         let fleet = || {
             let qram = ShardedQram::fat_tree(cap(64), 2);
             QramFleet::fifo(qram, 2, TimingModel::paper_default())
         };
         let requests = classical_requests(&[0.0, 100.0], 6, 64);
-        let (plan, config) = (FaultPlan::none(), FaultConfig::default());
         let mut store =
             DurableFleet::create(Box::new(qram_core::store::SimDir::new()), memory).unwrap();
         let results = vec![
             fleet().serve(memory, requests.clone(), writes.to_vec()),
-            fleet().serve_with_faults(memory, requests.clone(), writes.to_vec(), &plan, &config),
-            fleet().serve_durable(
-                memory,
-                requests,
-                writes.to_vec(),
-                &plan,
-                &config,
-                &mut store,
-            ),
+            fleet().serve_with_faults(memory, requests.clone(), writes.to_vec(), plan, config),
+            fleet().serve_durable(memory, requests, writes.to_vec(), plan, config, &mut store),
         ];
         (results, store.durable_epoch())
+    }
+
+    /// [`serve_under`] with the empty plan and the default config.
+    fn serve_writes(
+        memory: &ClassicalMemory,
+        writes: &[FleetWrite],
+    ) -> (Vec<Result<FleetReport, ServeError>>, u64) {
+        serve_under(memory, writes, &FaultPlan::none(), &FaultConfig::default())
     }
 
     fn write(origin: usize, address: u64, value: u64) -> FleetWrite {
@@ -918,6 +922,142 @@ mod tests {
             }
             assert_eq!(durable_epoch, 0, "{cells} cells");
         }
+    }
+
+    #[test]
+    fn an_unservable_plan_entry_or_config_field_is_refused_by_name() {
+        // Each plan entry sits behind a servable one, so the error must
+        // name index 1; the one write is valid, so a refused durable run
+        // must leave the store's epoch at 0.
+        let (at, until) = (Layers::new(20.0), Layers::new(40.0));
+        let slow = |replica, factor| Fault::SlowReplica {
+            replica,
+            from: at,
+            until,
+            factor,
+        };
+        let stall = |replica, shard, until| Fault::StallShard {
+            replica,
+            shard,
+            from: at,
+            until,
+        };
+        let faults = [
+            Fault::Crash { replica: 2, at },
+            Fault::Recover { replica: 2, at },
+            Fault::CorruptOutcome {
+                replica: 2,
+                dispatch: 0,
+            },
+            Fault::DiskCorrupt {
+                replica: 2,
+                at,
+                cell: 0,
+            },
+            slow(2, 2.0),
+            slow(0, f64::NAN),
+            slow(0, 0.5),
+            slow(0, f64::INFINITY),
+            slow(0, 1e308),
+            stall(2, 0, until),
+            stall(0, 2, until),
+            stall(0, 0, Layers::new(10.0)),
+        ];
+        let writes = [write(0, 5, 1)];
+        for fault in faults {
+            let plan = FaultPlan::none()
+                .with(Fault::DropReplication { epoch: 9 })
+                .with(fault);
+            let (results, epoch) = serve_under(&zeros(64), &writes, &plan, &FaultConfig::default());
+            // Debug text compares a NaN factor too.
+            let (want, got) = (format!("{fault:?}"), |f: &Fault| format!("{f:?}"));
+            for refused in &results[1..] {
+                assert!(
+                    matches!(refused, Err(ServeError::Fault { index: 1, fault: f }) if got(f) == want),
+                    "{want}: {refused:?}"
+                );
+            }
+            assert_eq!(epoch, 0, "{fault:?}");
+        }
+        let default = FaultConfig::default();
+        let brownout = |high, low| Some(BrownoutConfig { high, low });
+        let (scrub, endless) = (
+            Some(Layers::new(50.0)),
+            GroupCommitPolicy::group(4, f64::INFINITY),
+        );
+        let configs = [
+            (
+                "monitor_interval",
+                FaultConfig {
+                    monitor_interval: Layers::ZERO,
+                    brownout: brownout(0.75, 0.4),
+                    ..default
+                },
+            ),
+            (
+                "brownout",
+                FaultConfig {
+                    brownout: brownout(0.3, 0.5),
+                    ..default
+                },
+            ),
+            (
+                "brownout",
+                FaultConfig {
+                    brownout: brownout(0.5, f64::NAN),
+                    ..default
+                },
+            ),
+            (
+                "scrub_interval",
+                FaultConfig {
+                    scrub_interval: Some(Layers::ZERO),
+                    ..default
+                },
+            ),
+            (
+                "scrub_chunk_cells",
+                FaultConfig {
+                    scrub_interval: scrub,
+                    scrub_chunk_cells: 0,
+                    ..default
+                },
+            ),
+            (
+                "group_commit",
+                FaultConfig {
+                    scrub_interval: scrub,
+                    group_commit: endless,
+                    ..default
+                },
+            ),
+        ];
+        for (field, config) in configs {
+            let (results, epoch) = serve_under(&zeros(64), &writes, &FaultPlan::none(), &config);
+            for refused in &results[1..] {
+                assert!(
+                    matches!(refused, Err(ServeError::FaultConfig { field: f }) if *f == field),
+                    "{field}: {refused:?}"
+                );
+            }
+            assert_eq!(epoch, 0, "{field}");
+        }
+        // The same values serve where nothing reads them: no monitor, no
+        // scrubber, and no log but serve_durable's.
+        let unread = FaultConfig {
+            monitor_interval: Layers::ZERO,
+            scrub_chunk_cells: 0,
+            group_commit: endless,
+            ..default
+        };
+        let (results, _) = serve_under(&zeros(64), &writes, &FaultPlan::none(), &unread);
+        assert!(results[1].is_ok(), "{:?}", results[1]);
+        assert!(matches!(
+            results[2],
+            Err(ServeError::FaultConfig {
+                field: "group_commit"
+            })
+        ));
     }
 
     #[test]

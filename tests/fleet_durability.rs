@@ -228,6 +228,53 @@ fn a_clean_run_gets_a_clean_bill_of_health() {
 }
 
 #[test]
+fn replicas_behind_the_checkpoint_are_skipped_not_repaired() {
+    // Replica 0 takes both writes; replication lags far past the run, so
+    // replicas 1 and 2 stay at epoch 0, which the checkpoint at epoch 2
+    // compacted away. Each scrub rebuilds epoch 2's image for replica 0,
+    // then cannot rebuild epoch 0 for either laggard: both are skipped,
+    // and neither is compared with epoch 2's image.
+    let mut fleet = QramFleet::new(
+        ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2),
+        3,
+        TimingModel::paper_default(),
+        FifoAdmission,
+        ConsistentHashPlacement,
+        FleetConfig {
+            queue_capacity: None,
+            replication_lag: Layers::new(10_000.0),
+        },
+    );
+    let memory = checkerboard(64);
+    let mut store =
+        DurableFleet::create_with(Box::new(SimDir::new()), &memory, CheckpointPolicy::every(2))
+            .unwrap();
+    let requests: Vec<FleetRequest> = (0..8)
+        .map(|i| request(i, 30.0 * i as f64, i as u64))
+        .collect();
+    let writes = [(10.0, 5), (20.0, 6)].map(|(at, address)| FleetWrite {
+        at: Layers::new(at),
+        origin: 0,
+        address,
+        value: 1 - memory.read(address),
+    });
+    let report = fleet
+        .serve_durable(
+            &memory,
+            requests,
+            writes,
+            &FaultPlan::none(),
+            &scrub_config(50.0),
+            &mut store,
+        )
+        .unwrap();
+    assert_eq!(store.checkpoint_epoch(), 2);
+    let integrity = report.integrity();
+    assert!(integrity.scrub_cycles >= 3, "{integrity}");
+    assert!(integrity.clean(), "{integrity}");
+}
+
+#[test]
 fn a_torn_write_is_truncated_and_reappended_by_the_scrub_audit() {
     // Epoch 1's durable append tears on the platter while reporting
     // success. The scrub's rescan finds the damage, truncates the torn
