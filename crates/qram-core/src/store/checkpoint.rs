@@ -252,6 +252,10 @@ pub fn encode(memory: &ClassicalMemory, epoch: u64) -> Vec<u8> {
 
 /// Parses an unframed checkpoint payload back into `(memory, epoch)`.
 ///
+/// The cells are read straight into the vector the memory keeps, so the
+/// image is allocated once, and [`ClassicalMemory::from_vec`] checks
+/// them against the bus in one pass.
+///
 /// # Errors
 /// [`StoreError::CorruptCheckpoint`] on any shape violation — wrong
 /// magic, unknown version, or a cell count that disagrees with the
@@ -282,8 +286,11 @@ pub fn decode(payload: &[u8]) -> Result<(ClassicalMemory, u64), StoreError> {
             "cell count vs payload length",
         ));
     }
-    let cells: Vec<u64> = (0..cell_count).map(|i| word64(HEADER + 8 * i)).collect();
-    let memory = ClassicalMemory::from_words(bus_width, &cells)
+    let cells = payload[HEADER..]
+        .chunks_exact(8)
+        .map(|cell| u64::from_le_bytes(cell.try_into().expect("8-byte cell")))
+        .collect();
+    let memory = ClassicalMemory::from_vec(bus_width, cells)
         .map_err(|_| StoreError::CorruptCheckpoint("invalid memory geometry"))?;
     Ok((memory, epoch))
 }
@@ -371,6 +378,36 @@ mod tests {
             assert!(
                 matches!(load(&dirty), Err(StoreError::CorruptCheckpoint(_))),
                 "flip at byte {offset} slipped through"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bit_flip_in_any_crc_lane_of_a_large_image_is_detected() {
+        let cells: Vec<u64> = (0..4096).map(|i| i % 2).collect();
+        let mut d = SimDir::new();
+        install(&mut d, &ClassicalMemory::from_vec(1, cells).unwrap(), 3).unwrap();
+        let payload = d.len_of(CHECKPOINT_FILE).unwrap() - frame::HEADER_LEN;
+        assert!(payload >= frame::LANE_THRESHOLD.max(32 << 10));
+        // The CRC splits the payload's whole 32-byte blocks into four
+        // equal lanes; the rest is the one-lane tail. Each flip toggles a
+        // 1-bit cell, so the image still decodes and only the CRC can
+        // refuse it: one cell mid-lane in each lane, and the last cell.
+        let lane = payload / 32 * 8;
+        let cell_holding = |byte: usize| HEADER + (byte - HEADER) / 8 * 8;
+        assert!(
+            cell_holding(payload - 1) >= 4 * lane,
+            "the tail holds a cell"
+        );
+        let offsets = (0..4)
+            .map(|i| cell_holding(i * lane + lane / 2))
+            .chain([cell_holding(payload - 1)]);
+        for at in offsets {
+            let mut dirty = d.clone();
+            dirty.flip_bit(CHECKPOINT_FILE, frame::HEADER_LEN + at, 0);
+            assert!(
+                matches!(load(&dirty), Err(StoreError::CorruptCheckpoint(_))),
+                "flip at payload byte {at} slipped through"
             );
         }
     }

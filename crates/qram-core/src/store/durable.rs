@@ -26,16 +26,21 @@
 //!    behind it. Past `max_chain` deltas, the chain folds into a fresh
 //!    base image.
 //! 4. [`DurableFleet::recover`] (or [`DurableFleet::open`]) rebuilds
-//!    state from any crash debris: load the base image, replay the
-//!    delta chain (sweeping stale fold debris), scan the WAL streaming
-//!    (truncating torn/corrupt tails), skip entries the checkpoint
-//!    chain already absorbed, replay the rest. Buffered-but-unsynced
-//!    records are exactly the writes a crash may lose — they were never
-//!    acknowledged.
+//!    state from any crash debris through one loader: load the base
+//!    image, replay the delta chain (sweeping stale fold debris), scan
+//!    the WAL streaming (truncating torn/corrupt tails), skip entries
+//!    the checkpoint chain already absorbed, replay the rest. `open`
+//!    replays onto a copy, since a live store keeps the checkpoint
+//!    image for [`DurableFleet::state_at`]; `recover` keeps no image
+//!    beside the state, so it replays onto the loaded image itself.
+//!    Buffered-but-unsynced records are exactly the writes a crash may
+//!    lose — they were never acknowledged.
 //! 5. [`DurableFleet::rescan`] re-reads the WAL underneath a live store
 //!    — the anti-entropy primitive that notices a lying disk (torn
 //!    write acknowledged but not persisted) and rolls the durable
 //!    watermark back so the caller can re-append from the fleet log.
+//!    Its scan buffers live in the store, so an audit that finds the
+//!    disk as the store left it allocates nothing.
 
 use std::collections::BTreeMap;
 
@@ -43,7 +48,7 @@ use qsim::branch::ClassicalMemory;
 
 use super::checkpoint;
 use super::dir::Dir;
-use super::wal::{self, GroupCommitPolicy};
+use super::wal::{self, GroupCommitPolicy, WalScan};
 use super::StoreError;
 use crate::replication::ReplicatedWrite;
 
@@ -167,6 +172,19 @@ pub struct DurableFleet {
     /// `checkpoint_image` + `suffix` applied: the durable chain's own
     /// view of memory at the durable epoch.
     shadow: ClassicalMemory,
+    /// The disk audit's WAL scan buffers, kept between rescans.
+    scan: WalScan,
+}
+
+/// A store directory as crash repair leaves it: the checkpoint chain's
+/// image and watermark, and the WAL records past the watermark. What
+/// [`DurableFleet::open`] and [`DurableFleet::recover`] both start from.
+struct Loaded {
+    dir: Box<dyn Dir>,
+    image: ClassicalMemory,
+    checkpoint_epoch: u64,
+    chain_len: usize,
+    scan: WalScan,
 }
 
 impl DurableFleet {
@@ -210,6 +228,7 @@ impl DurableFleet {
             pending: Vec::new(),
             pending_frames: Vec::new(),
             shadow: base.clone(),
+            scan: WalScan::default(),
         })
     }
 
@@ -234,44 +253,72 @@ impl DurableFleet {
     /// starts past the checkpoint watermark (acknowledged epochs are
     /// unrecoverable), or [`StoreError::Io`].
     pub fn open(dir: Box<dyn Dir>, policy: CheckpointPolicy) -> Result<Self, StoreError> {
-        let (store, _) = Self::open_inner(dir, policy)?;
-        Ok(store)
+        let Loaded {
+            dir,
+            image,
+            checkpoint_epoch,
+            chain_len,
+            mut scan,
+        } = Self::load(dir)?;
+        let mut shadow = image.clone();
+        replay(&mut shadow, &scan.writes)?;
+        Ok(DurableFleet {
+            dir,
+            policy,
+            group: GroupCommitPolicy::per_record(),
+            checkpoint_epoch,
+            checkpoint_image: image,
+            chain_len,
+            suffix: std::mem::take(&mut scan.writes),
+            pending: Vec::new(),
+            pending_frames: Vec::new(),
+            shadow,
+            scan,
+        })
     }
 
     /// Rebuilds fleet state from a store directory: checkpoint chain +
     /// WAL replay. The one-call recovery path a restarted replica uses
-    /// to rejoin from disk instead of the in-memory log.
+    /// to rejoin from disk instead of the in-memory log. Nothing keeps
+    /// the checkpoint image afterwards, so the WAL replays onto the
+    /// loaded image in place: one image-sized buffer for the cells.
     ///
     /// # Errors
     /// As [`DurableFleet::open`].
     pub fn recover(dir: Box<dyn Dir>) -> Result<RecoveredState, StoreError> {
-        let (store, truncated_bytes) = Self::open_inner(dir, CheckpointPolicy::default())?;
+        let Loaded {
+            mut image,
+            checkpoint_epoch,
+            chain_len,
+            scan,
+            ..
+        } = Self::load(dir)?;
+        replay(&mut image, &scan.writes)?;
         Ok(RecoveredState {
-            memory: store.shadow,
-            epoch: store.checkpoint_epoch + store.suffix.len() as u64,
-            checkpoint_epoch: store.checkpoint_epoch,
-            delta_chain: store.chain_len,
-            writes: store.suffix,
-            truncated_bytes,
+            memory: image,
+            epoch: checkpoint_epoch + scan.writes.len() as u64,
+            checkpoint_epoch,
+            delta_chain: chain_len,
+            writes: scan.writes,
+            truncated_bytes: scan.truncated_bytes,
         })
     }
 
-    fn open_inner(
-        mut dir: Box<dyn Dir>,
-        policy: CheckpointPolicy,
-    ) -> Result<(Self, usize), StoreError> {
+    /// The one loader behind `open` and `recover`: repairs crash debris
+    /// and reads the checkpoint chain and the WAL records past it.
+    fn load(mut dir: Box<dyn Dir>) -> Result<Loaded, StoreError> {
         // Scratch files are pre-crash debris: an install that never
         // reached its rename. The authoritative files win.
         dir.remove(checkpoint::CHECKPOINT_TMP)?;
         dir.remove(checkpoint::DELTA_TMP)?;
         dir.remove(wal::WAL_TMP)?;
-        let (checkpoint_image, checkpoint_epoch, chain_len) =
+        let (image, checkpoint_epoch, chain_len) =
             checkpoint::load_chain(dir.as_mut())?.ok_or(StoreError::MissingCheckpoint)?;
         // A crash between checkpoint install and WAL compaction leaves
         // absorbed entries at the log head; the scan skips them.
-        let scan = wal::load(dir.as_mut(), checkpoint_epoch)?;
-        let suffix = scan.writes;
-        if let Some(first) = suffix.first() {
+        let mut scan = WalScan::default();
+        wal::load(dir.as_mut(), checkpoint_epoch, &mut scan)?;
+        if let Some(first) = scan.writes.first() {
             if first.epoch != checkpoint_epoch + 1 {
                 return Err(StoreError::NonContiguousEpoch {
                     expected: checkpoint_epoch + 1,
@@ -279,22 +326,13 @@ impl DurableFleet {
                 });
             }
         }
-        let shadow = replay(&checkpoint_image, &suffix)?;
-        Ok((
-            DurableFleet {
-                dir,
-                policy,
-                group: GroupCommitPolicy::per_record(),
-                checkpoint_epoch,
-                checkpoint_image,
-                chain_len,
-                suffix,
-                pending: Vec::new(),
-                pending_frames: Vec::new(),
-                shadow,
-            },
-            scan.truncated_bytes,
-        ))
+        Ok(Loaded {
+            dir,
+            image,
+            checkpoint_epoch,
+            chain_len,
+            scan,
+        })
     }
 
     /// The durable fleet epoch: every epoch at or below it is synced and
@@ -483,7 +521,7 @@ impl DurableFleet {
         }
         wal::compact(self.dir.as_mut(), &[])?;
         self.checkpoint_epoch = watermark;
-        self.checkpoint_image = self.shadow.clone();
+        self.checkpoint_image.clone_from(&self.shadow);
         self.suffix.clear();
         Ok(as_delta)
     }
@@ -492,7 +530,10 @@ impl DurableFleet {
     /// or corrupt tail (e.g. a write the disk acknowledged but never
     /// persisted) is truncated, and the durable watermark rolls back to
     /// what the disk actually holds. The caller re-appends the lost
-    /// epochs from the fleet's in-memory log.
+    /// epochs from the fleet's in-memory log. The scan reads into
+    /// buffers the store keeps, and the suffix is swapped for the
+    /// scanned records only when the disk differs, so an audit of an
+    /// intact log allocates nothing.
     ///
     /// # Errors
     /// [`StoreError::CorruptCheckpoint`] when a WAL cell write on disk
@@ -505,13 +546,16 @@ impl DurableFleet {
         // commit the group is always empty and this touches nothing.
         self.flush_records()?;
         let before = self.durable_epoch();
-        let scan = wal::load(self.dir.as_mut(), self.checkpoint_epoch)?;
-        if scan.writes != self.suffix {
-            self.shadow = replay(&self.checkpoint_image, &scan.writes)?;
-            self.suffix = scan.writes;
+        wal::load(self.dir.as_mut(), self.checkpoint_epoch, &mut self.scan)?;
+        if self.scan.writes != self.suffix {
+            // A replay the image refuses leaves the store as it was.
+            let mut shadow = self.checkpoint_image.clone();
+            replay(&mut shadow, &self.scan.writes)?;
+            self.shadow = shadow;
+            std::mem::swap(&mut self.suffix, &mut self.scan.writes);
         }
         Ok(RescanSummary {
-            truncated_bytes: scan.truncated_bytes,
+            truncated_bytes: self.scan.truncated_bytes,
             lost_epochs: before.saturating_sub(self.durable_epoch()),
         })
     }
@@ -532,17 +576,13 @@ impl DurableFleet {
     }
 }
 
-/// `base` with the WAL `writes` replayed in order, each range-checked
-/// against the image.
-fn replay(
-    base: &ClassicalMemory,
-    writes: &[ReplicatedWrite],
-) -> Result<ClassicalMemory, StoreError> {
-    let mut image = base.clone();
+/// Replays the WAL `writes` onto `image` in order, each range-checked
+/// against it.
+fn replay(image: &mut ClassicalMemory, writes: &[ReplicatedWrite]) -> Result<(), StoreError> {
     for w in writes {
-        checkpoint::replay_cell(&mut image, w.address, w.value)?;
+        checkpoint::replay_cell(image, w.address, w.value)?;
     }
-    Ok(image)
+    Ok(())
 }
 
 #[cfg(test)]

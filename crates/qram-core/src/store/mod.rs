@@ -30,17 +30,25 @@
 //!
 //! * [`frame`] — CRC32-framed, length-prefixed record encoding shared by
 //!   the WAL and the checkpoint image, with a borrowing frame walk that
-//!   stops at a torn or corrupt tail.
+//!   stops at a torn or corrupt tail. The CRC runs four independent
+//!   lookup chains over buffers of 1 KiB and more and joins them by
+//!   GF(2) shifts, so a checkpoint image checks at several times the
+//!   speed of one chain with the same checksum.
 //! * [`Dir`] — the narrow filesystem surface the store runs on, with a
 //!   real [`OsDir`] and an in-memory [`SimDir`] that journals every I/O
 //!   op so a kill-point harness can replay any prefix (plus a byte-level
 //!   cut of the final write) and prove recovery from every crash point,
 //!   and injects short writes and bit flips.
 //! * [`DurableFleet`] — the write-ahead log + checkpoint lifecycle and
-//!   the [`DurableFleet::recover`] path that rebuilds state from disk;
+//!   the [`DurableFleet::recover`] path that rebuilds state from disk:
+//!   the image's cells are decoded once into the memory's own vector
+//!   and the WAL replays onto it in place, so a recovery holds the image
+//!   twice (the file's bytes and the cells);
 //!   [`DurableFleet::state_at`] rebuilds, into a buffer the caller
 //!   reuses, the expected image the anti-entropy scrubber in
-//!   `qram-serve` compares live replicas against, chunk by chunk.
+//!   `qram-serve` compares live replicas against, chunk by chunk, and
+//!   [`DurableFleet::rescan`], the scrubber's disk audit, re-reads the
+//!   WAL into buffers the store keeps.
 //!
 //! The module is std-only by design: framing, checksums, and the
 //! directory abstraction are all hand-rolled so the store works in the

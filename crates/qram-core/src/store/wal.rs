@@ -25,6 +25,9 @@
 //! ([`Dir::read_at`]) and borrows each record from it, so recovery of a
 //! long log allocates no per-record buffers and never materializes the
 //! file; it keeps only the records past the caller's checkpoint epoch.
+//! The window and the kept records live in a caller-owned [`WalScan`],
+//! so a store that keeps one between its disk audits re-scans without
+//! allocating.
 
 use super::dir::Dir;
 use super::frame::{self, TailDefect};
@@ -118,8 +121,11 @@ pub fn decode_write(payload: &[u8]) -> Option<ReplicatedWrite> {
     })
 }
 
-/// Outcome of scanning (and repairing) the on-disk log.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outcome of scanning (and repairing) the on-disk log, and the buffers
+/// [`load`] fills: a caller that keeps one `WalScan` across scans reuses
+/// its read window and its writes vector, so re-scanning a log no longer
+/// than one it scanned before allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct WalScan {
     /// The intact, contiguous writes past the epoch [`load`] was given,
     /// in epoch order.
@@ -128,6 +134,8 @@ pub struct WalScan {
     pub truncated_bytes: usize,
     /// The defect that ended the scan, `None` for a clean log.
     pub defect: Option<TailDefect>,
+    /// The streaming read window, kept for the next scan.
+    window: Vec<u8>,
 }
 
 /// Initial window of the streaming scan. It grows (doubling) only when
@@ -135,40 +143,46 @@ pub struct WalScan {
 /// bytes framed.
 const SCAN_WINDOW: usize = 8 << 10;
 
-/// Scans `WAL_FILE`, truncating any torn or corrupt tail in place so the
-/// log is left scannable, and keeps the writes with epochs above
-/// `after` — a checkpoint absorbed the rest. Contiguity is checked over
-/// every record, kept or not. A missing file is an empty log.
+/// Scans `WAL_FILE` into `scan`, truncating any torn or corrupt tail in
+/// place so the log is left scannable, and keeps the writes with epochs
+/// above `after` — a checkpoint absorbed the rest. Contiguity is checked
+/// over every record, kept or not. A missing file is an empty log.
 ///
-/// The scan is streaming: the file is pulled through one reused window
-/// via [`Dir::read_at`] and each record is decoded from a borrowed
-/// slice of it ([`frame::frames`]), so a multi-megabyte log costs one
-/// window-sized buffer, not a whole-file materialization.
+/// The scan is streaming: the file is pulled through one window via
+/// [`Dir::read_at`] and each record is decoded from a borrowed slice of
+/// it ([`frame::frames`]), so a multi-megabyte log costs one
+/// window-sized buffer, not a whole-file materialization. The window
+/// and `scan.writes` are `scan`'s own buffers, overwritten and reused.
 ///
 /// # Errors
-/// [`StoreError::Io`] when the directory fails.
-pub fn load(dir: &mut dyn Dir, after: u64) -> Result<WalScan, StoreError> {
+/// [`StoreError::Io`] when the directory fails; `scan` then holds a
+/// partial result.
+pub fn load(dir: &mut dyn Dir, after: u64, scan: &mut WalScan) -> Result<(), StoreError> {
+    let WalScan {
+        writes,
+        truncated_bytes,
+        defect,
+        window: buf,
+    } = scan;
+    writes.clear();
+    *truncated_bytes = 0;
+    *defect = None;
     let total = match dir.size(WAL_FILE) {
         Ok(n) => n,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalScan {
-                writes: Vec::new(),
-                truncated_bytes: 0,
-                defect: None,
-            })
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e.into()),
     };
-    let mut writes: Vec<ReplicatedWrite> = Vec::new();
+    if buf.len() < SCAN_WINDOW {
+        buf.resize(SCAN_WINDOW, 0);
+    }
     // The epoch of the last accepted record, kept or not.
     let mut last: Option<u64> = None;
-    let mut buf = vec![0u8; SCAN_WINDOW];
     // File offset of `buf[0]`, valid bytes in the window, and the
     // window offset just past the last intact record.
     let mut start = 0u64;
     let mut in_buf = 0usize;
     let mut good;
-    let defect = loop {
+    *defect = loop {
         while in_buf < buf.len() {
             let n = dir.read_at(WAL_FILE, start + in_buf as u64, &mut buf[in_buf..])?;
             if n == 0 {
@@ -224,16 +238,12 @@ pub fn load(dir: &mut dyn Dir, after: u64) -> Result<WalScan, StoreError> {
         }
     };
     let valid = start + good as u64;
-    let truncated_bytes = usize::try_from(total.saturating_sub(valid)).expect("tail fits usize");
-    if truncated_bytes > 0 {
+    *truncated_bytes = usize::try_from(total.saturating_sub(valid)).expect("tail fits usize");
+    if *truncated_bytes > 0 {
         dir.truncate(WAL_FILE, valid)?;
         dir.sync()?;
     }
-    Ok(WalScan {
-        writes,
-        truncated_bytes,
-        defect,
-    })
+    Ok(())
 }
 
 /// Frames one write onto `out` without allocating — the group-buffer
@@ -298,6 +308,13 @@ mod tests {
         }
     }
 
+    /// One scan of `d` into fresh buffers.
+    fn scanned(d: &mut SimDir, after: u64) -> WalScan {
+        let mut scan = WalScan::default();
+        load(d, after, &mut scan).unwrap();
+        scan
+    }
+
     /// Lands `write` as a one-record commit group.
     fn append(d: &mut SimDir, write: &ReplicatedWrite) {
         let mut frames = Vec::new();
@@ -315,11 +332,11 @@ mod tests {
     #[test]
     fn append_then_load_roundtrips_and_missing_log_is_empty() {
         let mut d = SimDir::new();
-        assert_eq!(load(&mut d, 0).unwrap().writes, Vec::new());
+        assert_eq!(scanned(&mut d, 0).writes, Vec::new());
         for e in 1..=5 {
             append(&mut d, &w(e));
         }
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         assert_eq!(scan.writes, (1..=5).map(w).collect::<Vec<_>>());
         assert_eq!(scan.truncated_bytes, 0);
         assert_eq!(scan.defect, None);
@@ -334,13 +351,13 @@ mod tests {
         // Tear the third append mid-record.
         d.tear_next_write(frame::HEADER_LEN + 5);
         append(&mut d, &w(3));
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         assert_eq!(scan.writes, vec![w(1), w(2)]);
         assert_eq!(scan.truncated_bytes, frame::HEADER_LEN + 5);
         assert!(scan.defect.is_some());
         // The truncation repaired the file: a second load is clean.
         assert_eq!(d.len_of(WAL_FILE).unwrap(), full);
-        let again = load(&mut d, 0).unwrap();
+        let again = scanned(&mut d, 0);
         assert_eq!(again.truncated_bytes, 0);
         assert_eq!(again.defect, None);
     }
@@ -351,11 +368,11 @@ mod tests {
         append(&mut d, &w(1));
         append(&mut d, &w(3)); // skips epoch 2: debris
         append(&mut d, &w(4));
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         assert_eq!(scan.writes, vec![w(1)]);
         assert!(scan.truncated_bytes > 0);
         assert_eq!(
-            load(&mut d, 0).unwrap().writes,
+            scanned(&mut d, 0).writes,
             vec![w(1)],
             "truncation left a clean contiguous log"
         );
@@ -367,17 +384,43 @@ mod tests {
         for e in 1..=5 {
             append(&mut d, &w(e));
         }
-        let scan = load(&mut d, 3).unwrap();
+        let scan = scanned(&mut d, 3);
         assert_eq!(scan.writes, vec![w(4), w(5)]);
         assert_eq!(scan.truncated_bytes, 0);
-        assert_eq!(load(&mut d, 5).unwrap().writes, Vec::new());
+        assert_eq!(scanned(&mut d, 5).writes, Vec::new());
         // A gap below the kept range is still debris.
         let mut d = SimDir::new();
         append(&mut d, &w(1));
         append(&mut d, &w(3));
-        let scan = load(&mut d, 5).unwrap();
+        let scan = scanned(&mut d, 5);
         assert_eq!(scan.writes, Vec::new());
         assert_eq!(scan.truncated_bytes, frame::HEADER_LEN + RECORD_PAYLOAD_LEN);
+    }
+
+    #[test]
+    fn a_kept_scan_reuses_its_buffers_and_reports_only_the_last_log() {
+        let mut d = SimDir::new();
+        for e in 1..=5 {
+            append(&mut d, &w(e));
+        }
+        let mut kept = WalScan::default();
+        load(&mut d, 0, &mut kept).unwrap();
+        let (writes, window) = (kept.writes.as_ptr(), kept.window.as_ptr());
+        // A torn sixth record: the re-scan reports exactly this log.
+        d.tear_next_write(frame::HEADER_LEN + 5);
+        append(&mut d, &w(6));
+        load(&mut d, 2, &mut kept).unwrap();
+        assert_eq!(kept.writes, vec![w(3), w(4), w(5)]);
+        assert_eq!(kept.truncated_bytes, frame::HEADER_LEN + 5);
+        assert!(kept.defect.is_some());
+        assert_eq!(kept.writes.as_ptr(), writes, "the writes vector is reused");
+        assert_eq!(kept.window.as_ptr(), window, "the window is reused");
+        // A clean re-scan clears the last tail report.
+        load(&mut d, 0, &mut kept).unwrap();
+        assert_eq!(
+            (kept.writes.len(), kept.truncated_bytes, kept.defect),
+            (5, 0, None)
+        );
     }
 
     #[test]
@@ -388,10 +431,10 @@ mod tests {
         }
         compact(&mut d, &[w(5), w(6)]).unwrap();
         assert!(!d.exists(WAL_TMP));
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         assert_eq!(scan.writes, vec![w(5), w(6)]);
         compact(&mut d, &[]).unwrap();
-        assert_eq!(load(&mut d, 0).unwrap().writes, Vec::new());
+        assert_eq!(scanned(&mut d, 0).writes, Vec::new());
     }
 
     #[test]
@@ -431,7 +474,7 @@ mod tests {
             d.journal()
         );
         assert_eq!(
-            load(&mut d, 0).unwrap().writes,
+            scanned(&mut d, 0).writes,
             (1..=3).map(w).collect::<Vec<_>>()
         );
         let before = d.journal().len();
@@ -453,7 +496,7 @@ mod tests {
         // The tear lands inside record 3: records 1-2 survive whole.
         d.tear_next_write(2 * (frame::HEADER_LEN + RECORD_PAYLOAD_LEN) + 11);
         append_group(&mut d, &frames).unwrap();
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         assert_eq!(scan.writes, vec![w(1), w(2)]);
         assert_eq!(scan.truncated_bytes, 11);
         assert!(scan.defect.is_some());
@@ -471,14 +514,14 @@ mod tests {
             encode_frame_into(&mut frames, &w(e));
         }
         append_group(&mut d, &frames).unwrap();
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         assert_eq!(scan.writes.len(), count);
         assert_eq!(scan.writes.last(), Some(&w(count as u64)));
         assert_eq!(scan.truncated_bytes, 0);
         // A tear far past the first window is still found and repaired.
         d.tear_next_write(frame::HEADER_LEN + 3);
         append(&mut d, &w(count as u64 + 1));
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         assert_eq!(scan.writes.len(), count);
         assert_eq!(scan.truncated_bytes, frame::HEADER_LEN + 3);
     }
@@ -491,7 +534,7 @@ mod tests {
         let mut d = SimDir::new();
         let big = vec![0xA5u8; 2 * SCAN_WINDOW];
         d.append(WAL_FILE, &frame::encode_record(&big)).unwrap();
-        let scan = load(&mut d, 0).unwrap();
+        let scan = scanned(&mut d, 0);
         // The record decodes as a frame but not as a WAL write: debris.
         assert_eq!(scan.writes, Vec::new());
         assert_eq!(scan.defect, Some(TailDefect::BadCrc));

@@ -3,9 +3,10 @@
 //! a repair copies it, so what a cycle allocates does not grow with the
 //! live replicas. A revision that cloned a fresh expected image per live
 //! replica per cycle paid one allocation per replica per cycle. Every
-//! cycle still re-reads the WAL (the disk audit's rescan, a few
-//! allocations), so a call's count grows with its cycles; the pin bounds
-//! that growth per live replica.
+//! cycle also re-reads the WAL (the disk audit's rescan), into scan
+//! buffers the store keeps, so an audit of an intact log allocates
+//! nothing: a revision that scanned into a fresh window and a fresh
+//! writes vector paid about four allocations per cycle at any R.
 //!
 //! One `#[test]` only: the counting allocator is process-global, and a
 //! concurrently running test would perturb the counts.
@@ -86,6 +87,11 @@ fn a_scrub_cycle_allocates_alike_at_one_replica_and_at_eight() {
     // Warm the backend's lazily built plan before counting.
     measure(1, 100.0);
     let (one, eight) = (per_added_cycle(1), per_added_cycle(8));
+    assert!(
+        one < 1.0,
+        "an added scrub cycle allocates {one:.1} times at R = 1; \
+         the disk audit allocates per cycle"
+    );
     assert!(
         eight < one + 2.0,
         "a scrub cycle allocates {one:.1} times at R = 1 but {eight:.1} at R = 8; \

@@ -477,33 +477,47 @@ impl std::fmt::Display for MemoryError {
 impl std::error::Error for MemoryError {}
 
 impl ClassicalMemory {
-    /// Builds a memory from explicit words.
+    /// Builds a memory from explicit words, copying them.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClassicalMemory::from_vec`].
+    pub fn from_words(bus_width: u32, words: &[u64]) -> Result<Self, MemoryError> {
+        ClassicalMemory::from_vec(bus_width, words.to_vec())
+    }
+
+    /// Builds a memory that keeps `cells` as its cell buffer, without a
+    /// copy: the constructor for a caller that has just decoded the
+    /// words, such as a checkpoint load.
+    ///
+    /// The range check is one OR over every cell, which vectorizes; only
+    /// a failing check walks the cells again to name the first wide one.
     ///
     /// # Errors
     ///
     /// Returns an error if the cell count is not a power of two ≥ 2, the
-    /// bus width is outside `1..=63`, or a word overflows the bus.
-    pub fn from_words(bus_width: u32, words: &[u64]) -> Result<Self, MemoryError> {
+    /// bus width is outside `1..=63`, or a word overflows the bus
+    /// ([`MemoryError::WordTooWide`] names the first such cell).
+    pub fn from_vec(bus_width: u32, cells: Vec<u64>) -> Result<Self, MemoryError> {
         if !(1..=63).contains(&bus_width) {
             return Err(MemoryError::BadBusWidth(bus_width));
         }
-        if words.len() < 2 || !words.len().is_power_of_two() {
-            return Err(MemoryError::BadCellCount(words.len()));
+        if cells.len() < 2 || !cells.len().is_power_of_two() {
+            return Err(MemoryError::BadCellCount(cells.len()));
         }
-        let limit = 1u64 << bus_width;
-        for (index, &value) in words.iter().enumerate() {
-            if value >= limit {
-                return Err(MemoryError::WordTooWide {
-                    index,
-                    value,
-                    bus_width,
-                });
-            }
+        if cells.iter().fold(0, |acc, &value| acc | value) >> bus_width != 0 {
+            let (index, &value) = cells
+                .iter()
+                .enumerate()
+                .find(|&(_, &value)| value >> bus_width != 0)
+                .expect("the fold saw a wide word");
+            return Err(MemoryError::WordTooWide {
+                index,
+                value,
+                bus_width,
+            });
         }
-        Ok(ClassicalMemory {
-            bus_width,
-            cells: words.to_vec(),
-        })
+        Ok(ClassicalMemory { bus_width, cells })
     }
 
     /// An all-zeros memory with `capacity` single-bit cells.
@@ -513,7 +527,7 @@ impl ClassicalMemory {
     /// Panics if `capacity` is not a power of two ≥ 2.
     #[must_use]
     pub fn zeros(capacity: usize) -> Self {
-        ClassicalMemory::from_words(1, &vec![0; capacity]).expect("zeros are valid")
+        ClassicalMemory::from_vec(1, vec![0; capacity]).expect("zeros are valid")
     }
 
     /// Number of cells `N`.
@@ -723,6 +737,18 @@ mod tests {
             ClassicalMemory::from_words(1, &[0, 1, 2, 0]),
             Err(MemoryError::WordTooWide { index: 2, .. })
         ));
+        // Both constructors name the first of two wide words.
+        let two_wide = [0, 1, 0, 5, 1, 0, 9, 0];
+        let first = MemoryError::WordTooWide {
+            index: 3,
+            value: 5,
+            bus_width: 1,
+        };
+        assert_eq!(
+            ClassicalMemory::from_words(1, &two_wide),
+            Err(first.clone())
+        );
+        assert_eq!(ClassicalMemory::from_vec(1, two_wide.to_vec()), Err(first));
         assert!(matches!(
             ClassicalMemory::from_words(1, &[0, 1, 0]),
             Err(MemoryError::BadCellCount(3))
