@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use qram_metrics::{Capacity, Layers, TimingModel};
 
-use crate::exec::{compiled_query, interned_layers, CompiledQuery, LayerArch};
+use crate::exec::{compiled_query, CompiledQuery, LayerArch};
 use crate::latency;
 use crate::model::QramModel;
 use crate::query_ops::{bb_query_layers, bb_stage_finish_layers, QueryLayer};
@@ -83,13 +83,7 @@ impl QramModel for BucketBrigadeQram {
         bb_query_layers(self.address_width())
     }
 
-    /// The interned per-capacity stream: generated once per process,
-    /// shared by the plan compiler and the reference sweep.
-    fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
-        interned_layers(LayerArch::BucketBrigade, self.address_width())
-    }
-
-    /// The interned compiled plan: the stream is partially evaluated once
+    /// The cached compiled plan: the stream is partially evaluated once
     /// per capacity, collapsing per-branch execution to one memory read.
     fn compiled_query(&self) -> Arc<CompiledQuery> {
         compiled_query(LayerArch::BucketBrigade, self.address_width())

@@ -10,9 +10,9 @@
 //! and produces the resulting [`QueryOutcome`] together with per-class gate
 //! counts used by the fidelity analysis (§8.1).
 //!
-//! # The interpret → intern → compile → columnar pipeline
+//! # The interpret → compile → columnar pipeline
 //!
-//! Query execution goes through four stages, each feeding the next:
+//! Query execution goes through three stages, each feeding the next:
 //!
 //! 1. **Interpret** — [`execute_layers`] walks every op of every layer per
 //!    branch through the `BranchMachine` validator. This is the
@@ -21,23 +21,19 @@
 //!    [`reference::execute_batch`](crate::reference::execute_batch) that
 //!    the columnar kernel is property-tested against. No
 //!    [`QramModel`](crate::QramModel) execution path runs it: every
-//!    backend supplies a compiled plan (stage 3).
-//! 2. **Intern** — [`interned_layers`] caches the per-capacity stream of
-//!    each built-in architecture in a process-wide table of
-//!    `Arc<[QueryLayer]>`, so the plan compiler and the reference batch
-//!    sweep stop re-generating (and re-allocating) the same layered
-//!    stream on every call.
-//! 3. **Compile** — [`compiled_query`] partially evaluates an interned
-//!    stream exactly once per `(arch, n)`: a symbolic `BranchMachine` run
-//!    proves every precondition (including the address-dependent
-//!    `STORE`/`UNSTORE` bit round-trips) holds for *every* address, and
-//!    extracts the address-independent [`GateCounts`] and per-layer gate
-//!    trajectory. The resulting [`CompiledQuery`] answers a branch with
+//!    backend supplies a compiled plan (stage 2).
+//! 2. **Compile** — [`compiled_query`] generates and partially evaluates
+//!    a built-in stream exactly once per `(arch, n)`: a symbolic
+//!    `BranchMachine` run proves every precondition (including the
+//!    address-dependent `STORE`/`UNSTORE` bit round-trips) holds for
+//!    *every* address, and extracts the address-independent
+//!    [`GateCounts`] and per-layer gate trajectory. The resulting
+//!    [`CompiledQuery`] answers a branch with
 //!    one `memory.read(address)` — O(1) residual work instead of the
 //!    interpreter's O(log² N) op walk — and is the one plan every
 //!    `QramModel` path runs on (`execute_query_traced`, every batch, and
 //!    the Monte-Carlo / extended / analytic fidelity estimators).
-//! 4. **Columnar** — one SoA batch kernel (`soa` module, reached through
+//! 3. **Columnar** — one SoA batch kernel (`soa` module, reached through
 //!    [`execute_batch`](crate::execute_batch) and
 //!    [`execute_batch_traced`](crate::execute_batch_traced) — and so
 //!    every provided `QramModel::execute_queries`) restructures a whole
@@ -58,9 +54,8 @@
 //! differing only in whether a router bit is a concrete address bit or
 //! its level symbol.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
@@ -509,45 +504,14 @@ pub struct Execution {
     pub gate_counts: GateCounts,
 }
 
-/// The architectures whose instruction streams are globally interned —
-/// the key space of [`interned_layers`].
+/// The built-in architectures — the key space of the process-wide plan
+/// table behind [`compiled_query`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerArch {
     /// Bucket-brigade stream ([`bb_query_layers`]).
     BucketBrigade,
     /// Fat-Tree stream ([`fat_tree_query_layers`]).
     FatTree,
-}
-
-/// The per-capacity single-query instruction stream of `arch`, interned in
-/// a process-wide table: the first call for an `(arch, n)` pair generates
-/// the layered stream once, every later call returns a cheap [`Arc`]
-/// clone. The plan compiler ([`compiled_query`]) and the reference batch
-/// sweep (through [`QramModel::interned_query_layers`]) read it, so the
-/// stream is not re-allocated per call.
-///
-/// Streams are immutable and small (`O(log² N)` ops), so the table is
-/// never evicted; with capacities up to `2^20` it holds at most 40
-/// entries per process.
-///
-/// [`QramModel::interned_query_layers`]: crate::QramModel::interned_query_layers
-///
-/// # Panics
-///
-/// Panics if `n == 0` (no zero-width address registers).
-#[must_use]
-pub fn interned_layers(arch: LayerArch, n: u32) -> Arc<[QueryLayer]> {
-    type InternTable = Mutex<HashMap<(LayerArch, u32), Arc<[QueryLayer]>>>;
-    static TABLE: OnceLock<InternTable> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = table.lock().expect("layer intern table poisoned");
-    Arc::clone(map.entry((arch, n)).or_insert_with(|| {
-        match arch {
-            LayerArch::BucketBrigade => bb_query_layers(n),
-            LayerArch::FatTree => fat_tree_query_layers(n),
-        }
-        .into()
-    }))
 }
 
 /// An instruction stream partially evaluated into an O(1)-per-branch query
@@ -565,7 +529,7 @@ pub fn interned_layers(arch: LayerArch, n: u32) -> Arc<[QueryLayer]> {
 /// with no per-branch validation, allocation, or op walk left.
 ///
 /// Every backend returns its plan from [`QramModel::compiled_query`]: the
-/// built-in architectures' plans are interned process-wide by
+/// built-in architectures' plans are cached process-wide by
 /// [`compiled_query`], and a new backend may instead compile its own
 /// stream once at construction. The interpreter ([`execute_layers`])
 /// remains the reference semantics that plans are pinned against, and
@@ -747,15 +711,14 @@ impl CompiledQuery {
     }
 }
 
-/// The compiled query plan of `arch` at capacity `2^n`, interned in a
-/// process-wide table beside [`interned_layers`]: the first call for an
-/// `(arch, n)` pair compiles the interned stream once
-/// ([`CompiledQuery::compile`]), every later call returns a cheap [`Arc`]
-/// clone. The built-in backends route the execution and fidelity hot
-/// paths through this table via `QramModel::compiled_query`, which
-/// fetches the plan *per query* — so the table is one `OnceLock` cell
-/// per `(arch, n)` (a single atomic load once initialized), not a
-/// lock-guarded map.
+/// The compiled query plan of `arch` at capacity `2^n`, cached in a
+/// process-wide table: the first call for an `(arch, n)` pair generates
+/// the stream and compiles it once ([`CompiledQuery::compile`]), every
+/// later call returns a cheap [`Arc`] clone. The built-in backends route
+/// the execution and fidelity hot paths through this table via
+/// `QramModel::compiled_query`, which fetches the plan *per query* — so
+/// the table is one `OnceLock` cell per `(arch, n)` (a single atomic load
+/// once initialized), not a lock-guarded map.
 ///
 /// # Panics
 ///
@@ -777,7 +740,10 @@ pub fn compiled_query(arch: LayerArch, n: u32) -> Arc<CompiledQuery> {
         LayerArch::FatTree => 1,
     };
     Arc::clone(PLANS[row][n as usize].get_or_init(|| {
-        let layers = interned_layers(arch, n);
+        let layers = match arch {
+            LayerArch::BucketBrigade => bb_query_layers(n),
+            LayerArch::FatTree => fat_tree_query_layers(n),
+        };
         Arc::new(
             CompiledQuery::compile(n, &layers)
                 .expect("generated instruction streams compile (generator bug otherwise)"),
@@ -995,40 +961,19 @@ mod tests {
     }
 
     #[test]
-    fn interned_layers_match_generators_and_share_storage() {
-        for n in 1..=8u32 {
-            let bb = interned_layers(LayerArch::BucketBrigade, n);
-            assert_eq!(bb.as_ref(), bb_query_layers(n).as_slice());
-            let ft = interned_layers(LayerArch::FatTree, n);
-            assert_eq!(ft.as_ref(), fat_tree_query_layers(n).as_slice());
-            // Second lookup returns the same allocation, not a copy.
-            let bb2 = interned_layers(LayerArch::BucketBrigade, n);
-            assert!(Arc::ptr_eq(&bb, &bb2), "n={n}: intern table must share");
-        }
-    }
-
-    #[test]
-    fn interned_layers_execute_identically_to_generated() {
-        let mem = memory8();
-        let addr = AddressState::full_superposition(3);
-        let generated = execute_layers(&fat_tree_query_layers(3), &mem, &addr).unwrap();
-        let interned =
-            execute_layers(&interned_layers(LayerArch::FatTree, 3), &mem, &addr).unwrap();
-        assert_eq!(generated, interned);
-    }
-
-    #[test]
     fn compiled_plan_matches_interpreter_across_capacities() {
         for n in 1..=7u32 {
             let cells: Vec<u64> = (0..(1u64 << n)).map(|i| (i * 5 + 2) % 2).collect();
             let mem = ClassicalMemory::from_words(1, &cells).unwrap();
             let addr = AddressState::uniform(n, &[0, (1 << n) - 1]).unwrap();
-            for arch in [LayerArch::BucketBrigade, LayerArch::FatTree] {
-                let layers = interned_layers(arch, n);
+            for (arch, layers) in [
+                ("bb", bb_query_layers(n)),
+                ("fat-tree", fat_tree_query_layers(n)),
+            ] {
                 let plan = CompiledQuery::compile(n, &layers).unwrap();
                 let interpreted = execute_layers(&layers, &mem, &addr).unwrap();
                 let compiled = plan.execute(&mem, &addr);
-                assert_eq!(compiled, interpreted, "{arch:?} n={n}");
+                assert_eq!(compiled, interpreted, "{arch} n={n}");
                 assert_eq!(plan.gate_counts(), interpreted.gate_counts);
             }
         }
@@ -1038,10 +983,10 @@ mod tests {
     fn compiled_plans_are_interned() {
         let a = compiled_query(LayerArch::FatTree, 5);
         let b = compiled_query(LayerArch::FatTree, 5);
-        assert!(Arc::ptr_eq(&a, &b), "plan intern table must share");
+        assert!(Arc::ptr_eq(&a, &b), "plan table must share");
         assert_eq!(
             a.as_ref(),
-            &CompiledQuery::compile(5, &interned_layers(LayerArch::FatTree, 5)).unwrap()
+            &CompiledQuery::compile(5, &fat_tree_query_layers(5)).unwrap()
         );
     }
 

@@ -4,7 +4,7 @@ use qram_metrics::{Capacity, Layers, TimingModel};
 
 use std::sync::Arc;
 
-use crate::exec::{compiled_query, interned_layers, CompiledQuery, LayerArch};
+use crate::exec::{compiled_query, CompiledQuery, LayerArch};
 use crate::latency;
 use crate::model::QramModel;
 use crate::pipeline::PipelineSchedule;
@@ -82,13 +82,7 @@ impl QramModel for FatTreeQram {
         fat_tree_query_layers(self.address_width())
     }
 
-    /// The interned per-capacity stream: generated once per process,
-    /// shared by the plan compiler and the reference sweep.
-    fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
-        interned_layers(LayerArch::FatTree, self.address_width())
-    }
-
-    /// The interned compiled plan: the stream is partially evaluated once
+    /// The cached compiled plan: the stream is partially evaluated once
     /// per capacity, collapsing per-branch execution to one memory read.
     fn compiled_query(&self) -> Arc<CompiledQuery> {
         compiled_query(LayerArch::FatTree, self.address_width())

@@ -10,8 +10,8 @@
 //!   architectures (Algs. 2 & 3, Figs. 2(a), 6, 12).
 //! * [`exec`] — functional branch-based execution validating Eq. (1) and
 //!   counting gates per hardware class for the fidelity analysis, plus
-//!   the interpret → intern → compile → columnar pipeline that partially
-//!   evaluates interned streams into O(1)-per-branch [`CompiledQuery`]
+//!   the interpret → compile → columnar pipeline that partially
+//!   evaluates each stream once into O(1)-per-branch [`CompiledQuery`]
 //!   plans and batches them through a structure-of-arrays kernel.
 //! * [`pipeline`] — query-level pipelining with conflict-freedom proofs
 //!   and diagram rendering.
@@ -69,9 +69,7 @@ mod sharded;
 mod soa;
 
 pub use bucket_brigade::BucketBrigadeQram;
-pub use exec::{
-    compiled_query, interned_layers, CompiledQuery, ExecError, Execution, GateCounts, LayerArch,
-};
+pub use exec::{compiled_query, CompiledQuery, ExecError, Execution, GateCounts, LayerArch};
 pub use fat_tree::FatTreeQram;
 pub use model::{execute_batch, execute_batch_traced, BatchCacheStats, QramModel};
 pub use ops::{GateClass, Op, QubitTag};

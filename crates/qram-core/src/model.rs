@@ -69,26 +69,13 @@ pub trait QramModel {
     /// The layered instruction stream of one query.
     fn query_layers(&self) -> Vec<QueryLayer>;
 
-    /// The layered instruction stream of one query as a shared, cached
-    /// allocation — what the reference interpreter sweep
-    /// ([`crate::reference::execute_batch`]) consumes instead of
-    /// [`Self::query_layers`].
-    ///
-    /// The default builds the stream once per call; the built-in backends
-    /// override it to return a clone of the process-wide intern table
-    /// entry ([`crate::exec::interned_layers`]), making repeated calls
-    /// allocation-free.
-    fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
-        self.query_layers().into()
-    }
-
     /// The architecture's compiled query plan: its instruction stream
     /// partially evaluated into an O(1)-per-branch [`CompiledQuery`].
     ///
     /// The plan is the one execution path: [`Self::execute_query_traced`],
     /// batched execution (the columnar kernel) and the fidelity estimators
     /// all run on it. The built-in backends return the process-wide
-    /// interned plan ([`crate::exec::compiled_query`]); a new backend
+    /// cached plan ([`crate::exec::compiled_query`]); a new backend
     /// either does the same or compiles its own stream once at
     /// construction ([`CompiledQuery::compile`]). The interpreter remains
     /// the property-tested reference
@@ -597,22 +584,5 @@ mod tests {
         assert!(outs.is_empty());
         assert_eq!(stats, BatchCacheStats::default());
         assert_eq!(stats.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn builtin_backends_return_interned_streams() {
-        let (bb, ft) = models(16);
-        // Same Arc on repeated calls — the intern table is doing the work.
-        assert!(std::sync::Arc::ptr_eq(
-            &bb.interned_query_layers(),
-            &bb.interned_query_layers()
-        ));
-        assert!(std::sync::Arc::ptr_eq(
-            &ft.interned_query_layers(),
-            &ft.interned_query_layers()
-        ));
-        // And the interned stream is the generated stream.
-        assert_eq!(bb.interned_query_layers().as_ref(), bb.query_layers());
-        assert_eq!(ft.interned_query_layers().as_ref(), ft.query_layers());
     }
 }

@@ -19,7 +19,7 @@ use crate::exec::{execute_layers, ExecError};
 use crate::model::{retrieval_order_sweep, QramModel, SweepEvent};
 
 /// Executes a batch of back-to-back queries by interpreting every query's
-/// instruction stream ([`QramModel::interned_query_layers`]) against the
+/// instruction stream ([`QramModel::query_layers`]) against the
 /// memory contents current at its retrieval layer: queries are visited in
 /// ascending [`QramModel::retrieval_layer`] order, and every update whose
 /// layer is `<=` a query's retrieval layer lands before that query reads
@@ -48,7 +48,7 @@ pub fn execute_batch<M: QramModel + ?Sized>(
     if addresses.is_empty() {
         return Ok(Vec::new());
     }
-    let layers = model.interned_query_layers();
+    let layers = model.query_layers();
     let retrievals: Vec<u64> = (0..addresses.len())
         .map(|q| model.retrieval_layer(q))
         .collect();

@@ -26,12 +26,13 @@ use crate::{BucketBrigadeQram, FatTreeQram};
 /// `K` capacity-`N/K` QRAM shards behind an address-interleaved router,
 /// serving as one capacity-`N` [`QramModel`] backend.
 ///
-/// The shard architecture is any [`QramModel`]; all shards are identical.
-/// Geometry sums the shards plus the `K − 1` routers of the interleaving
-/// fan-out tree; the admission interval divides the shard interval by `K`
-/// (round-robin admission); single-query latency is the equivalent
-/// monolithic latency (a lookup still resolves all `log₂ N` address bits —
-/// sharding buys bandwidth, not depth).
+/// The shard architecture is any [`QramModel`]; all shards are identical,
+/// so one shard model speaks for all `K`. Geometry is `K` shards plus the
+/// `K − 1` routers of the interleaving fan-out tree; the admission
+/// interval divides the shard interval by `K` (round-robin admission);
+/// single-query latency is the equivalent monolithic latency (a lookup
+/// still resolves all `log₂ N` address bits — sharding buys bandwidth,
+/// not depth).
 ///
 /// # Examples
 ///
@@ -56,14 +57,16 @@ pub struct ShardedQram<M> {
     /// equivalent monolithic machine, used for the single-query
     /// instruction stream and closed-form latencies.
     template: M,
-    shards: Vec<M>,
+    /// One capacity-`N/K` shard: every shard is this machine.
+    shard: M,
+    num_shards: u32,
 }
 
 impl<M: QramModel> ShardedQram<M> {
     /// Builds a sharded QRAM of total capacity `N` from `num_shards`
-    /// identical shards produced by `make` (called once per shard with the
-    /// shard capacity `N/K`, and once with the full capacity `N` for the
-    /// equivalent monolithic reference machine).
+    /// identical shards produced by `make` (called once with the shard
+    /// capacity `N/K` for the shard model, and once with the full capacity
+    /// `N` for the equivalent monolithic reference machine).
     ///
     /// # Panics
     ///
@@ -84,18 +87,16 @@ impl<M: QramModel> ShardedQram<M> {
         );
         let shard_capacity =
             Capacity::new(capacity.get() / u64::from(num_shards)).expect("power of two >= 2");
-        let shards: Vec<M> = (0..num_shards).map(|_| make(shard_capacity)).collect();
-        for shard in &shards {
-            assert_eq!(
-                shard.capacity(),
-                shard_capacity,
-                "factory produced a shard of the wrong capacity"
-            );
-        }
+        let shard = make(shard_capacity);
+        assert_eq!(
+            shard.capacity(),
+            shard_capacity,
+            "factory produced a shard of the wrong capacity"
+        );
         // Round-robin retrieval order stays the admission order only while
         // the per-shard stagger (one layer per shard index, K − 1 at most)
         // fits strictly inside the shard's back-to-back retrieval spacing.
-        let spacing = shards[0].retrieval_layer(1) - shards[0].retrieval_layer(0);
+        let spacing = shard.retrieval_layer(1) - shard.retrieval_layer(0);
         assert!(
             u64::from(num_shards) <= spacing,
             "shard count {num_shards} exceeds the shard admission spacing {spacing}: \
@@ -110,26 +111,21 @@ impl<M: QramModel> ShardedQram<M> {
         ShardedQram {
             capacity,
             template,
-            shards,
+            shard,
+            num_shards,
         }
     }
 
     /// Number of shards `K`.
     #[must_use]
     pub fn num_shards(&self) -> u32 {
-        u32::try_from(self.shards.len()).expect("shard count fits in u32")
-    }
-
-    /// The shard instances, in shard-index order.
-    #[must_use]
-    pub fn shards(&self) -> &[M] {
-        &self.shards
+        self.num_shards
     }
 
     /// The per-shard capacity `N/K`.
     #[must_use]
     pub fn shard_capacity(&self) -> Capacity {
-        self.shards[0].capacity()
+        self.shard.capacity()
     }
 
     /// Number of low-order address bits selecting the shard: `log₂ K`.
@@ -138,22 +134,21 @@ impl<M: QramModel> ShardedQram<M> {
         self.num_shards().trailing_zeros()
     }
 
-    /// The per-shard pipeline parallelism `P_shard` (shards are identical
-    /// by construction, so one shard speaks for all): the serving layer's
-    /// per-queue in-flight bound, with `K · P_shard` the aggregate bound
+    /// The per-shard pipeline parallelism `P_shard`: the serving layer's
+    /// per-shard in-flight bound, with `K · P_shard` the aggregate bound
     /// reported by [`QramModel::query_parallelism`].
     #[must_use]
     pub fn shard_parallelism(&self) -> u32 {
-        self.shards[0].query_parallelism()
+        self.shard.query_parallelism()
     }
 
-    /// The shard whose dispatch queue serves the `query_index`-th admitted
-    /// query under round-robin admission (`query_index mod K`) — the same
-    /// assignment [`QramModel::retrieval_layer`] stamps onto the batch
-    /// timeline, exposed for the serving layer's per-shard queues.
+    /// The shard that runs the `query_index`-th admitted query under
+    /// round-robin admission (`query_index mod K`) — the assignment
+    /// [`QramModel::retrieval_layer`] stamps onto the batch timeline, and
+    /// the one the serving layer's replica queue dispatches by.
     #[must_use]
     pub fn dispatch_shard(&self, query_index: usize) -> u32 {
-        u32::try_from(query_index % self.shards.len()).expect("shard index fits")
+        (query_index % self.num_shards as usize) as u32
     }
 }
 
@@ -193,13 +188,13 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
     /// Total routers: the `K` shards plus the `K − 1` routers of the
     /// address-interleaving fan-out tree.
     fn router_count(&self) -> u64 {
-        let fan_out = self.shards.len() as u64 - 1;
-        self.shards.iter().map(QramModel::router_count).sum::<u64>() + fan_out
+        let k = u64::from(self.num_shards);
+        k * self.shard.router_count() + (k - 1)
     }
 
     /// Total parallelism: every shard pipeline runs concurrently.
     fn query_parallelism(&self) -> u32 {
-        self.shards.iter().map(QramModel::query_parallelism).sum()
+        self.num_shards * self.shard.query_parallelism()
     }
 
     /// The single-query instruction stream of the *equivalent monolithic*
@@ -209,12 +204,6 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
     /// whole-machine schedule (and what the fidelity analyses consume).
     fn query_layers(&self) -> Vec<QueryLayer> {
         self.template.query_layers()
-    }
-
-    /// The equivalent monolithic machine's interned stream (shards of the
-    /// built-in architectures hit the process-wide intern table).
-    fn interned_query_layers(&self) -> Arc<[QueryLayer]> {
-        self.template.interned_query_layers()
     }
 
     /// The equivalent monolithic machine's compiled plan: single queries,
@@ -237,16 +226,10 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
     }
 
     /// Round-robin admission over the shards: the aggregate machine admits
-    /// `K` queries per shard interval, so the interval is the minimum shard
+    /// `K` queries per shard interval, so the interval is the shard
     /// interval divided by `K`.
     fn admission_interval(&self, timing: &TimingModel) -> Layers {
-        let min_shard = self
-            .shards
-            .iter()
-            .map(|s| s.admission_interval(timing))
-            .reduce(Layers::min)
-            .expect("at least one shard");
-        min_shard / f64::from(self.num_shards())
+        self.shard.admission_interval(timing) / f64::from(self.num_shards)
     }
 
     /// Round-robin admission: query `q` is the `⌊q/K⌋`-th query of shard
@@ -255,9 +238,9 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
     /// retrieval layers stay strictly increasing for `K` below the shard's
     /// admission spacing.
     fn retrieval_layer(&self, query_index: usize) -> u64 {
-        let k = self.shards.len();
-        let shard = self.dispatch_shard(query_index) as usize;
-        self.shards[shard].retrieval_layer(query_index / k) + shard as u64
+        let shard = self.dispatch_shard(query_index);
+        let k = self.num_shards as usize;
+        self.shard.retrieval_layer(query_index / k) + u64::from(shard)
     }
 }
 
@@ -491,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_shard_execution_agree() {
+    fn sharded_kernel_matches_reference_sweep_under_writes() {
         // Wide superpositions with writes between them: the kernel behind
         // `execute_queries` against the reference interpreter sweep.
         let s = ShardedQram::fat_tree(cap(256), 4);
@@ -538,15 +521,6 @@ mod tests {
             &mono.compiled_query()
         ));
         // And the shard-level plan is the shard-capacity plan.
-        assert_eq!(s.shards()[0].compiled_query().address_width(), 4);
-    }
-
-    #[test]
-    fn sharded_interned_layers_are_shared() {
-        let s = ShardedQram::fat_tree(cap(64), 4);
-        assert!(std::sync::Arc::ptr_eq(
-            &s.interned_query_layers(),
-            &FatTreeQram::new(cap(64)).interned_query_layers()
-        ));
+        assert_eq!(s.shard.compiled_query().address_width(), 4);
     }
 }

@@ -1,5 +1,5 @@
-//! The columnar (structure-of-arrays) batch kernel — stage 4 of the
-//! interpret → intern → compile → columnar pipeline (see [`crate::exec`]).
+//! The columnar (structure-of-arrays) batch kernel — stage 3 of the
+//! interpret → compile → columnar pipeline (see [`crate::exec`]).
 //!
 //! Once a [`CompiledQuery`] has reduced per-branch work to one classical
 //! memory read, a batch's cost is dominated by everything *around* that

@@ -219,41 +219,6 @@ impl Dir for OsDir {
     }
 }
 
-/// An in-memory byte file with write-fault injection hooks: the unit of
-/// storage under [`SimDir`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct FaultyFile {
-    bytes: Vec<u8>,
-}
-
-impl FaultyFile {
-    /// The current contents.
-    fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Appends `bytes`, keeping only the first `keep` of them when a
-    /// short write is injected (`keep >= bytes.len()` writes all).
-    fn append_short(&mut self, bytes: &[u8], keep: usize) {
-        self.bytes
-            .extend_from_slice(&bytes[..keep.min(bytes.len())]);
-    }
-
-    /// Flips bit `bit` of the byte at `offset` — silent media corruption
-    /// for the scrubber and CRC layers to catch. Out-of-range offsets
-    /// are ignored (the flip "landed" in unallocated space).
-    fn flip_bit(&mut self, offset: usize, bit: u32) {
-        if let Some(b) = self.bytes.get_mut(offset) {
-            *b ^= 1u8 << (bit % 8);
-        }
-    }
-
-    /// Truncates to the first `len` bytes.
-    fn truncate(&mut self, len: usize) {
-        self.bytes.truncate(len);
-    }
-}
-
 /// One journaled mutation of a [`SimDir`] — the alphabet the kill-point
 /// harness enumerates crash points over.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,7 +288,7 @@ impl DirOp {
 /// deterministic, enumerable form.
 #[derive(Debug, Clone, Default)]
 pub struct SimDir {
-    files: BTreeMap<String, FaultyFile>,
+    files: BTreeMap<String, Vec<u8>>,
     journal: Vec<DirOp>,
     /// Armed short-write budget for the next append/replace.
     tear_next: Option<usize>,
@@ -366,35 +331,35 @@ impl SimDir {
     }
 
     /// Flips bit `bit` of byte `offset` in `name` — silent on-media
-    /// corruption, invisible until a CRC check reads it.
+    /// corruption, invisible until a CRC check reads it. Out-of-range
+    /// offsets are ignored (the flip "landed" in unallocated space).
     pub fn flip_bit(&mut self, name: &str, offset: usize, bit: u32) {
-        if let Some(f) = self.files.get_mut(name) {
-            f.flip_bit(offset, bit);
+        if let Some(b) = self.files.get_mut(name).and_then(|f| f.get_mut(offset)) {
+            *b ^= 1u8 << (bit % 8);
         }
     }
 
     /// Current length of `name` in bytes, or `None` if absent.
     #[must_use]
     pub fn len_of(&self, name: &str) -> Option<usize> {
-        self.files.get(name).map(|f| f.bytes().len())
+        self.files.get(name).map(Vec::len)
     }
 
     /// Applies `op` to the file map, journaling it, with an optional
-    /// short-write cut for byte writes.
+    /// short-write cut for byte writes: a torn write keeps only the
+    /// first `keep` bytes (`keep >= bytes.len()` writes all).
     fn apply(&mut self, op: &DirOp, torn: Option<usize>) {
         match op {
             DirOp::Append { name, bytes } => {
-                let keep = torn.unwrap_or(bytes.len());
-                self.files
-                    .entry(name.clone())
-                    .or_default()
-                    .append_short(bytes, keep);
+                let keep = torn.unwrap_or(bytes.len()).min(bytes.len());
+                let f = self.files.entry(name.clone()).or_default();
+                f.extend_from_slice(&bytes[..keep]);
             }
             DirOp::Replace { name, bytes } => {
-                let keep = torn.unwrap_or(bytes.len());
+                let keep = torn.unwrap_or(bytes.len()).min(bytes.len());
                 let f = self.files.entry(name.clone()).or_default();
-                f.truncate(0);
-                f.append_short(bytes, keep);
+                f.clear();
+                f.extend_from_slice(&bytes[..keep]);
             }
             DirOp::Truncate { name, len } => {
                 if let Some(f) = self.files.get_mut(name) {
@@ -419,22 +384,21 @@ impl Dir for SimDir {
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
         self.files
             .get(name)
-            .map(|f| f.bytes().to_vec())
+            .cloned()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}")))
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
         self.files
             .get(name)
-            .map(|f| f.bytes().len() as u64)
+            .map(|f| f.len() as u64)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}")))
     }
 
     fn read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let f = self.files.get(name).ok_or_else(|| {
+        let bytes = self.files.get(name).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}"))
         })?;
-        let bytes = f.bytes();
         let start = usize::try_from(offset)
             .unwrap_or(usize::MAX)
             .min(bytes.len());

@@ -62,8 +62,7 @@ fn columnar_batch_allocates_per_distinct_set_not_per_query() {
     let small = batch(256);
     let large = batch(1024);
 
-    // Warm every lazy structure the first batch builds: the interned
-    // stream, the compiled plan, and the conflict-validation memo.
+    // Warm the compiled plan, which the first batch builds lazily.
     qram.execute_queries(&memory, &small, &[]).unwrap();
     qram.execute_queries(&memory, &large, &[]).unwrap();
 

@@ -4,10 +4,10 @@
 //!   (admission interval, parallelism, per-query latency) for all five
 //!   architectures of §6.1.
 //! * [`policy`] — the pluggable scheduling stack: the shared
-//!   [`PipelineCore`] admission recurrence, the [`Scheduler`] and
-//!   [`AdmissionPolicy`] traits, and the [`FifoAdmission`] /
-//!   [`NoiseAwareAdmission`] policies (every other scheduling entry point
-//!   is an adapter over this core).
+//!   [`PipelineCore`] admission recurrence, the [`PolicyScheduler`] that
+//!   admits arrivals through it, the [`AdmissionPolicy`] trait, and the
+//!   [`FifoAdmission`] / [`NoiseAwareAdmission`] policies (every other
+//!   scheduling entry point is an adapter over this core).
 //! * [`tenant`] — multi-tenant admission on top of the stack: per-tenant
 //!   outstanding-request quotas and SLO shedding classes via the
 //!   [`QuotaAdmission`] combinator, threaded through the fleet router in
@@ -48,7 +48,7 @@ pub mod workload;
 pub use fifo::{schedule_fifo, schedule_in_order, QueryRequest, Schedule, ScheduledQuery};
 pub use online::{poisson_arrivals, OnlineFifoScheduler, OutOfOrderArrival};
 pub use policy::{
-    AdmissionPolicy, FifoAdmission, NoiseAwareAdmission, PipelineCore, PolicyScheduler, Scheduler,
+    AdmissionPolicy, FifoAdmission, NoiseAwareAdmission, PipelineCore, PolicyScheduler,
 };
 pub use server::QramServer;
 pub use tenant::{QuotaAdmission, RetryPolicy, SloClass, TenantId, TenantSpec};

@@ -12,7 +12,7 @@ use rand::Rng;
 use qram_metrics::Layers;
 
 use crate::fifo::{QueryRequest, Schedule, ScheduledQuery};
-use crate::policy::{FifoAdmission, PolicyScheduler, Scheduler};
+use crate::policy::{FifoAdmission, PolicyScheduler};
 use crate::server::QramServer;
 
 /// An incremental FIFO scheduler for online query arrivals.
@@ -90,24 +90,16 @@ impl OnlineFifoScheduler {
         self.inner.admit(request)
     }
 
+    /// Admissions committed so far, in admission order.
+    #[must_use]
+    pub fn entries(&self) -> &[ScheduledQuery] {
+        self.inner.entries()
+    }
+
     /// Consumes the scheduler, returning the realized schedule.
     #[must_use]
     pub fn finish(self) -> Schedule {
         self.inner.into_schedule()
-    }
-}
-
-impl Scheduler for OnlineFifoScheduler {
-    fn server(&self) -> &QramServer {
-        self.inner.server()
-    }
-
-    fn admit(&mut self, request: QueryRequest) -> Result<ScheduledQuery, OutOfOrderArrival> {
-        self.inner.admit(request)
-    }
-
-    fn entries(&self) -> &[ScheduledQuery] {
-        self.inner.entries()
     }
 }
 

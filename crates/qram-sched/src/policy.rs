@@ -1,25 +1,25 @@
 //! The pluggable scheduling stack: one admission core, interchangeable
 //! policies (§5.2).
 //!
-//! Before this module, `schedule_fifo` (offline), [`OnlineFifoScheduler`]
-//! (incremental), and `simulate_streams` (closed-loop) each hard-coded the
-//! same pipelined-admission recurrence. The stack now layers them:
+//! `schedule_fifo` (offline), [`OnlineFifoScheduler`] (incremental), and
+//! `simulate_streams` (closed-loop) all commit admissions through one
+//! recurrence:
 //!
 //! * [`PipelineCore`] — the shared recurrence: a query ready at `r` starts
 //!   at `max(r, last_start + interval, finish of the query `p` admissions
 //!   back)` and occupies the pipeline for `latency`. Every scheduler in
-//!   the workspace commits admissions through this one implementation.
+//!   the workspace commits admissions through this one implementation,
+//!   at the earliest feasible start (the latency-optimal FIFO of
+//!   Appendix A.2).
 //! * [`AdmissionPolicy`] — a strategy hook deciding *how many* queries may
-//!   share the pipeline ([`AdmissionPolicy::in_flight_cap`]) and *when* a
-//!   request may start relative to the earliest feasible instant
-//!   ([`AdmissionPolicy::admission_time`]). [`FifoAdmission`] admits
-//!   greedily at full parallelism; [`NoiseAwareAdmission`] trades
-//!   parallelism for post-distillation fidelity (§8.2, Table 4).
-//! * [`Scheduler`] — the object-safe online admission surface: admit
-//!   each arrival in order, and read back the committed admissions.
-//!   [`PolicyScheduler`] composes the core with any policy;
-//!   [`OnlineFifoScheduler`] is its FIFO instantiation, kept as a named
-//!   type for API stability.
+//!   share the pipeline ([`AdmissionPolicy::in_flight_cap`]), plus the
+//!   per-tenant limits the fleet router enforces. [`FifoAdmission`] admits
+//!   at full parallelism; [`NoiseAwareAdmission`] trades parallelism for
+//!   post-distillation fidelity (§8.2, Table 4).
+//! * [`PolicyScheduler`] — the online admission surface: admit each
+//!   arrival in order, and read back the committed admissions. It
+//!   composes the core with any policy; [`OnlineFifoScheduler`] is its
+//!   FIFO instantiation, kept as a named type for API stability.
 //!
 //! [`OnlineFifoScheduler`]: crate::OnlineFifoScheduler
 
@@ -37,9 +37,8 @@ use crate::tenant::{SloClass, TenantId};
 /// `2⁶⁴`, and `ε ≥ 1` can never reach a sub-one target.
 const MAX_DISTILLATION_COPIES: u32 = 64;
 
-/// The shared pipelined-admission state: committed admissions, their
-/// finish times, and the recurrence that turns a ready time into the
-/// earliest feasible start.
+/// The shared pipelined-admission state: committed admissions and the
+/// recurrence that turns a ready time into the earliest feasible start.
 ///
 /// Every scheduling entry point in the workspace — offline FIFO, the
 /// online scheduler, the closed-loop stream simulator, and the
@@ -48,8 +47,6 @@ const MAX_DISTILLATION_COPIES: u32 = 64;
 #[derive(Debug, Clone)]
 pub struct PipelineCore {
     server: QramServer,
-    last_start: Option<Layers>,
-    finishes: Vec<Layers>,
     entries: Vec<ScheduledQuery>,
 }
 
@@ -59,8 +56,6 @@ impl PipelineCore {
     pub fn new(server: QramServer) -> Self {
         PipelineCore {
             server,
-            last_start: None,
-            finishes: Vec::new(),
             entries: Vec::new(),
         }
     }
@@ -92,13 +87,13 @@ impl PipelineCore {
     #[must_use]
     pub fn earliest_start(&self, ready: Layers, in_flight_cap: u32) -> Layers {
         let mut start = ready;
-        if let Some(prev) = self.last_start {
-            start = start.max(prev + self.server.interval());
+        if let Some(prev) = self.entries.last() {
+            start = start.max(prev.start + self.server.interval());
         }
         let k = self.entries.len();
         let p = in_flight_cap.clamp(1, self.server.parallelism()) as usize;
         if k >= p {
-            start = start.max(self.finishes[k - p]);
+            start = start.max(self.entries[k - p].finish);
         }
         start
     }
@@ -108,19 +103,17 @@ impl PipelineCore {
     /// # Panics
     ///
     /// Panics if `start` precedes the previous admission (the core's
-    /// recurrence assumes monotone starts — policies may only delay).
+    /// recurrence assumes monotone starts).
     pub fn commit(&mut self, request: QueryRequest, start: Layers) -> ScheduledQuery {
-        if let Some(prev) = self.last_start {
+        if let Some(prev) = self.entries.last() {
             assert!(
-                start >= prev,
+                start >= prev.start,
                 "admissions must be committed in start order: {} < {}",
                 start.get(),
-                prev.get()
+                prev.start.get()
             );
         }
         let finish = start + self.server.latency();
-        self.last_start = Some(start);
-        self.finishes.push(finish);
         let scheduled = ScheduledQuery {
             request,
             start,
@@ -140,27 +133,14 @@ impl PipelineCore {
 /// A pluggable admission strategy over the [`PipelineCore`].
 ///
 /// Policies constrain the core, never relax it: the cap is clamped into
-/// the server's parallelism, and the admission instant may only be delayed
-/// past the pipeline-feasible earliest start.
+/// the server's parallelism, and every admission starts at the earliest
+/// pipeline-feasible instant under that cap.
 pub trait AdmissionPolicy {
     /// Maximum queries allowed in flight concurrently. The default is the
     /// server's full pipeline parallelism; the returned value is clamped
     /// into `[1, parallelism]` by the callers.
     fn in_flight_cap(&self, server: &QramServer) -> u32 {
         server.parallelism()
-    }
-
-    /// The admission instant for `request`, given the earliest
-    /// pipeline-feasible start `earliest`. Implementations may delay but
-    /// never return a time before `earliest` (enforced by the callers).
-    ///
-    /// The event-driven serving layer re-evaluates a queued request at
-    /// every wake-up, so this may be invoked repeatedly for the same
-    /// request with a growing `earliest` — implementations must be
-    /// idempotent per request (pure functions of the arguments are).
-    fn admission_time(&mut self, request: &QueryRequest, earliest: Layers) -> Layers {
-        let _ = request;
-        earliest
     }
 
     /// Cap on a tenant's outstanding (queued + in-flight) requests across
@@ -300,34 +280,16 @@ impl AdmissionPolicy for NoiseAwareAdmission {
     }
 }
 
-/// The object-safe online scheduler surface: admit each arrival in
-/// order, and read back the committed admissions.
-pub trait Scheduler {
-    /// The server being scheduled onto.
-    fn server(&self) -> &QramServer;
-
-    /// Admits the next arriving request, committing its slot immediately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfOrderArrival`] if `request.arrival` precedes an
-    /// already-admitted arrival — an online scheduler sees time move
-    /// forward only.
-    fn admit(&mut self, request: QueryRequest) -> Result<ScheduledQuery, OutOfOrderArrival>;
-
-    /// Admissions committed so far, in admission order.
-    fn entries(&self) -> &[ScheduledQuery];
-}
-
-/// A [`Scheduler`] composing the shared [`PipelineCore`] with any
-/// [`AdmissionPolicy`].
+/// The online scheduler: the shared [`PipelineCore`] composed with any
+/// [`AdmissionPolicy`], admitting each arrival in order at its earliest
+/// feasible start.
 ///
 /// # Examples
 ///
 /// ```
 /// use qram_metrics::{Capacity, Layers};
 /// use qram_sched::{
-///     FifoAdmission, PolicyScheduler, QramServer, QueryRequest, Scheduler,
+///     FifoAdmission, PolicyScheduler, QramServer, QueryRequest,
 /// };
 ///
 /// let server = QramServer::fat_tree_integer_layers(Capacity::new(8)?);
@@ -340,7 +302,6 @@ pub trait Scheduler {
 pub struct PolicyScheduler<P> {
     core: PipelineCore,
     policy: P,
-    last_arrival: Option<Layers>,
 }
 
 impl<P: AdmissionPolicy> PolicyScheduler<P> {
@@ -350,7 +311,6 @@ impl<P: AdmissionPolicy> PolicyScheduler<P> {
         PolicyScheduler {
             core: PipelineCore::new(server),
             policy,
-            last_arrival: None,
         }
     }
 
@@ -371,36 +331,39 @@ impl<P: AdmissionPolicy> PolicyScheduler<P> {
     pub fn into_schedule(self) -> Schedule {
         self.core.into_schedule()
     }
-}
 
-impl<P: AdmissionPolicy> Scheduler for PolicyScheduler<P> {
-    fn server(&self) -> &QramServer {
+    /// The server being scheduled onto.
+    #[must_use]
+    pub fn server(&self) -> &QramServer {
         self.core.server()
     }
 
-    fn admit(&mut self, request: QueryRequest) -> Result<ScheduledQuery, OutOfOrderArrival> {
-        if let Some(prev) = self.last_arrival {
-            if request.arrival < prev {
+    /// Admits the next arriving request, committing its slot immediately
+    /// at the earliest start the policy's in-flight cap allows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfOrderArrival`] if `request.arrival` precedes an
+    /// already-admitted arrival — an online scheduler sees time move
+    /// forward only.
+    pub fn admit(&mut self, request: QueryRequest) -> Result<ScheduledQuery, OutOfOrderArrival> {
+        if let Some(last) = self.core.entries().last() {
+            let previous = last.request.arrival;
+            if request.arrival < previous {
                 return Err(OutOfOrderArrival {
                     arrival: request.arrival,
-                    previous: prev,
+                    previous,
                 });
             }
         }
-        self.last_arrival = Some(request.arrival);
         let cap = self.policy.in_flight_cap(self.core.server());
-        let earliest = self.core.earliest_start(request.arrival, cap);
-        let start = self.policy.admission_time(&request, earliest);
-        assert!(
-            start >= earliest,
-            "admission policy may only delay: {} < {}",
-            start.get(),
-            earliest.get()
-        );
+        let start = self.core.earliest_start(request.arrival, cap);
         Ok(self.core.commit(request, start))
     }
 
-    fn entries(&self) -> &[ScheduledQuery] {
+    /// Admissions committed so far, in admission order.
+    #[must_use]
+    pub fn entries(&self) -> &[ScheduledQuery] {
         self.core.entries()
     }
 }
@@ -475,23 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn delaying_policy_shifts_admissions() {
-        #[derive(Debug)]
-        struct DelayFive;
-        impl AdmissionPolicy for DelayFive {
-            fn admission_time(&mut self, _request: &QueryRequest, earliest: Layers) -> Layers {
-                earliest + Layers::new(5.0)
-            }
-        }
-        let mut sched = PolicyScheduler::new(server(), DelayFive);
-        for r in requests(&[0.0, 0.0]) {
-            sched.admit(r).unwrap();
-        }
-        let starts: Vec<f64> = sched.entries().iter().map(|e| e.start.get()).collect();
-        assert_eq!(starts, vec![5.0, 20.0]);
-    }
-
-    #[test]
     fn noise_aware_copies_match_table4_operating_point() {
         // Table 4: ε = 0.16 (Fat-Tree N = 16 at ε₀ = 2·10⁻³); four copies
         // reach 0.16⁴ ≈ 6.6·10⁻⁴.
@@ -527,22 +473,6 @@ mod tests {
         let tight = tight.into_schedule();
         assert!(tight.makespan() > fifo.makespan());
         assert!(tight.total_latency() > fifo.total_latency());
-    }
-
-    #[test]
-    #[should_panic(expected = "only delay")]
-    fn early_admission_rejected() {
-        #[derive(Debug)]
-        struct Cheat;
-        impl AdmissionPolicy for Cheat {
-            fn admission_time(&mut self, _request: &QueryRequest, earliest: Layers) -> Layers {
-                earliest.saturating_sub(Layers::new(1.0))
-            }
-        }
-        let mut sched = PolicyScheduler::new(server(), Cheat);
-        for r in requests(&[0.0, 0.0]) {
-            let _ = sched.admit(r);
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! [`QuotaAdmission`] attaches a tenant table to any inner policy
 //! ([`FifoAdmission`], [`NoiseAwareAdmission`], …): the inner policy keeps
-//! deciding pipeline-level admission (in-flight cap, admission instants)
-//! while the wrapper answers the per-tenant questions — composing the two
+//! deciding pipeline-level admission (the in-flight cap) while the
+//! wrapper answers the per-tenant questions — composing the two
 //! orthogonal axes without either knowing about the other. Like every
 //! policy in the stack it can only *constrain*: wrapping a policy never
 //! admits a request the inner policy would have refused.
@@ -31,7 +31,6 @@ use std::collections::BTreeMap;
 
 use qram_metrics::Layers;
 
-use crate::fifo::QueryRequest;
 use crate::policy::AdmissionPolicy;
 use crate::server::QramServer;
 
@@ -209,11 +208,10 @@ impl Default for RetryPolicy {
 /// Per-tenant quotas and SLO classes layered over any inner
 /// [`AdmissionPolicy`].
 ///
-/// Pipeline-level decisions ([`AdmissionPolicy::in_flight_cap`],
-/// [`AdmissionPolicy::admission_time`]) delegate to the inner policy
-/// unchanged; the per-tenant hooks compose constrain-only — a quota is the
-/// `min` of the wrapper's and the inner policy's, an SLO class is the
-/// stricter of the two.
+/// The pipeline-level decision ([`AdmissionPolicy::in_flight_cap`])
+/// delegates to the inner policy unchanged; the per-tenant hooks compose
+/// constrain-only — a quota is the `min` of the wrapper's and the inner
+/// policy's, an SLO class is the stricter of the two.
 ///
 /// # Examples
 ///
@@ -310,10 +308,6 @@ impl<P: AdmissionPolicy> AdmissionPolicy for QuotaAdmission<P> {
         self.inner.in_flight_cap(server)
     }
 
-    fn admission_time(&mut self, request: &QueryRequest, earliest: Layers) -> Layers {
-        self.inner.admission_time(request, earliest)
-    }
-
     fn tenant_quota(&self, tenant: TenantId) -> Option<u32> {
         // min-composition: the wrapper can only tighten the inner quota.
         match (self.spec(tenant).quota, self.inner.tenant_quota(tenant)) {
@@ -371,20 +365,11 @@ mod tests {
     fn pipeline_decisions_delegate_to_inner_policy() {
         let server = QramServer::fat_tree_integer_layers(Capacity::new(8).unwrap());
         let noise = NoiseAwareAdmission::from_infidelity(0.16, 1e-3);
-        let mut wrapped = QuotaAdmission::new(noise).with_quota(TenantId(1), 5);
+        let wrapped = QuotaAdmission::new(noise).with_quota(TenantId(1), 5);
         assert_eq!(
             wrapped.in_flight_cap(&server),
             noise.in_flight_cap(&server),
             "quota wrapper must not change the pipeline cap"
-        );
-        let request = QueryRequest {
-            id: 0,
-            arrival: Layers::ZERO,
-        };
-        let mut bare = noise;
-        assert_eq!(
-            wrapped.admission_time(&request, Layers::new(3.0)),
-            bare.admission_time(&request, Layers::new(3.0)),
         );
     }
 

@@ -12,7 +12,7 @@
 //! The pieces:
 //!
 //! * [`Fault`] / [`FaultPlan`] — the injectable fault taxonomy (replica
-//!   crash and rejoin, slowdown windows, per-shard queue stalls, dropped
+//!   crash and rejoin, slowdown windows, per-shard stalls, dropped
 //!   or delayed replication-log catch-up, corrupted dispatch outcomes)
 //!   plus a seeded generator ([`FaultPlan::from_seed`]) for chaos suites.
 //! * [`ReplicaHealth`] — the per-replica health state machine the fleet's
@@ -103,9 +103,9 @@ pub enum Fault {
         /// Service-time multiplier, `≥ 1`.
         factor: f64,
     },
-    /// One shard's dispatch queue freezes in `[from, until)`: strict FIFO
-    /// means the whole replica stops dispatching while the stalled shard
-    /// holds the next query.
+    /// One shard freezes in `[from, until)`: strict FIFO means the whole
+    /// replica stops dispatching while the next query in its queue runs
+    /// on the stalled shard.
     StallShard {
         /// The replica whose shard stalls.
         replica: usize,

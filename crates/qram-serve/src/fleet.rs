@@ -15,7 +15,7 @@
 //!   └────────┬──────────┬──────────┬─────┘  LeastLoadedPlacement
 //!            ▼          ▼          ▼
 //!       ┌─────────┐┌─────────┐┌─────────┐   R replica cores
-//!       │Replica 0││Replica 1││Replica 2│   (dispatch queues, I/K
+//!       │Replica 0││Replica 1││Replica 2│   (one FIFO queue, I/K
 //!       └────┬────┘└────┬────┘└────┬────┘    spacing, backpressure)
 //!            ▼          ▼          ▼
 //!       ┌────────────────────────────────┐  epoch-replicated memory
@@ -116,7 +116,7 @@ pub struct FleetWrite {
 /// Configuration of the fleet router.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetConfig {
-    /// Per-replica bound on requests waiting in the dispatch queues.
+    /// Per-replica bound on requests waiting in the dispatch queue.
     /// Arrivals beyond it (or beyond the tenant's SLO share of it) are
     /// shed. `None` queues without bound and disables SLO shedding;
     /// `Some(0)` is refused with [`ServeError::ZeroQueueCapacity`].
@@ -162,7 +162,7 @@ pub struct ShedRequest {
 /// The load signal a [`PlacementPolicy`] ranks replicas by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaLoad {
-    /// Requests waiting in the replica's dispatch queues.
+    /// Requests waiting in the replica's dispatch queue.
     pub queued: usize,
     /// Queries in flight in the replica's shard pipelines.
     pub in_flight: u32,
@@ -284,20 +284,24 @@ impl PlacementPolicy for LeastLoadedPlacement {
 /// ```
 #[derive(Debug)]
 pub struct QramFleet<
-    M: QramModel + Clone,
+    M: QramModel,
     P: AdmissionPolicy = FifoAdmission,
     L: PlacementPolicy = ConsistentHashPlacement,
 > {
-    pub(crate) backends: Vec<ShardedQram<M>>,
+    /// The one backend every replica serves on: replicas differ only in
+    /// their run state, never in their model.
+    pub(crate) backend: ShardedQram<M>,
+    pub(crate) replicas: usize,
     pub(crate) timing: TimingModel,
     pub(crate) policy: P,
     pub(crate) placement: L,
     pub(crate) config: FleetConfig,
 }
 
-impl<M: QramModel + Clone> QramFleet<M, FifoAdmission, ConsistentHashPlacement> {
-    /// A FIFO fleet of `replicas` copies of `qram` under consistent-hash
-    /// placement, unbounded queues, and instant replication.
+impl<M: QramModel> QramFleet<M, FifoAdmission, ConsistentHashPlacement> {
+    /// A FIFO fleet of `replicas` replicas serving on `qram` under
+    /// consistent-hash placement, unbounded queues, and instant
+    /// replication.
     ///
     /// # Panics
     ///
@@ -315,9 +319,9 @@ impl<M: QramModel + Clone> QramFleet<M, FifoAdmission, ConsistentHashPlacement> 
     }
 }
 
-impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
-    /// A fleet of `replicas` copies of `qram` with explicit admission
-    /// policy, placement policy, and configuration.
+impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
+    /// A fleet of `replicas` replicas serving on `qram` with explicit
+    /// admission policy, placement policy, and configuration.
     ///
     /// # Panics
     ///
@@ -333,7 +337,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ) -> Self {
         assert!(replicas >= 1, "a fleet needs at least one replica");
         QramFleet {
-            backends: vec![qram; replicas],
+            backend: qram,
+            replicas,
             timing,
             policy,
             placement,
@@ -344,19 +349,26 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// The fleet size `R`.
     #[must_use]
     pub fn num_replicas(&self) -> usize {
-        self.backends.len()
+        self.replicas
     }
 
-    /// The backend serving replica `replica`.
+    /// The backend serving replica `replica` (every replica serves on the
+    /// same one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet has no replica `replica`.
     #[must_use]
     pub fn backend(&self, replica: usize) -> &ShardedQram<M> {
-        &self.backends[replica]
+        let replicas = self.replicas;
+        assert!(replica < replicas, "replica {replica} of {replicas}");
+        &self.backend
     }
 
     /// The pipelined server equivalent to each replica.
     #[must_use]
     pub fn equivalent_server(&self) -> QramServer {
-        QramServer::for_model(&self.backends[0], &self.timing)
+        QramServer::for_model(&self.backend, &self.timing)
     }
 
     /// Serves a batch of requests (and write commits) to completion:

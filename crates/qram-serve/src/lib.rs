@@ -20,8 +20,8 @@
 //!   └──────────────┬───────────────┘
 //!                  ▼
 //!   ┌──────────────────────────────┐   event core, one per replica
-//!   │  EventQueue  +  dispatcher   │   round-robin shard queues,
-//!   │  shard 0 │ shard 1 │ … │ K−1 │   I_shard/K admission spacing,
+//!   │  EventQueue  +  dispatcher   │   one FIFO queue, j-th request on
+//!   │  shard 0 │ shard 1 │ … │ K−1 │   shard j mod K, I_shard/K spacing,
 //!   └──────────────┬───────────────┘   K·P_shard in-flight backpressure
 //!                  ▼
 //!   ┌──────────────────────────────┐   execution (qram-core)
@@ -37,8 +37,9 @@
 //!   queue over virtual circuit-layer time, ordered by one integer key,
 //!   with FIFO lanes beside its heap for events that arrive in order.
 //! * [`QramFleet`] — the serving loop: `R` replicas (one is the §5
-//!   single machine), each with per-shard round-robin dispatch queues
-//!   over a `ShardedQram`, admission at the divided `I_shard / K`
+//!   single machine) over one `ShardedQram` backend, each with one FIFO
+//!   queue whose `j`-th request runs on shard `j mod K`, admission at the
+//!   divided `I_shard / K`
 //!   interval, backpressure at the aggregate `K · P_shard` in-flight
 //!   bound and an optional bounded arrival queue that sheds load; behind
 //!   a pluggable [`PlacementPolicy`], per-tenant quotas and SLO classes at
@@ -46,7 +47,7 @@
 //!   reads. A [`FleetReport`] folds its latency rollups from the
 //!   completions on read.
 //! * [`FaultPlan`] — deterministic fault injection for the fleet: crashes
-//!   and recoveries, slow replicas, stalled shard queues, dropped or
+//!   and recoveries, slow replicas, stalled shards, dropped or
 //!   delayed replication catch-ups, and corrupted outcomes, driven
 //!   through the same event reactor for replayable chaos runs. The
 //!   serving loop answers with health-driven failover, backoff retries,

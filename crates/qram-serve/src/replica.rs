@@ -2,46 +2,43 @@
 //! backend.
 //!
 //! [`Replica`] is the §5 admission state of one replica and nothing
-//! else: per-shard round-robin dispatch queues, pipeline-slot accounting,
-//! and divided-interval admission spacing. [`QramFleet`]'s serving loop
+//! else: one FIFO dispatch queue, pipeline-slot accounting, and
+//! divided-interval admission spacing. [`QramFleet`]'s serving loop
 //! drives `R` of them behind its routing tier (one is the §5 single
 //! machine). The reactor stays outside: a replica never owns an event
 //! queue, it *reports* [`ReplicaEvent`]s through a caller-supplied hook.
 //! Nor does it carry a query's address or keep a dispatch history: a
-//! queued request is its id, arrival, deadline and a caller-private tag,
-//! and each dispatch is reported once, as its tag, start and shard. The
+//! queued request is its arrival, deadline and a caller-private tag, and
+//! each dispatch is reported once, as its tag, start and shard. The
 //! caller records it, schedules its completion and releases its slots.
 //!
 //! The dispatch rules are those of the analytic `OnlineFifoScheduler`
 //! recurrence (property-tested in `tests/serving.rs` and
 //! `tests/fleet.rs`):
 //!
-//! * the `j`-th accepted request queues at shard `j mod K`;
-//! * admissions are spaced by the divided interval `I_shard / K`;
+//! * the `j`-th accepted request runs on shard `j mod K`, and requests
+//!   leave the queue in accepted order, so the queue's front is always
+//!   accepted index `next_seq`;
+//! * each request starts as soon as it may: admissions are spaced by the
+//!   divided interval `I_shard / K`;
 //! * each shard holds at most `P_shard` in-flight queries and the
 //!   aggregate cap bounds the whole replica;
 //! * a capacity slot freed at instant `t` cannot be reused retroactively
-//!   (`earliest = max(earliest, now)` — the `finishes[k − p]` term of the
-//!   recurrence).
+//!   (`earliest = max(earliest, now)` — the `finish` of the entry `p`
+//!   admissions back in the recurrence).
 //!
 //! [`QramFleet`]: crate::QramFleet
 
 use std::collections::VecDeque;
 
 use qram_metrics::Layers;
-use qram_sched::{AdmissionPolicy, QueryRequest};
 
-/// A request sitting in a shard's dispatch queue.
+/// A request waiting in the dispatch queue.
 #[derive(Debug)]
 struct Pending {
-    id: usize,
     /// Caller-private handle reported back through [`ReplicaEvent`]s and
-    /// [`Replica::fail`] — unlike `id` it must name the query to the
-    /// caller (the fleet uses its query-state index).
+    /// [`Replica::fail`] (the fleet uses its query-state index).
     tag: usize,
-    /// Accepted-order sequence number: drives round-robin shard selection
-    /// even when expiries consume a slot without dispatching.
-    seq: usize,
     arrival: Layers,
     /// Absolute instant after which the request may no longer dispatch.
     deadline: Option<Layers>,
@@ -58,7 +55,7 @@ pub(crate) enum ReplicaEvent {
         tag: usize,
         /// The dispatch (admission) instant.
         start: Layers,
-        /// The shard whose dispatch queue served it.
+        /// The shard it runs on: its accepted index mod `K`.
         shard: usize,
     },
     /// Wake the dispatcher at the admission-interval boundary `at`.
@@ -75,10 +72,10 @@ pub(crate) enum ReplicaEvent {
     },
 }
 
-/// The serving core of one QRAM replica: round-robin shard queues, a
-/// divided-interval dispatcher, and in-flight accounting. Driven from
-/// outside by [`Replica::offer`] / [`Replica::release`] /
-/// [`Replica::ack_poll`] / [`Replica::pump`].
+/// The serving core of one QRAM replica: one FIFO queue dispatched
+/// round-robin over the shards, a divided-interval dispatcher, and
+/// in-flight accounting. Driven from outside by [`Replica::offer`] /
+/// [`Replica::release`] / [`Replica::ack_poll`] / [`Replica::pump`].
 #[derive(Debug)]
 pub(crate) struct Replica {
     shards: usize,
@@ -86,11 +83,11 @@ pub(crate) struct Replica {
     shard_parallelism: u32,
     aggregate_cap: u32,
     queue_capacity: Option<usize>,
-    shard_queues: Vec<VecDeque<Pending>>,
-    pending_total: usize,
-    accepted: usize,
-    /// Accepted-order index of the next request to consume (dispatch or
-    /// expire).
+    /// Accepted requests not yet consumed, in accepted order.
+    queue: VecDeque<Pending>,
+    /// Accepted-order index of the queue's front: the next request to
+    /// consume (dispatch or expire) runs on shard `next_seq mod K`, so
+    /// expiries and crashes keep the round robin aligned.
     next_seq: usize,
     /// Per-shard stall flags (injected faults): a stalled shard at the
     /// round-robin head blocks the whole strict-FIFO dispatcher.
@@ -102,7 +99,7 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    /// A replica over `shards` shard queues, dispatching at the divided
+    /// A replica over `shards` shards, dispatching at the divided
     /// interval `stagger`, bounded by `shard_parallelism` slots per shard
     /// and `aggregate_cap` in aggregate, with an optional bounded arrival
     /// queue.
@@ -124,9 +121,7 @@ impl Replica {
             shard_parallelism,
             aggregate_cap,
             queue_capacity,
-            shard_queues: (0..shards).map(|_| VecDeque::new()).collect(),
-            pending_total: 0,
-            accepted: 0,
+            queue: VecDeque::new(),
             next_seq: 0,
             stalled: vec![false; shards],
             inflight: 0,
@@ -136,10 +131,10 @@ impl Replica {
         }
     }
 
-    /// Requests waiting in the dispatch queues (dispatched queries do not
+    /// Requests waiting in the dispatch queue (dispatched queries do not
     /// count).
     pub fn queued(&self) -> usize {
-        self.pending_total
+        self.queue.len()
     }
 
     /// Queries currently in flight in the shard pipelines.
@@ -149,20 +144,19 @@ impl Replica {
 
     /// Queued plus in-flight: the load signal placement policies rank by.
     pub fn load(&self) -> usize {
-        self.pending_total + self.inflight as usize
+        self.queue.len() + self.inflight as usize
     }
 
     /// True when the bounded arrival queue (if any) still has room — an
     /// offered request would be accepted rather than shed.
     pub fn has_queue_room(&self) -> bool {
-        self.queue_capacity
-            .is_none_or(|cap| self.pending_total < cap)
+        self.queue_capacity.is_none_or(|cap| self.queue.len() < cap)
     }
 
-    /// Freezes or thaws one shard's dispatch queue (an injected fault).
-    /// While the round-robin head sits on a stalled shard the whole
-    /// dispatcher blocks — strict FIFO admits nothing out of order. The
-    /// caller must re-pump when the stall lifts.
+    /// Freezes or thaws one shard (an injected fault). While the
+    /// round-robin head sits on a stalled shard the whole dispatcher
+    /// blocks — strict FIFO admits nothing out of order. The caller must
+    /// re-pump when the stall lifts.
     pub fn set_shard_stall(&mut self, shard: usize, stalled: bool) {
         self.stalled[shard] = stalled;
     }
@@ -175,47 +169,29 @@ impl Replica {
     /// drained requests so dispatch stays aligned if the replica later
     /// rejoins.
     pub fn fail(&mut self) -> Vec<usize> {
-        let mut drained: Vec<(usize, usize)> = Vec::with_capacity(self.pending_total);
-        for queue in &mut self.shard_queues {
-            for pending in queue.drain(..) {
-                drained.push((pending.seq, pending.tag));
-            }
-        }
-        drained.sort_unstable();
-        self.pending_total = 0;
+        self.next_seq += self.queue.len();
         self.inflight = 0;
-        self.shard_inflight = vec![0; self.shards];
+        self.shard_inflight.fill(0);
         self.poll_at = None;
-        self.next_seq = self.accepted;
-        drained.into_iter().map(|(_, tag)| tag).collect()
+        self.queue.drain(..).map(|pending| pending.tag).collect()
     }
 
-    /// Offers an arrival to the replica: queues it at shard
-    /// `accepted mod K` and returns `true`, or returns `false` when the
-    /// bounded arrival queue is full (the request is shed — the replica
-    /// records nothing). `tag` is a caller-private handle echoed back by
+    /// Offers an arrival to the replica: queues it behind every accepted
+    /// request and returns `true`, or returns `false` when the bounded
+    /// arrival queue is full (the request is shed — the replica records
+    /// nothing). `tag` is a caller-private handle echoed back by
     /// [`ReplicaEvent`]s and [`Replica::fail`]; `deadline`, if set, is
     /// the absolute instant past which the request expires instead of
     /// dispatching.
-    pub fn offer(
-        &mut self,
-        id: usize,
-        tag: usize,
-        arrival: Layers,
-        deadline: Option<Layers>,
-    ) -> bool {
+    pub fn offer(&mut self, tag: usize, arrival: Layers, deadline: Option<Layers>) -> bool {
         if !self.has_queue_room() {
             return false;
         }
-        self.shard_queues[self.accepted % self.shards].push_back(Pending {
-            id,
+        self.queue.push_back(Pending {
             tag,
-            seq: self.accepted,
             arrival,
             deadline,
         });
-        self.accepted += 1;
-        self.pending_total += 1;
         true
     }
 
@@ -235,23 +211,13 @@ impl Replica {
         }
     }
 
-    /// Runs the dispatcher at instant `now`: drains the shard queues in
-    /// strict FIFO round-robin order as far as capacity and the admission
-    /// interval allow, reporting each dispatch once to `report` as a
-    /// [`ReplicaEvent::Dispatched`], each expiry as a
-    /// [`ReplicaEvent::Expired`], and at most one
+    /// Runs the dispatcher at instant `now`: drains the queue in strict
+    /// FIFO order, each request on its round-robin shard, as far as
+    /// capacity and the admission interval allow, reporting each
+    /// dispatch once to `report` as a [`ReplicaEvent::Dispatched`], each
+    /// expiry as a [`ReplicaEvent::Expired`], and at most one
     /// [`ReplicaEvent::Poll`] when blocked on the interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` tries to admit earlier than the binding
-    /// constraint (admission policies may only delay).
-    pub fn pump<P: AdmissionPolicy + ?Sized>(
-        &mut self,
-        now: Layers,
-        policy: &mut P,
-        mut report: impl FnMut(ReplicaEvent),
-    ) {
+    pub fn pump(&mut self, now: Layers, mut report: impl FnMut(ReplicaEvent)) {
         loop {
             let shard = self.next_seq % self.shards;
             if self.stalled[shard] {
@@ -260,7 +226,7 @@ impl Replica {
                 // shard and re-pumps.
                 break;
             }
-            let Some(head) = self.shard_queues[shard].front() else {
+            let Some(head) = self.queue.front() else {
                 // Strict FIFO: the next accepted query has not arrived.
                 break;
             };
@@ -271,49 +237,36 @@ impl Replica {
                 // at exactly the release instant.
                 break;
             }
-            let mut earliest = head.arrival;
+            let mut start = head.arrival;
             if let Some(last) = self.last_dispatch {
-                earliest = earliest.max(last + self.stagger);
+                start = start.max(last + self.stagger);
             }
             // The event instant is itself a constraint: a capacity slot
             // freed by the completion that triggered this pump cannot be
             // reused retroactively, so a capacity-blocked query starts
-            // exactly at the release instant — the `finishes[k − p]` term
-            // of the analytic recurrence.
-            earliest = earliest.max(now);
-            let request = QueryRequest {
-                id: head.id,
-                arrival: head.arrival,
-            };
-            let start = policy.admission_time(&request, earliest);
-            assert!(
-                start >= earliest,
-                "admission policy may only delay: {} < {}",
-                start.get(),
-                earliest.get()
-            );
+            // exactly at the release instant — the `finish` of the entry
+            // `p` admissions back in the analytic recurrence.
+            start = start.max(now);
             if head.deadline.is_some_and(|deadline| start > deadline) {
                 // The earliest admissible start already overruns the
                 // deadline: the request can never dispatch in time, so it
                 // expires now instead of waiting unboundedly. It consumes
                 // its round-robin slot but is never dispatched.
-                let pending = self.shard_queues[shard].pop_front().expect("head exists");
-                self.pending_total -= 1;
+                let pending = self.queue.pop_front().expect("head exists");
                 self.next_seq += 1;
                 report(ReplicaEvent::Expired { tag: pending.tag });
                 continue;
             }
             if start > now {
-                // Blocked on the admission interval (or a delaying
-                // policy): wake the dispatcher at the boundary.
+                // Blocked on the admission interval: wake the dispatcher
+                // at the boundary.
                 if self.poll_at != Some(start.get()) {
                     report(ReplicaEvent::Poll { at: start });
                     self.poll_at = Some(start.get());
                 }
                 break;
             }
-            let pending = self.shard_queues[shard].pop_front().expect("head exists");
-            self.pending_total -= 1;
+            let pending = self.queue.pop_front().expect("head exists");
             self.next_seq += 1;
             self.last_dispatch = Some(start);
             self.inflight += 1;
@@ -330,12 +283,11 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qram_sched::FifoAdmission;
 
     /// Pumps `r` at `now` and returns what it reported, in order.
     fn pump(r: &mut Replica, now: f64) -> Vec<ReplicaEvent> {
         let mut events = Vec::new();
-        r.pump(Layers::new(now), &mut FifoAdmission, |e| events.push(e));
+        r.pump(Layers::new(now), |e| events.push(e));
         events
     }
 
@@ -352,7 +304,7 @@ mod tests {
     fn round_robin_offer_and_strict_fifo_pump() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), 8, None);
         for id in 0..4 {
-            assert!(r.offer(id, id, Layers::ZERO, None));
+            assert!(r.offer(id, Layers::ZERO, None));
         }
         // One immediate dispatch; the second blocks on the interval.
         let events = pump(&mut r, 0.0);
@@ -382,7 +334,7 @@ mod tests {
     fn poll_latch_deduplicates_wakeups() {
         let mut r = Replica::new(1, 4, Layers::new(4.0), 4, None);
         for id in 0..3 {
-            r.offer(id, id, Layers::ZERO, None);
+            r.offer(id, Layers::ZERO, None);
         }
         let is_poll = |e: &ReplicaEvent| matches!(e, ReplicaEvent::Poll { .. });
         let mut polls = pump(&mut r, 0.0).iter().filter(|e| is_poll(e)).count();
@@ -396,10 +348,10 @@ mod tests {
     #[test]
     fn bounded_queue_refuses_offers_when_full() {
         let mut r = Replica::new(1, 1, Layers::new(4.0), 1, Some(2));
-        assert!(r.offer(0, 0, Layers::ZERO, None));
-        assert!(r.offer(1, 1, Layers::ZERO, None));
+        assert!(r.offer(0, Layers::ZERO, None));
+        assert!(r.offer(1, Layers::ZERO, None));
         assert!(!r.has_queue_room());
-        assert!(!r.offer(2, 2, Layers::ZERO, None));
+        assert!(!r.offer(2, Layers::ZERO, None));
         assert_eq!(r.queued(), 2);
     }
 
@@ -407,8 +359,8 @@ mod tests {
     fn release_frees_the_slots_a_dispatch_holds() {
         // One pipeline slot: the second request waits for the release.
         let mut r = Replica::new(1, 1, Layers::new(4.0), 1, None);
-        r.offer(7, 7, Layers::new(1.0), None);
-        r.offer(8, 8, Layers::new(1.0), None);
+        r.offer(7, Layers::new(1.0), None);
+        r.offer(8, Layers::new(1.0), None);
         assert_eq!(dispatched(&pump(&mut r, 1.0)), vec![7]);
         assert_eq!(r.load(), 2);
         assert_eq!(dispatched(&pump(&mut r, 11.0)), Vec::<usize>::new());
@@ -423,9 +375,9 @@ mod tests {
         // start before then, past its deadline of 5 — it expires and the
         // third offer (same shard, deadline met) dispatches next.
         let mut r = Replica::new(1, 1, Layers::new(4.0), 1, None);
-        r.offer(0, 100, Layers::ZERO, None);
-        r.offer(1, 101, Layers::ZERO, Some(Layers::new(5.0)));
-        r.offer(2, 102, Layers::ZERO, None);
+        r.offer(100, Layers::ZERO, None);
+        r.offer(101, Layers::ZERO, Some(Layers::new(5.0)));
+        r.offer(102, Layers::ZERO, None);
         pump(&mut r, 0.0);
         r.release(0);
         let events = pump(&mut r, 10.0);
@@ -434,11 +386,49 @@ mod tests {
         assert_eq!(r.queued(), 0);
     }
 
+    /// The (tag, shard) of each dispatch among `events`.
+    fn placed(events: &[ReplicaEvent]) -> Vec<(usize, usize)> {
+        let placed = events.iter().filter_map(|e| match *e {
+            ReplicaEvent::Dispatched { tag, shard, .. } => Some((tag, shard)),
+            _ => None,
+        });
+        placed.collect()
+    }
+
+    #[test]
+    fn expiry_and_crash_keep_three_shards_round_robin_aligned() {
+        // K = 3 with one slot per shard; tag 100 + j is accepted index j.
+        // Tag 101's earliest start is one interval in, past its deadline
+        // of 2: it expires, and every later dispatch still runs on shard
+        // (accepted index mod 3).
+        let mut r = Replica::new(3, 1, Layers::new(4.0), 3, None);
+        for j in 0..9 {
+            let deadline = (j == 1).then(|| Layers::new(2.0));
+            r.offer(100 + j, Layers::ZERO, deadline);
+        }
+        let events = pump(&mut r, 0.0);
+        assert_eq!(events[1], ReplicaEvent::Expired { tag: 101 });
+        assert_eq!(placed(&events), vec![(100, 0)]);
+        r.ack_poll(Layers::new(4.0));
+        // Tag 103 waits for shard 0's slot, held by tag 100.
+        assert_eq!(placed(&pump(&mut r, 4.0)), vec![(102, 2)]);
+        r.release(0);
+        assert_eq!(placed(&pump(&mut r, 8.0)), vec![(103, 0)]);
+        r.ack_poll(Layers::new(12.0));
+        // Tag 105 waits for shard 2's slot, held by tag 102.
+        assert_eq!(placed(&pump(&mut r, 12.0)), vec![(104, 1)]);
+        // A crash drains the queue in accepted order; the cursor moves
+        // past the drained indices 5..9, so the next offer is index 9.
+        assert_eq!(r.fail(), vec![105, 106, 107, 108]);
+        r.offer(109, Layers::new(20.0), None);
+        assert_eq!(placed(&pump(&mut r, 20.0)), vec![(109, 0)]);
+    }
+
     #[test]
     fn stalled_shard_blocks_the_strict_fifo_dispatcher() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), 8, None);
         for id in 0..4 {
-            r.offer(id, id, Layers::ZERO, None);
+            r.offer(id, Layers::ZERO, None);
         }
         r.set_shard_stall(0, true);
         let events = pump(&mut r, 0.0);
@@ -452,7 +442,7 @@ mod tests {
     fn fail_drains_queued_tags_in_accepted_order_and_zeroes_in_flight() {
         let mut r = Replica::new(2, 4, Layers::new(4.0), 8, None);
         for id in 0..5 {
-            r.offer(id, 50 + id, Layers::ZERO, None);
+            r.offer(50 + id, Layers::ZERO, None);
         }
         pump(&mut r, 0.0);
         assert_eq!(r.in_flight(), 1);
@@ -466,7 +456,7 @@ mod tests {
         assert_eq!(r.in_flight(), 0);
         // The replica can rejoin: a new offer dispatches on the shard the
         // round-robin cursor reached past the drained requests.
-        r.offer(9, 59, Layers::new(20.0), None);
+        r.offer(59, Layers::new(20.0), None);
         let events = pump(&mut r, 20.0);
         let rejoined = ReplicaEvent::Dispatched {
             tag: 59,

@@ -87,7 +87,7 @@ struct Dispatch {
     qid: usize,
     /// The dispatch (admission) instant.
     start: Layers,
-    /// The shard whose dispatch queue served it.
+    /// The shard it ran on.
     shard: usize,
     /// The memory epoch its replica had applied at dispatch.
     epoch: u64,
@@ -177,7 +177,7 @@ impl ReplicaState {
 /// The one serving loop behind every entry point: seeds a [`Run`], drains
 /// its reactor, and executes and reports what it dispatched. A free
 /// function, so the run's methods share its codegen unit and inline into it.
-pub(crate) fn serve_faulty<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
+pub(crate) fn serve_faulty<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy>(
     fleet: &mut QramFleet<M, P, L>,
     memory: &ClassicalMemory,
     requests: impl IntoIterator<Item = FleetRequest>,
@@ -206,13 +206,13 @@ pub(crate) fn serve_faulty<M: QramModel + Clone, P: AdmissionPolicy, L: Placemen
 /// memory whose cell count is not the capacity, a request whose address
 /// width is not the capacity's, and a write to a replica the fleet lacks,
 /// to a cell outside `memory`, or of a value wider than its bus.
-fn check_inputs<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
+fn check_inputs<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy>(
     fleet: &QramFleet<M, P, L>,
     memory: &ClassicalMemory,
     requests: &[FleetRequest],
     writes: &[FleetWrite],
 ) -> Result<(), ServeError> {
-    let (cells, capacity) = (memory.capacity(), fleet.backends[0].capacity());
+    let (cells, capacity) = (memory.capacity(), fleet.backend.capacity());
     if cells as u64 != capacity.get() {
         let capacity = capacity.get();
         return Err(ServeError::MemoryCapacity { cells, capacity });
@@ -261,14 +261,14 @@ fn check_inputs<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
 /// Refuses a fault plan entry or config field the run could not serve,
 /// before it starts (see [`ServeError::Fault`] and
 /// [`ServeError::FaultConfig`]); `durable` says the run logs its writes.
-fn check_faults<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy>(
+fn check_faults<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy>(
     fleet: &QramFleet<M, P, L>,
     plan: &FaultPlan,
     config: &FaultConfig,
     durable: bool,
 ) -> Result<(), ServeError> {
     let replicas = fleet.num_replicas();
-    let shards = fleet.backends[0].num_shards() as usize;
+    let shards = fleet.backend.num_shards() as usize;
     let latency = fleet.equivalent_server().latency().get();
     for (index, &fault) in plan.faults().iter().enumerate() {
         let servable = match fault {
@@ -320,7 +320,7 @@ fn monitors(plan: &FaultPlan, config: &FaultConfig) -> bool {
 /// outstanding counts, both ledgers and the durability tier. Each event
 /// kind has one handler method; a handler that may unblock a dispatcher
 /// ends by pumping it.
-pub(crate) struct Run<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> {
+pub(crate) struct Run<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> {
     fleet: &'a mut QramFleet<M, P, L>,
     plan: &'a FaultPlan,
     config: &'a FaultConfig,
@@ -365,7 +365,7 @@ pub(crate) struct Run<'a, M: QramModel + Clone, P: AdmissionPolicy, L: Placement
     loads: Vec<ReplicaLoad>,
 }
 
-impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> {
+impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> {
     /// A run of `fleet` over `requests`, sorted by arrival instant (the
     /// stable sort keeps supply order among ties), with one commit event
     /// scheduled per write, in supply order, on the writes lane.
@@ -382,9 +382,9 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
             .policy
             .in_flight_cap(&server)
             .clamp(1, server.parallelism());
-        let backend = &fleet.backends[0];
+        let backend = &fleet.backend;
         let queue_capacity = fleet.config.queue_capacity;
-        let replicas: Vec<ReplicaState> = (0..fleet.backends.len())
+        let replicas: Vec<ReplicaState> = (0..fleet.replicas)
             .map(|_| ReplicaState {
                 core: Replica::new(
                     backend.num_shards() as usize,
@@ -578,7 +578,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         let budget = self.fleet.policy.tenant_deadline(tenant);
         let deadline = budget.map(|budget| arrival + budget);
         let core = &mut self.replicas[target].core;
-        let offered = core.offer(request.id, qid, arrival, deadline);
+        let offered = core.offer(qid, arrival, deadline);
         debug_assert!(offered, "the SLO bound is at most the queue bound");
         self.states.push(QueryState {
             request,
@@ -916,7 +916,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
     fn reoffer(&mut self, qid: usize, target: usize) -> bool {
         let s = &self.states[qid];
         let core = &mut self.replicas[target].core;
-        core.offer(s.request.id, qid, s.request.arrival, s.deadline)
+        core.offer(qid, s.request.arrival, s.deadline)
     }
 
     /// A queued copy of query `qid` expired at its deadline; the query
@@ -946,33 +946,31 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         let (events, plan, latency, has_slow) =
             (&mut self.events, self.plan, self.latency, self.has_slow);
         let dispatches = &mut replica.dispatches;
-        replica
-            .core
-            .pump(now, &mut self.fleet.policy, |event| match event {
-                ReplicaEvent::Dispatched { tag, start, shard } => {
-                    // A slow-replica window stretches the service time of
-                    // a dispatch starting inside it.
-                    let factor = if has_slow {
-                        plan.slow_factor(target, start)
-                    } else {
-                        1.0
-                    };
-                    let finish = start + Layers::new(latency.get() * factor);
-                    let index = dispatches.len();
-                    dispatches.push(Dispatch {
-                        qid: tag,
-                        start,
-                        shard,
-                        epoch,
-                        stale,
-                        handled: false,
-                    });
-                    let replica = target;
-                    events.push_lane(replica, finish, Event::Completion { replica, index });
-                }
-                ReplicaEvent::Poll { at } => events.push(at, Event::Poll { replica: target }),
-                ReplicaEvent::Expired { tag } => events.push(now, Event::Expired { qid: tag }),
-            });
+        replica.core.pump(now, |event| match event {
+            ReplicaEvent::Dispatched { tag, start, shard } => {
+                // A slow-replica window stretches the service time of
+                // a dispatch starting inside it.
+                let factor = if has_slow {
+                    plan.slow_factor(target, start)
+                } else {
+                    1.0
+                };
+                let finish = start + Layers::new(latency.get() * factor);
+                let index = dispatches.len();
+                dispatches.push(Dispatch {
+                    qid: tag,
+                    start,
+                    shard,
+                    epoch,
+                    stale,
+                    handled: false,
+                });
+                let replica = target;
+                events.push_lane(replica, finish, Event::Completion { replica, index });
+            }
+            ReplicaEvent::Poll { at } => events.push(at, Event::Poll { replica: target }),
+            ReplicaEvent::Expired { tag } => events.push(now, Event::Expired { qid: tag }),
+        });
     }
 
     /// Copies of the `lost` queries died with crashed replica `r`:
@@ -1120,7 +1118,7 @@ impl<'a, M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M
         let (mut per_replica_dispatches, mut outcomes_by_replica) = (Vec::new(), Vec::new());
         for (r, replica) in self.replicas.into_iter().enumerate() {
             per_replica_dispatches.push(replica.dispatches.len() as u64);
-            let backend = &self.fleet.backends[r];
+            let backend = &self.fleet.backend;
             let updates = sweep_updates(backend, &replica.dispatches, self.replicated.journal(r));
             let addresses: Vec<AddressState> = (replica.dispatches.iter())
                 .map(|dispatch| {

@@ -35,7 +35,7 @@ use fat_tree_qram::metrics::{AvailabilityCounters, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{ClassicalMemory, QueryOutcome};
 use fat_tree_qram::sched::{
     AdmissionPolicy, NoiseAwareAdmission, PolicyScheduler, QramServer, QueryRequest,
-    QuotaAdmission, Scheduler, SloClass, TenantId,
+    QuotaAdmission, SloClass, TenantId,
 };
 use fat_tree_qram::serve::{
     ConsistentHashPlacement, FleetConfig, FleetQuery, FleetReport, FleetRequest, FleetWrite,

@@ -298,7 +298,7 @@ proptest! {
         for backend in &backends {
             let compiled = backend.execute_query_traced(&memory, &address).unwrap();
             let interpreted =
-                execute_layers(&backend.interned_query_layers(), &memory, &address).unwrap();
+                execute_layers(&backend.query_layers(), &memory, &address).unwrap();
             prop_assert_eq!(&compiled, &interpreted);
         }
     }
@@ -392,7 +392,7 @@ proptest! {
     /// on all three backends: same outcomes and same gate counts for
     /// random memories and superpositions. `execute_query_traced` runs the
     /// backend's plan, and is compared against the interpreter run over
-    /// the same interned stream.
+    /// the backend's generated stream.
     #[test]
     fn compiled_plans_match_interpreter_on_all_backends(
         n in 2u32..=6,
@@ -416,7 +416,7 @@ proptest! {
         for backend in &backends {
             let compiled = backend.execute_query_traced(&memory, &address).unwrap();
             let interpreted =
-                execute_layers(&backend.interned_query_layers(), &memory, &address).unwrap();
+                execute_layers(&backend.query_layers(), &memory, &address).unwrap();
             prop_assert!(
                 compiled == interpreted,
                 "{} compiled != interpreted", backend.name()

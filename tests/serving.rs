@@ -9,7 +9,7 @@ use fat_tree_qram::noise::GateErrorRates;
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{
     schedule_fifo, NoiseAwareAdmission, OnlineFifoScheduler, PolicyScheduler, QramServer,
-    QueryRequest, Schedule, ScheduledQuery, Scheduler, TenantId,
+    QueryRequest, Schedule, ScheduledQuery, TenantId,
 };
 use fat_tree_qram::serve::{ConsistentHashPlacement, FleetConfig, FleetRequest, QramFleet};
 use proptest::prelude::*;
