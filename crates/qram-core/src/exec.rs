@@ -40,10 +40,10 @@
 //!    *batch* around the plan's O(1) residual: every term's data is one
 //!    direct load from the caller's unsplit memory image (a sharded
 //!    term's global address already indexes it),
-//!    all terms land in one shared column collected in a single
-//!    allocation, and per-query outcomes are constant-size views into it
-//!    (`QueryOutcome::from_shared_column`) — one allocation per batch
-//!    instead of one `Vec` per query. Memo statistics are counted per
+//!    all terms land in one column filled in one pass and shared behind
+//!    one `Arc`, and per-query outcomes are constant-size views into it
+//!    (`QueryOutcome::from_shared_column`) — a constant number of
+//!    allocations per batch instead of one `Vec` per query. Memo statistics are counted per
 //!    memory epoch (a bitmap for single-branch sets, one sort for
 //!    multi-branch sets — no per-query hashing), on the traced entry
 //!    point only.

@@ -19,12 +19,19 @@
 //!   replica's applied epoch after the step. The base image plus the
 //!   entries tagged at most `e` is the replica's final image at epoch
 //!   `e`, so one retrieval-order sweep can serve reads of every epoch
-//!   without a memory copy per epoch.
+//!   without a memory copy per epoch;
+//! * every replica starts as the **base image**, which the memory borrows
+//!   from its caller ([`ReplicatedMemory::borrowed`]) or owns
+//!   ([`ReplicatedMemory::new`]). A replica copies the base only on its
+//!   first change — an applied log entry, an injected corruption or a
+//!   reset — so a read-only run copies no image at all.
 //!
 //! The consistency model is deliberately simple and property-testable:
 //! the log is a single total order (no concurrent conflicting writes), so
 //! two replicas at the same applied epoch hold bit-identical memories, and
 //! catching a replica up to the fleet epoch always converges it.
+
+use std::borrow::Cow;
 
 use qsim::branch::ClassicalMemory;
 
@@ -76,9 +83,13 @@ pub struct JournalEntry {
 /// assert!(!fleet.is_stale(0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicatedMemory {
-    replicas: Vec<ClassicalMemory>,
+#[derive(Debug, Clone)]
+pub struct ReplicatedMemory<'a> {
+    /// The image every replica starts from.
+    base: Cow<'a, ClassicalMemory>,
+    /// `replicas[r]` = replica `r`'s own image, made from the base at its
+    /// first change; `None` while it still reads the base.
+    replicas: Vec<Option<ClassicalMemory>>,
     /// `applied[r]` = number of log entries replica `r` has absorbed.
     applied: Vec<u64>,
     /// The totally ordered write log; entry `e − 1` established epoch `e`.
@@ -88,18 +99,49 @@ pub struct ReplicatedMemory {
     journals: Vec<Vec<JournalEntry>>,
 }
 
-impl ReplicatedMemory {
-    /// `num_replicas` replicas initialized from one base memory, all at
-    /// epoch 0.
+/// Equality is semantic: two replicated memories are equal when every
+/// replica's [`ReplicatedMemory::memory`], applied epoch and journal and
+/// the write log match, whether or not a replica has copied the base yet.
+impl PartialEq for ReplicatedMemory<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_replicas() == other.num_replicas()
+            && (0..self.num_replicas()).all(|r| self.memory(r) == other.memory(r))
+            && self.applied == other.applied
+            && self.log == other.log
+            && self.journals == other.journals
+    }
+}
+
+impl ReplicatedMemory<'static> {
+    /// `num_replicas` replicas initialized from one base memory, which
+    /// the replicated memory owns, all at epoch 0.
     ///
     /// # Panics
     ///
     /// Panics if `num_replicas` is zero.
     #[must_use]
     pub fn new(base: ClassicalMemory, num_replicas: usize) -> Self {
+        ReplicatedMemory::with_base(Cow::Owned(base), num_replicas)
+    }
+}
+
+impl<'a> ReplicatedMemory<'a> {
+    /// `num_replicas` replicas initialized from `base`, borrowed: no
+    /// replica copies it before its first change. All start at epoch 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_replicas` is zero.
+    #[must_use]
+    pub fn borrowed(base: &'a ClassicalMemory, num_replicas: usize) -> Self {
+        ReplicatedMemory::with_base(Cow::Borrowed(base), num_replicas)
+    }
+
+    fn with_base(base: Cow<'a, ClassicalMemory>, num_replicas: usize) -> Self {
         assert!(num_replicas >= 1, "a fleet needs at least one replica");
         ReplicatedMemory {
-            replicas: vec![base; num_replicas],
+            base,
+            replicas: vec![None; num_replicas],
             applied: vec![0; num_replicas],
             log: Vec::new(),
             journals: vec![Vec::new(); num_replicas],
@@ -143,14 +185,15 @@ impl ReplicatedMemory {
         &self.log
     }
 
-    /// Replica `replica`'s current memory.
+    /// Replica `replica`'s current memory: the base image itself until
+    /// the replica's first change.
     #[must_use]
     pub fn memory(&self, replica: usize) -> &ClassicalMemory {
-        &self.replicas[replica]
+        self.replicas[replica].as_ref().unwrap_or(&self.base)
     }
 
     /// Replica `replica`'s journal: every cell change it applied since
-    /// [`Self::new`], in order, tagged with non-decreasing applied
+    /// the memory was made, in order, tagged with non-decreasing applied
     /// epochs. Writing the entries tagged at most `e` over the base image
     /// gives the replica's memory as it last stood at applied epoch `e`;
     /// all of them give [`Self::memory`].
@@ -201,8 +244,11 @@ impl ReplicatedMemory {
         if target <= from {
             return 0;
         }
+        // The replica's first change copies the base.
+        let image =
+            self.replicas[replica].get_or_insert_with(|| ClassicalMemory::clone(&self.base));
         for entry in &self.log[from as usize..target as usize] {
-            self.replicas[replica].write(entry.address, entry.value);
+            image.write(entry.address, entry.value);
             self.journals[replica].push(JournalEntry {
                 tag: target,
                 address: entry.address,
@@ -240,7 +286,7 @@ impl ReplicatedMemory {
             "recovered epoch {epoch} is behind replica {replica}'s applied epoch {}",
             self.applied[replica]
         );
-        let old = &self.replicas[replica];
+        let old = self.replicas[replica].as_ref().unwrap_or(&self.base);
         assert!(
             memory.capacity() == old.capacity() && memory.bus_width() == old.bus_width(),
             "a recovered image must match the replica's capacity and bus width"
@@ -257,7 +303,7 @@ impl ReplicatedMemory {
                 value,
             });
         self.journals[replica].extend(diff);
-        self.replicas[replica] = memory;
+        self.replicas[replica] = Some(memory);
         self.applied[replica] = epoch;
     }
 
@@ -272,8 +318,11 @@ impl ReplicatedMemory {
     ///
     /// Panics if `replica` or `address` is out of range.
     pub fn corrupt_replica_cell(&mut self, replica: usize, address: u64) {
-        let flipped = self.replicas[replica].read(address) ^ 1;
-        self.replicas[replica].write(address, flipped);
+        // The replica's first change copies the base.
+        let image =
+            self.replicas[replica].get_or_insert_with(|| ClassicalMemory::clone(&self.base));
+        let flipped = image.read(address) ^ 1;
+        image.write(address, flipped);
         self.journals[replica].push(JournalEntry {
             tag: self.applied[replica],
             address,
@@ -286,7 +335,7 @@ impl ReplicatedMemory {
 mod tests {
     use super::*;
 
-    fn fleet(r: usize) -> ReplicatedMemory {
+    fn fleet(r: usize) -> ReplicatedMemory<'static> {
         let base = ClassicalMemory::from_words(8, &[0; 16]).unwrap();
         ReplicatedMemory::new(base, r)
     }
@@ -518,6 +567,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn words() -> ClassicalMemory {
+        let words: Vec<u64> = (0..16).map(|i| i * 37 % 256).collect();
+        ClassicalMemory::from_words(8, &words).unwrap()
+    }
+
+    /// Which replicas hold an image of their own rather than the base.
+    fn copied(m: &ReplicatedMemory<'_>, base: &ClassicalMemory) -> Vec<bool> {
+        (0..m.num_replicas())
+            .map(|r| m.memory(r).cells().as_ptr() != base.cells().as_ptr())
+            .collect()
+    }
+
+    #[test]
+    fn an_unchanged_replica_reads_the_base_buffer() {
+        let base = words();
+        let mut m = ReplicatedMemory::borrowed(&base, 3);
+        assert_eq!(copied(&m, &base), [false; 3]);
+        // Catch-ups with nothing to apply change nothing.
+        assert_eq!(m.catch_up(1), 0);
+        m.write_at(0, 3, 1);
+        assert_eq!(m.catch_up_to(2, 0), 0);
+        assert_eq!(copied(&m, &base), [true, false, false]);
+        assert_eq!(m.memory(1), &base);
+    }
+
+    #[test]
+    fn each_first_change_copies_only_the_replica_it_touches() {
+        let base = words();
+        let fresh = || ReplicatedMemory::borrowed(&base, 3);
+
+        let mut m = fresh();
+        m.write_at(1, 3, 1);
+        assert_eq!(copied(&m, &base), [false, true, false], "write_at");
+
+        let mut m = fresh();
+        m.write_at(0, 3, 1);
+        assert_eq!(m.catch_up_to(2, 1), 1);
+        assert_eq!(copied(&m, &base), [true, false, true], "catch_up_to");
+        assert_eq!(m.memory(2).read(3), 1);
+
+        let mut m = fresh();
+        m.corrupt_replica_cell(1, 3);
+        assert_eq!(copied(&m, &base), [false, true, false], "corrupt");
+        assert_eq!(m.memory(1).read(3), base.read(3) ^ 1);
+
+        let mut m = fresh();
+        m.reset_replica(1, base.clone(), 0);
+        assert_eq!(copied(&m, &base), [false, true, false], "reset");
+
+        // The base itself never changes.
+        assert_eq!(base, words());
+    }
+
+    #[test]
+    fn a_reset_of_an_uncopied_replica_journals_its_diff_against_the_base() {
+        let base = words();
+        let mut m = ReplicatedMemory::borrowed(&base, 3);
+        m.write_at(0, 9, 1);
+        let mut image = base.clone();
+        image.write(2, 200);
+        image.write(5, 201);
+        image.write(7, base.read(7)); // unchanged: not journaled
+        m.reset_replica(2, image.clone(), 1);
+        let entry = |address, value| JournalEntry {
+            tag: 1,
+            address,
+            value,
+        };
+        assert_eq!(m.journal(2), [entry(2, 200), entry(5, 201)]);
+        assert_eq!(m.memory(2), &image);
+        assert!(m.journal(1).is_empty());
+    }
+
+    #[test]
+    fn memories_that_differ_only_in_copying_compare_equal() {
+        let base = words();
+        let uncopied = ReplicatedMemory::borrowed(&base, 2);
+        let mut copied_one = ReplicatedMemory::borrowed(&base, 2);
+        // A reset to the base image copies replica 1 and journals nothing.
+        copied_one.reset_replica(1, base.clone(), 0);
+        assert_eq!(copied(&copied_one, &base), [false, true]);
+        assert_eq!(uncopied, copied_one);
+        assert_eq!(ReplicatedMemory::new(base.clone(), 2), uncopied);
+        copied_one.corrupt_replica_cell(1, 4);
+        assert_ne!(uncopied, copied_one);
     }
 
     #[test]

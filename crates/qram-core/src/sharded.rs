@@ -146,8 +146,7 @@ impl<M: QramModel> ShardedQram<M> {
     /// round-robin admission (`query_index mod K`) — the assignment
     /// [`QramModel::retrieval_layer`] stamps onto the batch timeline, and
     /// the one the serving layer's replica queue dispatches by.
-    #[must_use]
-    pub fn dispatch_shard(&self, query_index: usize) -> u32 {
+    fn dispatch_shard(&self, query_index: usize) -> u32 {
         (query_index % self.num_shards as usize) as u32
     }
 }
@@ -344,9 +343,11 @@ mod tests {
         assert!((s.admission_interval(&timing).get() * f64::from(k) - 8.25).abs() < 1e-12);
         // Aggregate parallelism is the per-shard one scaled by K.
         assert_eq!(s.query_parallelism(), k * s.shard_parallelism());
-        // Round-robin dispatch-queue assignment, matching retrieval_layer.
+        // Round-robin shard assignment: the shard term of the retrieval
+        // layer is the accepted index mod K.
         for q in 0..12usize {
-            assert_eq!(s.dispatch_shard(q), (q % 4) as u32);
+            let shard_term = s.retrieval_layer(q) - s.shard.retrieval_layer(q / 4);
+            assert_eq!(shard_term, (q % 4) as u64);
         }
     }
 

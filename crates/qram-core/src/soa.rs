@@ -16,8 +16,9 @@
 //!   address already indexes the unsplit image: no per-call shard split,
 //!   partition or packed copy of the memory.
 //! * **One shared term column** — every query's `(amplitude, address,
-//!   data)` terms land, in query order, in one `Arc<[_]>` collected from
-//!   an exact-size iterator (one allocation, data gathered on the fly).
+//!   data)` terms land, in query order, in one `Vec` sized up front and
+//!   filled in one pass, one `extend` per query over its term slice with
+//!   the data gathered on the fly, then shared as an `Arc<Vec<_>>`.
 //!   Per-query outcomes are constant-size views into it
 //!   ([`QueryOutcome::from_shared_column`]), so a query — and every later
 //!   clone of its outcome — costs a reference-count bump, not a copy of
@@ -187,13 +188,12 @@ pub(crate) fn execute_columnar(
                 .collect();
         }
         let column = collect_column(addresses, total, read);
-        return shared_views(n, bus_width, &column, addresses);
+        return shared_views(n, bus_width, &Arc::new(column), addresses);
     }
 
     // Placeholder data, filled per query by the sweep below; the XOR-
     // cancelled constant 0 stands when the plan reads nothing.
-    let mut column = collect_column(addresses, total, |_| 0);
-    let terms = Arc::get_mut(&mut column).expect("a fresh column is unique");
+    let mut terms = collect_column(addresses, total, |_| 0);
     let mut offsets = Vec::with_capacity(addresses.len() + 1);
     offsets.push(0);
     offsets.extend(addresses.iter().scan(0, |end, address| {
@@ -228,32 +228,31 @@ pub(crate) fn execute_columnar(
     if let Some(scratch) = &mut scratch {
         scratch.close_epoch();
     }
-    shared_views(n, bus_width, &column, addresses)
+    shared_views(n, bus_width, &Arc::new(terms), addresses)
 }
 
-/// Collects every query's terms, in query order, into one shared column
-/// with `data(address)` as each term's data. `(0..total).map(..)` is an
-/// exact-size iterator, so the `Arc` is allocated once and filled in
-/// place.
+/// Collects every query's terms, in query order, into one column of
+/// `total` terms with `data(address)` as each term's data: one
+/// allocation, filled query by query with one `extend` over each
+/// query's term slice.
 fn collect_column(
     addresses: &[AddressState],
     total: usize,
     data: impl Fn(u64) -> u64,
-) -> Arc<[Term]> {
-    let mut terms = addresses.iter().flat_map(AddressState::terms);
-    (0..total)
-        .map(|_| {
-            let &(amp, a) = terms.next().expect("`total` counts every term");
-            (amp, a, data(a))
-        })
-        .collect()
+) -> Vec<Term> {
+    let mut terms = Vec::with_capacity(total);
+    for address in addresses {
+        terms.extend(address.terms().iter().map(|&(amp, a)| (amp, a, data(a))));
+    }
+    debug_assert_eq!(terms.len(), total, "`total` counts every term");
+    terms
 }
 
 /// Per-query outcomes as consecutive views into `column`.
 fn shared_views(
     n: u32,
     bus_width: u32,
-    column: &Arc<[Term]>,
+    column: &Arc<Vec<Term>>,
     addresses: &[AddressState],
 ) -> Vec<QueryOutcome> {
     let mut start = 0;

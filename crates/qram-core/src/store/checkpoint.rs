@@ -166,13 +166,14 @@ pub fn load_chain(dir: &mut dyn Dir) -> Result<Option<(ClassicalMemory, u64, usi
     let mut chain = 0usize;
     loop {
         let name = delta_file(chain + 1);
-        let bytes = match dir.read(&name) {
-            Ok(b) => b,
+        let delta = match dir.read(&name) {
+            Ok(bytes) => decode_delta(single_frame(
+                &bytes,
+                "delta is not exactly one intact frame",
+            )?)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
             Err(e) => return Err(e.into()),
         };
-        let payload = single_frame(&bytes, "delta is not exactly one intact frame")?;
-        let delta = decode_delta(payload)?;
         if delta.base_epoch != epoch {
             // Stale prefix from a crashed fold: the new base superseded
             // these links. Sweep ascending until the first gap.
@@ -309,7 +310,10 @@ pub fn install(dir: &mut dyn Dir, memory: &ClassicalMemory, epoch: u64) -> Resul
     Ok(())
 }
 
-/// Loads the installed checkpoint. `Ok(None)` when no image exists.
+/// Loads the installed checkpoint, decoding it from the bytes
+/// [`Dir::read`] returns: a directory that holds the file in memory lends
+/// them, so the loaded cells are the only image-sized allocation.
+/// `Ok(None)` when no image exists.
 ///
 /// # Errors
 /// [`StoreError::CorruptCheckpoint`] when the image exists but fails

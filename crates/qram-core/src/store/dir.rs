@@ -20,6 +20,7 @@
 //! tests iterate over.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -33,11 +34,13 @@ use std::path::PathBuf;
 /// and expose [`Dir::as_any_mut`] so tests can reach simulator-only
 /// fault-injection hooks through the trait object.
 pub trait Dir: fmt::Debug {
-    /// Reads the entire contents of `name`.
+    /// Reads the entire contents of `name`: borrowed when the directory
+    /// already holds them in memory ([`SimDir`]), owned when they come
+    /// off a disk ([`OsDir`]).
     ///
     /// # Errors
     /// `NotFound` if the file does not exist, or the underlying I/O error.
-    fn read(&self, name: &str) -> io::Result<Vec<u8>>;
+    fn read(&self, name: &str) -> io::Result<Cow<'_, [u8]>>;
 
     /// Current size of `name` in bytes.
     ///
@@ -149,8 +152,8 @@ impl OsDir {
 }
 
 impl Dir for OsDir {
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        fs::read(self.path(name))
+    fn read(&self, name: &str) -> io::Result<Cow<'_, [u8]>> {
+        fs::read(self.path(name)).map(Cow::Owned)
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
@@ -381,10 +384,10 @@ impl SimDir {
 }
 
 impl Dir for SimDir {
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+    fn read(&self, name: &str) -> io::Result<Cow<'_, [u8]>> {
         self.files
             .get(name)
-            .cloned()
+            .map(|bytes| Cow::Borrowed(bytes.as_slice()))
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}")))
     }
 
@@ -506,14 +509,14 @@ mod tests {
         assert!(d.read("a").is_err());
         d.append("a", b"hel").unwrap();
         d.append("a", b"lo").unwrap();
-        assert_eq!(d.read("a").unwrap(), b"hello");
+        assert_eq!(*d.read("a").unwrap(), *b"hello");
         d.replace("a", b"bye").unwrap();
-        assert_eq!(d.read("a").unwrap(), b"bye");
+        assert_eq!(*d.read("a").unwrap(), *b"bye");
         d.truncate("a", 1).unwrap();
-        assert_eq!(d.read("a").unwrap(), b"b");
+        assert_eq!(*d.read("a").unwrap(), *b"b");
         d.rename("a", "b").unwrap();
         assert!(!d.exists("a"));
-        assert_eq!(d.read("b").unwrap(), b"b");
+        assert_eq!(*d.read("b").unwrap(), *b"b");
         d.remove("b").unwrap();
         assert!(!d.exists("b"));
         d.remove("b").unwrap(); // absent remove is a no-op
@@ -528,12 +531,12 @@ mod tests {
         assert_eq!(d.journal().len(), 3);
 
         assert!(!d.replay_prefix(0, None).exists("f"));
-        assert_eq!(d.replay_prefix(1, None).read("f").unwrap(), b"1234");
-        assert_eq!(d.replay_prefix(3, None).read("f").unwrap(), b"56");
+        assert_eq!(*d.replay_prefix(1, None).read("f").unwrap(), *b"1234");
+        assert_eq!(*d.replay_prefix(3, None).read("f").unwrap(), *b"56");
         // Torn mid-append: only the first 2 bytes landed.
-        assert_eq!(d.replay_prefix(0, Some(2)).read("f").unwrap(), b"12");
+        assert_eq!(*d.replay_prefix(0, Some(2)).read("f").unwrap(), *b"12");
         // Torn mid-replace: the old bytes are gone, the new ones partial.
-        assert_eq!(d.replay_prefix(2, Some(1)).read("f").unwrap(), b"5");
+        assert_eq!(*d.replay_prefix(2, Some(1)).read("f").unwrap(), *b"5");
         // A replayed dir journals from scratch.
         assert!(d.replay_prefix(3, None).journal().is_empty());
     }
@@ -544,7 +547,7 @@ mod tests {
         d.tear_next_write(1);
         d.append("f", b"abc").unwrap();
         d.append("f", b"def").unwrap();
-        assert_eq!(d.read("f").unwrap(), b"adef");
+        assert_eq!(*d.read("f").unwrap(), *b"adef");
     }
 
     #[test]
@@ -552,9 +555,9 @@ mod tests {
         let mut d = SimDir::new();
         d.append("f", &[0u8]).unwrap();
         d.flip_bit("f", 0, 3);
-        assert_eq!(d.read("f").unwrap(), vec![8u8]);
+        assert_eq!(*d.read("f").unwrap(), *vec![8u8]);
         d.flip_bit("f", 99, 0); // out of range: ignored
-        assert_eq!(d.read("f").unwrap(), vec![8u8]);
+        assert_eq!(*d.read("f").unwrap(), *vec![8u8]);
     }
 
     #[test]
@@ -583,14 +586,14 @@ mod tests {
         let mut d = OsDir::open(&root).unwrap();
         d.append("wal", b"abc").unwrap();
         d.append("wal", b"def").unwrap();
-        assert_eq!(d.read("wal").unwrap(), b"abcdef");
+        assert_eq!(*d.read("wal").unwrap(), *b"abcdef");
         assert_eq!(d.size("wal").unwrap(), 6);
         let mut buf = [0u8; 4];
         assert_eq!(d.read_at("wal", 2, &mut buf).unwrap(), 4);
         assert_eq!(&buf, b"cdef");
         assert_eq!(d.read_at("wal", 6, &mut buf).unwrap(), 0);
         d.truncate("wal", 4).unwrap();
-        assert_eq!(d.read("wal").unwrap(), b"abcd");
+        assert_eq!(*d.read("wal").unwrap(), *b"abcd");
         d.replace("tmp", b"img").unwrap();
         d.rename("tmp", "img").unwrap();
         assert!(d.exists("img") && !d.exists("tmp"));

@@ -1,8 +1,9 @@
 //! Allocation pin on cold recovery: one `DurableFleet::recover` holds
-//! the checkpoint image at most twice — the bytes the directory read
-//! returns, and the cell vector the recovered memory keeps. An earlier
-//! revision also copied the decoded cells into the memory and cloned the
-//! loaded image to replay the WAL onto it: four image-sized buffers.
+//! the checkpoint image once — the cell vector the recovered memory
+//! keeps, decoded from the bytes the simulated directory lends. Earlier
+//! revisions also copied the file out of the directory (two image-sized
+//! buffers), and before that copied the decoded cells into the memory
+//! and cloned the loaded image to replay the WAL onto it (four).
 //!
 //! One `#[test]` only: the counting allocator is process-global, and a
 //! concurrently running test would perturb the counts.
@@ -51,7 +52,7 @@ fn counts() -> (u64, u64) {
 }
 
 #[test]
-fn recovery_allocates_the_image_at_most_twice() {
+fn recovery_allocates_the_image_once() {
     // A 65,536-cell, 1-bit store: one 512 KiB cell image, checkpointed
     // at epoch 0, with a short WAL suffix to replay onto it.
     const CELLS: u64 = 1 << 16;
@@ -82,8 +83,8 @@ fn recovery_allocates_the_image_at_most_twice() {
     assert_eq!(recovered.memory, expected);
     let image = 8 * CELLS;
     assert!(
-        bytes < 3 * image,
+        bytes < image + image / 2,
         "one recovery allocated {bytes} bytes in {allocations} allocations, \
-         at least three {image}-byte images"
+         more than one {image}-byte image"
     );
 }

@@ -14,6 +14,8 @@
 //! makes durable. The store's unit tests pin the per-record op stream
 //! (one append and one sync per record).
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 use qram_core::store::{CheckpointPolicy, DurableFleet, GroupCommitPolicy, SimDir, WAL_FILE};
 use qram_core::ReplicatedWrite;
@@ -56,7 +58,7 @@ fn sim(store: &mut DurableFleet) -> &mut SimDir {
 }
 
 fn wal_bytes(store: &mut DurableFleet) -> Vec<u8> {
-    store.dir_mut().read(WAL_FILE).unwrap_or_default()
+    (store.dir_mut().read(WAL_FILE).map(Cow::into_owned)).unwrap_or_default()
 }
 
 /// A fresh per-record store holding exactly `log`.

@@ -314,12 +314,6 @@ impl<P: AdmissionPolicy> PolicyScheduler<P> {
         }
     }
 
-    /// The admission policy.
-    #[must_use]
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
     /// Number of queries admitted so far.
     #[must_use]
     pub fn admitted(&self) -> usize {

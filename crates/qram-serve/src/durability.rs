@@ -166,7 +166,7 @@ impl<'a> Durability<'a> {
     /// truncated, the watermark rolled back, and the lost acknowledged
     /// epochs re-appended from the fleet's in-memory log (each counted
     /// as a repair).
-    fn audit_disk(&mut self, replicated: &ReplicatedMemory) -> Result<(), StoreError> {
+    fn audit_disk(&mut self, replicated: &ReplicatedMemory<'_>) -> Result<(), StoreError> {
         // Land the open group through the ledger first, so the store's
         // own pre-rescan flush has nothing left to sync invisibly.
         self.flush()?;
@@ -202,7 +202,7 @@ impl<'a> Durability<'a> {
     pub(crate) fn rejoin_from_disk(
         &mut self,
         replica: usize,
-        replicated: &mut ReplicatedMemory,
+        replicated: &mut ReplicatedMemory<'_>,
     ) -> Result<(), StoreError> {
         self.audit_disk(replicated)?;
         let durable_fleet_epoch = self.store.durable_epoch() - self.wal_base;
@@ -221,7 +221,7 @@ impl<'a> Durability<'a> {
     /// built; only a repair copies it.
     pub(crate) fn scrub(
         &mut self,
-        replicated: &mut ReplicatedMemory,
+        replicated: &mut ReplicatedMemory<'_>,
         replicas: &[ReplicaState],
         chunk_cells: usize,
     ) -> Result<(), StoreError> {

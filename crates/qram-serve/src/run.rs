@@ -338,8 +338,9 @@ pub(crate) struct Run<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> 
     replica_slots: usize,
     replicas: Vec<ReplicaState>,
     /// Each replica's journal records the cell changes it applies; a
-    /// dispatch's stamped epoch selects its prefix at execution.
-    replicated: ReplicatedMemory,
+    /// dispatch's stamped epoch selects its prefix at execution. The
+    /// replicas borrow the caller's memory until their first change.
+    replicated: ReplicatedMemory<'a>,
     /// The event heap beside one completion lane per replica and, after
     /// them, the writes lane.
     events: EventQueue<Event>,
@@ -368,10 +369,12 @@ pub(crate) struct Run<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> 
 impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> {
     /// A run of `fleet` over `requests`, sorted by arrival instant (the
     /// stable sort keeps supply order among ties), with one commit event
-    /// scheduled per write, in supply order, on the writes lane.
+    /// scheduled per write, in supply order, on the writes lane. Its
+    /// replicas borrow `memory` as their base image and copy it only on
+    /// their first change, so a read-only run copies no image.
     pub(crate) fn new(
         fleet: &'a mut QramFleet<M, P, L>,
-        memory: &ClassicalMemory,
+        memory: &'a ClassicalMemory,
         mut arrivals: Vec<FleetRequest>,
         writes: Vec<FleetWrite>,
         plan: &'a FaultPlan,
@@ -419,7 +422,7 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
             has_slow: plan.has_slow_faults(),
             retry: RetryPolicy::default(),
             replica_slots: cap + queue_capacity.unwrap_or(4 * cap),
-            replicated: ReplicatedMemory::new(memory.clone(), replicas.len()),
+            replicated: ReplicatedMemory::borrowed(memory, replicas.len()),
             loads: Vec::with_capacity(replicas.len()),
             replicas,
             events,
@@ -1086,7 +1089,8 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
     /// records, in dispatch order: each query's address moves into the
     /// batch at its last dispatch, and only a query dispatched more than
     /// once (a retry after a lost attempt, or a hedge) is cloned for its
-    /// earlier dispatches.
+    /// earlier dispatches. Each completed query's outcome moves out of
+    /// its replica's batch into the report.
     pub(crate) fn finish(mut self, memory: &ClassicalMemory) -> Result<FleetReport, ServeError> {
         // A run ending mid-group (max_delay 0, or the deadline never fired
         // because the reactor emptied) must not report its last writes as
@@ -1132,24 +1136,31 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
                     address.expect("an address moves only at its query's last dispatch")
                 })
                 .collect();
-            outcomes_by_replica.push(backend.execute_queries(memory, &addresses, &updates)?);
+            let outcomes = backend.execute_queries(memory, &addresses, &updates)?;
+            outcomes_by_replica.push(outcomes.into_iter().map(Some).collect::<Vec<_>>());
         }
-        // Crashed and corrupted dispatches leave holes in a replica's
-        // completion order, so each completed query fetches its outcome
-        // by its recorded dispatch index.
-        let outcomes: Vec<QueryOutcome> = self
-            .completed_dispatch
-            .iter()
-            .map(|&(r, index)| outcomes_by_replica[r][index].clone())
-            .collect();
         // Corrupted completions were re-served under the retry budget;
-        // verify the parity check would indeed have caught each one.
+        // verify the parity check would indeed have caught each one. It
+        // reads the clean outcomes before any moves out below.
         for &(r, index) in &self.corrupted_served {
-            let clean = &outcomes_by_replica[r][index];
+            let clean = outcomes_by_replica[r][index].as_ref();
+            let clean = clean.expect("an outcome moves only at its completion");
             if parity_bit(&corrupt_outcome(clean)) != parity_bit(clean) {
                 self.counters.corruptions_detected += 1;
             }
         }
+        // Crashed and corrupted dispatches leave holes in a replica's
+        // completion order, so each completed query takes its outcome by
+        // its recorded dispatch index. A dispatch completes at most once,
+        // so each outcome is moved, not cloned.
+        let outcomes: Vec<QueryOutcome> = self
+            .completed_dispatch
+            .iter()
+            .map(|&(r, index)| {
+                let outcome = outcomes_by_replica[r][index].take();
+                outcome.expect("a dispatch completes at most once")
+            })
+            .collect();
         Ok(FleetReport {
             timing: self.fleet.timing,
             completed: self.completed,

@@ -6,15 +6,18 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation and reallocation; frees are not counted (the
-/// pins are on allocation *work*, not live bytes).
+/// Counts every allocation and reallocation, and the bytes each asks
+/// for; frees are not counted (the pins are on allocation *work*, not
+/// live bytes).
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -24,6 +27,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -34,4 +38,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocations and reallocations so far in this process.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes asked for by those allocations and reallocations so far.
+#[allow(dead_code)] // only the image pin reads bytes
+pub fn bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }

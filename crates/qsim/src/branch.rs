@@ -34,7 +34,17 @@ use crate::Complex;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AddressState {
     address_width: u32,
-    terms: Vec<(Complex, u64)>,
+    terms: AddressTerms,
+}
+
+/// Backing storage of an [`AddressState`]'s `(amplitude, address)`
+/// terms. A lone term is stored inline, so a classical address carries
+/// no heap block. The form is canonical — `One` exactly when there is
+/// one term — so the derived equality compares terms, not storage.
+#[derive(Debug, Clone, PartialEq)]
+enum AddressTerms {
+    One((Complex, u64)),
+    Many(Vec<(Complex, u64)>),
 }
 
 /// Errors constructing branch states.
@@ -108,19 +118,33 @@ impl AddressState {
             *a = *a / norm;
         }
         collected.sort_by_key(|&(_, addr)| addr);
+        let terms = if collected.len() == 1 {
+            AddressTerms::One(collected[0])
+        } else {
+            AddressTerms::Many(collected)
+        };
         Ok(AddressState {
             address_width,
-            terms: collected,
+            terms,
         })
     }
 
-    /// A single classical address `|address⟩`.
+    /// A single classical address `|address⟩`, stored inline.
     ///
     /// # Errors
     ///
     /// Returns an error if the address exceeds the width.
     pub fn classical(address_width: u32, address: u64) -> Result<Self, BranchError> {
-        AddressState::new(address_width, [(Complex::ONE, address)])
+        if address >= 1u64.checked_shl(address_width).unwrap_or(u64::MAX) {
+            return Err(BranchError::AddressOutOfRange {
+                address,
+                address_width,
+            });
+        }
+        Ok(AddressState {
+            address_width,
+            terms: AddressTerms::One((Complex::ONE, address)),
+        })
     }
 
     /// A uniform superposition over the given addresses.
@@ -160,27 +184,30 @@ impl AddressState {
     #[must_use]
     #[inline]
     pub fn num_branches(&self) -> usize {
-        self.terms.len()
+        self.terms().len()
     }
 
     /// Iterates over `(amplitude, address)` terms in address order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &(Complex, u64)> {
-        self.terms.iter()
+        self.terms().iter()
     }
 
     /// The `(amplitude, address)` terms in address order, as a slice —
-    /// lets executors partition branches across worker threads without
-    /// first collecting the iterator.
+    /// lets a batch kernel copy a query's terms with one `extend`.
     #[must_use]
+    #[inline]
     pub fn terms(&self) -> &[(Complex, u64)] {
-        &self.terms
+        match &self.terms {
+            AddressTerms::One(term) => std::slice::from_ref(term),
+            AddressTerms::Many(terms) => terms,
+        }
     }
 
     /// Probability of measuring the given address.
     #[must_use]
     pub fn probability_of(&self, address: u64) -> f64 {
-        self.terms
+        self.terms()
             .iter()
             .find(|&&(_, a)| a == address)
             .map_or(0.0, |(amp, _)| amp.norm_sqr())
@@ -190,8 +217,8 @@ impl AddressState {
 /// Backing storage of a [`QueryOutcome`]'s `(amplitude, address, data)`
 /// terms: either owned per outcome (the single-query shape) or a range of
 /// a term column shared across a whole batch (the columnar batch kernel
-/// emits one flat column per memory epoch, so per-query outcomes cost one
-/// reference-count bump instead of one heap allocation each).
+/// fills one `Vec` of terms per call and shares it, so per-query outcomes
+/// cost one reference-count bump instead of one heap allocation each).
 #[derive(Debug, Clone)]
 enum OutcomeTerms {
     Owned(Vec<(Complex, u64, u64)>),
@@ -200,7 +227,7 @@ enum OutcomeTerms {
     /// allocation nor a reference-count bump per outcome.
     Single((Complex, u64, u64)),
     Shared {
-        column: Arc<[(Complex, u64, u64)]>,
+        column: Arc<Vec<(Complex, u64, u64)>>,
         start: usize,
         end: usize,
     },
@@ -295,7 +322,7 @@ impl QueryOutcome {
     pub fn from_shared_column(
         address_width: u32,
         bus_width: u32,
-        column: &Arc<[(Complex, u64, u64)]>,
+        column: &Arc<Vec<(Complex, u64, u64)>>,
         start: usize,
         end: usize,
     ) -> Self {
@@ -717,6 +744,49 @@ mod tests {
         let mut rewritten = ClassicalMemory::from_words(1, &[0, 0]).unwrap();
         rewritten.write(1, 1);
         assert_eq!(fresh, rewritten);
+    }
+
+    #[test]
+    fn every_address_constructor_yields_the_canonical_form() {
+        let one = |s: &AddressState| matches!(s.terms, AddressTerms::One(_));
+        let classical = AddressState::classical(3, 5).unwrap();
+        assert!(one(&classical), "a classical address is stored inline");
+        // Whichever constructor leaves one term stores it inline, so it
+        // equals the classical address.
+        for lone in [
+            AddressState::new(3, [(Complex::ONE, 5)]).unwrap(),
+            AddressState::new(3, [(Complex::real(2.0), 5)]).unwrap(),
+            AddressState::new(
+                3,
+                [(Complex::ZERO, 2), (Complex::ONE, 5), (Complex::ZERO, 7)],
+            )
+            .unwrap(),
+            AddressState::uniform(3, &[5]).unwrap(),
+        ] {
+            assert!(one(&lone), "{lone:?}");
+            assert_eq!(lone, classical);
+        }
+        assert!(one(&AddressState::full_superposition(0)));
+        // Two or more terms are one heap block, equal however they came.
+        let many = AddressState::uniform(3, &[1, 5]).unwrap();
+        let zero_padded = AddressState::new(
+            3,
+            [(Complex::ONE, 5), (Complex::ZERO, 2), (Complex::ONE, 1)],
+        )
+        .unwrap();
+        for state in [&many, &zero_padded, &AddressState::full_superposition(3)] {
+            assert!(!one(state), "{state:?}");
+        }
+        assert_eq!(zero_padded, many);
+        assert_ne!(many, classical);
+        // The inline constructor keeps the general one's range check.
+        for (width, address) in [(2, 4), (64, u64::MAX)] {
+            assert_eq!(
+                AddressState::classical(width, address),
+                AddressState::new(width, [(Complex::ONE, address)])
+            );
+        }
+        assert!(AddressState::classical(2, 4).is_err());
     }
 
     #[test]
