@@ -135,6 +135,19 @@ impl PipelineCore {
 /// Policies constrain the core, never relax it: the cap is clamped into
 /// the server's parallelism, and every admission starts at the earliest
 /// pipeline-feasible instant under that cap.
+///
+/// # The tenant terms
+///
+/// [`tenant_quota`](Self::tenant_quota),
+/// [`tenant_slo`](Self::tenant_slo) and
+/// [`tenant_deadline`](Self::tenant_deadline) are a tenant's terms, and
+/// each must be a pure function of the tenant: the same answer whenever
+/// and however often it is asked. A serving run asks each distinct
+/// tenant of its requests for each term once, before its first arrival,
+/// and applies the answers to every arrival, retry, hedge and resolution
+/// of that tenant. So a policy whose answers drift during a run (a
+/// counter, a clock, interior mutability) is not honored mid-run. Every
+/// policy in this crate answers from configuration fixed at construction.
 pub trait AdmissionPolicy {
     /// Maximum queries allowed in flight concurrently. The default is the
     /// server's full pipeline parallelism; the returned value is clamped
@@ -146,7 +159,8 @@ pub trait AdmissionPolicy {
     /// Cap on a tenant's outstanding (queued + in-flight) requests across
     /// the whole fleet; `None` (the default) is unlimited. Enforced by the
     /// fleet router at arrival time — excess arrivals are shed, bounding
-    /// the tenant's queue depth. See [`QuotaAdmission`].
+    /// the tenant's queue depth. See [`QuotaAdmission`]. One of the
+    /// tenant terms: asked once per tenant per run.
     ///
     /// [`QuotaAdmission`]: crate::tenant::QuotaAdmission
     fn tenant_quota(&self, tenant: TenantId) -> Option<u32> {
@@ -156,7 +170,8 @@ pub trait AdmissionPolicy {
 
     /// The tenant's shedding class under arrival-queue pressure. The
     /// default, [`SloClass::Interactive`], imposes no constraint beyond
-    /// the queue bound itself.
+    /// the queue bound itself. One of the tenant terms: asked once per
+    /// tenant per run.
     fn tenant_slo(&self, tenant: TenantId) -> SloClass {
         let _ = tenant;
         SloClass::Interactive
@@ -165,7 +180,8 @@ pub trait AdmissionPolicy {
     /// Per-query response deadline for the tenant, measured from arrival:
     /// a query still undispatched at `arrival + deadline` is shed as
     /// deadline-exceeded instead of waiting without bound. `None` (the
-    /// default) waits forever. See [`QuotaAdmission::with_deadline`].
+    /// default) waits forever. See [`QuotaAdmission::with_deadline`]. One
+    /// of the tenant terms: asked once per tenant per run.
     ///
     /// [`QuotaAdmission::with_deadline`]: crate::tenant::QuotaAdmission::with_deadline
     fn tenant_deadline(&self, tenant: TenantId) -> Option<Layers> {

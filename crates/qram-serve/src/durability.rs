@@ -29,9 +29,10 @@ pub(crate) struct Durability<'a> {
     /// `counters.wal_appends` at the last monitor tick, for the
     /// adaptive group-commit controller's per-tick append rate.
     appends_at_tick: u64,
-    /// The scrub's expected image, rebuilt in place per distinct epoch
-    /// a cycle audits.
-    expected: ClassicalMemory,
+    /// The scrub's expected image, made at the first scrub cycle (a run
+    /// that never scrubs never makes it) and rebuilt in place per
+    /// distinct epoch a cycle audits.
+    expected: Option<ClassicalMemory>,
 }
 
 /// True when a run without an external store still needs a durability
@@ -79,7 +80,7 @@ impl<'a> Durability<'a> {
             counters: IntegrityCounters::default(),
             syncs: 0,
             appends_at_tick: 0,
-            expected: memory.clone(),
+            expected: None,
         }))
     }
 
@@ -217,8 +218,8 @@ impl<'a> Durability<'a> {
     /// expected image at that replica's applied epoch, repairing
     /// divergence by resetting the replica to the expected image. The
     /// chain cannot change after the audit, so the image is rebuilt in
-    /// one buffer only when a replica's epoch differs from the last one
-    /// built; only a repair copies it.
+    /// one buffer, made at the first cycle, only when a replica's epoch
+    /// differs from the last one built; only a repair copies it.
     pub(crate) fn scrub(
         &mut self,
         replicated: &mut ReplicatedMemory<'_>,
@@ -227,6 +228,8 @@ impl<'a> Durability<'a> {
     ) -> Result<(), StoreError> {
         self.counters.scrub_cycles += 1;
         self.audit_disk(replicated)?;
+        let store = &*self.store;
+        let expected = (self.expected).get_or_insert_with(|| store.shadow().clone());
         let mut built = None;
         for r in (0..replicas.len()).filter(|&r| replicas[r].alive) {
             let applied = replicated.applied_epoch(r);
@@ -236,12 +239,12 @@ impl<'a> Durability<'a> {
                 // reconstructible — the replica is audited next cycle,
                 // once catch-up moves it past the checkpoint watermark. A
                 // refusal leaves the buffer at the last epoch built.
-                if !self.store.state_at(epoch, &mut self.expected) {
+                if !store.state_at(epoch, expected) {
                     continue;
                 }
                 built = Some(epoch);
             }
-            let want = self.expected.cells().chunks(chunk_cells);
+            let want = expected.cells().chunks(chunk_cells);
             let have = replicated.memory(r).cells().chunks(chunk_cells);
             self.counters.chunks_verified += have.len() as u64;
             let diverged = want.zip(have).filter(|(w, h)| w != h).count() as u64;
@@ -251,7 +254,7 @@ impl<'a> Durability<'a> {
                 // The reset journals the repaired cells at the same
                 // epoch, so the version's final image — what its
                 // dispatches read — is clean again.
-                replicated.reset_replica(r, self.expected.clone(), applied);
+                replicated.reset_replica(r, expected.clone(), applied);
             }
         }
         Ok(())

@@ -217,11 +217,18 @@ impl PlacementPolicy for ConsistentHashPlacement {
             .iter()
             .next()
             .map_or(0, |&(_, address)| address);
-        let home = (principal % loads.len() as u64) as usize;
-        (0..loads.len())
-            .map(|step| (home + step) % loads.len())
-            .find(|&r| loads[r].routable())
-            .unwrap_or(home)
+        let n = loads.len();
+        let home = (principal % n as u64) as usize;
+        // Probe the ring from home, wrapping by compare, not division;
+        // a full lap ends back at home.
+        let mut r = home;
+        while !loads[r].routable() {
+            r = if r + 1 == n { 0 } else { r + 1 };
+            if r == home {
+                break;
+            }
+        }
+        r
     }
 }
 

@@ -17,8 +17,10 @@
 //! `tests/fleet.rs`):
 //!
 //! * the `j`-th accepted request runs on shard `j mod K`, and requests
-//!   leave the queue in accepted order, so the queue's front is always
-//!   accepted index `next_seq`;
+//!   leave the queue in accepted order. The replica keeps the front's
+//!   shard as a cursor that steps and wraps at `K` as each request is
+//!   consumed, so no pump divides; [`Replica::fail`] moves it past the
+//!   drained requests with the one division a crash pays;
 //! * each request starts as soon as it may: admissions are spaced by the
 //!   divided interval `I_shard / K`;
 //! * each shard holds at most `P_shard` in-flight queries and the
@@ -26,6 +28,17 @@
 //! * a capacity slot freed at instant `t` cannot be reused retroactively
 //!   (`earliest = max(earliest, now)` — the `finish` of the entry `p`
 //!   admissions back in the recurrence).
+//!
+//! A pump that cannot act is skipped ([`Replica::is_idle_at`]): with an
+//! empty queue there is nothing to consume, and with a poll armed
+//! strictly after `now` the front is blocked on the interval until that
+//! poll. Only a pump or [`Replica::fail`] changes the front, and `fail`
+//! clears the poll, so the front is the one the poll was armed for: its
+//! start is that poll's instant, already checked against its deadline,
+//! and nothing that may happen before it (an offer at the back, a
+//! release, a stall) moves that start. The proptest
+//! `an_idle_pump_reports_nothing_and_changes_nothing` pins the check
+//! exact against random interleavings.
 //!
 //! [`QramFleet`]: crate::QramFleet
 
@@ -85,10 +98,11 @@ pub(crate) struct Replica {
     queue_capacity: Option<usize>,
     /// Accepted requests not yet consumed, in accepted order.
     queue: VecDeque<Pending>,
-    /// Accepted-order index of the queue's front: the next request to
-    /// consume (dispatch or expire) runs on shard `next_seq mod K`, so
-    /// expiries and crashes keep the round robin aligned.
-    next_seq: usize,
+    /// The shard of the queue's front: its accepted index mod `K`. It
+    /// steps past every consumed (dispatched or expired) request and,
+    /// on a crash, past every drained one, so the round robin stays
+    /// aligned.
+    head_shard: usize,
     /// Per-shard stall flags (injected faults): a stalled shard at the
     /// round-robin head blocks the whole strict-FIFO dispatcher.
     stalled: Vec<bool>,
@@ -122,7 +136,7 @@ impl Replica {
             aggregate_cap,
             queue_capacity,
             queue: VecDeque::new(),
-            next_seq: 0,
+            head_shard: 0,
             stalled: vec![false; shards],
             inflight: 0,
             shard_inflight: vec![0; shards],
@@ -169,7 +183,7 @@ impl Replica {
     /// drained requests so dispatch stays aligned if the replica later
     /// rejoins.
     pub fn fail(&mut self) -> Vec<usize> {
-        self.next_seq += self.queue.len();
+        self.head_shard = (self.head_shard + self.queue.len()) % self.shards;
         self.inflight = 0;
         self.shard_inflight.fill(0);
         self.poll_at = None;
@@ -211,6 +225,21 @@ impl Replica {
         }
     }
 
+    /// True when [`Replica::pump`] at `now` can neither dispatch nor
+    /// expire anything, so the caller may skip it: the queue is empty,
+    /// or an armed poll lies strictly after `now` (see the module docs).
+    pub fn is_idle_at(&self, now: Layers) -> bool {
+        self.queue.is_empty() || self.poll_at.is_some_and(|at| at > now.get())
+    }
+
+    /// Steps the round-robin cursor past the consumed front.
+    fn advance_head(&mut self) {
+        self.head_shard += 1;
+        if self.head_shard == self.shards {
+            self.head_shard = 0;
+        }
+    }
+
     /// Runs the dispatcher at instant `now`: drains the queue in strict
     /// FIFO order, each request on its round-robin shard, as far as
     /// capacity and the admission interval allow, reporting each
@@ -219,7 +248,7 @@ impl Replica {
     /// [`ReplicaEvent::Poll`] when blocked on the interval.
     pub fn pump(&mut self, now: Layers, mut report: impl FnMut(ReplicaEvent)) {
         loop {
-            let shard = self.next_seq % self.shards;
+            let shard = self.head_shard;
             if self.stalled[shard] {
                 // An injected stall at the round-robin head: strict FIFO
                 // blocks the whole dispatcher until the caller thaws the
@@ -253,7 +282,7 @@ impl Replica {
                 // expires now instead of waiting unboundedly. It consumes
                 // its round-robin slot but is never dispatched.
                 let pending = self.queue.pop_front().expect("head exists");
-                self.next_seq += 1;
+                self.advance_head();
                 report(ReplicaEvent::Expired { tag: pending.tag });
                 continue;
             }
@@ -267,7 +296,7 @@ impl Replica {
                 break;
             }
             let pending = self.queue.pop_front().expect("head exists");
-            self.next_seq += 1;
+            self.advance_head();
             self.last_dispatch = Some(start);
             self.inflight += 1;
             self.shard_inflight[shard] += 1;
@@ -283,6 +312,7 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Pumps `r` at `now` and returns what it reported, in order.
     fn pump(r: &mut Replica, now: f64) -> Vec<ReplicaEvent> {
@@ -338,8 +368,13 @@ mod tests {
         }
         let is_poll = |e: &ReplicaEvent| matches!(e, ReplicaEvent::Poll { .. });
         let mut polls = pump(&mut r, 0.0).iter().filter(|e| is_poll(e)).count();
+        assert!(r.is_idle_at(Layers::new(1.0)), "the poll at 4 is armed");
         polls += pump(&mut r, 1.0).iter().filter(|e| is_poll(e)).count();
         assert_eq!(polls, 1, "a pending poll is never re-scheduled");
+        assert!(
+            !r.is_idle_at(Layers::new(4.0)),
+            "the poll's own instant acts"
+        );
         // The poll fires: the latch clears and the next dispatch happens.
         r.ack_poll(Layers::new(4.0));
         assert_eq!(dispatched(&pump(&mut r, 4.0)), vec![1]);
@@ -464,5 +499,93 @@ mod tests {
             shard: 1,
         };
         assert_eq!(events, vec![rejoined]);
+    }
+
+    proptest! {
+        /// The idle check is exact. Random interleavings of offers (with
+        /// and without deadlines, arriving now or, as a retry or hedge
+        /// does, earlier), releases, poll firings, stalls and thaws,
+        /// crashes and pumps, at non-decreasing instants that never pass
+        /// an armed poll unfired, for K ∈ {1, 2, 3, 4}: whenever
+        /// `is_idle_at(now)` holds, a pump at `now` reports nothing and
+        /// leaves the queued count, the in-flight count and the head
+        /// shard unchanged. After every step the head-shard cursor is the
+        /// accepted index of the queue's front mod K, and every dispatch
+        /// runs on that shard.
+        #[test]
+        fn an_idle_pump_reports_nothing_and_changes_nothing(
+            steps in prop::collection::vec(0u64..u64::MAX, 1..160),
+            k in 1usize..=4,
+            slots in 1u32..=2,
+            queue_raw in 0usize..6,
+        ) {
+            let queue_capacity = (queue_raw > 0).then_some(queue_raw);
+            let aggregate = slots * k as u32 - queue_raw as u32 % (slots * k as u32);
+            let mut r = Replica::new(k, slots, Layers::new(4.0), aggregate, queue_capacity);
+            // `accepted` is the accepted index of the queue's front:
+            // every request consumed or drained so far.
+            let (mut now, mut accepted, mut tag) = (0.0, 0usize, 0usize);
+            let mut held: Vec<usize> = Vec::new();
+            let mut polls: Vec<f64> = Vec::new();
+            for &seed in &steps {
+                let next_poll = polls.iter().copied().fold(f64::INFINITY, f64::min);
+                // Steps shorter than the interval keep armed polls ahead
+                // of `now` for a while.
+                now = (now + (seed % 8) as f64 / 4.0).min(next_poll.max(now));
+                let arg = seed / 64;
+                let pumps = match (seed / 8) % 16 {
+                    0..=3 => {
+                        let arrival = (now - (arg % 4) as f64).max(0.0);
+                        let deadline = ((arg & 4) == 0)
+                            .then(|| Layers::new(arrival + 1.0 + (arg / 8 % 12) as f64));
+                        if r.offer(tag, Layers::new(arrival), deadline) {
+                            tag += 1;
+                        }
+                        false
+                    }
+                    4..=6 if !held.is_empty() => {
+                        let shard = held.swap_remove(arg as usize % held.len());
+                        r.release(shard);
+                        false
+                    }
+                    7 if now == next_poll => {
+                        polls.retain(|&at| at != now);
+                        r.ack_poll(Layers::new(now));
+                        true
+                    }
+                    8 => {
+                        r.set_shard_stall(arg as usize % k, (arg & 4) == 0);
+                        false
+                    }
+                    9 => {
+                        accepted += r.fail().len();
+                        held.clear();
+                        false
+                    }
+                    _ => true,
+                };
+                let idle = r.is_idle_at(Layers::new(now));
+                if idle || pumps {
+                    let before = (r.queued(), r.in_flight(), r.head_shard);
+                    let events = pump(&mut r, now);
+                    if idle {
+                        prop_assert!(events.is_empty(), "idle at {} but {:?}", now, events);
+                        prop_assert_eq!((r.queued(), r.in_flight(), r.head_shard), before);
+                    }
+                    for event in events {
+                        match event {
+                            ReplicaEvent::Dispatched { shard, .. } => {
+                                prop_assert_eq!(shard, accepted % k);
+                                held.push(shard);
+                                accepted += 1;
+                            }
+                            ReplicaEvent::Expired { .. } => accepted += 1,
+                            ReplicaEvent::Poll { at } => polls.push(at.get()),
+                        }
+                    }
+                }
+                prop_assert_eq!(r.head_shard, accepted % k);
+            }
+        }
     }
 }

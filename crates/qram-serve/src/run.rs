@@ -1,8 +1,25 @@
 //! The one serving loop: the state of a run, one handler method per
 //! reactor event, and the per-replica §7.2 sweep that executes what the
 //! run dispatched.
+//!
+//! An admitted query costs the loop as little as its schedule allows:
+//!
+//! * **One tenant table per run.** [`Run::new`] asks the admission
+//!   policy for each distinct tenant's terms once, into a table sorted by
+//!   [`TenantId`] that also keeps the tenant's outstanding count. An
+//!   arrival finds its row by binary search, and its query state keeps
+//!   the row for retries, hedges and resolution. This relies on the
+//!   [`AdmissionPolicy`] contract that a tenant's terms depend only on
+//!   the tenant.
+//! * **No pump that cannot act.** [`Run::pump`] returns before it reads
+//!   the replicated memory when the replica's dispatcher is idle at the
+//!   instant ([`Replica::is_idle_at`]): its queue is empty, or its front
+//!   waits for a poll armed later.
+//! * **One pass per batch.** A query state counts its dispatch records
+//!   as the pumps report them, so [`Run::finish`] builds each replica's
+//!   batch straight from the query states, moving each address at its
+//!   query's last dispatch.
 
-use std::collections::BTreeMap;
 use std::iter::Peekable;
 
 use qram_core::store::{DurableFleet, StoreError};
@@ -107,15 +124,36 @@ struct QueryState {
     /// The admitted request, address included.
     request: FleetRequest,
     deadline: Option<Layers>,
+    /// Its tenant's row in the run's tenant table.
+    row: u32,
     /// Dispatch attempts consumed, counting the first.
     attempts: u32,
     /// Live copies: queued or in-flight offers of this query.
     outstanding: u32,
+    /// The dispatch records naming it, across every replica's log.
+    dispatches: u32,
     /// Resolved — completed or shed. Terminal.
     done: bool,
     last_replica: usize,
     /// The replica its one hedged copy went to.
     hedge_replica: Option<usize>,
+}
+
+/// One row of a run's tenant table: a tenant's terms, asked of the
+/// admission policy once per run, and its outstanding count.
+#[derive(Debug)]
+struct TenantTerms {
+    tenant: TenantId,
+    /// The cap on its outstanding queries ([`AdmissionPolicy::tenant_quota`]).
+    quota: Option<u32>,
+    /// Its shedding class ([`AdmissionPolicy::tenant_slo`]).
+    slo: SloClass,
+    /// The class's share of a bounded replica queue, if queues are bounded.
+    slo_bound: Option<usize>,
+    /// Its per-query budget ([`AdmissionPolicy::tenant_deadline`]).
+    deadline: Option<Layers>,
+    /// Its admitted queries not yet resolved, against `quota`.
+    outstanding: u32,
 }
 
 /// One replica of a serving run: its admission core, its dispatch log,
@@ -316,10 +354,10 @@ fn monitors(plan: &FaultPlan, config: &FaultConfig) -> bool {
 }
 
 /// The state of one serving run: the replicas, the reactor's event queue
-/// and pending arrivals, every admitted query, the shed list, per-tenant
-/// outstanding counts, both ledgers and the durability tier. Each event
-/// kind has one handler method; a handler that may unblock a dispatcher
-/// ends by pumping it.
+/// and pending arrivals, every admitted query, the shed list, the tenant
+/// table, both ledgers and the durability tier. Each event kind has one
+/// handler method; a handler that may unblock a dispatcher ends by
+/// pumping it.
 pub(crate) struct Run<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> {
     fleet: &'a mut QramFleet<M, P, L>,
     plan: &'a FaultPlan,
@@ -350,7 +388,8 @@ pub(crate) struct Run<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> 
     states: Vec<QueryState>,
     /// Admitted queries not yet completed or shed.
     open: usize,
-    outstanding: BTreeMap<TenantId, u32>,
+    /// One row per distinct tenant of the run's requests, sorted by id.
+    tenants: Vec<TenantTerms>,
     completed: Vec<FleetQuery>,
     /// The (replica, dispatch index) that served each completed query.
     completed_dispatch: Vec<(usize, usize)>,
@@ -371,7 +410,9 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
     /// stable sort keeps supply order among ties), with one commit event
     /// scheduled per write, in supply order, on the writes lane. Its
     /// replicas borrow `memory` as their base image and copy it only on
-    /// their first change, so a read-only run copies no image.
+    /// their first change, so a read-only run copies no image. Each
+    /// distinct tenant of the requests gets one row of terms, asked of
+    /// the admission policy here and nowhere else.
     pub(crate) fn new(
         fleet: &'a mut QramFleet<M, P, L>,
         memory: &'a ClassicalMemory,
@@ -406,6 +447,23 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
             })
             .collect();
         arrivals.sort_by_key(|r| order_key(r.arrival.get()));
+        let mut ids: Vec<TenantId> = arrivals.iter().map(|r| r.tenant).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let policy = &fleet.policy;
+        let tenants = (ids.into_iter())
+            .map(|tenant| {
+                let slo = policy.tenant_slo(tenant);
+                TenantTerms {
+                    tenant,
+                    quota: policy.tenant_quota(tenant),
+                    slo,
+                    slo_bound: queue_capacity.map(|cap| slo.queue_bound(cap)),
+                    deadline: policy.tenant_deadline(tenant),
+                    outstanding: 0,
+                }
+            })
+            .collect();
         let total = arrivals.len();
         let n = replicas.len();
         let mut events = EventQueue::with_lanes(n + 1);
@@ -430,7 +488,7 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
             writes,
             states: Vec::with_capacity(total),
             open: 0,
-            outstanding: BTreeMap::new(),
+            tenants,
             completed: Vec::with_capacity(total),
             completed_dispatch: Vec::with_capacity(total),
             corrupted_served: Vec::new(),
@@ -519,10 +577,13 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
     /// An arrival reaches the router: it is shed with a reason, or
     /// admitted at the placed replica.
     fn on_arrival(&mut self, request: FleetRequest) {
-        match self.route(&request) {
+        let row = (self.tenants)
+            .binary_search_by_key(&request.tenant, |terms| terms.tenant)
+            .expect("every request's tenant has a row");
+        match self.route(&request, row) {
             Ok(target) => {
                 let now = request.arrival;
-                self.admit(request, target);
+                self.admit(request, target, row);
                 self.pump(now, target);
             }
             Err(reason) => self.shed.push(ShedRequest {
@@ -533,25 +594,18 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
         }
     }
 
-    /// The router's verdict on an arrival: brownout, then the tenant's
-    /// quota, then placement, the placed replica's health, and the
-    /// tenant's SLO share of its queue.
-    fn route(&mut self, request: &FleetRequest) -> Result<usize, ShedReason> {
-        let policy = &self.fleet.policy;
-        let tenant = request.tenant;
-        if self
-            .brownout
-            .as_ref()
-            .is_some_and(|c| c.sheds(policy.tenant_slo(tenant)))
-        {
+    /// The router's verdict on an arrival of the tenant in table row
+    /// `row`: brownout, then the tenant's quota, then placement, the
+    /// placed replica's health, and the tenant's SLO share of its queue.
+    fn route(&mut self, request: &FleetRequest, row: usize) -> Result<usize, ShedReason> {
+        let terms = &self.tenants[row];
+        if self.brownout.as_ref().is_some_and(|c| c.sheds(terms.slo)) {
             return Err(ShedReason::Brownout);
         }
-        if policy
-            .tenant_quota(tenant)
-            .is_some_and(|quota| self.outstanding.get(&tenant).copied().unwrap_or(0) >= quota)
-        {
+        if terms.quota.is_some_and(|quota| terms.outstanding >= quota) {
             return Err(ShedReason::QuotaExceeded);
         }
+        let slo_bound = terms.slo_bound;
         let target = place(
             &self.fleet.placement,
             &self.replicas,
@@ -561,9 +615,7 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
         if !self.loads[target].routable() {
             return Err(ShedReason::NoHealthyReplica);
         }
-        let (core, policy) = (&self.replicas[target].core, &self.fleet.policy);
-        let queue_capacity = self.fleet.config.queue_capacity;
-        let slo_bound = queue_capacity.map(|cap| policy.tenant_slo(tenant).queue_bound(cap));
+        let core = &self.replicas[target].core;
         if slo_bound.is_some_and(|bound| core.queued() >= bound) {
             return Err(if core.has_queue_room() {
                 ShedReason::SloShed
@@ -574,28 +626,31 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
         Ok(target)
     }
 
-    /// Queues an admitted arrival at `target` and opens its query state,
-    /// arming a hedge check for an Interactive tenant when hedging is on.
-    fn admit(&mut self, request: FleetRequest, target: usize) {
-        let (qid, tenant, arrival) = (self.states.len(), request.tenant, request.arrival);
-        let budget = self.fleet.policy.tenant_deadline(tenant);
-        let deadline = budget.map(|budget| arrival + budget);
+    /// Queues an admitted arrival of the tenant in table row `row` at
+    /// `target` and opens its query state, arming a hedge check for an
+    /// Interactive tenant when hedging is on.
+    fn admit(&mut self, request: FleetRequest, target: usize, row: usize) {
+        let (qid, arrival) = (self.states.len(), request.arrival);
+        let terms = &mut self.tenants[row];
+        terms.outstanding += 1;
+        let (slo, deadline) = (terms.slo, terms.deadline.map(|budget| arrival + budget));
         let core = &mut self.replicas[target].core;
         let offered = core.offer(qid, arrival, deadline);
         debug_assert!(offered, "the SLO bound is at most the queue bound");
         self.states.push(QueryState {
             request,
             deadline,
+            row: row as u32,
             attempts: 1,
             outstanding: 1,
+            dispatches: 0,
             done: false,
             last_replica: target,
             hedge_replica: None,
         });
-        *self.outstanding.entry(tenant).or_insert(0) += 1;
         self.open += 1;
         if let Some(delay) = self.config.hedge_delay {
-            if self.fleet.policy.tenant_slo(tenant) == SloClass::Interactive {
+            if slo == SloClass::Interactive {
                 let check = arrival + delay;
                 self.events.push(check, Event::HedgeCheck { qid });
             }
@@ -933,21 +988,27 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
         }
     }
 
-    /// Runs replica `target`'s dispatcher at `now` (a dead replica
-    /// dispatches nothing). Each dispatch it reports is appended to the
-    /// replica's log, stamped with the memory version the replica
-    /// observes, and its completion goes on the replica's lane.
+    /// Runs replica `target`'s dispatcher at `now` (a dead replica, or
+    /// one idle at `now`, dispatches nothing). Each dispatch it reports
+    /// is appended to the replica's log, stamped with the memory version
+    /// the replica observes, and counted on its query; its completion
+    /// goes on the replica's lane.
     fn pump(&mut self, now: Layers, target: usize) {
         let replica = &mut self.replicas[target];
-        if !replica.alive {
+        if !replica.alive || replica.core.is_idle_at(now) {
             return;
         }
         // Replicated memory cannot change inside a pump, so every
         // dispatch it makes observes the same epoch.
         let epoch = self.replicated.applied_epoch(target);
         let stale = self.replicated.is_stale(target);
-        let (events, plan, latency, has_slow) =
-            (&mut self.events, self.plan, self.latency, self.has_slow);
+        let (events, states, plan, latency, has_slow) = (
+            &mut self.events,
+            &mut self.states,
+            self.plan,
+            self.latency,
+            self.has_slow,
+        );
         let dispatches = &mut replica.dispatches;
         replica.core.pump(now, |event| match event {
             ReplicaEvent::Dispatched { tag, start, shard } => {
@@ -959,6 +1020,7 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
                     1.0
                 };
                 let finish = start + Layers::new(latency.get() * factor);
+                states[tag].dispatches += 1;
                 let index = dispatches.len();
                 dispatches.push(Dispatch {
                     qid: tag,
@@ -1039,8 +1101,7 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
         let state = &mut self.states[qid];
         debug_assert!(!state.done, "a query resolves exactly once");
         state.done = true;
-        let quota_slots = self.outstanding.get_mut(&state.request.tenant);
-        *quota_slots.expect("tenant admitted") -= 1;
+        self.tenants[state.row as usize].outstanding -= 1;
         self.open -= 1;
     }
 
@@ -1086,11 +1147,12 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
     /// executes each replica's dispatches in one §7.2 sweep over the
     /// run's starting memory plus its journal (see `sweep_updates`), and
     /// builds the report. A replica's batch is built from its dispatch
-    /// records, in dispatch order: each query's address moves into the
-    /// batch at its last dispatch, and only a query dispatched more than
-    /// once (a retry after a lost attempt, or a hedge) is cloned for its
-    /// earlier dispatches. Each completed query's outcome moves out of
-    /// its replica's batch into the report.
+    /// records, in dispatch order, straight from the query states: each
+    /// query's address moves into the batch at its last dispatch (its
+    /// count of dispatch records runs out), and only a query dispatched
+    /// more than once (a retry after a lost attempt, or a hedge) is
+    /// cloned for its earlier dispatches. Each completed query's outcome
+    /// moves out of its replica's batch into the report.
     pub(crate) fn finish(mut self, memory: &ClassicalMemory) -> Result<FleetReport, ServeError> {
         // A run ending mid-group (max_delay 0, or the deadline never fired
         // because the reactor emptied) must not report its last writes as
@@ -1109,16 +1171,11 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
             self.states.iter().all(|s| s.done),
             "every admitted query completes or sheds"
         );
-        debug_assert!(self.outstanding.values().all(|&n| n == 0));
+        debug_assert!(self.tenants.iter().all(|terms| terms.outstanding == 0));
         let stale_served = self.completed.iter().filter(|q| q.stale).count() as u64;
-        // Per query: its dispatches not yet batched, and its address until
-        // the last of them takes it.
-        let mut owners: Vec<(u32, Option<AddressState>)> = (self.states.into_iter())
-            .map(|state| (0, Some(state.request.address)))
-            .collect();
-        for dispatch in self.replicas.iter().flat_map(|r| &r.dispatches) {
-            owners[dispatch.qid].0 += 1;
-        }
+        // What a moved-out address leaves behind: a lone inline term.
+        let moved = AddressState::classical(0, 0).expect("a 0-bit register holds address 0");
+        let mut states = self.states;
         let (mut per_replica_dispatches, mut outcomes_by_replica) = (Vec::new(), Vec::new());
         for (r, replica) in self.replicas.into_iter().enumerate() {
             per_replica_dispatches.push(replica.dispatches.len() as u64);
@@ -1126,14 +1183,13 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
             let updates = sweep_updates(backend, &replica.dispatches, self.replicated.journal(r));
             let addresses: Vec<AddressState> = (replica.dispatches.iter())
                 .map(|dispatch| {
-                    let (left, address) = &mut owners[dispatch.qid];
-                    *left -= 1;
-                    let address = if *left == 0 {
-                        address.take()
+                    let state = &mut states[dispatch.qid];
+                    state.dispatches -= 1;
+                    if state.dispatches == 0 {
+                        std::mem::replace(&mut state.request.address, moved.clone())
                     } else {
-                        address.clone()
-                    };
-                    address.expect("an address moves only at its query's last dispatch")
+                        state.request.address.clone()
+                    }
                 })
                 .collect();
             let outcomes = backend.execute_queries(memory, &addresses, &updates)?;
@@ -1226,8 +1282,132 @@ fn sweep_updates<M: QramModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::BrownoutConfig;
+    use crate::fleet::{ConsistentHashPlacement, FleetConfig};
     use proptest::prelude::*;
-    use qram_metrics::Capacity;
+    use qram_metrics::{Capacity, TimingModel};
+    use qram_sched::{FifoAdmission, QramServer, QuotaAdmission};
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+
+    /// An admission policy that counts the tenant questions it is asked:
+    /// quota, class and deadline, in that order.
+    struct Counting<'a> {
+        inner: QuotaAdmission<FifoAdmission>,
+        calls: &'a [Cell<u32>; 3],
+    }
+
+    impl Counting<'_> {
+        fn ask(&self, question: usize) {
+            self.calls[question].set(self.calls[question].get() + 1);
+        }
+    }
+
+    impl AdmissionPolicy for Counting<'_> {
+        fn in_flight_cap(&self, server: &QramServer) -> u32 {
+            self.inner.in_flight_cap(server)
+        }
+
+        fn tenant_quota(&self, tenant: TenantId) -> Option<u32> {
+            self.ask(0);
+            self.inner.tenant_quota(tenant)
+        }
+
+        fn tenant_slo(&self, tenant: TenantId) -> SloClass {
+            self.ask(1);
+            self.inner.tenant_slo(tenant)
+        }
+
+        fn tenant_deadline(&self, tenant: TenantId) -> Option<Layers> {
+            self.ask(2);
+            self.inner.tenant_deadline(tenant)
+        }
+    }
+
+    /// Serves `requests` under `plan` and `config` on an R = 4, K = 2
+    /// fleet over 64 cells with queues of 6.
+    fn serve_at_four<P: AdmissionPolicy>(
+        policy: P,
+        requests: &[FleetRequest],
+        plan: &FaultPlan,
+        config: &FaultConfig,
+    ) -> FleetReport {
+        let qram = ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2);
+        let config_fleet = FleetConfig {
+            queue_capacity: Some(6),
+            replication_lag: Layers::ZERO,
+        };
+        let timing = TimingModel::paper_default();
+        let mut fleet = QramFleet::new(
+            qram,
+            4,
+            timing,
+            policy,
+            ConsistentHashPlacement,
+            config_fleet,
+        );
+        let cells: Vec<u64> = (0..64).map(|i| (i * 5 + 1) % 2).collect();
+        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let requests = requests.to_vec();
+        (fleet.serve_with_faults(&memory, requests, Vec::new(), plan, config)).unwrap()
+    }
+
+    /// The tenant table asks the admission policy for each distinct
+    /// tenant's quota, class and deadline once per run, however many
+    /// arrivals, brownout and quota checks, hedges, retries and
+    /// resolutions the run makes; and the run serves, sheds and counts
+    /// exactly what it does under the bare policy.
+    #[test]
+    fn tenant_terms_are_asked_once_per_run() {
+        let (hot, batch) = (TenantId(7), TenantId(u32::MAX));
+        let policy = QuotaAdmission::new(FifoAdmission)
+            .with_quota(hot, 3)
+            .with_slo(batch, SloClass::Batch)
+            .with_deadline(hot, Layers::new(150.0));
+        let tenants = [TenantId::DEFAULT, hot, hot, batch, hot];
+        let requests: Vec<FleetRequest> = (0..400)
+            .map(|id| FleetRequest {
+                id,
+                tenant: tenants[id % tenants.len()],
+                arrival: Layers::new((id / 4) as f64),
+                address: AddressState::classical(6, (id as u64 * 13) % 64).unwrap(),
+            })
+            .collect();
+        let plan = FaultPlan::none()
+            .with(Fault::Crash {
+                replica: 1,
+                at: Layers::new(30.0),
+            })
+            .with(Fault::Recover {
+                replica: 1,
+                at: Layers::new(200.0),
+            });
+        let config = FaultConfig {
+            hedge_delay: Some(Layers::new(12.0)),
+            brownout: Some(BrownoutConfig {
+                high: 0.6,
+                low: 0.3,
+            }),
+            ..FaultConfig::default()
+        };
+        let calls = [Cell::new(0), Cell::new(0), Cell::new(0)];
+        let counting = Counting {
+            inner: policy.clone(),
+            calls: &calls,
+        };
+        let counted = serve_at_four(counting, &requests, &plan, &config);
+        assert_eq!(calls.each_ref().map(Cell::get), [3, 3, 3]);
+        let bare = serve_at_four(policy, &requests, &plan, &config);
+        assert_eq!(counted.completed(), bare.completed());
+        assert_eq!(counted.shed(), bare.shed());
+        assert_eq!(counted.availability(), bare.availability());
+        // The run asked what the terms answer, many times over.
+        let availability = bare.availability();
+        assert!(availability.hedges > 0 && availability.retries > 0);
+        for reason in [ShedReason::QuotaExceeded, ShedReason::Brownout] {
+            assert!(bare.shed_count(reason) > 0, "no {reason:?} shed");
+        }
+    }
 
     proptest! {
         /// The §7.2 sweep against per-epoch images: a replicated memory

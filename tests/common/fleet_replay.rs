@@ -59,15 +59,27 @@ impl PlacementPolicy for Placement {
     }
 }
 
-/// The tenant mix the replayed suites serve: tenant 0 unlimited, tenant 1
-/// under `quota`, tenant 2 `Batch`. `cap` picks noise-aware admission
+/// The three tenant ids the replayed suites serve: dense `{0, 1, 2}`, or
+/// sparse `{0, 7, u32::MAX}`, which keeps the serving loop's tenant table
+/// honest off the dense range.
+pub fn tenant_ids(sparse: bool) -> [TenantId; 3] {
+    let ids = if sparse { [0, 7, u32::MAX] } else { [0, 1, 2] };
+    ids.map(TenantId)
+}
+
+/// The tenant mix the replayed suites serve: `ids[0]` unlimited, `ids[1]`
+/// under `quota`, `ids[2]` `Batch`. `cap` picks noise-aware admission
 /// distilling 1, 2 or 5 copies per query; one copy keeps FIFO's full
 /// in-flight cap.
-pub fn tenant_mix(quota: u32, cap: usize) -> QuotaAdmission<NoiseAwareAdmission> {
+pub fn tenant_mix(
+    ids: [TenantId; 3],
+    quota: u32,
+    cap: usize,
+) -> QuotaAdmission<NoiseAwareAdmission> {
     let target = [1.0, 0.2, 0.01][cap];
     QuotaAdmission::new(NoiseAwareAdmission::from_infidelity(0.35, target))
-        .with_quota(TenantId(1), quota)
-        .with_slo(TenantId(2), SloClass::Batch)
+        .with_quota(ids[1], quota)
+        .with_slo(ids[2], SloClass::Batch)
 }
 
 /// A fleet's construction inputs, shared by the fleet under test and the

@@ -24,7 +24,7 @@ use fat_tree_qram::serve::{
     FleetRequest, FleetWrite, LeastLoadedPlacement, PlacementPolicy, QramFleet, ReplicaLoad,
     ServeError, ShedReason, ShedRequest,
 };
-use fleet_replay::{check, replay, tenant_mix, Setup, WriteLog};
+use fleet_replay::{check, replay, tenant_ids, tenant_mix, Setup, WriteLog};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random arrivals (already sorted) from integer
@@ -71,30 +71,32 @@ fn serve<M: QramModel + Clone, P: AdmissionPolicy + Clone, L: PlacementPolicy + 
 proptest! {
     /// The reduction pin: a single-replica fleet is the §5 single machine,
     /// for K ∈ {1, 2, 4, 8}, with or without a bounded arrival queue, under
-    /// a three-tenant mix (a quota, a `Batch` class) and FIFO or
-    /// noise-aware in-flight caps. It matches the independent replay (its
-    /// sheds, schedule, shards and ideal outcomes); at FIFO's cap its
-    /// schedule is the analytic online-FIFO schedule of exactly the
-    /// requests it accepted (a shed arrival leaves no trace in the
-    /// dispatcher); and its latency histogram is the one recorded from
-    /// that schedule.
+    /// a three-tenant mix (a quota, a `Batch` class) with dense or sparse
+    /// tenant ids and FIFO or noise-aware in-flight caps. It matches the
+    /// independent replay (its sheds, schedule, shards and ideal
+    /// outcomes); at FIFO's cap its schedule is the analytic online-FIFO
+    /// schedule of exactly the requests it accepted (a shed arrival
+    /// leaves no trace in the dispatcher); and its latency histogram is
+    /// the one recorded from that schedule.
     #[test]
     fn single_replica_fleet_is_bit_equal_to_the_service(
         gaps in prop::collection::vec(0u16..100, 1..40),
         addr_seeds in prop::collection::vec(0u64..256, 1..40),
         k_exp in 0u32..=3,
         queue_cap_raw in 0usize..12,
-        tenant_seeds in prop::collection::vec(0u32..3, 1..40),
+        tenant_seeds in prop::collection::vec(0usize..3, 1..40),
         quota in 1u32..6,
         cap_raw in 0usize..3,
+        sparse in 0u32..2,
     ) {
         // 0 means "unbounded"; bounded caps are 1..=11.
         let queue_cap = (queue_cap_raw > 0).then_some(queue_cap_raw);
+        let tenants = tenant_ids(sparse == 1);
         let setup = Setup {
             qram: ShardedQram::fat_tree(Capacity::new(256).unwrap(), 1 << k_exp),
             replicas: 1,
             timing: TimingModel::paper_default(),
-            policy: tenant_mix(quota, cap_raw),
+            policy: tenant_mix(tenants, quota, cap_raw),
             placement: ConsistentHashPlacement,
             config: FleetConfig {
                 queue_capacity: queue_cap,
@@ -107,7 +109,7 @@ proptest! {
             .iter()
             .map(|r| FleetRequest {
                 id: r.id,
-                tenant: TenantId(tenant_seeds[r.id % tenant_seeds.len()]),
+                tenant: tenants[tenant_seeds[r.id % tenant_seeds.len()]],
                 arrival: r.arrival,
                 address: AddressState::classical(8, addr_seeds[r.id % addr_seeds.len()]).unwrap(),
             })

@@ -16,7 +16,7 @@ use fat_tree_qram::serve::{
     BrownoutConfig, ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig,
     FleetRequest, FleetWrite, QramFleet, ShedReason, ShedRequest,
 };
-use fleet_replay::{check, replay, tenant_mix, Placement, Setup};
+use fleet_replay::{check, replay, tenant_ids, tenant_mix, Placement, Setup};
 use proptest::prelude::*;
 
 fn checkerboard(n: u64) -> ClassicalMemory {
@@ -55,10 +55,11 @@ proptest! {
     /// The fault-free pin: `serve` (which routes through
     /// `serve_with_faults` with the empty plan and the default passive
     /// config) matches the independent replay for R ∈ {1, 2, 4} under
-    /// both placements, a three-tenant mix (a quota, a `Batch` class),
-    /// FIFO and noise-aware in-flight caps, bounded queues and lagged
-    /// writes — same sheds, schedules, shards, epochs, stale flags and
-    /// outcomes, and an all-zero availability ledger.
+    /// both placements, a three-tenant mix (a quota, a `Batch` class)
+    /// with dense or sparse tenant ids, FIFO and noise-aware in-flight
+    /// caps, bounded queues and lagged writes — same sheds, schedules,
+    /// shards, epochs, stale flags and outcomes, and an all-zero
+    /// availability ledger.
     #[test]
     fn empty_fault_plan_is_bit_equal_to_the_reference_loop(
         gaps in prop::collection::vec(0u16..90, 4..40),
@@ -66,12 +67,14 @@ proptest! {
         write_seeds in prop::collection::vec(0u64..9_000_000, 0..5),
         r_exp in 0u32..=2,
         queue_cap_raw in 0usize..10,
-        tenant_seeds in prop::collection::vec(0u32..3, 1..40),
+        tenant_seeds in prop::collection::vec(0usize..3, 1..40),
         quota in 1u32..6,
         cap_raw in 0usize..3,
         least_loaded in 0u32..2,
+        sparse in 0u32..2,
     ) {
         let r = 1usize << r_exp;
+        let tenants = tenant_ids(sparse == 1);
         let queue_cap = (queue_cap_raw > 0).then_some(queue_cap_raw);
         let mut t = 0.0;
         let requests: Vec<FleetRequest> = gaps
@@ -79,8 +82,8 @@ proptest! {
             .enumerate()
             .map(|(id, &g)| {
                 t += f64::from(g) / 16.0;
-                let tenant = tenant_seeds[id % tenant_seeds.len()];
-                request(id, tenant, t, addr_seeds[id % addr_seeds.len()])
+                let tenant = tenants[tenant_seeds[id % tenant_seeds.len()]];
+                request(id, tenant.0, t, addr_seeds[id % addr_seeds.len()])
             })
             .collect();
         let mut wt = 0.0;
@@ -101,7 +104,7 @@ proptest! {
             qram: ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2),
             replicas: r,
             timing: TimingModel::paper_default(),
-            policy: tenant_mix(quota, cap_raw),
+            policy: tenant_mix(tenants, quota, cap_raw),
             placement: [Placement::ConsistentHash, Placement::LeastLoaded][least_loaded as usize],
             config: FleetConfig {
                 queue_capacity: queue_cap,
