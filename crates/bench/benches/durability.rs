@@ -16,7 +16,10 @@
 //!    checkpoints ~4.5× more often: its crash image carries a delta
 //!    chain plus a short WAL tail where the full-image policy carries a
 //!    long tail. Cold recovery replays both; the delta arm wins on
-//!    bytes scanned.
+//!    bytes scanned. The memory's bus width is 63, so each cell fills a
+//!    whole 64-bit lane of the packed image and a full image is
+//!    `8 · N` bytes: the ~8× premise. At bus width 1 the packed image
+//!    is 512 bytes and a full image costs less than one delta.
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -29,8 +32,10 @@ use qram_core::store::{
 use qram_core::ReplicatedWrite;
 use qsim::branch::ClassicalMemory;
 
-/// Memory size of the recovery arms (cells at bus width 1).
+/// Memory size of the recovery arms (cells at bus width [`BUS_WIDTH`]).
 const N: u64 = 4096;
+/// One cell per 64-bit lane: the packed image is 8 bytes per cell.
+const BUS_WIDTH: u32 = 63;
 /// Hot write set: every write lands on one of these cells, so a delta
 /// spanning [`DELTA_EVERY`] epochs tops out at `HOT_CELLS` entries.
 const HOT_CELLS: u64 = 256;
@@ -51,7 +56,7 @@ const GROUPS: [usize; 4] = [1, 8, 32, 128];
 
 fn memory() -> ClassicalMemory {
     let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
+    ClassicalMemory::from_words(BUS_WIDTH, &cells).expect("valid memory")
 }
 
 /// Write `epoch` of the hot-set workload: 13 is odd, so the addresses

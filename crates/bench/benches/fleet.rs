@@ -150,7 +150,7 @@ fn print_fleet_rows(_c: &mut Criterion) {
     );
     for replicas in REPLICA_COUNTS {
         for quota in [None, Some(HOT_QUOTA)] {
-            let mut fleet = fleet(replicas, quota);
+            let fleet = fleet(replicas, quota);
             let report = fleet
                 .serve(&mem, requests.clone(), Vec::<FleetWrite>::new())
                 .expect("fleet run");
@@ -197,7 +197,7 @@ fn bench_fleet_loop(c: &mut Criterion) {
     let mem = memory();
     let requests = workload();
     for replicas in REPLICA_COUNTS {
-        let mut fleet = fleet(replicas, Some(HOT_QUOTA));
+        let fleet = fleet(replicas, Some(HOT_QUOTA));
         group.bench_function(
             format!("r{replicas}_k4_n4096_flash_{}q", requests.len()),
             |b| {

@@ -165,7 +165,7 @@ fn print_fault_rows(_c: &mut Criterion) {
     let requests = workload();
     let plan = crash_plan();
 
-    let mut fleet = fleet();
+    let fleet = fleet();
     let report: FleetReport = fleet
         .serve_with_faults(
             &mem,
@@ -176,7 +176,7 @@ fn print_fault_rows(_c: &mut Criterion) {
         )
         .expect("fault-injected fleet run");
 
-    let mut fault_free = self::fleet();
+    let fault_free = self::fleet();
     let baseline: FleetReport = fault_free
         .serve(&mem, requests.clone(), Vec::<FleetWrite>::new())
         .expect("fault-free fleet run");
@@ -273,7 +273,7 @@ fn bench_fault_loop(c: &mut Criterion) {
         } else {
             FaultPlan::none()
         };
-        let mut fleet = fleet();
+        let fleet = fleet();
         group.bench_function(format!("r4_k4_n4096_{label}_{}q", requests.len()), |b| {
             b.iter_batched(
                 || requests.clone(),

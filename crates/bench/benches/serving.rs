@@ -127,7 +127,7 @@ fn print_section5_rows(_c: &mut Criterion) {
                 .fold(0.0f64, f64::max);
             let offered = requests.len() as f64
                 / timing.layers_to_seconds(qram_metrics::Layers::new(offered_span));
-            let mut fleet = QramFleet::fifo(ShardedQram::fat_tree(capacity(), k), 1, timing);
+            let fleet = QramFleet::fifo(ShardedQram::fat_tree(capacity(), k), 1, timing);
             let report = fleet
                 .serve(&mem, requests, Vec::new())
                 .expect("service run");
@@ -160,7 +160,7 @@ fn bench_serving_loop(c: &mut Criterion) {
     for k in SHARD_COUNTS {
         let requests = poisson_workload(k);
         let qram = ShardedQram::fat_tree(capacity(), k);
-        let mut fleet = QramFleet::fifo(qram, 1, timing);
+        let fleet = QramFleet::fifo(qram, 1, timing);
         group.bench_function(format!("k{k}_n4096_poisson_zipf_{REQUESTS}q"), |b| {
             b.iter_batched(
                 || requests.clone(),

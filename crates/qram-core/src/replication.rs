@@ -266,7 +266,7 @@ impl<'a> ReplicatedMemory<'a> {
     /// replica continues from `epoch` through ordinary catch-up; writes
     /// it had applied before the reset are superseded wholesale. The
     /// journal records the cells where `memory` differs from the
-    /// replaced image.
+    /// replaced image, in ascending address order.
     ///
     /// # Panics
     ///
@@ -291,17 +291,11 @@ impl<'a> ReplicatedMemory<'a> {
             memory.capacity() == old.capacity() && memory.bus_width() == old.bus_width(),
             "a recovered image must match the replica's capacity and bus width"
         );
-        let diff = old
-            .cells()
-            .iter()
-            .zip(memory.cells())
-            .enumerate()
-            .filter(|(_, (was, now))| was != now)
-            .map(|(address, (_, &value))| JournalEntry {
-                tag: epoch,
-                address: address as u64,
-                value,
-            });
+        let diff = old.differing_cells(&memory).map(|address| JournalEntry {
+            tag: epoch,
+            address,
+            value: memory.read(address),
+        });
         self.journals[replica].extend(diff);
         self.replicas[replica] = Some(memory);
         self.applied[replica] = epoch;
@@ -577,7 +571,7 @@ mod tests {
     /// Which replicas hold an image of their own rather than the base.
     fn copied(m: &ReplicatedMemory<'_>, base: &ClassicalMemory) -> Vec<bool> {
         (0..m.num_replicas())
-            .map(|r| m.memory(r).cells().as_ptr() != base.cells().as_ptr())
+            .map(|r| m.memory(r).words().as_ptr() != base.words().as_ptr())
             .collect()
     }
 

@@ -11,10 +11,12 @@
 //! included — and shapes the batch around that read:
 //!
 //! * **Direct gathers over the unsplit image** — a term's data is one
-//!   indexed load from the caller's [`ClassicalMemory`]. Shard `s`'s
-//!   local cell `l` is global cell `l·K + s`, so a sharded term's global
-//!   address already indexes the unsplit image: no per-call shard split,
-//!   partition or packed copy of the memory.
+//!   load, shift and mask from the caller's packed [`ClassicalMemory`],
+//!   with the lane geometry worked out once per batch
+//!   ([`ClassicalMemory::gather`]). Shard `s`'s local cell `l` is global
+//!   cell `l·K + s`, so a sharded term's global address already indexes
+//!   the unsplit image: no per-call shard split, partition or copy of the
+//!   memory.
 //! * **One shared term column** — every query's `(amplitude, address,
 //!   data)` terms land, in query order, in one `Vec` sized up front and
 //!   filled in one pass, one `extend` per query over its term slice with
@@ -176,8 +178,8 @@ pub(crate) fn execute_columnar(
             (0..addresses.len()).for_each(|q| scratch.visit(q));
             scratch.close_epoch();
         }
-        let cells = memory.cells();
-        let read = |a: u64| if reads_data { cells[a as usize] } else { 0 };
+        let cells = memory.gather();
+        let read = |a: u64| if reads_data { cells.read(a) } else { 0 };
         if total == addresses.len() {
             return addresses
                 .iter()
@@ -215,9 +217,9 @@ pub(crate) fn execute_columnar(
                     scratch.visit(q);
                 }
                 if reads_data {
-                    let cells = mem.cells();
+                    let cells = mem.gather();
                     for term in &mut terms[offsets[q]..offsets[q + 1]] {
-                        term.2 = cells[term.1 as usize];
+                        term.2 = cells.read(term.1);
                     }
                 }
             }

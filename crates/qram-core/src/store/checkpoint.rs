@@ -5,9 +5,15 @@
 //! prefix). The image is one [`frame`]-wrapped payload:
 //!
 //! ```text
-//!   magic "QCKP" · version u32 · epoch u64 · bus_width u32 · cells u64
-//!   · cell words …                               (all little-endian)
+//!   magic "QCKP" · version u32 (= 2) · epoch u64 · bus_width u32
+//!   · cells u64 · packed words …                 (all little-endian)
 //! ```
+//!
+//! The words are [`ClassicalMemory::words`]: the cells packed at the bus
+//! width rounded up to a power of two, so a 1-bit image of `N` cells is
+//! `N / 8` bytes. Version 1 stored one `u64` per cell; nothing persisted
+//! predates version 2, and the decoder refuses version 1 as it refuses
+//! any unknown version.
 //!
 //! Installation is crash-atomic: the image is written to
 //! [`CHECKPOINT_TMP`], synced, and renamed onto [`CHECKPOINT_FILE`]. A
@@ -49,10 +55,11 @@ pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 pub const DELTA_TMP: &str = "delta.tmp";
 
 const MAGIC: &[u8; 4] = b"QCKP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const HEADER: usize = 4 + 4 + 8 + 4 + 8;
 
 const DELTA_MAGIC: &[u8; 4] = b"QDLT";
+const DELTA_VERSION: u32 = 1;
 const DELTA_HEADER: usize = 4 + 4 + 8 + 8 + 8;
 
 /// Name of the `index`-th delta in the chain (1-based: `delta.0001` is
@@ -80,7 +87,7 @@ pub struct Delta {
 pub fn encode_delta(delta: &Delta) -> Vec<u8> {
     let mut out = Vec::with_capacity(DELTA_HEADER + 16 * delta.cells.len());
     out.extend_from_slice(DELTA_MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
     out.extend_from_slice(&delta.base_epoch.to_le_bytes());
     out.extend_from_slice(&delta.epoch.to_le_bytes());
     out.extend_from_slice(&(delta.cells.len() as u64).to_le_bytes());
@@ -104,7 +111,7 @@ pub fn decode_delta(payload: &[u8]) -> Result<Delta, StoreError> {
     }
     let word32 = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().expect("4B"));
     let word64 = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8B"));
-    if word32(4) != VERSION {
+    if word32(4) != DELTA_VERSION {
         return Err(StoreError::CorruptCheckpoint("unknown delta version"));
     }
     let base_epoch = word64(8);
@@ -238,29 +245,30 @@ pub fn remove_chain(dir: &mut dyn Dir, len: usize) -> Result<(), StoreError> {
 /// Serializes `memory` at `epoch` as an unframed checkpoint payload.
 #[must_use]
 pub fn encode(memory: &ClassicalMemory, epoch: u64) -> Vec<u8> {
-    let cells = memory.cells();
-    let mut out = Vec::with_capacity(HEADER + 8 * cells.len());
+    let words = memory.words();
+    let mut out = Vec::with_capacity(HEADER + 8 * words.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&memory.bus_width().to_le_bytes());
-    out.extend_from_slice(&(cells.len() as u64).to_le_bytes());
-    for &c in cells {
-        out.extend_from_slice(&c.to_le_bytes());
+    out.extend_from_slice(&(memory.capacity() as u64).to_le_bytes());
+    for &w in words {
+        out.extend_from_slice(&w.to_le_bytes());
     }
     out
 }
 
 /// Parses an unframed checkpoint payload back into `(memory, epoch)`.
 ///
-/// The cells are read straight into the vector the memory keeps, so the
-/// image is allocated once, and [`ClassicalMemory::from_vec`] checks
-/// them against the bus in one pass.
+/// The packed words are read straight into the vector the memory keeps,
+/// so the image is allocated once, and [`ClassicalMemory::from_packed`]
+/// checks them for stray bits in one pass.
 ///
 /// # Errors
 /// [`StoreError::CorruptCheckpoint`] on any shape violation — wrong
-/// magic, unknown version, or a cell count that disagrees with the
-/// payload length or memory-geometry rules.
+/// magic, an unknown version (version 1 included), a bus width or cell
+/// count that breaks the memory-geometry rules or disagrees with the
+/// payload length, or a set padding bit or lane bit above the bus width.
 pub fn decode(payload: &[u8]) -> Result<(ClassicalMemory, u64), StoreError> {
     if payload.len() < HEADER {
         return Err(StoreError::CorruptCheckpoint("payload shorter than header"));
@@ -279,20 +287,20 @@ pub fn decode(payload: &[u8]) -> Result<(ClassicalMemory, u64), StoreError> {
     let Ok(cell_count) = usize::try_from(cell_count) else {
         return Err(StoreError::CorruptCheckpoint("cell count overflows"));
     };
-    let claimed_len = cell_count
-        .checked_mul(8)
-        .and_then(|n| n.checked_add(HEADER));
+    let words = ClassicalMemory::packed_len(bus_width, cell_count)
+        .map_err(|_| StoreError::CorruptCheckpoint("invalid memory geometry"))?;
+    let claimed_len = words.checked_mul(8).and_then(|n| n.checked_add(HEADER));
     if claimed_len != Some(payload.len()) {
         return Err(StoreError::CorruptCheckpoint(
             "cell count vs payload length",
         ));
     }
-    let cells = payload[HEADER..]
+    let words = payload[HEADER..]
         .chunks_exact(8)
-        .map(|cell| u64::from_le_bytes(cell.try_into().expect("8-byte cell")))
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte word")))
         .collect();
-    let memory = ClassicalMemory::from_vec(bus_width, cells)
-        .map_err(|_| StoreError::CorruptCheckpoint("invalid memory geometry"))?;
+    let memory = ClassicalMemory::from_packed(bus_width, cell_count, words)
+        .map_err(|_| StoreError::CorruptCheckpoint("stray bits in the packed image"))?;
     Ok((memory, epoch))
 }
 
@@ -388,24 +396,25 @@ mod tests {
 
     #[test]
     fn a_bit_flip_in_any_crc_lane_of_a_large_image_is_detected() {
-        let cells: Vec<u64> = (0..4096).map(|i| i % 2).collect();
+        let cells: Vec<u64> = (0..1 << 18).map(|i| i % 2).collect();
         let mut d = SimDir::new();
-        install(&mut d, &ClassicalMemory::from_vec(1, cells).unwrap(), 3).unwrap();
+        install(&mut d, &ClassicalMemory::from_words(1, &cells).unwrap(), 3).unwrap();
         let payload = d.len_of(CHECKPOINT_FILE).unwrap() - frame::HEADER_LEN;
         assert!(payload >= frame::LANE_THRESHOLD.max(32 << 10));
         // The CRC splits the payload's whole 32-byte blocks into four
-        // equal lanes; the rest is the one-lane tail. Each flip toggles a
-        // 1-bit cell, so the image still decodes and only the CRC can
-        // refuse it: one cell mid-lane in each lane, and the last cell.
+        // equal lanes; the rest is the one-lane tail. Every bit of a
+        // packed 1-bit word is a cell, so each flip toggles a cell, the
+        // image still decodes, and only the CRC can refuse it: one word
+        // mid-lane in each lane, and the last word.
         let lane = payload / 32 * 8;
-        let cell_holding = |byte: usize| HEADER + (byte - HEADER) / 8 * 8;
+        let word_holding = |byte: usize| HEADER + (byte - HEADER) / 8 * 8;
         assert!(
-            cell_holding(payload - 1) >= 4 * lane,
-            "the tail holds a cell"
+            word_holding(payload - 1) >= 4 * lane,
+            "the tail holds a word"
         );
         let offsets = (0..4)
-            .map(|i| cell_holding(i * lane + lane / 2))
-            .chain([cell_holding(payload - 1)]);
+            .map(|i| word_holding(i * lane + lane / 2))
+            .chain([word_holding(payload - 1)]);
         for at in offsets {
             let mut dirty = d.clone();
             dirty.flip_bit(CHECKPOINT_FILE, frame::HEADER_LEN + at, 0);
@@ -457,6 +466,26 @@ mod tests {
         bad_count[20] ^= 1;
         assert!(decode(&bad_count).is_err());
         assert!(decode(&good[..10]).is_err());
+    }
+
+    #[test]
+    fn the_payload_is_the_packed_words_under_version_2() {
+        // 4 096 one-bit cells are 64 words: 512 bytes after the header.
+        let cells: Vec<u64> = (0..4096).map(|i| i % 3 % 2).collect();
+        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let payload = encode(&memory, 9);
+        assert_eq!(payload.len(), HEADER + 512);
+        assert_eq!(&payload[4..8], &2u32.to_le_bytes());
+        assert_eq!(&payload[20..28], &4096u64.to_le_bytes());
+        assert_eq!(
+            &payload[HEADER..HEADER + 8],
+            &memory.words()[0].to_le_bytes()
+        );
+        assert_eq!(decode(&payload).unwrap(), (memory, 9));
+        // Version 1 is refused like any unknown version.
+        let mut v1 = payload.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(decode(&v1), Err(StoreError::CorruptCheckpoint(_))));
     }
 
     #[test]

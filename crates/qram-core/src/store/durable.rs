@@ -633,7 +633,7 @@ mod tests {
         for e in 1..=10 {
             expect.write(w(e).address, w(e).value);
         }
-        assert_eq!(recovered.memory.cells(), expect.cells());
+        assert_eq!(recovered.memory, expect);
     }
 
     #[test]
@@ -687,22 +687,22 @@ mod tests {
         }
         // One buffer serves every rebuild.
         let mut image = base();
-        let cells = image.cells().as_ptr();
+        let words = image.words().as_ptr();
         assert!(store.state_at(3, &mut image));
         let mut expect = base();
         for e in 1..=3 {
             expect.write(w(e).address, w(e).value);
         }
-        assert_eq!(image.cells(), expect.cells());
+        assert_eq!(image, expect);
         assert!(store.state_at(0, &mut image));
-        assert_eq!(image.cells(), base().cells());
+        assert_eq!(image, base());
         assert!(!store.state_at(6, &mut image), "beyond the durable epoch");
-        assert_eq!(image.cells(), base().cells(), "a refusal leaves the image");
+        assert_eq!(image, base(), "a refusal leaves the image");
         store.checkpoint().unwrap();
         assert!(!store.state_at(3, &mut image), "compacted away");
         assert!(store.state_at(5, &mut image));
-        assert_eq!(image.cells(), store.shadow().cells());
-        assert_eq!(image.cells().as_ptr(), cells, "the cell buffer is reused");
+        assert_eq!(&image, store.shadow());
+        assert_eq!(image.words().as_ptr(), words, "the word buffer is reused");
     }
 
     #[test]
@@ -855,7 +855,7 @@ mod tests {
         for e in 1..=8 {
             expect.write(w(e).address, w(e).value);
         }
-        assert_eq!(recovered.memory.cells(), expect.cells());
+        assert_eq!(recovered.memory, expect);
     }
 
     #[test]
@@ -876,7 +876,7 @@ mod tests {
         let recovered = DurableFleet::recover(store.into_dir()).unwrap();
         assert_eq!(recovered.epoch, 11);
         assert_eq!(recovered.delta_chain, 3);
-        assert_eq!(recovered.memory.cells(), shadow.cells());
+        assert_eq!(recovered.memory, shadow);
     }
 
     #[test]
@@ -897,7 +897,7 @@ mod tests {
         for e in 1..=5 {
             expect.write(w(e).address, w(e).value);
         }
-        assert_eq!(image.cells(), expect.cells());
+        assert_eq!(image, expect);
     }
 
     #[test]

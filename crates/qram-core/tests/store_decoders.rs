@@ -7,7 +7,9 @@
 //! boundary values and seeded random bytes, re-frames the payload with
 //! a correct CRC and recovers. Recovery must return `Ok` or a
 //! [`StoreError`]: never a panic, never an allocation sized by a lying
-//! length field.
+//! length field. The checkpoint payload is the packed image (version 2):
+//! its words are fuzzed with the header, and a set padding bit, a lane
+//! bit above the bus width and a version-1 header are each corruption.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -21,32 +23,37 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const CELLS: u64 = 16;
 const BUS: u32 = 16;
+/// Packed words of the base image: four 16-bit cells per word.
+const WORDS: usize = 4;
 
 fn base() -> ClassicalMemory {
     ClassicalMemory::from_words(BUS, &(0..CELLS).collect::<Vec<u64>>()).expect("valid base")
 }
 
-/// A 2^61 + 1 cell count: 8 bytes per cell wraps its byte length back
-/// to 8, and 16 bytes per delta cell wraps to 16.
+/// A 2^61 + 1 cell count: 16 bytes per delta cell wraps its byte
+/// length back to 16 (and 8 bytes per cell would wrap to 8).
 const WRAPPING_COUNT: u64 = (1 << 61) + 1;
+
+/// A 2^63 cell count: at [`BUS`] = 16 bits, four cells per packed word,
+/// that is 2^61 words, and 8 bytes per word wraps their length to 0.
+const PACKED_WRAPPING_COUNT: u64 = 1 << 63;
 
 fn recover(dir: SimDir) -> Result<u64, StoreError> {
     DurableFleet::recover(Box::new(dir)).map(|state| state.epoch)
 }
 
 #[test]
-fn a_checkpoint_claiming_2_61_plus_1_cells_is_corrupt_not_a_capacity_overflow() {
-    // 36 bytes: the 28-byte header and one cell word. 28 + 8·(2^61 + 1)
-    // wraps to exactly 36, so an unchecked length test accepts it and
-    // the decoder then sizes a vector by the claimed count.
+fn a_checkpoint_claiming_2_63_cells_is_corrupt_not_a_capacity_overflow() {
+    // 28 bytes: the header alone. 28 + 8·2^61 words wraps to exactly 28,
+    // so an unchecked length test accepts it and the decoder then sizes
+    // a vector by the claimed count.
     let mut payload = Vec::new();
     payload.extend_from_slice(b"QCKP");
-    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&2u32.to_le_bytes());
     payload.extend_from_slice(&0u64.to_le_bytes());
     payload.extend_from_slice(&BUS.to_le_bytes());
-    payload.extend_from_slice(&WRAPPING_COUNT.to_le_bytes());
-    payload.extend_from_slice(&7u64.to_le_bytes());
-    assert_eq!(payload.len(), 36);
+    payload.extend_from_slice(&PACKED_WRAPPING_COUNT.to_le_bytes());
+    assert_eq!(payload.len(), 28);
     let mut dir = SimDir::new();
     dir.replace(CHECKPOINT_FILE, &frame::encode_record(&payload))
         .unwrap();
@@ -176,6 +183,8 @@ fn fields() -> Vec<Field> {
         field(CHECKPOINT_FILE, 0, "epoch", 8, 8),
         field(CHECKPOINT_FILE, 0, "bus_width", 16, 4),
         field(CHECKPOINT_FILE, 0, "cells", 20, 8),
+        field(CHECKPOINT_FILE, 0, "first word", 28, 8),
+        field(CHECKPOINT_FILE, 0, "last word", 28 + 8 * (WORDS - 1), 8),
     ];
     let delta = delta_file(1);
     fields.extend([
@@ -253,6 +262,7 @@ fn crc_valid_lies_never_panic_recovery() {
             0,
             1,
             WRAPPING_COUNT,
+            PACKED_WRAPPING_COUNT,
             u64::MAX,
             original.wrapping_add(1 << 61),
             original.wrapping_add(1 << 60),
@@ -300,4 +310,52 @@ fn crc_valid_lies_never_panic_recovery() {
         "{} of {cases} CRC-valid lies panicked recovery: {panicked:#?}",
         panicked.len()
     );
+}
+
+/// Recovers a directory whose checkpoint is `payload`, re-framed with a
+/// correct CRC; a panic is an `Err` naming it.
+fn recover_payload(payload: &[u8]) -> Result<Result<u64, StoreError>, String> {
+    let mut dir = SimDir::new();
+    dir.replace(CHECKPOINT_FILE, &frame::encode_record(payload))
+        .unwrap();
+    catch_unwind(AssertUnwindSafe(|| recover(dir))).map_err(|_| "recovery panicked".to_owned())
+}
+
+#[test]
+fn a_set_padding_bit_a_high_lane_bit_or_version_1_is_corrupt_not_a_panic() {
+    // Eight 3-bit cells pack in 4-bit lanes into bits 0..32 of one word:
+    // bit 3 of each lane is above the bus, and bits 32..64 are padding.
+    let cells: Vec<u64> = (0..8).map(|i| i % 8).collect();
+    let memory = ClassicalMemory::from_words(3, &cells).unwrap();
+    let good = checkpoint::encode(&memory, 0);
+    assert_eq!(good.len(), 28 + 8, "one packed word");
+    assert!(matches!(recover_payload(&good), Ok(Ok(0))));
+    let lies: [(&str, usize, u8); 4] = [
+        ("lane bit above the bus", 28, 1 << 3),
+        ("lane bit above the bus, last lane", 28 + 3, 1 << 7),
+        ("padding bit", 28 + 4, 1),
+        ("top padding bit", 28 + 7, 1 << 7),
+    ];
+    for (name, byte, bit) in lies {
+        let mut bad = good.clone();
+        bad[byte] |= bit;
+        assert!(
+            matches!(
+                recover_payload(&bad),
+                Ok(Err(StoreError::CorruptCheckpoint(_)))
+            ),
+            "{name}"
+        );
+    }
+    // Version 1 stored a u64 per cell; a version-1 header over exactly
+    // such a payload is refused like any unknown version.
+    let mut v1 = good[..28].to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    for &cell in &cells {
+        v1.extend_from_slice(&cell.to_le_bytes());
+    }
+    assert!(matches!(
+        recover_payload(&v1),
+        Ok(Err(StoreError::CorruptCheckpoint("unknown version")))
+    ));
 }

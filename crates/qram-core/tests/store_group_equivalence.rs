@@ -93,7 +93,7 @@ fn crash_and_check(
         expected.write(w.address, w.value);
     }
     prop_assert_eq!(recovered.epoch, acked as u64);
-    prop_assert_eq!(recovered.memory.cells(), expected.cells());
+    prop_assert_eq!(recovered.memory, expected);
     Ok(DurableFleet::open(dir, policy)
         .expect("reopen")
         .with_group_commit(group))

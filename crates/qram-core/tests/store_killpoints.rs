@@ -137,8 +137,8 @@ fn check_recovery(crashed: SimDir, acked: u64, ceiling: u64, label: &str) {
         recovered.epoch
     );
     assert_eq!(
-        recovered.memory.cells(),
-        expected_memory(recovered.epoch).cells(),
+        recovered.memory,
+        expected_memory(recovered.epoch),
         "{label}: recovered image must equal the prefix replay"
     );
     // The repaired directory is a working store: it accepts the next
@@ -397,8 +397,8 @@ fn bit_flips_inside_a_partially_flushed_group_are_detected_never_misread() {
                 .unwrap_or_else(|e| panic!("bit flip at byte {offset}: recovery failed: {e}"));
             assert!(recovered.epoch <= 4);
             assert_eq!(
-                recovered.memory.cells(),
-                expected_memory(recovered.epoch).cells(),
+                recovered.memory,
+                expected_memory(recovered.epoch),
                 "bit {bit} of byte {offset} was silently misread"
             );
         }
@@ -424,7 +424,7 @@ fn injected_short_writes_truncate_to_the_acknowledged_prefix() {
             recovered.epoch, 3,
             "short write of {keep} bytes must not resurrect epoch 4"
         );
-        assert_eq!(recovered.memory.cells(), expected_memory(3).cells());
+        assert_eq!(recovered.memory, expected_memory(3));
     }
 }
 
@@ -453,8 +453,8 @@ fn every_single_bit_flip_in_the_wal_is_detected_never_misread() {
             // state that is not a true prefix replay.
             assert!(recovered.epoch <= 4);
             assert_eq!(
-                recovered.memory.cells(),
-                expected_memory(recovered.epoch).cells(),
+                recovered.memory,
+                expected_memory(recovered.epoch),
                 "bit {bit} of byte {offset} was silently misread"
             );
         }

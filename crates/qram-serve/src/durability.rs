@@ -214,8 +214,9 @@ impl<'a> Durability<'a> {
     }
 
     /// One anti-entropy scrub cycle: audit the WAL, then compare each
-    /// live replica's memory, chunk by chunk, with the durable chain's
-    /// expected image at that replica's applied epoch, repairing
+    /// live replica's packed memory, word by word, with the durable
+    /// chain's expected image at that replica's applied epoch, counting
+    /// the distinct `chunk_cells`-cell chunks that differ, and repairing
     /// divergence by resetting the replica to the expected image. The
     /// chain cannot change after the audit, so the image is rebuilt in
     /// one buffer, made at the first cycle, only when a replica's epoch
@@ -244,10 +245,19 @@ impl<'a> Durability<'a> {
                 }
                 built = Some(epoch);
             }
-            let want = expected.cells().chunks(chunk_cells);
-            let have = replicated.memory(r).cells().chunks(chunk_cells);
-            self.counters.chunks_verified += have.len() as u64;
-            let diverged = want.zip(have).filter(|(w, h)| w != h).count() as u64;
+            // Chunks are counted in cells; the differing cells come in
+            // ascending order, so each new chunk index is a new dirty chunk.
+            let have = replicated.memory(r);
+            self.counters.chunks_verified += have.capacity().div_ceil(chunk_cells) as u64;
+            let mut diverged = 0;
+            let mut last = None;
+            for address in expected.differing_cells(have) {
+                let chunk = Some(address / chunk_cells as u64);
+                if chunk != last {
+                    diverged += 1;
+                    last = chunk;
+                }
+            }
             if diverged > 0 {
                 self.counters.mismatches += diverged;
                 self.counters.repairs += 1;

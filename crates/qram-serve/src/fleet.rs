@@ -273,7 +273,7 @@ impl PlacementPolicy for LeastLoadedPlacement {
 /// use qsim::branch::{AddressState, ClassicalMemory};
 ///
 /// let qram = ShardedQram::fat_tree(Capacity::new(16)?, 2);
-/// let mut fleet = QramFleet::fifo(qram, 2, TimingModel::paper_default());
+/// let fleet = QramFleet::fifo(qram, 2, TimingModel::paper_default());
 /// let memory = ClassicalMemory::from_words(1, &[1; 16])?;
 /// let requests: Vec<FleetRequest> = (0..8)
 ///     .map(|id| FleetRequest {
@@ -410,7 +410,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     ///
     /// Panics if the placement policy returns an out-of-range replica.
     pub fn serve(
-        &mut self,
+        &self,
         memory: &ClassicalMemory,
         requests: impl IntoIterator<Item = FleetRequest>,
         writes: impl IntoIterator<Item = FleetWrite>,
@@ -453,7 +453,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     ///
     /// As [`QramFleet::serve`].
     pub fn serve_with_faults(
-        &mut self,
+        &self,
         memory: &ClassicalMemory,
         requests: impl IntoIterator<Item = FleetRequest>,
         writes: impl IntoIterator<Item = FleetWrite>,
@@ -472,10 +472,10 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     /// scrubs that audit the WAL and compare replica memories with the
     /// chain.
     ///
-    /// The store's durable chain must end at `memory` (a fresh
-    /// [`DurableFleet::create`] from the same image, or a recovered store
-    /// whose shadow equals it); this run's fleet epoch `e` is persisted
-    /// at store epoch `durable_epoch + e`.
+    /// The store's durable chain must end at `memory`, bus width
+    /// included (a fresh [`DurableFleet::create`] from the same image, or
+    /// a recovered store whose shadow equals it); this run's fleet epoch
+    /// `e` is persisted at store epoch `durable_epoch + e`.
     ///
     /// # Errors
     ///
@@ -491,7 +491,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     ///
     /// As [`QramFleet::serve`].
     pub fn serve_durable(
-        &mut self,
+        &self,
         memory: &ClassicalMemory,
         requests: impl IntoIterator<Item = FleetRequest>,
         writes: impl IntoIterator<Item = FleetWrite>,
@@ -499,7 +499,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         fault_config: &FaultConfig,
         store: &mut DurableFleet,
     ) -> Result<FleetReport, ServeError> {
-        if store.shadow().cells() != memory.cells() {
+        if store.shadow() != memory {
             return Err(ServeError::StoreMismatch);
         }
         serve_faulty(
@@ -522,8 +522,8 @@ pub enum ServeError {
     /// The durable store's directory failed.
     Store(StoreError),
     /// The durable store's chain does not end at the run's starting
-    /// memory, so its scrubs and rejoins would reset replicas toward
-    /// another image.
+    /// memory (its cells or its bus width differ), so its scrubs and
+    /// rejoins would reset replicas toward another image.
     StoreMismatch,
     /// [`FleetConfig::queue_capacity`] is `Some(0)`: no replica queue
     /// could hold an admitted request.
@@ -1082,7 +1082,7 @@ mod tests {
     #[test]
     fn consistent_hash_spreads_a_uniform_sweep_exactly() {
         let qram = ShardedQram::fat_tree(cap(64), 2);
-        let mut fleet = QramFleet::fifo(qram, 4, TimingModel::paper_default());
+        let fleet = QramFleet::fifo(qram, 4, TimingModel::paper_default());
         let requests = classical_requests(&[0.0; 24], 6, 64);
         let report = fleet
             .serve(&checkerboard(64), requests, Vec::new())
@@ -1097,7 +1097,7 @@ mod tests {
     fn more_replicas_finish_a_saturated_burst_sooner() {
         let run = |replicas: usize| {
             let qram = ShardedQram::fat_tree(cap(256), 2);
-            let mut fleet = QramFleet::fifo(qram, replicas, TimingModel::paper_default());
+            let fleet = QramFleet::fifo(qram, replicas, TimingModel::paper_default());
             let requests = classical_requests(&[0.0; 64], 8, 256);
             fleet
                 .serve(&checkerboard(256), requests, Vec::new())
@@ -1114,7 +1114,7 @@ mod tests {
     #[test]
     fn writes_replicate_after_the_lag_and_stale_reads_are_flagged() {
         let qram = ShardedQram::fat_tree(cap(16), 1);
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             qram,
             2,
             TimingModel::paper_default(),
@@ -1174,7 +1174,7 @@ mod tests {
     fn quota_sheds_the_hot_tenant_only() {
         let qram = ShardedQram::fat_tree(cap(64), 1);
         let policy = QuotaAdmission::new(FifoAdmission).with_quota(TenantId(1), 2);
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             qram,
             1,
             TimingModel::paper_default(),
@@ -1206,7 +1206,7 @@ mod tests {
         let qram = ShardedQram::fat_tree(cap(64), 1);
         let policy =
             QuotaAdmission::new(FifoAdmission).with_slo(TenantId(2), qram_sched::SloClass::Batch);
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             qram,
             1,
             TimingModel::paper_default(),
@@ -1238,7 +1238,7 @@ mod tests {
     #[test]
     fn least_loaded_avoids_full_replicas_while_others_have_room() {
         let qram = ShardedQram::fat_tree(cap(64), 1);
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             qram,
             2,
             TimingModel::paper_default(),

@@ -216,7 +216,7 @@ impl ReplicaState {
 /// its reactor, and executes and reports what it dispatched. A free
 /// function, so the run's methods share its codegen unit and inline into it.
 pub(crate) fn serve_faulty<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy>(
-    fleet: &mut QramFleet<M, P, L>,
+    fleet: &QramFleet<M, P, L>,
     memory: &ClassicalMemory,
     requests: impl IntoIterator<Item = FleetRequest>,
     writes: impl IntoIterator<Item = FleetWrite>,
@@ -359,7 +359,7 @@ fn monitors(plan: &FaultPlan, config: &FaultConfig) -> bool {
 /// handler method; a handler that may unblock a dispatcher ends by
 /// pumping it.
 pub(crate) struct Run<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> {
-    fleet: &'a mut QramFleet<M, P, L>,
+    fleet: &'a QramFleet<M, P, L>,
     plan: &'a FaultPlan,
     config: &'a FaultConfig,
     /// One replica's nominal query latency.
@@ -414,7 +414,7 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
     /// distinct tenant of the requests gets one row of terms, asked of
     /// the admission policy here and nowhere else.
     pub(crate) fn new(
-        fleet: &'a mut QramFleet<M, P, L>,
+        fleet: &'a QramFleet<M, P, L>,
         memory: &'a ClassicalMemory,
         mut arrivals: Vec<FleetRequest>,
         writes: Vec<FleetWrite>,
@@ -912,7 +912,7 @@ impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> Run<'a, M, P, L> 
     /// observe the flip until a scrub's repair; a repair within the same
     /// epoch cleans the whole version.
     fn on_disk_corrupt(&mut self, r: usize, cell: u64) {
-        let cells = self.replicated.memory(r).cells().len() as u64;
+        let cells = self.replicated.memory(r).capacity() as u64;
         self.replicated.corrupt_replica_cell(r, cell % cells);
     }
 
@@ -1338,7 +1338,7 @@ mod tests {
             replication_lag: Layers::ZERO,
         };
         let timing = TimingModel::paper_default();
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             qram,
             4,
             timing,

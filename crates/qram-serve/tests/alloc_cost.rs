@@ -51,7 +51,7 @@ fn a_faulty_run_allocates_far_less_than_once_per_query() {
     };
     let measure = |requests: Vec<FleetRequest>| {
         let total = requests.len();
-        let mut fleet = QramFleet::fifo(qram.clone(), 2, TimingModel::paper_default());
+        let fleet = QramFleet::fifo(qram.clone(), 2, TimingModel::paper_default());
         let before = allocations();
         let report = fleet
             .serve_with_faults(&memory, requests, Vec::new(), &plan, &config)

@@ -2,14 +2,17 @@
 //! caller's memory as its base image and copies it only on its first
 //! change, so a read-only serving call copies no image however large the
 //! memory. A revision that cloned the base into every replica at the
-//! start of each run allocated four more 512 KiB images at R = 4 on
-//! N = 65,536 than on N = 4,096.
+//! start of each run allocated four more images at R = 4 on N = 65,536
+//! than on N = 4,096: 4 × (8 KiB − 512 B) of packed 1-bit cells.
 //!
 //! A durable call makes no scrub buffer unless it scrubs: a read-only
 //! `serve_durable` call without a scrub interval allocates alike on both
 //! memories. A revision that cloned the memory into the scrub's expected
-//! image whenever a store was open allocated 491,520 bytes more on the
-//! larger one (512 KiB − 32 KiB).
+//! image whenever a store was open allocated one image more on the
+//! larger one (8 KiB − 512 B).
+//!
+//! Both bounds are in packed image bytes, so each planted copy above
+//! fails its pin.
 //!
 //! The test also pins that a classical address carries no heap block:
 //! cloning a batch of classical requests allocates the batch's buffer
@@ -51,9 +54,9 @@ fn a_read_only_call_copies_no_memory_image() {
     // memory before counting starts.
     let measure = |cells: u64, durable: bool| -> u64 {
         let words: Vec<u64> = (0..cells).map(|i| (i * 5 + 1) % 2).collect();
-        let memory = ClassicalMemory::from_vec(1, words).unwrap();
+        let memory = ClassicalMemory::from_words(1, &words).unwrap();
         let qram = ShardedQram::fat_tree(Capacity::new(cells).unwrap(), 1);
-        let mut fleet = QramFleet::fifo(qram, REPLICAS, TimingModel::paper_default());
+        let fleet = QramFleet::fifo(qram, REPLICAS, TimingModel::paper_default());
         let requests = classical_requests(memory.address_width(), 256);
         let mut store = DurableFleet::create(Box::new(SimDir::new()), &memory).unwrap();
         let (plan, config) = (FaultPlan::none(), FaultConfig::default());
@@ -67,7 +70,8 @@ fn a_read_only_call_copies_no_memory_image() {
         assert_eq!(report.unwrap().completed().len(), 256);
         after - before
     };
-    let image = 8 * (1 << 16);
+    // The packed bytes of the larger memory's image: 8 KiB.
+    let image = 8 * ClassicalMemory::packed_len(1, 1 << 16).unwrap() as u64;
     for durable in [false, true] {
         // Warm each capacity's lazily built plan before counting.
         measure(1 << 12, durable);

@@ -36,7 +36,7 @@ fn a_replica_queue_allocates_alike_at_one_shard_and_at_eight() {
     // `replicas` replicas with `shards` shards each.
     let measure = |shards: u32, replicas: usize| -> u64 {
         let qram = ShardedQram::fat_tree(Capacity::new(64).unwrap(), shards);
-        let mut fleet = QramFleet::fifo(qram, replicas, TimingModel::paper_default());
+        let fleet = QramFleet::fifo(qram, replicas, TimingModel::paper_default());
         let requests = requests.clone();
         let before = allocations();
         let report = fleet.serve(&memory, requests, Vec::new()).unwrap();

@@ -50,7 +50,7 @@ fn a_scrub_cycle_allocates_alike_at_one_replica_and_at_eight() {
     // The allocations and scrub cycles of one `serve_durable` call at
     // `replicas` replicas, scrubbing every `every` layers.
     let measure = |replicas: usize, every: f64| -> (u64, u64) {
-        let mut fleet = QramFleet::fifo(qram.clone(), replicas, TimingModel::paper_default());
+        let fleet = QramFleet::fifo(qram.clone(), replicas, TimingModel::paper_default());
         let mut store = DurableFleet::create(Box::new(SimDir::new()), &memory).unwrap();
         let config = FaultConfig {
             scrub_interval: Some(Layers::new(every)),

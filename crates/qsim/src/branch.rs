@@ -430,6 +430,14 @@ impl QueryOutcome {
 /// A classical memory of `N` cells, each holding a `bus_width`-bit word —
 /// the data plane queried by the QRAM.
 ///
+/// Cells are packed into `u64` words at the bus width rounded up to a
+/// power of two (the *lane*): `64 / lane` cells per word, cell `a` in
+/// lane `a mod (64 / lane)` of word `a / (64 / lane)`. Lane bits above
+/// the bus width, and the lanes past the last cell of a memory smaller
+/// than one word, are always zero, so equal cell values are equal
+/// words: the derived equality, a buffer-reusing `clone_from` and a
+/// checksum over [`ClassicalMemory::words`] all see cell values only.
+///
 /// # Examples
 ///
 /// ```
@@ -440,27 +448,32 @@ impl QueryOutcome {
 /// let out = mem.ideal_query(&addr);
 /// assert_eq!(out.data_for(0), Some(1));
 /// assert_eq!(out.data_for(3), Some(1));
+/// assert_eq!(mem.words(), &[0b1101]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, PartialEq)]
 pub struct ClassicalMemory {
-    bus_width: u32,
-    cells: Vec<u64>,
+    /// The bus width and its lane geometry, worked out once.
+    lanes: Lanes,
+    capacity: usize,
+    words: Vec<u64>,
 }
 
 impl Clone for ClassicalMemory {
     fn clone(&self) -> Self {
         ClassicalMemory {
-            bus_width: self.bus_width,
-            cells: self.cells.clone(),
+            lanes: self.lanes,
+            capacity: self.capacity,
+            words: self.words.clone(),
         }
     }
 
-    /// Copies `source` into `self`, reusing `self`'s cell buffer when it
+    /// Copies `source` into `self`, reusing `self`'s word buffer when it
     /// is large enough.
     fn clone_from(&mut self, source: &Self) {
-        self.bus_width = source.bus_width;
-        self.cells.clone_from(&source.cells);
+        self.lanes = source.lanes;
+        self.capacity = source.capacity;
+        self.words.clone_from(&source.words);
     }
 }
 
@@ -480,6 +493,21 @@ pub enum MemoryError {
     },
     /// Bus width outside `1..=63`.
     BadBusWidth(u32),
+    /// A packed image holds the wrong number of words for its capacity.
+    PackedLength {
+        /// Words the capacity and bus width call for.
+        expected: usize,
+        /// Words given.
+        found: usize,
+    },
+    /// A packed word sets a lane bit above the bus width or a bit of a
+    /// lane past the last cell.
+    StrayBits {
+        /// Word index.
+        word: usize,
+        /// The stray bits of that word.
+        bits: u64,
+    },
 }
 
 impl std::fmt::Display for MemoryError {
@@ -497,25 +525,86 @@ impl std::fmt::Display for MemoryError {
                 "cell {index} value {value} does not fit in bus width {bus_width}"
             ),
             MemoryError::BadBusWidth(w) => write!(f, "bus width {w} outside 1..=63"),
+            MemoryError::PackedLength { expected, found } => {
+                write!(f, "packed image has {found} words, expected {expected}")
+            }
+            MemoryError::StrayBits { word, bits } => {
+                write!(f, "packed word {word} sets stray bits {bits:#x}")
+            }
         }
     }
 }
 
 impl std::error::Error for MemoryError {}
 
-impl ClassicalMemory {
-    /// Builds a memory from explicit words, copying them.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClassicalMemory::from_vec`].
-    pub fn from_words(bus_width: u32, words: &[u64]) -> Result<Self, MemoryError> {
-        ClassicalMemory::from_vec(bus_width, words.to_vec())
+/// Where a cell sits in the packed words, for one bus width.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Lanes {
+    /// The bus width in bits.
+    bus_width: u32,
+    /// `log₂` of the cells per word.
+    cell_shift: u32,
+    /// `log₂` of the lane width in bits.
+    lane_shift: u32,
+    /// The bus-width mask of one cell's value.
+    mask: u64,
+}
+
+impl Lanes {
+    fn of(bus_width: u32) -> Self {
+        let lane_shift = bus_width.next_power_of_two().trailing_zeros();
+        Lanes {
+            bus_width,
+            cell_shift: 6 - lane_shift,
+            lane_shift,
+            mask: (1 << bus_width) - 1,
+        }
     }
 
-    /// Builds a memory that keeps `cells` as its cell buffer, without a
-    /// copy: the constructor for a caller that has just decoded the
-    /// words, such as a checkpoint load.
+    /// Cells per word.
+    fn per_word(self) -> usize {
+        1 << self.cell_shift
+    }
+
+    /// The word holding cell `address`, and the bit offset of its lane:
+    /// the cell's first bit, `address · lane`, split at 64. That product
+    /// fits a `u64` for every address below a capacity whose words fit
+    /// in memory; a larger address wraps.
+    #[inline]
+    fn locate(self, address: u64) -> (usize, u32) {
+        let bit = address << self.lane_shift;
+        ((bit >> 6) as usize, (bit & 63) as u32)
+    }
+}
+
+/// Cell reads from a [`ClassicalMemory`] with the lane geometry worked
+/// out once ([`ClassicalMemory::gather`]): the per-term load of a batch
+/// kernel, with no range check beyond the word slice's own.
+#[derive(Debug, Clone, Copy)]
+pub struct Gather<'a> {
+    words: &'a [u64],
+    lanes: Lanes,
+}
+
+impl Gather<'_> {
+    /// The cell at `address`, which the caller has checked against the
+    /// capacity: in a memory smaller than one word, an address past the
+    /// last cell reads a zero padding lane instead of panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `address` lies past the last word (for addresses below
+    /// `2^(64 − log₂ lane)`; a larger one wraps, see `Lanes::locate`).
+    #[must_use]
+    #[inline]
+    pub fn read(&self, address: u64) -> u64 {
+        let (word, offset) = self.lanes.locate(address);
+        (self.words[word] >> offset) & self.lanes.mask
+    }
+}
+
+impl ClassicalMemory {
+    /// Builds a memory from explicit words, one per cell, packing them.
     ///
     /// The range check is one OR over every cell, which vectorizes; only
     /// a failing check walks the cells again to name the first wide one.
@@ -525,15 +614,10 @@ impl ClassicalMemory {
     /// Returns an error if the cell count is not a power of two ≥ 2, the
     /// bus width is outside `1..=63`, or a word overflows the bus
     /// ([`MemoryError::WordTooWide`] names the first such cell).
-    pub fn from_vec(bus_width: u32, cells: Vec<u64>) -> Result<Self, MemoryError> {
-        if !(1..=63).contains(&bus_width) {
-            return Err(MemoryError::BadBusWidth(bus_width));
-        }
-        if cells.len() < 2 || !cells.len().is_power_of_two() {
-            return Err(MemoryError::BadCellCount(cells.len()));
-        }
-        if cells.iter().fold(0, |acc, &value| acc | value) >> bus_width != 0 {
-            let (index, &value) = cells
+    pub fn from_words(bus_width: u32, words: &[u64]) -> Result<Self, MemoryError> {
+        ClassicalMemory::packed_len(bus_width, words.len())?;
+        if words.iter().fold(0, |acc, &value| acc | value) >> bus_width != 0 {
+            let (index, &value) = words
                 .iter()
                 .enumerate()
                 .find(|&(_, &value)| value >> bus_width != 0)
@@ -544,7 +628,80 @@ impl ClassicalMemory {
                 bus_width,
             });
         }
-        Ok(ClassicalMemory { bus_width, cells })
+        let lanes = Lanes::of(bus_width);
+        let packed = words
+            .chunks(lanes.per_word())
+            .map(|cells| {
+                cells.iter().enumerate().fold(0, |word, (slot, &value)| {
+                    word | (value << ((slot as u32) << lanes.lane_shift))
+                })
+            })
+            .collect();
+        Ok(ClassicalMemory {
+            lanes,
+            capacity: words.len(),
+            words: packed,
+        })
+    }
+
+    /// Builds a memory that keeps `words` as its packed image, without a
+    /// copy: the constructor for a caller that has just decoded a
+    /// checkpoint. The layout is [`ClassicalMemory::words`]'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClassicalMemory::packed_len`]; [`MemoryError::PackedLength`]
+    /// if `words` is not that long; [`MemoryError::StrayBits`] if a word
+    /// sets a lane bit above the bus width or a padding lane's bit.
+    pub fn from_packed(
+        bus_width: u32,
+        capacity: usize,
+        words: Vec<u64>,
+    ) -> Result<Self, MemoryError> {
+        let expected = ClassicalMemory::packed_len(bus_width, capacity)?;
+        if words.len() != expected {
+            return Err(MemoryError::PackedLength {
+                expected,
+                found: words.len(),
+            });
+        }
+        let lanes = Lanes::of(bus_width);
+        // The data bits of every lane that holds a cell.
+        let valid = (0..lanes.per_word().min(capacity)).fold(0, |bits, slot| {
+            bits | (lanes.mask << (slot << lanes.lane_shift))
+        });
+        if words.iter().fold(0, |acc, &word| acc | word) & !valid != 0 {
+            let (word, bits) = words
+                .iter()
+                .enumerate()
+                .map(|(word, &bits)| (word, bits & !valid))
+                .find(|&(_, bits)| bits != 0)
+                .expect("the fold saw a stray bit");
+            return Err(MemoryError::StrayBits { word, bits });
+        }
+        Ok(ClassicalMemory {
+            lanes,
+            capacity,
+            words,
+        })
+    }
+
+    /// The number of packed words a memory of `capacity` cells at
+    /// `bus_width` keeps.
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryError::BadBusWidth`] if the bus width is outside `1..=63`,
+    /// [`MemoryError::BadCellCount`] if `capacity` is not a power of two
+    /// ≥ 2.
+    pub fn packed_len(bus_width: u32, capacity: usize) -> Result<usize, MemoryError> {
+        if !(1..=63).contains(&bus_width) {
+            return Err(MemoryError::BadBusWidth(bus_width));
+        }
+        if capacity < 2 || !capacity.is_power_of_two() {
+            return Err(MemoryError::BadCellCount(capacity));
+        }
+        Ok(capacity.div_ceil(Lanes::of(bus_width).per_word()))
     }
 
     /// An all-zeros memory with `capacity` single-bit cells.
@@ -554,28 +711,33 @@ impl ClassicalMemory {
     /// Panics if `capacity` is not a power of two ≥ 2.
     #[must_use]
     pub fn zeros(capacity: usize) -> Self {
-        ClassicalMemory::from_vec(1, vec![0; capacity]).expect("zeros are valid")
+        let words = ClassicalMemory::packed_len(1, capacity).expect("zeros are valid");
+        ClassicalMemory {
+            lanes: Lanes::of(1),
+            capacity,
+            words: vec![0; words],
+        }
     }
 
     /// Number of cells `N`.
     #[must_use]
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.cells.len()
+        self.capacity
     }
 
     /// The address width `log₂ N`.
     #[must_use]
     #[inline]
     pub fn address_width(&self) -> u32 {
-        self.cells.len().trailing_zeros()
+        self.capacity.trailing_zeros()
     }
 
     /// The bus width in bits.
     #[must_use]
     #[inline]
     pub fn bus_width(&self) -> u32 {
-        self.bus_width
+        self.lanes.bus_width
     }
 
     /// Reads a cell.
@@ -586,7 +748,12 @@ impl ClassicalMemory {
     #[must_use]
     #[inline]
     pub fn read(&self, address: u64) -> u64 {
-        self.cells[usize::try_from(address).expect("address fits in usize")]
+        assert!(
+            address < self.capacity as u64,
+            "address {address} out of range for {} cells",
+            self.capacity
+        );
+        self.gather().read(address)
     }
 
     /// Writes a cell (classical memory update between queries).
@@ -597,18 +764,82 @@ impl ClassicalMemory {
     #[inline]
     pub fn write(&mut self, address: u64, value: u64) {
         assert!(
-            value < (1u64 << self.bus_width),
+            value >> self.lanes.bus_width == 0,
             "value {value} does not fit in bus width {}",
-            self.bus_width
+            self.lanes.bus_width
         );
-        self.cells[usize::try_from(address).expect("address fits in usize")] = value;
+        assert!(
+            address < self.capacity as u64,
+            "address {address} out of range for {} cells",
+            self.capacity
+        );
+        if self.lanes.cell_shift == 0 {
+            // A cell fills its word (bus widths 33..=63): a plain store,
+            // without the shifts and masks of a lane update.
+            self.words[address as usize] = value;
+        } else {
+            let (word, offset) = self.lanes.locate(address);
+            let word = &mut self.words[word];
+            *word = (*word & !(self.lanes.mask << offset)) | (value << offset);
+        }
     }
 
-    /// All cells in address order.
+    /// Cell reads with the lane geometry worked out once, for a loop
+    /// over many addresses.
     #[must_use]
     #[inline]
-    pub fn cells(&self) -> &[u64] {
-        &self.cells
+    pub fn gather(&self) -> Gather<'_> {
+        Gather {
+            words: &self.words,
+            lanes: self.lanes,
+        }
+    }
+
+    /// The packed image: cells in address order, `64 / lane` per word,
+    /// where a lane is the bus width rounded up to a power of two; lane
+    /// bits above the bus width and padding lanes are zero.
+    #[must_use]
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The addresses whose cells differ between `self` and `other`, in
+    /// ascending order: one word compared at a time, walking only the
+    /// lanes of the words that differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two memories differ in capacity or lane width.
+    pub fn differing_cells<'a>(
+        &'a self,
+        other: &'a ClassicalMemory,
+    ) -> impl Iterator<Item = u64> + 'a {
+        assert_eq!(
+            self.capacity, other.capacity,
+            "compared memories must have the same capacity"
+        );
+        let lanes = self.lanes;
+        assert_eq!(
+            lanes.lane_shift, other.lanes.lane_shift,
+            "compared memories must have the same lane width"
+        );
+        let lane = u64::MAX >> (64 - (1 << lanes.lane_shift));
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .filter(|(_, (a, b))| a != b)
+            .flat_map(move |(word, (a, b))| {
+                let mut diff = a ^ b;
+                std::iter::from_fn(move || {
+                    (diff != 0).then(|| {
+                        let slot = diff.trailing_zeros() >> lanes.lane_shift;
+                        diff &= !(lane << (slot << lanes.lane_shift));
+                        ((word as u64) << lanes.cell_shift) | u64::from(slot)
+                    })
+                })
+            })
     }
 
     /// The *reference semantics* of a quantum query, Eq. (1):
@@ -625,11 +856,12 @@ impl ClassicalMemory {
             self.address_width(),
             "address width must match memory capacity"
         );
+        let cells = self.gather();
         let terms = address
             .iter()
-            .map(|&(amp, addr)| (amp, addr, self.read(addr)))
+            .map(|&(amp, addr)| (amp, addr, cells.read(addr)))
             .collect();
-        QueryOutcome::from_terms(self.address_width(), self.bus_width, terms)
+        QueryOutcome::from_terms(self.address_width(), self.bus_width(), terms)
     }
 }
 
@@ -638,14 +870,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clone_from_reuses_the_cell_buffer() {
+    fn clone_from_reuses_the_word_buffer() {
         let source = ClassicalMemory::from_words(2, &[3, 0, 1, 2]).unwrap();
         let mut target = ClassicalMemory::zeros(4);
         target.write(1, 1);
-        let cells = target.cells().as_ptr();
+        let words = target.words().as_ptr();
         target.clone_from(&source);
         assert_eq!(target, source);
-        assert_eq!(target.cells().as_ptr(), cells, "no new cell buffer");
+        assert_eq!(target.words().as_ptr(), words, "no new word buffer");
     }
 
     #[test]
@@ -807,18 +1039,16 @@ mod tests {
             ClassicalMemory::from_words(1, &[0, 1, 2, 0]),
             Err(MemoryError::WordTooWide { index: 2, .. })
         ));
-        // Both constructors name the first of two wide words.
+        // The first of two wide words is named.
         let two_wide = [0, 1, 0, 5, 1, 0, 9, 0];
-        let first = MemoryError::WordTooWide {
-            index: 3,
-            value: 5,
-            bus_width: 1,
-        };
         assert_eq!(
             ClassicalMemory::from_words(1, &two_wide),
-            Err(first.clone())
+            Err(MemoryError::WordTooWide {
+                index: 3,
+                value: 5,
+                bus_width: 1,
+            })
         );
-        assert_eq!(ClassicalMemory::from_vec(1, two_wide.to_vec()), Err(first));
         assert!(matches!(
             ClassicalMemory::from_words(1, &[0, 1, 0]),
             Err(MemoryError::BadCellCount(3))
@@ -827,6 +1057,75 @@ mod tests {
             ClassicalMemory::from_words(0, &[0, 1]),
             Err(MemoryError::BadBusWidth(0))
         ));
+    }
+
+    #[test]
+    fn cells_pack_at_the_bus_width_rounded_up_to_a_power_of_two() {
+        // Bus width 3 packs in 4-bit lanes, 16 cells per word.
+        let cells: Vec<u64> = (0..32).map(|i| i % 8).collect();
+        let mem = ClassicalMemory::from_words(3, &cells).unwrap();
+        assert_eq!(mem.words().len(), 2);
+        assert_eq!(mem.words(), &[0x7654_3210_7654_3210; 2]);
+        // Bus width 33..=63 keeps one cell per word.
+        let wide = ClassicalMemory::from_words(40, &[7, 1 << 39]).unwrap();
+        assert_eq!(wide.words(), &[7, 1 << 39]);
+        // A memory smaller than one word pads its last lanes with zeros.
+        let small = ClassicalMemory::from_words(1, &[1, 1]).unwrap();
+        assert_eq!(small.words(), &[0b11]);
+        assert_eq!(ClassicalMemory::packed_len(1, 2), Ok(1));
+        assert_eq!(ClassicalMemory::packed_len(8, 64), Ok(8));
+    }
+
+    #[test]
+    fn a_packed_image_with_stray_bits_or_a_wrong_length_is_refused() {
+        // Bus width 3: bit 3 of each 4-bit lane is above the bus.
+        let words: Vec<u64> = vec![0; 2];
+        assert!(ClassicalMemory::from_packed(3, 32, words.clone()).is_ok());
+        assert_eq!(
+            ClassicalMemory::from_packed(3, 32, vec![0, 1 << 7]),
+            Err(MemoryError::StrayBits {
+                word: 1,
+                bits: 1 << 7
+            })
+        );
+        // Four 1-bit cells leave bits 4.. of their one word as padding.
+        assert!(ClassicalMemory::from_packed(1, 4, vec![0b1111]).is_ok());
+        assert_eq!(
+            ClassicalMemory::from_packed(1, 4, vec![0b1_0000]),
+            Err(MemoryError::StrayBits {
+                word: 0,
+                bits: 0b1_0000
+            })
+        );
+        assert_eq!(
+            ClassicalMemory::from_packed(1, 128, vec![0]),
+            Err(MemoryError::PackedLength {
+                expected: 2,
+                found: 1
+            })
+        );
+        assert_eq!(
+            ClassicalMemory::from_packed(1, 3, vec![0]),
+            Err(MemoryError::BadCellCount(3))
+        );
+        assert_eq!(
+            ClassicalMemory::from_packed(64, 2, vec![0, 0]),
+            Err(MemoryError::BadBusWidth(64))
+        );
+    }
+
+    #[test]
+    fn differing_cells_walk_the_changed_lanes_in_address_order() {
+        let base = ClassicalMemory::from_words(2, &[0; 64]).unwrap();
+        let mut changed = base.clone();
+        for (address, value) in [(40, 1), (3, 2), (31, 3), (32, 1), (4, 3)] {
+            changed.write(address, value);
+        }
+        assert_eq!(
+            base.differing_cells(&changed).collect::<Vec<_>>(),
+            [3, 4, 31, 32, 40]
+        );
+        assert_eq!(changed.differing_cells(&changed).count(), 0);
     }
 
     #[test]

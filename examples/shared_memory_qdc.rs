@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = QuotaAdmission::new(FifoAdmission)
         .with_quota(hot, 6)
         .with_slo(batch, SloClass::Batch);
-    let mut fleet = QramFleet::new(
+    let fleet = QramFleet::new(
         ShardedQram::fat_tree(capacity, 4),
         2,
         timing,

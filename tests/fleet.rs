@@ -193,7 +193,7 @@ proptest! {
             })
             .collect();
 
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             ShardedQram::fat_tree(capacity, 1 << k_exp),
             r,
             timing,
@@ -240,7 +240,7 @@ proptest! {
         let r = 1usize << r_exp;
         let capacity = Capacity::new(64).unwrap();
         let timing = TimingModel::paper_default();
-        let mut fleet = QramFleet::fifo(ShardedQram::fat_tree(capacity, 2), r, timing);
+        let fleet = QramFleet::fifo(ShardedQram::fat_tree(capacity, 2), r, timing);
         let requests: Vec<FleetRequest> = arrivals_from_gaps(&gaps)
             .into_iter()
             .map(|q| FleetRequest {
@@ -286,7 +286,7 @@ proptest! {
 
         let capacity = Capacity::new(64).unwrap();
         let timing = TimingModel::paper_default();
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             ShardedQram::fat_tree(capacity, 2),
             r,
             timing,
@@ -331,7 +331,7 @@ proptest! {
         let hot = TenantId(1);
         let cold = TenantId(0);
         let policy = QuotaAdmission::new(FifoAdmission).with_quota(hot, quota);
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             ShardedQram::fat_tree(capacity, 2),
             2,
             timing,
@@ -400,7 +400,7 @@ proptest! {
         let policy = QuotaAdmission::new(FifoAdmission)
             .with_quota(TenantId(1), quota)
             .with_slo(TenantId(2), SloClass::Batch);
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             ShardedQram::fat_tree(capacity, 2),
             r,
             TimingModel::paper_default(),
@@ -454,7 +454,7 @@ fn flash_crowd_with_quota_keeps_the_hot_tenant_p99_bounded() {
         if let Some(q) = quota {
             policy = policy.with_quota(hot, q);
         }
-        let mut fleet = QramFleet::new(
+        let fleet = QramFleet::new(
             ShardedQram::fat_tree(capacity, 4),
             2,
             timing,
@@ -740,5 +740,71 @@ fn a_zero_queue_capacity_is_refused_before_the_run() {
         ids.extend(report.shed().iter().map(|s| s.id));
         ids.sort_unstable();
         assert_eq!(ids, (0..requests.len()).collect::<Vec<_>>(), "{plan:?}");
+    }
+}
+
+/// Nothing in a run writes to the fleet, so `serve*` borrow it shared:
+/// one fleet serves runs from two threads at once, and each thread gets
+/// exactly the report the same call gets alone. The runs differ (reads
+/// only, reads and writes under seeded faults, and a durable run of half
+/// the writes with scrubs), so a run that leaked state into the fleet
+/// would show.
+#[test]
+fn one_fleet_serves_two_threads_as_it_serves_each_alone() {
+    let fleet = QramFleet::fifo(
+        ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2),
+        3,
+        TimingModel::paper_default(),
+    );
+    let memory = checkerboard(64);
+    let requests: Vec<FleetRequest> = (0..96)
+        .map(|id| FleetRequest {
+            id,
+            tenant: TenantId(id as u32 % 3),
+            arrival: Layers::new(id as f64 * 1.5),
+            address: AddressState::uniform(6, &[id as u64 % 64, (id as u64 * 7 + 3) % 64]).unwrap(),
+        })
+        .collect();
+    let writes: Vec<FleetWrite> = (0..12)
+        .map(|i| FleetWrite {
+            at: Layers::new(i as f64 * 11.0 + 0.5),
+            origin: i % 3,
+            address: i as u64 * 5 % 64,
+            value: i as u64 % 2,
+        })
+        .collect();
+    let plan = FaultPlan::from_seed(7, 3, 2, Layers::new(150.0));
+    let config = FaultConfig {
+        scrub_interval: Some(Layers::new(40.0)),
+        ..FaultConfig::default()
+    };
+    let run = |kind: usize| -> String {
+        let report = match kind {
+            0 => fleet.serve(&memory, requests.clone(), Vec::new()),
+            1 => fleet.serve_with_faults(&memory, requests.clone(), writes.clone(), &plan, &config),
+            _ => {
+                let mut store = DurableFleet::create(Box::new(SimDir::new()), &memory).unwrap();
+                fleet.serve_durable(
+                    &memory,
+                    requests.clone(),
+                    writes[..6].to_vec(),
+                    &plan,
+                    &config,
+                    &mut store,
+                )
+            }
+        };
+        format!("{:?}", report.unwrap())
+    };
+    let alone: Vec<String> = (0..3).map(run).collect();
+    assert!(alone[0] != alone[1] && alone[1] != alone[2] && alone[2] != alone[0]);
+    for (a, b) in [(0, 1), (1, 2), (2, 0), (1, 1)] {
+        let (ra, rb) = std::thread::scope(|s| {
+            let ta = s.spawn(|| run(a));
+            let tb = s.spawn(|| run(b));
+            (ta.join().unwrap(), tb.join().unwrap())
+        });
+        assert_eq!(ra, alone[a], "run {a} beside run {b}");
+        assert_eq!(rb, alone[b], "run {b} beside run {a}");
     }
 }

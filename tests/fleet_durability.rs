@@ -23,6 +23,7 @@ use fat_tree_qram::serve::{
     AdaptiveGroupCommit, ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig,
     FleetRequest, FleetWrite, QramFleet, ServeError,
 };
+use proptest::prelude::*;
 
 fn checkerboard(n: u64) -> ClassicalMemory {
     let cells: Vec<u64> = (0..n).map(|i| (i * 5 + 1) % 2).collect();
@@ -67,7 +68,7 @@ const PROBE_CELL: u64 = 5;
 /// then reads every flipped cell back at layer 100, one request per
 /// cell (request `i` reads `cells[i]`).
 fn corruption_run(config: &FaultConfig, cells: &[u64]) -> fat_tree_qram::serve::FleetReport {
-    let mut fleet = fifo_fleet(1, 2);
+    let fleet = fifo_fleet(1, 2);
     let plan = cells
         .iter()
         .zip(0u32..)
@@ -191,7 +192,7 @@ fn a_zero_cell_scrub_chunk_is_rejected_before_the_run() {
 fn a_clean_run_gets_a_clean_bill_of_health() {
     // Scrubbing an undamaged fleet verifies chunks and repairs nothing —
     // and the writes it audits are all in the WAL ledger.
-    let mut fleet = fifo_fleet(2, 2);
+    let fleet = fifo_fleet(2, 2);
     let requests: Vec<FleetRequest> = (0..8)
         .map(|i| request(i, 40.0 * i as f64, i as u64))
         .collect();
@@ -234,7 +235,7 @@ fn replicas_behind_the_checkpoint_are_skipped_not_repaired() {
     // compacted away. Each scrub rebuilds epoch 2's image for replica 0,
     // then cannot rebuild epoch 0 for either laggard: both are skipped,
     // and neither is compared with epoch 2's image.
-    let mut fleet = QramFleet::new(
+    let fleet = QramFleet::new(
         ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2),
         3,
         TimingModel::paper_default(),
@@ -281,7 +282,7 @@ fn a_torn_write_is_truncated_and_reappended_by_the_scrub_audit() {
     // tail (which also costs the fully-written epoch 2 behind it — a
     // frame scan never resynchronizes past damage), and re-appends both
     // acknowledged epochs from the fleet's in-memory log.
-    let mut fleet = fifo_fleet(1, 2);
+    let fleet = fifo_fleet(1, 2);
     let plan = FaultPlan::none().with(Fault::TornWrite { epoch: 1 });
     let requests: Vec<FleetRequest> = (0..4)
         .map(|i| request(i, 60.0 * i as f64, i as u64))
@@ -327,7 +328,7 @@ fn a_restarted_replica_rejoins_from_the_durable_chain() {
     // disk fault), so recovery resets the replica to the durable chain's
     // image — including the epoch whose append tore and was re-appended
     // by the rejoin's WAL audit.
-    let mut fleet = fifo_fleet(2, 2);
+    let fleet = fifo_fleet(2, 2);
     let plan = FaultPlan::none()
         .with(Fault::Crash {
             replica: 1,
@@ -403,7 +404,7 @@ fn group_commit_batches_acknowledgments_into_fewer_syncs() {
         group_commit: GroupCommitPolicy::group(4, 0.0),
         ..FaultConfig::default()
     };
-    let mut fleet = fifo_fleet(1, 2);
+    let fleet = fifo_fleet(1, 2);
     let report = fleet
         .serve_durable(
             &memory,
@@ -439,7 +440,7 @@ fn a_flush_deadline_lands_a_lonely_write() {
         group_commit: GroupCommitPolicy::group(8, 25.0),
         ..FaultConfig::default()
     };
-    let mut fleet = fifo_fleet(1, 2);
+    let fleet = fifo_fleet(1, 2);
     let report = fleet
         .serve_durable(
             &memory,
@@ -470,7 +471,7 @@ fn delta_checkpoints_chain_then_fold_in_the_ledger() {
         CheckpointPolicy::deltas(2, 2),
     )
     .unwrap();
-    let mut fleet = fifo_fleet(1, 2);
+    let fleet = fifo_fleet(1, 2);
     let report = fleet
         .serve_durable(
             &memory,
@@ -504,7 +505,7 @@ fn a_checkpoint_free_run_reports_no_chain_at_all() {
     let mut store =
         DurableFleet::create_with(Box::new(SimDir::new()), &memory, CheckpointPolicy::never())
             .unwrap();
-    let mut fleet = fifo_fleet(1, 2);
+    let fleet = fifo_fleet(1, 2);
     let report = fleet
         .serve_durable(
             &memory,
@@ -541,7 +542,7 @@ fn the_adaptive_controller_widens_groups_under_a_write_burst() {
     let requests: Vec<FleetRequest> = (0..6)
         .map(|i| request(i, 40.0 * i as f64, i as u64))
         .collect();
-    let mut fleet = fifo_fleet(1, 2);
+    let fleet = fifo_fleet(1, 2);
     let report = fleet
         .serve_durable(
             &memory,
@@ -600,7 +601,7 @@ fn serve_durable_persists_the_write_stream_across_runs() {
             value: 0,
         },
     ];
-    let mut fleet = fifo_fleet(2, 2);
+    let fleet = fifo_fleet(2, 2);
     let report_a = fleet
         .serve_durable(
             &memory,
@@ -624,7 +625,7 @@ fn serve_durable_persists_the_write_stream_across_runs() {
         address: 12,
         value: 1,
     }];
-    let mut fleet_b = fifo_fleet(2, 2);
+    let fleet_b = fifo_fleet(2, 2);
     let report_b = fleet_b
         .serve_durable(
             &resumed,
@@ -650,35 +651,142 @@ fn serve_durable_persists_the_write_stream_across_runs() {
     expect.write(3, 1);
     expect.write(9, 0);
     expect.write(12, 1);
-    assert_eq!(recovered.memory.cells(), expect.cells());
+    assert_eq!(recovered.memory, expect);
 }
 
 #[test]
 fn serve_durable_rejects_a_store_that_does_not_end_at_the_memory() {
-    // The store's chain ends at the checkerboard, but the run starts from
-    // all zeros: its scrubs and rejoins would reset replicas toward the
-    // wrong image. The call fails before it serves or logs anything.
-    let mut store = DurableFleet::create_with(
-        Box::new(SimDir::new()),
-        &checkerboard(64),
-        CheckpointPolicy::never(),
-    )
-    .unwrap();
-    let write = FleetWrite {
-        at: Layers::new(10.0),
-        origin: 0,
-        address: 3,
-        value: 1,
-    };
-    let result = fifo_fleet(2, 2).serve_durable(
-        &ClassicalMemory::zeros(64),
-        vec![request(0, 5.0, 1)],
-        vec![write],
-        &FaultPlan::none(),
-        &FaultConfig::default(),
-        &mut store,
-    );
-    assert!(matches!(result, Err(ServeError::StoreMismatch)));
-    assert_eq!(store.durable_epoch(), 0, "nothing reached the log");
-    assert_eq!(store.pending_records(), 0);
+    // The first store's chain ends at the checkerboard, but the run
+    // starts from all zeros: its scrubs and rejoins would reset replicas
+    // toward the wrong image. The second holds the run's zeros at bus
+    // width 2, so a repair would hand a replica an image of another
+    // width. Each call fails before it serves or logs anything.
+    for image in [
+        checkerboard(64),
+        ClassicalMemory::from_words(2, &[0; 64]).unwrap(),
+    ] {
+        let mut store =
+            DurableFleet::create_with(Box::new(SimDir::new()), &image, CheckpointPolicy::never())
+                .unwrap();
+        let write = FleetWrite {
+            at: Layers::new(10.0),
+            origin: 0,
+            address: 3,
+            value: 1,
+        };
+        let result = fifo_fleet(2, 2).serve_durable(
+            &ClassicalMemory::zeros(64),
+            vec![request(0, 5.0, 1)],
+            vec![write],
+            &FaultPlan::none(),
+            &FaultConfig::default(),
+            &mut store,
+        );
+        assert!(matches!(result, Err(ServeError::StoreMismatch)));
+        assert_eq!(store.durable_epoch(), 0, "nothing reached the log");
+        assert_eq!(store.pending_records(), 0);
+    }
+}
+
+/// Bus widths of the scrub-count property: 1-bit cells (64 per packed
+/// word), a width that rounds up to a 4-bit lane, a whole byte, and one
+/// cell per word.
+const SCRUB_BUS_WIDTHS: [u32; 4] = [1, 3, 8, 63];
+
+proptest! {
+    /// The scrub compares packed words, but counts what a per-cell
+    /// comparison counts: random cells of random replicas are flipped,
+    /// some before the one scrub tick (layer 50) and some after it, where
+    /// only the end-of-run scrub finds them. Every cycle verifies
+    /// ⌈N / chunk⌉ chunks per replica, and a cycle's mismatches are the
+    /// chunks, cut from the cells in address order, in which a replica's
+    /// cells differ from the base; a replica with any is reset. Chunks of
+    /// 1 to 300 cells straddle packed words at every lane width and span
+    /// several words at the narrow ones.
+    #[test]
+    fn scrub_counts_equal_a_per_cell_reference(
+        width_pick in 0usize..4,
+        n in 1u32..=10,
+        replicas in 1usize..=4,
+        chunk in 1usize..=300,
+        raw_cells in prop::collection::vec(0u64..=u64::MAX, 1..64),
+        // Each u64 encodes a flip: replica, instant and cell.
+        flips in prop::collection::vec(0u64..=u64::MAX, 0..24),
+    ) {
+        let bus_width = SCRUB_BUS_WIDTHS[width_pick];
+        let capacity = 1usize << n;
+        let cells: Vec<u64> = (0..capacity)
+            .map(|i| raw_cells[i % raw_cells.len()].rotate_left(i as u32) & ((1 << bus_width) - 1))
+            .collect();
+        let memory = ClassicalMemory::from_words(bus_width, &cells).unwrap();
+        let flips: Vec<(usize, f64, u64)> = flips
+            .iter()
+            .map(|&f| {
+                let replica = (f % replicas as u64) as usize;
+                // Quarter-layer instants never tie with the tick at 50.
+                let at = ((f >> 8) % 200) as f64 / 2.0 + 0.25;
+                (replica, at, (f >> 16) % capacity as u64)
+            })
+            .collect();
+        let plan = flips.iter().fold(FaultPlan::none(), |plan, &(replica, at, cell)| {
+            plan.with(Fault::DiskCorrupt {
+                replica,
+                at: Layers::new(at),
+                cell,
+            })
+        });
+        let config = FaultConfig {
+            scrub_interval: Some(Layers::new(50.0)),
+            scrub_chunk_cells: chunk,
+            ..FaultConfig::default()
+        };
+        let fleet = QramFleet::fifo(
+            ShardedQram::fat_tree(Capacity::new(capacity as u64).unwrap(), 1),
+            replicas,
+            TimingModel::paper_default(),
+        );
+        let report = fleet
+            .serve_with_faults(&memory, Vec::new(), Vec::new(), &plan, &config)
+            .unwrap();
+        let integrity = report.integrity();
+        prop_assert_eq!(integrity.scrub_cycles, 2);
+
+        // The reference: one plain cell vector per replica, flipped in
+        // instant order, compared chunk by chunk at each cycle.
+        let mut images = vec![cells.clone(); replicas];
+        let mut order: Vec<usize> = (0..flips.len()).collect();
+        order.sort_by(|&a, &b| flips[a].1.total_cmp(&flips[b].1));
+        let (mut mismatches, mut repairs) = (0, 0);
+        let mut cycle = |images: &mut Vec<Vec<u64>>| {
+            for image in images.iter_mut() {
+                let dirty = image
+                    .chunks(chunk)
+                    .zip(cells.chunks(chunk))
+                    .filter(|(have, want)| have != want)
+                    .count() as u64;
+                if dirty > 0 {
+                    mismatches += dirty;
+                    repairs += 1;
+                    image.clone_from(&cells);
+                }
+            }
+        };
+        let mut ticked = false;
+        for &i in &order {
+            let (replica, at, cell) = flips[i];
+            if at > 50.0 && !ticked {
+                cycle(&mut images);
+                ticked = true;
+            }
+            images[replica][cell as usize] ^= 1;
+        }
+        if !ticked {
+            cycle(&mut images);
+        }
+        cycle(&mut images);
+        let per_cycle = (replicas * capacity.div_ceil(chunk)) as u64;
+        prop_assert_eq!(integrity.chunks_verified, 2 * per_cycle);
+        prop_assert_eq!(integrity.mismatches, mismatches);
+        prop_assert_eq!(integrity.repairs, repairs);
+    }
 }

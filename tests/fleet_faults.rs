@@ -159,7 +159,7 @@ proptest! {
             ..FaultConfig::default()
         };
 
-        let mut fleet = fifo_fleet(r, 2, queue_cap);
+        let fleet = fifo_fleet(r, 2, queue_cap);
         let report = fleet
             .serve_with_faults(&checkerboard(64), requests.clone(), writes.clone(), &plan, &config)
             .unwrap();
@@ -239,7 +239,7 @@ fn crash_is_detected_failed_over_and_repaired() {
     // t = 1200. Default detection ticks every 64 layers: Suspect at 512,
     // Down at 576, stranded queries retried (backoff 64) at 640 onto
     // replica 0. No query is lost.
-    let mut fleet = fifo_fleet(2, 2, None);
+    let fleet = fifo_fleet(2, 2, None);
     let mut requests: Vec<FleetRequest> = (0..16)
         .map(|i| request(i, 0, i as f64 * 100.0, i as u64))
         .collect();
@@ -317,7 +317,7 @@ fn a_crash_recovered_before_detection_fails_over_at_recovery() {
     // outage and queues at the dead replica; the two writes it missed
     // meanwhile are replayed (one layer each) before it rejoins at 502,
     // and the rejoin dispatches query 4 against the caught-up memory.
-    let mut fleet = fifo_fleet(2, 2, None);
+    let fleet = fifo_fleet(2, 2, None);
     let mut requests: Vec<FleetRequest> = (0..4)
         .map(|k| request(k, 0, 440.0, 2 * k as u64 + 1))
         .collect();
@@ -374,7 +374,7 @@ fn deadlines_shed_queries_that_cannot_dispatch_in_time() {
     // queueing.
     let policy =
         QuotaAdmission::new(FifoAdmission).with_deadline(TenantId::DEFAULT, Layers::new(20.0));
-    let mut fleet = QramFleet::new(
+    let fleet = QramFleet::new(
         ShardedQram::fat_tree(Capacity::new(64).unwrap(), 1),
         1,
         TimingModel::paper_default(),
@@ -413,7 +413,7 @@ fn brownout_sheds_batch_before_interactive() {
     let batch = TenantId(1);
     let interactive = TenantId(2);
     let policy = QuotaAdmission::new(FifoAdmission).with_slo(batch, SloClass::Batch);
-    let mut fleet = QramFleet::new(
+    let fleet = QramFleet::new(
         ShardedQram::fat_tree(Capacity::new(64).unwrap(), 1),
         1,
         TimingModel::paper_default(),
@@ -475,7 +475,7 @@ fn hedged_dispatch_beats_a_slow_replica() {
     // Interactive query homes there (even addresses); the hedge fires 10
     // layers after arrival, lands on healthy replica 1, and wins — the
     // experienced latency is the hedge's, not the straggler's.
-    let mut fleet = fifo_fleet(2, 2, None);
+    let fleet = fifo_fleet(2, 2, None);
     let requests: Vec<FleetRequest> = (0..4)
         .map(|i| request(i, 0, i as f64 * 500.0, 2 * i as u64))
         .collect();
@@ -517,7 +517,7 @@ fn a_slowed_completion_finishes_exactly_factor_latencies_after_its_start() {
     // dispatched inside it completes exactly three latencies after its
     // start, even when it completes past `until`, and one dispatched at
     // or after `until` completes exactly one latency after its start.
-    let mut fleet = fifo_fleet(1, 1, None);
+    let fleet = fifo_fleet(1, 1, None);
     let latency = fleet.equivalent_server().latency();
     let (from, until) = (Layers::new(200.0), Layers::new(600.0));
     let requests: Vec<FleetRequest> = (0..40)
@@ -559,7 +559,7 @@ fn a_slowed_completion_finishes_exactly_factor_latencies_after_its_start() {
 
 #[test]
 fn corrupted_outcomes_are_caught_by_parity_and_reserved() {
-    let mut fleet = fifo_fleet(1, 1, None);
+    let fleet = fifo_fleet(1, 1, None);
     let requests = vec![request(0, 0, 0.0, 5)];
     let plan = FaultPlan::none().with(Fault::CorruptOutcome {
         replica: 0,
@@ -589,7 +589,7 @@ fn a_stalled_shard_freezes_strict_fifo_dispatch_until_thawed() {
     // Shard 0 stalls over [0, 600) before any arrival; strict FIFO
     // round-robin means the whole replica dispatches nothing until the
     // thaw re-pumps it.
-    let mut fleet = fifo_fleet(1, 2, None);
+    let fleet = fifo_fleet(1, 2, None);
     let requests: Vec<FleetRequest> = (0..10).map(|i| request(i, 0, 10.0, i as u64)).collect();
     let plan = FaultPlan::none().with(Fault::StallShard {
         replica: 0,
@@ -631,7 +631,7 @@ fn brownout_observes_occupancy_after_the_tick_declares_a_replica_down() {
     // is shed.
     let batch = TenantId(1);
     let policy = QuotaAdmission::new(FifoAdmission).with_slo(batch, SloClass::Batch);
-    let mut fleet = QramFleet::new(
+    let fleet = QramFleet::new(
         ShardedQram::fat_tree(Capacity::new(64).unwrap(), 1),
         2,
         TimingModel::paper_default(),

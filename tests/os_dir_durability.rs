@@ -100,7 +100,7 @@ fn a_served_write_stream_survives_a_kill_on_the_real_filesystem() {
         group_commit: GroupCommitPolicy::group(2, 40.0),
         ..FaultConfig::default()
     };
-    let mut fleet = fifo_fleet(2);
+    let fleet = fifo_fleet(2);
     let report = fleet
         .serve_durable(
             &memory,
@@ -133,7 +133,7 @@ fn a_served_write_stream_survives_a_kill_on_the_real_filesystem() {
     expect.write(3, 1);
     expect.write(9, 0);
     expect.write(12, 1);
-    assert_eq!(recovered.memory.cells(), expect.cells());
+    assert_eq!(recovered.memory, expect);
 
     fs::remove_dir_all(&root).expect("clean scratch dir");
 }
@@ -178,7 +178,7 @@ fn an_unsynced_group_tail_is_lost_but_never_resurrected_on_disk() {
     for epoch in 1..=4u64 {
         expect.write(epoch % 64, epoch % 2);
     }
-    assert_eq!(recovered.memory.cells(), expect.cells());
+    assert_eq!(recovered.memory, expect);
 
     // The reopened store keeps appending where the synced prefix ends.
     let mut reopened = DurableFleet::open(

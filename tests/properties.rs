@@ -3,13 +3,14 @@
 use std::collections::HashSet;
 
 use fat_tree_qram::core::exec::execute_layers;
+use fat_tree_qram::core::store::checkpoint;
 use fat_tree_qram::core::{
     execute_batch, execute_batch_traced, reference, BatchCacheStats, BucketBrigadeQram,
     CompiledQuery, FatTreeQram, Op, PipelineSchedule, QramModel, QubitTag, ShardedQram,
 };
 use fat_tree_qram::metrics::{Capacity, Layers};
 use fat_tree_qram::noise::distilled_infidelity;
-use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
+use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory, MemoryError};
 use fat_tree_qram::qsim::Complex;
 use fat_tree_qram::sched::{
     schedule_fifo, schedule_in_order, OnlineFifoScheduler, QramServer, QueryRequest,
@@ -311,17 +312,19 @@ proptest! {
     fn sharded_parallel_and_sequential_agree(
         n in 4u32..=6,
         k_exp in 1u32..=3,
-        seed_cells in prop::collection::vec(0u64..2, 1..64),
+        lane in 0u32..7,
+        width_pick in 0u32..31,
+        seed_cells in prop::collection::vec(0u64..=u64::MAX, 1..64),
+        update_values in prop::collection::vec(0u64..=u64::MAX, 6),
         query_strides in prop::collection::vec(1u64..23, 1..5),
         // The vendored proptest has no tuple strategies: each u64 encodes
         // (layer, address, value) and is decoded below.
         updates in prop::collection::vec(0u64..(200 * 64 * 2), 0..4),
     ) {
+        let bus_width = bus_width_in_lane(lane, width_pick);
         let capacity = 1u64 << n;
         let k = 1u32 << k_exp.min(n - 1);
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let memory = memory_at(bus_width, capacity, &seed_cells);
         let addresses: Vec<AddressState> = query_strides
             .iter()
             .map(|&stride| {
@@ -333,7 +336,8 @@ proptest! {
             .collect();
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
-            .map(|enc| (enc / 128, (enc / 2) % capacity, enc % 2))
+            .zip(&update_values)
+            .map(|(enc, &value)| (enc / 128, (enc / 2) % capacity, value & mask(bus_width)))
             .collect();
         let cap = Capacity::new(capacity).unwrap();
         let ft = ShardedQram::fat_tree(cap, k);
@@ -355,23 +359,26 @@ proptest! {
     #[test]
     fn memoized_batches_match_unmemoized_across_interleaved_writes(
         n in 3u32..=5,
-        seed_cells in prop::collection::vec(0u64..2, 1..32),
+        lane in 0u32..7,
+        width_pick in 0u32..31,
+        seed_cells in prop::collection::vec(0u64..=u64::MAX, 1..32),
+        update_values in prop::collection::vec(0u64..=u64::MAX, 6),
         // Few distinct addresses over many queries → plenty of repeats.
         query_addrs in prop::collection::vec(0u64..4, 2..12),
         // Encoded (layer, address, value) triples, as above.
         updates in prop::collection::vec(0u64..(300 * 32 * 2), 0..6),
     ) {
+        let bus_width = bus_width_in_lane(lane, width_pick);
         let capacity = 1u64 << n;
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let memory = memory_at(bus_width, capacity, &seed_cells);
         let addresses: Vec<AddressState> = query_addrs
             .iter()
             .map(|&a| AddressState::classical(n, a % capacity).unwrap())
             .collect();
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
-            .map(|enc| (enc / 64, (enc / 2) % capacity, enc % 2))
+            .zip(&update_values)
+            .map(|(enc, &value)| (enc / 64, (enc / 2) % capacity, value & mask(bus_width)))
             .collect();
         let cap = Capacity::new(capacity).unwrap();
         let backends: [Box<dyn QramModel>; 3] = [
@@ -435,23 +442,26 @@ proptest! {
     fn compiled_batches_match_interpreted_reference(
         n in 3u32..=5,
         k_exp in 0u32..=3,
-        seed_cells in prop::collection::vec(0u64..2, 1..32),
+        lane in 0u32..7,
+        width_pick in 0u32..31,
+        seed_cells in prop::collection::vec(0u64..=u64::MAX, 1..32),
+        update_values in prop::collection::vec(0u64..=u64::MAX, 6),
         query_addrs in prop::collection::vec(0u64..32, 1..8),
         // Encoded (layer, address, value) triples (the vendored proptest
         // has no tuple strategies).
         updates in prop::collection::vec(0u64..(300 * 32 * 2), 0..5),
     ) {
+        let bus_width = bus_width_in_lane(lane, width_pick);
         let capacity = 1u64 << n;
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let memory = memory_at(bus_width, capacity, &seed_cells);
         let addresses: Vec<AddressState> = query_addrs
             .iter()
             .map(|&a| AddressState::classical(n, a % capacity).unwrap())
             .collect();
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
-            .map(|enc| (enc / 64, (enc / 2) % capacity, enc % 2))
+            .zip(&update_values)
+            .map(|(enc, &value)| (enc / 64, (enc / 2) % capacity, value & mask(bus_width)))
             .collect();
         let cap = Capacity::new(capacity).unwrap();
         let k = 1u32 << k_exp.min(n - 1);
@@ -549,7 +559,10 @@ proptest! {
     #[test]
     fn columnar_kernel_matches_rowwise_and_interpreter(
         n in 3u32..=5,
-        seed_cells in prop::collection::vec(0u64..2, 1..32),
+        lane in 0u32..7,
+        width_pick in 0u32..31,
+        seed_cells in prop::collection::vec(0u64..=u64::MAX, 1..32),
+        update_values in prop::collection::vec(0u64..=u64::MAX, 6),
         // Each u64 picks a pool offset (mod 6) and a width: half the
         // codes are classical, the rest windows of 2, 3 or 4 pool
         // addresses. Few distinct sets over many queries → many hits.
@@ -558,10 +571,9 @@ proptest! {
         // has no tuple strategies).
         updates in prop::collection::vec(0u64..(300 * 32 * 2), 0..6),
     ) {
+        let bus_width = bus_width_in_lane(lane, width_pick);
         let capacity = 1u64 << n;
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let memory = memory_at(bus_width, capacity, &seed_cells);
         // Six distinct addresses: 5 is odd, so i·5 mod 2ⁿ is injective.
         let pool: Vec<u64> = (0..6).map(|i| (i * 5) % capacity).collect();
         let addresses: Vec<AddressState> = query_codes
@@ -576,7 +588,8 @@ proptest! {
             .collect();
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
-            .map(|enc| (enc / 64, (enc / 2) % capacity, enc % 2))
+            .zip(&update_values)
+            .map(|(enc, &value)| (enc / 64, (enc / 2) % capacity, value & mask(bus_width)))
             .collect();
         let cap = Capacity::new(capacity).unwrap();
         let backends: [Box<dyn QramModel>; 3] = [
@@ -609,14 +622,16 @@ proptest! {
         n in 5u32..=7,
         k_exp in 0u32..=3,
         hot_pick in 0u64..8,
-        seed_cells in prop::collection::vec(0u64..2, 1..128),
+        lane in 0u32..7,
+        width_pick in 0u32..31,
+        seed_cells in prop::collection::vec(0u64..=u64::MAX, 1..128),
+        update_values in prop::collection::vec(0u64..=u64::MAX, 6),
         query_strides in prop::collection::vec(1u64..17, 2..6),
         updates in prop::collection::vec(0u64..(200 * 128 * 2), 0..4),
     ) {
+        let bus_width = bus_width_in_lane(lane, width_pick);
         let capacity = 1u64 << n;
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let memory = memory_at(bus_width, capacity, &seed_cells);
         // K capped at N/2, so every shard keeps at least one address bit.
         let k = 1u64 << k_exp.min(n - 1);
         let hot_shard = hot_pick % k;
@@ -638,7 +653,8 @@ proptest! {
         // Writes target the hot shard's cells.
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
-            .map(|enc| (enc / 256, ((enc / 2) % local) * k + hot_shard, enc % 2))
+            .zip(&update_values)
+            .map(|(enc, &value)| (enc / 256, ((enc / 2) % local) * k + hot_shard, value & mask(bus_width)))
             .collect();
         let shards = u32::try_from(k).unwrap();
         let sharded = ShardedQram::fat_tree(Capacity::new(capacity).unwrap(), shards);
@@ -666,6 +682,43 @@ proptest! {
             prop_assert!((amp.norm_sqr() - 1.0 / k as f64).abs() < 1e-9);
         }
     }
+}
+
+/// The data mask of a `bus_width`-bit cell.
+fn mask(bus_width: u32) -> u64 {
+    (1 << bus_width) - 1
+}
+
+/// A bus width of lane class `lane` (lanes of `2^lane` bits: widths 1,
+/// 2, 3..=4, 5..=8, 9..=16, 17..=32 or 33..=63), the `pick`-th of the
+/// class modulo its size. Drawing the class first gives each of the
+/// seven lane widths a seventh of the cases — the 1-bit lane every
+/// benchmark workload runs on included, which a uniform draw over 1..=63
+/// would give one case in 63 — while every width 1..=63 stays drawable.
+fn bus_width_in_lane(lane: u32, pick: u32) -> u32 {
+    let low = if lane == 0 { 1 } else { (1 << (lane - 1)) + 1 };
+    let high = (1u32 << lane).min(63);
+    low + pick % (high - low + 1)
+}
+
+#[test]
+fn lane_classes_cover_every_bus_width() {
+    let mut widths: Vec<u32> = (0..7)
+        .flat_map(|lane| (0..31).map(move |pick| bus_width_in_lane(lane, pick)))
+        .collect();
+    widths.sort_unstable();
+    widths.dedup();
+    assert_eq!(widths, (1..=63).collect::<Vec<_>>());
+}
+
+/// A `bus_width`-bit memory of `capacity` cells: `raw` cut to the bus
+/// width, then zero-padded. The kernel-vs-reference properties draw
+/// their bus widths with [`bus_width_in_lane`], so the packed image's
+/// every lane width (1 to 64 bits) meets the reference interpreter.
+fn memory_at(bus_width: u32, capacity: u64, raw: &[u64]) -> ClassicalMemory {
+    let mut cells: Vec<u64> = raw.iter().map(|&cell| cell & mask(bus_width)).collect();
+    cells.resize(capacity as usize, 0);
+    ClassicalMemory::from_words(bus_width, &cells).unwrap()
 }
 
 /// Brute-force memo accounting: visit queries in retrieval order; every
@@ -699,4 +752,86 @@ fn memo_model(
         }
     }
     stats
+}
+
+proptest! {
+    /// The packed image against a plain model: at every bus width from 1
+    /// to 63 and every capacity from 2 to 2^12 cells (below one word's
+    /// cells too), `from_words`, `write`, `read`, `clone_from`, `==`,
+    /// `differing_cells` and `ideal_query` agree with a `Vec<u64>` of
+    /// cells; `WordTooWide` names the first wide cell; and a checkpoint
+    /// encodes to the header plus the packed words and decodes back.
+    #[test]
+    fn packed_memory_matches_a_plain_cell_vector(
+        lane in 0u32..7,
+        width_pick in 0u32..31,
+        n in 1u32..=12,
+        raw in prop::collection::vec(0u64..=u64::MAX, 1..64),
+        writes in prop::collection::vec(0u64..=u64::MAX, 0..40),
+        wide_at in 0u64..=u64::MAX,
+        epoch in 0u64..=u64::MAX,
+    ) {
+        let bus_width = bus_width_in_lane(lane, width_pick);
+        let capacity = 1usize << n;
+        let cells = capacity as u64;
+        let start: Vec<u64> = (0..capacity)
+            .map(|i| raw[i % raw.len()].rotate_left(i as u32) & mask(bus_width))
+            .collect();
+        let base = ClassicalMemory::from_words(bus_width, &start).unwrap();
+        prop_assert_eq!(base.capacity(), capacity);
+        prop_assert_eq!(base.bus_width(), bus_width);
+        prop_assert_eq!(
+            base.words().len(),
+            ClassicalMemory::packed_len(bus_width, capacity).unwrap()
+        );
+
+        let mut memory = base.clone();
+        let mut model = start.clone();
+        for &w in &writes {
+            let (address, value) = (w % cells, w.rotate_left(17) & mask(bus_width));
+            memory.write(address, value);
+            model[address as usize] = value;
+        }
+        for (address, &cell) in model.iter().enumerate() {
+            prop_assert_eq!(memory.read(address as u64), cell);
+        }
+        prop_assert_eq!(&memory, &ClassicalMemory::from_words(bus_width, &model).unwrap());
+        prop_assert_eq!(memory == base, model == start);
+        let changed: Vec<u64> = (0..cells).filter(|&a| model[a as usize] != start[a as usize]).collect();
+        prop_assert_eq!(base.differing_cells(&memory).collect::<Vec<_>>(), changed);
+        let mut copy = base.clone();
+        copy.clone_from(&memory);
+        prop_assert_eq!(&copy, &memory);
+
+        let mut picks: Vec<u64> = writes.iter().chain(&raw).map(|w| w % cells).collect();
+        picks.sort_unstable();
+        picks.dedup();
+        let outcome = memory.ideal_query(&AddressState::uniform(n, &picks).unwrap());
+        prop_assert_eq!(outcome.bus_width(), bus_width);
+        for &(_, address, data) in outcome.iter() {
+            prop_assert_eq!(data, model[address as usize]);
+        }
+
+        // Two wide cells: the first is named.
+        let first = (wide_at % cells) as usize;
+        let mut wide = model.clone();
+        wide[first] |= 1 << bus_width;
+        if let Some(later) = wide.get_mut(first + 1) {
+            *later = u64::MAX;
+        }
+        prop_assert_eq!(
+            ClassicalMemory::from_words(bus_width, &wide),
+            Err(MemoryError::WordTooWide {
+                index: first,
+                value: wide[first],
+                bus_width,
+            })
+        );
+
+        let payload = checkpoint::encode(&memory, epoch);
+        prop_assert_eq!(payload.len(), 28 + 8 * memory.words().len());
+        let (decoded, decoded_epoch) = checkpoint::decode(&payload).unwrap();
+        prop_assert_eq!(decoded_epoch, epoch);
+        prop_assert_eq!(decoded, memory);
+    }
 }

@@ -127,7 +127,7 @@ proptest! {
             .collect();
         let qram = ShardedQram::fat_tree(capacity, k);
         let server = QramServer::for_model(&qram, &timing);
-        let mut fleet = QramFleet::fifo(qram, 1, timing);
+        let fleet = QramFleet::fifo(qram, 1, timing);
         let cells: Vec<u64> = (0..256).map(|i| (i * 3 + 1) % 2).collect();
         let memory = ClassicalMemory::from_words(1, &cells).unwrap();
         let report = fleet.serve(&memory, fleet_requests, Vec::new()).unwrap();
@@ -161,7 +161,7 @@ proptest! {
         let capacity = Capacity::new(1024).unwrap();
         let timing = TimingModel::paper_default();
         let qram = ShardedQram::fat_tree(capacity, k);
-        let mut fleet = QramFleet::fifo(qram, 1, timing);
+        let fleet = QramFleet::fifo(qram, 1, timing);
         let requests: Vec<FleetRequest> = arrivals_from_gaps(&gaps)
             .into_iter()
             .map(|r| FleetRequest {
@@ -238,7 +238,7 @@ fn reactor_handles_bursty_traffic_end_to_end() {
     let capacity = Capacity::new(4096).unwrap();
     let timing = TimingModel::paper_default();
     let qram = ShardedQram::fat_tree(capacity, 4);
-    let mut fleet = QramFleet::fifo(qram, 1, timing);
+    let fleet = QramFleet::fifo(qram, 1, timing);
     let mut rng = StdRng::seed_from_u64(20260727);
     // ON bursts near 4× the aggregate service rate, long OFF gaps.
     let aggregate_rate = 4.0 / 8.25;
@@ -301,13 +301,13 @@ fn noise_aware_service_serves_fewer_queries_concurrently() {
             .unwrap()
     };
 
-    let mut fifo_fleet = QramFleet::fifo(make(), 1, timing);
+    let fifo_fleet = QramFleet::fifo(make(), 1, timing);
     let fifo_report = fifo_fleet.serve(&memory, requests(12), Vec::new()).unwrap();
     let fifo_schedule = fifo_report.schedule();
 
     let tight = NoiseAwareAdmission::for_model(&make(), &rates, 1e-3);
     assert_eq!(tight.copies(), 4);
-    let mut noise_fleet = QramFleet::new(
+    let noise_fleet = QramFleet::new(
         make(),
         1,
         timing,
