@@ -8,16 +8,11 @@
 //! trickle and a hot tenant whose flash crowd peaks at several times
 //! the aggregate admission capacity of a single replica. Each row is
 //! produced twice, with the hot tenant uncapped and with an
-//! outstanding-query quota at the router, so the baseline records both
-//! the throughput scaling in `R` and the quota keeping the hot tenant's
-//! p99 bounded while the crowd sheds. The criterion timings measure the
-//! full fleet serving loop (router + per-replica reactors + execution)
-//! per replica count; the per-`R` served rates and the R = 2 hot-tenant
-//! p99s land in the `CRITERION_JSON` baseline as scalars.
+//! outstanding-query quota at the router, so the table shows both the
+//! throughput scaling in `R` and the quota keeping the hot tenant's p99
+//! bounded while the crowd sheds. Every number is on the modeled clock;
+//! the host time of the fleet serving loop is perfbench's (`perfbench/`).
 
-use std::io::Write as _;
-
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qram_core::{QramModel, ShardedQram};
 use qram_metrics::{Capacity, TimingModel};
 use qram_sched::{flash_crowd_arrivals, poisson_arrivals, FifoAdmission, QuotaAdmission, TenantId};
@@ -111,23 +106,7 @@ fn fleet(
     )
 }
 
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements
-/// (here: served rates and latency percentiles) land in the same JSON
-/// record as the timings.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
-}
-
-fn print_fleet_rows(_c: &mut Criterion) {
+fn main() {
     let timing = TimingModel::paper_default();
     let mem = memory();
     let requests = workload();
@@ -171,50 +150,6 @@ fn print_fleet_rows(_c: &mut Criterion) {
                 p99(HOT),
                 p99(BACKGROUND),
             );
-            if quota.is_none() {
-                record_scalar(
-                    &format!("fleet/r{replicas}_k4_n4096_flash_served_qps"),
-                    report.query_rate().get(),
-                );
-            }
-            if replicas == 2 {
-                let label = if quota.is_some() {
-                    "quota8"
-                } else {
-                    "uncapped"
-                };
-                record_scalar(
-                    &format!("fleet/r2_k4_n4096_flash_hot_p99_us_{label}"),
-                    p99(HOT),
-                );
-            }
         }
     }
 }
-
-fn bench_fleet_loop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet");
-    let mem = memory();
-    let requests = workload();
-    for replicas in REPLICA_COUNTS {
-        let fleet = fleet(replicas, Some(HOT_QUOTA));
-        group.bench_function(
-            format!("r{replicas}_k4_n4096_flash_{}q", requests.len()),
-            |b| {
-                b.iter_batched(
-                    || requests.clone(),
-                    |reqs| {
-                        fleet
-                            .serve(&mem, reqs, Vec::<FleetWrite>::new())
-                            .expect("fleet run")
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, print_fleet_rows, bench_fleet_loop);
-criterion_main!(benches);

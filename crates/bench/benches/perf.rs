@@ -28,27 +28,6 @@ fn bench_query_execution(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batched_execution(c: &mut Criterion) {
-    // 1024 back-to-back classical queries on a small tree: scheduling
-    // (retrieval layers + conflict validation) is a visible share of the
-    // runtime, so regressions in the batch hot path show up here.
-    let mut group = c.benchmark_group("batched_execution");
-    let capacity = Capacity::from_address_width(4);
-    let memory = ClassicalMemory::zeros(16);
-    let addresses: Vec<AddressState> = (0..1024u64)
-        .map(|i| AddressState::classical(4, i % 16).expect("valid"))
-        .collect();
-    let ft = FatTreeQram::new(capacity);
-    group.bench_function("fat_tree_1024_queries", |b| {
-        b.iter(|| ft.execute_queries(&memory, &addresses, &[]).expect("valid"))
-    });
-    let bb = BucketBrigadeQram::new(capacity);
-    group.bench_function("bb_1024_queries", |b| {
-        b.iter(|| bb.execute_queries(&memory, &addresses, &[]).expect("valid"))
-    });
-    group.finish();
-}
-
 fn bench_pipeline_validation(c: &mut Criterion) {
     let qram = FatTreeQram::new(Capacity::from_address_width(10));
     c.bench_function("pipeline_conflict_check_40_queries", |b| {
@@ -97,7 +76,6 @@ fn bench_statevector(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_query_execution,
-    bench_batched_execution,
     bench_pipeline_validation,
     bench_stream_simulation,
     bench_statevector

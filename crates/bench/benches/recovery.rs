@@ -1,25 +1,22 @@
-//! Cold-recovery benchmark for the durable store: time to rebuild fleet
-//! state (`DurableFleet::recover`) from a crash image, as a function of
-//! the write-ahead-log length and the checkpoint policy.
+//! Cold recovery of the durable store (`DurableFleet::recover`) from a
+//! crash image, as a function of the write-ahead-log length and the
+//! checkpoint policy.
 //!
 //! The reproduction artifact is the WAL-bytes-vs-checkpoint trade-off:
 //! without checkpoints the log holds every epoch and recovery replays
 //! all of it; with periodic checkpoints the log is compacted down to
-//! the post-checkpoint suffix and recovery is dominated by one image
-//! load plus a short replay. The criterion timing prices exactly that
-//! recovery path — checkpoint load, framed CRC scan, WAL replay — on an
-//! in-memory `SimDir`, so the numbers isolate the store's CPU cost from
-//! platter physics.
+//! the post-checkpoint suffix and recovery is one image load plus a
+//! short replay. The target asserts that every acknowledged write is
+//! recovered and that checkpoints compact the log. The host time of
+//! cold recovery is perfbench's (`recover_ms_p50`) and the durability
+//! target's (`durability`).
 
-use std::io::Write as _;
-
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qram_core::store::{CheckpointPolicy, DurableFleet, SimDir, WAL_FILE};
 use qram_core::ReplicatedWrite;
 use qsim::branch::ClassicalMemory;
 
 const N: u64 = 4096;
-/// WAL lengths (epochs appended) swept by the benchmark.
+/// WAL lengths (epochs appended) swept by the table.
 const WAL_LENGTHS: [u64; 3] = [64, 512, 4096];
 /// Checkpoint cadence of the "with checkpoints" arm.
 const CHECKPOINT_EVERY: u64 = 256;
@@ -54,23 +51,7 @@ fn crash_image(epochs: u64, policy: CheckpointPolicy) -> SimDir {
         .clone()
 }
 
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements (here: WAL
-/// bytes per configuration) land in the baseline's `scalars` section
-/// instead of the timing table.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
-}
-
-fn print_recovery_rows(_c: &mut Criterion) {
+fn main() {
     println!("== cold recovery, N = {N} cells, checkpoint every {CHECKPOINT_EVERY} vs never ==");
     println!(
         "{:>7} {:>12} {:>14} {:>15} {:>14}",
@@ -91,40 +72,9 @@ fn print_recovery_rows(_c: &mut Criterion) {
             recovered.epoch,
             recovered.writes.len(),
         );
-        record_scalar(
-            &format!("recovery/wal_bytes_{epochs}epochs_no_checkpoint"),
-            plain_bytes as f64,
-        );
-        record_scalar(
-            &format!("recovery/wal_bytes_{epochs}epochs_checkpointed"),
-            ckpt_bytes as f64,
-        );
         assert!(
             epochs < CHECKPOINT_EVERY || ckpt_bytes < plain_bytes,
             "checkpoints must compact the log"
         );
     }
 }
-
-fn bench_recovery(c: &mut Criterion) {
-    let mut group = c.benchmark_group("recovery");
-    for &epochs in &WAL_LENGTHS {
-        for (label, policy) in [
-            ("no_checkpoint", CheckpointPolicy::never()),
-            ("checkpointed", CheckpointPolicy::every(CHECKPOINT_EVERY)),
-        ] {
-            let image = crash_image(epochs, policy);
-            group.bench_function(format!("cold_{epochs}epochs_{label}"), |b| {
-                b.iter_batched(
-                    || image.clone(),
-                    |dir| DurableFleet::recover(Box::new(dir)).expect("recover"),
-                    BatchSize::SmallInput,
-                )
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, print_recovery_rows, bench_recovery);
-criterion_main!(benches);

@@ -1,20 +1,15 @@
-//! The §5 quantum-data-center service as a benchmark: online serving of
+//! The §5 quantum-data-center service as a table: online serving of
 //! open-loop query traffic by a one-replica fleet (the single machine) on
 //! a sharded Fat-Tree at `N = 4096`, `K ∈ {1, 2, 4, 8}`.
 //!
 //! For each shard count the reproduction artifact is a §5-style row —
 //! offered load, sustained throughput, and p50/p95/p99 response latency
-//! (in layers and wall-clock µs under the paper timing model) — under a
-//! Poisson arrival stream and under a bursty (on/off-modulated Poisson)
-//! stream, both addressing memory with the Zipf(0.99) serving-cache skew
-//! so dispatched batches hit the compiled-plan + memoization hot path.
-//! The criterion timings measure the full serving loop (reactor +
-//! execution) per shard count, and the K = 8 Poisson p95 (in layers) is
-//! recorded into the `CRITERION_JSON` baseline as a scalar.
+//! (in layers and µs under the paper timing model) — under a Poisson
+//! arrival stream and under a bursty (on/off-modulated Poisson) stream,
+//! both addressing memory with a Zipf(0.99) skew. Every number is on the
+//! modeled clock; the host time of the serving loop is perfbench's
+//! (`perfbench/`).
 
-use std::io::Write as _;
-
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qram_core::{QramModel, ShardedQram};
 use qram_metrics::{Capacity, TimingModel};
 use qram_sched::{bursty_arrivals, poisson_arrivals, QueryRequest, TenantId, ZipfAddresses};
@@ -82,23 +77,7 @@ fn bursty_workload(k: u32) -> Vec<FleetRequest> {
     ))
 }
 
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements
-/// (here: a latency percentile in layers) land in the baseline's
-/// `scalars` section instead of the timing table.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
-}
-
-fn print_section5_rows(_c: &mut Criterion) {
+fn main() {
     let timing = TimingModel::paper_default();
     let mem = memory();
     println!(
@@ -143,34 +122,6 @@ fn print_section5_rows(_c: &mut Criterion) {
                 hist.quantile(0.99).get(),
                 timing.layers_to_micros(hist.quantile(0.99)),
             );
-            if k == 8 && label == "poisson" {
-                record_scalar(
-                    "serving/k8_n4096_poisson_zipf_p95_layers",
-                    hist.quantile(0.95).get(),
-                );
-            }
         }
     }
 }
-
-fn bench_serving_loop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serving");
-    let timing = TimingModel::paper_default();
-    let mem = memory();
-    for k in SHARD_COUNTS {
-        let requests = poisson_workload(k);
-        let qram = ShardedQram::fat_tree(capacity(), k);
-        let fleet = QramFleet::fifo(qram, 1, timing);
-        group.bench_function(format!("k{k}_n4096_poisson_zipf_{REQUESTS}q"), |b| {
-            b.iter_batched(
-                || requests.clone(),
-                |reqs| fleet.serve(&mem, reqs, Vec::new()).expect("service run"),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, print_section5_rows, bench_serving_loop);
-criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! Shared formatting helpers for the benchmark harness that regenerates
 //! every table and figure of the Fat-Tree QRAM paper.
 //!
-//! Each bench target (`cargo bench -p qram-bench`) prints the same rows or
-//! series the paper reports; see `EXPERIMENTS.md` at the workspace root
-//! for the paper-vs-measured record.
+//! Each figure and table target (`cargo bench -p qram-bench --bench
+//! <target>`) prints the rows or series the paper reports, most with the
+//! paper's value beside them; `tests/paper_numbers.rs` asserts the
+//! headline numbers.
 
 /// Prints a section header for a table/figure reproduction.
 pub fn header(title: &str) {

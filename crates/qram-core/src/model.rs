@@ -252,15 +252,28 @@ pub fn execute_batch<M: QramModel + ?Sized>(
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
 ) -> Result<Vec<QueryOutcome>, ExecError> {
-    Ok(run_columnar(model, memory, addresses, memory_updates, None))
+    assert_eq!(
+        memory.capacity() as u64,
+        model.capacity().get(),
+        "memory capacity must match QRAM capacity"
+    );
+    Ok(crate::soa::execute_columnar(
+        &model.compiled_query(),
+        memory,
+        addresses,
+        memory_updates,
+        |q| model.retrieval_layer(q),
+    ))
 }
 
 /// [`execute_batch`] with memo accounting ([`BatchCacheStats`]) alongside
-/// the outcomes — the instrumented entry point behind the Zipf hit-rate
-/// curve and the benchmark's per-layer trace.
+/// the outcomes — the instrumented entry point behind the benchmark's
+/// per-layer trace.
 ///
-/// On this entry point the columnar kernel (`soa` module) also counts,
-/// per memory epoch, one miss for the first query over each address set
+/// The kernel runs as in [`execute_batch`]; the accounting is a pass of
+/// its own over the §7.2 retrieval-order sweep, in which every delivered
+/// update closes a memory epoch. Each epoch sorts its query indices by
+/// address sequence once and counts one miss per distinct address set
 /// and one hit for every repeat.
 ///
 /// # Errors
@@ -276,34 +289,30 @@ pub fn execute_batch_traced<M: QramModel + ?Sized>(
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
 ) -> Result<(Vec<QueryOutcome>, BatchCacheStats), ExecError> {
+    let outcomes = execute_batch(model, memory, addresses, memory_updates)?;
+    let retrievals: Vec<u64> = (0..addresses.len())
+        .map(|q| model.retrieval_layer(q))
+        .collect();
+    let key = |q: usize| addresses[q].iter().map(|&(_, a)| a);
     let mut stats = BatchCacheStats::default();
-    let outcomes = run_columnar(model, memory, addresses, memory_updates, Some(&mut stats));
+    let mut close_epoch = |epoch: &mut Vec<usize>| {
+        epoch.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let repeats = epoch.windows(2).filter(|w| key(w[0]).eq(key(w[1]))).count() as u64;
+        stats.hits += repeats;
+        stats.misses += epoch.len() as u64 - repeats;
+        epoch.clear();
+    };
+    let mut epoch = Vec::new();
+    retrieval_order_sweep(&retrievals, memory_updates, |event| -> Result<(), ()> {
+        match event {
+            SweepEvent::Update { .. } => close_epoch(&mut epoch),
+            SweepEvent::Query(q) => epoch.push(q),
+        }
+        Ok(())
+    })
+    .expect("memo accounting is infallible");
+    close_epoch(&mut epoch);
     Ok((outcomes, stats))
-}
-
-/// The columnar kernel call shared by [`execute_batch`] and
-/// [`execute_batch_traced`]. Memo statistics are computed only when
-/// `stats` asks for them.
-fn run_columnar<M: QramModel + ?Sized>(
-    model: &M,
-    memory: &ClassicalMemory,
-    addresses: &[AddressState],
-    memory_updates: &[(u64, u64, u64)],
-    stats: Option<&mut BatchCacheStats>,
-) -> Vec<QueryOutcome> {
-    assert_eq!(
-        memory.capacity() as u64,
-        model.capacity().get(),
-        "memory capacity must match QRAM capacity"
-    );
-    crate::soa::execute_columnar(
-        &model.compiled_query(),
-        memory,
-        addresses,
-        memory_updates,
-        |q| model.retrieval_layer(q),
-        stats,
-    )
 }
 
 /// One step of the §7.2 retrieval-order sweep of
@@ -557,8 +566,9 @@ mod tests {
 
     #[test]
     fn memoized_and_unmemoized_batches_agree() {
-        // The kernel (with its memo accounting on) against the reference
-        // interpreter sweep, across two writes that split the epochs.
+        // The traced entry point (kernel plus memo pass) against the
+        // reference interpreter sweep, across two writes that split the
+        // epochs.
         let (bb, ft) = models(8);
         let mem = ClassicalMemory::from_words(1, &[1, 0, 0, 1, 1, 0, 1, 0]).unwrap();
         let addresses: Vec<AddressState> = vec![

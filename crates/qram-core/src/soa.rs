@@ -5,9 +5,9 @@
 //! memory read, a batch's cost is dominated by everything *around* that
 //! read: per-query allocator traffic, copies of the memory image, and
 //! per-branch dispatch. One kernel, [`execute_columnar`], serves every
-//! backend with a compiled plan — [`execute_batch`](crate::execute_batch)
-//! and [`execute_batch_traced`](crate::execute_batch_traced), and through
-//! them every provided `QramModel::execute_queries`, `ShardedQram`'s
+//! backend with a compiled plan — [`execute_batch`](crate::execute_batch),
+//! and through it [`execute_batch_traced`](crate::execute_batch_traced)
+//! and every provided `QramModel::execute_queries`, `ShardedQram`'s
 //! included — and shapes the batch around that read:
 //!
 //! * **Direct gathers over the unsplit image** — a term's data is one
@@ -30,17 +30,10 @@
 //!   applies each write to a private copy of the image and fills a
 //!   query's slice of the column when the sweep reaches it, so every
 //!   query reads the image current at its retrieval layer.
-//! * **Memo accounting only when asked** — the traced entry point gets
-//!   [`BatchCacheStats`] counted per epoch from the address sets (a
-//!   bitmap for single-branch sets, one sort for multi-branch sets): one
-//!   miss per distinct address set and one hit for every further query
-//!   over a set already seen in that epoch. Untraced calls skip the
-//!   accounting.
 //!
 //! The interpreter sweep [`crate::reference::execute_batch`] is the oracle:
 //! workspace-level proptests pin this kernel's outcomes bit-equal to it on
-//! every backend, shard count and write interleaving, and its
-//! [`BatchCacheStats`] to a brute-force per-epoch memo model.
+//! every backend, shard count and write interleaving.
 
 use std::sync::Arc;
 
@@ -48,88 +41,10 @@ use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 use qsim::Complex;
 
 use crate::exec::CompiledQuery;
-use crate::model::{retrieval_order_sweep, BatchCacheStats, SweepEvent};
+use crate::model::{retrieval_order_sweep, SweepEvent};
 
 /// One `(amplitude, address, data)` outcome term.
 type Term = (Complex, u64, u64);
-
-/// Per-epoch memo accounting for [`execute_columnar`]'s traced callers:
-/// the distinct-address bitmap (with its undo list) and the multi-branch
-/// index buffer are reused across epochs, so a multi-epoch batch performs
-/// O(1) allocations per epoch, not O(queries).
-struct StatsScratch<'a> {
-    addresses: &'a [AddressState],
-    stats: &'a mut BatchCacheStats,
-    /// One bit per memory cell: "a single-branch query over this address
-    /// was already counted in the current epoch".
-    seen: Vec<u64>,
-    /// Addresses whose bits are set, for an O(distinct) clear per epoch.
-    touched: Vec<u64>,
-    /// Multi-branch query indices of the current epoch.
-    multi: Vec<usize>,
-    /// Queries visited in the current epoch.
-    queries: u64,
-    /// Distinct single-branch sets among them.
-    distinct: u64,
-}
-
-impl<'a> StatsScratch<'a> {
-    fn new(cells: usize, addresses: &'a [AddressState], stats: &'a mut BatchCacheStats) -> Self {
-        StatsScratch {
-            addresses,
-            stats,
-            seen: vec![0; cells.div_ceil(64)],
-            touched: Vec::new(),
-            multi: Vec::new(),
-            queries: 0,
-            distinct: 0,
-        }
-    }
-
-    /// Counts query `q` into the current epoch. A single-branch set is
-    /// deduplicated through the bitmap in O(1); multi-branch sets wait for
-    /// [`Self::close_epoch`] (sets of different sizes can never collide,
-    /// so the two classes count independently).
-    fn visit(&mut self, q: usize) {
-        self.queries += 1;
-        if let &[(_, a)] = self.addresses[q].terms() {
-            let (word, bit) = ((a >> 6) as usize, a & 63);
-            if self.seen[word] >> bit & 1 == 0 {
-                self.seen[word] |= 1 << bit;
-                self.touched.push(a);
-                self.distinct += 1;
-            }
-        } else {
-            self.multi.push(q);
-        }
-    }
-
-    /// Folds the current epoch into the stats — one miss per distinct set,
-    /// one hit per repeat — and starts an empty one. Multi-branch sets are counted by sorting their
-    /// query indices by address sequence.
-    fn close_epoch(&mut self) {
-        for &a in &self.touched {
-            self.seen[(a >> 6) as usize] &= !(1 << (a & 63));
-        }
-        self.touched.clear();
-        if !self.multi.is_empty() {
-            let addresses = self.addresses;
-            let key = |q: usize| addresses[q].iter().map(|&(_, a)| a);
-            self.multi.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-            let repeats = self
-                .multi
-                .windows(2)
-                .filter(|w| key(w[0]).eq(key(w[1])))
-                .count();
-            self.distinct += (self.multi.len() - repeats) as u64;
-            self.multi.clear();
-        }
-        self.stats.misses += self.distinct;
-        self.stats.hits += self.queries - self.distinct;
-        self.queries = 0;
-        self.distinct = 0;
-    }
-}
 
 /// The columnar batch kernel behind every backend with a compiled plan.
 /// Infallible: the plan was proven valid for every address at compile
@@ -139,9 +54,8 @@ impl<'a> StatsScratch<'a> {
 /// Addresses are global: `memory` is the caller's unsplit image, and
 /// `memory_updates` are `(layer, address, value)` writes ordered against
 /// the queries by `retrieval_layer`, which is only called when there are
-/// updates (an update-free batch is one epoch in query order). Memo
-/// accounting runs only when `stats` is given; an empty batch returns at
-/// once, so callers assert the memory's capacity first.
+/// updates (an update-free batch is one epoch in query order). An empty
+/// batch returns at once, so callers assert the memory's capacity first.
 ///
 /// # Panics
 ///
@@ -152,7 +66,6 @@ pub(crate) fn execute_columnar(
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
     retrieval_layer: impl Fn(usize) -> u64,
-    stats: Option<&mut BatchCacheStats>,
 ) -> Vec<QueryOutcome> {
     if addresses.is_empty() {
         return Vec::new();
@@ -171,13 +84,8 @@ pub(crate) fn execute_columnar(
             address.num_branches()
         })
         .sum();
-    let mut scratch = stats.map(|stats| StatsScratch::new(memory.capacity(), addresses, stats));
 
     if memory_updates.is_empty() {
-        if let Some(scratch) = &mut scratch {
-            (0..addresses.len()).for_each(|q| scratch.visit(q));
-            scratch.close_epoch();
-        }
         let cells = memory.gather();
         let read = |a: u64| if reads_data { cells.read(a) } else { 0 };
         if total == addresses.len() {
@@ -206,16 +114,8 @@ pub(crate) fn execute_columnar(
     let mut mem = memory.clone();
     retrieval_order_sweep(&retrievals, memory_updates, |event| -> Result<(), ()> {
         match event {
-            SweepEvent::Update { address, value } => {
-                if let Some(scratch) = &mut scratch {
-                    scratch.close_epoch();
-                }
-                mem.write(address, value);
-            }
+            SweepEvent::Update { address, value } => mem.write(address, value),
             SweepEvent::Query(q) => {
-                if let Some(scratch) = &mut scratch {
-                    scratch.visit(q);
-                }
                 if reads_data {
                     let cells = mem.gather();
                     for term in &mut terms[offsets[q]..offsets[q + 1]] {
@@ -227,9 +127,6 @@ pub(crate) fn execute_columnar(
         Ok(())
     })
     .expect("columnar sweep is infallible");
-    if let Some(scratch) = &mut scratch {
-        scratch.close_epoch();
-    }
     shared_views(n, bus_width, &Arc::new(terms), addresses)
 }
 

@@ -102,7 +102,9 @@ impl SloClass {
     }
 }
 
-/// Per-tenant admission limits.
+/// Per-tenant admission limits. The default is unlimited, interactive
+/// class and no deadline: the behavior of a tenant the quota table does
+/// not mention.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TenantSpec {
     /// Cap on the tenant's outstanding (queued + in-flight) requests
@@ -114,19 +116,6 @@ pub struct TenantSpec {
     /// dispatched by `arrival + deadline` is shed as deadline-exceeded
     /// rather than waiting without bound. `None` waits forever.
     pub deadline: Option<Layers>,
-}
-
-impl TenantSpec {
-    /// An unlimited, interactive-class, no-deadline spec — the behavior of
-    /// a tenant the quota table does not mention.
-    #[must_use]
-    pub fn unlimited() -> Self {
-        TenantSpec {
-            quota: None,
-            slo: SloClass::Interactive,
-            deadline: None,
-        }
-    }
 }
 
 /// Capped exponential backoff for re-dispatching queries lost to a
@@ -245,12 +234,6 @@ impl<P: AdmissionPolicy> QuotaAdmission<P> {
         }
     }
 
-    /// The wrapped policy.
-    #[must_use]
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
     /// Sets a tenant's outstanding-request quota, keeping its class.
     ///
     /// # Panics
@@ -291,15 +274,7 @@ impl<P: AdmissionPolicy> QuotaAdmission<P> {
     /// The configured spec for `tenant` (unlimited if unlisted).
     #[must_use]
     pub fn spec(&self, tenant: TenantId) -> TenantSpec {
-        self.tenants
-            .get(&tenant)
-            .copied()
-            .unwrap_or_else(TenantSpec::unlimited)
-    }
-
-    /// Tenants with an explicit spec, in id order.
-    pub fn tenants(&self) -> impl Iterator<Item = (TenantId, TenantSpec)> + '_ {
-        self.tenants.iter().map(|(&t, &s)| (t, s))
+        self.tenants.get(&tenant).copied().unwrap_or_default()
     }
 }
 
@@ -357,8 +332,6 @@ mod tests {
         assert_eq!(policy.tenant_slo(TenantId(3)), SloClass::Batch);
         assert_eq!(policy.tenant_quota(TenantId(4)), Some(2));
         assert_eq!(policy.tenant_slo(TenantId(4)), SloClass::Interactive);
-        let listed: Vec<TenantId> = policy.tenants().map(|(t, _)| t).collect();
-        assert_eq!(listed, vec![TenantId(3), TenantId(4)]);
     }
 
     #[test]

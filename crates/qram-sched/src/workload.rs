@@ -7,10 +7,10 @@
 //! overall algorithm depth (makespan), and the QRAM utilization staircase.
 //!
 //! [`ZipfAddresses`] generates skewed classical address workloads —
-//! the standard serving-cache traffic model — used to measure the batch
-//! memoization hit rate of `qram_core::execute_batch_traced`; and
+//! the standard serving-cache traffic model — for the serving table, the
+//! columnar kernel bench and the fleet benchmark's workloads; and
 //! [`bursty_arrivals`] generates on/off-modulated Poisson arrival streams,
-//! the open-loop tail-latency workload of the serving benchmark.
+//! the open-loop tail-latency workload of the serving table.
 
 use qram_metrics::{Capacity, Layers, Utilization, UtilizationTrace};
 use rand::rngs::StdRng;

@@ -1,25 +1,27 @@
 #!/usr/bin/env bash
-# Bench smoke run: executes one fast target per figure/table of the paper
-# plus the criterion micro-benchmarks, and writes a JSON perf baseline.
+# Bench smoke run: executes every table target (one per figure/table of
+# the paper, plus the sharded, serving, fleet, fault and recovery tables)
+# and the criterion micro-benchmarks, and writes a JSON record of them.
 #
 # Usage: scripts/bench_smoke.sh [--targets t1,t2,...] [output.json]
-#   output.json defaults to BENCH_seed.json.
-#   --targets filters both the figure/table targets and the criterion
-#   targets (perf, sharded, cache_hit, columnar_exec, serving, fleet,
-#   fleet_faults, recovery, durability) by name, e.g.
-#   --targets fig9,sharded.
+#   output.json defaults to bench-out/BENCH_local.json (untracked).
+#   --targets filters both the table targets and the criterion targets
+#   (perf, columnar_exec, durability) by name, e.g. --targets fig9,sharded.
 #
-# Figure/table targets are plain reproduction binaries (harness = false)
-# whose wall time is recorded; the criterion targets run the vendored
-# criterion harness with a reduced measurement budget and report
-# ns/iter per benchmark via the CRITERION_JSON hook.
+# Table targets are plain reproduction binaries (harness = false) whose
+# wall time is recorded; the criterion targets run the vendored criterion
+# harness with a reduced measurement budget and report ns/iter per
+# benchmark via the CRITERION_JSON hook. Every selected target runs and is
+# recorded; the script then exits 1, naming them, if any target failed
+# (a table's inline assert! fails its target).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-FIGURE_TARGETS=(fig1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-                table1 table2 table3 table4 table5 ablation)
-CRITERION_TARGETS=(perf sharded cache_hit columnar_exec serving fleet fleet_faults recovery durability)
+TABLE_TARGETS=(fig1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12
+               table1 table2 table3 table4 table5 ablation
+               sharded serving fleet fleet_faults recovery)
+CRITERION_TARGETS=(perf columnar_exec durability)
 
 FILTER=""
 OUT=""
@@ -45,7 +47,7 @@ while [ $# -gt 0 ]; do
             ;;
     esac
 done
-OUT="${OUT:-BENCH_seed.json}"
+OUT="${OUT:-bench-out/BENCH_local.json}"
 mkdir -p "$(dirname "$OUT")" 2>/dev/null || true
 
 # A typo in --targets must fail loudly, not record an empty baseline.
@@ -55,7 +57,7 @@ if [ -n "$FILTER" ]; then
     IFS=',' read -ra FILTER_ENTRIES <<<"$FILTER"
     for entry in "${FILTER_ENTRIES[@]}"; do
         known=false
-        for target in "${FIGURE_TARGETS[@]}" "${CRITERION_TARGETS[@]}"; do
+        for target in "${TABLE_TARGETS[@]}" "${CRITERION_TARGETS[@]}"; do
             if [ "$entry" = "$target" ]; then
                 known=true
                 break
@@ -63,7 +65,7 @@ if [ -n "$FILTER" ]; then
         done
         if [ "$known" = false ]; then
             echo "unknown target in --targets: '$entry'" >&2
-            echo "known targets: ${FIGURE_TARGETS[*]} ${CRITERION_TARGETS[*]}" >&2
+            echo "known targets: ${TABLE_TARGETS[*]} ${CRITERION_TARGETS[*]}" >&2
             exit 2
         fi
     done
@@ -84,27 +86,37 @@ cargo bench -p qram-bench --no-run >/dev/null 2>&1
 
 TMP_WALL="$(mktemp)"
 TMP_CRIT="$(mktemp)"
-trap 'rm -f "$TMP_WALL" "$TMP_CRIT"' EXIT
+TMP_OUT="$(mktemp)"
+trap 'rm -f "$TMP_WALL" "$TMP_CRIT" "$TMP_OUT"' EXIT
 
-for target in "${FIGURE_TARGETS[@]}"; do
-    selected "$target" || continue
+FAILED=()
+
+# Runs one bench target with its output in $TMP_OUT, records its status
+# and wall time, and remembers a failure.
+run_target() {
+    local target="$1" ok=true start end
     start="$(date +%s.%N)"
-    if cargo bench -p qram-bench --bench "$target" >/dev/null 2>&1; then
-        ok=true
-    else
-        ok=false
-    fi
+    cargo bench -p qram-bench --bench "$target" >"$TMP_OUT" 2>&1 || ok=false
     end="$(date +%s.%N)"
     echo "$target $ok $(echo "$end $start" | awk '{printf "%.3f", $1 - $2}')" >>"$TMP_WALL"
+    if [ "$ok" = false ]; then
+        FAILED+=("$target")
+        tail -n 20 "$TMP_OUT" >&2
+    fi
+}
+
+for target in "${TABLE_TARGETS[@]}"; do
+    selected "$target" || continue
+    run_target "$target"
     echo "ran $target"
 done
 
+export CRITERION_JSON="$TMP_CRIT" CRITERION_BUDGET_MS="${CRITERION_BUDGET_MS:-60}"
 for target in "${CRITERION_TARGETS[@]}"; do
     selected "$target" || continue
     echo "== criterion micro-benchmarks: $target (reduced budget) =="
-    CRITERION_JSON="$TMP_CRIT" CRITERION_BUDGET_MS="${CRITERION_BUDGET_MS:-60}" \
-        cargo bench -p qram-bench --bench "$target" 2>/dev/null \
-        | grep -E '^(bench:|==|headline)' || true
+    run_target "$target"
+    grep -E '^(bench:|==)' "$TMP_OUT" || true
 done
 
 python3 - "$OUT" "$TMP_WALL" "$TMP_CRIT" <<'EOF'
@@ -119,8 +131,8 @@ with open(wall_path) as f:
         targets[name] = {"ok": ok == "true", "wall_seconds": float(secs)}
 
 # Criterion timing rows carry "ns_per_iter"; bench-emitted scalar rows
-# (hit rates, availability, percentiles) carry "scalar" and land in
-# their own baseline section.
+# (the durability target's speedups and recovery times) carry "scalar"
+# and land in their own section.
 criterion = []
 scalars = {}
 with open(crit_path) as f:
@@ -139,9 +151,9 @@ commit = subprocess.run(
 ).stdout.strip() or None
 
 baseline = {
-    "schema": "fat-tree-qram-bench-smoke/v1",
+    "schema": "fat-tree-qram-bench-smoke/v2",
     "commit": commit,
-    "figure_table_targets": targets,
+    "targets": targets,
     "criterion_ns_per_iter": {c["id"]: c["ns_per_iter"] for c in criterion},
     "scalars": scalars,
 }
@@ -153,3 +165,8 @@ print(
     f"{len(criterion)} criterion benches, {len(scalars)} scalars"
 )
 EOF
+
+if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "failed targets: ${FAILED[*]}" >&2
+    exit 1
+fi

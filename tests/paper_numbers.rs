@@ -1,5 +1,5 @@
 //! The paper's headline numbers, asserted end to end. Each test cites the
-//! table or figure it reproduces; EXPERIMENTS.md records the mapping.
+//! table or figure it reproduces.
 
 use fat_tree_qram::algos::{algorithm_depth, sweep_cell, ParallelAlgorithm};
 use fat_tree_qram::arch::{Architecture, CostModel, NodeLayout, OnChipPlan};
